@@ -221,9 +221,12 @@ def view_spreads(
 ) -> np.ndarray:
     """Per-sample largest embedding distance between any two views."""
     z, _ = _embedded_views(encoder, dataset, aug)
-    n = z.shape[0]
-    out = np.empty(n)
-    for i in range(n):
+    return _spreads(z)
+
+
+def _spreads(z: np.ndarray) -> np.ndarray:
+    out = np.empty(z.shape[0])
+    for i in range(z.shape[0]):
         out[i] = np.sqrt(max(cdist(z[i], z[i], "sqeuclidean").max(), 0.0))
     return out
 
@@ -246,7 +249,7 @@ def empirical_r_eps(
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     z, weights = _embedded_views(encoder, dataset, aug)
-    spreads = view_spreads(encoder, dataset, aug)
+    spreads = _spreads(z)
     sq_norms = np.sum(z**2, axis=2)
     means = np.einsum("v,nvd->nd", weights, z)
     second = weights @ sq_norms.T
@@ -279,6 +282,43 @@ def class_moments(
     return first, second
 
 
+# Byte budget of one (rows, V, N*V) float64 tile of InfoNCE pair terms.
+TILE_BYTES = 2 << 20
+
+# exp(x) is a normal float64 for x >= log(tiny), about -708.4.
+_EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
+
+
+def _info_nce_divergence(z: np.ndarray, weights: np.ndarray) -> float:
+    """Population InfoNCE divergence term l2 of embeddings z, shape (N, V, d).
+
+    Rows are the flattened anchor views (i, a); each tile holds the pair
+    terms of as many rows as fit in TILE_BYTES (at least one row).
+    """
+    n, v, _ = z.shape
+    flat = z.reshape(n * v, -1)
+    w_neg = np.tile(weights, n) / n
+    rows = min(n * v, max(1, TILE_BYTES // (v * n * v * 8)))
+    tile = np.empty((rows, v, n * v))
+    l2 = 0.0
+    for start in range(0, n * v, rows):
+        stop = min(start + rows, n * v)
+        q = flat[start:stop] @ flat.T
+        # The positive scores of row (i, a) are the V columns of sample i
+        # among its negative scores, so the row max covers both.
+        shift = q.max(axis=1)
+        q -= shift[:, None]
+        np.exp(q, out=q)
+        anchor = np.arange(start, stop)
+        pos = q.reshape(-1, n, v)[np.arange(stop - start), anchor // v]
+        terms = tile[: stop - start]
+        np.add(pos[:, :, None], q[:, None, :], out=terms)
+        np.log(terms, out=terms)
+        per_row = (terms.reshape(-1, n * v) @ w_neg).reshape(-1, v) @ weights
+        l2 += weights[anchor % v] @ (per_row + shift)
+    return float(l2 / n)
+
+
 def population_loss(
     encoder: FrozenEncoder,
     dataset: Dataset,
@@ -292,6 +332,22 @@ def population_loss(
     negatives pair views of independent samples. The cross-correlation
     population matrix is E_x g(x) g(x)^T with g the per-sample weighted
     view mean, which is the exact population value of the batch estimator.
+
+    The InfoNCE divergence term averages logaddexp(P[a, b], Q[a, jc]) over
+    anchor views a, positive views b and negative views (j, c), where P and
+    Q are the positive and negative scores. With s_a the largest score of
+    anchor a it uses the exact identity
+
+        logaddexp(P[a, b], Q[a, jc])
+            = s_a + log(exp(P[a, b] - s_a) + exp(Q[a, jc] - s_a)),
+
+    so exp runs once per score and each of the N^2 V^3 terms costs one add
+    and one log; the view and negative weights sum to one, so the shifts
+    add back as sum_a w_a s_a. The identity needs every exponent to stay a
+    normal float64. Scores lie in [-max||z||^2, max||z||^2], so this holds
+    when 2 max||z||^2 <= -log(tiny) (about 708, every sphere up to radius
+    18; the pipeline trains InfoNCE on the unit sphere). Other embeddings
+    raise ValueError.
     """
     z, weights = _embedded_views(encoder, dataset, aug)
     n, v, d = z.shape
@@ -299,17 +355,13 @@ def population_loss(
     sq_norms = np.sum(z**2, axis=2)
     l_pos = float(np.mean(2.0 * (weights @ sq_norms.T - np.sum(means**2, axis=1))))
     if kind == "info_nce":
+        if 2.0 * sq_norms.max() > -_EXP_FLOOR:
+            raise ValueError(
+                "population InfoNCE needs 2 max||z||^2 <= "
+                f"{-_EXP_FLOOR:.1f}, got {2.0 * sq_norms.max():.1f}"
+            )
         l1 = l_pos / 2.0 - 1.0
-        flat = z.reshape(n * v, d)
-        w_neg = np.tile(weights, n) / n
-        pair_w = np.outer(weights, weights).ravel()
-        l2 = 0.0
-        for i in range(n):
-            pos = (z[i] @ z[i].T).ravel()
-            neg = z[i] @ flat.T
-            terms = np.logaddexp(pos[:, None], np.repeat(neg, v, axis=0))
-            l2 += pair_w @ terms @ w_neg
-        l2 = float(l2 / n)
+        l2 = _info_nce_divergence(z, weights)
         return LossBreakdown(kind="info_nce", total=l1 + l2, l1=l1, l2=l2, lam=1.0)
     if kind == "simple":
         l1 = l_pos / 2.0 - 1.0

@@ -1,19 +1,25 @@
 """Centers, nearest-center classification, alignment stats, population losses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
+    coordinate_permutation,
     identity,
     sign_flip_mask,
+    view_tensor,
     view_weights,
 )
 from augbound.core import Dataset, GeneratorConfig, generate_dataset
 from augbound.encoder import forward_prenorm, init_encoder, with_params
 from augbound.evaluation import (
+    TILE_BYTES,
     ClassStats,
+    FrozenEncoder,
     class_centers,
     class_moments,
     classify_batch,
@@ -384,6 +390,119 @@ def test_population_info_nce_matches_brute_force():
     assert got.l1 == pytest.approx(l1, abs=1e-10)
     assert got.l2 == pytest.approx(l2, abs=1e-10)
     assert got.total == pytest.approx(l1 + l2, abs=1e-10)
+
+
+def _logaddexp_population_l2(enc, ds, aug):
+    """The InfoNCE divergence term as one logaddexp per pair term."""
+    weights = view_weights(aug)
+    views = view_tensor(ds.features, aug)
+    n, v, _ = views.shape
+    z = enc.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
+    flat = z.reshape(n * v, -1)
+    w_neg = np.tile(weights, n) / n
+    pair_w = np.outer(weights, weights).ravel()
+    l2 = 0.0
+    for i in range(n):
+        pos = (z[i] @ z[i].T).ravel()
+        neg = z[i] @ flat.T
+        terms = np.logaddexp(pos[:, None], np.repeat(neg, v, axis=0))
+        l2 += pair_w @ terms @ w_neg
+    return float(l2 / n)
+
+
+MIXED_AUG = AugmentationSet(
+    transforms=(
+        identity(),
+        sign_flip_mask((-1.0, 1.0)),
+        coordinate_permutation((1, 0)),
+        additive_shift((0.0, 0.5)),
+        additive_shift((0.3, 0.0)),
+    ),
+    grid_resolution=4,
+)
+
+
+def _sphere_on(ds, aug, radius=1.0, seed=25):
+    model = init_encoder(
+        input_dim=2, hidden_dims=(4,), output_dim=3, norm_mode="sphere",
+        radius=radius, seed=seed,
+    )
+    return freeze_encoder(model, ds, aug)
+
+
+def test_population_info_nce_tiles_match_logaddexp():
+    ds = _blobs(seed=26, spread=0.5)
+    n, v = ds.num_samples, MIXED_AUG.num_views
+    rows_per_tile = TILE_BYTES // (v * n * v * 8)
+    assert 1 <= rows_per_tile and n * v >= 4 * rows_per_tile  # several tiles
+    enc = _sphere_on(ds, MIXED_AUG)
+    got = population_loss(enc, ds, MIXED_AUG, "info_nce")
+    assert abs(got.l2 - _logaddexp_population_l2(enc, ds, MIXED_AUG)) <= 1e-12
+    assert got.total == got.l1 + got.l2
+
+
+def test_population_info_nce_peak_memory_is_one_tile():
+    cfg = GeneratorConfig(
+        num_classes=2,
+        samples_per_class=24,
+        cluster_centers=((-2.0, 0.0), (2.0, 0.0)),
+        cluster_spread=0.3,
+        manifold="gaussian_blobs",
+        seed=27,
+    )
+    ds = generate_dataset(cfg)
+    aug = AugmentationSet(
+        transforms=(identity(), additive_shift((0.0, 0.5)), additive_shift((0.4, 0.0))),
+        grid_resolution=5,
+    )
+    n, v = ds.num_samples, aug.num_views
+    enc = _sphere_on(ds, aug)
+    # The logaddexp formula holds two (V^2, N V) float64 arrays per sample.
+    per_sample_pairs = 2 * v**3 * n * 8
+    # One tile plus O(N V d) for the views, activations and embeddings.
+    budget = TILE_BYTES + 64 * n * v * 8
+    assert per_sample_pairs > 4 * budget
+    tracemalloc.start()
+    try:
+        population_loss(enc, ds, aug, "info_nce")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
+def test_population_info_nce_rejects_exponent_underflow():
+    ds = _blobs(seed=28)
+    aug = AugmentationSet(
+        transforms=(identity(), additive_shift((0.0, 0.5))), grid_resolution=3
+    )
+    # 2 r^2 = 648 keeps exp of every shifted score a normal float64.
+    enc = _sphere_on(ds, aug, radius=18.0)
+    got = population_loss(enc, ds, aug, "info_nce")
+    assert got.l2 == pytest.approx(_logaddexp_population_l2(enc, ds, aug), rel=1e-12)
+    # 2 r^2 = 722 does not.
+    with pytest.raises(ValueError, match="max"):
+        population_loss(_sphere_on(ds, aug, radius=19.0), ds, aug, "info_nce")
+
+
+def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
+    ds = _blobs(seed=29)
+    aug = AugmentationSet(
+        transforms=(identity(), additive_shift((0.0, 0.5))), grid_resolution=3
+    )
+    enc = _sphere_on(ds, aug)
+    spreads = view_spreads(enc, ds, aug)
+    calls = []
+    embed = FrozenEncoder.embed
+
+    def counting(self, x):
+        calls.append(x.shape[0])
+        return embed(self, x)
+
+    monkeypatch.setattr(FrozenEncoder, "embed", counting)
+    stats = empirical_r_eps(enc, ds, aug, float(np.median(spreads)))
+    assert calls == [ds.num_samples * aug.num_views]
+    assert stats.r_eps == float(np.mean(spreads > np.median(spreads)))
 
 
 def test_population_cross_corr_matches_direct_moments():

@@ -133,6 +133,15 @@ class Transform:
             return float(abs(hi - lo) * self.data_radius)
         return 0.0
 
+    def check_dimension(self, dim: int) -> None:
+        """Raise ``ValueError`` unless the transform acts on ``dim``-dimensional points."""
+        sizes = {"coordinate_permutation": self.permutation, "sign_flip_mask": self.signs,
+                 "additive_shift": self.direction}
+        if self.rule in sizes and len(sizes[self.rule]) != dim:
+            raise ValueError(f"{self.rule} length does not match feature dimension {dim}")
+        if self.rule == "rotation_2d_subspace" and dim <= max(self.axes):
+            raise ValueError(f"rotation axes outside feature dimension {dim}")
+
     def apply(self, x: np.ndarray, theta: float | np.ndarray | None = None) -> np.ndarray:
         """Apply the transform to ``x`` (a vector or a (B, D) batch).
 
@@ -140,35 +149,28 @@ class Transform:
         per-row array for batched input.
         """
         x = np.asarray(x, dtype=np.float64)
+        self.check_dimension(x.shape[-1])
         if self.is_discrete:
             if theta is not None:
                 raise ValueError(f"{self.rule} takes no parameter")
-            if self.rule == "identity":
-                return x.copy()
-            if self.rule == "coordinate_permutation":
-                if x.shape[-1] != len(self.permutation):
-                    raise ValueError("permutation length does not match feature dimension")
-                return x[..., list(self.permutation)]
-            mask = np.asarray(self.signs, dtype=np.float64)
-            if x.shape[-1] != mask.size:
-                raise ValueError("sign mask length does not match feature dimension")
-            return x * mask
+            return self._map(x, None)
         if theta is None:
             raise ValueError(f"{self.rule} requires a parameter in [0, 1]")
-        th = np.asarray(theta, dtype=np.float64)
-        if np.any(th < -1e-12) or np.any(th > 1.0 + 1e-12):
-            raise ValueError("theta must lie in [0, 1]")
-        if x.ndim == 2 and th.ndim == 1:
-            th = th[:, None]
+        th = _check_theta(theta)
+        return self._map(x, th[:, None] if x.ndim == 2 and th.ndim == 1 else th)
+
+    def _map(self, x: np.ndarray, th: np.ndarray | None) -> np.ndarray:
+        """The transform on checked input; a batched ``th`` is a (B, 1) column."""
+        if self.rule == "identity":
+            return x.copy()
+        if self.rule == "coordinate_permutation":
+            return x[..., list(self.permutation)]
+        if self.rule == "sign_flip_mask":
+            return x * np.asarray(self.signs, dtype=np.float64)
         if self.rule == "additive_shift":
-            vec = np.asarray(self.direction, dtype=np.float64)
-            if x.shape[-1] != vec.size:
-                raise ValueError("shift direction length does not match feature dimension")
-            return x + th * vec
+            return x + th * np.asarray(self.direction, dtype=np.float64)
         if self.rule == "rotation_2d_subspace":
             i, j = self.axes
-            if x.shape[-1] <= max(i, j):
-                raise ValueError("rotation axes outside feature dimension")
             angle = th * self.max_angle
             cos = np.cos(angle)
             sin = np.sin(angle)
@@ -182,6 +184,13 @@ class Transform:
         lo, hi = self.scale_span
         factor = lo + th * (hi - lo)
         return x * factor
+
+
+def _check_theta(theta: float | np.ndarray) -> np.ndarray:
+    th = np.asarray(theta, dtype=np.float64)
+    if th.size and (th.min() < -1e-12 or th.max() > 1.0 + 1e-12):
+        raise ValueError("theta must lie in [0, 1]")
+    return th
 
 
 def identity() -> Transform:
@@ -226,20 +235,20 @@ class AugmentationSet:
     grid_resolution: int = 2
 
     def __post_init__(self) -> None:
-        transforms = tuple(self.transforms)
-        if not any(t.rule == "identity" for t in transforms):
+        # Set before the checks: the member views below are cached.
+        object.__setattr__(self, "transforms", tuple(self.transforms))
+        if not any(t.rule == "identity" for t in self.transforms):
             raise ValueError("the identity transform must be a member")
-        if len(set(transforms)) != len(transforms):
+        if len(set(self.transforms)) != len(self.transforms):
             raise ValueError("duplicate transforms in augmentation set")
         if self.num_continuous_params >= 1 and self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2 with continuous transforms")
-        object.__setattr__(self, "transforms", transforms)
 
-    @property
+    @cached_property
     def discrete(self) -> tuple[Transform, ...]:
         return tuple(t for t in self.transforms if t.is_discrete)
 
-    @property
+    @cached_property
     def continuous(self) -> tuple[Transform, ...]:
         return tuple(t for t in self.transforms if not t.is_discrete)
 
@@ -247,7 +256,7 @@ class AugmentationSet:
     def num_discrete(self) -> int:
         return len(self.discrete)
 
-    @property
+    @cached_property
     def num_continuous_params(self) -> int:
         return sum(t.param_dim for t in self.continuous)
 
@@ -262,6 +271,11 @@ class AugmentationSet:
     def num_views(self) -> int:
         n = self.num_continuous_params
         return self.num_discrete + (self.grid_resolution**n if n >= 1 else 0)
+
+    def check_dimension(self, dim: int) -> None:
+        """Raise ``ValueError`` unless every member acts on ``dim``-dimensional points."""
+        for transform in self.transforms:
+            transform.check_dimension(dim)
 
     def fingerprint(self) -> str:
         """Stable content hash of the set (used to stamp derived artifacts)."""
@@ -426,29 +440,27 @@ def load_distance_matrix(path: str) -> np.ndarray:
 def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Generator) -> np.ndarray:
     """Draw one random view per row of ``points`` under the sampling model.
 
-    The rng stream is consumed identically regardless of branch outcomes
-    (coin, discrete index, continuous parameters per row), so sequences are
-    reproducible across augmentation sets of equal shape.
+    Members are checked against the feature dimension before any draw. The
+    draws are ``random(B)``, ``integers(0, m, B)``, then ``random((B, n))``
+    whatever the outcomes; training reproducibility depends on this order.
+    Members act row by row, so each is applied to every row and selected.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    aug.check_dimension(points.shape[1])
     b = points.shape[0]
-    m = aug.num_discrete
     n = aug.num_continuous_params
     coin = rng.random(b)
-    disc_idx = rng.integers(0, m, size=b)
-    thetas = rng.random((b, n)) if n else np.zeros((b, 0))
-    take_discrete = (coin < 0.5) | (n == 0)
-    out = np.empty_like(points)
-    for idx, trans in enumerate(aug.discrete):
-        mask = take_discrete & (disc_idx == idx)
-        if mask.any():
-            out[mask] = trans.apply(points[mask])
-    cont_mask = ~take_discrete
-    if cont_mask.any():
-        cur = points[cont_mask]
+    disc_idx = rng.integers(0, aug.num_discrete, size=b)
+    # Every row drawn discrete (all rows when n == 0) is replaced below.
+    out = points
+    if n:
+        thetas = _check_theta(rng.random((b, n)))
         for j, trans in enumerate(aug.continuous):
-            cur = trans.apply(cur, thetas[cont_mask, j])
-        out[cont_mask] = cur
+            out = trans._map(out, thetas[:, j : j + 1])
+    take_discrete = (coin < 0.5) | (n == 0)
+    for idx, trans in enumerate(aug.discrete):
+        rows = (take_discrete & (disc_idx == idx))[:, None]
+        out = np.where(rows, trans._map(points, None), out)
     return out
 
 

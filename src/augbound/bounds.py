@@ -43,6 +43,7 @@ __all__ = [
     "theorem4_bound",
     "combined_error_bounds",
     "full_report",
+    "csv_value",
     "save_bound_report",
 ]
 
@@ -614,11 +615,12 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
     )
 
 
-def _csv_value(value: object) -> str:
+def csv_value(value: object) -> str:
+    """One CSV cell: true/false for bools, round-trip repr for floats, else str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -629,7 +631,7 @@ def save_bound_report(report: BoundReport, csv_path: str, json_path: str | None 
         writer = csv.writer(fh)
         writer.writerow(["key", "value"])
         for key, value in flat.items():
-            writer.writerow([key, _csv_value(value)])
+            writer.writerow([key, csv_value(value)])
     if json_path is not None:
         payload = {
             k: (None if isinstance(v, float) and math.isnan(v) else v)

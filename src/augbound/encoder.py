@@ -4,8 +4,9 @@ At most three dense layers (tanh or identity activations) followed by an
 output normalization: either projection onto the sphere of radius ``r`` or
 per-dimension batch standardization (zero mean, unit mean square over the
 current batch). Gradients are computed by manual backpropagation through
-the whole stack, including the normalization, and training is plain
-full-gradient descent on sampled view batches.
+the whole stack, including the normalization. Training is minibatch SGD on
+sampled view batches with the exact gradient of each batch loss; inputs
+are validated once at entry and the parameters are updated in place.
 
 A certified Lipschitz upper bound is available for trained models: the
 product of layer operator norms (tanh has slope at most 1) times a factor
@@ -149,7 +150,7 @@ def forward_prenorm(model: EncoderModel, x: np.ndarray) -> np.ndarray:
 
 def _norm_forward(model: EncoderModel, y: np.ndarray) -> tuple[np.ndarray, tuple]:
     if model.norm_mode == "sphere":
-        norms = np.linalg.norm(y, axis=1, keepdims=True)
+        norms = np.sqrt((y * y).sum(axis=1, keepdims=True))
         if norms.min() < 1e-12:
             raise ValueError("zero vector cannot be projected onto the sphere")
         z = model.radius * y / norms
@@ -157,12 +158,13 @@ def _norm_forward(model: EncoderModel, y: np.ndarray) -> tuple[np.ndarray, tuple
     if model.norm_mode == "batch_standardized":
         if y.shape[0] < 2:
             raise ValueError("batch standardization needs at least 2 rows")
-        mu = y.mean(axis=0)
-        var = np.mean((y - mu) ** 2, axis=0)
+        # Column sum over row count is np.mean's value without its dispatch cost.
+        centered = y - y.sum(axis=0) / len(y)
+        var = (centered**2).sum(axis=0) / len(y)
         if var.min() < 1e-24:
             raise ValueError("batch standardization hit a zero-variance dimension")
         scale = np.sqrt(var)
-        z = (y - mu) / scale
+        z = centered / scale
         return z, (z, scale)
     return y, ()
 
@@ -184,16 +186,18 @@ def flat_params(model: EncoderModel) -> np.ndarray:
 
 
 def with_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
-    flat = np.asarray(flat, dtype=np.float64)
+    return _bind_params(model, np.array(flat, dtype=np.float64))
+
+
+def _bind_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
+    """Model whose layer weights and biases are views into ``flat``."""
     layers = []
     pos = 0
     for layer in model.layers:
-        w_size = layer.weight.size
-        b_size = layer.bias.size
-        weight = flat[pos : pos + w_size].reshape(layer.weight.shape)
-        bias = flat[pos + w_size : pos + w_size + b_size]
-        layers.append(Layer(weight.copy(), bias.copy(), layer.activation))
-        pos += w_size + b_size
+        end = pos + layer.weight.size
+        weight = flat[pos:end].reshape(layer.weight.shape)
+        pos = end + layer.bias.size
+        layers.append(Layer(weight, flat[end:pos], layer.activation))
     if pos != flat.size:
         raise ValueError("parameter vector size mismatch")
     return EncoderModel(tuple(layers), norm_mode=model.norm_mode, radius=model.radius)
@@ -290,11 +294,11 @@ def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray) -> np.ndar
     if model.norm_mode == "sphere":
         y, norms = cache
         yhat = y / norms
-        inner = np.sum(dz * yhat, axis=1, keepdims=True)
+        inner = (dz * yhat).sum(axis=1, keepdims=True)
         return (model.radius / norms) * (dz - yhat * inner)
     if model.norm_mode == "batch_standardized":
         z, scale = cache
-        return (dz - dz.mean(axis=0) - z * np.mean(dz * z, axis=0)) / scale
+        return (dz - dz.sum(axis=0) / len(dz) - z * ((dz * z).sum(axis=0) / len(dz))) / scale
     return dz
 
 
@@ -322,34 +326,23 @@ def loss_and_gradient(
     """
     _check_pairing(model, config)
     b = batch.size
-    if config.loss in ("info_nce", "simple"):
-        if batch.negatives is None:
-            raise ValueError(f"{config.loss} needs a negative batch")
-        stacked = np.concatenate([batch.anchors, batch.positives, batch.negatives])
-        y, activations = _forward_layers(
-            model, np.asarray(stacked, dtype=np.float64)
-        )
-        z, cache = _norm_forward(model, y)
-        z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
-        if config.loss == "info_nce":
-            breakdown = losses_mod.info_nce(z1, z2, zn)
-            pos = np.sum(z1 * z2, axis=1)
-            neg = np.sum(z1 * zn, axis=1)
-            p_neg = expit(neg - pos)[:, None]
-            dz1 = p_neg * (zn - z2) / b
-            dz2 = -p_neg * z1 / b
-            dzn = p_neg * z1 / b
-        else:
-            breakdown = losses_mod.simple_contrastive(z1, z2, zn, config.lam)
-            dz1 = (-z2 + config.lam * zn) / b
-            dz2 = -z1 / b
-            dzn = config.lam * z1 / b
-        dz = np.concatenate([dz1, dz2, dzn])
+    with_negatives = config.loss in ("info_nce", "simple")
+    if with_negatives and batch.negatives is None:
+        raise ValueError(f"{config.loss} needs a negative batch")
+    views = (batch.anchors, batch.positives, batch.negatives)[: 3 if with_negatives else 2]
+    y, activations = _forward_layers(model, np.concatenate(views))
+    z, cache = _norm_forward(model, y)
+    z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
+    if config.loss == "info_nce":
+        breakdown = losses_mod.info_nce(z1, z2, zn)
+        pos = (z1 * z2).sum(axis=1)
+        neg = (z1 * zn).sum(axis=1)
+        p_neg = expit(neg - pos)[:, None]
+        dz = np.concatenate([p_neg * (zn - z2) / b, -p_neg * z1 / b, p_neg * z1 / b])
+    elif config.loss == "simple":
+        breakdown = losses_mod.simple_contrastive(z1, z2, zn, config.lam)
+        dz = np.concatenate([(-z2 + config.lam * zn) / b, -z1 / b, config.lam * z1 / b])
     else:
-        stacked = np.concatenate([batch.anchors, batch.positives])
-        y, activations = _forward_layers(model, np.asarray(stacked, dtype=np.float64))
-        z, cache = _norm_forward(model, y)
-        z1, z2 = z[:b], z[b:]
         corr = losses_mod.cross_correlation(z1, z2)
         breakdown = losses_mod.cross_corr_loss(corr, config.lam)
         f = corr.matrix
@@ -361,45 +354,43 @@ def loss_and_gradient(
     return breakdown, grad
 
 
-def _smoke_input_check(model: EncoderModel, dataset: Dataset) -> None:
-    if dataset.input_dim != model.input_dim:
-        raise ValueError(
-            f"dataset dimension {dataset.input_dim} does not match encoder "
-            f"input {model.input_dim}"
-        )
-
-
 def train(
     model: EncoderModel,
     dataset: Dataset,
     aug: AugmentationSet,
     config: TrainConfig,
 ) -> tuple[EncoderModel, np.ndarray]:
-    """Plain gradient descent; returns the new model and a (steps, 4) trace.
+    """Minibatch SGD; returns the new model and a (steps, 4) trace.
 
     Trace columns are step, total, l1, l2, recorded at the parameters the
     step started from. Aborts with the step index if the loss, gradient,
     or updated parameters go non-finite (learning rate too high). Zero
-    steps returns the model unchanged with an empty trace.
+    steps returns a copy of the model with an empty trace. The caller's
+    model is never modified.
     """
     _check_pairing(model, config)
-    _smoke_input_check(model, dataset)
+    if dataset.input_dim != model.input_dim:
+        raise ValueError(
+            f"dataset dimension {dataset.input_dim} does not match encoder "
+            f"input {model.input_dim}"
+        )
+    aug.check_dimension(dataset.input_dim)
     rng = np.random.default_rng(config.seed)
     params = flat_params(model)
-    current = model
+    # Updating params in place updates the layers of current.
+    current = _bind_params(model, params)
     with_negatives = config.loss in ("info_nce", "simple")
     trace = np.empty((config.steps, 4))
     for step in range(config.steps):
         batch = make_train_batch(dataset, aug, config.batch_size, rng, with_negatives)
         breakdown, grad = loss_and_gradient(current, batch, config)
-        if not np.isfinite(breakdown.total) or not np.all(np.isfinite(grad)):
+        if not (np.isfinite(breakdown.total) and np.isfinite(grad).all()):
             raise RuntimeError(f"training diverged at step {step}")
         trace[step] = (step, breakdown.total, breakdown.l1, breakdown.l2)
-        params = params - config.learning_rate * grad
-        if not np.all(np.isfinite(params)):
+        params -= config.learning_rate * grad
+        if not np.isfinite(params).all():
             raise RuntimeError(f"training diverged at step {step}")
-        current = with_params(current, params)
-    return current, trace
+    return with_params(model, params), trace
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     EmpiricalMeasurements,
+    csv_value,
     full_report,
     save_bound_report,
 )
@@ -474,12 +475,7 @@ def _write_kv_csv(path: str, rows: list[tuple[str, object]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["key", "value"])
-        for key, value in rows:
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = _fmt(value)
-            writer.writerow([key, value])
+        writer.writerows([key, csv_value(value)] for key, value in rows)
 
 
 def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:
@@ -664,13 +660,9 @@ def stage_bounds(
                 report = full_report(inputs, empirical)
                 reports[(i, j)] = report
                 for key, value in report.to_flat_dict().items():
-                    if isinstance(value, bool):
-                        text = "true" if value else "false"
-                    elif isinstance(value, float):
-                        text = _fmt(value)
-                    else:
-                        text = str(value)
-                    long_rows.append((_fmt(estimate.delta), _fmt(stat.epsilon), key, text))
+                    long_rows.append(
+                        (_fmt(estimate.delta), _fmt(stat.epsilon), key, csv_value(value))
+                    )
         with open(os.path.join(out_dir, "bounds.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["delta", "epsilon", "key", "value"])

@@ -90,11 +90,15 @@ def _check_batches(*batches: np.ndarray) -> list[np.ndarray]:
     return arrays
 
 
+def _mean(values: np.ndarray) -> float:
+    """The value of ``float(np.mean(values))``: one sum, one division, no dispatch."""
+    return float(values.sum()) / values.size
+
+
 def _check_unit_norm(*batches: np.ndarray) -> None:
-    for batch in batches:
-        norms = np.linalg.norm(batch, axis=1)
-        if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
-            raise ValueError("embeddings must be unit-norm")
+    norms = np.sqrt(np.square(np.concatenate(batches)).sum(axis=1))
+    if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
+        raise ValueError("embeddings must be unit-norm")
 
 
 def info_nce(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> LossBreakdown:
@@ -109,17 +113,16 @@ def info_nce(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> LossBreakdown
     """
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
-    pos = np.sum(z1 * z2, axis=1)
-    neg = np.sum(z1 * z_neg, axis=1)
-    log_denom = np.logaddexp(pos, neg)
-    l1 = float(np.mean(np.sum((z1 - z2) ** 2, axis=1)) / 2.0 - 1.0)
-    l2 = float(np.mean(log_denom))
+    pos = (z1 * z2).sum(axis=1)
+    neg = (z1 * z_neg).sum(axis=1)
+    l1 = _mean(((z1 - z2) ** 2).sum(axis=1)) / 2.0 - 1.0
+    l2 = _mean(np.logaddexp(pos, neg))
     return LossBreakdown(kind="info_nce", total=l1 + l2, l1=l1, l2=l2, lam=1.0)
 
 
 def _check_standardized(pooled: np.ndarray) -> None:
-    mean = pooled.mean(axis=0)
-    mean_sq = np.mean(pooled**2, axis=0)
+    mean = pooled.sum(axis=0) / len(pooled)
+    mean_sq = (pooled**2).sum(axis=0) / len(pooled)
     if (
         np.abs(mean).max() > _STANDARDIZATION_TOL
         or np.abs(mean_sq - 1.0).max() > _STANDARDIZATION_TOL
@@ -151,8 +154,8 @@ def cross_corr_loss(corr: CrossCorrMatrix, lam: float) -> LossBreakdown:
         raise ValueError("lam must be positive")
     f = corr.matrix
     diag = np.diag(f)
-    l1 = float(np.sum((1.0 - diag) ** 2))
-    l2 = float(np.sum((f - np.eye(corr.dim)) ** 2))
+    l1 = float(((1.0 - diag) ** 2).sum())
+    l2 = float(((f - np.eye(corr.dim)) ** 2).sum())
     return LossBreakdown(
         kind="cross_corr", total=(1.0 - lam) * l1 + lam * l2, l1=l1, l2=l2, lam=lam
     )
@@ -171,6 +174,6 @@ def simple_contrastive(
         raise ValueError("lam must be positive")
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
-    l1 = float(np.mean(np.sum((z1 - z2) ** 2, axis=1)) / 2.0 - 1.0)
-    l2 = float(np.mean(np.sum(z1 * z_neg, axis=1)))
+    l1 = _mean(((z1 - z2) ** 2).sum(axis=1)) / 2.0 - 1.0
+    l2 = _mean((z1 * z_neg).sum(axis=1))
     return LossBreakdown(kind="simple", total=l1 + lam * l2, l1=l1, l2=l2, lam=lam)

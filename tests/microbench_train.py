@@ -1,0 +1,45 @@
+"""Timing of ``encoder.train`` on the acceptance fixture blobs.
+
+Not part of the test suite (the file name does not match ``test_*.py``).
+Run it on its own with
+
+    python -m pytest tests/microbench_train.py
+
+Each case is one 250-step training run with batch size 8 on the 2-class,
+6-per-class blobs with an identity + shift augmentation set, the settings
+of the ``info_nce_d2_k2`` and ``cross_corr_d2_k2`` acceptance fixtures.
+"""
+
+import pytest
+
+from augbound.augment import AugmentationSet, additive_shift, identity
+from augbound.core import GeneratorConfig, generate_dataset
+from augbound.encoder import TrainConfig, init_encoder, train
+
+_NORM = {"info_nce": "sphere", "cross_corr": "batch_standardized"}
+
+
+@pytest.mark.parametrize("loss", sorted(_NORM))
+def test_train_250_steps(benchmark, loss):
+    dataset = generate_dataset(
+        GeneratorConfig(
+            num_classes=2,
+            samples_per_class=6,
+            cluster_centers=((-2.0, 0.0), (2.0, 0.0)),
+            cluster_spread=0.02,
+            manifold="gaussian_blobs",
+            seed=0,
+        )
+    )
+    aug = AugmentationSet(
+        transforms=(identity(), additive_shift((0.03, 0.0))), grid_resolution=3
+    )
+    model = init_encoder(
+        input_dim=2, hidden_dims=(), output_dim=2, norm_mode=_NORM[loss],
+        radius=1.0, seed=0,
+    )
+    config = TrainConfig(
+        loss=loss, steps=250, batch_size=8, learning_rate=0.05, seed=0
+    )
+    _, trace = benchmark(train, model, dataset, aug, config)
+    assert trace.shape == (250, 4)

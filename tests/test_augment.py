@@ -210,6 +210,60 @@ def test_sample_views_branch_frequencies():
     assert abs(freq - 0.5) < 3 * sd
 
 
+def _per_row_views(points, aug, coin, disc_idx, thetas):
+    """One Transform.apply per row and member, for the drawn branch only."""
+    out = np.empty_like(points)
+    for r, x in enumerate(points):
+        if coin[r] < 0.5 or not aug.continuous:
+            out[r] = aug.discrete[disc_idx[r]].apply(x)
+            continue
+        for trans, theta in zip(aug.continuous, thetas[r]):
+            x = trans.apply(x, theta)
+        out[r] = x
+    return out
+
+
+@pytest.mark.parametrize("with_continuous", [True, False])
+def test_sample_views_matches_per_row_oracle_and_draw_order(with_continuous):
+    members = (
+        identity(),
+        coordinate_permutation((2, 0, 1)),
+        sign_flip_mask((1.0, -1.0, -1.0)),
+    )
+    if with_continuous:
+        members += (
+            additive_shift((0.3, 0.0, -0.2)),
+            rotation_2d((0, 2), 0.9, 3.0),
+            scaling(0.8, 1.25, 3.0),
+        )
+    aug = AugmentationSet(transforms=members, grid_resolution=3)
+    points = np.random.default_rng(5).normal(size=(64, 3))
+    b, m, n = len(points), aug.num_discrete, aug.num_continuous_params
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        views = sample_views(points, aug, rng)
+        oracle_rng = np.random.default_rng(seed)
+        coin = oracle_rng.random(b)
+        disc_idx = oracle_rng.integers(0, m, size=b)
+        thetas = oracle_rng.random((b, n))
+        np.testing.assert_array_equal(views, _per_row_views(points, aug, coin, disc_idx, thetas))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_views_rejects_a_member_that_does_not_fit_for_every_seed(seed):
+    # Only some draws route a row to the 3-long mask; the error must not
+    # depend on them, and it comes before any draw.
+    aug = AugmentationSet(
+        transforms=(identity(), sign_flip_mask((1.0, -1.0, 1.0)), additive_shift((0.1, 0.0))),
+        grid_resolution=3,
+    )
+    rng = np.random.default_rng(seed)
+    with pytest.raises(ValueError, match="feature dimension"):
+        sample_views(np.zeros((4, 2)), aug, rng)
+    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
 def test_sampling_is_reproducible():
     aug = AugmentationSet(
         transforms=(identity(), sign_flip_mask((-1.0,)), additive_shift((0.7,))),

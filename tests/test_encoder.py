@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from augbound.augment import AugmentationSet, additive_shift, identity
+from augbound.augment import (
+    AugmentationSet,
+    additive_shift,
+    coordinate_permutation,
+    identity,
+    rotation_2d,
+    scaling,
+    sign_flip_mask,
+)
 from augbound.core import GeneratorConfig, generate_dataset
 from augbound.encoder import (
     MAX_LAYERS,
@@ -239,12 +247,98 @@ def test_divergence_aborts_with_step_index():
         input_dim=2, hidden_dims=(), output_dim=2, norm_mode="sphere",
         radius=1.0, seed=8,
     )
+    before = flat_params(model)
     config = TrainConfig(
         loss="info_nce", steps=10, batch_size=4,
         learning_rate=float("inf"), seed=1,
     )
     with pytest.raises(RuntimeError, match="diverged at step 0"):
         train(model, ds, _shift_aug(), config)
+    # Parameters are updated in place during training, never the caller's.
+    np.testing.assert_array_equal(flat_params(model), before)
+
+
+def _reference_train(model, dataset, aug, config):
+    """The training loop that rebuilds a validated model after every step."""
+    rng = np.random.default_rng(config.seed)
+    params = flat_params(model)
+    current = model
+    with_negatives = config.loss in ("info_nce", "simple")
+    trace = np.empty((config.steps, 4))
+    for step in range(config.steps):
+        batch = make_train_batch(dataset, aug, config.batch_size, rng, with_negatives)
+        breakdown, grad = loss_and_gradient(current, batch, config)
+        trace[step] = (step, breakdown.total, breakdown.l1, breakdown.l2)
+        params = params - config.learning_rate * grad
+        current = with_params(current, params)
+    return current, trace
+
+
+_ORACLE_AUGS = {
+    "perm_sign_shift": AugmentationSet(
+        transforms=(
+            identity(),
+            coordinate_permutation((1, 0, 2)),
+            sign_flip_mask((-1.0, 1.0, -1.0)),
+            additive_shift((0.1, 0.0, 0.2)),
+        ),
+        grid_resolution=3,
+    ),
+    "rotation_scale": AugmentationSet(
+        transforms=(identity(), rotation_2d((0, 2), 0.7, 3.0), scaling(0.8, 1.2, 3.0)),
+        grid_resolution=3,
+    ),
+}
+
+
+@pytest.mark.parametrize("aug_name", sorted(_ORACLE_AUGS))
+@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
+def test_train_matches_reference_loop_bit_for_bit(loss, aug_name):
+    ds = generate_dataset(
+        GeneratorConfig(
+            num_classes=2,
+            samples_per_class=10,
+            cluster_centers=((-2.0, 0.0, 0.5), (2.0, 0.0, -0.5)),
+            cluster_spread=0.2,
+            manifold="gaussian_blobs",
+            seed=4,
+        )
+    )
+    model = init_encoder(
+        input_dim=3, hidden_dims=(5, 4), output_dim=3,
+        norm_mode="batch_standardized" if loss == "cross_corr" else "sphere",
+        radius=1.0, seed=17,
+    )
+    before = flat_params(model)
+    config = TrainConfig(
+        loss=loss, steps=60, batch_size=8, learning_rate=0.05, seed=3, lam=0.3
+    )
+    trained, trace = train(model, ds, _ORACLE_AUGS[aug_name], config)
+    ref_model, ref_trace = _reference_train(model, ds, _ORACLE_AUGS[aug_name], config)
+    np.testing.assert_array_equal(trace, ref_trace)
+    np.testing.assert_array_equal(flat_params(trained), flat_params(ref_model))
+    np.testing.assert_array_equal(flat_params(model), before)
+    for new, old in zip(trained.layers, model.layers):
+        assert not np.shares_memory(new.weight, old.weight)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_train_rejects_a_member_that_does_not_fit_for_every_seed(seed):
+    # Whether a batch row reaches the 3-long mask depends on the seed;
+    # the error must not, and it comes before the first step.
+    aug = AugmentationSet(
+        transforms=(identity(), sign_flip_mask((1.0, -1.0, 1.0)), additive_shift((0.0, 0.2))),
+        grid_resolution=3,
+    )
+    model = init_encoder(
+        input_dim=2, hidden_dims=(), output_dim=2, norm_mode="sphere",
+        radius=1.0, seed=0,
+    )
+    config = TrainConfig(
+        loss="info_nce", steps=1, batch_size=2, learning_rate=0.1, seed=seed
+    )
+    with pytest.raises(ValueError, match="feature dimension"):
+        train(model, _blob_dataset(), aug, config)
 
 
 def test_loss_pairing_is_validated():

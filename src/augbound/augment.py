@@ -12,6 +12,12 @@ evaluated on a regular grid over the parameter cube. The grid is an
 under-approximation of the continuous family, so grid-based distances can
 only overestimate the true minimal view distance, never undershoot it.
 
+``distance_matrix`` computes the augmented distances of a whole class over
+the upper triangle only, in square tiles of at most ``TILE_BYTES`` (2 MiB)
+of squared view distances, so its extra memory is one tile plus the N×N
+output and the N·V·D views; each entry is bit-identical to the pairwise
+``augmented_distance``.
+
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
 on the cube); with no continuous member all mass is discrete. Expectations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,6 +70,10 @@ _CONTINUOUS_RULES = ("additive_shift", "rotation_2d_subspace", "scale")
 
 _DISTANCE_MAGIC = b"CDM1"
 
+# Byte budget of one float64 tile of squared view distances in
+# ``distance_matrix``; ``evaluation`` tiles its InfoNCE pair terms by it too.
+TILE_BYTES = 2 << 20
+
 
 @dataclass(frozen=True)
 class Transform:
@@ -96,8 +107,8 @@ class Transform:
             if self.direction is None or len(self.direction) == 0:
                 raise ValueError("additive_shift needs a direction vector")
         if self.rule == "rotation_2d_subspace":
-            if self.axes is None or self.axes[0] == self.axes[1]:
-                raise ValueError("rotation_2d_subspace needs two distinct axes")
+            if self.axes is None or self.axes[0] == self.axes[1] or min(self.axes) < 0:
+                raise ValueError("rotation_2d_subspace needs two distinct non-negative axes")
             if self.max_angle is None or self.max_angle < 0:
                 raise ValueError("rotation_2d_subspace needs max_angle >= 0")
             if self.data_radius is None or self.data_radius <= 0:
@@ -375,13 +386,18 @@ def distance_matrix(
     dataset: Dataset,
     aug: AugmentationSet,
     class_filter: int | None = None,
-    block_rows: int = 32,
 ) -> np.ndarray:
     """Pairwise augmented distances, optionally restricted to one class.
 
     Returns an (N, N) symmetric matrix with zero diagonal where N is the
-    number of selected samples (row order follows dataset order). Work is
-    done blockwise over vectorized view batches.
+    number of selected samples (row order follows dataset order). Only the
+    upper triangle is computed, in square tiles of ``side`` samples per axis
+    whose (side·V)² squared view distances fit in ``TILE_BYTES`` (one sample
+    per side at least); each tile is written to both triangles. Extra memory
+    is one tile plus the output and the N·V·D views. Every entry is
+    bit-identical to ``augmented_distance`` of the two points, because
+    squared distances are the same in either argument order and the minimum
+    is exact.
     """
     if class_filter is None:
         points = dataset.features
@@ -391,14 +407,22 @@ def distance_matrix(
     views = view_tensor(points, aug)
     v = views.shape[1]
     flat = views.reshape(n * v, -1)
+    side = max(1, math.isqrt(TILE_BYTES // 8) // v)
     out = np.empty((n, n))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        d2 = cdist(flat[start * v : stop * v], flat, "sqeuclidean")
-        d2 = d2.reshape(stop - start, v, n, v)
-        out[start:stop] = d2.min(axis=(1, 3))
+    for i0 in range(0, n, side):
+        i1 = min(i0 + side, n)
+        for j0 in range(i0, n, side):
+            j1 = min(j0 + side, n)
+            # One expression, so the previous tile's distances are freed
+            # before the next tile's are allocated.
+            tile = (
+                cdist(flat[i0 * v : i1 * v], flat[j0 * v : j1 * v], "sqeuclidean")
+                .reshape(i1 - i0, v, j1 - j0, v)
+                .min(axis=(1, 3))
+            )
+            out[i0:i1, j0:j1] = tile
+            out[j0:j1, i0:i1] = tile.T
     out = np.sqrt(np.maximum(out, 0.0))
-    out = np.minimum(out, out.T)
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import losses as losses_mod
-from .augment import AugmentationSet, view_tensor, view_weights
+from .augment import TILE_BYTES, AugmentationSet, view_tensor, view_weights
 from .core import Dataset
 from .encoder import EncoderModel, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
@@ -281,9 +281,6 @@ def class_moments(
         second[k] = np.mean(sq @ weights)
     return first, second
 
-
-# Byte budget of one (rows, V, N*V) float64 tile of InfoNCE pair terms.
-TILE_BYTES = 2 << 20
 
 # exp(x) is a normal float64 for x >= log(tiny), about -708.4.
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))

@@ -1,9 +1,14 @@
 """Transform catalog, view enumeration, and the augmented distance."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from augbound.augment import (
+    TILE_BYTES,
     AugmentationSet,
     additive_shift,
     augmentation_from_spec,
@@ -183,6 +188,104 @@ def test_enrichment_never_increases_distances():
         assert np.all(m_rich <= m_base + 1e-12)
 
 
+def _row_block_distance_matrix(dataset, aug, class_filter=None, block_rows=32):
+    """The former kernel: full rows of view distances, then min with the transpose."""
+    if class_filter is None:
+        points = dataset.features
+    else:
+        points = dataset.features[dataset.class_indices(class_filter)]
+    n = points.shape[0]
+    views = view_tensor(points, aug)
+    v = views.shape[1]
+    flat = views.reshape(n * v, -1)
+    out = np.empty((n, n))
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        d2 = cdist(flat[start * v : stop * v], flat, "sqeuclidean")
+        out[start:stop] = d2.reshape(stop - start, v, n, v).min(axis=(1, 3))
+    out = np.sqrt(np.maximum(out, 0.0))
+    out = np.minimum(out, out.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _ring_dataset(n_per_class, seed=0):
+    # The interleaved two-ring task of the acceptance sweeps, 3-d points.
+    return generate_dataset(
+        GeneratorConfig(
+            num_classes=2,
+            samples_per_class=n_per_class,
+            cluster_centers=((2.0, 0.0, 1.0), (2.0, 0.0, -1.0)),
+            cluster_spread=3.2,
+            manifold="ring_segments",
+            seed=seed,
+            disjoint_classes=False,
+        )
+    )
+
+
+_RING_ROTATION = rotation_2d((0, 1), 1.4, 2.0)
+_RING_SCALE = scaling(0.85, 1.15, 2.0)
+_RING_SHIFT = additive_shift((0.0, 0.25, 0.0))
+
+
+def _tile_side(aug):
+    return max(1, math.isqrt(TILE_BYTES // 8) // aug.num_views)
+
+
+@pytest.mark.parametrize(
+    "aug, n_per_class, class_filter",
+    [
+        # Discrete only, V = 1 and V = 3.
+        (AugmentationSet((identity(),)), 20, None),
+        (AugmentationSet((identity(), coordinate_permutation((2, 0, 1)),
+                          sign_flip_mask((1.0, -1.0, 1.0)))), 20, 1),
+        # V = 26, tile side 19: N = 50 spans 3 tiles per axis, the last one short.
+        (AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=5),
+         25, None),
+        # V = 290, tile side 1.
+        (AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=17),
+         4, None),
+    ],
+)
+def test_distance_matrix_tiles_match_row_blocks_bit_for_bit(aug, n_per_class, class_filter):
+    ds = _ring_dataset(n_per_class)
+    m = distance_matrix(ds, aug, class_filter=class_filter)
+    n = m.shape[0]
+    if aug.num_views == 26:
+        assert n % _tile_side(aug) != 0 and -(-n // _tile_side(aug)) >= 3
+    if aug.num_views == 290:
+        assert _tile_side(aug) == 1
+    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, aug, class_filter))
+    np.testing.assert_array_equal(m, m.T)
+    np.testing.assert_array_equal(np.diag(m), 0.0)
+    points = ds.features if class_filter is None else ds.features[ds.class_indices(class_filter)]
+    for i in range(0, n, 7):
+        for j in range(n):
+            if i != j:
+                assert m[i, j] == augmented_distance(points[i], points[j], aug)
+
+
+def test_distance_matrix_memory_is_one_tile_plus_output_and_views():
+    # 96 per class x 126 views, the largest ladder rung; the former row
+    # blocks held about 780 MB here.
+    ds = _ring_dataset(96)
+    aug = AugmentationSet(
+        (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT), grid_resolution=5
+    )
+    n, v, d = 96, aug.num_views, ds.features.shape[1]
+    assert v == 126
+    tracemalloc.start()
+    try:
+        m = distance_matrix(ds, aug, class_filter=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (n, n)
+    slack = 1 << 20
+    assert peak < TILE_BYTES + 8 * n * n + 2 * 8 * n * v * d + slack
+
+
 def test_sample_view_pair_identity_only_returns_the_point():
     aug = AugmentationSet(transforms=(identity(),), grid_resolution=2)
     rng = np.random.default_rng(0)
@@ -359,6 +462,17 @@ def test_spec_round_trip():
     assert back == aug
     for t in aug.transforms:
         assert transform_from_spec(transform_to_spec(t)) == t
+
+
+@pytest.mark.parametrize("axes", [(-1, 1), (0, -2), (-2, -1)])
+def test_rotation_rejects_negative_axes(axes):
+    # (-1, 1) on 2-d points would address coordinate 1 twice: not a rotation.
+    with pytest.raises(ValueError, match="non-negative axes"):
+        rotation_2d(axes, 1.0, 2.0)
+    spec = {"rule": "rotation_2d_subspace", "axes": list(axes), "max_angle": 1.0,
+            "data_radius": 2.0}
+    with pytest.raises(ValueError, match="non-negative axes"):
+        transform_from_spec(spec)
 
 
 def test_fingerprint_tracks_content_not_order():

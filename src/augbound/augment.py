@@ -467,18 +467,47 @@ def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Genera
     Members are checked against the feature dimension before any draw. The
     draws are ``random(B)``, ``integers(0, m, B)``, then ``random((B, n))``
     whatever the outcomes; training reproducibility depends on this order.
-    Members act row by row, so each is applied to every row and selected.
+    All draws come before any member is applied (``_draw_views``, then
+    ``_apply_views``), so training can draw several batches and apply the
+    members to all of them at once.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     aug.check_dimension(points.shape[1])
-    b = points.shape[0]
+    return _apply_views(points, aug, *_draw_views(aug, points.shape[0], rng))
+
+
+def _draw_views(
+    aug: AugmentationSet, b: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of one ``sample_views`` call on ``b`` rows, in contract order.
+
+    Returns the branch coins (B,), the discrete member indices (B,) and
+    the parameters (B, n), which has no columns when n == 0.
+    """
     n = aug.num_continuous_params
     coin = rng.random(b)
     disc_idx = rng.integers(0, aug.num_discrete, size=b)
+    thetas = rng.random((b, n)) if n else np.empty((b, 0))
+    return coin, disc_idx, thetas
+
+
+def _apply_views(
+    points: np.ndarray,
+    aug: AugmentationSet,
+    coin: np.ndarray,
+    disc_idx: np.ndarray,
+    thetas: np.ndarray,
+) -> np.ndarray:
+    """Views of checked (B, D) ``points`` for draws laid out as ``_draw_views``'s.
+
+    Members act row by row, so each is applied to every row and selected;
+    the rows may come from any number of ``_draw_views`` calls.
+    """
+    n = aug.num_continuous_params
     # Every row drawn discrete (all rows when n == 0) is replaced below.
     out = points
     if n:
-        thetas = _check_theta(rng.random((b, n)))
+        thetas = _check_theta(thetas)
         for j, trans in enumerate(aug.continuous):
             out = trans._map(out, thetas[:, j : j + 1])
     take_discrete = (coin < 0.5) | (n == 0)

@@ -19,6 +19,7 @@ bound or vice versa.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -108,6 +109,7 @@ def theorem1_bound(sigma: float, r_eps: float, condition_holds: bool) -> tuple[f
     return value, bool(condition_holds)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def eta(
     epsilon: float,
     num_continuous: int,
@@ -122,7 +124,8 @@ def eta(
     over h in (0, eps / (2 sqrt(n) L M)). Every evaluated h yields a valid
     upper bound, so the returned grid-plus-golden-section minimum is safe
     even if slightly above the true infimum. Limits: with n = 0 (or L M = 0)
-    the factor is 4 m^2 / eps.
+    the factor is 4 m^2 / eps. Values are cached per argument tuple: a
+    report evaluates the same epsilon for every delta.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

@@ -6,7 +6,10 @@ per-dimension batch standardization (zero mean, unit mean square over the
 current batch). Gradients are computed by manual backpropagation through
 the whole stack, including the normalization. Training is minibatch SGD on
 sampled view batches with the exact gradient of each batch loss; inputs
-are validated once at entry and the parameters are updated in place.
+are validated once at entry and the parameters are updated in place. The
+random draws are made per step in the order of ``make_train_batch``, for a
+chunk of steps whose views fit in ``TILE_BYTES``; each augmentation member
+is then applied once to the whole chunk.
 
 A certified Lipschitz upper bound is available for trained models: the
 product of layer operator norms (tanh has slope at most 1) times a factor
@@ -18,6 +21,7 @@ frozen statistics it is the largest per-dimension inverse scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import losses as losses_mod
-from .augment import AugmentationSet, sample_views
+from .augment import TILE_BYTES, AugmentationSet, _apply_views, _draw_views, sample_views
 from .core import Dataset
 from .losses import LossBreakdown
 
@@ -250,10 +254,11 @@ class TrainConfig:
             raise ValueError("steps must be non-negative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.learning_rate <= 0:
+        # Written so that NaN fails; an infinite rate diverges at step 0.
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
 
 def make_train_batch(
@@ -274,6 +279,45 @@ def make_train_batch(
         neg_idx = rng.integers(0, dataset.num_samples, size=batch_size)
         negatives = sample_views(dataset.features[neg_idx], aug, rng)
     return ViewBatch(anchors, positives, negatives)
+
+
+def _sample_chunk(
+    dataset: Dataset,
+    aug: AugmentationSet,
+    batch_size: int,
+    steps: int,
+    views_per_step: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The views of ``steps`` consecutive training batches as one block.
+
+    Step s owns rows [s·k·B, (s+1)·k·B) of the (steps·k·B, D) result, with
+    k = ``views_per_step``: anchors, positives, then negatives when k == 3,
+    row for row what ``make_train_batch`` returns for the same generator.
+    Its draws are made step by step in ``make_train_batch``'s order; each
+    member is then applied once to all rows. Pairing and member dimensions
+    are the caller's to check.
+    """
+    b = batch_size
+    shape = (steps, views_per_step, b)
+    idx = np.empty(shape, dtype=np.int64)
+    coin = np.empty(shape)
+    disc_idx = np.empty(shape, dtype=np.int64)
+    thetas = np.empty((*shape, aug.num_continuous_params))
+    for s in range(steps):
+        anchor_idx = rng.integers(0, dataset.num_samples, size=b)
+        for v in range(views_per_step):
+            # Negatives (v == 2) view an independent sample per anchor.
+            idx[s, v] = rng.integers(0, dataset.num_samples, size=b) if v == 2 else anchor_idx
+            coin[s, v], disc_idx[s, v], thetas[s, v] = _draw_views(aug, b, rng)
+    rows = steps * views_per_step * b
+    return _apply_views(
+        dataset.features[idx.reshape(rows)],
+        aug,
+        coin.reshape(rows),
+        disc_idx.reshape(rows),
+        thetas.reshape(rows, -1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +369,19 @@ def loss_and_gradient(
     :mod:`augbound.losses` computes on the batch embeddings.
     """
     _check_pairing(model, config)
-    b = batch.size
     with_negatives = config.loss in ("info_nce", "simple")
     if with_negatives and batch.negatives is None:
         raise ValueError(f"{config.loss} needs a negative batch")
     views = (batch.anchors, batch.positives, batch.negatives)[: 3 if with_negatives else 2]
-    y, activations = _forward_layers(model, np.concatenate(views))
+    return _loss_and_gradient(model, np.concatenate(views), batch.size, config)
+
+
+def _loss_and_gradient(
+    model: EncoderModel, x: np.ndarray, b: int, config: TrainConfig
+) -> tuple[LossBreakdown, np.ndarray]:
+    """``loss_and_gradient`` on stacked views: anchors, positives, then
+    negatives when the loss uses them, ``b`` rows each, pairing checked."""
+    y, activations = _forward_layers(model, x)
     z, cache = _norm_forward(model, y)
     z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
     if config.loss == "info_nce":
@@ -367,6 +418,12 @@ def train(
     or updated parameters go non-finite (learning rate too high). Zero
     steps returns a copy of the model with an empty trace. The caller's
     model is never modified.
+
+    The batches are those of ``make_train_batch`` called once per step on
+    one generator seeded with ``config.seed``: the draws are made per step
+    in that order, for chunks of at most ``TILE_BYTES // (k·B·D·8)`` steps
+    (k = 3 views per anchor with negatives, else 2), and each augmentation
+    member is applied once per chunk.
     """
     _check_pairing(model, config)
     if dataset.input_dim != model.input_dim:
@@ -379,11 +436,15 @@ def train(
     params = flat_params(model)
     # Updating params in place updates the layers of current.
     current = _bind_params(model, params)
-    with_negatives = config.loss in ("info_nce", "simple")
+    b = config.batch_size
+    k = 3 if config.loss in ("info_nce", "simple") else 2
+    chunk = max(1, TILE_BYTES // (k * b * dataset.input_dim * 8))
     trace = np.empty((config.steps, 4))
     for step in range(config.steps):
-        batch = make_train_batch(dataset, aug, config.batch_size, rng, with_negatives)
-        breakdown, grad = loss_and_gradient(current, batch, config)
+        offset = step % chunk * k * b
+        if offset == 0:
+            views = _sample_chunk(dataset, aug, b, min(chunk, config.steps - step), k, rng)
+        breakdown, grad = _loss_and_gradient(current, views[offset : offset + k * b], b, config)
         if not (np.isfinite(breakdown.total) and np.isfinite(grad).all()):
             raise RuntimeError(f"training diverged at step {step}")
         trace[step] = (step, breakdown.total, breakdown.l1, breakdown.l2)

@@ -187,7 +187,11 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    # JSON accepts NaN and Infinity, and NaN passes every range check.
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite")
+    return number
 
 
 def _parse_dataset(section, base_dir: str) -> GeneratorConfig | str:

@@ -1,18 +1,21 @@
-"""Timing of ``encoder.train`` on the acceptance fixture blobs.
+"""Timing of ``encoder.train`` on the acceptance fixture blobs and the ring task.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it on its own with
 
     python -m pytest tests/microbench_train.py
 
-Each case is one 250-step training run with batch size 8 on the 2-class,
-6-per-class blobs with an identity + shift augmentation set, the settings
-of the ``info_nce_d2_k2`` and ``cross_corr_d2_k2`` acceptance fixtures.
+The blob cases are one 250-step training run with batch size 8 on the
+2-class, 6-per-class blobs with an identity + shift augmentation set, the
+settings of the ``info_nce_d2_k2`` and ``cross_corr_d2_k2`` acceptance
+fixtures. The ring case is one 300-step ``info_nce`` run with batch size 16
+on the 3-d two-ring task of acceptance 09 and 10 with identity + wide
+rotation + scale at grid 5 (26 views), which times the continuous members.
 """
 
 import pytest
 
-from augbound.augment import AugmentationSet, additive_shift, identity
+from augbound.augment import AugmentationSet, additive_shift, identity, rotation_2d, scaling
 from augbound.core import GeneratorConfig, generate_dataset
 from augbound.encoder import TrainConfig, init_encoder, train
 
@@ -43,3 +46,30 @@ def test_train_250_steps(benchmark, loss):
     )
     _, trace = benchmark(train, model, dataset, aug, config)
     assert trace.shape == (250, 4)
+
+
+def test_train_ring_300_steps(benchmark):
+    dataset = generate_dataset(
+        GeneratorConfig(
+            num_classes=2,
+            samples_per_class=14,
+            cluster_centers=((2.0, 0.0, 1.0), (2.0, 0.0, -1.0)),
+            cluster_spread=3.2,
+            manifold="ring_segments",
+            seed=0,
+            disjoint_classes=False,
+        )
+    )
+    aug = AugmentationSet(
+        transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
+        grid_resolution=5,
+    )
+    assert aug.num_views == 26
+    model = init_encoder(
+        input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", radius=1.0, seed=0
+    )
+    config = TrainConfig(
+        loss="info_nce", steps=300, batch_size=16, learning_rate=0.1, seed=0
+    )
+    _, trace = benchmark(train, model, dataset, aug, config)
+    assert trace.shape == (300, 4)

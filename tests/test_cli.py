@@ -129,6 +129,24 @@ def test_config_schema_violations(mutate, fragment):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("training", "learning_rate", float("nan")),
+        ("training", "lam", float("inf")),
+        ("encoder", "radius", float("nan")),
+        ("analysis", "delta_grid", [0.5, float("-inf")]),
+    ],
+)
+def test_config_rejects_non_finite_numbers(section, key, value):
+    # The json module writes and reads NaN and Infinity; NaN compares false
+    # with every bound.
+    text = json.dumps(_config_dict(**{section: {key: value}}))
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}.* must be finite"):
+        config_from_dict(json.loads(text))
+
+
 def test_load_config_io_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.json"))

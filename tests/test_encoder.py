@@ -1,9 +1,13 @@
 """Encoder forward conventions, manual gradients, training, Lipschitz."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from augbound import encoder
 from augbound.augment import (
+    TILE_BYTES,
     AugmentationSet,
     additive_shift,
     coordinate_permutation,
@@ -12,7 +16,7 @@ from augbound.augment import (
     scaling,
     sign_flip_mask,
 )
-from augbound.core import GeneratorConfig, generate_dataset
+from augbound.core import Dataset, GeneratorConfig, generate_dataset
 from augbound.encoder import (
     MAX_LAYERS,
     EncoderModel,
@@ -291,9 +295,7 @@ _ORACLE_AUGS = {
 }
 
 
-@pytest.mark.parametrize("aug_name", sorted(_ORACLE_AUGS))
-@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
-def test_train_matches_reference_loop_bit_for_bit(loss, aug_name):
+def _oracle_case(loss, steps):
     ds = generate_dataset(
         GeneratorConfig(
             num_classes=2,
@@ -309,17 +311,84 @@ def test_train_matches_reference_loop_bit_for_bit(loss, aug_name):
         norm_mode="batch_standardized" if loss == "cross_corr" else "sphere",
         radius=1.0, seed=17,
     )
-    before = flat_params(model)
     config = TrainConfig(
-        loss=loss, steps=60, batch_size=8, learning_rate=0.05, seed=3, lam=0.3
+        loss=loss, steps=steps, batch_size=8, learning_rate=0.05, seed=3, lam=0.3
     )
-    trained, trace = train(model, ds, _ORACLE_AUGS[aug_name], config)
-    ref_model, ref_trace = _reference_train(model, ds, _ORACLE_AUGS[aug_name], config)
+    return ds, model, config
+
+
+@pytest.mark.parametrize("aug_name", sorted(_ORACLE_AUGS))
+@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
+def test_train_matches_reference_loop_bit_for_bit(loss, aug_name, monkeypatch):
+    ds, model, config = _oracle_case(loss, steps=60)
+    aug = _ORACLE_AUGS[aug_name]
+    before = flat_params(model)
+    ref_model, ref_trace = _reference_train(model, ds, aug, config)
+    step_bytes = (2 if loss == "cross_corr" else 3) * config.batch_size * ds.input_dim * 8
+    # The default budget holds all 60 steps; then chunks of 1 step, of 7
+    # (a 4-step last chunk), of 59 (a 1-step last chunk) and of 60.
+    for chunk_steps in (None, 1, 7, 59, 60):
+        if chunk_steps is not None:
+            monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
+        trained, trace = train(model, ds, aug, config)
+        np.testing.assert_array_equal(trace, ref_trace)
+        np.testing.assert_array_equal(flat_params(trained), flat_params(ref_model))
+        np.testing.assert_array_equal(flat_params(model), before)
+        for new, old in zip(trained.layers, model.layers):
+            assert not np.shares_memory(new.weight, old.weight)
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
+def test_train_matches_reference_loop_for_zero_and_one_step(loss, steps):
+    ds, model, config = _oracle_case(loss, steps=steps)
+    aug = _ORACLE_AUGS["rotation_scale"]
+    trained, trace = train(model, ds, aug, config)
+    ref_model, ref_trace = _reference_train(model, ds, aug, config)
+    assert trace.shape == (steps, 4)
     np.testing.assert_array_equal(trace, ref_trace)
     np.testing.assert_array_equal(flat_params(trained), flat_params(ref_model))
-    np.testing.assert_array_equal(flat_params(model), before)
-    for new, old in zip(trained.layers, model.layers):
-        assert not np.shares_memory(new.weight, old.weight)
+
+
+def test_train_memory_is_bounded_by_the_tile_budget():
+    # 500 steps of 3 x 64 views of 32 features are 24.6 MB of views, over
+    # ten tile budgets. Sampled a chunk of at most TILE_BYTES at a time,
+    # with the transform temporaries, the peak measures 5.1 x TILE_BYTES.
+    steps, b, d = 500, 64, 32
+    assert steps * 3 * b * d * 8 >= 10 * TILE_BYTES
+    rng = np.random.default_rng(0)
+    ds = Dataset(
+        features=rng.standard_normal((40, d)),
+        labels=np.repeat([0, 1], 20),
+        num_classes=2,
+        priors=(0.5, 0.5),
+    )
+    signs = tuple(float(s) for s in rng.choice([-1.0, 1.0], size=d))
+    aug = AugmentationSet(
+        (identity(), sign_flip_mask(signs), additive_shift(tuple(rng.uniform(-0.2, 0.2, d)))),
+        grid_resolution=3,
+    )
+    model = init_encoder(
+        input_dim=d, hidden_dims=(), output_dim=4, norm_mode="sphere", radius=1.0, seed=0
+    )
+    config = TrainConfig(loss="info_nce", steps=steps, batch_size=b, learning_rate=0.05, seed=0)
+    tracemalloc.start()
+    try:
+        _, trace = train(model, ds, aug, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.shape == (steps, 4)
+    assert peak < 8 * TILE_BYTES
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", float("nan")), ("lam", float("nan")), ("lam", float("inf"))],
+)
+def test_train_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -16,6 +16,8 @@ from typing import Literal
 
 import numpy as np
 
+from .bounds import csv_value
+
 __all__ = [
     "Sample",
     "Dataset",
@@ -261,10 +263,6 @@ def _ring_segment(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def save_dataset(dataset: Dataset, path: str, format: Literal["csv", "binary"] = "csv") -> None:
     """Write a dataset to ``path`` in the CSV or binary container format."""
     if format == "csv":
@@ -289,7 +287,7 @@ def _save_csv(dataset: Dataset, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(dataset.input_dim)] + ["label"])
         for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([_fmt(v) for v in row] + [str(int(label))])
+            writer.writerow([csv_value(v) for v in row] + [str(int(label))])
 
 
 def _load_csv(path: str) -> Dataset:

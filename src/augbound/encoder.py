@@ -97,8 +97,8 @@ class EncoderModel:
                 raise ValueError("layer dimensions do not chain")
         if self.norm_mode not in ("sphere", "batch_standardized", "none"):
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be positive and finite")
         object.__setattr__(self, "layers", layers)
 
     @property

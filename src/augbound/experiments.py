@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .augment import (
     AugmentationSet,
@@ -471,10 +470,6 @@ class ExperimentResult:
         return self.reports[(len(self.config.delta_grid) - 1, 0)]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_kv_csv(path: str, rows: list[tuple[str, object]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -534,12 +529,12 @@ def stage_concentration(
             for k, sigma_k in enumerate(estimate.per_class_sigma):
                 rows.append(
                     (
-                        _fmt(estimate.delta),
+                        csv_value(estimate.delta),
                         str(k),
                         str(len(dataset.class_indices(k))),
                         str(len(estimate.main_parts[k])),
-                        _fmt(sigma_k),
-                        _fmt(estimate.sigma),
+                        csv_value(sigma_k),
+                        csv_value(estimate.sigma),
                         estimate.mode,
                     )
                 )
@@ -602,7 +597,7 @@ def stage_evaluate(
             ("loss.l2", loss.l2),
         ]
         for stat in alignment:
-            rows.append((f"r_eps.{_fmt(stat.epsilon)}", stat.r_eps))
+            rows.append((f"r_eps.{csv_value(stat.epsilon)}", stat.r_eps))
         for k in range(dataset.num_classes):
             rows.append((f"moment.first.class_{k}", bundle.first_moments[k]))
             rows.append((f"moment.second.class_{k}", bundle.second_moments[k]))
@@ -665,7 +660,7 @@ def stage_bounds(
                 reports[(i, j)] = report
                 for key, value in report.to_flat_dict().items():
                     long_rows.append(
-                        (_fmt(estimate.delta), _fmt(stat.epsilon), key, csv_value(value))
+                        (csv_value(estimate.delta), csv_value(stat.epsilon), key, csv_value(value))
                     )
         with open(os.path.join(out_dir, "bounds.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -748,7 +743,7 @@ def _sweep_levels(config: ExperimentConfig, sweep: SweepSpec) -> list[tuple[str,
             )
             out.append(
                 (
-                    _fmt(factor),
+                    csv_value(float(factor)),
                     AugmentationSet(
                         transforms=transforms,
                         grid_resolution=config.augmentation.grid_resolution,
@@ -815,11 +810,11 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
             writer.writerow(
                 [
                     label,
-                    _fmt(sigma),
-                    _fmt(1.0 - sigma),
-                    _fmt(result.bundle.err),
-                    _fmt(report.thm1_bound),
-                    "true" if report.thm1_valid else "false",
+                    csv_value(sigma),
+                    csv_value(1.0 - sigma),
+                    csv_value(result.bundle.err),
+                    csv_value(report.thm1_bound),
+                    csv_value(report.thm1_valid),
                 ]
             )
 
@@ -860,5 +855,24 @@ def _write_pairs_correlation(
             if degenerate:
                 value = float("nan")
             else:
-                value = float(spearmanr(one_minus_sigma, errs).statistic)
-            writer.writerow([_fmt(delta), _fmt(value)])
+                value = _spearman(one_minus_sigma, errs)
+            writer.writerow([csv_value(float(delta)), csv_value(value)])
+
+
+def _average_ranks(values: list[float]) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True, return_counts=True
+    )
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
+def _spearman(x: list[float], y: list[float]) -> float:
+    """Spearman rank correlation: the Pearson correlation of the average ranks.
+
+    Equal to ``scipy.stats.spearmanr(x, y).statistic`` bit for bit (element
+    ``[1, 0]`` of the correlation matrix; ``[0, 1]`` can differ in the last
+    ulp), without importing ``scipy.stats`` and the modules it loads.
+    """
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])

@@ -4,7 +4,10 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from augbound.augment import (
     transform_to_spec,
 )
 from augbound.cli import main
+from augbound import experiments
 from augbound.core import generate_dataset, save_dataset
 from augbound.experiments import (
     ConfigError,
@@ -447,6 +451,72 @@ def test_pairs_sweep_enumerates_two_subsets(tmp_path):
     for row in corr:
         value = float(row["spearman"])
         assert math.isnan(value) or -1.0 <= value <= 1.0
+
+
+def _tied_values(rng, n):
+    levels = int(rng.integers(2, n + 1))
+    return [float(v) for v in rng.integers(0, levels, n) / levels]
+
+
+def test_spearman_matches_scipy_bit_for_bit():
+    from scipy.stats import spearmanr  # the package itself never imports scipy.stats
+
+    rng = np.random.default_rng(2111)
+    checked = 0
+    for case in range(400):
+        n = int(rng.integers(3, 13))
+        x = _tied_values(rng, n)
+        y = _tied_values(rng, n) if case % 2 else [float(v) for v in rng.random(n)]
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            continue  # constant inputs are the degenerate case, never ranked
+        assert experiments._spearman(x, y) == float(spearmanr(x, y).statistic), (x, y)
+        checked += 1
+    assert checked >= 300
+
+
+def _read_correlation(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["delta", "spearman"]
+    return rows[1:]
+
+
+def test_pairs_correlation_is_nan_exactly_for_degenerate_inputs(tmp_path):
+    def level(one_minus_sigma, err):
+        curve = [SimpleNamespace(sigma=1.0 - s) for s in one_minus_sigma]
+        return SimpleNamespace(curve=curve, bundle=SimpleNamespace(err=err))
+
+    config = SimpleNamespace(delta_grid=(0.5, 1, 2.0))
+    varied = {
+        "0_1": level((0.5, 0.25, 0.0), 0.125),
+        "0_2": level((0.75, 0.25, 0.0), 0.375),
+        "1_2": level((0.25, 0.25, 0.0), 0.25),
+    }
+    experiments._write_pairs_correlation(config, varied, ["0_1", "0_2", "1_2"], str(tmp_path))
+    expected = experiments._spearman([0.5, 0.75, 0.25], [0.125, 0.375, 0.25])
+    assert _read_correlation(tmp_path / "correlation.csv") == [
+        ["0.5", repr(expected)],
+        ["1.0", "nan"],  # constant 1 - sigma
+        ["2.0", "nan"],
+    ]
+    same_err = {label: level((s, 0.5, 0.0), 0.25) for label, s in (("a", 0.5), ("b", 0.75))}
+    experiments._write_pairs_correlation(config, same_err, ["a", "b"], str(tmp_path))
+    assert [row[1] for row in _read_correlation(tmp_path / "correlation.csv")] == ["nan"] * 3
+    one_level = {"a": varied["0_1"]}
+    experiments._write_pairs_correlation(config, one_level, ["a", "b"], str(tmp_path))
+    assert [row[1] for row in _read_correlation(tmp_path / "correlation.csv")] == ["nan"] * 3
+
+
+def test_import_keeps_scipy_stats_off_the_path():
+    # scipy.stats and what it loads cost about 0.6 s in every fresh interpreter
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import augbound.cli, sys; assert 'scipy.stats' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_strength_sweep_scales_the_base_transforms(tmp_path):

@@ -107,6 +107,17 @@ def test_architecture_depth_is_capped():
         )
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_radius_must_be_positive_and_finite(radius):
+    # NaN slips past a bare `radius <= 0` and gives all-NaN sphere embeddings
+    with pytest.raises(ValueError, match="radius"):
+        init_encoder(2, (), 2, "sphere", radius, 0)
+    layers = init_encoder(2, (), 2, "sphere", 1.0, 0).layers
+    for norm_mode in ("sphere", "none"):
+        with pytest.raises(ValueError, match="radius"):
+            EncoderModel(layers, norm_mode=norm_mode, radius=radius)
+
+
 def _loss_value(model, batch, config):
     breakdown, _ = loss_and_gradient(model, batch, config)
     return breakdown.total

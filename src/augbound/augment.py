@@ -18,6 +18,18 @@ of squared view distances, so its extra memory is one tile plus the N×N
 output and the N·V·D views; each entry is bit-identical to the pairwise
 ``augmented_distance``.
 
+``distance_matrix`` and the population InfoNCE of ``evaluation`` share one
+split rule (``_tile_budget`` and ``_run_split``). A job that fits one
+``TILE_BYTES`` tile runs inline on the calling thread. A larger job is cut
+into tiles of at most ``TILE_BYTES // _WORKERS``, and with two usable CPUs
+the calling thread works through every other tile while one helper thread,
+started for that call, works through the rest; the tiles in flight still
+total at most one ``TILE_BYTES``. ``cdist`` and numpy's ufuncs release the
+GIL, so the two shares run in parallel. Each tile writes its own slice of
+the output, so results do not depend on the worker count or the tiling. A
+call uses at most one helper thread; pinning the process to one CPU
+(``taskset -c 0``) makes both kernels single-threaded.
+
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
 on the cube); with no continuous member all mass is discrete. Expectations
@@ -31,6 +43,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +88,59 @@ _DISTANCE_MAGIC = b"CDM1"
 # Byte budget of one float64 tile of squared view distances in
 # ``distance_matrix``; ``evaluation`` tiles its InfoNCE pair terms by it too.
 TILE_BYTES = 2 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that compute the tiles of one job: the calling thread plus at most
+# one helper.
+_WORKERS = min(2, _usable_cpus())
+
+
+def _tile_budget(job_bytes: int, tile_bytes: int) -> int:
+    """Byte budget of one tile of a job that needs ``job_bytes`` in all.
+
+    A job that fits ``tile_bytes`` keeps it whole and runs inline; a larger
+    one gives each of the ``_WORKERS`` threads an equal share, so the tiles
+    in flight together stay within ``tile_bytes``.
+    """
+    return tile_bytes if job_bytes <= tile_bytes else tile_bytes // _WORKERS
+
+
+def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
+    """Run ``work`` over ``items`` on the calling thread and at most one helper.
+
+    With ``_WORKERS >= 2`` and two items or more, a new thread runs
+    ``work(items[1::2])`` while the calling thread runs ``work(items[0::2])``;
+    otherwise the calling thread runs ``work(items)`` alone. The helper is
+    joined before this returns or raises. An error of the calling thread's
+    share propagates as raised; otherwise an error of the helper's share is
+    re-raised here with its type and traceback.
+    """
+    if _WORKERS < 2 or len(items) < 2:
+        work(items)
+        return
+    errors: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            work(items[1::2])
+        except BaseException as exc:  # handed to the calling thread below
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper, name="augbound-tiles", daemon=True)
+    thread.start()
+    try:
+        work(items[0::2])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -392,12 +460,19 @@ def distance_matrix(
     Returns an (N, N) symmetric matrix with zero diagonal where N is the
     number of selected samples (row order follows dataset order). Only the
     upper triangle is computed, in square tiles of ``side`` samples per axis
-    whose (side·V)² squared view distances fit in ``TILE_BYTES`` (one sample
-    per side at least); each tile is written to both triangles. Extra memory
-    is one tile plus the output and the N·V·D views. Every entry is
-    bit-identical to ``augmented_distance`` of the two points, because
-    squared distances are the same in either argument order and the minimum
-    is exact.
+    whose (side·V)² squared view distances fit in the tile budget (one
+    sample per side at least); each tile is written to both triangles.
+
+    The budget is ``TILE_BYTES`` when the whole (N·V)² job fits it, which
+    then runs inline as a single tile. Otherwise it is
+    ``TILE_BYTES // _WORKERS``, and the calling thread computes every other
+    tile while one helper thread computes the rest (``_run_split``). Extra
+    memory is one ``TILE_BYTES`` plus the output and the N·V·D views.
+
+    Every entry is bit-identical to ``augmented_distance`` of the two points,
+    whatever the worker count or tiling, because squared distances are the
+    same in either argument order, the minimum is exact, and tiles write
+    disjoint blocks of the output.
     """
     if class_filter is None:
         points = dataset.features
@@ -407,11 +482,13 @@ def distance_matrix(
     views = view_tensor(points, aug)
     v = views.shape[1]
     flat = views.reshape(n * v, -1)
-    side = max(1, math.isqrt(TILE_BYTES // 8) // v)
+    budget = _tile_budget(8 * (n * v) ** 2, TILE_BYTES)
+    side = max(1, math.isqrt(budget // 8) // v)
     out = np.empty((n, n))
-    for i0 in range(0, n, side):
-        i1 = min(i0 + side, n)
-        for j0 in range(i0, n, side):
+
+    def work(tiles: Sequence[tuple[int, int]]) -> None:
+        for i0, j0 in tiles:
+            i1 = min(i0 + side, n)
             j1 = min(j0 + side, n)
             # One expression, so the previous tile's distances are freed
             # before the next tile's are allocated.
@@ -422,6 +499,8 @@ def distance_matrix(
             )
             out[i0:i1, j0:j1] = tile
             out[j0:j1, i0:i1] = tile.T
+
+    _run_split(work, [(i0, j0) for i0 in range(0, n, side) for j0 in range(i0, n, side)])
     out = np.sqrt(np.maximum(out, 0.0))
     np.fill_diagonal(out, 0.0)
     return out

@@ -20,7 +20,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import losses as losses_mod
-from .augment import TILE_BYTES, AugmentationSet, view_tensor, view_weights
+from .augment import (
+    TILE_BYTES,
+    AugmentationSet,
+    _run_split,
+    _tile_budget,
+    view_tensor,
+    view_weights,
+)
 from .core import Dataset
 from .encoder import EncoderModel, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
@@ -289,31 +296,43 @@ _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 def _info_nce_divergence(z: np.ndarray, weights: np.ndarray) -> float:
     """Population InfoNCE divergence term l2 of embeddings z, shape (N, V, d).
 
-    Rows are the flattened anchor views (i, a); each tile holds the pair
-    terms of as many rows as fit in TILE_BYTES (at least one row).
+    Rows are the flattened anchor views (i, a). Each tile holds the pair
+    terms of as many rows as fit in its budget (at least one row): all of
+    ``TILE_BYTES`` when the whole job fits it, which then runs inline as a
+    single tile, else ``TILE_BYTES // _WORKERS``, with the calling thread
+    computing every other tile and one helper thread the rest (see
+    ``augment._run_split``). Tiles write each row's weighted log term and
+    shift into two N·V vectors, which are reduced once at the end, so the
+    result does not depend on the worker count or the tiling.
     """
     n, v, _ = z.shape
     flat = z.reshape(n * v, -1)
     w_neg = np.tile(weights, n) / n
-    rows = min(n * v, max(1, TILE_BYTES // (v * n * v * 8)))
-    tile = np.empty((rows, v, n * v))
-    l2 = 0.0
-    for start in range(0, n * v, rows):
-        stop = min(start + rows, n * v)
-        q = flat[start:stop] @ flat.T
-        # The positive scores of row (i, a) are the V columns of sample i
-        # among its negative scores, so the row max covers both.
-        shift = q.max(axis=1)
-        q -= shift[:, None]
-        np.exp(q, out=q)
-        anchor = np.arange(start, stop)
-        pos = q.reshape(-1, n, v)[np.arange(stop - start), anchor // v]
-        terms = tile[: stop - start]
-        np.add(pos[:, :, None], q[:, None, :], out=terms)
-        np.log(terms, out=terms)
-        per_row = (terms.reshape(-1, n * v) @ w_neg).reshape(-1, v) @ weights
-        l2 += weights[anchor % v] @ (per_row + shift)
-    return float(l2 / n)
+    row_bytes = v * n * v * 8
+    rows = min(n * v, max(1, _tile_budget(n * v * row_bytes, TILE_BYTES) // row_bytes))
+    per_row = np.empty(n * v)
+    shifts = np.empty(n * v)
+
+    def work(starts: range) -> None:
+        tile = np.empty((rows, v, n * v))
+        for start in starts:
+            stop = min(start + rows, n * v)
+            q = flat[start:stop] @ flat.T
+            # The positive scores of row (i, a) are the V columns of sample i
+            # among its negative scores, so the row max covers both.
+            shift = q.max(axis=1)
+            q -= shift[:, None]
+            np.exp(q, out=q)
+            anchor = np.arange(start, stop)
+            pos = q.reshape(-1, n, v)[np.arange(stop - start), anchor // v]
+            terms = tile[: stop - start]
+            np.add(pos[:, :, None], q[:, None, :], out=terms)
+            np.log(terms, out=terms)
+            per_row[start:stop] = (terms.reshape(-1, n * v) @ w_neg).reshape(-1, v) @ weights
+            shifts[start:stop] = shift
+
+    _run_split(work, range(0, n * v, rows))
+    return float(np.tile(weights, n) @ (per_row + shifts) / n)
 
 
 def population_loss(
@@ -345,6 +364,13 @@ def population_loss(
     when 2 max||z||^2 <= -log(tiny) (about 708, every sphere up to radius
     18; the pipeline trains InfoNCE on the unit sphere). Other embeddings
     raise ValueError.
+
+    The pair terms are computed in tiles of anchor rows. A job whose terms
+    fit one ``TILE_BYTES`` tile runs inline; a larger one uses tiles of
+    ``TILE_BYTES // _WORKERS``, and with two usable CPUs the calling thread
+    computes half of them while one helper thread computes the other half
+    (``augment._run_split``). The per-row values are reduced once in a fixed
+    order, so the result does not depend on the worker count or the tiling.
     """
     z, weights = _embedded_views(encoder, dataset, aug)
     n, v, d = z.shape

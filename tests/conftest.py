@@ -1,0 +1,34 @@
+"""Fixtures shared by the test modules."""
+
+import threading
+
+import pytest
+
+from augbound import augment
+
+
+@pytest.fixture
+def split_workers(monkeypatch):
+    """Setter of ``augment._WORKERS`` that also watches thread starts.
+
+    ``split_workers(2)`` lets threads start and returns a list that gets one
+    entry (the thread's name) per thread started from then on.
+    ``split_workers(1)`` makes starting any thread raise, as a process with
+    one usable CPU must run both tiled kernels on the calling thread alone.
+    """
+    real_thread = threading.Thread
+    started = []
+
+    def counted(*args, **kwargs):
+        started.append(kwargs.get("name"))
+        return real_thread(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started with one worker")
+
+    def set_workers(workers):
+        monkeypatch.setattr(augment, "_WORKERS", workers)
+        monkeypatch.setattr(threading, "Thread", counted if workers >= 2 else refused)
+        return started
+
+    return set_workers

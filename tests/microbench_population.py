@@ -1,0 +1,42 @@
+"""Timing of the population InfoNCE (``evaluation.population_loss``) on the ring task.
+
+Not part of the test suite (the file name does not match ``test_*.py``).
+Run it on its own with
+
+    python -m pytest tests/microbench_population.py
+
+The case is the shape of the ``ring_pairs`` benchmark: the 3-d interleaved
+two-ring task at 14 samples per class, identity plus a wide rotation and a
+scaling at grid 5 (26 views), a sphere encoder and the ``info_nce`` loss.
+With N·V = 728 anchor rows its pair terms span several ``TILE_BYTES`` tiles.
+"""
+
+from augbound.augment import AugmentationSet, identity, rotation_2d, scaling
+from augbound.core import GeneratorConfig, generate_dataset
+from augbound.encoder import init_encoder
+from augbound.evaluation import freeze_encoder, population_loss
+
+
+def test_population_info_nce_ring_14_per_class_26_views(benchmark):
+    dataset = generate_dataset(
+        GeneratorConfig(
+            num_classes=2,
+            samples_per_class=14,
+            cluster_centers=((2.0, 0.0, 1.0), (2.0, 0.0, -1.0)),
+            cluster_spread=3.2,
+            manifold="ring_segments",
+            seed=0,
+            disjoint_classes=False,
+        )
+    )
+    aug = AugmentationSet(
+        transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
+        grid_resolution=5,
+    )
+    assert aug.num_views == 26
+    model = init_encoder(
+        input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", radius=1.0, seed=0
+    )
+    encoder = freeze_encoder(model, dataset, aug)
+    result = benchmark(population_loss, encoder, dataset, aug, "info_nce")
+    assert result.kind == "info_nce"

@@ -1,12 +1,17 @@
 """Transform catalog, view enumeration, and the augmented distance."""
 
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from augbound import augment
 from augbound.augment import (
     TILE_BYTES,
     AugmentationSet,
@@ -284,6 +289,124 @@ def test_distance_matrix_memory_is_one_tile_plus_output_and_views():
     assert m.shape == (n, n)
     slack = 1 << 20
     assert peak < TILE_BYTES + 8 * n * n + 2 * 8 * n * v * d + slack
+
+
+_RING_V26 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=5)
+
+
+@pytest.mark.parametrize(
+    "workers, tile_bytes, tiles",
+    [
+        # N = 50 and V = 26; the tile side is 7 and 4 samples (last tiles short).
+        (1, 8 * (26 * 7) ** 2, 36),
+        (2, 8 * (26 * 7) ** 2, 91),
+        # Sides 12 and 8 (last tiles short).
+        (1, 8 * (26 * 12) ** 2, 15),
+        (2, 8 * (26 * 12) ** 2, 28),
+        # Sides 19 and 13 (last tiles short).
+        (1, TILE_BYTES, 6),
+        (2, TILE_BYTES, 10),
+    ],
+)
+def test_distance_matrix_does_not_depend_on_workers_or_tiling(
+    monkeypatch, split_workers, workers, tile_bytes, tiles
+):
+    ds = _ring_dataset(25)
+    started = split_workers(workers)
+    monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
+    tile_rows = []
+
+    def counting_cdist(a, b, metric):
+        tile_rows.append(a.shape[0])
+        return cdist(a, b, metric)
+
+    monkeypatch.setattr(augment, "cdist", counting_cdist)
+    m = distance_matrix(ds, _RING_V26)
+    assert len(tile_rows) == tiles
+    assert min(tile_rows) < max(tile_rows)
+    assert len(started) == (1 if workers == 2 else 0)
+    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V26))
+
+
+def test_distance_matrix_of_one_tile_runs_inline(split_workers):
+    # The squared view distances of 19 samples x 26 views fit one tile.
+    started = split_workers(2)
+    ds = _ring_dataset(19)
+    m = distance_matrix(ds, _RING_V26, class_filter=0)
+    assert 8 * (19 * 26) ** 2 <= TILE_BYTES and started == []
+    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V26, 0))
+
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fail_in_helper", [True, False])
+def test_distance_matrix_error_in_either_share_propagates_after_the_join(
+    monkeypatch, split_workers, fail_in_helper
+):
+    split_workers(2)
+    baseline = threading.active_count()
+    caller = threading.current_thread()
+    calls = []
+
+    def cdist_failing_on_third_tile(a, b, metric):
+        in_helper = threading.current_thread() is not caller
+        if in_helper == fail_in_helper:
+            calls.append(None)
+            if len(calls) == 3:
+                raise _Injected("third tile")
+        else:
+            # The other share is still running when the error is raised.
+            time.sleep(0.005)
+        return cdist(a, b, metric)
+
+    monkeypatch.setattr(augment, "cdist", cdist_failing_on_third_tile)
+    with pytest.raises(_Injected, match="third tile"):
+        distance_matrix(_ring_dataset(25), _RING_V26)
+    assert threading.active_count() == baseline
+
+
+def test_run_split_gives_every_item_to_exactly_one_thread(split_workers):
+    started = split_workers(2)
+    items = range(2001)
+    hits = np.zeros(len(items), dtype=np.int64)
+    caller = threading.current_thread()
+    owners = {}
+
+    def work(share):
+        for i in share:
+            hits[i] += 1
+        owners[threading.current_thread() is caller] = share
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        augment._run_split(work, items)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 1
+    np.testing.assert_array_equal(hits, 1)
+    assert owners == {True: items[0::2], False: items[1::2]}
+
+
+def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    assert augment._WORKERS == min(2, augment._usable_cpus())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert augment._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert augment._usable_cpus() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert augment._usable_cpus() == 1
+
+
+def test_distance_matrix_memory_bound_holds_with_two_workers(split_workers):
+    # The same scenario and bound with the tiles split between two threads,
+    # whatever the CPU count of the host running the tests.
+    started = split_workers(2)
+    test_distance_matrix_memory_is_one_tile_plus_output_and_views()
+    assert len(started) == 1
 
 
 def test_sample_view_pair_identity_only_returns_the_point():

@@ -1,10 +1,13 @@
 """Centers, nearest-center classification, alignment stats, population losses."""
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from augbound import evaluation
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
@@ -469,6 +472,118 @@ def test_population_info_nce_peak_memory_is_one_tile():
     finally:
         tracemalloc.stop()
     assert peak < budget
+
+
+def _per_tile_info_nce_l2(z, weights):
+    """The divergence term summed tile by tile, as before the tiles were
+    split between threads; the reference for jobs that fit one tile."""
+    n, v, _ = z.shape
+    flat = z.reshape(n * v, -1)
+    w_neg = np.tile(weights, n) / n
+    rows = min(n * v, max(1, TILE_BYTES // (v * n * v * 8)))
+    tile = np.empty((rows, v, n * v))
+    l2 = 0.0
+    for start in range(0, n * v, rows):
+        stop = min(start + rows, n * v)
+        q = flat[start:stop] @ flat.T
+        shift = q.max(axis=1)
+        q -= shift[:, None]
+        np.exp(q, out=q)
+        anchor = np.arange(start, stop)
+        pos = q.reshape(-1, n, v)[np.arange(stop - start), anchor // v]
+        terms = tile[: stop - start]
+        np.add(pos[:, :, None], q[:, None, :], out=terms)
+        np.log(terms, out=terms)
+        per_row = (terms.reshape(-1, n * v) @ w_neg).reshape(-1, v) @ weights
+        l2 += weights[anchor % v] @ (per_row + shift)
+    return float(l2 / n)
+
+
+def _embeddings(enc, ds, aug):
+    views = view_tensor(ds.features, aug)
+    n, v, _ = views.shape
+    return enc.embed(views.reshape(n * v, -1)).reshape(n, v, -1), view_weights(aug)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
+    split_workers, workers
+):
+    # 24 samples x 7 views fill 1.58 MB of one TILE_BYTES tile.
+    started = split_workers(workers)
+    ds = _blobs(seed=26, spread=0.5)
+    aug = AugmentationSet(
+        transforms=(identity(), sign_flip_mask((-1.0, 1.0)), additive_shift((0.0, 0.5))),
+        grid_resolution=5,
+    )
+    n, v = ds.num_samples, aug.num_views
+    assert n * v * v * n * v * 8 <= TILE_BYTES
+    enc = _sphere_on(ds, aug)
+    got = population_loss(enc, ds, aug, "info_nce")
+    assert got.l2 == _per_tile_info_nce_l2(*_embeddings(enc, ds, aug))
+    assert started == []
+
+
+def test_population_info_nce_does_not_depend_on_workers_or_tiling(monkeypatch, split_workers):
+    ds = _blobs(seed=26, spread=0.5)
+    n, v = ds.num_samples, MIXED_AUG.num_views
+    row_bytes = v * n * v * 8
+    enc = _sphere_on(ds, MIXED_AUG)
+    # One row per tile; 7 rows (3 with two workers), the last tile short;
+    # the default budget; and the whole job in one tile.
+    budgets = (row_bytes, 7 * row_bytes + row_bytes // 2, TILE_BYTES, n * v * row_bytes)
+    l2 = set()
+    for workers in (1, 2):
+        started = split_workers(workers)
+        for tile_bytes in budgets:
+            monkeypatch.setattr(evaluation, "TILE_BYTES", tile_bytes)
+            l2.add(population_loss(enc, ds, MIXED_AUG, "info_nce").l2)
+    assert len(l2) == 1
+    # A helper thread for each multi-tile budget with two workers.
+    assert len(started) == 3
+
+
+def test_population_info_nce_peak_memory_holds_with_two_workers(split_workers):
+    # The same scenario and bound with the tiles split between two threads,
+    # whatever the CPU count of the host running the tests.
+    started = split_workers(2)
+    test_population_info_nce_peak_memory_is_one_tile()
+    assert len(started) == 1
+
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fail_in_helper", [True, False])
+def test_population_info_nce_error_in_either_share_propagates_after_the_join(
+    monkeypatch, split_workers, fail_in_helper
+):
+    split_workers(2)
+    ds = _blobs(seed=26, spread=0.5)
+    enc = _sphere_on(ds, MIXED_AUG)
+    baseline = threading.active_count()
+    caller = threading.current_thread()
+    calls = []
+    log = np.log
+
+    def log_failing_on_third_tile(*args, **kwargs):
+        # Only the tile loop passes ``out``.
+        if "out" in kwargs:
+            in_helper = threading.current_thread() is not caller
+            if in_helper == fail_in_helper:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise _Injected("third tile")
+            else:
+                # The other share is still running when the error is raised.
+                time.sleep(0.005)
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log", log_failing_on_third_tile)
+    with pytest.raises(_Injected, match="third tile"):
+        population_loss(enc, ds, MIXED_AUG, "info_nce")
+    assert threading.active_count() == baseline
 
 
 def test_population_info_nce_rejects_exponent_underflow():

@@ -11,6 +11,8 @@ Views of a point are the discrete transforms plus the continuous family
 evaluated on a regular grid over the parameter cube. The grid is an
 under-approximation of the continuous family, so grid-based distances can
 only overestimate the true minimal view distance, never undershoot it.
+``view_tensor`` builds the grid one continuous member at a time, applying
+each once per grid value to all the rows built so far: r calls per member.
 
 ``distance_matrix`` computes the augmented distances of a whole class over
 the upper triangle only, in square tiles of at most ``TILE_BYTES`` (2 MiB)
@@ -40,7 +42,6 @@ quantities estimate the same thing.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -163,6 +164,10 @@ class Transform:
     def __post_init__(self) -> None:
         if self.rule not in _DISCRETE_RULES + _CONTINUOUS_RULES:
             raise ValueError(f"unknown transform rule {self.rule!r}")
+        # NaN passes every range check below, so test finiteness first.
+        vals = (*(self.direction or ()), *(self.scale_span or ()), self.max_angle, self.data_radius)
+        if not all(v is None or math.isfinite(v) for v in vals):
+            raise ValueError(f"{self.rule} parameters must be finite")
         if self.rule == "coordinate_permutation":
             if self.permutation is None or sorted(self.permutation) != list(
                 range(len(self.permutation))
@@ -267,7 +272,8 @@ class Transform:
 
 def _check_theta(theta: float | np.ndarray) -> np.ndarray:
     th = np.asarray(theta, dtype=np.float64)
-    if th.size and (th.min() < -1e-12 or th.max() > 1.0 + 1e-12):
+    # Written so that NaN, which compares false, fails it.
+    if th.size and not (th.min() >= -1e-12 and th.max() <= 1.0 + 1e-12):
         raise ValueError("theta must lie in [0, 1]")
     return th
 
@@ -382,33 +388,26 @@ class ViewSet:
         return self.views.shape[0]
 
 
-def _grid_axis(resolution: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, resolution)
-
-
-def _grid_thetas(aug: AugmentationSet) -> list[tuple[float, ...]]:
-    n = aug.num_continuous_params
-    if n == 0:
-        return []
-    axis = _grid_axis(aug.grid_resolution)
-    return list(itertools.product(axis, repeat=n))
-
-
 def view_tensor(points: np.ndarray, aug: AugmentationSet) -> np.ndarray:
     """Enumerated views for a batch of points, shape (B, V, D).
 
     Order: discrete transforms in declaration order, then the parameter grid
     in lexicographic order (first axis slowest). Continuous transforms
-    compose in declaration order, one grid coordinate per transform.
+    compose in declaration order, one grid coordinate per transform; each is
+    applied once per grid value, a scalar theta, to all grid rows so far.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    chunks = [t.apply(points) for t in aug.discrete]
-    for theta in _grid_thetas(aug):
-        out = points
-        for trans, th in zip(aug.continuous, theta):
-            out = trans.apply(out, th)
-        chunks.append(out)
-    return np.stack(chunks, axis=1)
+    views = [t.apply(points)[:, None] for t in aug.discrete]
+    if aug.continuous:
+        axis = np.linspace(0.0, 1.0, aug.grid_resolution)
+        grid = points[:, None]
+        for trans in aug.continuous:
+            b, g, d = grid.shape
+            flat = grid.reshape(b * g, d)
+            grid = np.stack([trans.apply(flat, th).reshape(b, g, d) for th in axis], axis=2)
+            grid = grid.reshape(b, g * axis.size, d)
+        views.append(grid)
+    return np.concatenate(views, axis=1)
 
 
 def enumerate_views(sample: Sample | np.ndarray, aug: AugmentationSet) -> ViewSet:
@@ -490,12 +489,12 @@ def distance_matrix(
         for i0, j0 in tiles:
             i1 = min(i0 + side, n)
             j1 = min(j0 + side, n)
-            # One expression, so the previous tile's distances are freed
-            # before the next tile's are allocated.
+            # One expression, so the previous tile's distances are freed before
+            # the next tile's are allocated; both minima run on contiguous axes.
             tile = (
                 cdist(flat[i0 * v : i1 * v], flat[j0 * v : j1 * v], "sqeuclidean")
                 .reshape(i1 - i0, v, j1 - j0, v)
-                .min(axis=(1, 3))
+                .min(axis=1).min(axis=2)
             )
             out[i0:i1, j0:j1] = tile
             out[j0:j1, i0:i1] = tile.T

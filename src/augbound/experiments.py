@@ -226,7 +226,8 @@ def _parse_augmentation(section) -> AugmentationSet:
         raise ConfigError("augmentation section must be an object")
     try:
         return augmentation_from_spec(section)
-    except (TypeError, ValueError, KeyError) as exc:
+    # int() of an infinite index, axis or grid resolution raises OverflowError.
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"augmentation section invalid: {exc}") from exc
 
 

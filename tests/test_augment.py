@@ -1,5 +1,7 @@
 """Transform catalog, view enumeration, and the augmented distance."""
 
+import itertools
+import json
 import math
 import os
 import sys
@@ -337,6 +339,45 @@ def test_distance_matrix_of_one_tile_runs_inline(split_workers):
     np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V26, 0))
 
 
+_RING_V126 = AugmentationSet(
+    (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT), grid_resolution=5
+)
+
+
+@pytest.mark.parametrize(
+    "workers, tile_bytes, tiles",
+    [
+        # N = 20 and V = 126, the ladder's largest view set. Tiles of 3
+        # samples per thread: 7 per axis, the last one 2 samples.
+        (1, 8 * (126 * 3) ** 2, 28),
+        (2, 2 * 8 * (126 * 3) ** 2, 28),
+        # The one-thread budget split between two threads: side 2, 10 per axis.
+        (2, 8 * (126 * 3) ** 2, 55),
+    ],
+)
+def test_distance_matrix_126_views_matches_row_blocks_on_several_tiles(
+    monkeypatch, split_workers, workers, tile_bytes, tiles
+):
+    ds = _ring_dataset(20)
+    started = split_workers(workers)
+    monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
+    tile_rows = []
+
+    def counting_cdist(a, b, metric):
+        tile_rows.append((a.shape[0], b.shape[0]))
+        return cdist(a, b, metric)
+
+    monkeypatch.setattr(augment, "cdist", counting_cdist)
+    m = distance_matrix(ds, _RING_V126, class_filter=0)
+    assert _RING_V126.num_views == 126
+    assert len(tile_rows) == tiles
+    assert len(started) == (1 if workers == 2 else 0)
+    if tiles == 28:
+        assert (3 * 126, 2 * 126) in tile_rows
+    # The row-block oracle reduces each block with a single .min(axis=(1, 3)).
+    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V126, 0, block_rows=4))
+
+
 class _Injected(Exception):
     pass
 
@@ -598,6 +639,51 @@ def test_rotation_rejects_negative_axes(axes):
         transform_from_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rotation_2d((0, 1), float("nan"), 2.0),
+        lambda: rotation_2d((0, 1), float("inf"), 2.0),
+        lambda: rotation_2d((0, 1), 1.0, float("inf")),
+        lambda: scaling(float("nan"), 1.2, 2.0),
+        lambda: scaling(0.8, float("inf"), 2.0),
+        lambda: scaling(0.8, 1.2, float("-inf")),
+        lambda: additive_shift((float("nan"), 0.0)),
+        lambda: additive_shift((0.0, float("-inf"))),
+    ],
+)
+def test_transforms_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": float("nan"),
+         "data_radius": 2.0},
+        {"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": 1.0,
+         "data_radius": float("inf")},
+        {"rule": "scale", "scale_span": [0.8, float("nan")], "data_radius": 2.0},
+        {"rule": "additive_shift", "direction": [float("nan"), 0.0]},
+        {"rule": "additive_shift", "direction": [0.0, float("inf")]},
+    ],
+)
+def test_transform_spec_rejects_non_finite_parameters(spec):
+    # The json module writes and reads NaN and Infinity.
+    text = json.dumps(spec)
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ValueError, match="must be finite"):
+        transform_from_spec(json.loads(text))
+
+
+@pytest.mark.parametrize("theta", [float("nan"), np.array([0.5, float("nan")])])
+def test_apply_rejects_a_nan_theta(theta):
+    shift = additive_shift((0.0, 1.0))
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        shift.apply(np.zeros((2, 2)), theta)
+
+
 def test_fingerprint_tracks_content_not_order():
     a1 = AugmentationSet(
         transforms=(identity(), additive_shift((0.1, 0.0))), grid_resolution=3
@@ -623,3 +709,43 @@ def test_view_tensor_matches_enumerate_views():
     for i, p in enumerate(pts):
         vs = enumerate_views(p, aug)
         np.testing.assert_allclose(tensor[i], np.stack(vs.views), atol=1e-12)
+
+
+def _per_theta_view_tensor(points, aug):
+    """Views built one grid point at a time, each composing every member."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    chunks = [t.apply(points) for t in aug.discrete]
+    axis = np.linspace(0.0, 1.0, aug.grid_resolution)
+    for theta in itertools.product(axis, repeat=len(aug.continuous)) if aug.continuous else ():
+        out = points
+        for trans, th in zip(aug.continuous, theta):
+            out = trans.apply(out, th)
+        chunks.append(out)
+    return np.stack(chunks, axis=1)
+
+
+_PERMUTE = coordinate_permutation((2, 0, 1))
+_FLIP = sign_flip_mask((1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("n_points", [1, 192])
+@pytest.mark.parametrize("resolution", [2, 3, 5, 17])
+@pytest.mark.parametrize(
+    "members",
+    [
+        (identity(), _PERMUTE, _FLIP),
+        (identity(), _RING_ROTATION),
+        (identity(), _RING_ROTATION, _RING_SCALE),
+        (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT),
+        # Discrete and continuous members interleaved in declaration order.
+        (_RING_SHIFT, _PERMUTE, identity(), _RING_ROTATION, _FLIP, _RING_SCALE),
+    ],
+)
+def test_view_tensor_matches_the_per_theta_oracle(members, resolution, n_points):
+    aug = AugmentationSet(members, grid_resolution=resolution)
+    # 192 points: the whole dataset of the largest ladder rung.
+    points = _ring_dataset(96).features
+    points = points[0] if n_points == 1 else points
+    tensor = view_tensor(points, aug)
+    assert tensor.shape == (n_points, aug.num_views, 3)
+    np.testing.assert_array_equal(tensor, _per_theta_view_tensor(points, aug))

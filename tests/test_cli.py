@@ -151,6 +151,39 @@ def test_config_rejects_non_finite_numbers(section, key, value):
         config_from_dict(json.loads(text))
 
 
+@pytest.mark.parametrize(
+    "transform, fragment",
+    [
+        ({"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": float("nan"),
+          "data_radius": 2.0}, "must be finite"),
+        ({"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": 1.0,
+          "data_radius": float("inf")}, "must be finite"),
+        ({"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": 1.0,
+          "data_radius": float("-inf")}, "must be finite"),
+        ({"rule": "scale", "scale_span": [float("nan"), 1.2], "data_radius": 2.0},
+         "must be finite"),
+        ({"rule": "additive_shift", "direction": [float("nan"), 0.0]}, "must be finite"),
+        ({"rule": "additive_shift", "direction": [0.0, float("inf")]}, "must be finite"),
+        # int() raises OverflowError, not ValueError, on these.
+        ({"rule": "coordinate_permutation", "permutation": [float("inf"), 0]}, "infinity"),
+        ({"rule": "rotation_2d_subspace", "axes": [0, float("inf")], "max_angle": 1.0,
+          "data_radius": 2.0}, "infinity"),
+    ],
+)
+def test_config_rejects_non_finite_transform_parameters(transform, fragment):
+    data = _config_dict(augmentation={"transforms": [{"rule": "identity"}, transform]})
+    text = json.dumps(data)
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ConfigError, match=f"augmentation section invalid: .*{fragment}"):
+        config_from_dict(json.loads(text))
+
+
+def test_config_rejects_an_infinite_grid_resolution():
+    text = json.dumps(_config_dict(augmentation={"grid_resolution": float("inf")}))
+    with pytest.raises(ConfigError, match="augmentation section invalid"):
+        config_from_dict(json.loads(text))
+
+
 def test_load_config_io_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.json"))

@@ -551,22 +551,43 @@ def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Genera
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     aug.check_dimension(points.shape[1])
-    return _apply_views(points, aug, *_draw_views(aug, points.shape[0], rng))
+    draws = _empty_draws(aug, (points.shape[0],))
+    _draw_views(aug, rng, *draws)
+    return _apply_views(points, aug, *draws)
+
+
+def _empty_draws(
+    aug: AugmentationSet, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays for the draws of ``shape`` rows: branch coins, discrete member
+    indices (zeros) and parameters, which has no columns when n == 0."""
+    return (
+        np.empty(shape),
+        np.zeros(shape, dtype=np.int64),
+        np.empty((*shape, aug.num_continuous_params)),
+    )
 
 
 def _draw_views(
-    aug: AugmentationSet, b: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of one ``sample_views`` call on ``b`` rows, in contract order.
+    aug: AugmentationSet,
+    rng: np.random.Generator,
+    coin: np.ndarray,
+    disc_idx: np.ndarray,
+    thetas: np.ndarray,
+) -> None:
+    """Make the draws of one ``sample_views`` call, in contract order, into
+    the branch coins (B,), the discrete member indices (B,) and the
+    parameters (B, n) of ``_empty_draws``; with n == 0 the parameter draw
+    fills nothing and consumes nothing.
 
-    Returns the branch coins (B,), the discrete member indices (B,) and
-    the parameters (B, n), which has no columns when n == 0.
+    With a single discrete member the index draw ``integers(0, 1, B)`` is
+    all zeros and consumes nothing from the generator, so it is skipped and
+    ``disc_idx`` keeps its zeros.
     """
-    n = aug.num_continuous_params
-    coin = rng.random(b)
-    disc_idx = rng.integers(0, aug.num_discrete, size=b)
-    thetas = rng.random((b, n)) if n else np.empty((b, 0))
-    return coin, disc_idx, thetas
+    rng.random(out=coin)
+    if aug.num_discrete > 1:
+        disc_idx[:] = rng.integers(0, aug.num_discrete, size=len(coin))
+    rng.random(out=thetas)
 
 
 def _apply_views(
@@ -576,7 +597,7 @@ def _apply_views(
     disc_idx: np.ndarray,
     thetas: np.ndarray,
 ) -> np.ndarray:
-    """Views of checked (B, D) ``points`` for draws laid out as ``_draw_views``'s.
+    """Views of checked (B, D) ``points`` for draws laid out as ``_empty_draws``'s.
 
     Members act row by row, so each is applied to every row and selected;
     the rows may come from any number of ``_draw_views`` calls.

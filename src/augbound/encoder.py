@@ -5,11 +5,22 @@ output normalization: either projection onto the sphere of radius ``r`` or
 per-dimension batch standardization (zero mean, unit mean square over the
 current batch). Gradients are computed by manual backpropagation through
 the whole stack, including the normalization. Training is minibatch SGD on
-sampled view batches with the exact gradient of each batch loss; inputs
-are validated once at entry and the parameters are updated in place. The
-random draws are made per step in the order of ``make_train_batch``, for a
-chunk of steps whose views fit in ``TILE_BYTES``; each augmentation member
-is then applied once to the whole chunk.
+sampled view batches with the exact gradient of each batch loss, and the
+parameters are updated in place. The random draws are made per step in the
+order of ``make_train_batch``, for a chunk of steps whose views fit in
+``TILE_BYTES``; each augmentation member is then applied once to the whole
+chunk.
+
+``train`` validates its inputs once, at entry: the pairing of loss and
+normalization, the dataset dimension against the encoder, and every
+augmentation member against that dimension (``TrainConfig`` checks its
+numbers when it is built). A step then does only its arithmetic: it calls
+the loss kernels of :mod:`augbound.losses` on embeddings it has just
+normalized, without the batch-shape, unit-norm, standardization and symmetry
+checks of the public losses. Each step still guards against a diverging
+state: a zero pre-projection norm or a zero-variance dimension raises
+``ValueError``, and a non-finite loss, gradient or updated parameter vector
+raises ``RuntimeError`` with the step index.
 
 A certified Lipschitz upper bound is available for trained models: the
 product of layer operator norms (tanh has slope at most 1) times a factor
@@ -29,7 +40,14 @@ import numpy as np
 from scipy.special import expit
 
 from . import losses as losses_mod
-from .augment import TILE_BYTES, AugmentationSet, _apply_views, _draw_views, sample_views
+from .augment import (
+    TILE_BYTES,
+    AugmentationSet,
+    _apply_views,
+    _draw_views,
+    _empty_draws,
+    sample_views,
+)
 from .core import Dataset
 from .losses import LossBreakdown
 
@@ -157,8 +175,10 @@ def _norm_forward(model: EncoderModel, y: np.ndarray) -> tuple[np.ndarray, tuple
         norms = np.sqrt((y * y).sum(axis=1, keepdims=True))
         if norms.min() < 1e-12:
             raise ValueError("zero vector cannot be projected onto the sphere")
-        z = model.radius * y / norms
-        return z, (y, norms)
+        yhat = y / norms
+        # r * y / norms is yhat bit for bit at r == 1 exactly, not near it.
+        z = yhat if model.radius == 1.0 else model.radius * y / norms
+        return z, (yhat, norms)
     if model.norm_mode == "batch_standardized":
         if y.shape[0] < 2:
             raise ValueError("batch standardization needs at least 2 rows")
@@ -257,8 +277,7 @@ class TrainConfig:
         # Written so that NaN fails; an infinite rate diverges at step 0.
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if not 0 < self.lam < math.inf:
-            raise ValueError("lam must be positive and finite")
+        losses_mod._check_lam(self.lam)
 
 
 def make_train_batch(
@@ -301,15 +320,13 @@ def _sample_chunk(
     b = batch_size
     shape = (steps, views_per_step, b)
     idx = np.empty(shape, dtype=np.int64)
-    coin = np.empty(shape)
-    disc_idx = np.empty(shape, dtype=np.int64)
-    thetas = np.empty((*shape, aug.num_continuous_params))
+    coin, disc_idx, thetas = _empty_draws(aug, shape)
     for s in range(steps):
         anchor_idx = rng.integers(0, dataset.num_samples, size=b)
         for v in range(views_per_step):
             # Negatives (v == 2) view an independent sample per anchor.
             idx[s, v] = rng.integers(0, dataset.num_samples, size=b) if v == 2 else anchor_idx
-            coin[s, v], disc_idx[s, v], thetas[s, v] = _draw_views(aug, b, rng)
+            _draw_views(aug, rng, coin[s, v], disc_idx[s, v], thetas[s, v])
     rows = steps * views_per_step * b
     return _apply_views(
         dataset.features[idx.reshape(rows)],
@@ -336,8 +353,7 @@ def _check_pairing(model: EncoderModel, config: TrainConfig) -> None:
 
 def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray) -> np.ndarray:
     if model.norm_mode == "sphere":
-        y, norms = cache
-        yhat = y / norms
+        yhat, norms = cache
         inner = (dz * yhat).sum(axis=1, keepdims=True)
         return (model.radius / norms) * (dz - yhat * inner)
     if model.norm_mode == "batch_standardized":
@@ -349,15 +365,17 @@ def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray) -> np.ndar
 def _layers_backward(
     model: EncoderModel, activations: list[np.ndarray], d_out: np.ndarray
 ) -> np.ndarray:
-    grads: list[np.ndarray] = []
+    """Flat parameter gradient; the gradient of the input is not formed."""
+    parts: list[np.ndarray] = []
     grad = d_out
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         post = activations[i + 1]
         d_pre = grad * (1.0 - post**2) if layer.activation == "tanh" else grad
-        grads.append(np.concatenate([(d_pre.T @ activations[i]).ravel(), d_pre.sum(axis=0)]))
-        grad = d_pre @ layer.weight
-    return np.concatenate(grads[::-1])
+        parts += (d_pre.sum(axis=0), (d_pre.T @ activations[i]).ravel())
+        if i:
+            grad = d_pre @ layer.weight
+    return np.concatenate(parts[::-1])
 
 
 def loss_and_gradient(
@@ -366,43 +384,63 @@ def loss_and_gradient(
     """Loss breakdown on the batch and the exact gradient in flat layout.
 
     The reported value is exactly what the corresponding loss function in
-    :mod:`augbound.losses` computes on the batch embeddings.
+    :mod:`augbound.losses` computes on the embeddings of the stacked views
+    (anchors, positives, then negatives when the loss uses them).
     """
     _check_pairing(model, config)
     with_negatives = config.loss in ("info_nce", "simple")
     if with_negatives and batch.negatives is None:
         raise ValueError(f"{config.loss} needs a negative batch")
     views = (batch.anchors, batch.positives, batch.negatives)[: 3 if with_negatives else 2]
-    return _loss_and_gradient(model, np.concatenate(views), batch.size, config)
+    total, l1, l2, grad = _loss_and_gradient(model, np.concatenate(views), batch.size, config)
+    lam = 1.0 if config.loss == "info_nce" else config.lam
+    return LossBreakdown(kind=config.loss, total=total, l1=l1, l2=l2, lam=lam), grad
 
 
 def _loss_and_gradient(
     model: EncoderModel, x: np.ndarray, b: int, config: TrainConfig
-) -> tuple[LossBreakdown, np.ndarray]:
-    """``loss_and_gradient`` on stacked views: anchors, positives, then
-    negatives when the loss uses them, ``b`` rows each, pairing checked."""
+) -> tuple[float, float, float, np.ndarray]:
+    """Total, l1, l2 and the flat gradient on stacked views: anchors,
+    positives, then negatives when the loss uses them, ``b`` rows each.
+
+    The caller checks the pairing. The embeddings are normalized here, so
+    the loss kernels of :mod:`augbound.losses` run without the unit-norm
+    and standardization checks of the public losses.
+    """
     y, activations = _forward_layers(model, x)
     z, cache = _norm_forward(model, y)
     z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
+    lam = config.lam
+    # dz is d(total)/dz, written block by block: anchors, positives, negatives.
+    dz = np.empty_like(z)
+    blocks = dz.reshape(-1, b, z.shape[1])
     if config.loss == "info_nce":
-        breakdown = losses_mod.info_nce(z1, z2, zn)
-        pos = (z1 * z2).sum(axis=1)
-        neg = (z1 * zn).sum(axis=1)
+        pos, neg, l1, l2 = losses_mod._info_nce_terms(z1, z2, zn)
         p_neg = expit(neg - pos)[:, None]
-        dz = np.concatenate([p_neg * (zn - z2) / b, -p_neg * z1 / b, p_neg * z1 / b])
+        np.multiply(p_neg, zn - z2, out=blocks[0])
+        np.multiply(p_neg, z1, out=blocks[2])
+        blocks[::2] /= b
+        # -p_neg * z1 / b is the exact negation of the negatives' block.
+        np.negative(blocks[2], out=blocks[1])
     elif config.loss == "simple":
-        breakdown = losses_mod.simple_contrastive(z1, z2, zn, config.lam)
-        dz = np.concatenate([(-z2 + config.lam * zn) / b, -z1 / b, config.lam * z1 / b])
+        l1, l2 = losses_mod._simple_terms(z1, z2, zn)
+        # lam * zn - z2 is -z2 + lam * zn exactly: IEEE addition commutes.
+        np.multiply(lam, zn, out=blocks[0])
+        blocks[0] -= z2
+        np.negative(z1, out=blocks[1])
+        np.multiply(lam, z1, out=blocks[2])
+        dz /= b
     else:
-        corr = losses_mod.cross_correlation(z1, z2)
-        breakdown = losses_mod.cross_corr_loss(corr, config.lam)
-        f = corr.matrix
-        g = 2.0 * config.lam * f
+        f = losses_mod._cross_corr_matrix(z1, z2)
+        l1, l2 = losses_mod._cross_corr_terms(f)
+        g = 2.0 * lam * f
         np.fill_diagonal(g, -2.0 * (1.0 - np.diag(f)))
-        dz = np.concatenate([z2 @ g, z1 @ g]) / b
+        np.matmul(z2, g, out=blocks[0])
+        np.matmul(z1, g, out=blocks[1])
+        dz /= b
     d_pre_norm = _norm_backward(model, cache, dz)
     grad = _layers_backward(model, activations, d_pre_norm)
-    return breakdown, grad
+    return losses_mod.recompose(config.loss, l1, l2, lam), l1, l2, grad
 
 
 def train(
@@ -439,19 +477,20 @@ def train(
     b = config.batch_size
     k = 3 if config.loss in ("info_nce", "simple") else 2
     chunk = max(1, TILE_BYTES // (k * b * dataset.input_dim * 8))
-    trace = np.empty((config.steps, 4))
+    lr = config.learning_rate
+    rows = []
     for step in range(config.steps):
         offset = step % chunk * k * b
         if offset == 0:
             views = _sample_chunk(dataset, aug, b, min(chunk, config.steps - step), k, rng)
-        breakdown, grad = _loss_and_gradient(current, views[offset : offset + k * b], b, config)
-        if not (np.isfinite(breakdown.total) and np.isfinite(grad).all()):
+        total, l1, l2, grad = _loss_and_gradient(current, views[offset : offset + k * b], b, config)
+        if not (math.isfinite(total) and np.isfinite(grad).all()):
             raise RuntimeError(f"training diverged at step {step}")
-        trace[step] = (step, breakdown.total, breakdown.l1, breakdown.l2)
-        params -= config.learning_rate * grad
+        rows.append((step, total, l1, l2))
+        params -= lr * grad
         if not np.isfinite(params).all():
             raise RuntimeError(f"training diverged at step {step}")
-    return with_params(model, params), trace
+    return with_params(model, params), np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------

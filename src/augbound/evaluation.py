@@ -373,7 +373,7 @@ def population_loss(
     order, so the result does not depend on the worker count or the tiling.
     """
     z, weights = _embedded_views(encoder, dataset, aug)
-    n, v, d = z.shape
+    n = len(z)
     means = np.einsum("v,nvd->nd", weights, z)
     sq_norms = np.sum(z**2, axis=2)
     l_pos = float(np.mean(2.0 * (weights @ sq_norms.T - np.sum(means**2, axis=1))))
@@ -385,19 +385,13 @@ def population_loss(
             )
         l1 = l_pos / 2.0 - 1.0
         l2 = _info_nce_divergence(z, weights)
-        return LossBreakdown(kind="info_nce", total=l1 + l2, l1=l1, l2=l2, lam=1.0)
+        return losses_mod._breakdown("info_nce", l1, l2, 1.0)
     if kind == "simple":
         l1 = l_pos / 2.0 - 1.0
         grand_mean = means.mean(axis=0)
         l2 = float(np.sum(grand_mean**2))
-        return LossBreakdown(kind="simple", total=l1 + lam * l2, l1=l1, l2=l2, lam=lam)
+        return losses_mod._breakdown("simple", l1, l2, lam)
     if kind == "cross_corr":
-        f = means.T @ means / n
-        f = (f + f.T) / 2.0
-        diag = np.diag(f)
-        l1 = float(np.sum((1.0 - diag) ** 2))
-        l2 = float(np.sum((f - np.eye(d)) ** 2))
-        return LossBreakdown(
-            kind="cross_corr", total=(1.0 - lam) * l1 + lam * l2, l1=l1, l2=l2, lam=lam
-        )
+        f = losses_mod._cross_corr_matrix(means, means)
+        return losses_mod.cross_corr_loss(losses_mod.CrossCorrMatrix(f, n), lam)
     raise ValueError(f"unknown loss kind {kind!r}")

@@ -8,11 +8,17 @@ recomposition identity is loss-specific and checked on construction:
     cross_corr    total == (1 - lam) * l1 + lam * l2
     simple        total == l1 + lam * l2
 
-Inputs are raw embedding batches; nothing here touches the encoder.
+Inputs are raw embedding batches; nothing here touches the encoder. Each
+public loss checks its inputs, then calls a private kernel that holds the
+formula (``_info_nce_terms``, ``_cross_corr_matrix`` and
+``_cross_corr_terms``, ``_simple_terms``). Training calls the kernels
+directly on embeddings it has just normalized, so it does not re-check them
+on every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -55,8 +61,13 @@ class LossBreakdown:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        if abs(self.total - recompose(self.kind, self.l1, self.l2, self.lam)) > 1e-9:
+        # Written so that NaN fails.
+        if not abs(self.total - recompose(self.kind, self.l1, self.l2, self.lam)) <= 1e-9:
             raise ValueError("breakdown does not recompose to the total")
+
+
+def _breakdown(kind: LossKind, l1: float, l2: float, lam: float) -> LossBreakdown:
+    return LossBreakdown(kind=kind, total=recompose(kind, l1, l2, lam), l1=l1, l2=l2, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,12 @@ def _check_batches(*batches: np.ndarray) -> list[np.ndarray]:
     return arrays
 
 
+def _check_lam(lam: float) -> None:
+    # Written so that NaN fails; ``TrainConfig`` applies the same rule.
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+
+
 def _mean(values: np.ndarray) -> float:
     """The value of ``float(np.mean(values))``: one sum, one division, no dispatch."""
     return float(values.sum()) / values.size
@@ -99,6 +116,20 @@ def _check_unit_norm(*batches: np.ndarray) -> None:
     norms = np.sqrt(np.square(np.concatenate(batches)).sum(axis=1))
     if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
         raise ValueError("embeddings must be unit-norm")
+
+
+def _alignment(z1: np.ndarray, z2: np.ndarray) -> float:
+    """l1 of info_nce and simple: mean ||z1 - z2||^2 / 2 - 1."""
+    return _mean(((z1 - z2) ** 2).sum(axis=1)) / 2.0 - 1.0
+
+
+def _info_nce_terms(
+    z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The scores z1.z2 and z1.z_neg per row, then l1 and l2 of ``info_nce``."""
+    pos = (z1 * z2).sum(axis=1)
+    neg = (z1 * z_neg).sum(axis=1)
+    return pos, neg, _alignment(z1, z2), _mean(np.logaddexp(pos, neg))
 
 
 def info_nce(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> LossBreakdown:
@@ -113,11 +144,8 @@ def info_nce(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> LossBreakdown
     """
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
-    pos = (z1 * z2).sum(axis=1)
-    neg = (z1 * z_neg).sum(axis=1)
-    l1 = _mean(((z1 - z2) ** 2).sum(axis=1)) / 2.0 - 1.0
-    l2 = _mean(np.logaddexp(pos, neg))
-    return LossBreakdown(kind="info_nce", total=l1 + l2, l1=l1, l2=l2, lam=1.0)
+    _, _, l1, l2 = _info_nce_terms(z1, z2, z_neg)
+    return _breakdown("info_nce", l1, l2, 1.0)
 
 
 def _check_standardized(pooled: np.ndarray) -> None:
@@ -130,6 +158,19 @@ def _check_standardized(pooled: np.ndarray) -> None:
         raise ValueError("view batches must be standardized per dimension over their union")
 
 
+def _cross_corr_matrix(view1: np.ndarray, view2: np.ndarray) -> np.ndarray:
+    """(F + F^T) / 2 for F = view1^T view2 / B; symmetric by construction."""
+    raw = view1.T @ view2 / view1.shape[0]
+    return (raw + raw.T) / 2.0
+
+
+def _cross_corr_terms(f: np.ndarray) -> tuple[float, float]:
+    """l1 = sum_i (1 - F_ii)^2 and l2 = ||F - I||_F^2 of ``cross_corr_loss``."""
+    l1 = float(((1.0 - np.diag(f)) ** 2).sum())
+    l2 = float(((f - np.eye(len(f))) ** 2).sum())
+    return l1, l2
+
+
 def cross_correlation(view1: np.ndarray, view2: np.ndarray) -> CrossCorrMatrix:
     """Symmetrized estimator F = mean (z1 z2^T + z2 z1^T) / 2 over the batch.
 
@@ -138,9 +179,7 @@ def cross_correlation(view1: np.ndarray, view2: np.ndarray) -> CrossCorrMatrix:
     """
     view1, view2 = _check_batches(view1, view2)
     _check_standardized(np.concatenate([view1, view2], axis=0))
-    b = view1.shape[0]
-    raw = view1.T @ view2 / b
-    return CrossCorrMatrix(matrix=(raw + raw.T) / 2.0, batch_size=b)
+    return CrossCorrMatrix(matrix=_cross_corr_matrix(view1, view2), batch_size=view1.shape[0])
 
 
 def cross_corr_loss(corr: CrossCorrMatrix, lam: float) -> LossBreakdown:
@@ -150,15 +189,14 @@ def cross_corr_loss(corr: CrossCorrMatrix, lam: float) -> LossBreakdown:
     l1 = sum_i (1 - F_ii)^2 and l2 = ||F - I||_F^2 the same value equals
     (1 - lam) * l1 + lam * l2 identically, since l2 = l1 + sum_{i!=j} F_ij^2.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    f = corr.matrix
-    diag = np.diag(f)
-    l1 = float(((1.0 - diag) ** 2).sum())
-    l2 = float(((f - np.eye(corr.dim)) ** 2).sum())
-    return LossBreakdown(
-        kind="cross_corr", total=(1.0 - lam) * l1 + lam * l2, l1=l1, l2=l2, lam=lam
-    )
+    _check_lam(lam)
+    l1, l2 = _cross_corr_terms(corr.matrix)
+    return _breakdown("cross_corr", l1, l2, lam)
+
+
+def _simple_terms(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> tuple[float, float]:
+    """l1 and l2 of ``simple_contrastive``."""
+    return _alignment(z1, z2), _mean((z1 * z_neg).sum(axis=1))
 
 
 def simple_contrastive(
@@ -170,10 +208,9 @@ def simple_contrastive(
     of the repulsion term, mean z1.z_neg (its population value is
     ||E f||^2, which is blind to dimensional collapse).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
-    l1 = _mean(((z1 - z2) ** 2).sum(axis=1)) / 2.0 - 1.0
-    l2 = _mean((z1 * z_neg).sum(axis=1))
-    return LossBreakdown(kind="simple", total=l1 + lam * l2, l1=l1, l2=l2, lam=lam)
+    l1, l2 = _simple_terms(z1, z2, z_neg)
+    return _breakdown("simple", l1, l2, lam)
+

@@ -11,6 +11,10 @@ settings of the ``info_nce_d2_k2`` and ``cross_corr_d2_k2`` acceptance
 fixtures. The ring case is one 300-step ``info_nce`` run with batch size 16
 on the 3-d two-ring task of acceptance 09 and 10 with identity + wide
 rotation + scale at grid 5 (26 views), which times the continuous members.
+The ladder case is one 100-step ``cross_corr`` run with batch size 16 on
+the same ring task at 14 per class with identity + wide rotation + scale +
+shift at grid 5 (126 views), the settings of the smallest 126-view rung of
+the benchmark's scale ladder.
 """
 
 import pytest
@@ -48,8 +52,8 @@ def test_train_250_steps(benchmark, loss):
     assert trace.shape == (250, 4)
 
 
-def test_train_ring_300_steps(benchmark):
-    dataset = generate_dataset(
+def _ring_dataset():
+    return generate_dataset(
         GeneratorConfig(
             num_classes=2,
             samples_per_class=14,
@@ -60,6 +64,10 @@ def test_train_ring_300_steps(benchmark):
             disjoint_classes=False,
         )
     )
+
+
+def test_train_ring_300_steps(benchmark):
+    dataset = _ring_dataset()
     aug = AugmentationSet(
         transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
         grid_resolution=5,
@@ -73,3 +81,26 @@ def test_train_ring_300_steps(benchmark):
     )
     _, trace = benchmark(train, model, dataset, aug, config)
     assert trace.shape == (300, 4)
+
+
+def test_train_ladder_cross_corr_100_steps(benchmark):
+    dataset = _ring_dataset()
+    aug = AugmentationSet(
+        transforms=(
+            identity(),
+            rotation_2d((0, 1), 1.4, 2.0),
+            scaling(0.85, 1.15, 2.0),
+            additive_shift((0.0, 0.25, 0.0)),
+        ),
+        grid_resolution=5,
+    )
+    assert aug.num_views == 126
+    model = init_encoder(
+        input_dim=3, hidden_dims=(), output_dim=2, norm_mode="batch_standardized",
+        radius=1.0, seed=0,
+    )
+    config = TrainConfig(
+        loss="cross_corr", steps=100, batch_size=16, learning_rate=0.1, seed=0
+    )
+    _, trace = benchmark(train, model, dataset, aug, config)
+    assert trace.shape == (100, 4)

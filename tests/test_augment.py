@@ -517,6 +517,29 @@ def test_sample_views_matches_per_row_oracle_and_draw_order(with_continuous):
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("with_continuous", [True, False])
+def test_one_discrete_member_makes_no_index_draw(with_continuous):
+    # integers(0, 1, B) returns int64 zeros and consumes nothing from the
+    # generator, so _draw_views skips it; a numpy that changes either fact
+    # would change the contract order of the README.
+    members = (identity(), rotation_2d((0, 1), 0.9, 2.0)) if with_continuous else (identity(),)
+    aug = AugmentationSet(transforms=members, grid_resolution=3)
+    b, n = 16, aug.num_continuous_params
+    rng = np.random.default_rng(21)
+    coin, disc_idx, thetas = augment._empty_draws(aug, (b,))
+    augment._draw_views(aug, rng, coin, disc_idx, thetas)
+    twin = np.random.default_rng(21)
+    twin_coin = twin.random(b)
+    twin_idx = twin.integers(0, 1, size=b)
+    twin_thetas = twin.random((b, n)) if n else np.empty((b, 0))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert twin_idx.dtype == disc_idx.dtype == np.int64
+    np.testing.assert_array_equal(twin_idx, np.zeros(b, dtype=np.int64))
+    np.testing.assert_array_equal(disc_idx, twin_idx)
+    np.testing.assert_array_equal(coin, twin_coin)
+    np.testing.assert_array_equal(thetas, twin_thetas)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sample_views_rejects_a_member_that_does_not_fit_for_every_seed(seed):
     # Only some draws route a row to the 3-long mask; the error must not

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from augbound import encoder
+from augbound import encoder, losses
 from augbound.augment import (
     TILE_BYTES,
     AugmentationSet,
@@ -273,8 +273,28 @@ def test_divergence_aborts_with_step_index():
     np.testing.assert_array_equal(flat_params(model), before)
 
 
+def _public_breakdown(model, batch, config):
+    """The validating loss of ``losses`` on the embeddings of the stacked views."""
+    views = [batch.anchors, batch.positives]
+    if batch.negatives is not None:
+        views.append(batch.negatives)
+    z = forward(model, np.concatenate(views))
+    b = batch.size
+    z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
+    if config.loss == "info_nce":
+        return losses.info_nce(z1, z2, zn)
+    if config.loss == "simple":
+        return losses.simple_contrastive(z1, z2, zn, config.lam)
+    return losses.cross_corr_loss(losses.cross_correlation(z1, z2), config.lam)
+
+
 def _reference_train(model, dataset, aug, config):
-    """The training loop that rebuilds a validated model after every step."""
+    """The training loop that rebuilds a validated model after every step.
+
+    Each step's breakdown must equal the public loss of ``losses`` on the
+    batch embeddings, so the oracle does not rest on the kernel that both
+    ``loss_and_gradient`` and ``train`` call.
+    """
     rng = np.random.default_rng(config.seed)
     params = flat_params(model)
     current = model
@@ -283,6 +303,7 @@ def _reference_train(model, dataset, aug, config):
     for step in range(config.steps):
         batch = make_train_batch(dataset, aug, config.batch_size, rng, with_negatives)
         breakdown, grad = loss_and_gradient(current, batch, config)
+        assert breakdown == _public_breakdown(current, batch, config), step
         trace[step] = (step, breakdown.total, breakdown.l1, breakdown.l2)
         params = params - config.learning_rate * grad
         current = with_params(current, params)
@@ -359,6 +380,31 @@ def test_train_matches_reference_loop_for_zero_and_one_step(loss, steps):
     assert trace.shape == (steps, 4)
     np.testing.assert_array_equal(trace, ref_trace)
     np.testing.assert_array_equal(flat_params(trained), flat_params(ref_model))
+
+
+@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
+def test_train_validates_embeddings_once_not_per_step(loss, monkeypatch):
+    ds, model, config = _oracle_case(loss, steps=20)
+    aug = _ORACLE_AUGS["rotation_scale"]
+    expected_model, expected_trace = train(model, ds, aug, config)
+
+    def refuse(*args):
+        raise AssertionError("embeddings re-validated")
+
+    for name in ("_check_unit_norm", "_check_standardized", "_check_batches"):
+        monkeypatch.setattr(losses, name, refuse)
+    trained, trace = train(model, ds, aug, config)
+    np.testing.assert_array_equal(trace, expected_trace)
+    np.testing.assert_array_equal(flat_params(trained), flat_params(expected_model))
+    # The public losses still check their inputs.
+    z = np.tile(np.array([[1.0, 0.0], [-1.0, 0.0]]), (2, 1))
+    for call in (
+        lambda: losses.info_nce(z, z, z),
+        lambda: losses.simple_contrastive(z, z, z, 0.5),
+        lambda: losses.cross_correlation(z, z),
+    ):
+        with pytest.raises(AssertionError, match="re-validated"):
+            call()
 
 
 def test_train_memory_is_bounded_by_the_tile_budget():

@@ -191,3 +191,26 @@ def test_recompose_matches_each_kind():
 def test_breakdown_validates_recomposition():
     with pytest.raises(ValueError):
         LossBreakdown(kind="info_nce", total=5.0, l1=1.0, l2=1.0, lam=1.0)
+
+
+@pytest.mark.parametrize(
+    "total, l1, l2",
+    [(float("nan"), 0.0, 0.0), (0.0, float("nan"), 0.0), (float("inf"), float("inf"), 0.0)],
+)
+def test_breakdown_rejects_nan_and_infinite_recomposition(total, l1, l2):
+    with pytest.raises(ValueError, match="recompose"):
+        LossBreakdown(kind="info_nce", total=total, l1=l1, l2=l2, lam=1.0)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])
+def test_simple_contrastive_rejects_lambda_outside_zero_to_infinity(lam):
+    z = np.tile(np.array([[0.0, 1.0]]), (3, 1))
+    with pytest.raises(ValueError, match="lam"):
+        simple_contrastive(z, z, z, lam=lam)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_cross_corr_loss_rejects_non_finite_lambda(lam):
+    eye = CrossCorrMatrix(matrix=np.eye(2), batch_size=4)
+    with pytest.raises(ValueError, match="lam"):
+        cross_corr_loss(eye, lam=lam)

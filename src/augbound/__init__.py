@@ -10,21 +10,15 @@ quantities, end to end on synthetic datasets.
 from .augment import (
     AugmentationSet,
     Transform,
-    ViewSet,
     additive_shift,
     augmentation_from_spec,
     augmentation_to_spec,
     augmented_distance,
     coordinate_permutation,
-    default_augmentation_set,
     distance_matrix,
-    enumerate_views,
     identity,
-    load_distance_matrix,
     rotation_2d,
-    sample_view_pair,
     sample_views,
-    save_distance_matrix,
     scaling,
     sign_flip_mask,
     transform_from_spec,
@@ -37,7 +31,6 @@ from .bounds import (
     BoundReport,
     EmpiricalMeasurements,
     PairBound,
-    combined_error_bounds,
     divergence_threshold,
     eta,
     full_report,
@@ -67,7 +60,6 @@ from .concentration import (
 from .core import (
     Dataset,
     GeneratorConfig,
-    Sample,
     generate_dataset,
     load_dataset,
     save_dataset,
@@ -95,17 +87,18 @@ from .encoder import (
 from .evaluation import (
     AlignmentStats,
     ClassStats,
+    EmbeddedViews,
     FrozenEncoder,
     class_centers,
     class_moments,
     classify_batch,
+    embed_views,
     empirical_r_eps,
     error_rate,
     freeze_encoder,
     linear_classifier,
     nn_classify,
     population_loss,
-    view_spreads,
 )
 from .experiments import (
     ConfigError,

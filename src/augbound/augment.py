@@ -53,38 +53,30 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, Sample
+from .core import Dataset
 
 __all__ = [
     "Transform",
     "AugmentationSet",
-    "ViewSet",
     "identity",
     "coordinate_permutation",
     "sign_flip_mask",
     "additive_shift",
     "rotation_2d",
     "scaling",
-    "enumerate_views",
     "view_tensor",
     "view_weights",
     "augmented_distance",
     "distance_matrix",
-    "save_distance_matrix",
-    "load_distance_matrix",
-    "sample_view_pair",
     "sample_views",
     "transform_from_spec",
     "transform_to_spec",
     "augmentation_from_spec",
     "augmentation_to_spec",
-    "default_augmentation_set",
 ]
 
 _DISCRETE_RULES = ("identity", "coordinate_permutation", "sign_flip_mask")
 _CONTINUOUS_RULES = ("additive_shift", "rotation_2d_subspace", "scale")
-
-_DISTANCE_MAGIC = b"CDM1"
 
 # Byte budget of one float64 tile of squared view distances in
 # ``distance_matrix``; ``evaluation`` tiles its InfoNCE pair terms by it too.
@@ -368,26 +360,6 @@ class AugmentationSet:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class ViewSet:
-    """All enumerated views of one origin point, in canonical order."""
-
-    origin: np.ndarray
-    views: np.ndarray
-
-    def __post_init__(self) -> None:
-        origin = np.asarray(self.origin, dtype=np.float64)
-        views = np.asarray(self.views, dtype=np.float64)
-        if views.ndim != 2 or views.shape[1] != origin.shape[0]:
-            raise ValueError("views must be (V, D) matching the origin dimension")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "views", views)
-
-    @property
-    def num_views(self) -> int:
-        return self.views.shape[0]
-
-
 def view_tensor(points: np.ndarray, aug: AugmentationSet) -> np.ndarray:
     """Enumerated views for a batch of points, shape (B, V, D).
 
@@ -408,14 +380,6 @@ def view_tensor(points: np.ndarray, aug: AugmentationSet) -> np.ndarray:
             grid = grid.reshape(b, g * axis.size, d)
         views.append(grid)
     return np.concatenate(views, axis=1)
-
-
-def enumerate_views(sample: Sample | np.ndarray, aug: AugmentationSet) -> ViewSet:
-    """All views of one sample: discrete members then the theta grid."""
-    x = sample.features if isinstance(sample, Sample) else np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("enumerate_views expects a single point")
-    return ViewSet(origin=x, views=view_tensor(x, aug)[0])
 
 
 def view_weights(aug: AugmentationSet) -> np.ndarray:
@@ -505,40 +469,6 @@ def distance_matrix(
     return out
 
 
-def save_distance_matrix(matrix: np.ndarray, path: str) -> None:
-    """Write the upper triangle (diagonal included, row-major) to disk."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("distance matrix must be square")
-    n = matrix.shape[0]
-    rows, cols = np.triu_indices(n)
-    with open(path, "wb") as fh:
-        fh.write(_DISTANCE_MAGIC)
-        fh.write(np.uint64(n).tobytes())
-        fh.write(matrix[rows, cols].astype("<f8").tobytes())
-
-
-def load_distance_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_DISTANCE_MAGIC))
-        if magic != _DISTANCE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        raw_n = fh.read(8)
-        if len(raw_n) != 8:
-            raise ValueError(f"{path}: truncated header")
-        n = int(np.frombuffer(raw_n, dtype="<u8")[0])
-        body = fh.read()
-    expected = n * (n + 1) // 2
-    tri = np.frombuffer(body, dtype="<f8")
-    if tri.size != expected:
-        raise ValueError(f"{path}: expected {expected} entries, found {tri.size}")
-    out = np.zeros((n, n))
-    rows, cols = np.triu_indices(n)
-    out[rows, cols] = tri
-    out[cols, rows] = tri
-    return out
-
-
 def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Generator) -> np.ndarray:
     """Draw one random view per row of ``points`` under the sampling model.
 
@@ -616,15 +546,6 @@ def _apply_views(
     return out
 
 
-def sample_view_pair(
-    x: Sample | np.ndarray, aug: AugmentationSet, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent random views of one point."""
-    vec = x.features if isinstance(x, Sample) else np.asarray(x, dtype=np.float64)
-    pair = sample_views(np.stack([vec, vec]), aug, rng)
-    return pair[0], pair[1]
-
-
 # ---------------------------------------------------------------------------
 # Declarative specs (used by config files)
 # ---------------------------------------------------------------------------
@@ -684,13 +605,3 @@ def augmentation_from_spec(spec: dict) -> AugmentationSet:
         raise ValueError("augmentation spec must be a dict with a 'transforms' list")
     transforms = tuple(transform_from_spec(s) for s in spec["transforms"])
     return AugmentationSet(transforms, grid_resolution=int(spec.get("grid_resolution", 2)))
-
-
-def default_augmentation_set(input_dim: int, shift_scale: float = 0.5) -> AugmentationSet:
-    """Identity plus a modest shift along the last feature axis."""
-    direction = [0.0] * input_dim
-    direction[-1] = shift_scale
-    return AugmentationSet(
-        (identity(), additive_shift(tuple(direction))),
-        grid_resolution=3,
-    )

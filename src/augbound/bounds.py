@@ -42,7 +42,6 @@ __all__ = [
     "lemma5_moments",
     "tau_prime",
     "theorem4_bound",
-    "combined_error_bounds",
     "full_report",
     "csv_value",
     "save_bound_report",
@@ -466,20 +465,6 @@ class BoundReport:
             for l in range(k + 1, self.inputs.num_classes):
                 out[f"empirical.mu_product.{k}_{l}"] = float(products[k, l])
         return out
-
-
-def combined_error_bounds(inputs: BoundInputs) -> tuple[tuple[float, bool] | None, ...]:
-    """Loss-only error bounds; see :func:`full_report` for the flags."""
-    report = full_report(
-        inputs,
-        EmpiricalMeasurements(
-            err=float("nan"),
-            class_first_moments=(float("nan"),) * inputs.num_classes,
-            class_second_moments=(float("nan"),) * inputs.num_classes,
-            premise_fraction=float("nan"),
-        ),
-    )
-    return report.combined_infonce, report.combined_crosscorr
 
 
 def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundReport:

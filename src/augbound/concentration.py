@@ -81,7 +81,7 @@ def build_threshold_graph(
     class_id: int | None = None,
 ) -> ThresholdGraph:
     """Edges join nodes whose distance is at most ``delta``."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be non-negative")
     distances = np.asarray(distances, dtype=np.float64)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
@@ -234,7 +234,7 @@ def estimate_sigma(
     chain estimates through baselines when sweeping nested augmentation
     sets so the reported sigma cannot dip for spurious reasons.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be non-negative")
     per_class: list[float] = []
     parts: list[tuple[int, ...]] = []
@@ -272,7 +272,7 @@ def sigma_delta_curve(
     along the curve in both modes.
     """
     deltas = [float(d) for d in deltas]
-    if any(d < 0 for d in deltas):
+    if any(not d >= 0 for d in deltas):
         raise ValueError("thresholds must be non-negative")
     if any(b < a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("thresholds must be ascending")

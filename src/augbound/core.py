@@ -9,8 +9,7 @@ a ring. Generation is deterministic given the config seed.
 from __future__ import annotations
 
 import csv
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -19,15 +18,12 @@ import numpy as np
 from .bounds import csv_value
 
 __all__ = [
-    "Sample",
     "Dataset",
     "GeneratorConfig",
     "generate_dataset",
     "save_dataset",
     "load_dataset",
 ]
-
-_BINARY_MAGIC = b"CONC1"
 
 # Blob noise is clipped to this many multiples of cluster_spread so that a
 # class occupies a ball of known radius; the center-spacing rule below then
@@ -37,24 +33,6 @@ _BLOB_RADIUS_FACTOR = 2.0
 # Pairwise center distances must exceed this multiple of cluster_spread when
 # disjoint classes are requested.
 _SPACING_FACTOR = 4.0
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labeled point: a float feature vector and an integer class id."""
-
-    features: np.ndarray
-    class_id: int
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1 or feats.size == 0:
-            raise ValueError("sample features must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("sample features must be finite")
-        if self.class_id < 0:
-            raise ValueError("class_id must be non-negative")
-        object.__setattr__(self, "features", feats)
 
 
 @dataclass(frozen=True)
@@ -118,13 +96,6 @@ class Dataset:
     def empirical_priors(self) -> tuple[float, ...]:
         counts = np.bincount(self.labels, minlength=self.num_classes)
         return tuple(float(c) / self.num_samples for c in counts)
-
-    @cached_property
-    def samples(self) -> tuple[Sample, ...]:
-        return tuple(
-            Sample(self.features[i].copy(), int(self.labels[i]))
-            for i in range(self.num_samples)
-        )
 
     def class_indices(self, class_id: int) -> np.ndarray:
         """Indices of the samples belonging to ``class_id``, ascending."""
@@ -263,26 +234,8 @@ def _ring_segment(
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(dataset: Dataset, path: str, format: Literal["csv", "binary"] = "csv") -> None:
-    """Write a dataset to ``path`` in the CSV or binary container format."""
-    if format == "csv":
-        _save_csv(dataset, path)
-    elif format == "binary":
-        _save_binary(dataset, path)
-    else:
-        raise ValueError(f"unknown dataset format {format!r}")
-
-
-def load_dataset(path: str, format: Literal["csv", "binary"] = "csv") -> Dataset:
-    """Read a dataset written by :func:`save_dataset`."""
-    if format == "csv":
-        return _load_csv(path)
-    if format == "binary":
-        return _load_binary(path)
-    raise ValueError(f"unknown dataset format {format!r}")
-
-
-def _save_csv(dataset: Dataset, path: str) -> None:
+def save_dataset(dataset: Dataset, path: str) -> None:
+    """Write a dataset to ``path`` as CSV: a header row, then one row per sample."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(dataset.input_dim)] + ["label"])
@@ -290,7 +243,8 @@ def _save_csv(dataset: Dataset, path: str) -> None:
             writer.writerow([csv_value(v) for v in row] + [str(int(label))])
 
 
-def _load_csv(path: str) -> Dataset:
+def load_dataset(path: str) -> Dataset:
+    """Read a dataset written by :func:`save_dataset`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -321,42 +275,3 @@ def _load_csv(path: str) -> Dataset:
     counts = np.bincount(labs, minlength=num_classes)
     priors = tuple(float(c) / labs.size for c in counts)
     return Dataset(feats, labs, num_classes, priors, seed=None)
-
-
-def _save_binary(dataset: Dataset, path: str) -> None:
-    record = np.dtype([("features", "<f8", (dataset.input_dim,)), ("label", "<u4")])
-    body = np.empty(dataset.num_samples, dtype=record)
-    body["features"] = dataset.features
-    body["label"] = dataset.labels.astype(np.uint32)
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<IIQ", dataset.input_dim, dataset.num_classes, dataset.num_samples))
-        fh.write(body.tobytes())
-
-
-def _load_binary(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_BINARY_MAGIC))
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"{path}: truncated header")
-        dim, num_classes, count = struct.unpack("<IIQ", header)
-        if dim == 0 or num_classes == 0:
-            raise ValueError(f"{path}: header declares empty dimensions")
-        if count == 0:
-            raise ValueError(f"{path}: no samples")
-        record = np.dtype([("features", "<f8", (dim,)), ("label", "<u4")])
-        raw = fh.read()
-    expected = count * record.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: body has {len(raw)} bytes, expected {expected}")
-    body = np.frombuffer(raw, dtype=record)
-    labels = body["label"].astype(np.int64)
-    if labels.max() >= num_classes:
-        raise ValueError(f"{path}: label {labels.max()} outside declared {num_classes} classes")
-    feats = np.asarray(body["features"], dtype=np.float64).reshape(count, dim)
-    counts = np.bincount(labels, minlength=num_classes)
-    priors = tuple(float(c) / count for c in counts)
-    return Dataset(feats.copy(), labels, num_classes, priors, seed=None)

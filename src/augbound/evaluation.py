@@ -5,6 +5,14 @@ sampling-model weights (half mass on discrete members, half on the
 parameter grid), so centers, alignment statistics, and population losses
 all refer to one common view distribution.
 
+An evaluation embeds that grid once. :func:`embed_views` maps the (N, V, D)
+view tensor of a dataset through a frozen encoder and returns an
+:class:`EmbeddedViews`: the embeddings z (N, V, d), the view weights, the
+per-sample weighted view means, the squared norms and the per-sample view
+spreads. :func:`class_centers`, :func:`empirical_r_eps`,
+:func:`class_moments` and :func:`population_loss` read from that value, so
+none of them builds or embeds views again.
+
 Encoders are evaluated through a :class:`FrozenEncoder`. For sphere models
 this is a plain wrapper; for batch-standardized models the standardization
 statistics are computed once over the weighted views of the whole dataset
@@ -20,29 +28,23 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import losses as losses_mod
-from .augment import (
-    TILE_BYTES,
-    AugmentationSet,
-    _run_split,
-    _tile_budget,
-    view_tensor,
-    view_weights,
-)
+from .augment import TILE_BYTES, _run_split, _tile_budget
 from .core import Dataset
 from .encoder import EncoderModel, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
 
 __all__ = [
     "FrozenEncoder",
+    "EmbeddedViews",
     "ClassStats",
     "AlignmentStats",
     "freeze_encoder",
+    "embed_views",
     "class_centers",
     "nn_classify",
     "classify_batch",
     "linear_classifier",
     "error_rate",
-    "view_spreads",
     "empirical_r_eps",
     "population_loss",
     "class_moments",
@@ -86,18 +88,10 @@ class FrozenEncoder:
         return product / float(self.scale.min())
 
 
-def _all_views_and_weights(
-    dataset: Dataset, aug: AugmentationSet
-) -> tuple[np.ndarray, np.ndarray]:
-    views = view_tensor(dataset.features, aug)
-    weights = view_weights(aug)
-    return views, weights
-
-
 def freeze_encoder(
-    model: EncoderModel, dataset: Dataset, aug: AugmentationSet
+    model: EncoderModel, views: np.ndarray, weights: np.ndarray
 ) -> FrozenEncoder:
-    """Wrap a model for evaluation against a dataset and augmentation set.
+    """Wrap a model for evaluation on a view tensor (N, V, D) and its weights.
 
     Sphere models pass through. Batch-standardized models get shift/scale
     from the weighted view population of the full dataset, so the frozen
@@ -108,7 +102,6 @@ def freeze_encoder(
         return FrozenEncoder(model, None, None, radius=model.radius)
     if model.norm_mode != "batch_standardized":
         raise ValueError("evaluation needs a sphere or batch_standardized model")
-    views, weights = _all_views_and_weights(dataset, aug)
     n, v, _ = views.shape
     pre = forward_prenorm(model, views.reshape(n * v, -1))
     w = np.tile(weights, n) / n
@@ -117,6 +110,55 @@ def freeze_encoder(
     if var.min() < 1e-24:
         raise ValueError("view population has zero variance in some embedding dimension")
     return FrozenEncoder(model, mu, np.sqrt(var), radius=float(np.sqrt(model.output_dim)))
+
+
+@dataclass(frozen=True)
+class EmbeddedViews:
+    """The view grid of a dataset, embedded once by a frozen encoder.
+
+    ``z`` holds the embeddings (N, V, d), ``weights`` the view weights (V,),
+    ``means`` the weighted view mean of each sample (N, d), ``sq_norms`` the
+    squared embedding norms (N, V) and ``spreads`` the largest embedding
+    distance between two views of each sample (N,). ``radius`` is the norm
+    convention of the encoder that produced ``z``.
+    """
+
+    z: np.ndarray
+    weights: np.ndarray
+    means: np.ndarray
+    sq_norms: np.ndarray
+    spreads: np.ndarray
+    radius: float
+
+    @property
+    def l_pos(self) -> float:
+        """Mean over samples of E ||z_a - z_b||^2 for independent views a, b,
+        as 2 (E ||z||^2 - ||E z||^2); rounding can leave it slightly negative."""
+        second = self.weights @ self.sq_norms.T
+        return float(np.mean(2.0 * (second - np.sum(self.means**2, axis=1))))
+
+
+def embed_views(
+    encoder: FrozenEncoder, views: np.ndarray, weights: np.ndarray
+) -> EmbeddedViews:
+    """Embed a view tensor (N, V, D) with its weights (V,) in one pass."""
+    n, v, _ = views.shape
+    z = encoder.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
+    return EmbeddedViews(
+        z=z,
+        weights=weights,
+        means=np.einsum("v,nvd->nd", weights, z),
+        sq_norms=np.sum(z**2, axis=2),
+        spreads=_spreads(z),
+        radius=encoder.radius,
+    )
+
+
+def _spreads(z: np.ndarray) -> np.ndarray:
+    out = np.empty(z.shape[0])
+    for i in range(z.shape[0]):
+        out[i] = np.sqrt(max(cdist(z[i], z[i], "sqeuclidean").max(), 0.0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,51 +189,17 @@ class ClassStats:
         return 1.0 - self.min_center_norm_sq / self.radius**2
 
 
-def _embedded_views(
-    encoder: FrozenEncoder, dataset: Dataset, aug: AugmentationSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings of all enumerated views, shape (N, V, d), plus weights."""
-    views, weights = _all_views_and_weights(dataset, aug)
-    n, v, _ = views.shape
-    z = encoder.embed(views.reshape(n * v, -1))
-    return z.reshape(n, v, -1), weights
-
-
-def class_centers(
-    encoder: FrozenEncoder,
-    dataset: Dataset,
-    aug: AugmentationSet,
-    views_per_sample: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> ClassStats:
-    """Class centers mu_k = E_{x in C_k} E_{views} f.
-
-    By default the view expectation enumerates the grid with the sampling
-    weights (deterministic). Passing ``views_per_sample`` switches to that
-    many Monte Carlo view draws per sample, which needs an rng.
-    """
-    if views_per_sample is None:
-        z, weights = _embedded_views(encoder, dataset, aug)
-        per_sample = np.einsum("v,nvd->nd", weights, z)
-    else:
-        if views_per_sample < 1:
-            raise ValueError("views_per_sample must be >= 1")
-        if rng is None:
-            raise ValueError("Monte Carlo view sampling needs an rng")
-        from .augment import sample_views
-
-        acc = np.zeros((dataset.num_samples, encoder.output_dim))
-        for _ in range(views_per_sample):
-            acc += encoder.embed(sample_views(dataset.features, aug, rng))
-        per_sample = acc / views_per_sample
+def class_centers(embedded: EmbeddedViews, dataset: Dataset) -> ClassStats:
+    """Class centers mu_k = E_{x in C_k} E_{views} f, the view expectation
+    taken over the enumerated grid with the sampling weights."""
     centers = np.stack(
         [
-            per_sample[dataset.class_indices(k)].mean(axis=0)
+            embedded.means[dataset.class_indices(k)].mean(axis=0)
             for k in range(dataset.num_classes)
         ]
     )
     return ClassStats(
-        centers=centers, priors=dataset.empirical_priors, radius=encoder.radius
+        centers=centers, priors=dataset.empirical_priors, radius=embedded.radius
     )
 
 
@@ -223,21 +231,6 @@ def error_rate(encoder: FrozenEncoder, dataset: Dataset, stats: ClassStats) -> f
     return float(np.mean(preds != dataset.labels))
 
 
-def view_spreads(
-    encoder: FrozenEncoder, dataset: Dataset, aug: AugmentationSet
-) -> np.ndarray:
-    """Per-sample largest embedding distance between any two views."""
-    z, _ = _embedded_views(encoder, dataset, aug)
-    return _spreads(z)
-
-
-def _spreads(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape[0])
-    for i in range(z.shape[0]):
-        out[i] = np.sqrt(max(cdist(z[i], z[i], "sqeuclidean").max(), 0.0))
-    return out
-
-
 @dataclass(frozen=True)
 class AlignmentStats:
     """Empirical sharpness of view alignment at one epsilon."""
@@ -248,44 +241,35 @@ class AlignmentStats:
     pairs_per_sample: int
 
 
-def empirical_r_eps(
-    encoder: FrozenEncoder, dataset: Dataset, aug: AugmentationSet, epsilon: float
-) -> AlignmentStats:
+def empirical_r_eps(embedded: EmbeddedViews, epsilon: float) -> AlignmentStats:
     """Fraction of samples whose view spread exceeds epsilon, plus the
     mean squared view-pair distance (both under the view weights)."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    z, weights = _embedded_views(encoder, dataset, aug)
-    spreads = _spreads(z)
-    sq_norms = np.sum(z**2, axis=2)
-    means = np.einsum("v,nvd->nd", weights, z)
-    second = weights @ sq_norms.T
-    l_pos = float(np.mean(2.0 * (second - np.sum(means**2, axis=1))))
     return AlignmentStats(
         epsilon=float(epsilon),
-        r_eps=float(np.mean(spreads > epsilon)),
-        l_pos=max(l_pos, 0.0),
-        pairs_per_sample=z.shape[1] ** 2,
+        r_eps=float(np.mean(embedded.spreads > epsilon)),
+        l_pos=max(embedded.l_pos, 0.0),
+        pairs_per_sample=embedded.z.shape[1] ** 2,
     )
 
 
 def class_moments(
-    encoder: FrozenEncoder, dataset: Dataset, aug: AugmentationSet, stats: ClassStats
+    embedded: EmbeddedViews, dataset: Dataset, stats: ClassStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class E ||f(view) - mu_k|| and E ||f(view) - mu_k||^2.
 
     Expectations run over class samples and weighted views; used to check
     the intra-class moment guarantees.
     """
-    z, weights = _embedded_views(encoder, dataset, aug)
     first = np.empty(dataset.num_classes)
     second = np.empty(dataset.num_classes)
     for k in range(dataset.num_classes):
         idx = dataset.class_indices(k)
-        diff = z[idx] - stats.centers[k]
+        diff = embedded.z[idx] - stats.centers[k]
         sq = np.sum(diff**2, axis=2)
-        first[k] = np.mean(np.sqrt(sq) @ weights)
-        second[k] = np.mean(sq @ weights)
+        first[k] = np.mean(np.sqrt(sq) @ embedded.weights)
+        second[k] = np.mean(sq @ embedded.weights)
     return first, second
 
 
@@ -336,11 +320,7 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray) -> float:
 
 
 def population_loss(
-    encoder: FrozenEncoder,
-    dataset: Dataset,
-    aug: AugmentationSet,
-    kind: losses_mod.LossKind,
-    lam: float = 1.0,
+    embedded: EmbeddedViews, kind: losses_mod.LossKind, lam: float = 1.0
 ) -> LossBreakdown:
     """Loss under full view enumeration instead of batch sampling.
 
@@ -372,26 +352,22 @@ def population_loss(
     (``augment._run_split``). The per-row values are reduced once in a fixed
     order, so the result does not depend on the worker count or the tiling.
     """
-    z, weights = _embedded_views(encoder, dataset, aug)
-    n = len(z)
-    means = np.einsum("v,nvd->nd", weights, z)
-    sq_norms = np.sum(z**2, axis=2)
-    l_pos = float(np.mean(2.0 * (weights @ sq_norms.T - np.sum(means**2, axis=1))))
+    means = embedded.means
     if kind == "info_nce":
-        if 2.0 * sq_norms.max() > -_EXP_FLOOR:
+        if 2.0 * embedded.sq_norms.max() > -_EXP_FLOOR:
             raise ValueError(
                 "population InfoNCE needs 2 max||z||^2 <= "
-                f"{-_EXP_FLOOR:.1f}, got {2.0 * sq_norms.max():.1f}"
+                f"{-_EXP_FLOOR:.1f}, got {2.0 * embedded.sq_norms.max():.1f}"
             )
-        l1 = l_pos / 2.0 - 1.0
-        l2 = _info_nce_divergence(z, weights)
+        l1 = embedded.l_pos / 2.0 - 1.0
+        l2 = _info_nce_divergence(embedded.z, embedded.weights)
         return losses_mod._breakdown("info_nce", l1, l2, 1.0)
     if kind == "simple":
-        l1 = l_pos / 2.0 - 1.0
+        l1 = embedded.l_pos / 2.0 - 1.0
         grand_mean = means.mean(axis=0)
         l2 = float(np.sum(grand_mean**2))
         return losses_mod._breakdown("simple", l1, l2, lam)
     if kind == "cross_corr":
         f = losses_mod._cross_corr_matrix(means, means)
-        return losses_mod.cross_corr_loss(losses_mod.CrossCorrMatrix(f, n), lam)
+        return losses_mod.cross_corr_loss(losses_mod.CrossCorrMatrix(f, len(means)), lam)
     raise ValueError(f"unknown loss kind {kind!r}")

@@ -35,6 +35,7 @@ from .augment import (
     transform_from_spec,
     transform_to_spec,
     view_tensor,
+    view_weights,
 )
 from .bounds import (
     BoundInputs,
@@ -61,8 +62,8 @@ from .evaluation import (
     class_centers,
     class_moments,
     classify_batch,
+    embed_views,
     empirical_r_eps,
-    error_rate,
     freeze_encoder,
     population_loss,
 )
@@ -481,7 +482,7 @@ def _write_kv_csv(path: str, rows: list[tuple[str, object]]) -> None:
 def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:
     try:
         if isinstance(config.dataset, str):
-            dataset = load_dataset(config.dataset, format="csv")
+            dataset = load_dataset(config.dataset)
         else:
             dataset = generate_dataset(config.dataset)
         save_dataset(dataset, os.path.join(out_dir, "dataset.csv"))
@@ -558,18 +559,17 @@ def stage_evaluate(
     out_dir: str,
 ) -> EvalBundle:
     try:
-        aug = config.augmentation
-        frozen = freeze_encoder(model, dataset, aug)
-        probe = view_tensor(dataset.features, aug).reshape(-1, dataset.input_dim)
-        lipschitz = frozen.lipschitz(probe)
-        stats = class_centers(frozen, dataset, aug)
-        err = error_rate(frozen, dataset, stats)
-        alignment = tuple(
-            empirical_r_eps(frozen, dataset, aug, eps) for eps in config.epsilon_grid
-        )
-        first, second = class_moments(frozen, dataset, aug, stats)
-        loss = population_loss(frozen, dataset, aug, config.training.loss, config.training.lam)
+        views = view_tensor(dataset.features, config.augmentation)
+        weights = view_weights(config.augmentation)
+        frozen = freeze_encoder(model, views, weights)
+        lipschitz = frozen.lipschitz(views.reshape(-1, dataset.input_dim))
+        embedded = embed_views(frozen, views, weights)
+        stats = class_centers(embedded, dataset)
         preds = classify_batch(stats, frozen.embed(dataset.features))
+        err = float(np.mean(preds != dataset.labels))
+        alignment = tuple(empirical_r_eps(embedded, eps) for eps in config.epsilon_grid)
+        first, second = class_moments(embedded, dataset, stats)
+        loss = population_loss(embedded, config.training.loss, config.training.lam)
         correct = preds == dataset.labels
         premise = []
         for estimate in curve:

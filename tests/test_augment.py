@@ -23,13 +23,9 @@ from augbound.augment import (
     augmented_distance,
     coordinate_permutation,
     distance_matrix,
-    enumerate_views,
     identity,
-    load_distance_matrix,
     rotation_2d,
-    sample_view_pair,
     sample_views,
-    save_distance_matrix,
     scaling,
     sign_flip_mask,
     transform_from_spec,
@@ -46,17 +42,16 @@ def identity_only() -> AugmentationSet:
 
 def test_identity_only_views():
     aug = identity_only()
-    vs = enumerate_views(np.array([1.0, 2.0]), aug)
-    assert len(vs.views) == 1
-    np.testing.assert_array_equal(vs.views[0], [1.0, 2.0])
+    views = view_tensor(np.array([1.0, 2.0]), aug)[0]
+    assert len(views) == 1
+    np.testing.assert_array_equal(views[0], [1.0, 2.0])
 
 
 def test_sign_flip_enumeration():
     aug = AugmentationSet(
         transforms=(identity(), sign_flip_mask((-1.0, 1.0))), grid_resolution=2
     )
-    vs = enumerate_views(np.array([1.0, 2.0]), aug)
-    got = np.stack(vs.views)
+    got = view_tensor(np.array([1.0, 2.0]), aug)[0]
     np.testing.assert_array_equal(got, [[1.0, 2.0], [-1.0, 2.0]])
 
 
@@ -64,8 +59,8 @@ def test_continuous_shift_grid_enumeration():
     aug = AugmentationSet(
         transforms=(identity(), additive_shift((1.0,))), grid_resolution=3
     )
-    vs = enumerate_views(np.array([0.0]), aug)
-    got = sorted(float(v[0]) for v in vs.views)
+    views = view_tensor(np.array([0.0]), aug)[0]
+    got = sorted(float(v[0]) for v in views)
     # identity view 0 plus the theta grid {0, 0.5, 1.0}
     np.testing.assert_allclose(got, [0.0, 0.0, 0.5, 1.0])
 
@@ -75,9 +70,9 @@ def test_views_contain_the_untransformed_point():
         transforms=(identity(), additive_shift((0.5, -0.5))), grid_resolution=4
     )
     x = np.array([0.3, -0.7])
-    vs = enumerate_views(x, aug)
-    assert any(np.array_equal(v, x) for v in vs.views)
-    assert len(vs.views) == aug.num_views == 1 + 4
+    views = view_tensor(x, aug)[0]
+    assert any(np.array_equal(v, x) for v in views)
+    assert len(views) == aug.num_views == 1 + 4
 
 
 def test_identity_must_be_a_member():
@@ -455,9 +450,7 @@ def test_sample_view_pair_identity_only_returns_the_point():
     rng = np.random.default_rng(0)
     x = np.array([0.5, -1.5])
     for _ in range(5):
-        v1, v2 = sample_view_pair(x, aug, rng)
-        np.testing.assert_array_equal(v1, x)
-        np.testing.assert_array_equal(v2, x)
+        np.testing.assert_array_equal(sample_views(np.stack([x, x]), aug, rng), [x, x])
 
 
 def test_sample_views_branch_frequencies():
@@ -560,11 +553,10 @@ def test_sampling_is_reproducible():
         grid_resolution=3,
     )
     x = np.array([1.0])
-    a = [sample_view_pair(x, aug, np.random.default_rng(9)) for _ in range(4)]
-    b = [sample_view_pair(x, aug, np.random.default_rng(9)) for _ in range(4)]
-    for (a1, a2), (b1, b2) in zip(a, b):
-        np.testing.assert_array_equal(a1, b1)
-        np.testing.assert_array_equal(a2, b2)
+    a = [sample_views(np.stack([x, x]), aug, np.random.default_rng(9)) for _ in range(4)]
+    b = [sample_views(np.stack([x, x]), aug, np.random.default_rng(9)) for _ in range(4)]
+    for a_views, b_views in zip(a, b):
+        np.testing.assert_array_equal(a_views, b_views)
 
 
 @pytest.mark.parametrize(
@@ -619,18 +611,6 @@ def test_view_weights_identity_only_are_uniform():
         transforms=(identity(), sign_flip_mask((-1.0,))), grid_resolution=2
     )
     np.testing.assert_allclose(view_weights(aug), [0.5, 0.5])
-
-
-def test_distance_matrix_round_trip(tmp_path):
-    ds = _toy_dataset(4)
-    aug = AugmentationSet(
-        transforms=(identity(), additive_shift((0.2, 0.2))), grid_resolution=3
-    )
-    m = distance_matrix(ds, aug)
-    path = tmp_path / "dist.bin"
-    save_distance_matrix(m, str(path))
-    back = load_distance_matrix(str(path))
-    np.testing.assert_array_equal(back, m)
 
 
 def test_spec_round_trip():
@@ -729,9 +709,9 @@ def test_view_tensor_matches_enumerate_views():
     pts = np.array([[0.5, 1.0], [-0.25, 2.0]])
     tensor = view_tensor(pts, aug)
     assert tensor.shape == (2, aug.num_views, 2)
+    # Each row equals the views of its point enumerated on its own.
     for i, p in enumerate(pts):
-        vs = enumerate_views(p, aug)
-        np.testing.assert_allclose(tensor[i], np.stack(vs.views), atol=1e-12)
+        np.testing.assert_allclose(tensor[i], view_tensor(p, aug)[0], atol=1e-12)
 
 
 def _per_theta_view_tensor(points, aug):

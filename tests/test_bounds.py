@@ -9,7 +9,6 @@ import pytest
 from augbound.bounds import (
     BoundInputs,
     EmpiricalMeasurements,
-    combined_error_bounds,
     divergence_threshold,
     eta,
     full_report,
@@ -518,14 +517,16 @@ def test_report_matches_individually_invoked_operations():
 
 def test_combined_error_bounds_delegate_to_report():
     inputs = _inputs(l1=-1.0, sigma=1.0)
-    infonce, crosscorr = combined_error_bounds(inputs)
+    report = full_report(inputs, _empirical())
+    infonce, crosscorr = report.combined_infonce, report.combined_crosscorr
     assert infonce[0] == 0.0
     assert crosscorr is None
     cc_inputs = _inputs(
         loss_kind="cross_corr", radius=math.sqrt(2.0), l1=0.0, sigma=1.0,
         centers=np.diag([1.2, 1.2]), delta_mu=1 - 1.2**2 / 2,
     )
-    infonce, crosscorr = combined_error_bounds(cc_inputs)
+    report = full_report(cc_inputs, _empirical())
+    infonce, crosscorr = report.combined_infonce, report.combined_crosscorr
     assert infonce is None
     assert crosscorr[0] == pytest.approx(0.0, abs=1e-12)
 

@@ -552,6 +552,20 @@ def test_import_keeps_scipy_stats_off_the_path():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import augbound
+
+    modules = [info.name for info in pkgutil.iter_modules(augbound.__path__)]
+    assert "evaluation" in modules
+    for name in modules:
+        module = importlib.import_module(f"augbound.{name}")
+        stale = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert not stale, f"augbound.{name}.__all__ names missing attributes {stale}"
+
+
 def test_strength_sweep_scales_the_base_transforms(tmp_path):
     config = config_from_dict(
         _config_dict(sweep={"kind": "strength", "levels": [0.5, 2.0]})

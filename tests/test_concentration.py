@@ -75,6 +75,11 @@ def test_threshold_graph_rejects_negative_delta():
         build_threshold_graph(np.zeros((2, 2)), -0.1)
 
 
+def test_threshold_graph_rejects_nan_delta():
+    with pytest.raises(ValueError, match="non-negative"):
+        build_threshold_graph(np.zeros((2, 2)), float("nan"))
+
+
 def test_exact_clique_complete_graph():
     dist = np.zeros((5, 5))
     g = build_threshold_graph(dist, 0.5)
@@ -236,6 +241,20 @@ def test_sigma_delta_curve_rejects_descending_deltas():
     ds = _blob_dataset(samples=4)
     with pytest.raises(ValueError, match="ascending"):
         sigma_delta_curve(ds, _identity_aug(), [0.5, 0.2], mode="exact")
+
+
+def test_sigma_delta_curve_rejects_nan_thresholds():
+    # A NaN compares false both ways, so it would pass an ascending check and
+    # break the monotone curve.
+    ds = _blob_dataset(samples=4)
+    for deltas in ([0.2, float("nan"), 0.6], [0.6, float("nan"), 0.1]):
+        with pytest.raises(ValueError, match="non-negative"):
+            sigma_delta_curve(ds, _identity_aug(), deltas, mode="exact")
+
+
+def test_estimate_sigma_rejects_nan_delta():
+    with pytest.raises(ValueError, match="non-negative"):
+        estimate_sigma(_blob_dataset(samples=4), _identity_aug(), float("nan"))
 
 
 def test_dual_approx_curve_is_monotone():

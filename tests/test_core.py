@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from augbound.augment import augmented_distance, default_augmentation_set
+from augbound.augment import AugmentationSet, additive_shift, augmented_distance, identity
 from augbound.core import Dataset, GeneratorConfig, generate_dataset, load_dataset, save_dataset
 
 
@@ -111,7 +111,7 @@ def test_dataset_rejects_empty_class():
 def test_csv_load_counts_empirical_priors(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.5,2.5,0\n-1.0,0.0,1\n")
-    ds = load_dataset(str(path), format="csv")
+    ds = load_dataset(str(path))
     assert ds.num_classes == 2
     np.testing.assert_allclose(ds.empirical_priors, (2 / 3, 1 / 3))
 
@@ -120,18 +120,17 @@ def test_csv_empty_file_reports_no_samples(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("f0,f1,label\n")
     with pytest.raises(ValueError, match="no samples"):
-        load_dataset(str(path), format="csv")
+        load_dataset(str(path))
 
 
 def test_csv_malformed_row_reports_row_index(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,oops,1\n")
     with pytest.raises(ValueError, match="row 2"):
-        load_dataset(str(path), format="csv")
+        load_dataset(str(path))
 
 
-@pytest.mark.parametrize("format", ["csv", "binary"])
-def test_save_load_round_trip(tmp_path, format):
+def test_save_load_round_trip(tmp_path):
     cfg = GeneratorConfig(
         num_classes=3,
         samples_per_class=15,
@@ -141,23 +140,12 @@ def test_save_load_round_trip(tmp_path, format):
         seed=11,
     )
     ds = generate_dataset(cfg)
-    path = tmp_path / f"ds.{format}"
-    save_dataset(ds, str(path), format=format)
-    back = load_dataset(str(path), format=format)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, str(path))
+    back = load_dataset(str(path))
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.num_classes == ds.num_classes
-
-
-def test_binary_rejects_label_out_of_range(tmp_path):
-    import struct
-
-    path = tmp_path / "bad.bin"
-    record = np.zeros(1, dtype=np.dtype([("features", "<f8", (2,)), ("label", "<u4")]))
-    record["label"] = 5
-    path.write_bytes(b"CONC1" + struct.pack("<IIQ", 2, 2, 1) + record.tobytes())
-    with pytest.raises(ValueError, match="label"):
-        load_dataset(str(path), format="binary")
 
 
 def test_blob_noise_radius_is_hard_capped():
@@ -185,7 +173,8 @@ def test_classes_stay_separated_under_default_augmentation():
         seed=13,
     )
     ds = generate_dataset(cfg)
-    aug = default_augmentation_set(ds.input_dim)
+    # Identity plus a modest shift along the last feature axis.
+    aug = AugmentationSet((identity(), additive_shift((0.0, 0.5))), grid_resolution=3)
     inter = min(
         augmented_distance(ds.features[i], ds.features[j], aug)
         for i in np.flatnonzero(ds.labels == 0)[:8]
@@ -204,7 +193,4 @@ def test_sample_accessors():
         seed=2,
     )
     ds = generate_dataset(cfg)
-    sample = ds.samples[0]
-    np.testing.assert_array_equal(sample.features, ds.features[0])
-    assert sample.class_id == ds.labels[0]
     np.testing.assert_array_equal(ds.class_indices(1), np.flatnonzero(ds.labels == 1))

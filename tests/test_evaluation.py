@@ -1,5 +1,6 @@
 """Centers, nearest-center classification, alignment stats, population losses."""
 
+import copy
 import threading
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from augbound import evaluation
+from augbound import augment, evaluation, experiments
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
@@ -26,16 +27,24 @@ from augbound.evaluation import (
     class_centers,
     class_moments,
     classify_batch,
+    embed_views,
     empirical_r_eps,
     error_rate,
     freeze_encoder,
     linear_classifier,
     nn_classify,
     population_loss,
-    view_spreads,
 )
 
 IDENTITY_ONLY = AugmentationSet(transforms=(identity(),), grid_resolution=3)
+
+
+def _freeze(model, ds, aug):
+    return freeze_encoder(model, view_tensor(ds.features, aug), view_weights(aug))
+
+
+def _embedded(enc, ds, aug):
+    return embed_views(enc, view_tensor(ds.features, aug), view_weights(aug))
 
 
 def _identity_sphere(dim=2):
@@ -44,7 +53,7 @@ def _identity_sphere(dim=2):
         radius=1.0, seed=0,
     )
     flat = np.concatenate([np.eye(dim).ravel(), np.zeros(dim)])
-    return freeze_encoder(
+    return _freeze(
         with_params(model, flat),
         _tiny_dataset(),
         IDENTITY_ONLY,
@@ -57,7 +66,7 @@ def _collapsed_sphere(dim=2, bias=(0.3, -0.4)):
         radius=1.0, seed=0,
     )
     flat = np.concatenate([np.zeros(dim * dim), np.asarray(bias, dtype=float)])
-    return freeze_encoder(with_params(model, flat), _tiny_dataset(), IDENTITY_ONLY)
+    return _freeze(with_params(model, flat), _tiny_dataset(), IDENTITY_ONLY)
 
 
 def _tiny_dataset():
@@ -83,7 +92,7 @@ def _blobs(seed=0, spread=0.1):
 def test_collapsed_encoder_centers_coincide():
     ds = _tiny_dataset()
     enc = _collapsed_sphere()
-    stats = class_centers(enc, ds, IDENTITY_ONLY)
+    stats = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
     expected = np.array([0.6, -0.8])  # (0.3, -0.4) projected to the shell
     np.testing.assert_allclose(stats.centers, [expected, expected], atol=1e-12)
     assert stats.delta_mu == pytest.approx(0.0, abs=1e-12)
@@ -95,7 +104,7 @@ def test_one_sample_per_class_center_is_the_embedding():
         features=feats, labels=np.array([0, 1]), num_classes=2, priors=(0.5, 0.5)
     )
     enc = _identity_sphere()
-    stats = class_centers(enc, ds, IDENTITY_ONLY)
+    stats = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
     np.testing.assert_allclose(
         stats.centers, [[0.6, 0.8], [-5 / 13, 12 / 13]], atol=1e-12
     )
@@ -113,7 +122,7 @@ def test_center_is_the_weighted_view_mean():
         features=x[None, :], labels=np.array([0]), num_classes=1, priors=(1.0,)
     )
     enc = _identity_sphere()
-    stats = class_centers(enc, ds, aug)
+    stats = class_centers(_embedded(enc, ds, aug), ds)
     views = np.array([x, x + [0, 0], x + [0, 1.0], x + [0, 2.0]])
     unit = views / np.linalg.norm(views, axis=1, keepdims=True)
     expected = 0.5 * unit[0] + (unit[1] + unit[2] + unit[3]) / 6.0
@@ -127,28 +136,9 @@ def test_sign_flip_pair_center_cancels():
     x = np.array([[0.6, 0.8]])
     ds = Dataset(features=x, labels=np.array([0]), num_classes=1, priors=(1.0,))
     enc = _identity_sphere()
-    stats = class_centers(enc, ds, aug)
+    stats = class_centers(_embedded(enc, ds, aug), ds)
     np.testing.assert_allclose(stats.centers, [[0.0, 0.0]], atol=1e-12)
     assert stats.delta_mu == pytest.approx(1.0)
-
-
-def test_monte_carlo_centers_approach_enumerated():
-    ds = _blobs(seed=3)
-    aug = AugmentationSet(
-        transforms=(identity(), additive_shift((0.0, 0.5))), grid_resolution=5
-    )
-    model = init_encoder(
-        input_dim=2, hidden_dims=(4,), output_dim=2, norm_mode="sphere",
-        radius=1.0, seed=4,
-    )
-    enc = freeze_encoder(model, ds, aug)
-    exact = class_centers(enc, ds, aug)
-    mc = class_centers(
-        enc, ds, aug, views_per_sample=4000, rng=np.random.default_rng(9)
-    )
-    np.testing.assert_allclose(mc.centers, exact.centers, atol=0.05)
-    with pytest.raises(ValueError, match="rng"):
-        class_centers(enc, ds, aug, views_per_sample=10)
 
 
 def test_nn_classify_picks_nearest_and_breaks_ties_low():
@@ -179,7 +169,7 @@ def test_classifier_forms_agree():
 def test_error_rate_zero_one_and_recount():
     ds = _blobs(seed=5)
     enc = _identity_sphere()
-    stats = class_centers(enc, ds, IDENTITY_ONLY)
+    stats = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
     assert error_rate(enc, ds, stats) == 0.0
     swapped = ClassStats(
         centers=stats.centers[::-1], priors=stats.priors, radius=stats.radius
@@ -200,7 +190,7 @@ def test_r_eps_collapsed_encoder_is_zero():
         transforms=(identity(), additive_shift((1.0, 1.0))), grid_resolution=4
     )
     for eps in (0.0, 0.1, 1.0):
-        assert empirical_r_eps(enc, ds, aug, eps).r_eps == 0.0
+        assert empirical_r_eps(_embedded(enc, ds, aug), eps).r_eps == 0.0
 
 
 def test_r_eps_vanishes_beyond_the_diameter():
@@ -209,7 +199,14 @@ def test_r_eps_vanishes_beyond_the_diameter():
         transforms=(identity(), additive_shift((0.0, 3.0))), grid_resolution=3
     )
     enc = _identity_sphere()
-    assert empirical_r_eps(enc, ds, aug, 2.0).r_eps == 0.0  # sphere diameter 2r
+    assert empirical_r_eps(_embedded(enc, ds, aug), 2.0).r_eps == 0.0  # sphere diameter 2r
+
+
+def test_r_eps_rejects_nan_epsilon():
+    ds = _tiny_dataset()
+    embedded = _embedded(_identity_sphere(), ds, IDENTITY_ONLY)
+    with pytest.raises(ValueError, match="non-negative"):
+        empirical_r_eps(embedded, float("nan"))
 
 
 def test_r_eps_hand_geometry():
@@ -225,9 +222,9 @@ def test_r_eps_hand_geometry():
     enc = _identity_sphere()
     angles = np.arctan2(3.0, feats[:, 0])
     chords = 2.0 * np.sin(angles / 2.0)
-    np.testing.assert_allclose(view_spreads(enc, ds, aug), chords, atol=1e-12)
+    np.testing.assert_allclose(_embedded(enc, ds, aug).spreads, chords, atol=1e-12)
     threshold = float(chords.mean())  # between the two spreads
-    stats = empirical_r_eps(enc, ds, aug, threshold)
+    stats = empirical_r_eps(_embedded(enc, ds, aug), threshold)
     assert stats.r_eps == 0.5
     assert stats.pairs_per_sample == 9
 
@@ -244,14 +241,14 @@ def test_r_eps_monotone_in_epsilon_and_grid():
     fine = AugmentationSet(
         transforms=(identity(), additive_shift((0.2, 0.4))), grid_resolution=5
     )
-    enc = freeze_encoder(model, ds, coarse)
-    values = [empirical_r_eps(enc, ds, coarse, e).r_eps for e in np.linspace(0, 1, 9)]
+    enc = _freeze(model, ds, coarse)
+    values = [empirical_r_eps(_embedded(enc, ds, coarse), e).r_eps for e in np.linspace(0, 1, 9)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     # the 5-point grid contains the 3-point grid, so spreads cannot shrink
     for eps in (0.0, 0.05, 0.2):
         assert (
-            empirical_r_eps(enc, ds, fine, eps).r_eps
-            >= empirical_r_eps(enc, ds, coarse, eps).r_eps
+            empirical_r_eps(_embedded(enc, ds, fine), eps).r_eps
+            >= empirical_r_eps(_embedded(enc, ds, coarse), eps).r_eps
         )
 
 
@@ -264,8 +261,8 @@ def test_sphere_centers_respect_jensen():
         input_dim=2, hidden_dims=(5,), output_dim=3, norm_mode="sphere",
         radius=1.5, seed=10,
     )
-    enc = freeze_encoder(model, ds, aug)
-    stats = class_centers(enc, ds, aug)
+    enc = _freeze(model, ds, aug)
+    stats = class_centers(_embedded(enc, ds, aug), ds)
     norms = np.linalg.norm(stats.centers, axis=1)
     assert (norms <= 1.5 + 1e-9).all()
     assert 0.0 <= stats.delta_mu <= 1.0
@@ -280,16 +277,14 @@ def test_class_moments_match_direct_loop():
         input_dim=2, hidden_dims=(4,), output_dim=2, norm_mode="sphere",
         radius=1.0, seed=13,
     )
-    enc = freeze_encoder(model, ds, aug)
-    stats = class_centers(enc, ds, aug)
-    first, second = class_moments(enc, ds, aug, stats)
+    enc = _freeze(model, ds, aug)
+    stats = class_centers(_embedded(enc, ds, aug), ds)
+    first, second = class_moments(_embedded(enc, ds, aug), ds, stats)
     weights = view_weights(aug)
-    from augbound.augment import enumerate_views
-
     for k in range(ds.num_classes):
         acc1, acc2, count = 0.0, 0.0, 0
         for i in ds.class_indices(k):
-            views = enumerate_views(ds.features[i], aug).views
+            views = view_tensor(ds.features[i], aug)[0]
             z = enc.embed(views)
             dist = np.linalg.norm(z - stats.centers[k], axis=1)
             acc1 += float(weights @ dist)
@@ -299,8 +294,8 @@ def test_class_moments_match_direct_loop():
         assert second[k] == pytest.approx(acc2 / count, abs=1e-12)
     # collapsed encoder has zero moments
     collapsed = _collapsed_sphere()
-    cstats = class_centers(collapsed, ds, aug)
-    cfirst, csecond = class_moments(collapsed, ds, aug, cstats)
+    cstats = class_centers(_embedded(collapsed, ds, aug), ds)
+    cfirst, csecond = class_moments(_embedded(collapsed, ds, aug), ds, cstats)
     np.testing.assert_allclose(cfirst, 0.0, atol=1e-12)
     np.testing.assert_allclose(csecond, 0.0, atol=1e-12)
 
@@ -314,10 +309,8 @@ def test_frozen_standardization_is_exact_under_view_weights():
         input_dim=2, hidden_dims=(6,), output_dim=3, norm_mode="batch_standardized",
         radius=1.0, seed=15,
     )
-    enc = freeze_encoder(model, ds, aug)
+    enc = _freeze(model, ds, aug)
     assert enc.radius == pytest.approx(np.sqrt(3.0))
-    from augbound.augment import view_tensor
-
     views = view_tensor(ds.features, aug)
     n, v, _ = views.shape
     z = enc.embed(views.reshape(n * v, -1))
@@ -335,10 +328,8 @@ def test_frozen_lipschitz_covers_view_pairs():
         input_dim=2, hidden_dims=(4,), output_dim=2, norm_mode="batch_standardized",
         radius=1.0, seed=17,
     )
-    enc = freeze_encoder(model, ds, aug)
+    enc = _freeze(model, ds, aug)
     bound = enc.lipschitz(probe_inputs=ds.features)
-    from augbound.augment import view_tensor
-
     views = view_tensor(ds.features, aug).reshape(-1, 2)
     z = enc.embed(views)
     rng = np.random.default_rng(18)
@@ -351,11 +342,9 @@ def test_frozen_lipschitz_covers_view_pairs():
 
 
 def _brute_population_info_nce(enc, ds, aug):
-    from augbound.augment import enumerate_views
-
     weights = view_weights(aug)
     n = ds.num_samples
-    all_z = [enc.embed(enumerate_views(ds.features[i], aug).views) for i in range(n)]
+    all_z = [enc.embed(view_tensor(ds.features[i], aug)[0]) for i in range(n)]
     l1_acc, l2_acc = 0.0, 0.0
     for i in range(n):
         zi = all_z[i]
@@ -387,8 +376,8 @@ def test_population_info_nce_matches_brute_force():
         input_dim=2, hidden_dims=(3,), output_dim=2, norm_mode="sphere",
         radius=1.0, seed=19,
     )
-    enc = freeze_encoder(model, ds, aug)
-    got = population_loss(enc, ds, aug, "info_nce")
+    enc = _freeze(model, ds, aug)
+    got = population_loss(_embedded(enc, ds, aug), "info_nce")
     l1, l2 = _brute_population_info_nce(enc, ds, aug)
     assert got.l1 == pytest.approx(l1, abs=1e-10)
     assert got.l2 == pytest.approx(l2, abs=1e-10)
@@ -430,7 +419,7 @@ def _sphere_on(ds, aug, radius=1.0, seed=25):
         input_dim=2, hidden_dims=(4,), output_dim=3, norm_mode="sphere",
         radius=radius, seed=seed,
     )
-    return freeze_encoder(model, ds, aug)
+    return _freeze(model, ds, aug)
 
 
 def test_population_info_nce_tiles_match_logaddexp():
@@ -439,7 +428,7 @@ def test_population_info_nce_tiles_match_logaddexp():
     rows_per_tile = TILE_BYTES // (v * n * v * 8)
     assert 1 <= rows_per_tile and n * v >= 4 * rows_per_tile  # several tiles
     enc = _sphere_on(ds, MIXED_AUG)
-    got = population_loss(enc, ds, MIXED_AUG, "info_nce")
+    got = population_loss(_embedded(enc, ds, MIXED_AUG), "info_nce")
     assert abs(got.l2 - _logaddexp_population_l2(enc, ds, MIXED_AUG)) <= 1e-12
     assert got.total == got.l1 + got.l2
 
@@ -467,7 +456,7 @@ def test_population_info_nce_peak_memory_is_one_tile():
     assert per_sample_pairs > 4 * budget
     tracemalloc.start()
     try:
-        population_loss(enc, ds, aug, "info_nce")
+        population_loss(_embedded(enc, ds, aug), "info_nce")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -519,7 +508,7 @@ def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
     n, v = ds.num_samples, aug.num_views
     assert n * v * v * n * v * 8 <= TILE_BYTES
     enc = _sphere_on(ds, aug)
-    got = population_loss(enc, ds, aug, "info_nce")
+    got = population_loss(_embedded(enc, ds, aug), "info_nce")
     assert got.l2 == _per_tile_info_nce_l2(*_embeddings(enc, ds, aug))
     assert started == []
 
@@ -537,7 +526,7 @@ def test_population_info_nce_does_not_depend_on_workers_or_tiling(monkeypatch, s
         started = split_workers(workers)
         for tile_bytes in budgets:
             monkeypatch.setattr(evaluation, "TILE_BYTES", tile_bytes)
-            l2.add(population_loss(enc, ds, MIXED_AUG, "info_nce").l2)
+            l2.add(population_loss(_embedded(enc, ds, MIXED_AUG), "info_nce").l2)
     assert len(l2) == 1
     # A helper thread for each multi-tile budget with two workers.
     assert len(started) == 3
@@ -582,7 +571,7 @@ def test_population_info_nce_error_in_either_share_propagates_after_the_join(
 
     monkeypatch.setattr(np, "log", log_failing_on_third_tile)
     with pytest.raises(_Injected, match="third tile"):
-        population_loss(enc, ds, MIXED_AUG, "info_nce")
+        population_loss(_embedded(enc, ds, MIXED_AUG), "info_nce")
     assert threading.active_count() == baseline
 
 
@@ -593,11 +582,11 @@ def test_population_info_nce_rejects_exponent_underflow():
     )
     # 2 r^2 = 648 keeps exp of every shifted score a normal float64.
     enc = _sphere_on(ds, aug, radius=18.0)
-    got = population_loss(enc, ds, aug, "info_nce")
+    got = population_loss(_embedded(enc, ds, aug), "info_nce")
     assert got.l2 == pytest.approx(_logaddexp_population_l2(enc, ds, aug), rel=1e-12)
     # 2 r^2 = 722 does not.
     with pytest.raises(ValueError, match="max"):
-        population_loss(_sphere_on(ds, aug, radius=19.0), ds, aug, "info_nce")
+        population_loss(_embedded(_sphere_on(ds, aug, radius=19.0), ds, aug), "info_nce")
 
 
 def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
@@ -606,7 +595,6 @@ def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
         transforms=(identity(), additive_shift((0.0, 0.5))), grid_resolution=3
     )
     enc = _sphere_on(ds, aug)
-    spreads = view_spreads(enc, ds, aug)
     calls = []
     embed = FrozenEncoder.embed
 
@@ -615,9 +603,95 @@ def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
         return embed(self, x)
 
     monkeypatch.setattr(FrozenEncoder, "embed", counting)
-    stats = empirical_r_eps(enc, ds, aug, float(np.median(spreads)))
+    embedded = _embedded(enc, ds, aug)
+    thresholds = np.quantile(embedded.spreads, [0.25, 0.5, 0.75])
+    stats = [empirical_r_eps(embedded, float(eps)) for eps in thresholds]
     assert calls == [ds.num_samples * aug.num_views]
-    assert stats.r_eps == float(np.mean(spreads > np.median(spreads)))
+    # Spreads recomputed per sample from every pair of view embeddings.
+    z = embedded.z
+    spreads = np.array(
+        [max(np.linalg.norm(a - b) for a in zi for b in zi) for zi in z]
+    )
+    np.testing.assert_allclose(embedded.spreads, spreads, atol=1e-12)
+    for eps, stat in zip(thresholds, stats):
+        assert stat.r_eps == float(np.mean(embedded.spreads > eps))
+
+
+_STAGE_CONFIG = {
+    "dataset": {
+        "num_classes": 2,
+        "samples_per_class": 5,
+        "cluster_centers": [[-2.0, 0.0], [2.0, 0.0]],
+        "cluster_spread": 0.2,
+        "manifold": "gaussian_blobs",
+        "seed": 3,
+    },
+    "augmentation": {
+        "grid_resolution": 3,
+        "transforms": [
+            {"rule": "identity"},
+            {"rule": "sign_flip_mask", "signs": [1.0, -1.0]},
+            {"rule": "additive_shift", "direction": [0.0, 0.3]},
+        ],
+    },
+    "encoder": {"hidden_dims": [4], "output_dim": 2, "radius": 1.0, "seed": 4},
+    "training": {"steps": 5, "batch_size": 4, "learning_rate": 0.05, "seed": 5},
+    "analysis": {
+        "delta_grid": [0.5, 1.0],
+        "epsilon_grid": [0.05, 0.1, 0.2, 0.4],
+        "clique_mode": "exact",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "loss, norm_mode", [("info_nce", "sphere"), ("cross_corr", "batch_standardized")]
+)
+def test_stage_evaluate_builds_and_embeds_the_view_grid_once(
+    monkeypatch, tmp_path, loss, norm_mode
+):
+    raw = copy.deepcopy(_STAGE_CONFIG)
+    raw["encoder"]["norm_mode"] = norm_mode
+    raw["training"]["loss"] = loss
+    config = experiments.config_from_dict(raw)
+    ds = experiments.stage_dataset(config, str(tmp_path))
+    model, _ = experiments.stage_train(config, ds, str(tmp_path))
+    curve = experiments.stage_concentration(config, ds, str(tmp_path))
+
+    tensors = []
+    embeds = []
+
+    def counting_view_tensor(points, aug):
+        tensors.append(len(points))
+        return view_tensor(points, aug)
+
+    embed = FrozenEncoder.embed
+
+    def counting_embed(self, x):
+        embeds.append(x.shape[0])
+        return embed(self, x)
+
+    for module in (augment, evaluation, experiments):
+        if getattr(module, "view_tensor", None) is view_tensor:
+            monkeypatch.setattr(module, "view_tensor", counting_view_tensor)
+    monkeypatch.setattr(FrozenEncoder, "embed", counting_embed)
+    bundle = experiments.stage_evaluate(config, ds, model, curve, str(tmp_path))
+
+    n, v = ds.num_samples, config.augmentation.num_views
+    assert tensors == [n]
+    assert embeds.count(n * v) == 1
+    assert len(bundle.alignment) == 4
+    monkeypatch.undo()
+    # The shared grid gives what each quantity computes from the model alone.
+    assert bundle.err == error_rate(bundle.frozen, ds, bundle.stats)
+    views = view_tensor(ds.features, config.augmentation)
+    z = bundle.frozen.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
+    weights = view_weights(config.augmentation)
+    per_sample = np.einsum("v,nvd->nd", weights, z)
+    for k in range(ds.num_classes):
+        np.testing.assert_allclose(
+            bundle.stats.centers[k], per_sample[ds.labels == k].mean(axis=0), atol=1e-12
+        )
 
 
 def test_population_cross_corr_matches_direct_moments():
@@ -629,15 +703,13 @@ def test_population_cross_corr_matches_direct_moments():
         input_dim=2, hidden_dims=(4,), output_dim=2, norm_mode="batch_standardized",
         radius=1.0, seed=21,
     )
-    enc = freeze_encoder(model, ds, aug)
+    enc = _freeze(model, ds, aug)
     lam = 0.3
-    got = population_loss(enc, ds, aug, "cross_corr", lam=lam)
-    from augbound.augment import enumerate_views
-
+    got = population_loss(_embedded(enc, ds, aug), "cross_corr", lam=lam)
     weights = view_weights(aug)
     means = np.stack(
         [
-            weights @ enc.embed(enumerate_views(ds.features[i], aug).views)
+            weights @ enc.embed(view_tensor(ds.features[i], aug)[0])
             for i in range(ds.num_samples)
         ]
     )
@@ -655,7 +727,7 @@ def test_population_simple_antipodal_pair_has_zero_mean_penalty():
         features=feats, labels=np.array([0, 0]), num_classes=1, priors=(1.0,)
     )
     enc = _identity_sphere()
-    got = population_loss(enc, ds, IDENTITY_ONLY, "simple", lam=0.7)
+    got = population_loss(_embedded(enc, ds, IDENTITY_ONLY), "simple", lam=0.7)
     assert got.l1 == pytest.approx(-1.0, abs=1e-12)  # perfectly aligned views
     assert got.l2 == pytest.approx(0.0, abs=1e-12)  # antipodal embeddings cancel
     assert got.total == pytest.approx(-1.0, abs=1e-12)
@@ -665,7 +737,7 @@ def test_population_loss_rejects_unknown_kind():
     ds = _tiny_dataset()
     enc = _identity_sphere()
     with pytest.raises(ValueError, match="unknown"):
-        population_loss(enc, ds, IDENTITY_ONLY, "triplet")
+        population_loss(_embedded(enc, ds, IDENTITY_ONLY), "triplet")
 
 
 def test_freeze_rejects_unevaluable_modes():
@@ -675,7 +747,7 @@ def test_freeze_rejects_unevaluable_modes():
         radius=1.0, seed=22,
     )
     with pytest.raises(ValueError, match="sphere or batch_standardized"):
-        freeze_encoder(model, ds, IDENTITY_ONLY)
+        _freeze(model, ds, IDENTITY_ONLY)
 
 
 def test_embed_matches_model_forward_in_sphere_mode():
@@ -684,7 +756,7 @@ def test_embed_matches_model_forward_in_sphere_mode():
         input_dim=2, hidden_dims=(4,), output_dim=2, norm_mode="sphere",
         radius=1.0, seed=24,
     )
-    enc = freeze_encoder(model, ds, IDENTITY_ONLY)
+    enc = _freeze(model, ds, IDENTITY_ONLY)
     from augbound.encoder import forward
 
     np.testing.assert_array_equal(enc.embed(ds.features), forward(model, ds.features))

@@ -14,11 +14,21 @@ only overestimate the true minimal view distance, never undershoot it.
 ``view_tensor`` builds the grid one continuous member at a time, applying
 each once per grid value to all the rows built so far: r calls per member.
 
+Squared distances are summed over the coordinates left to right, the order
+of ``scipy.spatial.distance.cdist``, whose values they equal bit for bit
+(``_sqeuclidean``); the package itself needs numpy only.
+
 ``distance_matrix`` computes the augmented distances of a whole class over
 the upper triangle only, in square tiles of at most ``TILE_BYTES`` (2 MiB)
-of squared view distances, so its extra memory is one tile plus the N×N
-output and the N·V·D views; each entry is bit-identical to the pairwise
-``augmented_distance``.
+of view pairs, so its extra memory is about one tile plus the N×N output,
+the N·V·D views and their lifted N·V·(D+2) copy. A tile is one BLAS GEMM
+on lifted views, ``[-2ĉ, 1, ‖ĉ‖²]`` times ``[ĉ, ‖ĉ‖², 1]`` with ĉ the views
+centered on their mean, which gives every squared view distance up to a
+derived rounding bound E = 10·(D + 4)·(eps·max‖ĉ‖² + tiny). Only the view
+pairs whose GEMM value lies within 2E of their sample pair's smallest one
+can hold its minimum; those few are recomputed with the exact formula, so
+each entry is bit-identical to the pairwise ``augmented_distance``.
+``distance_matrix``'s docstring derives the bound.
 
 ``distance_matrix`` and the population InfoNCE of ``evaluation`` share one
 split rule (``_tile_budget`` and ``_run_split``). A job that fits one
@@ -26,8 +36,8 @@ split rule (``_tile_budget`` and ``_run_split``). A job that fits one
 into tiles of at most ``TILE_BYTES // _WORKERS``, and with two usable CPUs
 the calling thread works through every other tile while one helper thread,
 started for that call, works through the rest; the tiles in flight still
-total at most one ``TILE_BYTES``. ``cdist`` and numpy's ufuncs release the
-GIL, so the two shares run in parallel. Each tile writes its own slice of
+total at most one ``TILE_BYTES``. BLAS and numpy's ufuncs release the GIL,
+so the two shares run in parallel. Each tile writes its own slice of
 the output, so results do not depend on the worker count or the tiling. A
 call uses at most one helper thread; pinning the process to one CPU
 (``taskset -c 0``) makes both kernels single-threaded.
@@ -51,7 +61,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import Dataset
 
@@ -81,6 +90,9 @@ _CONTINUOUS_RULES = ("additive_shift", "rotation_2d_subspace", "scale")
 # Byte budget of one float64 tile of squared view distances in
 # ``distance_matrix``; ``evaluation`` tiles its InfoNCE pair terms by it too.
 TILE_BYTES = 2 << 20
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _usable_cpus() -> int:
@@ -407,10 +419,28 @@ def augmented_distance(x1: np.ndarray, x2: np.ndarray, aug: AugmentationSet) -> 
     b = np.asarray(x2, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("augmented_distance expects two vectors of equal dimension")
-    va = view_tensor(a, aug)[0]
-    vb = view_tensor(b, aug)[0]
-    d2 = cdist(va, vb, "sqeuclidean")
+    va = view_tensor(a, aug)[0].T
+    vb = view_tensor(b, aug)[0].T
+    d2 = _sqeuclidean(va[:, :, None], vb[:, None, :])
     return float(np.sqrt(max(d2.min(), 0.0)))
+
+
+def _sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of broadcast ``a`` and ``b``, coordinates
+    along the first axis.
+
+    The squared coordinate differences are summed left to right,
+    ``s = d0·d0; s += d1·d1; ...``,
+    which is the order of ``scipy.spatial.distance.cdist(..., "sqeuclidean")``,
+    so every value equals cdist's bit for bit. (Pairwise summation, as
+    ``sum`` does along a contiguous axis, differs from it for D >= 8.)
+    """
+    sq = a - b
+    sq *= sq
+    out = sq[0].copy()
+    for term in sq[1:]:
+        out += term
+    return out
 
 
 def distance_matrix(
@@ -421,52 +451,190 @@ def distance_matrix(
     """Pairwise augmented distances, optionally restricted to one class.
 
     Returns an (N, N) symmetric matrix with zero diagonal where N is the
-    number of selected samples (row order follows dataset order). Only the
-    upper triangle is computed, in square tiles of ``side`` samples per axis
-    whose (side·V)² squared view distances fit in the tile budget (one
-    sample per side at least); each tile is written to both triangles.
+    number of selected samples (row order follows dataset order). Every
+    entry is bit-identical to ``augmented_distance`` of the two points,
+    whatever the worker count or tiling.
 
-    The budget is ``TILE_BYTES`` when the whole (N·V)² job fits it, which
-    then runs inline as a single tile. Otherwise it is
-    ``TILE_BYTES // _WORKERS``, and the calling thread computes every other
-    tile while one helper thread computes the rest (``_run_split``). Extra
-    memory is one ``TILE_BYTES`` plus the output and the N·V·D views.
+    Only the upper triangle is searched, in square tiles of ``side`` samples
+    per axis whose (side·V)² view pairs fit the tile budget at 8 bytes each
+    (one sample per side at least). The budget is ``TILE_BYTES`` when the
+    whole (N·V)² job fits it, which then runs inline as a single tile.
+    Otherwise it is ``TILE_BYTES // _WORKERS``, and the calling thread works
+    through every other tile while one helper thread works through the rest
+    (``_run_split``). Extra memory is about one ``TILE_BYTES`` plus the
+    output, the N·V·D views and their lifted N·V·(D+2) copy.
 
-    Every entry is bit-identical to ``augmented_distance`` of the two points,
-    whatever the worker count or tiling, because squared distances are the
-    same in either argument order, the minimum is exact, and tiles write
-    disjoint blocks of the output.
+    A tile is one GEMM: with ĉ the views centered on their mean and
+    q = ‖ĉ‖², the rows ``[-2ĉ, 1, q]`` times the lifted views ``[ĉ, q, 1]``
+    give every squared view distance approximately, and the tile keeps
+    only, for each column, its minimum over each row sample's views
+    (``_tile_colmin``). Once a thread has done its tiles of a row of tiles,
+    ``_column_limits`` gives each sample pair the limit m + 2E below and
+    picks the columns that reach it; those columns are recomputed against
+    the row samples' views in one more GEMM, and the view pairs that reach
+    the limit are the candidates, a few per sample pair. Only they are
+    recomputed with the exact left-to-right formula of ``_sqeuclidean``,
+    and the smallest is the exact minimum. Views that repeat an earlier
+    view of every sample bit for bit (``_distinct_views``) are left out of
+    the candidates, as their distances repeat too. Tiles write disjoint
+    entries, and the lower triangle is the upper one's mirror, since squared
+    distances are the same in either argument order.
+
+    The filter is sound by a rounding bound. Let M = max q, eps the machine
+    epsilon and u = eps/2 the unit roundoff, and write γ_n = n·u for the
+    bound on an n-term inner product computed in any order (Higham 2002,
+    §3.1). Then any GEMM value g of a view pair, whatever the kernel, is
+    within E = 10·(D + 4)·(eps·M + tiny) of the exact formula's value c on
+    the uncentered views a, b, because to first order in u:
+
+    - g is an inner product of D + 2 terms of total size at most 4M, and
+      each q carries an error of at most γ_D·M:
+      |g − ‖ĉ_a − ĉ_b‖²| ≤ (4γ_{D+2} + 2γ_D)·M;
+    - centering rounds each coordinate by u relative, so ĉ_a − ĉ_b is
+      a − b up to 2u·√M, which moves the squared norm by at most 8u·M;
+    - c rounds each of its D + 2 steps and ‖a − b‖² ≤ 4M, so
+      |c − ‖a − b‖²| ≤ 4γ_{D+2}·M.
+
+    These add up to (10D + 24)·u·M = (5D + 12)·eps·M. The factor 10 instead
+    of 5 covers the second-order terms and the rounding of M, E and the
+    limit below; ``tiny``, the smallest normal float, covers underflow.
+    Within a sample pair let p minimize c over the pairs of distinct views
+    and let m be the pair's smallest tile GEMM value. Then g_p ≤ c_p + E ≤ c_q + E ≤ m + 2E for the view pair
+    q that attains m, with g_p from the tile or from any other GEMM. So p's
+    column reaches the limit m + 2E in its tile, and p itself reaches it
+    when its column is recomputed: every view pair that does is a candidate.
     """
     if class_filter is None:
         points = dataset.features
     else:
         points = dataset.features[dataset.class_indices(class_filter)]
-    n = points.shape[0]
     views = view_tensor(points, aug)
-    v = views.shape[1]
-    flat = views.reshape(n * v, -1)
+    n, v, d = views.shape
+    coords = np.ascontiguousarray(views.reshape(n * v, d).T)
+    keep = _distinct_views(views)
+    distinct = keep.nonzero()[0]
+    del views
+    lifted, bound = _lifted(coords)
     budget = _tile_budget(8 * (n * v) ** 2, TILE_BYTES)
     side = max(1, math.isqrt(budget // 8) // v)
-    out = np.empty((n, n))
+    out = np.full((n, n), np.inf)
+
+    def finish(i0: int, left: np.ndarray, parts: list[tuple[int, np.ndarray]]) -> None:
+        colmin = np.concatenate([m for _, m in parts], axis=1)
+        starts = v * np.array([j0 for j0, _ in parts])
+        colview = (starts[:, None] + np.arange(side * v)).reshape(-1)[: colmin.shape[1]]
+        limit, colview = _column_limits(colmin, colview, bound, v, i0, keep)
+        # Recompute the columns some row sample's limit reaches against the
+        # row samples' distinct views, half a tile budget of values at a time.
+        ni, w = colmin.shape[0], distinct.size
+        left = left.reshape(ni, v, -1)[:, distinct].reshape(ni * w, -1)
+        rowview = (v * np.arange(i0, i0 + ni)[:, None] + distinct).reshape(-1)
+        step = max(1, budget // (16 * ni * w))
+        for lo in range(0, colview.size, step):
+            cols = colview[lo : lo + step]
+            g = left @ lifted.take(cols, axis=0).T
+            hit = (g.reshape(ni, w, -1) <= limit[:, None, lo : lo + step]).reshape(-1).nonzero()[0]
+            row = hit // cols.size
+            r, c = rowview[row], cols[hit - row * cols.size]
+            exact = _sqeuclidean(coords.take(r, axis=1), coords.take(c, axis=1))
+            np.minimum.at(out.reshape(-1), r // v * n + c // v, exact)
 
     def work(tiles: Sequence[tuple[int, int]]) -> None:
-        for i0, j0 in tiles:
-            i1 = min(i0 + side, n)
-            j1 = min(j0 + side, n)
-            # One expression, so the previous tile's distances are freed before
-            # the next tile's are allocated; both minima run on contiguous axes.
-            tile = (
-                cdist(flat[i0 * v : i1 * v], flat[j0 * v : j1 * v], "sqeuclidean")
-                .reshape(i1 - i0, v, j1 - j0, v)
-                .min(axis=1).min(axis=2)
-            )
-            out[i0:i1, j0:j1] = tile
-            out[j0:j1, i0:i1] = tile.T
+        parts: list[tuple[int, np.ndarray]] = []
+        held = 0
+        for k, (i0, j0) in enumerate(tiles):
+            if not parts:
+                left = _left_operand(lifted[i0 * v : (i0 + side) * v])
+            colmin = _tile_colmin(left, lifted[j0 * v : (j0 + side) * v], v)
+            parts.append((j0, colmin))
+            held += colmin.nbytes
+            # A thread finishes a row of tiles at once, or a part of one
+            # when its column minima reach an eighth of the budget.
+            if k + 1 == len(tiles) or tiles[k + 1][0] != i0 or 8 * held >= budget:
+                finish(i0, left, parts)
+                parts, held = [], 0
 
     _run_split(work, [(i0, j0) for i0 in range(0, n, side) for j0 in range(i0, n, side)])
+    out = np.minimum(out, out.T)
     out = np.sqrt(np.maximum(out, 0.0))
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _distinct_views(views: np.ndarray) -> np.ndarray:
+    """Mask (V,) of the views of (N, V, D) ``views`` that do not repeat, in
+    every sample bit for bit, an earlier view (a rotation at angle 0 repeats
+    the identity, for one)."""
+    n, v, d = views.shape
+    rows = np.ascontiguousarray(views.transpose(1, 0, 2)).reshape(v, n * d)
+    keys = rows.view(np.dtype((np.void, 8 * n * d))).reshape(v)
+    keep = np.zeros(v, dtype=bool)
+    keep[np.unique(keys, return_index=True)[1]] = True
+    return keep
+
+
+def _lifted(coords: np.ndarray) -> tuple[np.ndarray, float]:
+    """The lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords`` and the bound E.
+
+    ĉ are the views centered on their mean and q = ‖ĉ‖²; see
+    ``distance_matrix`` for E.
+    """
+    d, nv = coords.shape
+    lifted = np.empty((nv, d + 2))
+    centered = lifted[:, :d]
+    np.subtract(coords.T, coords.mean(axis=1), out=centered)
+    lifted[:, d] = np.einsum("ij,ij->i", centered, centered)
+    lifted[:, d + 1] = 1.0
+    bound = 10.0 * (d + 4) * (_EPS * float(lifted[:, d].max(initial=0.0)) + _TINY)
+    return lifted, bound
+
+
+def _left_operand(lifted: np.ndarray) -> np.ndarray:
+    """Rows ``[-2ĉ, 1, q]`` for lifted views ``[ĉ, q, 1]``; exact, as -2 is a power of two."""
+    d = lifted.shape[1] - 2
+    left = np.empty_like(lifted)
+    np.multiply(lifted[:, :d], -2.0, out=left[:, :d])
+    left[:, d] = lifted[:, d + 1]
+    left[:, d + 1] = lifted[:, d]
+    return left
+
+
+def _tile_colmin(left: np.ndarray, right: np.ndarray, v: int) -> np.ndarray:
+    """GEMM values of one tile, each column's minimum over each row sample's views.
+
+    ``left`` holds the ni·V rows ``[-2ĉ, 1, q]`` of the tile's row samples
+    and ``right`` the lifted views ``[ĉ, q, 1]`` of its column samples;
+    returns (ni, nj·V).
+    """
+    g = left @ right.T
+    return g.reshape(left.shape[0] // v, v, right.shape[0]).min(axis=1)
+
+
+def _column_limits(
+    colmin: np.ndarray, colview: np.ndarray, bound: float, v: int, i0: int, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of one row of tiles that may hold a candidate, and their limits.
+
+    ``colmin`` (ni, W) holds the column minima of a thread's tiles of the row
+    whose samples start at ``i0``, and ``colview`` (W,) the view index of
+    each column. The limit of a sample pair is its smallest GEMM value plus
+    2E; a column may hold a candidate of a row sample when its minimum over
+    that sample's views reaches the limit. Returns the (ni, U) limits of the
+    U columns of views in ``keep`` that some row sample's limit reaches, and
+    their view indices. A sample paired with itself gets no limit: its
+    distance is zero.
+    """
+    ni = colmin.shape[0]
+    # A transposed copy makes the minimum over each pair's V columns run
+    # over long contiguous rows whatever V.
+    limit = colmin.reshape(-1, v).T.copy().min(axis=0).reshape(ni, -1)
+    limit += 2.0 * bound
+    if colview[0] == i0 * v:
+        # The row's diagonal tile comes first.
+        np.fill_diagonal(limit, -np.inf)
+    limit = np.repeat(limit, v, axis=1)
+    used = ((colmin <= limit).any(axis=0) & keep[colview % v]).nonzero()[0]
+    return limit.take(used, axis=1), colview[used]
 
 
 def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Generator) -> np.ndarray:

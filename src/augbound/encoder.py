@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import expit
 
 from . import losses as losses_mod
 from .augment import (
@@ -416,7 +415,7 @@ def _loss_and_gradient(
     blocks = dz.reshape(-1, b, z.shape[1])
     if config.loss == "info_nce":
         pos, neg, l1, l2 = losses_mod._info_nce_terms(z1, z2, zn)
-        p_neg = expit(neg - pos)[:, None]
+        p_neg = _expit(neg - pos)[:, None]
         np.multiply(p_neg, zn - z2, out=blocks[0])
         np.multiply(p_neg, z1, out=blocks[2])
         blocks[::2] /= b
@@ -441,6 +440,23 @@ def _loss_and_gradient(
     d_pre_norm = _norm_backward(model, cache, dz)
     grad = _layers_backward(model, activations, d_pre_norm)
     return losses_mod.recompose(config.loss, l1, l2, lam), l1, l2, grad
+
+
+def _expit(t: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-t)) of a 1-d array.
+
+    Uses libm's ``exp`` through ``math.exp``, as ``scipy.special.expit``
+    does, so the values are the same; numpy's vectorized ``exp`` differs
+    from libm in the last bit on some inputs.
+    """
+    return np.array([_logistic(x) for x in t.tolist()], dtype=np.float64)
+
+
+def _logistic(x: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) exceeds the largest float: 1 / inf
+        return 0.0
 
 
 def train(

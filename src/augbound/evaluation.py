@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import losses as losses_mod
-from .augment import TILE_BYTES, _run_split, _tile_budget
+from .augment import TILE_BYTES, _run_split, _sqeuclidean, _tile_budget
 from .core import Dataset
 from .encoder import EncoderModel, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
@@ -155,10 +154,19 @@ def embed_views(
 
 
 def _spreads(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape[0])
-    for i in range(z.shape[0]):
-        out[i] = np.sqrt(max(cdist(z[i], z[i], "sqeuclidean").max(), 0.0))
-    return out
+    """Largest distance between two views of each sample, for (N, V, d) ``z``.
+
+    Samples go in chunks whose (d + 1)·V² squared differences and distances
+    fit ``TILE_BYTES``.
+    """
+    n, v, d = z.shape
+    coords = z.transpose(2, 0, 1)
+    chunk = max(1, TILE_BYTES // (8 * (d + 1) * v * v))
+    out = np.empty(n)
+    for s in range(0, n, chunk):
+        block = coords[:, s : s + chunk]
+        out[s : s + chunk] = _sqeuclidean(block[..., :, None], block[..., None, :]).max(axis=(1, 2))
+    return np.sqrt(np.maximum(out, 0.0))
 
 
 @dataclass(frozen=True)
@@ -214,7 +222,7 @@ def nn_classify(stats: ClassStats, z: np.ndarray) -> int:
 
 def classify_batch(stats: ClassStats, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    d2 = cdist(z, stats.centers, "sqeuclidean")
+    d2 = _sqeuclidean(z.T[:, :, None], stats.centers.T[:, None, :])
     return np.argmin(d2, axis=1)
 
 

@@ -1,16 +1,31 @@
-"""Timing of ``augment.distance_matrix`` and ``augment.view_tensor`` on the ladder ring task.
+"""Timing of ``augment.distance_matrix`` on the scale-ladder shapes, next to a cdist kernel.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
-Run it on its own with
+Run it on its own, with one BLAS thread as the benchmark harness pins it:
 
-    python -m pytest tests/microbench_distance.py
+    OPENBLAS_NUM_THREADS=1 python -m pytest tests/microbench_distance.py \\
+        --benchmark-group-by=param:shape
 
-The cases use the interleaved two-ring task with identity plus a rotation,
-a scaling and a shift at grid 5 (126 views): one class of the ``n64_v126``
-rung of the ``scale_ladder`` benchmark for ``distance_matrix``, and the
-whole dataset of the ``n96_v126`` rung (192 points) for ``view_tensor``.
+Each ``distance_matrix`` case is one class of the interleaved two-ring task
+at one of the 12 shapes of the ``scale_ladder`` benchmark: 14, 32, 64 or 96
+samples per class, times identity plus a rotation, a scaling and a shift at
+grid 5, the first one, two or three of them (6, 26 or 126 views). Every
+shape is timed twice, with the package's kernel (``numpy``: one GEMM per
+tile, then the exact formula on the few view pairs that may hold a minimum)
+and with ``_cdist_distance_matrix`` (``cdist``: the same tiles and threads,
+each one ``scipy.spatial.distance.cdist`` call and two minima), so the two
+can be compared shape by shape; both return the same matrix bit for bit.
+``view_tensor`` is timed on the whole dataset of the ``n96_v126`` rung.
 """
 
+import math
+from collections.abc import Sequence
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+from augbound import augment
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
@@ -37,24 +52,62 @@ def _ring_dataset(samples_per_class):
     )
 
 
-_AUG_126 = AugmentationSet(
-    transforms=(
-        identity(),
-        rotation_2d((0, 1), 1.4, 2.0),
-        scaling(0.85, 1.15, 2.0),
-        additive_shift((0.0, 0.25, 0.0)),
-    ),
-    grid_resolution=5,
+_TRANSFORMS = (
+    rotation_2d((0, 1), 1.4, 2.0),
+    scaling(0.85, 1.15, 2.0),
+    additive_shift((0.0, 0.25, 0.0)),
 )
+_AUGS = {
+    1 + 5**k: AugmentationSet((identity(), *_TRANSFORMS[:k]), grid_resolution=5)
+    for k in (1, 2, 3)
+}
+_SHAPES = [(n, v) for n in (14, 32, 64, 96) for v in (6, 26, 126)]
 
 
-def test_distance_matrix_64_per_class_126_views(benchmark):
-    assert _AUG_126.num_views == 126
-    matrix = benchmark(distance_matrix, _ring_dataset(64), _AUG_126, class_filter=0)
-    assert matrix.shape == (64, 64)
+def _cdist_distance_matrix(dataset, aug, class_filter=None):
+    """The tiled kernel with one cdist call per tile of squared view distances."""
+    if class_filter is None:
+        points = dataset.features
+    else:
+        points = dataset.features[dataset.class_indices(class_filter)]
+    views = view_tensor(points, aug)
+    n, v, d = views.shape
+    flat = views.reshape(n * v, d)
+    budget = augment._tile_budget(8 * (n * v) ** 2, augment.TILE_BYTES)
+    side = max(1, math.isqrt(budget // 8) // v)
+    out = np.empty((n, n))
+
+    def work(tiles: Sequence[tuple[int, int]]) -> None:
+        for i0, j0 in tiles:
+            i1, j1 = min(i0 + side, n), min(j0 + side, n)
+            tile = (
+                cdist(flat[i0 * v : i1 * v], flat[j0 * v : j1 * v], "sqeuclidean")
+                .reshape(i1 - i0, v, j1 - j0, v)
+                .min(axis=1).min(axis=2)
+            )
+            out[i0:i1, j0:j1] = tile
+            out[j0:j1, i0:i1] = tile.T
+
+    augment._run_split(work, [(i0, j0) for i0 in range(0, n, side) for j0 in range(i0, n, side)])
+    out = np.sqrt(np.maximum(out, 0.0))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+_KERNELS = {"numpy": distance_matrix, "cdist": _cdist_distance_matrix}
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+@pytest.mark.parametrize("shape", [f"n{n}_v{v}" for n, v in _SHAPES])
+def test_distance_matrix_ladder_shape(benchmark, shape, kernel):
+    n, v = (int(part[1:]) for part in shape.split("_"))
+    dataset, aug = _ring_dataset(n), _AUGS[v]
+    assert aug.num_views == v
+    matrix = benchmark(_KERNELS[kernel], dataset, aug, class_filter=0)
+    np.testing.assert_array_equal(matrix, _cdist_distance_matrix(dataset, aug, class_filter=0))
 
 
 def test_view_tensor_192_points_126_views(benchmark):
     points = _ring_dataset(96).features
-    views = benchmark(view_tensor, points, _AUG_126)
+    views = benchmark(view_tensor, points, _AUGS[126])
     assert views.shape == (192, 126, 3)

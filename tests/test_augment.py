@@ -33,7 +33,7 @@ from augbound.augment import (
     view_tensor,
     view_weights,
 )
-from augbound.core import GeneratorConfig, generate_dataset
+from augbound.core import Dataset, GeneratorConfig, generate_dataset
 
 
 def identity_only() -> AugmentationSet:
@@ -312,12 +312,13 @@ def test_distance_matrix_does_not_depend_on_workers_or_tiling(
     started = split_workers(workers)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
     tile_rows = []
+    tile_colmin = augment._tile_colmin
 
-    def counting_cdist(a, b, metric):
-        tile_rows.append(a.shape[0])
-        return cdist(a, b, metric)
+    def counting_tile(left, right, v):
+        tile_rows.append(left.shape[0])
+        return tile_colmin(left, right, v)
 
-    monkeypatch.setattr(augment, "cdist", counting_cdist)
+    monkeypatch.setattr(augment, "_tile_colmin", counting_tile)
     m = distance_matrix(ds, _RING_V26)
     assert len(tile_rows) == tiles
     assert min(tile_rows) < max(tile_rows)
@@ -357,12 +358,13 @@ def test_distance_matrix_126_views_matches_row_blocks_on_several_tiles(
     started = split_workers(workers)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
     tile_rows = []
+    tile_colmin = augment._tile_colmin
 
-    def counting_cdist(a, b, metric):
-        tile_rows.append((a.shape[0], b.shape[0]))
-        return cdist(a, b, metric)
+    def counting_tile(left, right, v):
+        tile_rows.append((left.shape[0], right.shape[0]))
+        return tile_colmin(left, right, v)
 
-    monkeypatch.setattr(augment, "cdist", counting_cdist)
+    monkeypatch.setattr(augment, "_tile_colmin", counting_tile)
     m = distance_matrix(ds, _RING_V126, class_filter=0)
     assert _RING_V126.num_views == 126
     assert len(tile_rows) == tiles
@@ -385,8 +387,9 @@ def test_distance_matrix_error_in_either_share_propagates_after_the_join(
     baseline = threading.active_count()
     caller = threading.current_thread()
     calls = []
+    tile_colmin = augment._tile_colmin
 
-    def cdist_failing_on_third_tile(a, b, metric):
+    def tile_failing_on_third_call(left, right, v):
         in_helper = threading.current_thread() is not caller
         if in_helper == fail_in_helper:
             calls.append(None)
@@ -395,9 +398,9 @@ def test_distance_matrix_error_in_either_share_propagates_after_the_join(
         else:
             # The other share is still running when the error is raised.
             time.sleep(0.005)
-        return cdist(a, b, metric)
+        return tile_colmin(left, right, v)
 
-    monkeypatch.setattr(augment, "cdist", cdist_failing_on_third_tile)
+    monkeypatch.setattr(augment, "_tile_colmin", tile_failing_on_third_call)
     with pytest.raises(_Injected, match="third tile"):
         distance_matrix(_ring_dataset(25), _RING_V26)
     assert threading.active_count() == baseline
@@ -443,6 +446,87 @@ def test_distance_matrix_memory_bound_holds_with_two_workers(split_workers):
     started = split_workers(2)
     test_distance_matrix_memory_is_one_tile_plus_output_and_views()
     assert len(started) == 1
+
+
+def test_distance_matrix_memory_bound_holds_with_one_worker(split_workers):
+    # One thread gets tiles twice as large; the bound is the same.
+    started = split_workers(1)
+    test_distance_matrix_memory_is_one_tile_plus_output_and_views()
+    assert started == []
+
+
+def _one_class(points):
+    points = np.asarray(points, dtype=np.float64)
+    return Dataset(points, np.zeros(len(points), dtype=np.int64), 1, (1.0,))
+
+
+def _random_class(n, dim, seed):
+    return _one_class(np.random.default_rng(seed).standard_normal((n, dim)))
+
+
+def _rich_aug(dim, seed):
+    # V = 1 + 3 * 3: a scaling and a shift on a 3-point grid.
+    direction = np.random.default_rng(seed).standard_normal(dim)
+    return AugmentationSet(
+        (identity(), scaling(0.5, 1.5, 10.0), additive_shift(tuple(direction))), grid_resolution=3
+    )
+
+
+_HARD_CASES = {
+    # Points near 1e6 a thousandth apart: the GEMM's squared norms are about
+    # 1e12, so only the centering keeps the filter's bound small.
+    "cancellation": (
+        _one_class(1e6 + 1e-3 * np.random.default_rng(1).standard_normal((30, 3))),
+        AugmentationSet(
+            (identity(), additive_shift((1e-3, 0.0, 0.0)), rotation_2d((0, 1), 1e-9, 2e6)),
+            grid_resolution=3,
+        ),
+    ),
+    "duplicate points": (
+        _one_class(np.repeat(np.random.default_rng(2).standard_normal((6, 3)), 4, axis=0)),
+        _RING_V26,
+    ),
+    # Rotations at theta = 0 repeat the identity view; with max_angle 0 all
+    # six views of a point coincide, so every view pair ties.
+    "duplicate views": (_ring_dataset(20), AugmentationSet((identity(), _RING_ROTATION), 5)),
+    "all views equal": (
+        _ring_dataset(20), AugmentationSet((identity(), rotation_2d((0, 1), 0.0, 2.0)), 5)
+    ),
+    "D=1": (_random_class(40, 1, 3), _rich_aug(1, 3)),
+    "D=2": (_random_class(40, 2, 4), _rich_aug(2, 4)),
+    "D=3": (_random_class(40, 3, 5), _rich_aug(3, 5)),
+    "D=8": (_random_class(40, 8, 6), _rich_aug(8, 6)),
+    "V=1": (_random_class(40, 3, 7), AugmentationSet((identity(),))),
+    "N=1": (_random_class(1, 3, 8), _rich_aug(3, 8)),
+    "N=2": (_random_class(2, 3, 9), _rich_aug(3, 9)),
+    "multi-tile": (_ring_dataset(50), _RING_V126),
+}
+
+
+@pytest.mark.parametrize("case", list(_HARD_CASES))
+def test_distance_matrix_is_exact_in_hard_cases(case):
+    ds, aug = _HARD_CASES[case]
+    if case == "multi-tile":
+        assert 8 * (ds.features.shape[0] * aug.num_views) ** 2 > TILE_BYTES
+    m = distance_matrix(ds, aug)
+    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, aug))
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_squared_distances_equal_cdist_bit_for_bit(dim):
+    # Coordinates of mixed scales and offsets, so that the summation order
+    # shows in the last bits.
+    rng = np.random.default_rng(dim)
+    scale = 10.0 ** rng.uniform(-3, 3, dim)
+    a = rng.standard_normal((60, dim)) * scale + rng.standard_normal(dim) * scale
+    b = rng.standard_normal((50, dim)) * scale
+    np.testing.assert_array_equal(
+        augment._sqeuclidean(a.T[:, :, None], b.T[:, None, :]), cdist(a, b, "sqeuclidean")
+    )
+    aug = _rich_aug(dim, dim)
+    for x, y in zip(a[:8], b[:8]):
+        d2 = cdist(view_tensor(x, aug)[0], view_tensor(y, aug)[0], "sqeuclidean")
+        assert augmented_distance(x, y, aug) == np.sqrt(max(d2.min(), 0.0))
 
 
 def test_sample_view_pair_identity_only_returns_the_point():

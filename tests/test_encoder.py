@@ -492,6 +492,17 @@ def test_make_train_batch_shapes_and_determinism():
     assert b3.negatives is None
 
 
+def test_info_nce_factor_equals_scipy_expit():
+    from scipy.special import expit
+
+    t = np.concatenate([
+        np.linspace(-50.0, 50.0, 200_001),
+        [-np.inf, -1e300, -746.0, -709.79, -709.78, -709.0, -1e-300, -5e-324, -0.0,
+         0.0, 5e-324, 1e-300, 709.0, 710.0, 746.0, 1e300, np.inf, np.nan],
+    ])
+    np.testing.assert_array_equal(encoder._expit(t), expit(t))
+
+
 def test_operator_norm_matches_svd():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -166,6 +166,25 @@ def test_classifier_forms_agree():
     np.testing.assert_array_equal(batched[:200], scan)
 
 
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_classifier_and_spreads_match_their_cdist_forms(dim):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(100 + dim)
+    scale = 10.0 ** rng.uniform(-2, 2, dim)
+    stats = ClassStats(
+        centers=rng.normal(size=(5, dim)) * scale, priors=(0.2,) * 5, radius=1.0
+    )
+    z = rng.normal(size=(400, dim)) * scale
+    np.testing.assert_array_equal(
+        classify_batch(stats, z), np.argmin(cdist(z, stats.centers, "sqeuclidean"), axis=1)
+    )
+    # 30 samples of 126 views take several TILE_BYTES chunks.
+    views = rng.normal(size=(30, 126, dim)) * scale
+    expected = [np.sqrt(max(cdist(x, x, "sqeuclidean").max(), 0.0)) for x in views]
+    np.testing.assert_array_equal(evaluation._spreads(views), expected)
+
+
 def test_error_rate_zero_one_and_recount():
     ds = _blobs(seed=5)
     enc = _identity_sphere()

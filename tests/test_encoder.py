@@ -513,6 +513,20 @@ def test_operator_norm_matches_svd():
     assert operator_norm(3.0 * np.eye(4)) == pytest.approx(3.0, abs=1e-10)
 
 
+def test_operator_norm_never_falls_below_the_svd_value():
+    # Random 1-8 x 1-8 matrices, a third of them with near-equal top
+    # singular values, where power iteration converges slowest.
+    rng = np.random.default_rng(13)
+    for k in range(3000):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        w = rng.normal(size=(m, n))
+        if k % 3 == 0 and min(m, n) >= 2:
+            u, s, vt = np.linalg.svd(w, full_matrices=False)
+            s[1] = s[0] * (1.0 - 10.0 ** rng.uniform(-9, -3))
+            w = (u * s) @ vt
+        assert operator_norm(w) >= np.linalg.svd(w, compute_uv=False)[0]
+
+
 def test_lipschitz_scaled_identity_layer():
     layer = Layer(weight=2.0 * np.eye(3), bias=np.zeros(3), activation="identity")
     model = EncoderModel(layers=(layer,), norm_mode="none", radius=1.0)

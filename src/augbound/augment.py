@@ -455,10 +455,13 @@ def distance_matrix(
     entry is bit-identical to ``augmented_distance`` of the two points,
     whatever the worker count or tiling.
 
-    Only the upper triangle is searched, in square tiles of ``side`` samples
-    per axis whose (side·V)² view pairs fit the tile budget at 8 bytes each
-    (one sample per side at least). The budget is ``TILE_BYTES`` when the
-    whole (N·V)² job fits it, which then runs inline as a single tile.
+    A job whose (D + 1)·(N·V)² squared differences and distances fit in
+    ``TILE_BYTES`` at 8 bytes each computes every view pair with the exact
+    formula of ``_sqeuclidean``. A larger job searches only the upper
+    triangle, in square tiles of ``side`` samples per axis whose (side·V)²
+    view pairs fit the tile budget at 8 bytes each (one sample per side at
+    least). The budget is ``TILE_BYTES`` when the whole (N·V)² job fits it,
+    which then runs inline as a single tile.
     Otherwise it is ``TILE_BYTES // _WORKERS``, and the calling thread works
     through every other tile while one helper thread works through the rest
     (``_run_split``). Extra memory is about one ``TILE_BYTES`` plus the
@@ -511,6 +514,10 @@ def distance_matrix(
     views = view_tensor(points, aug)
     n, v, d = views.shape
     coords = np.ascontiguousarray(views.reshape(n * v, d).T)
+    if (d + 1) * 8 * (n * v) ** 2 <= TILE_BYTES:
+        # A job this small costs less with the exact formula on every pair.
+        sq = _sqeuclidean(coords[:, :, None], coords[:, None, :])
+        return _finish_distances(sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
     keep = _distinct_views(views)
     distinct = keep.nonzero()[0]
     del views
@@ -555,8 +562,12 @@ def distance_matrix(
                 parts, held = [], 0
 
     _run_split(work, [(i0, j0) for i0 in range(0, n, side) for j0 in range(i0, n, side)])
-    out = np.minimum(out, out.T)
-    out = np.sqrt(np.maximum(out, 0.0))
+    return _finish_distances(np.minimum(out, out.T))
+
+
+def _finish_distances(sq: np.ndarray) -> np.ndarray:
+    """Distances from the (N, N) smallest squared view distances, zero diagonal."""
+    out = np.sqrt(np.maximum(sq, 0.0))
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -472,6 +472,9 @@ def _rich_aug(dim, seed):
     )
 
 
+_RING_V290 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=17)
+
+# Each job is too large for the all-pairs path, so it runs the GEMM filter.
 _HARD_CASES = {
     # Points near 1e6 a thousandth apart: the GEMM's squared norms are about
     # 1e12, so only the centering keeps the filter's bound small.
@@ -488,17 +491,17 @@ _HARD_CASES = {
     ),
     # Rotations at theta = 0 repeat the identity view; with max_angle 0 all
     # six views of a point coincide, so every view pair ties.
-    "duplicate views": (_ring_dataset(20), AugmentationSet((identity(), _RING_ROTATION), 5)),
+    "duplicate views": (_ring_dataset(30), AugmentationSet((identity(), _RING_ROTATION), 5)),
     "all views equal": (
-        _ring_dataset(20), AugmentationSet((identity(), rotation_2d((0, 1), 0.0, 2.0)), 5)
+        _ring_dataset(30), AugmentationSet((identity(), rotation_2d((0, 1), 0.0, 2.0)), 5)
     ),
     "D=1": (_random_class(40, 1, 3), _rich_aug(1, 3)),
     "D=2": (_random_class(40, 2, 4), _rich_aug(2, 4)),
     "D=3": (_random_class(40, 3, 5), _rich_aug(3, 5)),
     "D=8": (_random_class(40, 8, 6), _rich_aug(8, 6)),
-    "V=1": (_random_class(40, 3, 7), AugmentationSet((identity(),))),
-    "N=1": (_random_class(1, 3, 8), _rich_aug(3, 8)),
-    "N=2": (_random_class(2, 3, 9), _rich_aug(3, 9)),
+    "V=1": (_random_class(300, 3, 7), AugmentationSet((identity(),))),
+    "N=1": (_random_class(1, 3, 8), _RING_V290),
+    "N=2": (_random_class(2, 3, 9), _RING_V290),
     "multi-tile": (_ring_dataset(50), _RING_V126),
 }
 
@@ -506,8 +509,10 @@ _HARD_CASES = {
 @pytest.mark.parametrize("case", list(_HARD_CASES))
 def test_distance_matrix_is_exact_in_hard_cases(case):
     ds, aug = _HARD_CASES[case]
+    n, d = ds.features.shape
+    assert (d + 1) * 8 * (n * aug.num_views) ** 2 > TILE_BYTES
     if case == "multi-tile":
-        assert 8 * (ds.features.shape[0] * aug.num_views) ** 2 > TILE_BYTES
+        assert 8 * (n * aug.num_views) ** 2 > TILE_BYTES
     m = distance_matrix(ds, aug)
     np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, aug))
 

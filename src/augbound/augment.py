@@ -18,17 +18,19 @@ Squared distances are summed over the coordinates left to right, the order
 of ``scipy.spatial.distance.cdist``, whose values they equal bit for bit
 (``_sqeuclidean``); the package itself needs numpy only.
 
-``distance_matrix`` computes the augmented distances of a whole class over
-the upper triangle only, in square tiles of at most ``TILE_BYTES`` (2 MiB)
-of view pairs, so its extra memory is about one tile plus the N×N output,
-the N·V·D views and their lifted N·V·(D+2) copy. A tile is one BLAS GEMM
-on lifted views, ``[-2ĉ, 1, ‖ĉ‖²]`` times ``[ĉ, ‖ĉ‖², 1]`` with ĉ the views
-centered on their mean, which gives every squared view distance up to a
-derived rounding bound E = 10·(D + 4)·(eps·max‖ĉ‖² + tiny). Only the view
-pairs whose GEMM value lies within 2E of their sample pair's smallest one
-can hold its minimum; those few are recomputed with the exact formula, so
-each entry is bit-identical to the pairwise ``augmented_distance``.
-``distance_matrix``'s docstring derives the bound.
+``distance_matrix`` computes the augmented distances of a whole class. A
+small class takes the exact formula on every view pair; a larger one is
+searched over the upper triangle only, in square tiles of at most
+``TILE_BYTES`` (2 MiB) of view pairs, so its extra memory is about one
+tile plus the N×N output, the N·V·D views and their lifted N·V·(D+2)
+copy. A tile is one BLAS GEMM on lifted views, ``[-2ĉ, 1, ‖ĉ‖²]`` times
+``[ĉ, ‖ĉ‖², 1]`` with ĉ the views centered on their mean, which gives
+every squared view distance up to a derived rounding bound
+E = 10·(D + 4)·(eps·max‖ĉ‖² + tiny). Only the view pairs whose GEMM value
+lies within 2E of their sample pair's smallest one can hold its minimum;
+those few are recomputed with the exact formula, so each entry is
+bit-identical to the pairwise ``augmented_distance``. ``distance_matrix``'s
+docstring derives the bound.
 
 ``distance_matrix`` and the population InfoNCE of ``evaluation`` share one
 split rule (``_tile_budget`` and ``_run_split``). A job that fits one
@@ -430,10 +432,10 @@ def _sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     along the first axis.
 
     The squared coordinate differences are summed left to right,
-    ``s = d0·d0; s += d1·d1; ...``,
-    which is the order of ``scipy.spatial.distance.cdist(..., "sqeuclidean")``,
-    so every value equals cdist's bit for bit. (Pairwise summation, as
-    ``sum`` does along a contiguous axis, differs from it for D >= 8.)
+    ``s = d0·d0; s += d1·d1; ...``, which is the order of
+    ``scipy.spatial.distance.cdist(..., "sqeuclidean")``, so every value
+    equals cdist's bit for bit. (Pairwise summation, as ``sum`` does along a
+    contiguous axis, differs from it for D >= 8.)
     """
     sq = a - b
     sq *= sq
@@ -461,9 +463,9 @@ def distance_matrix(
     triangle, in square tiles of ``side`` samples per axis whose (side·V)²
     view pairs fit the tile budget at 8 bytes each (one sample per side at
     least). The budget is ``TILE_BYTES`` when the whole (N·V)² job fits it,
-    which then runs inline as a single tile.
-    Otherwise it is ``TILE_BYTES // _WORKERS``, and the calling thread works
-    through every other tile while one helper thread works through the rest
+    which then runs inline as a single tile. Otherwise it is
+    ``TILE_BYTES // _WORKERS``, and the calling thread works through every
+    other tile while one helper thread works through the rest
     (``_run_split``). Extra memory is about one ``TILE_BYTES`` plus the
     output, the N·V·D views and their lifted N·V·(D+2) copy.
 

@@ -50,8 +50,6 @@ from .augment import (
 from .core import Dataset
 from .losses import LossBreakdown
 
-_EPS = float(np.finfo(np.float64).eps)
-
 __all__ = [
     "Layer",
     "EncoderModel",
@@ -528,7 +526,7 @@ def operator_norm(matrix: np.ndarray) -> float:
     w = np.asarray(matrix, dtype=np.float64)
     if w.size == 0:
         return 0.0
-    return float(np.linalg.norm(w, 2)) * (1.0 + 8.0 * max(w.shape) * _EPS)
+    return float(np.linalg.norm(w, 2)) * (1.0 + 8.0 * max(w.shape) * np.finfo(np.float64).eps)
 
 
 def lipschitz_upper_bound(model: EncoderModel, probe_inputs: np.ndarray | None = None) -> float:

@@ -439,7 +439,7 @@ def _sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     sq = a - b
     sq *= sq
-    out = sq[0].copy()
+    out = sq[0]
     for term in sq[1:]:
         out += term
     return out

@@ -160,7 +160,7 @@ def _spreads(z: np.ndarray) -> np.ndarray:
     fit ``TILE_BYTES``.
     """
     n, v, d = z.shape
-    coords = z.transpose(2, 0, 1)
+    coords = np.ascontiguousarray(z.transpose(2, 0, 1))
     chunk = max(1, TILE_BYTES // (8 * (d + 1) * v * v))
     out = np.empty(n)
     for s in range(0, n, chunk):

@@ -520,12 +520,13 @@ def distance_matrix(
         # A job this small costs less with the exact formula on every pair.
         sq = _sqeuclidean(coords[:, :, None], coords[:, None, :])
         return _finish_distances(sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
-    keep = _distinct_views(views)
-    distinct = keep.nonzero()[0]
-    del views
-    lifted, bound = _lifted(coords)
     budget = _tile_budget(8 * (n * v) ** 2, TILE_BYTES)
     side = max(1, math.isqrt(budget // 8) // v)
+    keep = np.tile(_distinct_views(views), n)
+    # The views of a row of tiles' first ``side`` samples that are no repeats.
+    rowsel = (v * np.arange(side)[:, None] + keep[:v].nonzero()[0]).reshape(-1)
+    del views
+    lifted, bound = _lifted(coords)
     out = np.full((n, n), np.inf)
 
     def finish(i0: int, left: np.ndarray, parts: list[tuple[int, np.ndarray]]) -> None:
@@ -535,10 +536,12 @@ def distance_matrix(
         limit, colview = _column_limits(colmin, colview, bound, v, i0, keep)
         # Recompute the columns some row sample's limit reaches against the
         # row samples' distinct views, half a tile budget of values at a time.
-        ni, w = colmin.shape[0], distinct.size
-        left = left.reshape(ni, v, -1)[:, distinct].reshape(ni * w, -1)
-        rowview = (v * np.arange(i0, i0 + ni)[:, None] + distinct).reshape(-1)
-        step = max(1, budget // (16 * ni * w))
+        ni = colmin.shape[0]
+        rows = rowsel[: rowsel.size // side * ni]
+        left = left.take(rows, axis=0)
+        rowview = i0 * v + rows
+        w = rows.size // ni
+        step = max(1, budget // (16 * rows.size))
         for lo in range(0, colview.size, step):
             cols = colview[lo : lo + step]
             g = left @ lifted.take(cols, axis=0).T
@@ -633,9 +636,9 @@ def _column_limits(
     each column. The limit of a sample pair is its smallest GEMM value plus
     2E; a column may hold a candidate of a row sample when its minimum over
     that sample's views reaches the limit. Returns the (ni, U) limits of the
-    U columns of views in ``keep`` that some row sample's limit reaches, and
-    their view indices. A sample paired with itself gets no limit: its
-    distance is zero.
+    U columns of views that ``keep`` marks (a mask over all N·V views) and
+    that some row sample's limit reaches, and their view indices. A sample
+    paired with itself gets no limit: its distance is zero.
     """
     ni = colmin.shape[0]
     # A transposed copy makes the minimum over each pair's V columns run
@@ -646,7 +649,7 @@ def _column_limits(
         # The row's diagonal tile comes first.
         np.fill_diagonal(limit, -np.inf)
     limit = np.repeat(limit, v, axis=1)
-    used = ((colmin <= limit).any(axis=0) & keep[colview % v]).nonzero()[0]
+    used = ((colmin <= limit).any(axis=0) & keep[colview]).nonzero()[0]
     return limit.take(used, axis=1), colview[used]
 
 

@@ -449,7 +449,11 @@ def _expit(t: np.ndarray) -> np.ndarray:
     does, so the values are the same; numpy's vectorized ``exp`` differs
     from libm in the last bit on some inputs.
     """
-    return np.array([_logistic(x) for x in t.tolist()], dtype=np.float64)
+    values = t.tolist()
+    try:
+        return np.array([1.0 / (1.0 + math.exp(-x)) for x in values], dtype=np.float64)
+    except OverflowError:
+        return np.array([_logistic(x) for x in values], dtype=np.float64)
 
 
 def _logistic(x: float) -> float:

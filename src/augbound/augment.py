@@ -504,10 +504,11 @@ def distance_matrix(
     of 5 covers the second-order terms and the rounding of M, E and the
     limit below; ``tiny``, the smallest normal float, covers underflow.
     Within a sample pair let p minimize c over the pairs of distinct views
-    and let m be the pair's smallest tile GEMM value. Then g_p ≤ c_p + E ≤ c_q + E ≤ m + 2E for the view pair
-    q that attains m, with g_p from the tile or from any other GEMM. So p's
-    column reaches the limit m + 2E in its tile, and p itself reaches it
-    when its column is recomputed: every view pair that does is a candidate.
+    and let m be the pair's smallest tile GEMM value, attained by the view
+    pair q. Then g_p ≤ c_p + E ≤ c_q + E ≤ m + 2E, with g_p from the tile or
+    from any other GEMM. So p's column reaches the limit m + 2E in its
+    tile, and p itself reaches it when its column is recomputed: every view
+    pair that does is a candidate.
     """
     if class_filter is None:
         points = dataset.features
@@ -523,7 +524,7 @@ def distance_matrix(
     budget = _tile_budget(8 * (n * v) ** 2, TILE_BYTES)
     side = max(1, math.isqrt(budget // 8) // v)
     keep = np.tile(_distinct_views(views), n)
-    # The views of a row of tiles' first ``side`` samples that are no repeats.
+    # Indices, within a row of tiles, of the distinct views of its samples.
     rowsel = (v * np.arange(side)[:, None] + keep[:v].nonzero()[0]).reshape(-1)
     del views
     lifted, bound = _lifted(coords)

@@ -476,8 +476,8 @@ _RING_V290 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_res
 
 # Each job is too large for the all-pairs path, so it runs the GEMM filter.
 _HARD_CASES = {
-    # Points near 1e6 a thousandth apart: the GEMM's squared norms are about
-    # 1e12, so only the centering keeps the filter's bound small.
+    # Points near 1e6 a thousandth apart: uncentered, the GEMM's squared
+    # norms would be about 1e12; the centering keeps the filter's bound small.
     "cancellation": (
         _one_class(1e6 + 1e-3 * np.random.default_rng(1).standard_normal((30, 3))),
         AugmentationSet(

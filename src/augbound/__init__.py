@@ -95,7 +95,6 @@ from .evaluation import (
     embed_views,
     empirical_r_eps,
     error_rate,
-    freeze_encoder,
     linear_classifier,
     nn_classify,
     population_loss,

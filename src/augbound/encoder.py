@@ -22,12 +22,10 @@ state: a zero pre-projection norm or a zero-variance dimension raises
 ``ValueError``, and a non-finite loss, gradient or updated parameter vector
 raises ``RuntimeError`` with the step index.
 
-A certified Lipschitz upper bound is available for trained models: the
-product of layer operator norms (tanh has slope at most 1) times a factor
-for the output map. For sphere projection the factor is 2r / c with c the
-smallest pre-projection norm attained on a probe set, valid between any
-two points whose pre-projection norms reach c; for standardization with
-frozen statistics it is the largest per-dimension inverse scale.
+``lipschitz_upper_bound`` certifies the network before its normalization:
+the product of layer operator norms (tanh has slope at most 1). The factor
+of the output map is applied where that map is frozen, in
+:mod:`augbound.evaluation`.
 """
 
 from __future__ import annotations
@@ -533,35 +531,18 @@ def operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(w, 2)) * (1.0 + 8.0 * max(w.shape) * np.finfo(np.float64).eps)
 
 
-def lipschitz_upper_bound(model: EncoderModel, probe_inputs: np.ndarray | None = None) -> float:
-    """Certified Lipschitz constant of the embedding map.
+def lipschitz_upper_bound(model: EncoderModel) -> float:
+    """Certified Lipschitz constant of :func:`forward_prenorm`: the product of
+    the layer operator norms (tanh has slope at most 1).
 
-    Product of layer operator norms (tanh slope at most 1), times a final
-    factor depending on the norm mode: 2r / (smallest pre-projection norm
-    over the probe set) for sphere projection, the largest inverse scale of
-    the probe-set statistics for standardization, and 1 with no norm. The
-    sphere certificate is valid between points whose pre-projection norms
-    reach the probe minimum, so probe with the points the bound will be
-    applied to.
+    The embedding map's certificate multiplies it by a factor of its output
+    normalization, which needs the frozen evaluation map; see
+    :func:`augbound.evaluation.embed_views`.
     """
     product = 1.0
     for layer in model.layers:
         product *= operator_norm(layer.weight)
-    if model.norm_mode == "none":
-        return product
-    if probe_inputs is None:
-        raise ValueError(f"{model.norm_mode} norm mode needs probe inputs for the certificate")
-    pre = forward_prenorm(model, probe_inputs)
-    if model.norm_mode == "sphere":
-        c = float(np.linalg.norm(pre, axis=1).min())
-        if c < 1e-6:
-            raise ValueError("pre-projection norms vanish on the probe set; factor unbounded")
-        return product * 2.0 * model.radius / c
-    mu = pre.mean(axis=0)
-    var = np.mean((pre - mu) ** 2, axis=0)
-    if var.min() < 1e-12:
-        raise ValueError("probe-set variance vanishes in some dimension; factor unbounded")
-    return product / float(np.sqrt(var.min()))
+    return product
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,21 @@ sampling-model weights (half mass on discrete members, half on the
 parameter grid), so centers, alignment statistics, and population losses
 all refer to one common view distribution.
 
-An evaluation embeds that grid once. :func:`embed_views` maps the (N, V, D)
-view tensor of a dataset through a frozen encoder and returns an
-:class:`EmbeddedViews`: the embeddings z (N, V, d), the view weights, the
+An evaluation runs the encoder over that grid once. :func:`embed_views`
+takes a model and the (N, V, D) view tensor of a dataset, freezes the model
+into a :class:`FrozenEncoder` and returns an :class:`EmbeddedViews`: the
+frozen encoder, the embeddings z (N, V, d), the view weights, the
 per-sample weighted view means, the squared norms and the per-sample view
 spreads. :func:`class_centers`, :func:`empirical_r_eps`,
 :func:`class_moments` and :func:`population_loss` read from that value, so
 none of them builds or embeds views again.
 
-Encoders are evaluated through a :class:`FrozenEncoder`. For sphere models
-this is a plain wrapper; for batch-standardized models the standardization
-statistics are computed once over the weighted views of the whole dataset
-and then frozen, which makes single-point embeddings well defined and
-pins the norm convention to sqrt(d) in the mean-square sense.
+A :class:`FrozenEncoder` is a point-wise embedding map. For sphere models
+it is the model's own projection; for batch-standardized models the
+standardization statistics are computed once over the weighted views of
+the whole dataset and then frozen, which makes single-point embeddings
+well defined and pins the norm convention to sqrt(d) in the mean-square
+sense.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "EmbeddedViews",
     "ClassStats",
     "AlignmentStats",
-    "freeze_encoder",
     "embed_views",
     "class_centers",
     "nn_classify",
@@ -57,15 +58,21 @@ class FrozenEncoder:
     ``shift``/``scale`` are the frozen standardization statistics (None in
     sphere mode). ``radius`` is the norm convention the bounds use: the
     sphere radius, or sqrt(output_dim) for standardized models.
+    ``lipschitz`` is the certified Lipschitz constant :func:`embed_views`
+    derived for this map.
     """
 
     model: EncoderModel
     shift: np.ndarray | None
     scale: np.ndarray | None
     radius: float
+    lipschitz: float
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        pre = forward_prenorm(self.model, x)
+        """Embeddings of raw points, one per row of ``x``."""
+        return self._project(forward_prenorm(self.model, x))
+
+    def _project(self, pre: np.ndarray) -> np.ndarray:
         if self.shift is None:
             norms = np.linalg.norm(pre, axis=1, keepdims=True)
             if norms.min() < 1e-12:
@@ -77,57 +84,24 @@ class FrozenEncoder:
     def output_dim(self) -> int:
         return self.model.output_dim
 
-    def lipschitz(self, probe_inputs: np.ndarray) -> float:
-        """Certified Lipschitz bound consistent with this frozen map."""
-        if self.shift is None:
-            return lipschitz_upper_bound(self.model, probe_inputs)
-        product = lipschitz_upper_bound(
-            EncoderModel(self.model.layers, norm_mode="none", radius=self.model.radius)
-        )
-        return product / float(self.scale.min())
-
-
-def freeze_encoder(
-    model: EncoderModel, views: np.ndarray, weights: np.ndarray
-) -> FrozenEncoder:
-    """Wrap a model for evaluation on a view tensor (N, V, D) and its weights.
-
-    Sphere models pass through. Batch-standardized models get shift/scale
-    from the weighted view population of the full dataset, so the frozen
-    map satisfies E[f_i] = 0 and E[f_i^2] = 1 per dimension exactly under
-    the view distribution.
-    """
-    if model.norm_mode == "sphere":
-        return FrozenEncoder(model, None, None, radius=model.radius)
-    if model.norm_mode != "batch_standardized":
-        raise ValueError("evaluation needs a sphere or batch_standardized model")
-    n, v, _ = views.shape
-    pre = forward_prenorm(model, views.reshape(n * v, -1))
-    w = np.tile(weights, n) / n
-    mu = w @ pre
-    var = w @ (pre - mu) ** 2
-    if var.min() < 1e-24:
-        raise ValueError("view population has zero variance in some embedding dimension")
-    return FrozenEncoder(model, mu, np.sqrt(var), radius=float(np.sqrt(model.output_dim)))
-
 
 @dataclass(frozen=True)
 class EmbeddedViews:
     """The view grid of a dataset, embedded once by a frozen encoder.
 
-    ``z`` holds the embeddings (N, V, d), ``weights`` the view weights (V,),
-    ``means`` the weighted view mean of each sample (N, d), ``sq_norms`` the
-    squared embedding norms (N, V) and ``spreads`` the largest embedding
-    distance between two views of each sample (N,). ``radius`` is the norm
-    convention of the encoder that produced ``z``.
+    ``encoder`` is the frozen map that produced the grid, ``z`` holds the
+    embeddings (N, V, d), ``weights`` the view weights (V,), ``means`` the
+    weighted view mean of each sample (N, d), ``sq_norms`` the squared
+    embedding norms (N, V) and ``spreads`` the largest embedding distance
+    between two views of each sample (N,).
     """
 
+    encoder: FrozenEncoder
     z: np.ndarray
     weights: np.ndarray
     means: np.ndarray
     sq_norms: np.ndarray
     spreads: np.ndarray
-    radius: float
 
     @property
     def l_pos(self) -> float:
@@ -137,19 +111,47 @@ class EmbeddedViews:
         return float(np.mean(2.0 * (second - np.sum(self.means**2, axis=1))))
 
 
-def embed_views(
-    encoder: FrozenEncoder, views: np.ndarray, weights: np.ndarray
-) -> EmbeddedViews:
-    """Embed a view tensor (N, V, D) with its weights (V,) in one pass."""
+def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> EmbeddedViews:
+    """Freeze a model on a view tensor (N, V, D) with its weights (V,) and
+    embed the tensor, running the network over the N·V views once.
+
+    Those pre-projection values give the frozen map, its certificate and the
+    embeddings. A sphere model keeps its projection, certified by the layer
+    product times 2r / c, with c the smallest pre-projection norm on the
+    grid; the certificate holds between points whose pre-projection norms
+    reach c. A batch-standardized model gets shift/scale from the weighted
+    view population, so the frozen map satisfies E[f_i] = 0 and E[f_i^2] = 1
+    per dimension exactly under the view distribution; it is certified by
+    the layer product times the largest inverse scale.
+    """
     n, v, _ = views.shape
-    z = encoder.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
+    pre = forward_prenorm(model, views.reshape(n * v, -1))
+    product = lipschitz_upper_bound(model)
+    if model.norm_mode == "sphere":
+        c = float(np.linalg.norm(pre, axis=1).min())
+        if c < 1e-6:
+            raise ValueError("pre-projection norms vanish on the view grid; factor unbounded")
+        encoder = FrozenEncoder(model, None, None, model.radius, product * 2.0 * model.radius / c)
+    elif model.norm_mode == "batch_standardized":
+        w = np.tile(weights, n) / n
+        mu = w @ pre
+        var = w @ (pre - mu) ** 2
+        if var.min() < 1e-24:
+            raise ValueError("view population has zero variance in some embedding dimension")
+        scale = np.sqrt(var)
+        encoder = FrozenEncoder(
+            model, mu, scale, float(np.sqrt(model.output_dim)), product / float(scale.min())
+        )
+    else:
+        raise ValueError("evaluation needs a sphere or batch_standardized model")
+    z = encoder._project(pre).reshape(n, v, -1)
     return EmbeddedViews(
+        encoder=encoder,
         z=z,
         weights=weights,
         means=np.einsum("v,nvd->nd", weights, z),
         sq_norms=np.sum(z**2, axis=2),
         spreads=_spreads(z),
-        radius=encoder.radius,
     )
 
 
@@ -207,7 +209,7 @@ def class_centers(embedded: EmbeddedViews, dataset: Dataset) -> ClassStats:
         ]
     )
     return ClassStats(
-        centers=centers, priors=dataset.empirical_priors, radius=embedded.radius
+        centers=centers, priors=dataset.empirical_priors, radius=embedded.encoder.radius
     )
 
 

@@ -64,7 +64,6 @@ from .evaluation import (
     classify_batch,
     embed_views,
     empirical_r_eps,
-    freeze_encoder,
     population_loss,
 )
 from .losses import LossBreakdown
@@ -451,7 +450,6 @@ class EvalBundle:
     alignment: tuple[AlignmentStats, ...]
     first_moments: tuple[float, ...]
     second_moments: tuple[float, ...]
-    lipschitz: float
     loss: LossBreakdown
     premise_fractions: tuple[float, ...]
 
@@ -561,9 +559,8 @@ def stage_evaluate(
     try:
         views = view_tensor(dataset.features, config.augmentation)
         weights = view_weights(config.augmentation)
-        frozen = freeze_encoder(model, views, weights)
-        lipschitz = frozen.lipschitz(views.reshape(-1, dataset.input_dim))
-        embedded = embed_views(frozen, views, weights)
+        embedded = embed_views(model, views, weights)
+        frozen = embedded.encoder
         stats = class_centers(embedded, dataset)
         preds = classify_batch(stats, frozen.embed(dataset.features))
         err = float(np.mean(preds != dataset.labels))
@@ -582,13 +579,12 @@ def stage_evaluate(
             alignment=alignment,
             first_moments=tuple(float(v) for v in first),
             second_moments=tuple(float(v) for v in second),
-            lipschitz=float(lipschitz),
             loss=loss,
             premise_fractions=tuple(premise),
         )
         rows: list[tuple[str, object]] = [
             ("err", bundle.err),
-            ("lipschitz", bundle.lipschitz),
+            ("lipschitz", frozen.lipschitz),
             ("delta_mu", stats.delta_mu),
             ("radius", frozen.radius),
             ("l_pos", alignment[0].l_pos),
@@ -642,7 +638,7 @@ def stage_bounds(
                     epsilon=stat.epsilon,
                     r_eps=stat.r_eps,
                     l_pos=stat.l_pos,
-                    lipschitz=bundle.lipschitz,
+                    lipschitz=bundle.frozen.lipschitz,
                     radius=bundle.frozen.radius,
                     dim=bundle.frozen.output_dim,
                     num_discrete=aug.num_discrete,

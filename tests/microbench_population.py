@@ -23,7 +23,7 @@ from augbound.augment import (
 )
 from augbound.core import GeneratorConfig, generate_dataset
 from augbound.encoder import init_encoder
-from augbound.evaluation import embed_views, freeze_encoder, population_loss
+from augbound.evaluation import embed_views, population_loss
 
 
 def test_population_info_nce_ring_14_per_class_26_views(benchmark):
@@ -48,6 +48,6 @@ def test_population_info_nce_ring_14_per_class_26_views(benchmark):
     )
     views = view_tensor(dataset.features, aug)
     weights = view_weights(aug)
-    embedded = embed_views(freeze_encoder(model, views, weights), views, weights)
+    embedded = embed_views(model, views, weights)
     result = benchmark(population_loss, embedded, "info_nce")
     assert result.kind == "info_nce"

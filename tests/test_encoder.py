@@ -17,6 +17,7 @@ from augbound.augment import (
     sign_flip_mask,
 )
 from augbound.core import Dataset, GeneratorConfig, generate_dataset
+from augbound.evaluation import embed_views
 from augbound.encoder import (
     MAX_LAYERS,
     EncoderModel,
@@ -549,7 +550,8 @@ def test_lipschitz_certificate_covers_sampled_ratios():
     )
     rng = np.random.default_rng(14)
     points = rng.normal(size=(2000, 3))
-    bound = lipschitz_upper_bound(model, probe_inputs=points)
+    # Each point is its own one-view grid, so the certificate probes them all.
+    bound = embed_views(model, points[:, None, :], np.ones(1)).encoder.lipschitz
     z = forward(model, points)
     idx1 = rng.integers(0, 2000, size=100_000)
     idx2 = rng.integers(0, 2000, size=100_000)
@@ -560,13 +562,17 @@ def test_lipschitz_certificate_covers_sampled_ratios():
     assert (num <= bound * den + 1e-9).all()
 
 
-def test_lipschitz_sphere_requires_probe():
+def test_lipschitz_sphere_refuses_vanishing_prenorms():
+    # The sphere factor 2r / c is unbounded when a grid point maps to the origin.
     model = init_encoder(
         input_dim=2, hidden_dims=(), output_dim=2, norm_mode="sphere",
         radius=1.0, seed=15,
     )
-    with pytest.raises(ValueError, match="probe"):
-        lipschitz_upper_bound(model)
+    layer = model.layers[0]
+    origin = np.linalg.solve(layer.weight, -layer.bias)
+    points = np.stack([origin, origin + 1.0])
+    with pytest.raises(ValueError, match="vanish"):
+        embed_views(model, points[:, None, :], np.ones(1))
 
 
 def test_checkpoint_round_trip(tmp_path):

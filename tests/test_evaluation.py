@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from augbound import augment, evaluation, experiments
+from augbound import augment, encoder, evaluation, experiments
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
@@ -23,14 +23,12 @@ from augbound.encoder import forward_prenorm, init_encoder, with_params
 from augbound.evaluation import (
     TILE_BYTES,
     ClassStats,
-    FrozenEncoder,
     class_centers,
     class_moments,
     classify_batch,
     embed_views,
     empirical_r_eps,
     error_rate,
-    freeze_encoder,
     linear_classifier,
     nn_classify,
     population_loss,
@@ -40,11 +38,13 @@ IDENTITY_ONLY = AugmentationSet(transforms=(identity(),), grid_resolution=3)
 
 
 def _freeze(model, ds, aug):
-    return freeze_encoder(model, view_tensor(ds.features, aug), view_weights(aug))
+    return embed_views(model, view_tensor(ds.features, aug), view_weights(aug)).encoder
 
 
 def _embedded(enc, ds, aug):
-    return embed_views(enc, view_tensor(ds.features, aug), view_weights(aug))
+    # Freezes enc.model on (ds, aug) again: the same map as enc where both
+    # are what enc was frozen on, and for every sphere model.
+    return embed_views(enc.model, view_tensor(ds.features, aug), view_weights(aug))
 
 
 def _identity_sphere(dim=2):
@@ -348,7 +348,7 @@ def test_frozen_lipschitz_covers_view_pairs():
         radius=1.0, seed=17,
     )
     enc = _freeze(model, ds, aug)
-    bound = enc.lipschitz(probe_inputs=ds.features)
+    bound = enc.lipschitz
     views = view_tensor(ds.features, aug).reshape(-1, 2)
     z = enc.embed(views)
     rng = np.random.default_rng(18)
@@ -615,13 +615,12 @@ def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
     )
     enc = _sphere_on(ds, aug)
     calls = []
-    embed = FrozenEncoder.embed
 
-    def counting(self, x):
+    def counting(model, x):
         calls.append(x.shape[0])
-        return embed(self, x)
+        return forward_prenorm(model, x)
 
-    monkeypatch.setattr(FrozenEncoder, "embed", counting)
+    monkeypatch.setattr(evaluation, "forward_prenorm", counting)
     embedded = _embedded(enc, ds, aug)
     thresholds = np.quantile(embedded.spreads, [0.25, 0.5, 0.75])
     stats = [empirical_r_eps(embedded, float(eps)) for eps in thresholds]
@@ -678,27 +677,35 @@ def test_stage_evaluate_builds_and_embeds_the_view_grid_once(
     curve = experiments.stage_concentration(config, ds, str(tmp_path))
 
     tensors = []
-    embeds = []
+    grids = []
+    prenorm_rows = []
 
     def counting_view_tensor(points, aug):
         tensors.append(len(points))
         return view_tensor(points, aug)
 
-    embed = FrozenEncoder.embed
+    def counting_embed_views(model, views, weights):
+        grids.append(views.shape[0] * views.shape[1])
+        return embed_views(model, views, weights)
 
-    def counting_embed(self, x):
-        embeds.append(x.shape[0])
-        return embed(self, x)
+    def counting_forward_prenorm(model, x):
+        prenorm_rows.append(x.shape[0])
+        return forward_prenorm(model, x)
 
     for module in (augment, evaluation, experiments):
         if getattr(module, "view_tensor", None) is view_tensor:
             monkeypatch.setattr(module, "view_tensor", counting_view_tensor)
-    monkeypatch.setattr(FrozenEncoder, "embed", counting_embed)
+    for module in (encoder, evaluation, experiments):
+        if getattr(module, "forward_prenorm", None) is forward_prenorm:
+            monkeypatch.setattr(module, "forward_prenorm", counting_forward_prenorm)
+    monkeypatch.setattr(experiments, "embed_views", counting_embed_views)
     bundle = experiments.stage_evaluate(config, ds, model, curve, str(tmp_path))
 
     n, v = ds.num_samples, config.augmentation.num_views
     assert tensors == [n]
-    assert embeds.count(n * v) == 1
+    assert grids == [n * v]
+    # The network runs once over the view grid and once over the raw samples.
+    assert prenorm_rows == [n * v, n]
     assert len(bundle.alignment) == 4
     monkeypatch.undo()
     # The shared grid gives what each quantity computes from the model alone.

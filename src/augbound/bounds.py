@@ -19,7 +19,6 @@ bound or vice versa.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -108,7 +107,6 @@ def theorem1_bound(sigma: float, r_eps: float, condition_holds: bool) -> tuple[f
     return value, bool(condition_holds)
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def eta(
     epsilon: float,
     num_continuous: int,
@@ -118,58 +116,37 @@ def eta(
 ) -> float:
     """Alignment-to-probability conversion factor
 
-        eta(eps) = inf_h 4 max(1, m^2 h^(2n)) / (h^(2n) (eps - 2 sqrt(n) L M h))
+        eta(eps) = inf_h 4 max(1, m^2 h^(2n)) / (h^(2n) (eps - s h)),
+        s = 2 sqrt(n) L M,
 
-    over h in (0, eps / (2 sqrt(n) L M)). Every evaluated h yields a valid
-    upper bound, so the returned grid-plus-golden-section minimum is safe
-    even if slightly above the true infimum. Limits: with n = 0 (or L M = 0)
-    the factor is 4 m^2 / eps. Values are cached per argument tuple: a
-    report evaluates the same epsilon for every delta.
+    over h in (0, eps / s), in closed form. Up to h = m^(-1/n) the objective
+    is 4 / (h^(2n) (eps - s h)), smallest at h1 = 2n eps / ((2n + 1) s);
+    beyond it, 4 m^2 / (eps - s h) rises with h. So the infimum is the
+    objective at h* = min(h1, m^(-1/n)). With n = 0 (or L M = 0) the factor
+    is 4 m^2 / eps.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if num_discrete < 1:
-        raise ValueError("at least the identity transform is required")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if not (isinstance(num_continuous, (int, np.integer)) and num_continuous >= 0):
+        raise ValueError("num_continuous must be a non-negative integer")
+    if not (isinstance(num_discrete, (int, np.integer)) and num_discrete >= 1):
+        raise ValueError("num_discrete must be an integer: at least the identity transform")
+    if not (0.0 <= lipschitz < math.inf and 0.0 <= transform_lipschitz < math.inf):
+        raise ValueError("lipschitz constants must be non-negative and finite")
     m2 = float(num_discrete) ** 2
     n = int(num_continuous)
     if n == 0 or lipschitz * transform_lipschitz == 0.0:
         return 4.0 * m2 / epsilon
-
     slope = 2.0 * math.sqrt(n) * lipschitz * transform_lipschitz
-    h_max = epsilon / slope
-
-    def objective(h: float) -> float:
-        h2n = h ** (2 * n)
-        return 4.0 * max(1.0, m2 * h2n) / (h2n * (epsilon - slope * h))
-
-    grid = np.exp(np.linspace(math.log(h_max * 1e-9), math.log(h_max * (1.0 - 1e-9)), 1024))
-    values = [objective(float(h)) for h in grid]
-    best_idx = int(np.argmin(values))
-    best = values[best_idx]
-    lo = float(grid[max(best_idx - 1, 0)])
-    hi = float(grid[min(best_idx + 1, len(grid) - 1)])
-    # Golden-section refinement inside the bracketing grid cells.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > 1e-6 * h_max:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    return min(best, fc, fd)
+    h = min(2.0 * n * epsilon / ((2.0 * n + 1.0) * slope), float(num_discrete) ** (-1.0 / n))
+    h2n = h ** (2 * n)
+    return 4.0 * max(1.0, m2 * h2n) / (h2n * (epsilon - slope * h))
 
 
 def theorem2_bound(eta_value: float, l_pos: float) -> float:
     """Upper bound on r_eps from the positive-pair loss:
     eta * sqrt(l_pos), clamped to [0, 1] for reporting."""
-    if eta_value < 0 or l_pos < 0:
+    if not (eta_value >= 0 and l_pos >= 0):
         raise ValueError("eta and l_pos must be non-negative")
     return min(eta_value * math.sqrt(l_pos), 1.0)
 

@@ -116,8 +116,7 @@ def test_eta_m_doubling_quadruples_in_saturated_regime():
 
 
 def test_eta_is_an_upper_bound_of_fine_scan():
-    # any feasible h gives a valid bound, so eta() may exceed the true
-    # infimum only by its refinement tolerance
+    # any feasible h gives a valid bound, and eta() is the smallest of them
     eps, n, m, lip, tlip = 0.7, 2, 3, 1.3, 0.6
     got = eta(eps, n, m, lip, tlip)
     slope = 2 * math.sqrt(n) * lip * tlip
@@ -129,11 +128,88 @@ def test_eta_is_an_upper_bound_of_fine_scan():
     assert got >= scan.min() * (1 - 1e-4)
 
 
+def _eta_grid_minimum(eps, n, m, slope, points=401, zooms=4):
+    """Minimum of the eta objective over a log grid of h in (0, eps / slope),
+    refined ``zooms`` times around the grid minimum; one row per tuple."""
+    h_max = eps / slope
+    lo = np.log(h_max * 1e-8)
+    hi = np.log(h_max * (1.0 - 1e-12))
+    best = np.full(eps.shape, np.inf)
+    for _ in range(zooms + 1):
+        h = np.exp(np.linspace(lo, hi, points, axis=1))
+        h2n = h ** (2 * n[:, None])
+        values = 4.0 * np.maximum(1.0, m[:, None] ** 2 * h2n) / (
+            h2n * (eps[:, None] - slope[:, None] * h)
+        )
+        best = np.minimum(best, values.min(axis=1))
+        at = values.argmin(axis=1)
+        step = (hi - lo) / (points - 1)
+        centre = lo + at * step
+        lo = np.maximum(centre - step, lo)
+        hi = np.minimum(centre + step, hi)
+    return best
+
+
+def test_eta_closed_form_matches_a_dense_grid_in_both_regimes():
+    rng = np.random.default_rng(2111)
+    count = 3000
+    eps = 10.0 ** rng.uniform(-3, 1, count)
+    n = rng.integers(1, 4, count)
+    m = np.round(10.0 ** rng.uniform(0, 2, count)).astype(int)
+    lip = 10.0 ** rng.uniform(-2, 2, count)
+    tlip = 10.0 ** rng.uniform(-2, 1, count)
+    slope = 2.0 * np.sqrt(n) * lip * tlip
+    got = np.array(
+        [eta(float(e), int(k), int(j), float(a), float(b))
+         for e, k, j, a, b in zip(eps, n, m, lip, tlip)]
+    )
+    grid = _eta_grid_minimum(eps, n, m, slope)
+    # h1 = 2n eps / ((2n + 1) s) against the crossover m^(-1/n)
+    stationary = 2 * n * eps / ((2 * n + 1) * slope) < m ** (-1.0 / n)
+    assert 500 <= stationary.sum() <= count - 500
+    # Both sides are float64 evaluations of the objective, each within a few
+    # ulps, so eta may sit above a grid point that ties with h* by rounding
+    # alone; 1e-14 allows that and nothing more (a numeric search was up to
+    # 6.9e-7 above on these tuples).
+    assert (got <= grid * (1.0 + 1e-14)).all()
+    assert (got >= grid * (1.0 - 1e-6)).all()
+
+
 def test_eta_rejects_bad_arguments():
     with pytest.raises(ValueError, match="epsilon"):
         eta(0.0, 1, 1, 1.0, 1.0)
     with pytest.raises(ValueError, match="identity"):
         eta(0.5, 1, 0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        ((math.nan, 1, 1, 1.0, 1.0), "epsilon"),
+        ((math.inf, 1, 1, 1.0, 1.0), "epsilon"),
+        ((0.5, 1, 1, math.nan, 1.0), "lipschitz"),
+        ((0.5, 1, 1, -1.0, 1.0), "lipschitz"),
+        ((0.5, 1, 1, math.inf, 1.0), "lipschitz"),
+        ((0.5, 1, 1, 1.0, -1.0), "lipschitz"),
+        ((0.5, 1.5, 1, 1.0, 1.0), "num_continuous"),
+        ((0.5, 1, 1.5, 1.0, 1.0), "num_discrete"),
+    ],
+    ids=[
+        "nan epsilon", "inf epsilon", "nan lipschitz", "negative lipschitz",
+        "inf lipschitz", "negative transform lipschitz", "fractional num_continuous",
+        "fractional num_discrete",
+    ],
+)
+def test_eta_rejects_bad_library_input(args, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        eta(*args)
+
+
+def test_theorem2_bound_rejects_nan():
+    with pytest.raises(ValueError, match="non-negative"):
+        theorem2_bound(math.nan, 0.1)
+    with pytest.raises(ValueError, match="non-negative"):
+        theorem2_bound(1.0, math.nan)
 
 
 def test_theorem2_bound_values():

@@ -94,14 +94,9 @@ def build_threshold_graph(
 
 
 def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
-    n = adjacency.shape[0]
-    masks = []
-    for i in range(n):
-        row = 0
-        for j in np.flatnonzero(adjacency[i]):
-            row |= 1 << int(j)
-        masks.append(row)
-    return masks
+    """Row i as an int whose bit j is set when i and j are adjacent."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def exact_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import pytest
 from augbound.augment import AugmentationSet, additive_shift, identity, sign_flip_mask
 from augbound.concentration import (
     EXACT_CLIQUE_BUDGET,
+    _adjacency_masks,
     ConcentrationEstimate,
     approx_max_clique,
     build_threshold_graph,
@@ -108,6 +109,26 @@ def test_exact_clique_matches_brute_force_on_random_graphs():
         clique = exact_max_clique(g)
         assert is_clique(g.adjacency, clique)
         assert len(clique) == brute_force_max_clique_size(g.adjacency)
+
+
+def _loop_adjacency_masks(adjacency):
+    masks = []
+    for i in range(adjacency.shape[0]):
+        row = 0
+        for j in np.flatnonzero(adjacency[i]):
+            row |= 1 << int(j)
+        masks.append(row)
+    return masks
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+def test_adjacency_masks_match_the_bit_loop(n):
+    # Sizes on both sides of a byte and of a 64-bit word.
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.3, 0.7, 1.0):
+        adj = np.triu(rng.random((n, n)) < density, 1)
+        adj = adj | adj.T
+        assert _adjacency_masks(adj) == _loop_adjacency_masks(adj)
 
 
 def test_exact_clique_budget():

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,8 @@ def eta(
     is 4 / (h^(2n) (eps - s h)), smallest at h1 = 2n eps / ((2n + 1) s);
     beyond it, 4 m^2 / (eps - s h) rises with h. So the infimum is the
     objective at h* = min(h1, m^(-1/n)). With n = 0 (or L M = 0) the factor
-    is 4 m^2 / eps.
+    is 4 m^2 / eps. A tiny eps puts the factor beyond the float range; once
+    the denominator is below the smallest normal float it is ``inf``.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -140,14 +142,20 @@ def eta(
     slope = 2.0 * math.sqrt(n) * lipschitz * transform_lipschitz
     h = min(2.0 * n * epsilon / ((2.0 * n + 1.0) * slope), float(num_discrete) ** (-1.0 / n))
     h2n = h ** (2 * n)
-    return 4.0 * max(1.0, m2 * h2n) / (h2n * (epsilon - slope * h))
+    denominator = h2n * (epsilon - slope * h)
+    if denominator < sys.float_info.min:
+        return math.inf
+    return 4.0 * max(1.0, m2 * h2n) / denominator
 
 
 def theorem2_bound(eta_value: float, l_pos: float) -> float:
     """Upper bound on r_eps from the positive-pair loss:
-    eta * sqrt(l_pos), clamped to [0, 1] for reporting."""
+    eta * sqrt(l_pos), clamped to [0, 1] for reporting. An infinite eta gives
+    the trivial bound 1, since r_eps <= 1."""
     if not (eta_value >= 0 and l_pos >= 0):
         raise ValueError("eta and l_pos must be non-negative")
+    if eta_value == math.inf:
+        return 1.0
     return min(eta_value * math.sqrt(l_pos), 1.0)
 
 

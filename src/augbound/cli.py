@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=sorted(_MODE_MAP),
             default=None,
-            help="main-part search mode override (exact clique or its dual approximation)",
+            help="main-part search mode override: the exact clique search, or the same "
+            "search under a node budget (a maximal clique, never larger)",
         )
     return parser
 

@@ -6,24 +6,24 @@ class samples and whose edges join samples with augmented distance at most
 it is within ``delta`` under some view pair. The concentration level sigma
 is the smallest, over classes, of |main part| / |class|.
 
-Two clique engines are provided. The exact one is a branch-and-bound search
-(vertex budget 32) that returns the lexicographically smallest maximum
-clique. The approximate one takes the complement graph, covers it with a
-greedy maximal matching (a 2-approximate vertex cover), and returns the
-uncovered vertices, which always form a clique of the original graph. The
-approximate size never exceeds the exact one.
+One branch-and-bound search serves both modes. The exact mode runs it to
+completion (vertex budget 32) and returns the lexicographically smallest
+maximum clique. The ``dual_approx`` mode runs it under a budget of
+``APPROX_NODE_BUDGET`` search nodes and returns the incumbent: a maximal
+clique, never larger than the maximum, and equal to the exact answer when
+the search finishes within the budget (always at 8 vertices or fewer).
 
-Greedy matchings are not monotone under edge deletion, so the raw
-approximate estimate can dip as ``delta`` grows even though the true
-optimum cannot. Estimation therefore accepts a baseline estimate whose main
-parts are revalidated against the current graph and kept when they are
-larger; a part certified at a smaller threshold (or a leaner augmentation
-set) stays certified, which restores monotonicity without giving up on
-certificates.
+A budgeted search is not monotone under edge deletion, so its estimate can
+dip as ``delta`` grows even though the true optimum cannot. Estimation
+therefore accepts a baseline estimate whose main parts are revalidated
+against the current graph and kept when they are larger; a part certified
+at a smaller threshold (or a leaner augmentation set) stays certified,
+which restores monotonicity without giving up on certificates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 EXACT_CLIQUE_BUDGET = 32
+APPROX_NODE_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -99,26 +100,27 @@ def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def exact_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
-    """Maximum clique by branch and bound, as sorted local vertex indices.
+def _search(graph: ThresholdGraph, node_budget: int | None) -> tuple[int, ...]:
+    """Largest clique found by branch and bound, as sorted local vertex indices.
 
-    Vertices are explored in ascending order, so among all maximum cliques
-    the lexicographically smallest index list is found first and returned.
-    Refuses graphs beyond the vertex budget; use approx_max_clique there.
+    Vertices are explored in ascending order, so a complete search returns
+    the lexicographically smallest maximum clique. After ``node_budget``
+    nodes no further sibling branch is taken, but a node always enters its
+    first one. So the first descent completes, and the incumbent is maximal:
+    it was last set at a leaf, and a vertex that could extend it would head
+    an earlier sibling branch, searched in full, holding a larger clique.
     """
     n = graph.num_nodes
     if n == 0:
         raise ValueError("empty graph has no clique")
-    if n > EXACT_CLIQUE_BUDGET:
-        raise ValueError(
-            f"graph has {n} nodes, over the exact budget of {EXACT_CLIQUE_BUDGET}; "
-            "use the dual_approx mode"
-        )
     adj = _adjacency_masks(graph.adjacency)
+    limit = math.inf if node_budget is None else node_budget
     best: list[int] = []
+    nodes = 0
 
     def extend(current: list[int], candidates: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
         if len(current) > len(best):
             best = current.copy()
         cand = candidates
@@ -130,40 +132,35 @@ def exact_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
             current.append(v)
             extend(current, cand & adj[v])
             current.pop()
+            if nodes >= limit:
+                return
 
     extend([], (1 << n) - 1)
     return tuple(best)
 
 
-def approx_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
-    """Clique from the complement's 2-approximate vertex cover.
+def exact_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
+    """Lexicographically smallest maximum clique; refuses graphs beyond the
+    vertex budget, where approx_max_clique applies."""
+    if graph.num_nodes > EXACT_CLIQUE_BUDGET:
+        raise ValueError(
+            f"graph has {graph.num_nodes} nodes, over the exact budget of "
+            f"{EXACT_CLIQUE_BUDGET}; use the dual_approx mode"
+        )
+    return _search(graph, None)
 
-    Walk the complement's edges in lexicographic order, greedily building a
-    maximal matching; matched endpoints form the cover and the rest is an
-    independent set of the complement, i.e. a clique here. Never larger
-    than the true maximum; clamped to a single vertex when the cover takes
-    everything.
+
+def approx_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
+    """The exact search's incumbent after ``APPROX_NODE_BUDGET`` nodes.
+
+    A maximal clique, never larger than the maximum, and the exact answer
+    whenever the search finishes within the budget (a graph of at most 8
+    vertices has at most 2^8 search nodes).
     """
-    n = graph.num_nodes
-    if n == 0:
-        raise ValueError("empty graph has no clique")
-    complement = ~graph.adjacency
-    np.fill_diagonal(complement, False)
-    covered = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if covered[i]:
-            continue
-        for j in np.flatnonzero(complement[i, i + 1 :]) + i + 1:
-            if not covered[j]:
-                covered[i] = covered[j] = True
-                break
-    clique = tuple(int(v) for v in np.flatnonzero(~covered))
-    return clique if clique else (0,)
+    return _search(graph, APPROX_NODE_BUDGET)
 
 
 def _is_clique(adjacency: np.ndarray, members: np.ndarray) -> bool:
-    if members.size <= 1:
-        return True
     sub = adjacency[np.ix_(members, members)]
     return bool(np.all(sub | np.eye(members.size, dtype=bool)))
 
@@ -207,12 +204,52 @@ def _class_clique(
         clique = exact_max_clique(graph)
     else:
         clique = approx_max_clique(graph)
-    if baseline_local:
-        members = np.asarray(baseline_local, dtype=np.int64)
-        if members.max(initial=-1) < graph.num_nodes and _is_clique(graph.adjacency, members):
-            if len(baseline_local) > len(clique):
-                clique = tuple(sorted(int(i) for i in baseline_local))
+    if baseline_local and len(baseline_local) > len(clique):
+        if _is_clique(graph.adjacency, np.asarray(baseline_local, dtype=np.int64)):
+            clique = tuple(sorted(baseline_local))
     return clique
+
+
+def _curve(
+    dataset: Dataset,
+    aug: AugmentationSet,
+    deltas: list[float],
+    mode: Literal["exact", "dual_approx"],
+    baseline: ConcentrationEstimate | None,
+) -> list[ConcentrationEstimate]:
+    """Estimates along ascending ``deltas``; each class's step is seeded with
+    its previous certificate, the first one with the baseline's part."""
+    if any(not d >= 0 for d in deltas):
+        raise ValueError("thresholds must be non-negative")
+    if any(b < a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("thresholds must be ascending")
+    class_ids = [dataset.class_indices(k) for k in range(dataset.num_classes)]
+    class_dists = [distance_matrix(dataset, aug, class_filter=k) for k in range(len(class_ids))]
+    prev_local: list[tuple[int, ...] | None] = [None] * dataset.num_classes
+    if baseline is not None:
+        for k, part in enumerate(baseline.main_parts[: dataset.num_classes]):
+            id_to_local = {int(v): i for i, v in enumerate(class_ids[k])}
+            if all(int(v) in id_to_local for v in part):
+                prev_local[k] = tuple(id_to_local[int(v)] for v in part)
+    out: list[ConcentrationEstimate] = []
+    for delta in deltas:
+        per_class: list[float] = []
+        parts: list[tuple[int, ...]] = []
+        for k, ids in enumerate(class_ids):
+            clique = _class_clique(class_dists[k], delta, mode, prev_local[k])
+            prev_local[k] = clique
+            per_class.append(len(clique) / ids.size)
+            parts.append(tuple(int(ids[v]) for v in clique))
+        out.append(
+            ConcentrationEstimate(
+                delta=delta,
+                sigma=min(per_class),
+                per_class_sigma=tuple(per_class),
+                main_parts=tuple(parts),
+                mode=mode,
+            )
+        )
+    return out
 
 
 def estimate_sigma(
@@ -229,29 +266,7 @@ def estimate_sigma(
     chain estimates through baselines when sweeping nested augmentation
     sets so the reported sigma cannot dip for spurious reasons.
     """
-    if not delta >= 0:
-        raise ValueError("delta must be non-negative")
-    per_class: list[float] = []
-    parts: list[tuple[int, ...]] = []
-    for k in range(dataset.num_classes):
-        ids = dataset.class_indices(k)
-        dists = distance_matrix(dataset, aug, class_filter=k)
-        baseline_local: tuple[int, ...] | None = None
-        if baseline is not None and k < len(baseline.main_parts):
-            id_to_local = {int(v): i for i, v in enumerate(ids)}
-            mapped = [id_to_local.get(int(v)) for v in baseline.main_parts[k]]
-            if all(v is not None for v in mapped):
-                baseline_local = tuple(mapped)  # type: ignore[arg-type]
-        clique = _class_clique(dists, delta, mode, baseline_local)
-        per_class.append(len(clique) / ids.size)
-        parts.append(tuple(int(ids[v]) for v in clique))
-    return ConcentrationEstimate(
-        delta=float(delta),
-        sigma=min(per_class),
-        per_class_sigma=tuple(per_class),
-        main_parts=tuple(parts),
-        mode=mode,
-    )
+    return _curve(dataset, aug, [float(delta)], mode, baseline)[0]
 
 
 def sigma_delta_curve(
@@ -266,35 +281,7 @@ def sigma_delta_curve(
     step starts from the previous certificate, so sigma is non-decreasing
     along the curve in both modes.
     """
-    deltas = [float(d) for d in deltas]
-    if any(not d >= 0 for d in deltas):
-        raise ValueError("thresholds must be non-negative")
-    if any(b < a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("thresholds must be ascending")
-    class_ids = [dataset.class_indices(k) for k in range(dataset.num_classes)]
-    class_dists = [
-        distance_matrix(dataset, aug, class_filter=k) for k in range(dataset.num_classes)
-    ]
-    out: list[ConcentrationEstimate] = []
-    prev_local: list[tuple[int, ...] | None] = [None] * dataset.num_classes
-    for delta in deltas:
-        per_class: list[float] = []
-        parts: list[tuple[int, ...]] = []
-        for k in range(dataset.num_classes):
-            clique = _class_clique(class_dists[k], delta, mode, prev_local[k])
-            prev_local[k] = clique
-            per_class.append(len(clique) / class_ids[k].size)
-            parts.append(tuple(int(class_ids[k][v]) for v in clique))
-        out.append(
-            ConcentrationEstimate(
-                delta=delta,
-                sigma=min(per_class),
-                per_class_sigma=tuple(per_class),
-                main_parts=tuple(parts),
-                mode=mode,
-            )
-        )
-    return out
+    return _curve(dataset, aug, [float(d) for d in deltas], mode, None)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +311,9 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
     if len(lines) < 3 or not lines[0].startswith("# "):
         raise ValueError(f"{path}: not a concentration record")
     header = dict(tok.split("=", 1) for tok in lines[0][2:].split())
+    missing = [key for key in ("delta", "sigma", "mode", "fingerprint") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: record header lacks {', '.join(missing)}")
     per_class: list[float] = []
     parts: list[tuple[int, ...]] = []
     for ln in lines[2:]:

@@ -205,6 +205,19 @@ def test_eta_rejects_bad_library_input(args, fragment):
         eta(*args)
 
 
+@pytest.mark.parametrize("epsilon", [1e-44, 1e-46, 1e-60])
+def test_eta_is_infinite_for_a_tiny_epsilon(epsilon):
+    # The factor passes the float range; from 1e-46 down the denominator
+    # h*^(2n) (eps - s h*) underflows to 0.
+    assert eta(epsilon, 3, 1, 1.0, 1.0) == math.inf
+
+
+def test_theorem2_bound_with_infinite_eta_is_trivial():
+    # r_eps <= 1, so 1 is sound even where inf * sqrt(0) would be nan.
+    assert theorem2_bound(math.inf, 0.0) == 1.0
+    assert theorem2_bound(math.inf, 0.25) == 1.0
+
+
 def test_theorem2_bound_rejects_nan():
     with pytest.raises(ValueError, match="non-negative"):
         theorem2_bound(math.nan, 0.1)

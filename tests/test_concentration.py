@@ -5,6 +5,7 @@ import pytest
 
 from augbound.augment import AugmentationSet, additive_shift, identity, sign_flip_mask
 from augbound.concentration import (
+    APPROX_NODE_BUDGET,
     EXACT_CLIQUE_BUDGET,
     _adjacency_masks,
     ConcentrationEstimate,
@@ -50,6 +51,21 @@ def is_clique(adjacency: np.ndarray, members) -> bool:
     return all(
         adjacency[a, b] for i, a in enumerate(members) for b in members[i + 1 :]
     )
+
+
+def is_maximal(adjacency: np.ndarray, members) -> bool:
+    """No vertex outside ``members`` is adjacent to every member."""
+    inside = np.zeros(adjacency.shape[0], dtype=bool)
+    inside[list(members)] = True
+    return not np.any(~inside & adjacency[:, inside].all(axis=1))
+
+
+def random_graph(rng, n, density):
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    adj = adj | adj.T
+    dist = np.where(adj, 0.5, 2.0)
+    np.fill_diagonal(dist, 0.0)
+    return build_threshold_graph(dist, 1.0)
 
 
 def line_distances(positions) -> np.ndarray:
@@ -163,6 +179,29 @@ def test_approx_clique_is_conservative_and_valid():
         assert is_clique(g.adjacency, approx)
         assert is_clique(g.adjacency, exact)
         assert 1 <= len(approx) <= len(exact)
+        assert is_maximal(g.adjacency, approx)
+
+
+def test_approx_clique_is_exact_up_to_eight_vertices():
+    # At most 2^8 search nodes, so the budget never cuts the search.
+    assert APPROX_NODE_BUDGET >= 2**8
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        assert approx_max_clique(g) == exact_max_clique(g)
+
+
+def test_approx_clique_when_the_budget_runs_out():
+    # Dense enough that the complete search needs far more than the budget:
+    # the incumbent (9 vertices) stops short of the maximum (12).
+    g = random_graph(np.random.default_rng(4), 32, 0.8)
+    approx, exact = approx_max_clique(g), exact_max_clique(g)
+    assert len(approx) < len(exact)
+    assert is_clique(g.adjacency, approx)
+    assert is_maximal(g.adjacency, approx)
+    assert list(approx) == sorted(approx)
+    assert all(approx_max_clique(g) == approx for _ in range(3))
 
 
 def _blob_dataset(samples=6, seed=0, spread=0.2):
@@ -331,3 +370,16 @@ def test_concentration_record_round_trip(tmp_path):
     assert back.per_class_sigma == est.per_class_sigma
     assert back.main_parts == est.main_parts
     assert back.mode == est.mode
+
+
+@pytest.mark.parametrize("key", ["delta", "sigma", "mode", "fingerprint"])
+def test_concentration_record_header_lacking_a_key_names_the_path(tmp_path, key):
+    ds = _blob_dataset(samples=6, seed=8)
+    aug = _identity_aug()
+    path = tmp_path / "conc.txt"
+    save_concentration(estimate_sigma(ds, aug, 0.7), str(path), aug.fingerprint())
+    header, rest = path.read_text().split("\n", 1)
+    kept = [tok for tok in header[2:].split() if not tok.startswith(f"{key}=")]
+    path.write_text("# " + " ".join(kept) + "\n" + rest)
+    with pytest.raises(ValueError, match=f"conc.txt: record header lacks {key}"):
+        load_concentration(str(path))

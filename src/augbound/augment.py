@@ -21,16 +21,18 @@ of ``scipy.spatial.distance.cdist``, whose values they equal bit for bit
 ``distance_matrix`` computes the augmented distances of a whole class. A
 small class takes the exact formula on every view pair; a larger one is
 searched over the upper triangle only, in square tiles of at most
-``TILE_BYTES`` (2 MiB) of view pairs, so its extra memory is about one
-tile plus the N×N output, the N·V·D views and their lifted N·V·(D+2)
-copy. A tile is one BLAS GEMM on lifted views, ``[-2ĉ, 1, ‖ĉ‖²]`` times
-``[ĉ, ‖ĉ‖², 1]`` with ĉ the views centered on their mean, which gives
-every squared view distance up to a derived rounding bound
-E = 10·(D + 4)·(eps·max‖ĉ‖² + tiny). Only the view pairs whose GEMM value
+``TILE_BYTES`` (2 MiB) of float32 view pairs, so its extra memory is about
+one tile plus the N×N output, the N·V·D views and their lifted N·V·(D+2)
+float32 copy. A tile is one float32 BLAS GEMM on lifted views,
+``[-2ĉ, 1, q]`` times ``[ĉ, q, 1]``, with ĉ the views centered on their
+mean in float64, scaled by a power of two so that M = max q lies in
+[1/4, 1] (q = ‖ĉ‖²), and rounded to float32. It gives every scaled squared
+view distance up to a derived rounding bound
+E = 10·(D + 4)·(eps32·M + tiny32). Only the view pairs whose GEMM value
 lies within 2E of their sample pair's smallest one can hold its minimum;
-those few are recomputed with the exact formula, so each entry is
-bit-identical to the pairwise ``augmented_distance``. ``distance_matrix``'s
-docstring derives the bound.
+those few are recomputed with the exact float64 formula on the unscaled
+views, so each entry is bit-identical to the pairwise
+``augmented_distance``. ``distance_matrix``'s docstring derives the bound.
 
 ``distance_matrix`` and the population InfoNCE of ``evaluation`` share one
 split rule (``_tile_budget`` and ``_run_split``). A job that fits one
@@ -89,12 +91,12 @@ __all__ = [
 _DISCRETE_RULES = ("identity", "coordinate_permutation", "sign_flip_mask")
 _CONTINUOUS_RULES = ("additive_shift", "rotation_2d_subspace", "scale")
 
-# Byte budget of one float64 tile of squared view distances in
+# Byte budget of one float32 tile of squared view distances in
 # ``distance_matrix``; ``evaluation`` tiles its InfoNCE pair terms by it too.
 TILE_BYTES = 2 << 20
 
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).tiny)
 
 
 def _usable_cpus() -> int:
@@ -461,54 +463,66 @@ def distance_matrix(
     ``TILE_BYTES`` at 8 bytes each computes every view pair with the exact
     formula of ``_sqeuclidean``. A larger job searches only the upper
     triangle, in square tiles of ``side`` samples per axis whose (side·V)²
-    view pairs fit the tile budget at 8 bytes each (one sample per side at
-    least). The budget is ``TILE_BYTES`` when the whole (N·V)² job fits it,
-    which then runs inline as a single tile. Otherwise it is
-    ``TILE_BYTES // _WORKERS``, and the calling thread works through every
-    other tile while one helper thread works through the rest
+    float32 view pairs fit the tile budget at 4 bytes each (one sample per
+    side at least). The budget is ``TILE_BYTES`` when the whole (N·V)² job
+    fits it at 4 bytes each, which then runs inline as a single tile.
+    Otherwise it is ``TILE_BYTES // _WORKERS``, and the calling thread works
+    through every other tile while one helper thread works through the rest
     (``_run_split``). Extra memory is about one ``TILE_BYTES`` plus the
-    output, the N·V·D views and their lifted N·V·(D+2) copy.
+    output, the N·V·D views and their lifted N·V·(D+2) float32 copy.
 
-    A tile is one GEMM: with ĉ the views centered on their mean and
-    q = ‖ĉ‖², the rows ``[-2ĉ, 1, q]`` times the lifted views ``[ĉ, q, 1]``
-    give every squared view distance approximately, and the tile keeps
-    only, for each column, its minimum over each row sample's views
-    (``_tile_colmin``). Once a thread has done its tiles of a row of tiles,
-    ``_column_limits`` gives each sample pair the limit m + 2E below and
-    picks the columns that reach it; those columns are recomputed against
-    the row samples' views in one more GEMM, and the view pairs that reach
-    the limit are the candidates, a few per sample pair. Only they are
-    recomputed with the exact left-to-right formula of ``_sqeuclidean``,
-    and the smallest is the exact minimum. Views that repeat an earlier
-    view of every sample bit for bit (``_distinct_views``) are left out of
-    the candidates, as their distances repeat too. Tiles write disjoint
-    entries, and the lower triangle is the upper one's mirror, since squared
-    distances are the same in either argument order.
+    A tile is one float32 GEMM: with ĉ the views centered on their mean and
+    scaled, and q = ‖ĉ‖², the rows ``[-2ĉ, 1, q]`` times the lifted views
+    ``[ĉ, q, 1]`` give every scaled squared view distance approximately, and
+    the tile keeps only, for each column, its minimum over each row sample's
+    views (``_tile_colmin``). Once a thread has done its tiles of a row of
+    tiles, ``_column_limits`` gives each sample pair the limit m + 2E below
+    and picks the columns that reach it; those columns are recomputed
+    against the row samples' views in one more GEMM, and the view pairs that
+    reach the limit are the candidates, a few per sample pair. Only they are
+    recomputed with the exact left-to-right formula of ``_sqeuclidean`` on
+    the unscaled float64 views, and the smallest is the exact minimum. Views
+    that repeat an earlier view of every sample bit for bit
+    (``_distinct_views``) are left out of the candidates, as their distances
+    repeat too. Tiles write disjoint entries, and the lower triangle is the
+    upper one's mirror, since squared distances are the same in either
+    argument order.
 
-    The filter is sound by a rounding bound. Let M = max q, eps the machine
-    epsilon and u = eps/2 the unit roundoff, and write γ_n = n·u for the
-    bound on an n-term inner product computed in any order (Higham 2002,
-    §3.1). Then any GEMM value g of a view pair, whatever the kernel, is
-    within E = 10·(D + 4)·(eps·M + tiny) of the exact formula's value c on
-    the uncentered views a, b, because to first order in u:
+    The filter is sound by a rounding bound. ``_lifted`` centers the views
+    in float64 and multiplies them by a power of two s, chosen so that
+    M = max q lies in [1/4, 1]; that is exact. It then rounds ĉ and q to
+    float32. (Without the scaling, q overflows float32 once coordinates
+    reach about 1e19, and the GEMM values turn infinite or NaN.) Let u be
+    float32's unit roundoff, eps32 = 2u its machine epsilon and tiny32 its
+    smallest normal number, and write γ_n = n·u for the bound on an n-term
+    inner product computed in any order (Higham 2002, §3.1). This assumes
+    that BLAS ``sgemm`` accumulates in IEEE float32 (or wider). Then any
+    GEMM value g of a view pair, whatever the kernel, is within
+    E = 10·(D + 4)·(eps32·M + tiny32) of s²·c, with c the exact formula's
+    value on the unscaled views a, b, because to first order in u:
 
-    - g is an inner product of D + 2 terms of total size at most 4M, and
-      each q carries an error of at most γ_D·M:
-      |g − ‖ĉ_a − ĉ_b‖²| ≤ (4γ_{D+2} + 2γ_D)·M;
-    - centering rounds each coordinate by u relative, so ĉ_a − ĉ_b is
-      a − b up to 2u·√M, which moves the squared norm by at most 8u·M;
-    - c rounds each of its D + 2 steps and ‖a − b‖² ≤ 4M, so
-      |c − ‖a − b‖²| ≤ 4γ_{D+2}·M.
+    - g is a float32 inner product of D + 2 terms of total size at most
+      4M, so it is within 4γ_{D+2}·M of Q_a + Q_b − 2·x_a·x_b, where x and
+      Q are the float32 ĉ and q;
+    - each Q is q rounded to float32 (u·M), and rounding ĉ to float32 moves
+      its squared norm by at most 2u·M, so |Q − ‖x‖²| ≤ 3u·M;
+    - rounding ĉ to float32 moves x_a − x_b by at most 2u·√M, and so
+      ‖x_a − x_b‖² by at most 8u·M;
+    - the float64 steps (centering, q, and c's D + 2 roundings) add at most
+      (6D + 16)·2^-29·u·M, as float64's unit roundoff is 2^-29·u.
 
-    These add up to (10D + 24)·u·M = (5D + 12)·eps·M. The factor 10 instead
-    of 5 covers the second-order terms and the rounding of M, E and the
-    limit below; ``tiny``, the smallest normal float, covers underflow.
-    Within a sample pair let p minimize c over the pairs of distinct views
-    and let m be the pair's smallest tile GEMM value, attained by the view
-    pair q. Then g_p ≤ c_p + E ≤ c_q + E ≤ m + 2E, with g_p from the tile or
-    from any other GEMM. So p's column reaches the limit m + 2E in its
-    tile, and p itself reaches it when its column is recomputed: every view
-    pair that does is a candidate.
+    These add up to (4D + 22)·u·M = (2D + 11)·eps32·M, and the factor
+    10·(D + 4) leaves a margin of (8D + 29)·eps32·M. It covers the
+    second-order terms, the float64 steps, the rounding of M and E, and the
+    float32 rounding of the limit m + 2E, which is at most about
+    2·eps32·M, as |m| ≤ 4M + E; tiny32 covers float32 underflow. Within a
+    sample pair let p minimize c over the pairs of distinct views and let m
+    be the pair's smallest tile GEMM value, attained by the view pair r.
+    Then g_p ≤ s²·c_p + E ≤ s²·c_r + E ≤ m + 2E, with g_p from the tile or
+    from any other GEMM, and the margin keeps this true of the rounded
+    limit. So p's column reaches the limit in its tile, and p itself
+    reaches it when its column is recomputed: every view pair that does is
+    a candidate.
     """
     if class_filter is None:
         points = dataset.features
@@ -521,8 +535,8 @@ def distance_matrix(
         # A job this small costs less with the exact formula on every pair.
         sq = _sqeuclidean(coords[:, :, None], coords[:, None, :])
         return _finish_distances(sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
-    budget = _tile_budget(8 * (n * v) ** 2, TILE_BYTES)
-    side = max(1, math.isqrt(budget // 8) // v)
+    budget = _tile_budget(4 * (n * v) ** 2, TILE_BYTES)
+    side = max(1, math.isqrt(budget // 4) // v)
     keep = np.tile(_distinct_views(views), n)
     # Indices, within a row of tiles, of the distinct views of its samples.
     rowsel = (v * np.arange(side)[:, None] + keep[:v].nonzero()[0]).reshape(-1)
@@ -536,7 +550,7 @@ def distance_matrix(
         colview = (starts[:, None] + np.arange(side * v)).reshape(-1)[: colmin.shape[1]]
         limit, colview = _column_limits(colmin, colview, bound, v, i0, keep)
         # Recompute the columns some row sample's limit reaches against the
-        # row samples' distinct views, half a tile budget of values at a time.
+        # row samples' distinct views, a quarter of the tile budget at a time.
         ni = colmin.shape[0]
         rows = rowsel[: rowsel.size // side * ni]
         left = left.take(rows, axis=0)
@@ -591,23 +605,31 @@ def _distinct_views(views: np.ndarray) -> np.ndarray:
 
 
 def _lifted(coords: np.ndarray) -> tuple[np.ndarray, float]:
-    """The lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords`` and the bound E.
+    """The float32 lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords`` and the bound E.
 
-    ĉ are the views centered on their mean and q = ‖ĉ‖²; see
-    ``distance_matrix`` for E.
+    ĉ are the views centered on their mean in float64 and scaled by a power
+    of two, which is exact: first so that max |ĉ| lies in [1/2, 1), where
+    q = ‖ĉ‖² neither overflows nor underflows, then so that max q lies in
+    [1/4, 1]. Both are then rounded to float32. E is in the same scaled
+    units; see ``distance_matrix``.
     """
     d, nv = coords.shape
-    lifted = np.empty((nv, d + 2))
-    centered = lifted[:, :d]
-    np.subtract(coords.T, coords.mean(axis=1), out=centered)
-    lifted[:, d] = np.einsum("ij,ij->i", centered, centered)
+    centered = coords.T - coords.mean(axis=1)
+    peak = max(float(centered.max(initial=0.0)), -float(centered.min(initial=0.0)))
+    np.ldexp(centered, -np.frexp(peak)[1], out=centered)
+    q = np.einsum("ij,ij->i", centered, centered)
+    k = (int(np.frexp(q.max(initial=0.0))[1]) + 1) // 2
+    lifted = np.empty((nv, d + 2), dtype=np.float32)
+    np.ldexp(centered, -k, out=lifted[:, :d])
+    np.ldexp(q, -2 * k, out=lifted[:, d])
     lifted[:, d + 1] = 1.0
-    bound = 10.0 * (d + 4) * (_EPS * float(lifted[:, d].max(initial=0.0)) + _TINY)
+    bound = 10.0 * (d + 4) * (_EPS32 * float(lifted[:, d].max(initial=0.0)) + _TINY32)
     return lifted, bound
 
 
 def _left_operand(lifted: np.ndarray) -> np.ndarray:
-    """Rows ``[-2ĉ, 1, q]`` for lifted views ``[ĉ, q, 1]``; exact, as -2 is a power of two."""
+    """Rows ``[-2ĉ, 1, q]`` for lifted views ``[ĉ, q, 1]``; exact, as -2 is a
+    power of two and max |ĉ| ≤ 1."""
     d = lifted.shape[1] - 2
     left = np.empty_like(lifted)
     np.multiply(lifted[:, :d], -2.0, out=left[:, :d])

@@ -53,34 +53,24 @@ class ThresholdGraph:
     """Intra-class proximity graph at a fixed distance threshold."""
 
     adjacency: np.ndarray
-    node_ids: tuple[int, ...]
     delta: float
-    class_id: int | None = None
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
-        if adj.shape[0] != len(self.node_ids):
-            raise ValueError("node_ids must match adjacency size")
         if np.any(np.diag(adj)):
             raise ValueError("threshold graph has no self-loops")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
         object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "node_ids", tuple(int(i) for i in self.node_ids))
 
     @property
     def num_nodes(self) -> int:
         return self.adjacency.shape[0]
 
 
-def build_threshold_graph(
-    distances: np.ndarray,
-    delta: float,
-    node_ids: tuple[int, ...] | None = None,
-    class_id: int | None = None,
-) -> ThresholdGraph:
+def build_threshold_graph(distances: np.ndarray, delta: float) -> ThresholdGraph:
     """Edges join nodes whose distance is at most ``delta``."""
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
@@ -89,9 +79,7 @@ def build_threshold_graph(
         raise ValueError("distance matrix must be square")
     adjacency = distances <= delta
     np.fill_diagonal(adjacency, False)
-    if node_ids is None:
-        node_ids = tuple(range(distances.shape[0]))
-    return ThresholdGraph(adjacency, node_ids, float(delta), class_id)
+    return ThresholdGraph(adjacency, float(delta))
 
 
 def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
@@ -310,10 +298,20 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
         lines = [ln.rstrip("\n") for ln in fh]
     if len(lines) < 3 or not lines[0].startswith("# "):
         raise ValueError(f"{path}: not a concentration record")
-    header = dict(tok.split("=", 1) for tok in lines[0][2:].split())
+    tokens = lines[0][2:].split()
+    bad = [tok for tok in tokens if "=" not in tok]
+    if bad:
+        raise ValueError(f"{path}: record header token {bad[0]!r} is not key=value")
+    header = dict(tok.split("=", 1) for tok in tokens)
     missing = [key for key in ("delta", "sigma", "mode", "fingerprint") if key not in header]
     if missing:
         raise ValueError(f"{path}: record header lacks {', '.join(missing)}")
+    try:
+        delta, sigma = float(header["delta"]), float(header["sigma"])
+    except ValueError:
+        raise ValueError(
+            f"{path}: record header delta={header['delta']} sigma={header['sigma']} is not numeric"
+        ) from None
     per_class: list[float] = []
     parts: list[tuple[int, ...]] = []
     for ln in lines[2:]:
@@ -326,8 +324,8 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
         members = tuple(int(v) for v in fields[5].split()) if fields[5] else ()
         parts.append(members)
     estimate = ConcentrationEstimate(
-        delta=float(header["delta"]),
-        sigma=float(header["sigma"]),
+        delta=delta,
+        sigma=sigma,
         per_class_sigma=tuple(per_class),
         main_parts=tuple(parts),
         mode=header["mode"],  # type: ignore[arg-type]

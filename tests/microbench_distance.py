@@ -10,11 +10,13 @@ Each ``distance_matrix`` case is one class of the interleaved two-ring task
 at one of the 12 shapes of the ``scale_ladder`` benchmark: 14, 32, 64 or 96
 samples per class, times identity plus a rotation, a scaling and a shift at
 grid 5, the first one, two or three of them (6, 26 or 126 views). Every
-shape is timed twice, with the package's kernel (``numpy``: one GEMM per
-tile, then the exact formula on the few view pairs that may hold a minimum)
-and with ``_cdist_distance_matrix`` (``cdist``: the same tiles and threads,
-each one ``scipy.spatial.distance.cdist`` call and two minima), so the two
-can be compared shape by shape; both return the same matrix bit for bit.
+shape is timed twice, with the package's kernel (``numpy``: one float32
+GEMM per tile of 4-byte entries as a filter, then the exact float64 formula
+on the few view pairs that may hold a minimum) and with
+``_cdist_distance_matrix`` (``cdist``: the same byte budget and threads,
+but float64 tiles of 8-byte entries, so half the view pairs per tile, each
+one ``scipy.spatial.distance.cdist`` call and two minima), so the two can
+be compared shape by shape; both return the same matrix bit for bit.
 ``view_tensor`` is timed on the whole dataset of the ``n96_v126`` rung.
 """
 

@@ -295,14 +295,14 @@ _RING_V26 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_reso
     "workers, tile_bytes, tiles",
     [
         # N = 50 and V = 26; the tile side is 7 and 4 samples (last tiles short).
-        (1, 8 * (26 * 7) ** 2, 36),
-        (2, 8 * (26 * 7) ** 2, 91),
+        (1, 4 * (26 * 7) ** 2, 36),
+        (2, 4 * (26 * 7) ** 2, 91),
         # Sides 12 and 8 (last tiles short).
-        (1, 8 * (26 * 12) ** 2, 15),
-        (2, 8 * (26 * 12) ** 2, 28),
-        # Sides 19 and 13 (last tiles short).
-        (1, TILE_BYTES, 6),
-        (2, TILE_BYTES, 10),
+        (1, 4 * (26 * 12) ** 2, 15),
+        (2, 4 * (26 * 12) ** 2, 28),
+        # Sides 27 and 19 (last tiles short).
+        (1, TILE_BYTES, 3),
+        (2, TILE_BYTES, 6),
     ],
 )
 def test_distance_matrix_does_not_depend_on_workers_or_tiling(
@@ -345,10 +345,10 @@ _RING_V126 = AugmentationSet(
     [
         # N = 20 and V = 126, the ladder's largest view set. Tiles of 3
         # samples per thread: 7 per axis, the last one 2 samples.
-        (1, 8 * (126 * 3) ** 2, 28),
-        (2, 2 * 8 * (126 * 3) ** 2, 28),
+        (1, 4 * (126 * 3) ** 2, 28),
+        (2, 2 * 4 * (126 * 3) ** 2, 28),
         # The one-thread budget split between two threads: side 2, 10 per axis.
-        (2, 8 * (126 * 3) ** 2, 55),
+        (2, 4 * (126 * 3) ** 2, 55),
     ],
 )
 def test_distance_matrix_126_views_matches_row_blocks_on_several_tiles(
@@ -515,6 +515,47 @@ def test_distance_matrix_is_exact_in_hard_cases(case):
         assert 8 * (n * aug.num_views) ** 2 > TILE_BYTES
     m = distance_matrix(ds, aug)
     np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, aug))
+
+
+def _assert_equals_augmented_distance(m, points, aug):
+    np.testing.assert_array_equal(m, m.T)
+    np.testing.assert_array_equal(np.diag(m), 0.0)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            assert m[i, j] == augmented_distance(points[i], points[j], aug)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e20, 1e25])
+def test_distance_matrix_is_exact_at_extreme_magnitudes(scale):
+    # Squared norms near 1e-60, 1e40 and 1e50 lie outside float32's range;
+    # the filter scales the views by a power of two before rounding them.
+    points = _ring_dataset(25).features * scale
+    assert 4 * (len(points) * _RING_V26.num_views) ** 2 > TILE_BYTES
+    m = distance_matrix(_one_class(points), _RING_V26)
+    assert np.all(np.isfinite(m))
+    _assert_equals_augmented_distance(m, points, _RING_V26)
+
+
+def test_distance_matrix_is_exact_on_near_ties_below_the_float32_bound():
+    # A shift of 1e-7 and a rotation of at most 1e-6 make the view distances
+    # of each sample pair differ by more than the float64 filter's bound but
+    # less than the float32 one, so the float32 GEMM cannot order them.
+    points = _ring_dataset(25).features
+    aug = AugmentationSet(
+        (identity(), additive_shift((1e-7, 1e-7, 0.0)), rotation_2d((0, 1), 1e-6, 8.0)),
+        grid_resolution=5,
+    )
+    n, v, d = len(points), aug.num_views, points.shape[1]
+    flat = view_tensor(points, aug).reshape(n * v, d)
+    peak = float(np.max(np.sum((flat - flat.mean(axis=0)) ** 2, axis=1)))
+    bound64 = 10 * (d + 4) * (np.finfo(np.float64).eps * peak + np.finfo(np.float64).tiny)
+    bound32 = 10 * (d + 4) * np.finfo(np.float32).eps * peak
+    sq = cdist(flat, flat, "sqeuclidean").reshape(n, v, n, v).transpose(0, 2, 1, 3)
+    gaps = sq.reshape(n, n, v * v) - sq.min(axis=(2, 3))[:, :, None]
+    near = ((gaps > 2 * bound64) & (gaps <= 2 * bound32)).any(axis=2)
+    assert near[~np.eye(n, dtype=bool)].mean() > 0.9
+    m = distance_matrix(_one_class(points), aug)
+    _assert_equals_augmented_distance(m, points, aug)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

@@ -383,3 +383,29 @@ def test_concentration_record_header_lacking_a_key_names_the_path(tmp_path, key)
     path.write_text("# " + " ".join(kept) + "\n" + rest)
     with pytest.raises(ValueError, match=f"conc.txt: record header lacks {key}"):
         load_concentration(str(path))
+
+
+def _saved_record(tmp_path):
+    ds = _blob_dataset(samples=6, seed=8)
+    aug = _identity_aug()
+    path = tmp_path / "conc.txt"
+    save_concentration(estimate_sigma(ds, aug, 0.7), str(path), aug.fingerprint())
+    return path
+
+
+def test_concentration_record_header_token_without_equals_names_the_path(tmp_path):
+    path = _saved_record(tmp_path)
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(header + " junk\n" + rest)
+    with pytest.raises(ValueError, match="conc.txt: record header token 'junk' is not key=value"):
+        load_concentration(str(path))
+
+
+@pytest.mark.parametrize("key", ["delta", "sigma"])
+def test_concentration_record_header_non_numeric_value_names_the_path(tmp_path, key):
+    path = _saved_record(tmp_path)
+    header, rest = path.read_text().split("\n", 1)
+    tokens = [f"{key}=abc" if tok.startswith(f"{key}=") else tok for tok in header[2:].split()]
+    path.write_text("# " + " ".join(tokens) + "\n" + rest)
+    with pytest.raises(ValueError, match=f"conc.txt: record header .*{key}=abc.* is not numeric"):
+        load_concentration(str(path))

@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, spec_dict
 
 __all__ = [
     "Transform",
@@ -759,22 +759,7 @@ def _apply_views(
 
 
 def transform_to_spec(transform: Transform) -> dict:
-    spec: dict = {"rule": transform.rule}
-    if transform.permutation is not None:
-        spec["permutation"] = list(transform.permutation)
-    if transform.signs is not None:
-        spec["signs"] = list(transform.signs)
-    if transform.direction is not None:
-        spec["direction"] = list(transform.direction)
-    if transform.axes is not None:
-        spec["axes"] = list(transform.axes)
-    if transform.max_angle is not None:
-        spec["max_angle"] = transform.max_angle
-    if transform.scale_span is not None:
-        spec["scale_span"] = list(transform.scale_span)
-    if transform.data_radius is not None:
-        spec["data_radius"] = transform.data_radius
-    return spec
+    return spec_dict(transform)
 
 
 def transform_from_spec(spec: dict) -> Transform:
@@ -801,10 +786,7 @@ def transform_from_spec(spec: dict) -> Transform:
 
 
 def augmentation_to_spec(aug: AugmentationSet) -> dict:
-    return {
-        "grid_resolution": aug.grid_resolution,
-        "transforms": [transform_to_spec(t) for t in aug.transforms],
-    }
+    return spec_dict(aug)
 
 
 def augmentation_from_spec(spec: dict) -> AugmentationSet:

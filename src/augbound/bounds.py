@@ -18,13 +18,14 @@ bound or vice versa.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import write_csv
 
 __all__ = [
     "BoundInputs",
@@ -43,7 +44,6 @@ __all__ = [
     "tau_prime",
     "theorem4_bound",
     "full_report",
-    "csv_value",
     "save_bound_report",
 ]
 
@@ -588,23 +588,10 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
     )
 
 
-def csv_value(value: object) -> str:
-    """One CSV cell: true/false for bools, round-trip repr for floats, else str."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def save_bound_report(report: BoundReport, csv_path: str, json_path: str | None = None) -> None:
     """Write the flat key-value CSV and optionally a structured JSON."""
     flat = report.to_flat_dict()
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for key, value in flat.items():
-            writer.writerow([key, csv_value(value)])
+    write_csv(csv_path, ["key", "value"], flat.items())
     if json_path is not None:
         payload = {
             k: (None if isinstance(v, float) and math.isnan(v) else v)

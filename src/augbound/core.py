@@ -9,13 +9,12 @@ a ring. Generation is deterministic given the config seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Literal
 
 import numpy as np
-
-from .bounds import csv_value
 
 __all__ = [
     "Dataset",
@@ -23,6 +22,9 @@ __all__ = [
     "generate_dataset",
     "save_dataset",
     "load_dataset",
+    "csv_value",
+    "write_csv",
+    "spec_dict",
 ]
 
 # Blob noise is clipped to this many multiples of cluster_spread so that a
@@ -234,13 +236,44 @@ def _ring_segment(
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write a dataset to ``path`` as CSV: a header row, then one row per sample."""
+def csv_value(value: object) -> str:
+    """One CSV cell: true/false for bools, round-trip repr for floats, else str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write ``header`` then ``rows`` to ``path``, every cell through :func:`csv_value`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(dataset.input_dim)] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([csv_value(v) for v in row] + [str(int(label))])
+        writer.writerow(header)
+        writer.writerows([csv_value(cell) for cell in row] for row in rows)
+
+
+def spec_dict(obj: object) -> dict:
+    """JSON form of a dataclass instance: at every depth, the fields that are
+    set (not ``None``), with tuples as lists."""
+    return _plain(asdict(obj))
+
+
+def _plain(value: object) -> object:
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items() if v is not None}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def save_dataset(dataset: Dataset, path: str) -> None:
+    """Write a dataset to ``path`` as CSV: a header row, then one row per sample."""
+    write_csv(
+        path,
+        [f"f{j}" for j in range(dataset.input_dim)] + ["label"],
+        ([*row.tolist(), int(label)] for row, label in zip(dataset.features, dataset.labels)),
+    )
 
 
 def load_dataset(path: str) -> Dataset:

@@ -18,10 +18,11 @@ earlier stages already on disk.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -30,7 +31,6 @@ import numpy as np
 from .augment import (
     AugmentationSet,
     augmentation_from_spec,
-    augmentation_to_spec,
     identity,
     transform_from_spec,
     transform_to_spec,
@@ -41,12 +41,20 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     EmpiricalMeasurements,
-    csv_value,
     full_report,
     save_bound_report,
 )
 from .concentration import ConcentrationEstimate, save_concentration, sigma_delta_curve
-from .core import Dataset, GeneratorConfig, generate_dataset, load_dataset, save_dataset
+from .core import (
+    Dataset,
+    GeneratorConfig,
+    csv_value,
+    generate_dataset,
+    load_dataset,
+    save_dataset,
+    spec_dict,
+    write_csv,
+)
 from .encoder import (
     EncoderModel,
     TrainConfig,
@@ -373,50 +381,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Round-trippable plain-dict form (written next to the artifacts)."""
+    out = spec_dict(config)
+    out["analysis"] = {key: out.pop(key) for key in ("delta_grid", "epsilon_grid", "clique_mode")}
     if isinstance(config.dataset, str):
-        dataset: dict = {"path": config.dataset}
-    else:
-        dataset = {
-            "num_classes": config.dataset.num_classes,
-            "samples_per_class": config.dataset.samples_per_class,
-            "cluster_centers": [list(row) for row in config.dataset.cluster_centers],
-            "cluster_spread": config.dataset.cluster_spread,
-            "manifold": config.dataset.manifold,
-            "seed": config.dataset.seed,
-            "disjoint_classes": config.dataset.disjoint_classes,
-        }
-    out = {
-        "dataset": dataset,
-        "augmentation": augmentation_to_spec(config.augmentation),
-        "encoder": {
-            "hidden_dims": list(config.encoder.hidden_dims),
-            "output_dim": config.encoder.output_dim,
-            "norm_mode": config.encoder.norm_mode,
-            "radius": config.encoder.radius,
-            "seed": config.encoder.seed,
-        },
-        "training": {
-            "loss": config.training.loss,
-            "steps": config.training.steps,
-            "batch_size": config.training.batch_size,
-            "learning_rate": config.training.learning_rate,
-            "lam": config.training.lam,
-            "seed": config.training.seed,
-        },
-        "analysis": {
-            "delta_grid": list(config.delta_grid),
-            "epsilon_grid": list(config.epsilon_grid),
-            "clique_mode": config.clique_mode,
-        },
-    }
-    if config.sweep is not None:
-        if config.sweep.kind == "richness":
-            levels: list = [augmentation_to_spec(a) for a in config.sweep.levels]
-        elif config.sweep.kind == "strength":
-            levels = list(config.sweep.levels)
-        else:
-            levels = [transform_to_spec(t) for t in config.sweep.levels]
-        out["sweep"] = {"kind": config.sweep.kind, "levels": levels}
+        out["dataset"] = {"path": config.dataset}
     return out
 
 
@@ -470,29 +438,35 @@ class ExperimentResult:
         return self.reports[(len(self.config.delta_grid) - 1, 0)]
 
 
-def _write_kv_csv(path: str, rows: list[tuple[str, object]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerows([key, csv_value(value)] for key, value in rows)
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Report any failure of the body as ``StageError(name, ...)``.
+
+    A ``StageError`` raised inside passes unchanged, so a stage keeps the
+    name of the stage that failed first.
+    """
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:
-    try:
+    with _stage("dataset"):
         if isinstance(config.dataset, str):
             dataset = load_dataset(config.dataset)
         else:
             dataset = generate_dataset(config.dataset)
         save_dataset(dataset, os.path.join(out_dir, "dataset.csv"))
         return dataset
-    except Exception as exc:
-        raise StageError("dataset", str(exc)) from exc
 
 
 def stage_train(
     config: ExperimentConfig, dataset: Dataset, out_dir: str
 ) -> tuple[EncoderModel, np.ndarray]:
-    try:
+    with _stage("train"):
         model = init_encoder(
             input_dim=dataset.input_dim,
             hidden_dims=config.encoder.hidden_dims,
@@ -505,48 +479,29 @@ def stage_train(
         save_model(trained, os.path.join(out_dir, "model.bin"), seed=config.encoder.seed)
         save_trace(trace, os.path.join(out_dir, "trace.csv"))
         return trained, trace
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("train", str(exc)) from exc
 
 
 def stage_concentration(
     config: ExperimentConfig, dataset: Dataset, out_dir: str
 ) -> tuple[ConcentrationEstimate, ...]:
-    try:
+    with _stage("concentration"):
         curve = sigma_delta_curve(
             dataset, config.augmentation, config.delta_grid, config.clique_mode
         )
         fingerprint = config.augmentation.fingerprint()
-        rows = []
         for i, estimate in enumerate(curve):
-            save_concentration(
-                estimate,
-                os.path.join(out_dir, f"concentration_{i:02d}.txt"),
-                fingerprint,
-            )
-            for k, sigma_k in enumerate(estimate.per_class_sigma):
-                rows.append(
-                    (
-                        csv_value(estimate.delta),
-                        str(k),
-                        str(len(dataset.class_indices(k))),
-                        str(len(estimate.main_parts[k])),
-                        csv_value(sigma_k),
-                        csv_value(estimate.sigma),
-                        estimate.mode,
-                    )
-                )
-        with open(os.path.join(out_dir, "concentration.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["delta", "class_id", "class_size", "main_part_size", "sigma_class", "sigma", "mode"]
-            )
-            writer.writerows(rows)
+            path = os.path.join(out_dir, f"concentration_{i:02d}.txt")
+            save_concentration(estimate, path, fingerprint)
+        write_csv(
+            os.path.join(out_dir, "concentration.csv"),
+            ["delta", "class_id", "class_size", "main_part_size", "sigma_class", "sigma", "mode"],
+            (
+                (e.delta, k, len(dataset.class_indices(k)), len(part), sigma_k, e.sigma, e.mode)
+                for e in curve
+                for k, (sigma_k, part) in enumerate(zip(e.per_class_sigma, e.main_parts))
+            ),
+        )
         return curve
-    except Exception as exc:
-        raise StageError("concentration", str(exc)) from exc
 
 
 def stage_evaluate(
@@ -556,7 +511,7 @@ def stage_evaluate(
     curve: tuple[ConcentrationEstimate, ...],
     out_dir: str,
 ) -> EvalBundle:
-    try:
+    with _stage("evaluate"):
         views = view_tensor(dataset.features, config.augmentation)
         weights = view_weights(config.augmentation)
         embedded = embed_views(model, views, weights)
@@ -605,12 +560,8 @@ def stage_evaluate(
                 rows.append((f"mu_product.{k}_{l}", float(products[k, l])))
         for i, estimate in enumerate(curve):
             rows.append((f"premise_fraction.delta_{i}", bundle.premise_fractions[i]))
-        _write_kv_csv(os.path.join(out_dir, "evaluation.csv"), rows)
+        write_csv(os.path.join(out_dir, "evaluation.csv"), ["key", "value"], rows)
         return bundle
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("evaluate", str(exc)) from exc
 
 
 def stage_bounds(
@@ -620,10 +571,10 @@ def stage_bounds(
     bundle: EvalBundle,
     out_dir: str,
 ) -> dict[tuple[int, int], BoundReport]:
-    try:
+    with _stage("bounds"):
         aug = config.augmentation
         reports: dict[tuple[int, int], BoundReport] = {}
-        long_rows: list[tuple[str, str, str, str]] = []
+        long_rows: list[tuple[float, float, str, object]] = []
         for i, estimate in enumerate(curve):
             empirical = EmpiricalMeasurements(
                 err=bundle.err,
@@ -656,13 +607,10 @@ def stage_bounds(
                 report = full_report(inputs, empirical)
                 reports[(i, j)] = report
                 for key, value in report.to_flat_dict().items():
-                    long_rows.append(
-                        (csv_value(estimate.delta), csv_value(stat.epsilon), key, csv_value(value))
-                    )
-        with open(os.path.join(out_dir, "bounds.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "epsilon", "key", "value"])
-            writer.writerows(long_rows)
+                    long_rows.append((estimate.delta, stat.epsilon, key, value))
+        write_csv(
+            os.path.join(out_dir, "bounds.csv"), ["delta", "epsilon", "key", "value"], long_rows
+        )
         canonical = reports[(len(curve) - 1, 0)]
         save_bound_report(
             canonical,
@@ -670,10 +618,6 @@ def stage_bounds(
             os.path.join(out_dir, "report.json"),
         )
         return reports
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("bounds", str(exc)) from exc
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
@@ -795,30 +739,21 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
         except ConfigError as exc:
             failures.append((label, "config", str(exc)))
 
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "sigma", "one_minus_sigma", "err", "thm1_bound", "valid"])
-        for label in labels:
-            if label not in results:
-                continue
+    summary = []
+    for label in labels:
+        if label in results:
             result = results[label]
             report = result.canonical_report
             sigma = result.curve[-1].sigma
-            writer.writerow(
-                [
-                    label,
-                    csv_value(sigma),
-                    csv_value(1.0 - sigma),
-                    csv_value(result.bundle.err),
-                    csv_value(report.thm1_bound),
-                    csv_value(report.thm1_valid),
-                ]
+            summary.append(
+                (label, sigma, 1.0 - sigma, result.bundle.err, report.thm1_bound, report.thm1_valid)
             )
-
-    with open(os.path.join(out_dir, "failures.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "stage", "message"])
-        writer.writerows(failures)
+    write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ["level", "sigma", "one_minus_sigma", "err", "thm1_bound", "valid"],
+        summary,
+    )
+    write_csv(os.path.join(out_dir, "failures.csv"), ["level", "stage", "message"], failures)
 
     if config.sweep.kind == "pairs":
         _write_pairs_correlation(config, results, labels, out_dir)
@@ -839,21 +774,21 @@ def _write_pairs_correlation(
 ) -> None:
     ok = [label for label in labels if label in results]
     errs = [results[label].bundle.err for label in ok]
-    with open(os.path.join(out_dir, "correlation.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "spearman"])
-        for i, delta in enumerate(config.delta_grid):
-            one_minus_sigma = [1.0 - results[label].curve[i].sigma for label in ok]
-            degenerate = (
-                len(ok) < 2
-                or len(set(one_minus_sigma)) < 2
-                or len(set(errs)) < 2
-            )
-            if degenerate:
-                value = float("nan")
-            else:
-                value = _spearman(one_minus_sigma, errs)
-            writer.writerow([csv_value(float(delta)), csv_value(value)])
+    rows = []
+    for i, delta in enumerate(config.delta_grid):
+        one_minus_sigma = [1.0 - results[label].curve[i].sigma for label in ok]
+        degenerate = (
+            len(ok) < 2
+            or len(set(one_minus_sigma)) < 2
+            or len(set(errs)) < 2
+        )
+        if degenerate:
+            value = float("nan")
+        else:
+            value = _spearman(one_minus_sigma, errs)
+        # Library callers may pass int deltas; the column holds floats.
+        rows.append((float(delta), value))
+    write_csv(os.path.join(out_dir, "correlation.csv"), ["delta", "spearman"], rows)
 
 
 def _average_ranks(values: list[float]) -> np.ndarray:

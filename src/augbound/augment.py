@@ -188,7 +188,8 @@ class Transform:
             if self.direction is None or len(self.direction) == 0:
                 raise ValueError("additive_shift needs a direction vector")
         if self.rule == "rotation_2d_subspace":
-            if self.axes is None or self.axes[0] == self.axes[1] or min(self.axes) < 0:
+            axes = self.axes
+            if axes is None or len(axes) != 2 or axes[0] == axes[1] or min(axes) < 0:
                 raise ValueError("rotation_2d_subspace needs two distinct non-negative axes")
             if self.max_angle is None or self.max_angle < 0:
                 raise ValueError("rotation_2d_subspace needs max_angle >= 0")
@@ -305,7 +306,7 @@ def additive_shift(direction: tuple[float, ...]) -> Transform:
 def rotation_2d(axes: tuple[int, int], max_angle: float, data_radius: float) -> Transform:
     return Transform(
         "rotation_2d_subspace",
-        axes=(int(axes[0]), int(axes[1])),
+        axes=tuple(int(a) for a in axes),
         max_angle=float(max_angle),
         data_radius=float(data_radius),
     )
@@ -762,6 +763,28 @@ def transform_to_spec(transform: Transform) -> dict:
     return spec_dict(transform)
 
 
+def _spec_number(value: object, where: str, integer: bool = False) -> int | float:
+    """``value`` if it is a JSON number (an integer when ``integer``), else ``ValueError``.
+
+    Bools are refused although they are ints, and nothing is converted, so
+    ``3.7`` is no integer and ``true`` no number.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, not NaN or infinity")
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _spec_numbers(spec: dict, key: str, integer: bool = False) -> tuple:
+    values = spec[key]
+    where = f"{spec['rule']}.{key}"
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{where} must be a list, got {values!r}")
+    return tuple(_spec_number(v, f"{where}[*]", integer) for v in values)
+
+
 def transform_from_spec(spec: dict) -> Transform:
     if not isinstance(spec, dict) or "rule" not in spec:
         raise ValueError(f"transform spec must be a dict with a 'rule' key, got {spec!r}")
@@ -770,16 +793,20 @@ def transform_from_spec(spec: dict) -> Transform:
         if rule == "identity":
             return identity()
         if rule == "coordinate_permutation":
-            return coordinate_permutation(tuple(spec["permutation"]))
+            return coordinate_permutation(_spec_numbers(spec, "permutation", integer=True))
         if rule == "sign_flip_mask":
-            return sign_flip_mask(tuple(spec["signs"]))
+            return sign_flip_mask(_spec_numbers(spec, "signs"))
         if rule == "additive_shift":
-            return additive_shift(tuple(spec["direction"]))
+            return additive_shift(_spec_numbers(spec, "direction"))
         if rule == "rotation_2d_subspace":
-            return rotation_2d(tuple(spec["axes"]), spec["max_angle"], spec["data_radius"])
+            return rotation_2d(
+                _spec_numbers(spec, "axes", integer=True),
+                _spec_number(spec["max_angle"], f"{rule}.max_angle"),
+                _spec_number(spec["data_radius"], f"{rule}.data_radius"),
+            )
         if rule == "scale":
-            lo, hi = spec["scale_span"]
-            return scaling(lo, hi, spec["data_radius"])
+            lo, hi = _spec_numbers(spec, "scale_span")
+            return scaling(lo, hi, _spec_number(spec["data_radius"], f"{rule}.data_radius"))
     except KeyError as exc:
         raise ValueError(f"transform spec for {rule!r} is missing {exc}") from None
     raise ValueError(f"unknown transform rule {rule!r}")
@@ -793,4 +820,5 @@ def augmentation_from_spec(spec: dict) -> AugmentationSet:
     if not isinstance(spec, dict) or "transforms" not in spec:
         raise ValueError("augmentation spec must be a dict with a 'transforms' list")
     transforms = tuple(transform_from_spec(s) for s in spec["transforms"])
-    return AugmentationSet(transforms, grid_resolution=int(spec.get("grid_resolution", 2)))
+    resolution = _spec_number(spec.get("grid_resolution", 2), "grid_resolution", integer=True)
+    return AugmentationSet(transforms, grid_resolution=resolution)

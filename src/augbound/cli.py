@@ -27,6 +27,7 @@ from .experiments import (
     stage_evaluate,
     stage_train,
     with_seed_override,
+    write_config,
 )
 
 __all__ = ["main"]
@@ -99,7 +100,7 @@ def _run(args: argparse.Namespace) -> None:
         )
         return
 
-    os.makedirs(out_dir, exist_ok=True)
+    write_config(config, out_dir)
     dataset = stage_dataset(config, out_dir)
     if args.command == "gen-data":
         print(

@@ -320,9 +320,11 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
         fields = ln.split(",")
         if len(fields) != 6:
             raise ValueError(f"{path}: malformed class row {ln!r}")
-        per_class.append(float(fields[3]))
-        members = tuple(int(v) for v in fields[5].split()) if fields[5] else ()
-        parts.append(members)
+        try:
+            per_class.append(float(fields[3]))
+            parts.append(tuple(int(v) for v in fields[5].split()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed class row {ln!r}: {exc}") from None
     estimate = ConcentrationEstimate(
         delta=delta,
         sigma=sigma,

@@ -577,16 +577,21 @@ def load_model(path: str) -> tuple[EncoderModel, int | None]:
         magic = fh.read(len(_MODEL_MAGIC))
         if magic != _MODEL_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len).decode())
-        params = np.frombuffer(fh.read(), dtype="<f8")
-    layers = []
-    for (d_out, d_in), act in zip(header["layer_dims"], header["activations"]):
-        layers.append(Layer(np.zeros((d_out, d_in)), np.zeros(d_out), act))
-    skeleton = EncoderModel(
-        tuple(layers), norm_mode=header["norm_mode"], radius=header["radius"]
-    )
-    return with_params(skeleton, params), header["seed"]
+        # The rest is read from the file: a truncated or edited file fails
+        # somewhere in here, and the error names the file.
+        try:
+            (blob_len,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(blob_len).decode())
+            params = np.frombuffer(fh.read(), dtype="<f8")
+            layers = []
+            for (d_out, d_in), act in zip(header["layer_dims"], header["activations"]):
+                layers.append(Layer(np.zeros((d_out, d_in)), np.zeros(d_out), act))
+            skeleton = EncoderModel(
+                tuple(layers), norm_mode=header["norm_mode"], radius=header["radius"]
+            )
+            return with_params(skeleton, params), header["seed"]
+        except (struct.error, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model file: {exc!r}") from None
 
 
 def save_trace(trace: np.ndarray, path: str) -> None:
@@ -608,7 +613,10 @@ def load_trace(path: str) -> np.ndarray:
             raise ValueError(f"{path}: unexpected trace header {header!r}")
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: malformed trace row {line!r}")
-            rows.append([float(v) for v in parts])
+            # A wrong field count fails the unpacking, a bad number float().
+            try:
+                step, loss, l1, l2 = (float(v) for v in parts)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed trace row {line!r}: {exc}") from None
+            rows.append([step, loss, l1, l2])
     return np.asarray(rows, dtype=np.float64).reshape(-1, 4)

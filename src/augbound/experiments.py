@@ -89,6 +89,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "with_seed_override",
+    "write_config",
     "stage_dataset",
     "stage_train",
     "stage_concentration",
@@ -194,8 +195,12 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    # JSON accepts NaN and Infinity, and NaN passes every range check.
-    number = float(value)
+    # JSON accepts NaN and Infinity, and NaN passes every range check. An
+    # integer literal past the float range does not convert at all.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite")
     return number
@@ -206,6 +211,9 @@ def _parse_dataset(section, base_dir: str) -> GeneratorConfig | str:
         raise ConfigError("dataset section must be an object")
     if "path" in section:
         return os.path.normpath(os.path.join(base_dir, str(section["path"])))
+    disjoint = section.get("disjoint_classes", True)
+    if not isinstance(disjoint, bool):
+        raise ConfigError("dataset.disjoint_classes must be true or false")
     try:
         return GeneratorConfig(
             num_classes=_as_int(_require(section, "num_classes", "dataset"), "dataset.num_classes", 1),
@@ -213,7 +221,7 @@ def _parse_dataset(section, base_dir: str) -> GeneratorConfig | str:
                 _require(section, "samples_per_class", "dataset"), "dataset.samples_per_class", 1
             ),
             cluster_centers=tuple(
-                tuple(float(v) for v in row)
+                tuple(_as_float(v, "dataset.cluster_centers[*]") for v in row)
                 for row in _require(section, "cluster_centers", "dataset")
             ),
             cluster_spread=_as_float(
@@ -221,7 +229,7 @@ def _parse_dataset(section, base_dir: str) -> GeneratorConfig | str:
             ),
             manifold=_require(section, "manifold", "dataset"),
             seed=_as_int(_require(section, "seed", "dataset"), "dataset.seed", 0),
-            disjoint_classes=bool(section.get("disjoint_classes", True)),
+            disjoint_classes=disjoint,
         )
     except ConfigError:
         raise
@@ -234,7 +242,7 @@ def _parse_augmentation(section) -> AugmentationSet:
         raise ConfigError("augmentation section must be an object")
     try:
         return augmentation_from_spec(section)
-    # int() of an infinite index, axis or grid resolution raises OverflowError.
+    # float() of an integer literal past the float range raises OverflowError.
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"augmentation section invalid: {exc}") from exc
 
@@ -319,7 +327,7 @@ def _parse_sweep(section) -> SweepSpec:
     for spec in levels:
         try:
             t = transform_from_spec(spec)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"sweep.levels transform invalid: {exc}") from exc
         if t.rule == "identity":
             raise ConfigError("sweep.levels catalog must not contain identity")
@@ -391,7 +399,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def with_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Re-seed the whole pipeline from one master seed: the dataset (when
     generated rather than loaded) gets ``seed``, the encoder init
-    ``seed + 1``, the training stream ``seed + 2``."""
+    ``seed + 1``, the training stream ``seed + 2``. A seed that is not a
+    non-negative integer raises :class:`ConfigError`."""
+    seed = _as_int(seed, "seed", 0)
     dataset = config.dataset
     if isinstance(dataset, GeneratorConfig):
         dataset = replace(dataset, seed=seed)
@@ -451,6 +461,14 @@ def _stage(name: str) -> Iterator[None]:
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
+
+
+def write_config(config: ExperimentConfig, out_dir: str) -> None:
+    """Create ``out_dir`` and write the resolved config to ``config.json`` in it."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.json"), "w") as fh:
+        json.dump(config_to_dict(config), fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:
@@ -627,10 +645,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     failure raises StageError with that stage's name; artifacts written by
     earlier stages stay on disk for inspection.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config_to_dict(config), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_config(config, out_dir)
     dataset = stage_dataset(config, out_dir)
     model, _ = stage_train(config, dataset, out_dir)
     curve = stage_concentration(config, dataset, out_dir)

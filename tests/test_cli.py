@@ -184,6 +184,85 @@ def test_config_rejects_an_infinite_grid_resolution():
         config_from_dict(json.loads(text))
 
 
+def _with_transform(transform):
+    return lambda d: d["augmentation"]["transforms"].append(transform)
+
+
+_ROTATION = {"rule": "rotation_2d_subspace", "max_angle": 1.0, "data_radius": 2.0}
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        # Spec values are checked, never converted with int(), float() or bool().
+        (lambda d: d["augmentation"].update(grid_resolution=3.7), "grid_resolution .* integer"),
+        (lambda d: d["augmentation"].update(grid_resolution=True), "grid_resolution .* integer"),
+        (
+            _with_transform({"rule": "coordinate_permutation", "permutation": [1.9, 0.2]}),
+            r"coordinate_permutation\.permutation\[\*\] must be an integer",
+        ),
+        (
+            _with_transform({**_ROTATION, "axes": [0.9, 1.2]}),
+            r"rotation_2d_subspace\.axes\[\*\] must be an integer",
+        ),
+        (
+            _with_transform({"rule": "additive_shift", "direction": [True, 0.0]}),
+            r"additive_shift\.direction\[\*\] must be a number",
+        ),
+        (
+            _with_transform({"rule": "sign_flip_mask", "signs": [True, -1.0]}),
+            r"sign_flip_mask\.signs\[\*\] must be a number",
+        ),
+        (
+            _with_transform({"rule": "coordinate_permutation", "permutation": "10"}),
+            r"coordinate_permutation\.permutation must be a list",
+        ),
+        (_with_transform({**_ROTATION, "axes": [0, 1, 0]}), "two distinct non-negative axes"),
+        (_with_transform({**_ROTATION, "axes": [0]}), "two distinct non-negative axes"),
+        (
+            lambda d: d["dataset"].update(cluster_centers=[[True, 0.0], [2.0, 0.0]]),
+            r"dataset\.cluster_centers\[\*\] must be a number",
+        ),
+        (
+            lambda d: d["dataset"].update(disjoint_classes="false"),
+            "dataset.disjoint_classes must be true or false",
+        ),
+        # A JSON integer literal past the float range.
+        (
+            lambda d: d["training"].update(learning_rate=10**400),
+            r"training\.learning_rate must be finite",
+        ),
+    ],
+    ids=[
+        "grid_resolution_float",
+        "grid_resolution_bool",
+        "permutation_floats",
+        "axes_floats",
+        "direction_bool",
+        "signs_bool",
+        "permutation_string",
+        "three_axes",
+        "one_axis",
+        "cluster_centers_bool",
+        "disjoint_classes_string",
+        "learning_rate_past_float_range",
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(mutate, fragment):
+    data = _config_dict()
+    mutate(data)
+    with pytest.raises(ConfigError, match=fragment):
+        config_from_dict(json.loads(json.dumps(data)))
+
+
+def test_pairs_catalog_number_past_the_float_range_is_a_config_error():
+    shift = {"rule": "additive_shift", "direction": [10**400, 0.0]}
+    other = {"rule": "additive_shift", "direction": [0.0, 0.3]}
+    data = _config_dict(sweep={"kind": "pairs", "levels": [shift, other]})
+    with pytest.raises(ConfigError, match="sweep.levels transform invalid"):
+        config_from_dict(json.loads(json.dumps(data)))
+
+
 def test_load_config_io_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.json"))
@@ -299,6 +378,49 @@ def test_stage_error_names_the_stage_and_keeps_artifacts(tmp_path):
     assert info.value.stage == "train"
     assert (out2 / "dataset.csv").is_file()
     assert not (out2 / "model.bin").exists()
+
+
+# Per stage: the callee a failure is injected into, and the files of the
+# stages before it.
+_STAGE_CALLEES = [
+    ("dataset", "generate_dataset", ["config.json"]),
+    ("train", "train", ["config.json", "dataset.csv"]),
+    ("concentration", "sigma_delta_curve", ["dataset.csv", "model.bin", "trace.csv"]),
+    ("evaluate", "embed_views", ["trace.csv", "concentration.csv", "concentration_01.txt"]),
+    ("bounds", "full_report", ["concentration.csv", "evaluation.csv"]),
+]
+
+
+@pytest.mark.parametrize("stage, callee, earlier", _STAGE_CALLEES)
+def test_each_stage_reports_its_failure_and_keeps_earlier_artifacts(
+    tmp_path, monkeypatch, stage, callee, earlier
+):
+    config = config_from_dict(_config_dict())
+    boom = RuntimeError("injected fault")
+
+    def fail(*args, **kwargs):
+        raise boom
+
+    monkeypatch.setattr(experiments, callee, fail)
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as info:
+        run_experiment(config, str(out))
+    assert info.value.stage == stage
+    assert str(info.value) == f"stage '{stage}' failed: injected fault"
+    assert info.value.__cause__ is boom
+    for name in earlier:
+        assert (out / name).is_file(), name
+    assert not (out / "report.csv").exists()
+
+    inner = StageError("inner", "raised inside")
+
+    def fail_staged(*args, **kwargs):
+        raise inner
+
+    monkeypatch.setattr(experiments, callee, fail_staged)
+    with pytest.raises(StageError) as info:
+        run_experiment(config, str(tmp_path / "again"))
+    assert info.value is inner
 
 
 def test_loaded_dataset_round_trips_through_pipeline(tmp_path):
@@ -683,6 +805,30 @@ def test_cli_seed_changes_the_dataset(tmp_path):
     assert main(["gen-data", "--config", path, "--out", str(a), "--seed", "1"]) == 0
     assert main(["gen-data", "--config", path, "--out", str(b), "--seed", "2"]) == 0
     assert (a / "dataset.csv").read_bytes() != (b / "dataset.csv").read_bytes()
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        with_seed_override(config_from_dict(_config_dict()), -1)
+    path = _write_config(tmp_path, _config_dict())
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", path, "--out", str(out), "--seed", "-1"]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    # A loaded dataset takes no seed, but the encoder and training seeds do.
+    by_path = config_from_dict(_config_dict(dataset={"path": "points.csv"}))
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        with_seed_override(by_path, -1)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "concentration", "evaluate", "bounds"])
+def test_every_subcommand_writes_the_resolved_config(tmp_path, command):
+    path = _write_config(tmp_path, _config_dict())
+    out = tmp_path / "out"
+    argv = [command, "--config", path, "--out", str(out), "--seed", "3", "--mode", "approx"]
+    assert main(argv) == 0
+    resolved = replace(with_seed_override(load_config(path), 3), clique_mode="dual_approx")
+    assert json.loads((out / "config.json").read_text()) == config_to_dict(resolved)
 
 
 def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):

@@ -409,3 +409,15 @@ def test_concentration_record_header_non_numeric_value_names_the_path(tmp_path, 
     path.write_text("# " + " ".join(tokens) + "\n" + rest)
     with pytest.raises(ValueError, match=f"conc.txt: record header .*{key}=abc.* is not numeric"):
         load_concentration(str(path))
+
+
+@pytest.mark.parametrize("column", [3, 5])
+def test_concentration_record_non_numeric_class_row_names_the_path(tmp_path, column):
+    path = _saved_record(tmp_path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = "abc"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="conc.txt: malformed class row .*abc"):
+        load_concentration(str(path))

@@ -1,10 +1,19 @@
 """Dataset generation, validation, and persistence."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from augbound.augment import AugmentationSet, additive_shift, augmented_distance, identity
-from augbound.core import Dataset, GeneratorConfig, generate_dataset, load_dataset, save_dataset
+from augbound.core import (
+    Dataset,
+    GeneratorConfig,
+    generate_dataset,
+    load_dataset,
+    save_dataset,
+    write_csv,
+)
 
 
 def test_single_class_zero_spread_is_degenerate():
@@ -194,3 +203,20 @@ def test_sample_accessors():
     )
     ds = generate_dataset(cfg)
     np.testing.assert_array_equal(ds.class_indices(1), np.flatnonzero(ds.labels == 1))
+
+
+def test_write_csv_formats_every_cell(tmp_path):
+    path = tmp_path / "cells.csv"
+    third = np.float64(1.0) / 3.0
+    write_csv(str(path), ["a", "b"], [(True, False), (0.1, third), (7, "x,y"), (1e-300, -0.0)])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["a", "b"],
+        ["true", "false"],
+        ["0.1", repr(float(third))],
+        ["7", "x,y"],
+        ["1e-300", "-0.0"],
+    ]
+    assert float(rows[2][1]) == third
+    assert path.read_bytes().startswith(b"a,b\r\ntrue,false\r\n")

@@ -596,3 +596,37 @@ def test_trace_round_trip(tmp_path):
     save_trace(trace, str(path))
     back = load_trace(str(path))
     np.testing.assert_array_equal(back, trace)
+
+
+def test_trace_non_numeric_cell_names_the_path(tmp_path):
+    path = tmp_path / "trace.csv"
+    save_trace(np.array([[0, 0.5, -0.9, 1.4], [1, 0.4, -0.95, 1.35]]), str(path))
+    path.write_text(path.read_text().replace("0.4,", "abc,"))
+    with pytest.raises(ValueError, match="trace.csv: malformed trace row .*abc"):
+        load_trace(str(path))
+
+
+def _saved_model_bytes(tmp_path):
+    model = init_encoder(
+        input_dim=3, hidden_dims=(5,), output_dim=2, norm_mode="sphere", radius=1.0, seed=3
+    )
+    path = tmp_path / "model.bin"
+    save_model(model, str(path), seed=3)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("keep", [6, 9, 30, -8, -3])
+def test_truncated_model_file_names_the_path(tmp_path, keep):
+    # Cut inside the length field, the JSON header, and the parameters.
+    path, blob = _saved_model_bytes(tmp_path)
+    path.write_bytes(blob[:keep])
+    with pytest.raises(ValueError, match="model.bin: malformed model file"):
+        load_model(str(path))
+
+
+def test_model_file_with_a_bad_json_header_names_the_path(tmp_path):
+    path, blob = _saved_model_bytes(tmp_path)
+    start = blob.index(b"{")
+    path.write_bytes(blob[:start] + b"[" + blob[start + 1:])
+    with pytest.raises(ValueError, match="model.bin: malformed model file"):
+        load_model(str(path))

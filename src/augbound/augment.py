@@ -694,63 +694,66 @@ def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Genera
     return _apply_views(points, aug, *draws)
 
 
-def _empty_draws(
-    aug: AugmentationSet, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays for the draws of ``shape`` rows: branch coins, discrete member
-    indices (zeros) and parameters, which has no columns when n == 0."""
-    return (
-        np.empty(shape),
-        np.zeros(shape, dtype=np.int64),
-        np.empty((*shape, aug.num_continuous_params)),
-    )
+def _empty_draws(aug: AugmentationSet, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays for the draws of view batches of ``shape`` = (..., B) rows.
+
+    The uniforms (..., B·(1 + n)) of each view batch hold its B branch
+    coins, then its (B, n) continuous parameters row by row, as one
+    ``random`` call fills them; the discrete member indices (..., B) start
+    as zeros.
+    """
+    *lead, b = shape
+    uniforms = np.empty((*lead, b * (1 + aug.num_continuous_params)))
+    return uniforms, np.zeros(shape, dtype=np.int64)
 
 
 def _draw_views(
     aug: AugmentationSet,
     rng: np.random.Generator,
-    coin: np.ndarray,
+    uniforms: np.ndarray,
     disc_idx: np.ndarray,
-    thetas: np.ndarray,
 ) -> None:
     """Make the draws of one ``sample_views`` call, in contract order, into
-    the branch coins (B,), the discrete member indices (B,) and the
-    parameters (B, n) of ``_empty_draws``; with n == 0 the parameter draw
-    fills nothing and consumes nothing.
+    one view batch's uniforms (B·(1 + n),) and discrete member indices (B,)
+    of ``_empty_draws``.
 
     With a single discrete member the index draw ``integers(0, 1, B)`` is
     all zeros and consumes nothing from the generator, so it is skipped and
-    ``disc_idx`` keeps its zeros.
+    ``disc_idx`` keeps its zeros. The coins and the parameters are then
+    consecutive ``random`` draws, which one call makes as the stream would
+    in two.
     """
-    rng.random(out=coin)
     if aug.num_discrete > 1:
-        disc_idx[:] = rng.integers(0, aug.num_discrete, size=len(coin))
-    rng.random(out=thetas)
+        b = len(disc_idx)
+        rng.random(out=uniforms[:b])
+        disc_idx[:] = rng.integers(0, aug.num_discrete, size=b)
+        rng.random(out=uniforms[b:])
+    else:
+        rng.random(out=uniforms)
 
 
 def _apply_views(
-    points: np.ndarray,
-    aug: AugmentationSet,
-    coin: np.ndarray,
-    disc_idx: np.ndarray,
-    thetas: np.ndarray,
+    points: np.ndarray, aug: AugmentationSet, uniforms: np.ndarray, disc_idx: np.ndarray
 ) -> np.ndarray:
-    """Views of checked (B, D) ``points`` for draws laid out as ``_empty_draws``'s.
+    """Views of checked (R, D) ``points`` for draws laid out as ``_empty_draws``'s,
+    R = ``disc_idx.size``, the view batches' rows in order.
 
     Members act row by row, so each is applied to every row and selected;
     the rows may come from any number of ``_draw_views`` calls.
     """
+    b, rows = disc_idx.shape[-1], disc_idx.size
     n = aug.num_continuous_params
     # Every row drawn discrete (all rows when n == 0) is replaced below.
     out = points
     if n:
-        thetas = _check_theta(thetas)
+        thetas = _check_theta(uniforms[..., b:].reshape(rows, n))
         for j, trans in enumerate(aug.continuous):
             out = trans._map(out, thetas[:, j : j + 1])
-    take_discrete = (coin < 0.5) | (n == 0)
+    take_discrete = (uniforms[..., :b].reshape(rows) < 0.5) | (n == 0)
+    disc_idx = disc_idx.reshape(rows)
     for idx, trans in enumerate(aug.discrete):
-        rows = (take_discrete & (disc_idx == idx))[:, None]
-        out = np.where(rows, trans._map(points, None), out)
+        selected = (take_discrete & (disc_idx == idx))[:, None]
+        out = np.where(selected, trans._map(points, None), out)
     return out
 
 

@@ -321,15 +321,33 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
         if len(fields) != 6:
             raise ValueError(f"{path}: malformed class row {ln!r}")
         try:
-            per_class.append(float(fields[3]))
-            parts.append(tuple(int(v) for v in fields[5].split()))
+            class_size, part_size = int(fields[1]), int(fields[2])
+            sig = float(fields[3])
+            part = tuple(int(v) for v in fields[5].split())
         except ValueError as exc:
             raise ValueError(f"{path}: malformed class row {ln!r}: {exc}") from None
-    estimate = ConcentrationEstimate(
-        delta=delta,
-        sigma=sigma,
-        per_class_sigma=tuple(per_class),
-        main_parts=tuple(parts),
-        mode=header["mode"],  # type: ignore[arg-type]
-    )
+        where = f"{path}: class row {ln!r}"
+        # Written so that NaN fails.
+        if not 0.0 < sig <= 1.0:
+            raise ValueError(f"{where} has sigma_k {sig!r} outside (0, 1]")
+        if part_size != len(part):
+            raise ValueError(f"{where} lists {len(part)} members under main_part_size {part_size}")
+        if class_size != round(part_size / sig):
+            raise ValueError(
+                f"{where} has class_size {class_size}, not round(main_part_size / sigma_k)"
+            )
+        if fields[4] != header["mode"]:
+            raise ValueError(f"{where} has mode {fields[4]!r}, the header {header['mode']!r}")
+        per_class.append(sig)
+        parts.append(part)
+    try:
+        estimate = ConcentrationEstimate(
+            delta=delta,
+            sigma=sigma,
+            per_class_sigma=tuple(per_class),
+            main_parts=tuple(parts),
+            mode=header["mode"],  # type: ignore[arg-type]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return estimate, header["fingerprint"]

@@ -6,21 +6,27 @@ per-dimension batch standardization (zero mean, unit mean square over the
 current batch). Gradients are computed by manual backpropagation through
 the whole stack, including the normalization. Training is minibatch SGD on
 sampled view batches with the exact gradient of each batch loss, and the
-parameters are updated in place. The random draws are made per step in the
-order of ``make_train_batch``, for a chunk of steps whose views fit in
-``TILE_BYTES``; each augmentation member is then applied once to the whole
-chunk.
+parameters are updated in place. Steps run in chunks whose views and kept
+embeddings fit in ``TILE_BYTES``. A chunk's random draws are made per step
+in the order of ``make_train_batch``, and each augmentation member is then
+applied once to all of its views. The step loop computes only what the next
+step needs, the gradient and the update, and keeps each step's embeddings
+(its cross-correlation matrix for ``cross_corr``). After the loop, one
+vectorized call of the loss kernels gives the l1, l2 and total of every
+step in the chunk for the trace.
 
 ``train`` validates its inputs once, at entry: the pairing of loss and
 normalization, the dataset dimension against the encoder, and every
 augmentation member against that dimension (``TrainConfig`` checks its
-numbers when it is built). A step then does only its arithmetic: it calls
-the loss kernels of :mod:`augbound.losses` on embeddings it has just
-normalized, without the batch-shape, unit-norm, standardization and symmetry
-checks of the public losses. Each step still guards against a diverging
-state: a zero pre-projection norm or a zero-variance dimension raises
-``ValueError``, and a non-finite loss, gradient or updated parameter vector
-raises ``RuntimeError`` with the step index.
+numbers when it is built). A step then does only its arithmetic: the loss
+kernels of :mod:`augbound.losses` run on embeddings it has just normalized,
+without the batch-shape, unit-norm, standardization and symmetry checks of
+the public losses. Each step still guards against a diverging state: a zero
+pre-projection norm or a zero-variance dimension raises ``ValueError``, and
+non-finite updated parameters raise ``RuntimeError`` with the step index. A
+non-finite gradient makes them non-finite, since the learning rate is
+positive; a non-finite loss, found after the chunk's loop, raises the same
+error for its first step.
 
 ``lipschitz_upper_bound`` certifies the network before its normalization:
 the product of layer operator norms (tanh has slope at most 1). The factor
@@ -169,8 +175,9 @@ def forward_prenorm(model: EncoderModel, x: np.ndarray) -> np.ndarray:
 
 def _norm_forward(model: EncoderModel, y: np.ndarray) -> tuple[np.ndarray, tuple]:
     if model.norm_mode == "sphere":
-        norms = np.sqrt((y * y).sum(axis=1, keepdims=True))
-        if norms.min() < 1e-12:
+        # ufunc reductions are the ndarray methods' values without their wrappers.
+        norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
+        if np.minimum.reduce(norms, axis=None) < 1e-12:
             raise ValueError("zero vector cannot be projected onto the sphere")
         yhat = y / norms
         # r * y / norms is yhat bit for bit at r == 1 exactly, not near it.
@@ -180,9 +187,9 @@ def _norm_forward(model: EncoderModel, y: np.ndarray) -> tuple[np.ndarray, tuple
         if y.shape[0] < 2:
             raise ValueError("batch standardization needs at least 2 rows")
         # Column sum over row count is np.mean's value without its dispatch cost.
-        centered = y - y.sum(axis=0) / len(y)
-        var = (centered**2).sum(axis=0) / len(y)
-        if var.min() < 1e-24:
+        centered = y - np.add.reduce(y, axis=0) / len(y)
+        var = np.add.reduce(centered**2, axis=0) / len(y)
+        if np.minimum.reduce(var) < 1e-24:
             raise ValueError("batch standardization hit a zero-variance dimension")
         scale = np.sqrt(var)
         z = centered / scale
@@ -212,16 +219,25 @@ def with_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
 
 def _bind_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
     """Model whose layer weights and biases are views into ``flat``."""
-    layers = []
+    layers = [
+        Layer(weight, bias, layer.activation)
+        for (weight, bias), layer in zip(_param_views(model, flat), model.layers)
+    ]
+    return EncoderModel(tuple(layers), norm_mode=model.norm_mode, radius=model.radius)
+
+
+def _param_views(model: EncoderModel, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into a flat vector laid out as ``flat_params``, per layer."""
+    views = []
     pos = 0
     for layer in model.layers:
-        end = pos + layer.weight.size
-        weight = flat[pos:end].reshape(layer.weight.shape)
-        pos = end + layer.bias.size
-        layers.append(Layer(weight, flat[end:pos], layer.activation))
+        mid = pos + layer.weight.size
+        end = mid + layer.bias.size
+        views.append((flat[pos:mid].reshape(layer.weight.shape), flat[mid:end]))
+        pos = end
     if pos != flat.size:
         raise ValueError("parameter vector size mismatch")
-    return EncoderModel(tuple(layers), norm_mode=model.norm_mode, radius=model.radius)
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +333,14 @@ def _sample_chunk(
     b = batch_size
     shape = (steps, views_per_step, b)
     idx = np.empty(shape, dtype=np.int64)
-    coin, disc_idx, thetas = _empty_draws(aug, shape)
+    uniforms, disc_idx = _empty_draws(aug, shape)
     for s in range(steps):
         anchor_idx = rng.integers(0, dataset.num_samples, size=b)
         for v in range(views_per_step):
             # Negatives (v == 2) view an independent sample per anchor.
             idx[s, v] = rng.integers(0, dataset.num_samples, size=b) if v == 2 else anchor_idx
-            _draw_views(aug, rng, coin[s, v], disc_idx[s, v], thetas[s, v])
-    rows = steps * views_per_step * b
-    return _apply_views(
-        dataset.features[idx.reshape(rows)],
-        aug,
-        coin.reshape(rows),
-        disc_idx.reshape(rows),
-        thetas.reshape(rows, -1),
-    )
+            _draw_views(aug, rng, uniforms[s, v], disc_idx[s, v])
+    return _apply_views(dataset.features[idx.reshape(-1)], aug, uniforms, disc_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +360,32 @@ def _check_pairing(model: EncoderModel, config: TrainConfig) -> None:
 def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray) -> np.ndarray:
     if model.norm_mode == "sphere":
         yhat, norms = cache
-        inner = (dz * yhat).sum(axis=1, keepdims=True)
+        inner = np.add.reduce(dz * yhat, axis=1, keepdims=True)
         return (model.radius / norms) * (dz - yhat * inner)
     if model.norm_mode == "batch_standardized":
         z, scale = cache
-        return (dz - dz.sum(axis=0) / len(dz) - z * ((dz * z).sum(axis=0) / len(dz))) / scale
+        n = len(dz)
+        mean_dz = np.add.reduce(dz, axis=0) / n
+        return (dz - mean_dz - z * (np.add.reduce(dz * z, axis=0) / n)) / scale
     return dz
 
 
 def _layers_backward(
-    model: EncoderModel, activations: list[np.ndarray], d_out: np.ndarray
-) -> np.ndarray:
-    """Flat parameter gradient; the gradient of the input is not formed."""
-    parts: list[np.ndarray] = []
-    grad = d_out
+    model: EncoderModel,
+    activations: list[np.ndarray],
+    d_out: np.ndarray,
+    grad: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Write the parameter gradient into ``grad``, the ``_param_views`` of a
+    flat vector; the gradient of the input is not formed."""
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         post = activations[i + 1]
-        d_pre = grad * (1.0 - post**2) if layer.activation == "tanh" else grad
-        parts += (d_pre.sum(axis=0), (d_pre.T @ activations[i]).ravel())
+        d_pre = d_out * (1.0 - post**2) if layer.activation == "tanh" else d_out
+        np.matmul(d_pre.T, activations[i], out=grad[i][0])
+        np.add.reduce(d_pre, axis=0, out=grad[i][1])
         if i:
-            grad = d_pre @ layer.weight
-    return np.concatenate(parts[::-1])
+            d_out = d_pre @ layer.weight
 
 
 def loss_and_gradient(
@@ -389,55 +402,74 @@ def loss_and_gradient(
     if with_negatives and batch.negatives is None:
         raise ValueError(f"{config.loss} needs a negative batch")
     views = (batch.anchors, batch.positives, batch.negatives)[: 3 if with_negatives else 2]
-    total, l1, l2, grad = _loss_and_gradient(model, np.concatenate(views), batch.size, config)
+    grad = np.empty(sum(layer.weight.size + layer.bias.size for layer in model.layers))
+    kept = _gradient(model, np.concatenate(views), batch.size, config, _param_views(model, grad))
+    l1, l2 = (float(v[0]) for v in _loss_terms(kept[None], batch.size, config))
     lam = 1.0 if config.loss == "info_nce" else config.lam
+    total = losses_mod.recompose(config.loss, l1, l2, lam)
     return LossBreakdown(kind=config.loss, total=total, l1=l1, l2=l2, lam=lam), grad
 
 
-def _loss_and_gradient(
-    model: EncoderModel, x: np.ndarray, b: int, config: TrainConfig
-) -> tuple[float, float, float, np.ndarray]:
-    """Total, l1, l2 and the flat gradient on stacked views: anchors,
-    positives, then negatives when the loss uses them, ``b`` rows each.
+def _gradient(
+    model: EncoderModel,
+    x: np.ndarray,
+    b: int,
+    config: TrainConfig,
+    grad: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Write the loss gradient on stacked views into ``grad`` (the
+    ``_param_views`` of a flat vector) and return what ``_loss_terms`` needs
+    for the step's loss: the (k·B, d) embeddings, or F (d, d) for cross_corr.
 
-    The caller checks the pairing. The embeddings are normalized here, so
-    the loss kernels of :mod:`augbound.losses` run without the unit-norm
-    and standardization checks of the public losses.
+    ``x`` stacks anchors, positives, then negatives when the loss uses them,
+    ``b`` rows each. The caller checks the pairing. The embeddings are
+    normalized here, so the loss kernels of :mod:`augbound.losses` run
+    without the unit-norm and standardization checks of the public losses.
     """
     y, activations = _forward_layers(model, x)
     z, cache = _norm_forward(model, y)
-    z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
+    d = z.shape[1]
+    blocks = z.reshape(-1, b, d)
     lam = config.lam
     # dz is d(total)/dz, written block by block: anchors, positives, negatives.
     dz = np.empty_like(z)
-    blocks = dz.reshape(-1, b, z.shape[1])
+    d_blocks = dz.reshape(-1, b, d)
+    kept = z
     if config.loss == "info_nce":
-        pos, neg, l1, l2 = losses_mod._info_nce_terms(z1, z2, zn)
+        pos, neg = losses_mod._info_nce_scores(blocks)
         p_neg = _expit(neg - pos)[:, None]
-        np.multiply(p_neg, zn - z2, out=blocks[0])
-        np.multiply(p_neg, z1, out=blocks[2])
-        blocks[::2] /= b
+        np.multiply(p_neg, blocks[2] - blocks[1], out=d_blocks[0])
+        np.multiply(p_neg, blocks[0], out=d_blocks[2])
+        d_blocks[::2] /= b
         # -p_neg * z1 / b is the exact negation of the negatives' block.
-        np.negative(blocks[2], out=blocks[1])
+        np.negative(d_blocks[2], out=d_blocks[1])
     elif config.loss == "simple":
-        l1, l2 = losses_mod._simple_terms(z1, z2, zn)
         # lam * zn - z2 is -z2 + lam * zn exactly: IEEE addition commutes.
-        np.multiply(lam, zn, out=blocks[0])
-        blocks[0] -= z2
-        np.negative(z1, out=blocks[1])
-        np.multiply(lam, z1, out=blocks[2])
+        np.multiply(lam, blocks[2], out=d_blocks[0])
+        d_blocks[0] -= blocks[1]
+        np.negative(blocks[0], out=d_blocks[1])
+        np.multiply(lam, blocks[0], out=d_blocks[2])
         dz /= b
     else:
-        f = losses_mod._cross_corr_matrix(z1, z2)
-        l1, l2 = losses_mod._cross_corr_terms(f)
+        kept = f = losses_mod._cross_corr_matrix(blocks[0], blocks[1])
         g = 2.0 * lam * f
-        np.fill_diagonal(g, -2.0 * (1.0 - np.diag(f)))
-        np.matmul(z2, g, out=blocks[0])
-        np.matmul(z1, g, out=blocks[1])
+        g.flat[:: d + 1] = -2.0 * (1.0 - f.diagonal())
+        np.matmul(blocks[1], g, out=d_blocks[0])
+        np.matmul(blocks[0], g, out=d_blocks[1])
         dz /= b
-    d_pre_norm = _norm_backward(model, cache, dz)
-    grad = _layers_backward(model, activations, d_pre_norm)
-    return losses_mod.recompose(config.loss, l1, l2, lam), l1, l2, grad
+    _layers_backward(model, activations, _norm_backward(model, cache, dz), grad)
+    return kept
+
+
+def _loss_terms(stack: np.ndarray, b: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """l1 and l2 per step from a stack of ``_gradient`` results: (S, k·B, d)
+    embeddings, or (S, d, d) matrices for cross_corr."""
+    if config.loss == "cross_corr":
+        return losses_mod._cross_corr_terms(stack)
+    blocks = stack.reshape(len(stack), -1, b, stack.shape[-1])
+    if config.loss == "info_nce":
+        return losses_mod._info_nce_terms(blocks)
+    return losses_mod._simple_terms(blocks)
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
@@ -470,16 +502,20 @@ def train(
     """Minibatch SGD; returns the new model and a (steps, 4) trace.
 
     Trace columns are step, total, l1, l2, recorded at the parameters the
-    step started from. Aborts with the step index if the loss, gradient,
-    or updated parameters go non-finite (learning rate too high). Zero
-    steps returns a copy of the model with an empty trace. The caller's
-    model is never modified.
+    step started from. Aborts with the step index if the updated parameters
+    or the loss go non-finite (learning rate too high). Zero steps returns
+    a copy of the model with an empty trace. The caller's model is never
+    modified.
 
     The batches are those of ``make_train_batch`` called once per step on
-    one generator seeded with ``config.seed``: the draws are made per step
-    in that order, for chunks of at most ``TILE_BYTES // (k·B·D·8)`` steps
-    (k = 3 views per anchor with negatives, else 2), and each augmentation
-    member is applied once per chunk.
+    one generator seeded with ``config.seed``. Steps run in chunks of at
+    most ``TILE_BYTES // (k·B·(D + d)·8)`` (k = 3 views per anchor with
+    negatives, else 2), in two passes. First the chunk's draws are made per
+    step in that order and each augmentation member is applied once to all
+    of its views. Then the step loop computes only the gradient and the
+    update, and keeps each step's embeddings (F for cross_corr). Last, one
+    vectorized pass of the loss kernels gives every step's l1, l2 and
+    total, the values that ``loss_and_gradient`` reports for the step.
     """
     _check_pairing(model, config)
     if dataset.input_dim != model.input_dim:
@@ -492,23 +528,37 @@ def train(
     params = flat_params(model)
     # Updating params in place updates the layers of current.
     current = _bind_params(model, params)
-    b = config.batch_size
+    flat_grad = np.empty_like(params)
+    grad = _param_views(model, flat_grad)
+    b, d = config.batch_size, model.output_dim
     k = 3 if config.loss in ("info_nce", "simple") else 2
-    chunk = max(1, TILE_BYTES // (k * b * dataset.input_dim * 8))
+    chunk = max(1, TILE_BYTES // (k * b * (dataset.input_dim + d) * 8))
+    kept_shape = (d, d) if config.loss == "cross_corr" else (k * b, d)
     lr = config.learning_rate
-    rows = []
-    for step in range(config.steps):
-        offset = step % chunk * k * b
-        if offset == 0:
-            views = _sample_chunk(dataset, aug, b, min(chunk, config.steps - step), k, rng)
-        total, l1, l2, grad = _loss_and_gradient(current, views[offset : offset + k * b], b, config)
-        if not (math.isfinite(total) and np.isfinite(grad).all()):
-            raise RuntimeError(f"training diverged at step {step}")
-        rows.append((step, total, l1, l2))
-        params -= lr * grad
-        if not np.isfinite(params).all():
-            raise RuntimeError(f"training diverged at step {step}")
-    return with_params(model, params), np.array(rows, dtype=np.float64).reshape(-1, 4)
+    trace = np.empty((config.steps, 4))
+    trace[:, 0] = np.arange(config.steps)
+    for start in range(0, config.steps, chunk):
+        steps = min(chunk, config.steps - start)
+        views = _sample_chunk(dataset, aug, b, steps, k, rng).reshape(steps, k * b, -1)
+        kept = np.empty((steps, *kept_shape))
+        for s in range(steps):
+            kept[s] = _gradient(current, views[s], b, config, grad)
+            params -= lr * flat_grad
+            # With lr > 0 a non-finite gradient makes the parameters non-finite.
+            if not np.logical_and.reduce(np.isfinite(params)):
+                raise RuntimeError(f"training diverged at step {start + s}")
+        del views  # before the loss pass's temporaries
+        l1, l2 = _loss_terms(kept, b, config)
+        rows = trace[start : start + steps]
+        rows[:, 1] = losses_mod.recompose(config.loss, l1, l2, config.lam)
+        rows[:, 2] = l1
+        rows[:, 3] = l2
+        # A backstop: a non-finite loss needs non-finite embeddings, whose
+        # gradient is non-finite, so the loop above has raised already.
+        diverged = np.flatnonzero(~np.isfinite(rows[:, 1]))
+        if diverged.size:
+            raise RuntimeError(f"training diverged at step {start + diverged[0]}")
+    return with_params(model, params), trace
 
 
 # ---------------------------------------------------------------------------

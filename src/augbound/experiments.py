@@ -730,7 +730,8 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
     """One full experiment per sweep level, fresh encoder each time.
 
-    Writes per-level artifacts under level subdirectories, a summary CSV
+    Writes the resolved config, sweep section included, to ``config.json``,
+    per-level artifacts under level subdirectories, a summary CSV
     (columns level, sigma, one_minus_sigma, err, thm1_bound, valid — sigma
     taken at the last delta of the grid, the bound at the first epsilon),
     a failures CSV, and for pairs sweeps a correlation CSV with the
@@ -738,7 +739,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
-    os.makedirs(out_dir, exist_ok=True)
+    write_config(config, out_dir)
     levels = _sweep_levels(config, config.sweep)
     results: dict[str, ExperimentResult] = {}
     failures: list[tuple[str, str, str]] = []

@@ -11,9 +11,11 @@ recomposition identity is loss-specific and checked on construction:
 Inputs are raw embedding batches; nothing here touches the encoder. Each
 public loss checks its inputs, then calls a private kernel that holds the
 formula (``_info_nce_terms``, ``_cross_corr_matrix`` and
-``_cross_corr_terms``, ``_simple_terms``). Training calls the kernels
-directly on embeddings it has just normalized, so it does not re-check them
-on every step.
+``_cross_corr_terms``, ``_simple_terms``). The term kernels take a leading
+step axis and reduce only over trailing contiguous axes, so a step's values
+do not depend on how many steps are stacked with it: the public losses pass
+a stack of one step, and training passes every step of a chunk at once, on
+embeddings it has normalized itself, without re-checking them.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ def _check_lam(lam: float) -> None:
         raise ValueError("lam must be positive and finite")
 
 
-def _mean(values: np.ndarray) -> float:
-    """The value of ``float(np.mean(values))``: one sum, one division, no dispatch."""
-    return float(values.sum()) / values.size
+def _mean(values: np.ndarray) -> np.ndarray:
+    """``np.mean`` over the last axis: one pairwise sum, one division, no dispatch."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 def _check_unit_norm(*batches: np.ndarray) -> None:
@@ -118,18 +120,23 @@ def _check_unit_norm(*batches: np.ndarray) -> None:
         raise ValueError("embeddings must be unit-norm")
 
 
-def _alignment(z1: np.ndarray, z2: np.ndarray) -> float:
-    """l1 of info_nce and simple: mean ||z1 - z2||^2 / 2 - 1."""
-    return _mean(((z1 - z2) ** 2).sum(axis=1)) / 2.0 - 1.0
+def _alignment(z: np.ndarray) -> np.ndarray:
+    """l1 of info_nce and simple: mean ||z1 - z2||^2 / 2 - 1 per step.
+
+    ``z`` stacks each step's blocks z1, z2 (and z_neg): (..., k, B, d).
+    """
+    return _mean(np.add.reduce((z[..., 0, :, :] - z[..., 1, :, :]) ** 2, axis=-1)) / 2.0 - 1.0
 
 
-def _info_nce_terms(
-    z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The scores z1.z2 and z1.z_neg per row, then l1 and l2 of ``info_nce``."""
-    pos = (z1 * z2).sum(axis=1)
-    neg = (z1 * z_neg).sum(axis=1)
-    return pos, neg, _alignment(z1, z2), _mean(np.logaddexp(pos, neg))
+def _info_nce_scores(z: np.ndarray) -> np.ndarray:
+    """The scores z1.z2 and z1.z_neg per row of stacked blocks (..., 3, B, d): (..., 2, B)."""
+    return np.add.reduce(z[..., 1:, :, :] * z[..., :1, :, :], axis=-1)
+
+
+def _info_nce_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l1 and l2 of ``info_nce`` per step of stacked blocks (..., 3, B, d)."""
+    scores = _info_nce_scores(z)
+    return _alignment(z), _mean(np.logaddexp(scores[..., 0, :], scores[..., 1, :]))
 
 
 def info_nce(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> LossBreakdown:
@@ -144,8 +151,8 @@ def info_nce(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> LossBreakdown
     """
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
-    _, _, l1, l2 = _info_nce_terms(z1, z2, z_neg)
-    return _breakdown("info_nce", l1, l2, 1.0)
+    l1, l2 = _info_nce_terms(np.stack((z1, z2, z_neg)))
+    return _breakdown("info_nce", float(l1), float(l2), 1.0)
 
 
 def _check_standardized(pooled: np.ndarray) -> None:
@@ -164,10 +171,12 @@ def _cross_corr_matrix(view1: np.ndarray, view2: np.ndarray) -> np.ndarray:
     return (raw + raw.T) / 2.0
 
 
-def _cross_corr_terms(f: np.ndarray) -> tuple[float, float]:
-    """l1 = sum_i (1 - F_ii)^2 and l2 = ||F - I||_F^2 of ``cross_corr_loss``."""
-    l1 = float(((1.0 - np.diag(f)) ** 2).sum())
-    l2 = float(((f - np.eye(len(f))) ** 2).sum())
+def _cross_corr_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l1 = sum_i (1 - F_ii)^2 and l2 = ||F - I||_F^2 of ``cross_corr_loss``
+    per step of stacked matrices (..., d, d)."""
+    d = f.shape[-1]
+    l1 = np.add.reduce((1.0 - f.diagonal(axis1=-2, axis2=-1)) ** 2, axis=-1)
+    l2 = np.add.reduce(((f - np.eye(d)) ** 2).reshape(*f.shape[:-2], d * d), axis=-1)
     return l1, l2
 
 
@@ -191,12 +200,13 @@ def cross_corr_loss(corr: CrossCorrMatrix, lam: float) -> LossBreakdown:
     """
     _check_lam(lam)
     l1, l2 = _cross_corr_terms(corr.matrix)
-    return _breakdown("cross_corr", l1, l2, lam)
+    return _breakdown("cross_corr", float(l1), float(l2), lam)
 
 
-def _simple_terms(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> tuple[float, float]:
-    """l1 and l2 of ``simple_contrastive``."""
-    return _alignment(z1, z2), _mean((z1 * z_neg).sum(axis=1))
+def _simple_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l1 and l2 of ``simple_contrastive`` per step of stacked blocks (..., 3, B, d)."""
+    repulsion = np.add.reduce(z[..., 0, :, :] * z[..., 2, :, :], axis=-1)
+    return _alignment(z), _mean(repulsion)
 
 
 def simple_contrastive(
@@ -211,6 +221,6 @@ def simple_contrastive(
     _check_lam(lam)
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
-    l1, l2 = _simple_terms(z1, z2, z_neg)
-    return _breakdown("simple", l1, l2, lam)
+    l1, l2 = _simple_terms(np.stack((z1, z2, z_neg)))
+    return _breakdown("simple", float(l1), float(l2), lam)
 

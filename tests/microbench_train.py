@@ -5,12 +5,14 @@ Run it on its own with
 
     python -m pytest tests/microbench_train.py
 
-The blob cases are one 250-step training run with batch size 8 on the
-2-class, 6-per-class blobs with an identity + shift augmentation set, the
-settings of the ``info_nce_d2_k2`` and ``cross_corr_d2_k2`` acceptance
-fixtures. The ring case is one 300-step ``info_nce`` run with batch size 16
-on the 3-d two-ring task of acceptance 09 and 10 with identity + wide
-rotation + scale at grid 5 (26 views), which times the continuous members.
+The blob cases are one 250-step training run with batch size 8 on
+6-per-class blobs with an identity + shift augmentation set, the settings
+of the ``info_nce_d2_k2`` and ``cross_corr_d2_k2`` acceptance fixtures (2
+classes, 2-d embeddings) and of ``info_nce_d8_k4`` (4 classes, 8-d
+embeddings, the most kept embedding values per step). The ring case is one
+300-step ``info_nce`` run with batch size 16 on the 3-d two-ring task of
+acceptance 09 and 10 with identity + wide rotation + scale at grid 5 (26
+views), which times the continuous members.
 The ladder case is one 100-step ``cross_corr`` run with batch size 16 on
 the same ring task at 14 per class with identity + wide rotation + scale +
 shift at grid 5 (126 views), the settings of the smallest 126-view rung of
@@ -24,15 +26,26 @@ from augbound.core import GeneratorConfig, generate_dataset
 from augbound.encoder import TrainConfig, init_encoder, train
 
 _NORM = {"info_nce": "sphere", "cross_corr": "batch_standardized"}
+# Fixture name: loss, output_dim, num_classes.
+_FIXTURES = {
+    "info_nce_d2_k2": ("info_nce", 2, 2),
+    "cross_corr_d2_k2": ("cross_corr", 2, 2),
+    "info_nce_d8_k4": ("info_nce", 8, 4),
+}
+_CENTERS = {
+    2: ((-2.0, 0.0), (2.0, 0.0)),
+    4: ((2.0, 0.0), (-2.0, 0.0), (0.0, 2.0), (0.0, -2.0)),
+}
 
 
-@pytest.mark.parametrize("loss", sorted(_NORM))
-def test_train_250_steps(benchmark, loss):
+@pytest.mark.parametrize("fixture", sorted(_FIXTURES))
+def test_train_250_steps(benchmark, fixture):
+    loss, output_dim, num_classes = _FIXTURES[fixture]
     dataset = generate_dataset(
         GeneratorConfig(
-            num_classes=2,
+            num_classes=num_classes,
             samples_per_class=6,
-            cluster_centers=((-2.0, 0.0), (2.0, 0.0)),
+            cluster_centers=_CENTERS[num_classes],
             cluster_spread=0.02,
             manifold="gaussian_blobs",
             seed=0,
@@ -42,7 +55,7 @@ def test_train_250_steps(benchmark, loss):
         transforms=(identity(), additive_shift((0.03, 0.0))), grid_resolution=3
     )
     model = init_encoder(
-        input_dim=2, hidden_dims=(), output_dim=2, norm_mode=_NORM[loss],
+        input_dim=2, hidden_dims=(), output_dim=output_dim, norm_mode=_NORM[loss],
         radius=1.0, seed=0,
     )
     config = TrainConfig(

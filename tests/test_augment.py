@@ -649,8 +649,9 @@ def test_one_discrete_member_makes_no_index_draw(with_continuous):
     aug = AugmentationSet(transforms=members, grid_resolution=3)
     b, n = 16, aug.num_continuous_params
     rng = np.random.default_rng(21)
-    coin, disc_idx, thetas = augment._empty_draws(aug, (b,))
-    augment._draw_views(aug, rng, coin, disc_idx, thetas)
+    uniforms, disc_idx = augment._empty_draws(aug, (b,))
+    augment._draw_views(aug, rng, uniforms, disc_idx)
+    coin, thetas = uniforms[:b], uniforms[b:].reshape(b, n)
     twin = np.random.default_rng(21)
     twin_coin = twin.random(b)
     twin_idx = twin.integers(0, 1, size=b)

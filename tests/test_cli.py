@@ -860,6 +860,25 @@ def test_cli_sweep_subcommand(tmp_path, capsys):
     assert "2 of 2 levels succeeded" in capsys.readouterr().out
 
 
+def test_cli_sweep_writes_the_resolved_root_config_and_reruns_byte_identically(tmp_path):
+    data = _config_dict(sweep={"kind": "strength", "levels": [0.5, 1.0]})
+    path = _write_config(tmp_path, data)
+    outs = (tmp_path / "first", tmp_path / "second")
+    for out in outs:
+        argv = ["sweep", "--config", path, "--out", str(out), "--seed", "3", "--mode", "approx"]
+        assert main(argv) == 0
+    resolved = replace(with_seed_override(load_config(path), 3), clique_mode="dual_approx")
+    written = load_config(str(outs[0] / "config.json"))
+    assert written == resolved
+    assert written.sweep is not None and written.sweep == resolved.sweep
+    trees = [
+        {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for out in outs
+    ]
+    assert "config.json" in trees[0]
+    assert trees[0] == trees[1]
+
+
 def test_transform_to_spec_round_trip_for_sweep_catalog():
     # the catalog written back into level config.json files must reparse
     for t in (

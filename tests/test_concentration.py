@@ -421,3 +421,43 @@ def test_concentration_record_non_numeric_class_row_names_the_path(tmp_path, col
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="conc.txt: malformed class row .*abc"):
         load_concentration(str(path))
+
+
+def _edit_class_row(path, column, value):
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return lines[2]
+
+
+def test_concentration_record_sigma_k_out_of_range_names_the_path(tmp_path):
+    path = _saved_record(tmp_path)
+    _edit_class_row(path, 3, "7.5")
+    with pytest.raises(ValueError, match=r"conc.txt: class row .* sigma_k 7.5 outside \(0, 1\]"):
+        load_concentration(str(path))
+
+
+def test_concentration_record_members_must_match_main_part_size(tmp_path):
+    path = _saved_record(tmp_path)
+    row = _edit_class_row(path, 5, " 99 98")
+    assert int(row.split(",")[2]) > 2
+    with pytest.raises(ValueError, match="conc.txt: class row .* lists 2 members under main_part"):
+        load_concentration(str(path))
+
+
+def test_concentration_record_class_size_must_match_part_size_over_sigma(tmp_path):
+    path = _saved_record(tmp_path)
+    size = int(path.read_text().splitlines()[2].split(",")[1])
+    _edit_class_row(path, 1, str(size + 1))
+    with pytest.raises(ValueError, match=f"conc.txt: class row .* class_size {size + 1}, not"):
+        load_concentration(str(path))
+
+
+def test_concentration_record_row_mode_must_match_the_header(tmp_path):
+    path = _saved_record(tmp_path)
+    assert "mode=exact" in path.read_text().splitlines()[0]
+    _edit_class_row(path, 4, "dual_approx")
+    with pytest.raises(ValueError, match="conc.txt: class row .* mode 'dual_approx', the header"):
+        load_concentration(str(path))

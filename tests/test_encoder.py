@@ -357,13 +357,20 @@ def test_train_matches_reference_loop_bit_for_bit(loss, aug_name, monkeypatch):
     aug = _ORACLE_AUGS[aug_name]
     before = flat_params(model)
     ref_model, ref_trace = _reference_train(model, ds, aug, config)
-    step_bytes = (2 if loss == "cross_corr" else 3) * config.batch_size * ds.input_dim * 8
+    # A step holds its k·B views of D features and their d-dim embeddings.
+    k = 2 if loss == "cross_corr" else 3
+    step_bytes = k * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    chunks = _record_loss_passes(monkeypatch)
     # The default budget holds all 60 steps; then chunks of 1 step, of 7
     # (a 4-step last chunk), of 59 (a 1-step last chunk) and of 60.
+    expected_chunks = {None: [60], 1: [1] * 60, 7: [7] * 8 + [4], 59: [59, 1], 60: [60]}
     for chunk_steps in (None, 1, 7, 59, 60):
         if chunk_steps is not None:
             monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
+        chunks.clear()
         trained, trace = train(model, ds, aug, config)
+        # One vectorized loss pass per chunk.
+        assert chunks == expected_chunks[chunk_steps]
         np.testing.assert_array_equal(trace, ref_trace)
         np.testing.assert_array_equal(flat_params(trained), flat_params(ref_model))
         np.testing.assert_array_equal(flat_params(model), before)
@@ -381,6 +388,186 @@ def test_train_matches_reference_loop_for_zero_and_one_step(loss, steps):
     assert trace.shape == (steps, 4)
     np.testing.assert_array_equal(trace, ref_trace)
     np.testing.assert_array_equal(flat_params(trained), flat_params(ref_model))
+
+
+def _record_loss_passes(monkeypatch):
+    """Wrap ``encoder._loss_terms``; the returned list gets each call's step count."""
+    steps = []
+    real = encoder._loss_terms
+
+    def recording(stack, b, config):
+        steps.append(len(stack))
+        return real(stack, b, config)
+
+    monkeypatch.setattr(encoder, "_loss_terms", recording)
+    return steps
+
+
+def _one_pass_loss_and_gradient(model, batch, config):
+    """The one-pass step that computed each step's loss beside its gradient:
+    per-batch loss kernels, ``np.diag`` and ``np.fill_diagonal``, and a
+    gradient built by ``ravel`` and ``concatenate``. An oracle for the
+    split into a gradient half and a vectorized loss pass."""
+    b = batch.size
+    views = [batch.anchors, batch.positives]
+    if config.loss != "cross_corr":
+        views.append(batch.negatives)
+    y, activations = encoder._forward_layers(model, np.concatenate(views))
+    z, cache = encoder._norm_forward(model, y)
+    z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
+    lam = config.lam
+
+    def mean(values):
+        return float(values.sum()) / values.size
+
+    l1 = mean(((z1 - z2) ** 2).sum(axis=1)) / 2.0 - 1.0
+    dz = np.empty_like(z)
+    blocks = dz.reshape(-1, b, z.shape[1])
+    if config.loss == "info_nce":
+        pos, neg = (z1 * z2).sum(axis=1), (z1 * zn).sum(axis=1)
+        l2 = mean(np.logaddexp(pos, neg))
+        p_neg = encoder._expit(neg - pos)[:, None]
+        np.multiply(p_neg, zn - z2, out=blocks[0])
+        np.multiply(p_neg, z1, out=blocks[2])
+        blocks[::2] /= b
+        np.negative(blocks[2], out=blocks[1])
+    elif config.loss == "simple":
+        l2 = mean((z1 * zn).sum(axis=1))
+        np.multiply(lam, zn, out=blocks[0])
+        blocks[0] -= z2
+        np.negative(z1, out=blocks[1])
+        np.multiply(lam, z1, out=blocks[2])
+        dz /= b
+    else:
+        raw = z1.T @ z2 / b
+        f = (raw + raw.T) / 2.0
+        l1 = float(((1.0 - np.diag(f)) ** 2).sum())
+        l2 = float(((f - np.eye(len(f))) ** 2).sum())
+        g = 2.0 * lam * f
+        np.fill_diagonal(g, -2.0 * (1.0 - np.diag(f)))
+        np.matmul(z2, g, out=blocks[0])
+        np.matmul(z1, g, out=blocks[1])
+        dz /= b
+    grad, parts = encoder._norm_backward(model, cache, dz), []
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        post = activations[i + 1]
+        d_pre = grad * (1.0 - post**2) if layer.activation == "tanh" else grad
+        parts += (d_pre.sum(axis=0), (d_pre.T @ activations[i]).ravel())
+        if i:
+            grad = d_pre @ layer.weight
+    lam = 1.0 if config.loss == "info_nce" else lam
+    total = losses.recompose(config.loss, l1, l2, lam)
+    breakdown = losses.LossBreakdown(kind=config.loss, total=total, l1=l1, l2=l2, lam=lam)
+    return breakdown, np.concatenate(parts[::-1])
+
+
+@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
+def test_loss_and_gradient_matches_the_one_pass_step_bit_for_bit(loss):
+    rng = np.random.default_rng(78)
+    for _ in range(12):
+        model, batch, config = _random_case(rng, loss)
+        breakdown, grad = loss_and_gradient(model, batch, config)
+        expected, expected_grad = _one_pass_loss_and_gradient(model, batch, config)
+        assert breakdown == expected
+        assert grad.tobytes() == expected_grad.tobytes()
+    for steps in (1, 3):
+        ds, model, config = _oracle_case(loss, steps=steps)
+        rng = np.random.default_rng(config.seed)
+        for _ in range(steps):
+            batch = make_train_batch(
+                ds, _ORACLE_AUGS["perm_sign_shift"], config.batch_size, rng, loss != "cross_corr"
+            )
+            breakdown, grad = loss_and_gradient(model, batch, config)
+            expected, expected_grad = _one_pass_loss_and_gradient(model, batch, config)
+            assert breakdown == expected
+            assert grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize("aug_name", ["identity_only", *sorted(_ORACLE_AUGS)])
+@pytest.mark.parametrize("views_per_step", [2, 3])
+def test_sample_chunk_draws_what_the_per_step_batches_draw(aug_name, views_per_step):
+    # identity_only and rotation_scale have one discrete member, whose
+    # coins and parameters one random call fills; perm_sign_shift has three,
+    # with the index draw between them.
+    aug = _ORACLE_AUGS.get(aug_name, AugmentationSet(transforms=(identity(),)))
+    ds, _, _ = _oracle_case("info_nce", steps=1)
+    b, steps = 8, 6
+    rng = np.random.default_rng(31)
+    views = encoder._sample_chunk(ds, aug, b, steps, views_per_step, rng)
+    twin = np.random.default_rng(31)
+    expected = []
+    for _ in range(steps):
+        batch = make_train_batch(ds, aug, b, twin, with_negatives=views_per_step == 3)
+        expected += [batch.anchors, batch.positives]
+        if views_per_step == 3:
+            expected.append(batch.negatives)
+    np.testing.assert_array_equal(views, np.concatenate(expected))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _reference_divergence_step(model, dataset, aug, config):
+    """The first step of the per-step loop with a non-finite loss, gradient
+    or update, the step at which ``train`` must stop; None if there is none."""
+    rng = np.random.default_rng(config.seed)
+    params = flat_params(model)
+    current = model
+    for step in range(config.steps):
+        batch = make_train_batch(dataset, aug, config.batch_size, rng, config.loss != "cross_corr")
+        try:
+            _, grad = loss_and_gradient(current, batch, config)
+        except ValueError as exc:  # a non-finite loss does not recompose
+            assert "recompose" in str(exc)
+            return step
+        params = params - config.learning_rate * grad
+        if not (np.isfinite(grad).all() and np.isfinite(params).all()):
+            return step
+        current = with_params(current, params)
+    return None
+
+
+def test_divergence_inside_a_chunk_reports_the_per_step_index(monkeypatch):
+    # A learning rate of 1e308 throws the standardized encoder to the edge
+    # of the float range; its pre-activations overflow many steps later.
+    ds, _, _ = _oracle_case("cross_corr", steps=1)
+    aug = AugmentationSet(transforms=(identity(), additive_shift((0.1, 0.0, 0.2))))
+    model = init_encoder(
+        input_dim=3, hidden_dims=(), output_dim=3, norm_mode="batch_standardized",
+        radius=1.0, seed=2,
+    )
+    config = TrainConfig(
+        loss="cross_corr", steps=30, batch_size=8, learning_rate=1e308, seed=3, lam=0.3
+    )
+    with np.errstate(all="ignore"):
+        step = _reference_divergence_step(model, ds, aug, config)
+        assert step is not None and step % 7 not in (0, 6)
+        step_bytes = 2 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+        for tile_bytes in (TILE_BYTES, 7 * step_bytes):
+            monkeypatch.setattr(encoder, "TILE_BYTES", tile_bytes)
+            with pytest.raises(RuntimeError, match=f"diverged at step {step}$"):
+                train(model, ds, aug, config)
+
+
+def test_non_finite_loss_of_a_chunk_reports_its_first_step(monkeypatch):
+    # The loop's parameter check always fires first; the check after the
+    # loss pass is a backstop, reached here through a poisoned loss pass.
+    ds, model, config = _oracle_case("info_nce", steps=20)
+    step_bytes = 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    monkeypatch.setattr(encoder, "TILE_BYTES", 7 * step_bytes)
+    real = encoder._loss_terms
+
+    def poisoned(stack, b, config):
+        l1, l2 = real(stack, b, config)
+        if len(stack) == 7 and not poisoned.done:
+            poisoned.done = True
+            return l1, l2
+        l2[[3, 5]] = np.nan
+        return l1, l2
+
+    poisoned.done = False
+    monkeypatch.setattr(encoder, "_loss_terms", poisoned)
+    with pytest.raises(RuntimeError, match="diverged at step 10$"):
+        train(model, ds, _ORACLE_AUGS["rotation_scale"], config)
 
 
 @pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])

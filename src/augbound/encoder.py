@@ -7,11 +7,12 @@ current batch). Gradients are computed by manual backpropagation through
 the whole stack, including the normalization. Training is minibatch SGD on
 sampled view batches with the exact gradient of each batch loss, and the
 parameters are updated in place. Steps run in chunks whose views and kept
-embeddings fit in ``TILE_BYTES``. A chunk's random draws are made per step
-in the order of ``make_train_batch``, and each augmentation member is then
-applied once to all of its views. The step loop computes only what the next
-step needs, the gradient and the update, and keeps each step's embeddings
-(its cross-correlation matrix for ``cross_corr``). After the loop, one
+embeddings fit in ``TILE_BYTES``. A chunk's random draws are those of
+``make_train_batch`` step by step, decoded from one block of the
+generator's raw words, and each augmentation member is then applied once
+to all of its views. The step loop computes only what the next step
+needs, the gradient and the update, and keeps each step's embeddings (its
+cross-correlation matrix for ``cross_corr``). After the loop, one
 vectorized call of the loss kernels gives the l1, l2 and total of every
 step in the chunk for the trace.
 
@@ -325,22 +326,130 @@ def _sample_chunk(
 
     Step s owns rows [s·k·B, (s+1)·k·B) of the (steps·k·B, D) result, with
     k = ``views_per_step``: anchors, positives, then negatives when k == 3,
-    row for row what ``make_train_batch`` returns for the same generator.
-    Its draws are made step by step in ``make_train_batch``'s order; each
-    member is then applied once to all rows. Pairing and member dimensions
-    are the caller's to check.
+    row for row what ``make_train_batch`` returns for the same generator,
+    which is left in the same state. The draws are decoded from one
+    ``random_raw`` block of the generator (``_block_draws``); they fall back
+    to one generator call at a time in ``make_train_batch``'s order
+    (``_per_call_draws``) for a bit generator other than PCG64, or when a
+    bounded draw of the block is one that numpy might reject. Each member
+    is then applied once to all rows. Pairing and member dimensions are the
+    caller's to check.
     """
-    b = batch_size
-    shape = (steps, views_per_step, b)
-    idx = np.empty(shape, dtype=np.int64)
+    shape = (steps, views_per_step, batch_size)
+    idx = np.zeros(shape, dtype=np.int64)
     uniforms, disc_idx = _empty_draws(aug, shape)
-    for s in range(steps):
-        anchor_idx = rng.integers(0, dataset.num_samples, size=b)
-        for v in range(views_per_step):
-            # Negatives (v == 2) view an independent sample per anchor.
-            idx[s, v] = rng.integers(0, dataset.num_samples, size=b) if v == 2 else anchor_idx
-            _draw_views(aug, rng, uniforms[s, v], disc_idx[s, v])
+    if not _block_draws(dataset.num_samples, aug.num_discrete, rng, idx, uniforms, disc_idx):
+        _per_call_draws(dataset.num_samples, aug, rng, idx, uniforms, disc_idx)
     return _apply_views(dataset.features[idx.reshape(-1)], aug, uniforms, disc_idx)
+
+
+def _per_call_draws(
+    num_samples: int,
+    aug: AugmentationSet,
+    rng: np.random.Generator,
+    idx: np.ndarray,
+    uniforms: np.ndarray,
+    disc_idx: np.ndarray,
+) -> None:
+    """Fill a chunk's (steps, k, B) sample indices ``idx`` and the draws of
+    ``_empty_draws`` with one generator call at a time, step by step in
+    ``make_train_batch``'s order."""
+    steps, k, b = idx.shape
+    for s in range(steps):
+        anchor_idx = rng.integers(0, num_samples, size=b)
+        for v in range(k):
+            # Negatives (v == 2) view an independent sample per anchor.
+            idx[s, v] = rng.integers(0, num_samples, size=b) if v == 2 else anchor_idx
+            _draw_views(aug, rng, uniforms[s, v], disc_idx[s, v])
+
+
+# numpy's random() double of a 64-bit word w is (w >> 11) · 2⁻⁵³.
+_DOUBLE_SCALE = 2.0**-53
+
+
+def _block_draws(
+    num_samples: int,
+    num_discrete: int,
+    rng: np.random.Generator,
+    idx: np.ndarray,
+    uniforms: np.ndarray,
+    disc_idx: np.ndarray,
+) -> bool:
+    """Make ``_per_call_draws``'s draws from one ``random_raw`` block.
+
+    Decodes numpy's PCG64 stream for the same calls. A ``random`` double
+    takes one 64-bit word w and is (w >> 11)·2⁻⁵³. A bounded draw
+    ``integers(0, N)`` takes a 32-bit u: while the generator holds a half
+    (``has_uint32``), that half, else the low half of a new word, whose high
+    half the generator then holds (``uinteger``). Its value is (u·N) >> 32
+    (Lemire's method), and a bound of 1 takes nothing. The held half
+    survives ``random`` calls and call boundaries, so the chunk's draws are
+    one stream whatever the calls. Afterwards ``has_uint32`` and
+    ``uinteger`` (the last fetched high half, consumed or not) are as numpy
+    leaves them.
+
+    Returns False, with the generator as it was, where the decode is not
+    known to be exact: a bit generator other than PCG64, or a bounded draw
+    with (u·N) mod 2³² < N, which numpy may reject and redraw (a chance of
+    about N/2³² per draw).
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        return False
+    snapshot = bitgen.state
+    held = snapshot["has_uint32"]
+    steps, k, b = idx.shape
+    width = uniforms.shape[-1]
+    # One step's calls in stream order as (draws, bound, target); bound 0
+    # is a random() call, whose doubles fill ``uniforms`` in order.
+    calls = []
+    for v in range(k):
+        if v != 1:  # the anchors' indices, then the negatives' before their batch
+            calls.append((b, num_samples, idx[:, v]))
+        if num_discrete > 1:
+            calls += [(b, 0, None), (b, num_discrete, disc_idx[:, v]), (width - b, 0, None)]
+        else:
+            calls.append((width, 0, None))
+    calls = [call for call in calls if call[1] != 1]
+    bound = np.repeat([call[1] for call in calls], [call[0] for call in calls])
+    bounded = bound > 0
+    h = int(np.count_nonzero(bounded))
+    # The j-th bounded draw of the chunk (from 0) fetches a word when
+    # j + held is even; the pattern of words repeats every step, or every two when h is
+    # odd. ``is_double`` marks the block's words that random() takes.
+    cycle = np.tile(bounded, 1 + h % 2)
+    fetches = ~cycle | ((np.cumsum(cycle) + held) % 2 == 1)
+    n_words = steps * (bound.size - h) + (steps * h + 1 - held) // 2
+    is_double = np.resize(~cycle[fetches], n_words)
+    raw = bitgen.random_raw(n_words)
+    doubles = uniforms.reshape(-1)
+    bits = doubles.view(np.uint64)
+    np.right_shift(raw[is_double], 11, out=bits)
+    np.multiply(bits, _DOUBLE_SCALE, out=doubles)
+    words = raw[~is_double]
+    del raw, is_double
+    # Each fetched word gives its low half, then its high half.
+    halves = words.astype("<u8", copy=False).view("<u4")
+    if held:
+        halves = np.concatenate((np.array([snapshot["uinteger"]], dtype=np.uint32), halves))
+    bound = bound[bounded].astype(np.uint64)
+    scaled = halves[: steps * h].reshape(steps, h) * bound
+    if np.logical_or.reduce(scaled.astype(np.uint32) < bound, axis=None):
+        bitgen.state = snapshot
+        return False
+    scaled >>= 32
+    col = 0
+    for draws, n, target in calls:
+        if n:
+            target[...] = scaled[:, col : col + draws]
+            col += draws
+    idx[:, 1] = idx[:, 0]  # the positives view the anchors' samples
+    state = bitgen.state
+    state["has_uint32"] = held ^ (steps * h) % 2
+    if words.size:
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +619,16 @@ def train(
     The batches are those of ``make_train_batch`` called once per step on
     one generator seeded with ``config.seed``. Steps run in chunks of at
     most ``TILE_BYTES // (k·B·(D + d)·8)`` (k = 3 views per anchor with
-    negatives, else 2), in two passes. First the chunk's draws are made per
-    step in that order and each augmentation member is applied once to all
-    of its views. Then the step loop computes only the gradient and the
-    update, and keeps each step's embeddings (F for cross_corr). Last, one
-    vectorized pass of the loss kernels gives every step's l1, l2 and
-    total, the values that ``loss_and_gradient`` reports for the step.
+    negatives, else 2), in two passes. First the chunk's draws are made:
+    the same stream as those calls, decoded from one ``random_raw`` block of
+    the generator (one call at a time instead, from the chunk's starting
+    state, for a bit generator other than PCG64 or at a bounded draw that
+    numpy might reject; see ``_block_draws``), and each augmentation member
+    is applied once to all of its views. Then the step loop computes only
+    the gradient and the update, and keeps each step's embeddings (F for
+    cross_corr). Last, one vectorized pass of the loss kernels gives every
+    step's l1, l2 and total, the values that ``loss_and_gradient`` reports
+    for the step.
     """
     _check_pairing(model, config)
     if dataset.input_dim != model.input_dim:

@@ -17,10 +17,15 @@ The ladder case is one 100-step ``cross_corr`` run with batch size 16 on
 the same ring task at 14 per class with identity + wide rotation + scale +
 shift at grid 5 (126 views), the settings of the smallest 126-view rung of
 the benchmark's scale ladder.
+The draw cases time ``encoder._sample_chunk`` alone, the views of one
+chunk of 250 steps on the ``info_nce_d2_k2`` shape and of 300 steps on
+the 26-view ring shape (3 views per step, as InfoNCE draws them).
 """
 
+import numpy as np
 import pytest
 
+from augbound import encoder
 from augbound.augment import AugmentationSet, additive_shift, identity, rotation_2d, scaling
 from augbound.core import GeneratorConfig, generate_dataset
 from augbound.encoder import TrainConfig, init_encoder, train
@@ -38,10 +43,8 @@ _CENTERS = {
 }
 
 
-@pytest.mark.parametrize("fixture", sorted(_FIXTURES))
-def test_train_250_steps(benchmark, fixture):
-    loss, output_dim, num_classes = _FIXTURES[fixture]
-    dataset = generate_dataset(
+def _blob_dataset(num_classes):
+    return generate_dataset(
         GeneratorConfig(
             num_classes=num_classes,
             samples_per_class=6,
@@ -51,9 +54,26 @@ def test_train_250_steps(benchmark, fixture):
             seed=0,
         )
     )
-    aug = AugmentationSet(
+
+
+def _blob_aug():
+    return AugmentationSet(
         transforms=(identity(), additive_shift((0.03, 0.0))), grid_resolution=3
     )
+
+
+def _ring_aug():
+    return AugmentationSet(
+        transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
+        grid_resolution=5,
+    )
+
+
+@pytest.mark.parametrize("fixture", sorted(_FIXTURES))
+def test_train_250_steps(benchmark, fixture):
+    loss, output_dim, num_classes = _FIXTURES[fixture]
+    dataset = _blob_dataset(num_classes)
+    aug = _blob_aug()
     model = init_encoder(
         input_dim=2, hidden_dims=(), output_dim=output_dim, norm_mode=_NORM[loss],
         radius=1.0, seed=0,
@@ -81,10 +101,7 @@ def _ring_dataset():
 
 def test_train_ring_300_steps(benchmark):
     dataset = _ring_dataset()
-    aug = AugmentationSet(
-        transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
-        grid_resolution=5,
-    )
+    aug = _ring_aug()
     assert aug.num_views == 26
     model = init_encoder(
         input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", radius=1.0, seed=0
@@ -117,3 +134,18 @@ def test_train_ladder_cross_corr_100_steps(benchmark):
     )
     _, trace = benchmark(train, model, dataset, aug, config)
     assert trace.shape == (100, 4)
+
+
+def test_draw_chunk_info_nce_d2_k2_250_steps(benchmark):
+    dataset = _blob_dataset(2)
+    rng = np.random.default_rng(0)
+    views = benchmark(encoder._sample_chunk, dataset, _blob_aug(), 8, 250, 3, rng)
+    assert views.shape == (250 * 3 * 8, 2)
+
+
+def test_draw_chunk_ring_300_steps(benchmark):
+    aug = _ring_aug()
+    assert aug.num_views == 26
+    rng = np.random.default_rng(0)
+    views = benchmark(encoder._sample_chunk, _ring_dataset(), aug, 16, 300, 3, rng)
+    assert views.shape == (300 * 3 * 16, 3)

@@ -484,6 +484,41 @@ def test_loss_and_gradient_matches_the_one_pass_step_bit_for_bit(loss):
             assert grad.tobytes() == expected_grad.tobytes()
 
 
+def _per_step_views(ds, aug, b, steps, views_per_step, rng):
+    """A chunk's views from ``make_train_batch`` called once per step."""
+    views = []
+    for _ in range(steps):
+        batch = make_train_batch(ds, aug, b, rng, with_negatives=views_per_step == 3)
+        views += [batch.anchors, batch.positives]
+        if views_per_step == 3:
+            views.append(batch.negatives)
+    return np.concatenate(views)
+
+
+def _record_fallbacks(monkeypatch):
+    """Wrap ``encoder._per_call_draws``; the returned list gets each call's step count."""
+    steps = []
+    real = encoder._per_call_draws
+
+    def recording(num_samples, aug, rng, idx, uniforms, disc_idx):
+        steps.append(len(idx))
+        return real(num_samples, aug, rng, idx, uniforms, disc_idx)
+
+    monkeypatch.setattr(encoder, "_per_call_draws", recording)
+    return steps
+
+
+def _assert_chunks_match(ds, aug, b, views_per_step, chunk_steps, rng, twin):
+    """Sample consecutive chunks from ``rng`` and the same steps per step
+    from ``twin``: equal views and equal whole generator states after each."""
+    for steps in chunk_steps:
+        views = encoder._sample_chunk(ds, aug, b, steps, views_per_step, rng)
+        expected = _per_step_views(ds, aug, b, steps, views_per_step, twin)
+        np.testing.assert_array_equal(views, expected)
+        # assert_equal compares nested dicts; MT19937 keeps an array key.
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+
 @pytest.mark.parametrize("aug_name", ["identity_only", *sorted(_ORACLE_AUGS)])
 @pytest.mark.parametrize("views_per_step", [2, 3])
 def test_sample_chunk_draws_what_the_per_step_batches_draw(aug_name, views_per_step):
@@ -496,14 +531,132 @@ def test_sample_chunk_draws_what_the_per_step_batches_draw(aug_name, views_per_s
     rng = np.random.default_rng(31)
     views = encoder._sample_chunk(ds, aug, b, steps, views_per_step, rng)
     twin = np.random.default_rng(31)
-    expected = []
-    for _ in range(steps):
-        batch = make_train_batch(ds, aug, b, twin, with_negatives=views_per_step == 3)
-        expected += [batch.anchors, batch.positives]
-        if views_per_step == 3:
-            expected.append(batch.negatives)
-    np.testing.assert_array_equal(views, np.concatenate(expected))
+    expected = _per_step_views(ds, aug, b, steps, views_per_step, twin)
+    np.testing.assert_array_equal(views, expected)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+_DRAW_AUGS = {
+    "identity_only": AugmentationSet(transforms=(identity(),)),
+    **_ORACLE_AUGS,
+}
+
+
+@pytest.mark.parametrize("aug_name", sorted(_DRAW_AUGS))
+@pytest.mark.parametrize("views_per_step", [2, 3])
+@pytest.mark.parametrize("b", [5, 7, 8])
+def test_block_draws_match_the_per_call_stream_across_steps_and_chunks(
+    b, views_per_step, aug_name, monkeypatch
+):
+    # With an odd batch a step may make an odd number of bounded draws, so
+    # the held half-word crosses calls, steps and chunk boundaries.
+    ds, _, _ = _oracle_case("info_nce", steps=1)
+    fallbacks = _record_fallbacks(monkeypatch)
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    _assert_chunks_match(ds, _DRAW_AUGS[aug_name], b, views_per_step, (1, 3, 2, 5), rng, twin)
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("aug_name", ["rotation_scale", "perm_sign_shift"])
+@pytest.mark.parametrize("views_per_step", [2, 3])
+def test_block_draws_of_a_one_sample_dataset(views_per_step, aug_name, monkeypatch):
+    # Index draws with a bound of 1 take nothing from the generator; with
+    # one discrete member (rotation_scale) no bounded draw is left at all.
+    ds = Dataset(features=[[0.5, -1.0, 2.0]], labels=[0], num_classes=1, priors=(1.0,))
+    aug = _ORACLE_AUGS[aug_name]
+    assert aug.num_discrete == (1 if aug_name == "rotation_scale" else 3)
+    fallbacks = _record_fallbacks(monkeypatch)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    for gen in (rng, twin):
+        gen.integers(0, 5, 1)
+    _assert_chunks_match(ds, aug, 5, views_per_step, (1, 2, 3), rng, twin)
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("aug_name", sorted(_DRAW_AUGS))
+@pytest.mark.parametrize("b", [5, 8])
+def test_block_draws_start_from_a_held_half_word(b, aug_name, monkeypatch):
+    ds, _, _ = _oracle_case("info_nce", steps=1)
+    fallbacks = _record_fallbacks(monkeypatch)
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    for gen in (rng, twin):
+        gen.integers(0, 5, 1)
+        assert gen.bit_generator.state["has_uint32"] == 1
+    _assert_chunks_match(ds, _DRAW_AUGS[aug_name], b, 3, (1, 4), rng, twin)
+    assert fallbacks == []
+
+
+def test_block_draws_fall_back_for_a_bit_generator_other_than_pcg64(monkeypatch):
+    ds, _, _ = _oracle_case("info_nce", steps=1)
+    fallbacks = _record_fallbacks(monkeypatch)
+    rng = np.random.Generator(np.random.MT19937(5))
+    twin = np.random.Generator(np.random.MT19937(5))
+    _assert_chunks_match(ds, _ORACLE_AUGS["perm_sign_shift"], 7, 3, (2, 3), rng, twin)
+    assert fallbacks == [2, 3]
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state_with_word(word, index, inc):
+    """A PCG64 state whose ``index``-th raw 64-bit output is ``word``.
+
+    PCG64 steps its 128-bit LCG state s to s·a + inc, then outputs the xor
+    of the new state's halves rotated right by its top 6 bits. So a state
+    with that output is chosen, then stepped back ``index + 1`` times.
+    """
+    hi = 0x0123456789ABCDEF
+    rot = hi >> 58
+    mixed = ((word << rot) | (word >> (64 - rot))) & (2**64 - 1)
+    state = (hi << 64) | (mixed ^ hi)
+    inverse = pow(_PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(index + 1):
+        state = (state - inc) * inverse % 2**128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _words_between(start, end):
+    """How many raw 64-bit words take a PCG64 generator from state ``start`` to ``end``."""
+    probe = np.random.PCG64()
+    probe.state = start
+    for count in range(10_000):
+        if probe.state["state"] == end["state"]:
+            return count
+        probe.advance(1)
+    raise AssertionError("states too far apart")
+
+
+@pytest.mark.parametrize("numpy_rejects", [True, False])
+def test_block_draws_fall_back_at_a_rejection_candidate(numpy_rejects, monkeypatch):
+    # Step 3's anchor indices (bound N = 20) read a word with both halves
+    # u. With u = 0, (u·N) mod 2^32 = 0 is below numpy's threshold
+    # (2^32 - N) mod N = 16, and numpy redraws; with u·N = 16 mod 2^32 the
+    # draw is a candidate that numpy keeps. The block decode cannot tell
+    # the two apart, so both must restore the state and fall back.
+    ds, _, _ = _oracle_case("info_nce", steps=1)
+    n, b, aug = ds.num_samples, 7, _ORACLE_AUGS["perm_sign_shift"]
+    assert n == 20 and (2**32 - n) % n == 16
+    u = 0 if numpy_rejects else 4 * pow(5, -1, 2**30) % 2**30
+    assert u * n % 2**32 == (0 if numpy_rejects else 16)
+    seeded = np.random.default_rng(3).bit_generator.state
+    prefix = np.random.default_rng(3)
+    _per_step_views(ds, aug, b, 3, 3, prefix)
+    index = _words_between(seeded, prefix.bit_generator.state)
+    state = _pcg64_state_with_word(u | u << 32, index, seeded["state"]["inc"])
+    probe = np.random.PCG64()
+    probe.state = state
+    assert probe.random_raw(index + 1)[-1] == u | u << 32
+    fallbacks = _record_fallbacks(monkeypatch)
+    rng, twin = np.random.default_rng(), np.random.default_rng()
+    rng.bit_generator.state = twin.bit_generator.state = state
+    _assert_chunks_match(ds, aug, b, 3, (5, 2), rng, twin)
+    # Only the chunk that holds the candidate falls back.
+    assert fallbacks == [5]
 
 
 def _reference_divergence_step(model, dataset, aug, config):
@@ -598,7 +751,8 @@ def test_train_validates_embeddings_once_not_per_step(loss, monkeypatch):
 def test_train_memory_is_bounded_by_the_tile_budget():
     # 500 steps of 3 x 64 views of 32 features are 24.6 MB of views, over
     # ten tile budgets. Sampled a chunk of at most TILE_BYTES at a time,
-    # with the transform temporaries, the peak measures 5.1 x TILE_BYTES.
+    # with the raw draw block and the transform temporaries, the peak
+    # measures 3.7 x TILE_BYTES.
     steps, b, d = 500, 64, 32
     assert steps * 3 * b * d * 8 >= 10 * TILE_BYTES
     rng = np.random.default_rng(0)

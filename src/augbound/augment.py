@@ -63,10 +63,11 @@ import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
-from .core import Dataset, spec_dict
+from .core import Dataset, from_spec, spec_dict
 
 __all__ = [
     "Transform",
@@ -89,7 +90,17 @@ __all__ = [
 ]
 
 _DISCRETE_RULES = ("identity", "coordinate_permutation", "sign_flip_mask")
-_CONTINUOUS_RULES = ("additive_shift", "rotation_2d_subspace", "scale")
+
+# The parameter fields each rule sets; every other one stays None.
+_RULE_FIELDS = {
+    "identity": (),
+    "coordinate_permutation": ("permutation",),
+    "sign_flip_mask": ("signs",),
+    "additive_shift": ("direction",),
+    "rotation_2d_subspace": ("axes", "max_angle", "data_radius"),
+    "scale": ("scale_span", "data_radius"),
+}
+_PARAMETER_FIELDS = tuple(dict.fromkeys(name for uses in _RULE_FIELDS.values() for name in uses))
 
 # Byte budget of one float32 tile of squared view distances in
 # ``distance_matrix``; ``evaluation`` tiles its InfoNCE pair terms by it too.
@@ -156,9 +167,12 @@ def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
 class Transform:
     """One member of the transform catalog.
 
-    Only the fields relevant to ``rule`` are set; use the factory functions
+    Exactly the fields that ``rule`` uses are set; use the factory functions
     below rather than constructing directly.
     """
+
+    # ``core.from_spec`` names a transform's keys after its rule.
+    spec_label: ClassVar[str] = "rule"
 
     rule: str
     permutation: tuple[int, ...] | None = None
@@ -170,36 +184,35 @@ class Transform:
     data_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rule not in _DISCRETE_RULES + _CONTINUOUS_RULES:
+        if self.rule not in _RULE_FIELDS:
             raise ValueError(f"unknown transform rule {self.rule!r}")
+        uses = _RULE_FIELDS[self.rule]
+        for name in _PARAMETER_FIELDS:
+            if (getattr(self, name) is not None) != (name in uses):
+                verb = "needs" if name in uses else "takes no"
+                raise ValueError(f"{self.rule} {verb} {name}")
         # NaN passes every range check below, so test finiteness first.
         vals = (*(self.direction or ()), *(self.scale_span or ()), self.max_angle, self.data_radius)
         if not all(v is None or math.isfinite(v) for v in vals):
             raise ValueError(f"{self.rule} parameters must be finite")
         if self.rule == "coordinate_permutation":
-            if self.permutation is None or sorted(self.permutation) != list(
-                range(len(self.permutation))
-            ):
+            if sorted(self.permutation) != list(range(len(self.permutation))):
                 raise ValueError("coordinate_permutation needs a valid permutation tuple")
         if self.rule == "sign_flip_mask":
-            if self.signs is None or any(s not in (-1.0, 1.0) for s in self.signs):
+            if any(s not in (-1.0, 1.0) for s in self.signs):
                 raise ValueError("sign_flip_mask needs entries in {-1, +1}")
-        if self.rule == "additive_shift":
-            if self.direction is None or len(self.direction) == 0:
-                raise ValueError("additive_shift needs a direction vector")
+        if self.rule == "additive_shift" and len(self.direction) == 0:
+            raise ValueError("additive_shift needs a direction vector")
         if self.rule == "rotation_2d_subspace":
             axes = self.axes
-            if axes is None or len(axes) != 2 or axes[0] == axes[1] or min(axes) < 0:
+            if len(axes) != 2 or axes[0] == axes[1] or min(axes) < 0:
                 raise ValueError("rotation_2d_subspace needs two distinct non-negative axes")
-            if self.max_angle is None or self.max_angle < 0:
+            if self.max_angle < 0:
                 raise ValueError("rotation_2d_subspace needs max_angle >= 0")
-            if self.data_radius is None or self.data_radius <= 0:
-                raise ValueError("rotation_2d_subspace needs a positive data_radius")
-        if self.rule == "scale":
-            if self.scale_span is None:
-                raise ValueError("scale needs a (low, high) span")
-            if self.data_radius is None or self.data_radius <= 0:
-                raise ValueError("scale needs a positive data_radius")
+        if self.rule == "scale" and len(self.scale_span) != 2:
+            raise ValueError("scale needs a (low, high) span")
+        if self.data_radius is not None and self.data_radius <= 0:
+            raise ValueError(f"{self.rule} needs a positive data_radius")
 
     @property
     def is_discrete(self) -> bool:
@@ -766,53 +779,9 @@ def transform_to_spec(transform: Transform) -> dict:
     return spec_dict(transform)
 
 
-def _spec_number(value: object, where: str, integer: bool = False) -> int | float:
-    """``value`` if it is a JSON number (an integer when ``integer``), else ``ValueError``.
-
-    Bools are refused although they are ints, and nothing is converted, so
-    ``3.7`` is no integer and ``true`` no number.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where} must be finite, not NaN or infinity")
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{where} must be {kind}, got {value!r}")
-    return value
-
-
-def _spec_numbers(spec: dict, key: str, integer: bool = False) -> tuple:
-    values = spec[key]
-    where = f"{spec['rule']}.{key}"
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{where} must be a list, got {values!r}")
-    return tuple(_spec_number(v, f"{where}[*]", integer) for v in values)
-
-
 def transform_from_spec(spec: dict) -> Transform:
-    if not isinstance(spec, dict) or "rule" not in spec:
-        raise ValueError(f"transform spec must be a dict with a 'rule' key, got {spec!r}")
-    rule = spec["rule"]
-    try:
-        if rule == "identity":
-            return identity()
-        if rule == "coordinate_permutation":
-            return coordinate_permutation(_spec_numbers(spec, "permutation", integer=True))
-        if rule == "sign_flip_mask":
-            return sign_flip_mask(_spec_numbers(spec, "signs"))
-        if rule == "additive_shift":
-            return additive_shift(_spec_numbers(spec, "direction"))
-        if rule == "rotation_2d_subspace":
-            return rotation_2d(
-                _spec_numbers(spec, "axes", integer=True),
-                _spec_number(spec["max_angle"], f"{rule}.max_angle"),
-                _spec_number(spec["data_radius"], f"{rule}.data_radius"),
-            )
-        if rule == "scale":
-            lo, hi = _spec_numbers(spec, "scale_span")
-            return scaling(lo, hi, _spec_number(spec["data_radius"], f"{rule}.data_radius"))
-    except KeyError as exc:
-        raise ValueError(f"transform spec for {rule!r} is missing {exc}") from None
-    raise ValueError(f"unknown transform rule {rule!r}")
+    """Read a transform from its JSON form; ``ValueError`` names a bad key."""
+    return from_spec(Transform, spec, "transform")
 
 
 def augmentation_to_spec(aug: AugmentationSet) -> dict:
@@ -820,8 +789,5 @@ def augmentation_to_spec(aug: AugmentationSet) -> dict:
 
 
 def augmentation_from_spec(spec: dict) -> AugmentationSet:
-    if not isinstance(spec, dict) or "transforms" not in spec:
-        raise ValueError("augmentation spec must be a dict with a 'transforms' list")
-    transforms = tuple(transform_from_spec(s) for s in spec["transforms"])
-    resolution = _spec_number(spec.get("grid_resolution", 2), "grid_resolution", integer=True)
-    return AugmentationSet(transforms, grid_resolution=resolution)
+    """Read an augmentation set from its JSON form; ``ValueError`` names a bad key."""
+    return from_spec(AugmentationSet, spec, "augmentation")

@@ -9,10 +9,14 @@ a ring. Generation is deterministic given the config seed.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+import dataclasses
+import functools
+import math
+import types
+from collections.abc import Callable, Iterable
+from dataclasses import MISSING, asdict, dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,6 +29,7 @@ __all__ = [
     "csv_value",
     "write_csv",
     "spec_dict",
+    "from_spec",
 ]
 
 # Blob noise is clipped to this many multiples of cluster_spread so that a
@@ -131,9 +136,14 @@ class GeneratorConfig:
             raise ValueError("samples_per_class must be >= 1")
         if self.cluster_spread < 0.0:
             raise ValueError("cluster_spread must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         centers = np.asarray(self.cluster_centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[0] != self.num_classes:
             raise ValueError("cluster_centers must provide one center per class")
+        # With no coordinate, blob noise has no direction to draw and never ends.
+        if centers.shape[1] == 0:
+            raise ValueError("cluster_centers need at least one coordinate")
         if not np.all(np.isfinite(centers)):
             raise ValueError("cluster_centers must be finite")
         if self.manifold not in ("gaussian_blobs", "ring_segments"):
@@ -265,6 +275,104 @@ def _plain(value: object) -> object:
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value
+
+
+def from_spec(tp: object, raw: object, where: str):
+    """Read the JSON value ``raw`` as a ``tp``: the inverse of :func:`spec_dict`.
+
+    ``tp`` is a dataclass or an annotation its fields use: ``int``,
+    ``float``, ``bool``, ``str``, a ``Literal`` of strings, ``tuple[T, ...]``
+    or ``tuple[T, T]`` (a bare ``tuple`` keeps its elements as given), or
+    ``X | None``. Nothing is converted but an integer read as a ``float``:
+    ``true`` is no number, ``3.7`` no integer, and NaN and infinities are
+    refused. A dataclass is read from an object that holds only its fields,
+    each one without a default among them; lengths and ranges are the rules
+    of its ``__post_init__``. Every error is a ``ValueError`` that names the
+    key from ``where``, as in ``dataset.cluster_centers[*]``; a class with a
+    ``spec_label`` names its keys after that field's value instead.
+    """
+    return _reader(tp)(raw, where)
+
+
+# The JSON values each scalar annotation reads, and what an error calls them.
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
+
+
+def _read_scalar(tp: type, value: object, where: str):
+    accepted, kind = _SCALARS[tp]
+    if isinstance(value, float) and tp in (int, float) and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, not NaN or infinity")
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    if tp is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ValueError(f"{where} must be finite, not NaN or infinity") from None
+
+
+@functools.cache
+def _reader(tp: object) -> Callable[[object, str], object]:
+    """The reader of one annotation, built once per annotation."""
+    if tp in _SCALARS:
+        return functools.partial(_read_scalar, tp)
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_reader(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        return functools.partial(_read_choice, args)
+    if tp is tuple or origin is tuple:
+        element = _reader(args[0]) if args else (lambda value, where: value)
+        return functools.partial(_read_tuple, element)
+    if origin in (Union, types.UnionType) and args[1:] == (type(None),):
+        inner = _reader(args[0])
+        return lambda value, where: None if value is None else inner(value, where)
+    raise TypeError(f"from_spec cannot read {tp!r}")
+
+
+def _read_choice(choices: tuple, value: object, where: str) -> str:
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{where} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _read_tuple(element: Callable, value: object, where: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    # Nested lists share one [*], as in dataset.cluster_centers[*].
+    inner = where if where.endswith("[*]") else f"{where}[*]"
+    return tuple([element(v, inner) for v in value])
+
+
+def _dataclass_reader(cls: type) -> Callable[[object, str], object]:
+    hints = get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    readers = {f.name: _reader(hints[f.name]) for f in fields}
+    required = [f.name for f in fields if f.default is MISSING and f.default_factory is MISSING]
+    label = getattr(cls, "spec_label", None)
+
+    def read(raw: object, where: str):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{where} must be an object, got {raw!r}")
+        if label is not None and isinstance(raw.get(label), str):
+            where = raw[label]
+        values = {}
+        for key, value in raw.items():
+            if key not in readers:
+                raise ValueError(f"unknown key {where}.{key}; expected one of {', '.join(readers)}")
+            values[key] = readers[key](value, f"{where}.{key}")
+        for name in required:
+            if name not in values:
+                raise ValueError(f"{where}.{name} is missing")
+        return cls(**values)
+
+    return read
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

@@ -287,10 +287,12 @@ class TrainConfig:
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
+            raise ValueError("batch_size must be >= 2")
         # Written so that NaN fails; an infinite rate diverges at step 0.
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         losses_mod._check_lam(self.lam)
 
 

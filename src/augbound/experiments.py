@@ -19,7 +19,6 @@ earlier stages already on disk.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -30,7 +29,7 @@ import numpy as np
 
 from .augment import (
     AugmentationSet,
-    augmentation_from_spec,
+    Transform,
     identity,
     transform_from_spec,
     transform_to_spec,
@@ -49,6 +48,7 @@ from .core import (
     Dataset,
     GeneratorConfig,
     csv_value,
+    from_spec,
     generate_dataset,
     load_dataset,
     save_dataset,
@@ -56,6 +56,7 @@ from .core import (
     write_csv,
 )
 from .encoder import (
+    MAX_LAYERS,
     EncoderModel,
     TrainConfig,
     init_encoder,
@@ -120,24 +121,62 @@ class EncoderArch:
     hidden_dims: tuple[int, ...]
     output_dim: int
     norm_mode: Literal["sphere", "batch_standardized", "none"]
-    radius: float
     seed: int
+    radius: float = 1.0
+
+    def __post_init__(self) -> None:
+        if len(self.hidden_dims) > MAX_LAYERS - 1:
+            raise ValueError(f"at most {MAX_LAYERS - 1} hidden layers supported")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError("hidden_dims entries must be >= 1")
+        if self.output_dim < 1:
+            raise ValueError("output_dim must be >= 1")
+        # Written so that NaN fails.
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep family.
 
-    kind "richness": levels are augmentation specs, each strictly
+    kind "richness": levels are augmentation sets, each strictly
     containing the previous one's transforms at the same grid resolution.
     kind "strength": levels are strictly increasing positive scale factors
     applied to the base augmentation's continuous transforms.
-    kind "pairs": levels are a catalog of transform specs; the sweep runs
+    kind "pairs": levels are a catalog of transforms; the sweep runs
     one experiment per 2-subset (identity is always added).
     """
 
     kind: Literal["richness", "strength", "pairs"]
     levels: tuple
+
+    def __post_init__(self) -> None:
+        levels = self.levels
+        if not levels:
+            raise ValueError("sweep.levels must be a non-empty list")
+        if self.kind == "richness":
+            for i, (smaller, larger) in enumerate(zip(levels, levels[1:]), start=1):
+                if smaller.grid_resolution != larger.grid_resolution:
+                    raise ValueError("richness levels must share one grid_resolution")
+                if len(smaller.transforms) >= len(larger.transforms):
+                    raise ValueError(f"richness level {i} must add transforms over level {i - 1}")
+                if not set(smaller.transforms) <= set(larger.transforms):
+                    raise ValueError(
+                        f"richness level {i} must contain every transform of level {i - 1}"
+                    )
+        elif self.kind == "strength":
+            if any(v <= 0 for v in levels):
+                raise ValueError("sweep.levels strength factors must be positive")
+            if any(b <= a for a, b in zip(levels, levels[1:])):
+                raise ValueError("sweep.levels strength factors must be strictly increasing")
+        else:
+            if any(t.rule == "identity" for t in levels):
+                raise ValueError("sweep.levels catalog must not contain identity")
+            if len(levels) < 2:
+                raise ValueError("pairs sweep needs a catalog of at least two transforms")
 
 
 @dataclass(frozen=True)
@@ -178,201 +217,70 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}.{key} is missing")
-    return section[key]
+@dataclass(frozen=True)
+class _Analysis:
+    """The ``analysis`` section; ``ExperimentConfig`` holds its fields flat."""
+
+    delta_grid: tuple[float, ...]
+    epsilon_grid: tuple[float, ...]
+    clique_mode: Literal["exact", "dual_approx"] = "exact"
 
 
-def _as_int(value, where: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}")
-    return value
+_SECTIONS = ("dataset", "augmentation", "encoder", "training", "analysis", "sweep")
+
+# What a sweep's levels are read as for each kind, and what errors call a level.
+_SWEEP_LEVELS = {
+    "richness": (AugmentationSet, "augmentation"),
+    "strength": (float, "factor"),
+    "pairs": (Transform, "transform"),
+}
 
 
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    # JSON accepts NaN and Infinity, and NaN passes every range check. An
-    # integer literal past the float range does not convert at all.
+def _read(tp: object, raw: object, where: str, what: str | None = None):
+    """``from_spec(tp, raw, where)``; its ``ValueError`` becomes
+    ``ConfigError("<what> invalid: …")``, by default ``what`` = ``"<where> section"``."""
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite")
-    return number
-
-
-def _parse_dataset(section, base_dir: str) -> GeneratorConfig | str:
-    if not isinstance(section, dict):
-        raise ConfigError("dataset section must be an object")
-    if "path" in section:
-        return os.path.normpath(os.path.join(base_dir, str(section["path"])))
-    disjoint = section.get("disjoint_classes", True)
-    if not isinstance(disjoint, bool):
-        raise ConfigError("dataset.disjoint_classes must be true or false")
-    try:
-        return GeneratorConfig(
-            num_classes=_as_int(_require(section, "num_classes", "dataset"), "dataset.num_classes", 1),
-            samples_per_class=_as_int(
-                _require(section, "samples_per_class", "dataset"), "dataset.samples_per_class", 1
-            ),
-            cluster_centers=tuple(
-                tuple(_as_float(v, "dataset.cluster_centers[*]") for v in row)
-                for row in _require(section, "cluster_centers", "dataset")
-            ),
-            cluster_spread=_as_float(
-                _require(section, "cluster_spread", "dataset"), "dataset.cluster_spread"
-            ),
-            manifold=_require(section, "manifold", "dataset"),
-            seed=_as_int(_require(section, "seed", "dataset"), "dataset.seed", 0),
-            disjoint_classes=disjoint,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dataset section invalid: {exc}") from exc
-
-
-def _parse_augmentation(section) -> AugmentationSet:
-    if not isinstance(section, dict):
-        raise ConfigError("augmentation section must be an object")
-    try:
-        return augmentation_from_spec(section)
-    # float() of an integer literal past the float range raises OverflowError.
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise ConfigError(f"augmentation section invalid: {exc}") from exc
-
-
-def _parse_encoder(section) -> EncoderArch:
-    if not isinstance(section, dict):
-        raise ConfigError("encoder section must be an object")
-    hidden = _require(section, "hidden_dims", "encoder")
-    if not isinstance(hidden, (list, tuple)):
-        raise ConfigError("encoder.hidden_dims must be a list")
-    return EncoderArch(
-        hidden_dims=tuple(_as_int(h, "encoder.hidden_dims[*]", 1) for h in hidden),
-        output_dim=_as_int(_require(section, "output_dim", "encoder"), "encoder.output_dim", 1),
-        norm_mode=_parse_choice(
-            _require(section, "norm_mode", "encoder"),
-            ("sphere", "batch_standardized", "none"),
-            "encoder.norm_mode",
-        ),
-        radius=_as_float(section.get("radius", 1.0), "encoder.radius"),
-        seed=_as_int(_require(section, "seed", "encoder"), "encoder.seed", 0),
-    )
-
-
-def _parse_choice(value, choices: tuple[str, ...], where: str) -> str:
-    if value not in choices:
-        raise ConfigError(f"{where} must be one of {', '.join(choices)}")
-    return value
-
-
-def _parse_training(section) -> TrainConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("training section must be an object")
-    try:
-        return TrainConfig(
-            loss=_parse_choice(
-                _require(section, "loss", "training"),
-                ("info_nce", "cross_corr", "simple"),
-                "training.loss",
-            ),
-            steps=_as_int(_require(section, "steps", "training"), "training.steps", 0),
-            batch_size=_as_int(
-                _require(section, "batch_size", "training"), "training.batch_size", 2
-            ),
-            learning_rate=_as_float(
-                _require(section, "learning_rate", "training"), "training.learning_rate"
-            ),
-            seed=_as_int(_require(section, "seed", "training"), "training.seed", 0),
-            lam=_as_float(section.get("lam", 0.005), "training.lam"),
-        )
-    except ConfigError:
-        raise
+        return from_spec(tp, raw, where)
     except ValueError as exc:
-        raise ConfigError(f"training section invalid: {exc}") from exc
+        raise ConfigError(f"{what or where + ' section'} invalid: {exc}") from exc
 
 
-def _parse_sweep(section) -> SweepSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("sweep section must be an object")
-    kind = _parse_choice(
-        _require(section, "kind", "sweep"), ("richness", "strength", "pairs"), "sweep.kind"
-    )
-    levels = _require(section, "levels", "sweep")
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError("sweep.levels must be a non-empty list")
-    if kind == "richness":
-        parsed = []
-        for i, spec in enumerate(levels):
-            aug = _parse_augmentation(spec)
-            parsed.append(aug)
-            if i > 0:
-                _check_nested(parsed[i - 1], aug, i)
-        return SweepSpec(kind=kind, levels=tuple(parsed))
-    if kind == "strength":
-        values = tuple(_as_float(v, "sweep.levels[*]") for v in levels)
-        if any(v <= 0 for v in values):
-            raise ConfigError("sweep.levels strength factors must be positive")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError("sweep.levels strength factors must be strictly increasing")
-        return SweepSpec(kind=kind, levels=values)
-    # pairs: a catalog of at least two non-identity transforms
-    transforms = []
-    for spec in levels:
-        try:
-            t = transform_from_spec(spec)
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
-            raise ConfigError(f"sweep.levels transform invalid: {exc}") from exc
-        if t.rule == "identity":
-            raise ConfigError("sweep.levels catalog must not contain identity")
-        transforms.append(t)
-    if len(transforms) < 2:
-        raise ConfigError("pairs sweep needs a catalog of at least two transforms")
-    return SweepSpec(kind=kind, levels=tuple(transforms))
+def _read_dataset(raw: object, base_dir: str) -> GeneratorConfig | str:
+    # A path loads a saved dataset; generator keys beside it are ignored.
+    if isinstance(raw, dict) and "path" in raw:
+        path = _read(str, raw["path"], "dataset.path", "dataset section")
+        return os.path.normpath(os.path.join(base_dir, path))
+    return _read(GeneratorConfig, raw, "dataset")
 
 
-def _check_nested(smaller: AugmentationSet, larger: AugmentationSet, index: int) -> None:
-    if smaller.grid_resolution != larger.grid_resolution:
-        raise ConfigError("richness levels must share one grid_resolution")
-    small_specs = [transform_to_spec(t) for t in smaller.transforms]
-    large_specs = [transform_to_spec(t) for t in larger.transforms]
-    if len(small_specs) >= len(large_specs):
-        raise ConfigError(f"richness level {index} must add transforms over level {index - 1}")
-    for spec in small_specs:
-        if spec not in large_specs:
-            raise ConfigError(
-                f"richness level {index} must contain every transform of level {index - 1}"
-            )
+def _read_sweep(raw: object) -> SweepSpec:
+    # The kind chooses what the levels are read as; a bad kind is reported below.
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if isinstance(kind, str) and kind in _SWEEP_LEVELS and "levels" in raw:
+        level, what = _SWEEP_LEVELS[kind]
+        levels = _read(tuple[level, ...], raw["levels"], "sweep.levels", f"sweep.levels {what}")
+        raw = {**raw, "levels": levels}
+    return _read(SweepSpec, raw, "sweep")
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
+    """Read a config document; a schema violation raises :class:`ConfigError`."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    analysis = _require(raw, "analysis", "config")
-    if not isinstance(analysis, dict):
-        raise ConfigError("analysis section must be an object")
-    deltas = _require(analysis, "delta_grid", "analysis")
-    epsilons = _require(analysis, "epsilon_grid", "analysis")
-    if not isinstance(deltas, list) or not isinstance(epsilons, list):
-        raise ConfigError("analysis grids must be lists")
-    mode = _parse_choice(
-        analysis.get("clique_mode", "exact"), ("exact", "dual_approx"), "analysis.clique_mode"
-    )
+    for key in raw:
+        if key not in _SECTIONS:
+            raise ConfigError(f"unknown key config.{key}; expected one of {', '.join(_SECTIONS)}")
+    for key in _SECTIONS[:-1]:
+        if key not in raw:
+            raise ConfigError(f"config.{key} is missing")
+    analysis = _read(_Analysis, raw["analysis"], "analysis")
     return ExperimentConfig(
-        dataset=_parse_dataset(_require(raw, "dataset", "config"), base_dir),
-        augmentation=_parse_augmentation(_require(raw, "augmentation", "config")),
-        encoder=_parse_encoder(_require(raw, "encoder", "config")),
-        training=_parse_training(_require(raw, "training", "config")),
-        delta_grid=tuple(_as_float(d, "analysis.delta_grid[*]") for d in deltas),
-        epsilon_grid=tuple(_as_float(e, "analysis.epsilon_grid[*]") for e in epsilons),
-        clique_mode=mode,
-        sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
+        dataset=_read_dataset(raw["dataset"], base_dir),
+        augmentation=_read(AugmentationSet, raw["augmentation"], "augmentation"),
+        encoder=_read(EncoderArch, raw["encoder"], "encoder"),
+        training=_read(TrainConfig, raw["training"], "training"),
+        sweep=_read_sweep(raw["sweep"]) if "sweep" in raw else None,
+        **vars(analysis),
     )
 
 
@@ -401,7 +309,10 @@ def with_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     generated rather than loaded) gets ``seed``, the encoder init
     ``seed + 1``, the training stream ``seed + 2``. A seed that is not a
     non-negative integer raises :class:`ConfigError`."""
-    seed = _as_int(seed, "seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     dataset = config.dataset
     if isinstance(dataset, GeneratorConfig):
         dataset = replace(dataset, seed=seed)

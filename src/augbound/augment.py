@@ -697,8 +697,8 @@ def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Genera
     draws are ``random(B)``, ``integers(0, m, B)``, then ``random((B, n))``
     whatever the outcomes; training reproducibility depends on this order.
     All draws come before any member is applied (``_draw_views``, then
-    ``_apply_views``), so training can draw several batches and apply the
-    members to all of them at once.
+    ``_apply_views``); training decodes the same draws for a whole chunk of
+    batches and applies the members to all of them at once.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     aug.check_dimension(points.shape[1])
@@ -731,18 +731,13 @@ def _draw_views(
     of ``_empty_draws``.
 
     With a single discrete member the index draw ``integers(0, 1, B)`` is
-    all zeros and consumes nothing from the generator, so it is skipped and
-    ``disc_idx`` keeps its zeros. The coins and the parameters are then
-    consecutive ``random`` draws, which one call makes as the stream would
-    in two.
+    all zeros and consumes nothing from the generator, so the coins and the
+    parameters are consecutive draws of the stream.
     """
-    if aug.num_discrete > 1:
-        b = len(disc_idx)
-        rng.random(out=uniforms[:b])
-        disc_idx[:] = rng.integers(0, aug.num_discrete, size=b)
-        rng.random(out=uniforms[b:])
-    else:
-        rng.random(out=uniforms)
+    b = len(disc_idx)
+    rng.random(out=uniforms[:b])
+    disc_idx[:] = rng.integers(0, aug.num_discrete, size=b)
+    rng.random(out=uniforms[b:])
 
 
 def _apply_views(
@@ -752,7 +747,7 @@ def _apply_views(
     R = ``disc_idx.size``, the view batches' rows in order.
 
     Members act row by row, so each is applied to every row and selected;
-    the rows may come from any number of ``_draw_views`` calls.
+    the rows may hold any number of view batches.
     """
     b, rows = disc_idx.shape[-1], disc_idx.size
     n = aug.num_continuous_params

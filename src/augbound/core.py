@@ -138,6 +138,13 @@ class GeneratorConfig:
             raise ValueError("cluster_spread must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # Compared before numpy, whose message for ragged rows names no row.
+        lengths = [np.size(row) for row in self.cluster_centers]
+        for k, length in enumerate(lengths):
+            if length != lengths[0]:
+                raise ValueError(
+                    f"cluster_centers row {k} has length {length}, row 0 has length {lengths[0]}"
+                )
         centers = np.asarray(self.cluster_centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[0] != self.num_classes:
             raise ValueError("cluster_centers must provide one center per class")

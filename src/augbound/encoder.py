@@ -48,7 +48,6 @@ from .augment import (
     TILE_BYTES,
     AugmentationSet,
     _apply_views,
-    _draw_views,
     _empty_draws,
     sample_views,
 )
@@ -330,39 +329,22 @@ def _sample_chunk(
     k = ``views_per_step``: anchors, positives, then negatives when k == 3,
     row for row what ``make_train_batch`` returns for the same generator,
     which is left in the same state. The draws are decoded from one
-    ``random_raw`` block of the generator (``_block_draws``); they fall back
-    to one generator call at a time in ``make_train_batch``'s order
-    (``_per_call_draws``) for a bit generator other than PCG64, or when a
-    bounded draw of the block is one that numpy might reject. Each member
-    is then applied once to all rows. Pairing and member dimensions are the
-    caller's to check.
+    ``random_raw`` block of the generator (``_block_draws``), and each
+    member is then applied once to all rows. For a bit generator other than
+    PCG64, or when a bounded draw of the block is one that numpy might
+    reject, the chunk is ``make_train_batch`` called once per step instead.
+    Pairing and member dimensions are the caller's to check.
     """
     shape = (steps, views_per_step, batch_size)
     idx = np.zeros(shape, dtype=np.int64)
     uniforms, disc_idx = _empty_draws(aug, shape)
-    if not _block_draws(dataset.num_samples, aug.num_discrete, rng, idx, uniforms, disc_idx):
-        _per_call_draws(dataset.num_samples, aug, rng, idx, uniforms, disc_idx)
-    return _apply_views(dataset.features[idx.reshape(-1)], aug, uniforms, disc_idx)
-
-
-def _per_call_draws(
-    num_samples: int,
-    aug: AugmentationSet,
-    rng: np.random.Generator,
-    idx: np.ndarray,
-    uniforms: np.ndarray,
-    disc_idx: np.ndarray,
-) -> None:
-    """Fill a chunk's (steps, k, B) sample indices ``idx`` and the draws of
-    ``_empty_draws`` with one generator call at a time, step by step in
-    ``make_train_batch``'s order."""
-    steps, k, b = idx.shape
-    for s in range(steps):
-        anchor_idx = rng.integers(0, num_samples, size=b)
-        for v in range(k):
-            # Negatives (v == 2) view an independent sample per anchor.
-            idx[s, v] = rng.integers(0, num_samples, size=b) if v == 2 else anchor_idx
-            _draw_views(aug, rng, uniforms[s, v], disc_idx[s, v])
+    if _block_draws(dataset.num_samples, aug.num_discrete, rng, idx, uniforms, disc_idx):
+        return _apply_views(dataset.features[idx.reshape(-1)], aug, uniforms, disc_idx)
+    views = []
+    for _ in range(steps):
+        batch = make_train_batch(dataset, aug, batch_size, rng, views_per_step == 3)
+        views += (batch.anchors, batch.positives, batch.negatives)[:views_per_step]
+    return np.concatenate(views)
 
 
 # numpy's random() double of a 64-bit word w is (w >> 11) · 2⁻⁵³.
@@ -377,7 +359,9 @@ def _block_draws(
     uniforms: np.ndarray,
     disc_idx: np.ndarray,
 ) -> bool:
-    """Make ``_per_call_draws``'s draws from one ``random_raw`` block.
+    """Fill a chunk's (steps, k, B) sample indices ``idx`` and the draws of
+    ``_empty_draws`` from one ``random_raw`` block, as ``make_train_batch``
+    called once per step would draw them.
 
     Decodes numpy's PCG64 stream for the same calls. A ``random`` double
     takes one 64-bit word w and is (w >> 11)·2⁻⁵³. A bounded draw
@@ -459,13 +443,13 @@ def _block_draws(
 # ---------------------------------------------------------------------------
 
 
-def _check_pairing(model: EncoderModel, config: TrainConfig) -> None:
-    if config.loss in ("info_nce", "simple"):
-        if model.norm_mode != "sphere" or abs(model.radius - 1.0) > 1e-9:
-            raise ValueError(f"{config.loss} training requires sphere normalization with r=1")
-    else:
-        if model.norm_mode != "batch_standardized":
-            raise ValueError("cross_corr training requires batch_standardized normalization")
+def _check_pairing(loss: str, norm_mode: str, radius: float) -> None:
+    """Raise ``ValueError`` unless the loss can train an encoder with this output map."""
+    if loss in ("info_nce", "simple"):
+        if norm_mode != "sphere" or abs(radius - 1.0) > 1e-9:
+            raise ValueError(f"loss '{loss}' needs norm_mode 'sphere' with radius 1")
+    elif norm_mode != "batch_standardized":
+        raise ValueError(f"loss '{loss}' needs norm_mode 'batch_standardized'")
 
 
 def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray) -> np.ndarray:
@@ -508,7 +492,7 @@ def loss_and_gradient(
     :mod:`augbound.losses` computes on the embeddings of the stacked views
     (anchors, positives, then negatives when the loss uses them).
     """
-    _check_pairing(model, config)
+    _check_pairing(config.loss, model.norm_mode, model.radius)
     with_negatives = config.loss in ("info_nce", "simple")
     if with_negatives and batch.negatives is None:
         raise ValueError(f"{config.loss} needs a negative batch")
@@ -621,18 +605,18 @@ def train(
     The batches are those of ``make_train_batch`` called once per step on
     one generator seeded with ``config.seed``. Steps run in chunks of at
     most ``TILE_BYTES // (k·B·(D + d)·8)`` (k = 3 views per anchor with
-    negatives, else 2), in two passes. First the chunk's draws are made:
+    negatives, else 2), in two passes. First the chunk's views are made:
     the same stream as those calls, decoded from one ``random_raw`` block of
-    the generator (one call at a time instead, from the chunk's starting
-    state, for a bit generator other than PCG64 or at a bounded draw that
-    numpy might reject; see ``_block_draws``), and each augmentation member
-    is applied once to all of its views. Then the step loop computes only
-    the gradient and the update, and keeps each step's embeddings (F for
-    cross_corr). Last, one vectorized pass of the loss kernels gives every
-    step's l1, l2 and total, the values that ``loss_and_gradient`` reports
-    for the step.
+    the generator, with each augmentation member applied once to all of its
+    views (for a bit generator other than PCG64, or at a bounded draw that
+    numpy might reject, ``make_train_batch`` itself, once per step, from the
+    chunk's starting state; see ``_block_draws``). Then the step loop
+    computes only the gradient and the update, and keeps each step's
+    embeddings (F for cross_corr). Last, one vectorized pass of the loss
+    kernels gives every step's l1, l2 and total, the values that
+    ``loss_and_gradient`` reports for the step.
     """
-    _check_pairing(model, config)
+    _check_pairing(config.loss, model.norm_mode, model.radius)
     if dataset.input_dim != model.input_dim:
         raise ValueError(
             f"dataset dimension {dataset.input_dim} does not match encoder "

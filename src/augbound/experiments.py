@@ -59,6 +59,7 @@ from .encoder import (
     MAX_LAYERS,
     EncoderModel,
     TrainConfig,
+    _check_pairing,
     init_encoder,
     save_model,
     save_trace,
@@ -201,15 +202,10 @@ class ExperimentConfig:
             raise ConfigError("analysis.epsilon_grid must be non-empty")
         if any(e <= 0 for e in self.epsilon_grid):
             raise ConfigError("analysis.epsilon_grid entries must be positive")
-        loss = self.training.loss
-        mode = self.encoder.norm_mode
-        if loss in ("info_nce", "simple"):
-            if mode != "sphere" or abs(self.encoder.radius - 1.0) > 1e-9:
-                raise ConfigError(
-                    f"loss '{loss}' needs norm_mode 'sphere' with radius 1"
-                )
-        elif loss == "cross_corr" and mode != "batch_standardized":
-            raise ConfigError("loss 'cross_corr' needs norm_mode 'batch_standardized'")
+        try:
+            _check_pairing(self.training.loss, self.encoder.norm_mode, self.encoder.radius)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +270,17 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"config.{key} is missing")
     analysis = _read(_Analysis, raw["analysis"], "analysis")
+    dataset = _read_dataset(raw["dataset"], base_dir)
+    augmentation = _read(AugmentationSet, raw["augmentation"], "augmentation")
+    # A generated dataset's dimension is known now; a saved one's at its load.
+    if isinstance(dataset, GeneratorConfig):
+        try:
+            augmentation.check_dimension(dataset.input_dim)
+        except ValueError as exc:
+            raise ConfigError(f"augmentation section invalid: {exc}") from exc
     return ExperimentConfig(
-        dataset=_read_dataset(raw["dataset"], base_dir),
-        augmentation=_read(AugmentationSet, raw["augmentation"], "augmentation"),
+        dataset=dataset,
+        augmentation=augmentation,
         encoder=_read(EncoderArch, raw["encoder"], "encoder"),
         training=_read(TrainConfig, raw["training"], "training"),
         sweep=_read_sweep(raw["sweep"]) if "sweep" in raw else None,
@@ -446,7 +450,9 @@ def stage_evaluate(
         embedded = embed_views(model, views, weights)
         frozen = embedded.encoder
         stats = class_centers(embedded, dataset)
-        preds = classify_batch(stats, frozen.embed(dataset.features))
+        # The identity's view of a sample is the sample itself, bit for bit.
+        raw = embedded.z[:, config.augmentation.discrete.index(identity())]
+        preds = classify_batch(stats, raw)
         err = float(np.mean(preds != dataset.labels))
         alignment = tuple(empirical_r_eps(embedded, eps) for eps in config.epsilon_grid)
         first, second = class_moments(embedded, dataset, stats)

@@ -643,8 +643,9 @@ def test_sample_views_matches_per_row_oracle_and_draw_order(with_continuous):
 @pytest.mark.parametrize("with_continuous", [True, False])
 def test_one_discrete_member_makes_no_index_draw(with_continuous):
     # integers(0, 1, B) returns int64 zeros and consumes nothing from the
-    # generator, so _draw_views skips it; a numpy that changes either fact
-    # would change the contract order of the README.
+    # generator, so the coins and parameters are consecutive random draws
+    # (the block decode of training relies on it); a numpy that changes
+    # either fact would change the contract order of the README.
     members = (identity(), rotation_2d((0, 1), 0.9, 2.0)) if with_continuous else (identity(),)
     aug = AugmentationSet(transforms=members, grid_resolution=3)
     b, n = 16, aug.num_continuous_params

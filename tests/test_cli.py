@@ -124,6 +124,10 @@ def _read_kv(path):
             "batch_standardized",
         ),
         (lambda d: d["encoder"].update(radius=2.0), "radius 1"),
+        (
+            lambda d: d["dataset"].update(cluster_centers=[[1.0, 0.0], [3.0]]),
+            "dataset section invalid: cluster_centers row 1 has length 1, row 0 has length 2",
+        ),
     ],
 )
 def test_config_schema_violations(mutate, fragment):
@@ -719,6 +723,13 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"augbound.{name}")
         stale = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
         assert not stale, f"augbound.{name}.__all__ names missing attributes {stale}"
+    # Names are imported from their modules; the root binds only its
+    # submodules (as importing them does) and ``__version__``.
+    reexported = [
+        attr for attr in vars(augbound) if not attr.startswith("_") and attr not in modules
+    ]
+    assert not reexported, f"the package root re-exports {reexported}"
+    assert isinstance(augbound.__version__, str)
 
 
 def test_strength_sweep_scales_the_base_transforms(tmp_path):
@@ -848,6 +859,23 @@ def test_cli_exit_code_3_on_stage_failure(tmp_path, capsys):
     path = _write_config(tmp_path, data)
     assert main(["bounds", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "stage 'dataset' failed" in capsys.readouterr().err
+
+
+def test_a_transform_that_does_not_fit_the_generated_dimension_exits_2(tmp_path, capsys):
+    # The generator's dimension is known at load, so nothing is written.
+    data = _config_dict()
+    mask = {"rule": "sign_flip_mask", "signs": [1.0, -1.0, 1.0]}
+    data["augmentation"]["transforms"].append(mask)
+    fragment = (
+        "augmentation section invalid: sign_flip_mask length does not match feature dimension 2"
+    )
+    with pytest.raises(ConfigError, match=fragment):
+        config_from_dict(data)
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+    assert not (out / "config.json").exists()
 
 
 def test_cli_sweep_subcommand(tmp_path, capsys):

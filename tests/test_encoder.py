@@ -496,15 +496,18 @@ def _per_step_views(ds, aug, b, steps, views_per_step, rng):
 
 
 def _record_fallbacks(monkeypatch):
-    """Wrap ``encoder._per_call_draws``; the returned list gets each call's step count."""
+    """Wrap ``encoder._block_draws``; the returned list gets the step count
+    of each chunk it declines, which then falls back to per-step batches."""
     steps = []
-    real = encoder._per_call_draws
+    real = encoder._block_draws
 
-    def recording(num_samples, aug, rng, idx, uniforms, disc_idx):
-        steps.append(len(idx))
-        return real(num_samples, aug, rng, idx, uniforms, disc_idx)
+    def recording(num_samples, num_discrete, rng, idx, uniforms, disc_idx):
+        decoded = real(num_samples, num_discrete, rng, idx, uniforms, disc_idx)
+        if not decoded:
+            steps.append(len(idx))
+        return decoded
 
-    monkeypatch.setattr(encoder, "_per_call_draws", recording)
+    monkeypatch.setattr(encoder, "_block_draws", recording)
     return steps
 
 

@@ -704,8 +704,9 @@ def test_stage_evaluate_builds_and_embeds_the_view_grid_once(
     n, v = ds.num_samples, config.augmentation.num_views
     assert tensors == [n]
     assert grids == [n * v]
-    # The network runs once over the view grid and once over the raw samples.
-    assert prenorm_rows == [n * v, n]
+    # The network runs once, over the view grid; the raw samples' embeddings
+    # are the identity's views.
+    assert prenorm_rows == [n * v]
     assert len(bundle.alignment) == 4
     monkeypatch.undo()
     # The shared grid gives what each quantity computes from the model alone.

@@ -67,7 +67,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import Dataset, from_spec, spec_dict
+from .core import Dataset, spec_dict
 
 __all__ = [
     "Transform",
@@ -83,10 +83,6 @@ __all__ = [
     "augmented_distance",
     "distance_matrix",
     "sample_views",
-    "transform_from_spec",
-    "transform_to_spec",
-    "augmentation_from_spec",
-    "augmentation_to_spec",
 ]
 
 _DISCRETE_RULES = ("identity", "coordinate_permutation", "sign_flip_mask")
@@ -386,7 +382,7 @@ class AugmentationSet:
 
     def fingerprint(self) -> str:
         """Stable content hash of the set (used to stamp derived artifacts)."""
-        payload = json.dumps(augmentation_to_spec(self), sort_keys=True)
+        payload = json.dumps(spec_dict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -763,26 +759,3 @@ def _apply_views(
         selected = (take_discrete & (disc_idx == idx))[:, None]
         out = np.where(selected, trans._map(points, None), out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Declarative specs (used by config files)
-# ---------------------------------------------------------------------------
-
-
-def transform_to_spec(transform: Transform) -> dict:
-    return spec_dict(transform)
-
-
-def transform_from_spec(spec: dict) -> Transform:
-    """Read a transform from its JSON form; ``ValueError`` names a bad key."""
-    return from_spec(Transform, spec, "transform")
-
-
-def augmentation_to_spec(aug: AugmentationSet) -> dict:
-    return spec_dict(aug)
-
-
-def augmentation_from_spec(spec: dict) -> AugmentationSet:
-    """Read an augmentation set from its JSON form; ``ValueError`` names a bad key."""
-    return from_spec(AugmentationSet, spec, "augmentation")

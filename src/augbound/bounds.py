@@ -293,8 +293,9 @@ class BoundInputs:
 
     ``loss_kind`` decides which separation bound applies; ``radius`` must
     match its convention (1 for info_nce/simple, sqrt(dim) for
-    cross_corr). ``centers`` are the class centers under the same view
-    distribution as the loss levels.
+    cross_corr). ``centers`` (K, d) are the class centers under the same
+    view distribution as the loss levels, one row per entry of ``priors``;
+    ``num_classes`` K and the embedding dimension ``dim`` d follow from them.
     """
 
     sigma: float
@@ -304,11 +305,9 @@ class BoundInputs:
     l_pos: float
     lipschitz: float
     radius: float
-    dim: int
     num_discrete: int
     num_continuous: int
     transform_lipschitz: float
-    num_classes: int
     priors: tuple[float, ...]
     loss_kind: str
     l1: float
@@ -323,13 +322,12 @@ class BoundInputs:
             raise ValueError(f"bound inputs missing: {', '.join(sorted(missing))}")
         if self.loss_kind not in ("info_nce", "cross_corr", "simple"):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if len(self.priors) != self.num_classes:
-            raise ValueError("priors must have one entry per class")
         centers = np.asarray(self.centers, dtype=np.float64)
-        if centers.shape != (self.num_classes, self.dim):
-            raise ValueError("centers must be (num_classes, dim)")
+        if centers.ndim != 2 or centers.shape[0] != len(self.priors):
+            raise ValueError("centers must be (K, d) with one row per prior")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite")
+        object.__setattr__(self, "centers", centers)
         for name in (
             "sigma", "delta", "epsilon", "r_eps", "l_pos", "lipschitz",
             "radius", "transform_lipschitz", "l1", "l2", "lam", "delta_mu",
@@ -343,7 +341,14 @@ class BoundInputs:
             raise ValueError(
                 f"radius {self.radius} does not match the {self.loss_kind} convention"
             )
-        object.__setattr__(self, "centers", centers)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.priors)
+
+    @property
+    def dim(self) -> int:
+        return self.centers.shape[1]
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def _run(args: argparse.Namespace) -> None:
     bundle = stage_evaluate(config, dataset, model, curve, out_dir)
     print(
         f"evaluation written to {os.path.join(out_dir, 'evaluation.csv')} "
-        f"(err={bundle.err:.4f}, l_pos={bundle.alignment[0].l_pos:.6f})"
+        f"(err={bundle.err:.4f}, l_pos={bundle.l_pos:.6f})"
     )
 
 

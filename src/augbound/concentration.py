@@ -160,10 +160,10 @@ class ConcentrationEstimate:
     ``main_parts`` holds dataset-level sample indices per class; each part
     is a clique of its class graph, so the per-class sigma values are
     attained by explicit certificates rather than being mere scores.
+    ``sigma`` is the smallest per-class value.
     """
 
     delta: float
-    sigma: float
     per_class_sigma: tuple[float, ...]
     main_parts: tuple[tuple[int, ...], ...]
     mode: Literal["exact", "dual_approx"]
@@ -177,8 +177,10 @@ class ConcentrationEstimate:
             raise ValueError("estimate needs at least one class")
         if any(not 0.0 < s <= 1.0 for s in self.per_class_sigma):
             raise ValueError("per-class sigma must lie in (0, 1]")
-        if self.sigma != min(self.per_class_sigma):
-            raise ValueError("sigma must equal the smallest per-class value")
+
+    @property
+    def sigma(self) -> float:
+        return min(self.per_class_sigma)
 
 
 def _class_clique(
@@ -231,7 +233,6 @@ def _curve(
         out.append(
             ConcentrationEstimate(
                 delta=delta,
-                sigma=min(per_class),
                 per_class_sigma=tuple(per_class),
                 main_parts=tuple(parts),
                 mode=mode,
@@ -343,11 +344,15 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
     try:
         estimate = ConcentrationEstimate(
             delta=delta,
-            sigma=sigma,
             per_class_sigma=tuple(per_class),
             main_parts=tuple(parts),
             mode=header["mode"],  # type: ignore[arg-type]
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if sigma != estimate.sigma:
+        raise ValueError(
+            f"{path}: record header sigma={header['sigma']} is not the smallest "
+            f"sigma_k {estimate.sigma!r}"
+        )
     return estimate, header["fingerprint"]

@@ -44,17 +44,15 @@ _SPACING_FACTOR = 4.0
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of samples with declared and empirical priors.
+    """Immutable collection of labeled samples.
 
-    ``features`` has shape (N, D) and ``labels`` shape (N,). ``priors`` are
-    the class probabilities the dataset was declared with; for loaded
-    datasets they match the empirical frequencies exactly.
+    ``features`` has shape (N, D) and ``labels`` shape (N,). Every class
+    0 .. max label holds at least one sample; ``num_classes`` and
+    ``priors`` (the label frequencies) follow from the labels.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    num_classes: int
-    priors: tuple[float, ...]
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -66,30 +64,19 @@ class Dataset:
             raise ValueError("features must be finite")
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must align with features rows")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise ValueError("labels must lie in [0, num_classes)")
-        if len(self.priors) != self.num_classes:
-            raise ValueError("priors must have one entry per class")
-        priors = np.asarray(self.priors, dtype=np.float64)
-        if np.any(priors <= 0.0):
-            raise ValueError("every class prior must be positive")
-        if abs(priors.sum() - 1.0) > 1e-12:
-            raise ValueError("class priors must sum to 1")
-        counts = np.bincount(labels, minlength=self.num_classes)
-        if np.any(counts == 0):
-            raise ValueError("every class must have at least one sample")
-        # Generator contract: observed frequencies stay within three standard
-        # errors of the declared priors.
-        n = labels.size
-        freq = counts / n
-        slack = 3.0 * np.sqrt(priors * (1.0 - priors) / n)
-        if np.any(np.abs(freq - priors) > slack + 1e-12):
-            raise ValueError("empirical class frequencies inconsistent with declared priors")
+        # Sorted, not counted, so memory stays O(N) whatever the largest label.
+        ordered = np.sort(labels)
+        if ordered[0] < 0:
+            raise ValueError("labels must be non-negative")
+        jumps = np.diff(ordered, prepend=-1)
+        if jumps.max() > 1:
+            i = int(np.argmax(jumps > 1))
+            raise ValueError(
+                f"class {ordered[i] - jumps[i] + 1} has no sample; "
+                f"every class 0 .. {ordered[-1]} needs one"
+            )
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "priors", tuple(float(p) for p in priors))
 
     @property
     def num_samples(self) -> int:
@@ -100,9 +87,12 @@ class Dataset:
         return self.features.shape[1]
 
     @cached_property
-    def empirical_priors(self) -> tuple[float, ...]:
-        counts = np.bincount(self.labels, minlength=self.num_classes)
-        return tuple(float(c) / self.num_samples for c in counts)
+    def num_classes(self) -> int:
+        return int(self.labels.max()) + 1
+
+    @cached_property
+    def priors(self) -> tuple[float, ...]:
+        return tuple(float(c) / self.num_samples for c in np.bincount(self.labels))
 
     def class_indices(self, class_id: int) -> np.ndarray:
         """Indices of the samples belonging to ``class_id``, ascending."""
@@ -134,7 +124,7 @@ class GeneratorConfig:
             raise ValueError("num_classes must be >= 1")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
-        if self.cluster_spread < 0.0:
+        if not self.cluster_spread >= 0.0:
             raise ValueError("cluster_spread must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -223,10 +213,7 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
             points = _ring_segment(rng, centers[k], per, config.cluster_spread)
         blocks.append(points)
         labels.append(np.full(per, k, dtype=np.int64))
-    feats = np.concatenate(blocks, axis=0)
-    labs = np.concatenate(labels)
-    priors = tuple(1.0 / config.num_classes for _ in range(config.num_classes))
-    return Dataset(feats, labs, config.num_classes, priors, seed=config.seed)
+    return Dataset(np.concatenate(blocks, axis=0), np.concatenate(labels), seed=config.seed)
 
 
 def _ring_segment(
@@ -417,9 +404,7 @@ def load_dataset(path: str) -> Dataset:
                 raise ValueError(f"{path}: row {idx} has negative label")
     if not rows:
         raise ValueError(f"{path}: no samples")
-    feats = np.asarray(rows, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.int64)
-    num_classes = int(labs.max()) + 1
-    counts = np.bincount(labs, minlength=num_classes)
-    priors = tuple(float(c) / labs.size for c in counts)
-    return Dataset(feats, labs, num_classes, priors, seed=None)
+    try:
+        return Dataset(rows, labels, seed=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

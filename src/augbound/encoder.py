@@ -392,10 +392,8 @@ def _block_draws(
     for v in range(k):
         if v != 1:  # the anchors' indices, then the negatives' before their batch
             calls.append((b, num_samples, idx[:, v]))
-        if num_discrete > 1:
-            calls += [(b, 0, None), (b, num_discrete, disc_idx[:, v]), (width - b, 0, None)]
-        else:
-            calls.append((width, 0, None))
+        calls += [(b, 0, None), (b, num_discrete, disc_idx[:, v]), (width - b, 0, None)]
+    # One discrete member: its index draw takes nothing, and disc_idx keeps its zeros.
     calls = [call for call in calls if call[1] != 1]
     bound = np.repeat([call[1] for call in calls], [call[0] for call in calls])
     bounded = bound > 0
@@ -501,8 +499,7 @@ def loss_and_gradient(
     kept = _gradient(model, np.concatenate(views), batch.size, config, _param_views(model, grad))
     l1, l2 = (float(v[0]) for v in _loss_terms(kept[None], batch.size, config))
     lam = 1.0 if config.loss == "info_nce" else config.lam
-    total = losses_mod.recompose(config.loss, l1, l2, lam)
-    return LossBreakdown(kind=config.loss, total=total, l1=l1, l2=l2, lam=lam), grad
+    return LossBreakdown(config.loss, l1, l2, lam), grad
 
 
 def _gradient(

@@ -2,7 +2,7 @@
 
 Everything here is computed over the enumerated view grid with the
 sampling-model weights (half mass on discrete members, half on the
-parameter grid), so centers, alignment statistics, and population losses
+parameter grid), so centers, alignment measurements, and population losses
 all refer to one common view distribution.
 
 An evaluation runs the encoder over that grid once. :func:`embed_views`
@@ -10,9 +10,11 @@ takes a model and the (N, V, D) view tensor of a dataset, freezes the model
 into a :class:`FrozenEncoder` and returns an :class:`EmbeddedViews`: the
 frozen encoder, the embeddings z (N, V, d), the view weights, the
 per-sample weighted view means, the squared norms and the per-sample view
-spreads. :func:`class_centers`, :func:`empirical_r_eps`,
-:func:`class_moments` and :func:`population_loss` read from that value, so
-none of them builds or embeds views again.
+spreads, from which it derives the mean squared view-pair distance
+``l_pos``. :func:`class_centers`, :func:`empirical_r_eps` (the fraction of
+samples whose view spread exceeds epsilon), :func:`class_moments` and
+:func:`population_loss` read from that value, so none of them builds or
+embeds views again.
 
 A :class:`FrozenEncoder` is a point-wise embedding map. For sphere models
 it is the model's own projection; for batch-standardized models the
@@ -38,7 +40,6 @@ __all__ = [
     "FrozenEncoder",
     "EmbeddedViews",
     "ClassStats",
-    "AlignmentStats",
     "embed_views",
     "class_centers",
     "nn_classify",
@@ -56,16 +57,15 @@ class FrozenEncoder:
     """Deterministic point-wise embedding map derived from a model.
 
     ``shift``/``scale`` are the frozen standardization statistics (None in
-    sphere mode). ``radius`` is the norm convention the bounds use: the
-    sphere radius, or sqrt(output_dim) for standardized models.
-    ``lipschitz`` is the certified Lipschitz constant :func:`embed_views`
-    derived for this map.
+    sphere mode). ``lipschitz`` is the certified Lipschitz constant
+    :func:`embed_views` derived for this map. ``radius`` is the norm
+    convention the bounds use: the sphere radius, or sqrt(output_dim) for
+    standardized models.
     """
 
     model: EncoderModel
     shift: np.ndarray | None
     scale: np.ndarray | None
-    radius: float
     lipschitz: float
 
     def embed(self, x: np.ndarray) -> np.ndarray:
@@ -83,6 +83,10 @@ class FrozenEncoder:
     @property
     def output_dim(self) -> int:
         return self.model.output_dim
+
+    @property
+    def radius(self) -> float:
+        return self.model.radius if self.shift is None else float(np.sqrt(self.output_dim))
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
         c = float(np.linalg.norm(pre, axis=1).min())
         if c < 1e-6:
             raise ValueError("pre-projection norms vanish on the view grid; factor unbounded")
-        encoder = FrozenEncoder(model, None, None, model.radius, product * 2.0 * model.radius / c)
+        encoder = FrozenEncoder(model, None, None, product * 2.0 * model.radius / c)
     elif model.norm_mode == "batch_standardized":
         w = np.tile(weights, n) / n
         mu = w @ pre
@@ -139,9 +143,7 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
         if var.min() < 1e-24:
             raise ValueError("view population has zero variance in some embedding dimension")
         scale = np.sqrt(var)
-        encoder = FrozenEncoder(
-            model, mu, scale, float(np.sqrt(model.output_dim)), product / float(scale.min())
-        )
+        encoder = FrozenEncoder(model, mu, scale, product / float(scale.min()))
     else:
         raise ValueError("evaluation needs a sphere or batch_standardized model")
     z = encoder._project(pre).reshape(n, v, -1)
@@ -209,7 +211,7 @@ def class_centers(embedded: EmbeddedViews, dataset: Dataset) -> ClassStats:
         ]
     )
     return ClassStats(
-        centers=centers, priors=dataset.empirical_priors, radius=embedded.encoder.radius
+        centers=centers, priors=dataset.priors, radius=embedded.encoder.radius
     )
 
 
@@ -241,27 +243,11 @@ def error_rate(encoder: FrozenEncoder, dataset: Dataset, stats: ClassStats) -> f
     return float(np.mean(preds != dataset.labels))
 
 
-@dataclass(frozen=True)
-class AlignmentStats:
-    """Empirical sharpness of view alignment at one epsilon."""
-
-    epsilon: float
-    r_eps: float
-    l_pos: float
-    pairs_per_sample: int
-
-
-def empirical_r_eps(embedded: EmbeddedViews, epsilon: float) -> AlignmentStats:
-    """Fraction of samples whose view spread exceeds epsilon, plus the
-    mean squared view-pair distance (both under the view weights)."""
+def empirical_r_eps(embedded: EmbeddedViews, epsilon: float) -> float:
+    """Fraction of samples whose view spread exceeds epsilon."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    return AlignmentStats(
-        epsilon=float(epsilon),
-        r_eps=float(np.mean(embedded.spreads > epsilon)),
-        l_pos=max(embedded.l_pos, 0.0),
-        pairs_per_sample=embedded.z.shape[1] ** 2,
-    )
+    return float(np.mean(embedded.spreads > epsilon))
 
 
 def class_moments(
@@ -371,13 +357,13 @@ def population_loss(
             )
         l1 = embedded.l_pos / 2.0 - 1.0
         l2 = _info_nce_divergence(embedded.z, embedded.weights)
-        return losses_mod._breakdown("info_nce", l1, l2, 1.0)
+        return LossBreakdown("info_nce", l1, l2, 1.0)
     if kind == "simple":
         l1 = embedded.l_pos / 2.0 - 1.0
         grand_mean = means.mean(axis=0)
         l2 = float(np.sum(grand_mean**2))
-        return losses_mod._breakdown("simple", l1, l2, lam)
+        return LossBreakdown("simple", l1, l2, lam)
     if kind == "cross_corr":
         f = losses_mod._cross_corr_matrix(means, means)
-        return losses_mod.cross_corr_loss(losses_mod.CrossCorrMatrix(f, len(means)), lam)
+        return losses_mod.cross_corr_loss(losses_mod.CrossCorrMatrix(f), lam)
     raise ValueError(f"unknown loss kind {kind!r}")

@@ -31,8 +31,6 @@ from .augment import (
     AugmentationSet,
     Transform,
     identity,
-    transform_from_spec,
-    transform_to_spec,
     view_tensor,
     view_weights,
 )
@@ -66,7 +64,6 @@ from .encoder import (
     train,
 )
 from .evaluation import (
-    AlignmentStats,
     ClassStats,
     FrozenEncoder,
     class_centers,
@@ -169,9 +166,9 @@ class SweepSpec:
                         f"richness level {i} must contain every transform of level {i - 1}"
                     )
         elif self.kind == "strength":
-            if any(v <= 0 for v in levels):
+            if not all(v > 0 for v in levels):
                 raise ValueError("sweep.levels strength factors must be positive")
-            if any(b <= a for a, b in zip(levels, levels[1:])):
+            if not all(b > a for a, b in zip(levels, levels[1:])):
                 raise ValueError("sweep.levels strength factors must be strictly increasing")
         else:
             if any(t.rule == "identity" for t in levels):
@@ -194,13 +191,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.delta_grid:
             raise ConfigError("analysis.delta_grid must be non-empty")
-        if any(d <= 0 for d in self.delta_grid):
+        # Written so that NaN fails.
+        if not all(d > 0 for d in self.delta_grid):
             raise ConfigError("analysis.delta_grid entries must be positive")
-        if any(b <= a for a, b in zip(self.delta_grid, self.delta_grid[1:])):
+        if not all(b > a for a, b in zip(self.delta_grid, self.delta_grid[1:])):
             raise ConfigError("analysis.delta_grid must be strictly ascending")
         if not self.epsilon_grid:
             raise ConfigError("analysis.epsilon_grid must be non-empty")
-        if any(e <= 0 for e in self.epsilon_grid):
+        if not all(e > 0 for e in self.epsilon_grid):
             raise ConfigError("analysis.epsilon_grid entries must be positive")
         try:
             _check_pairing(self.training.loss, self.encoder.norm_mode, self.encoder.radius)
@@ -335,12 +333,18 @@ def with_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class EvalBundle:
-    """Everything the guarantee report consumes from the trained encoder."""
+    """Everything the guarantee report consumes from the trained encoder.
+
+    ``r_eps`` holds one empirical r_eps per entry of the config's
+    ``epsilon_grid``; ``l_pos`` is the mean squared view-pair distance,
+    clamped at 0.
+    """
 
     frozen: FrozenEncoder
     stats: ClassStats
     err: float
-    alignment: tuple[AlignmentStats, ...]
+    r_eps: tuple[float, ...]
+    l_pos: float
     first_moments: tuple[float, ...]
     second_moments: tuple[float, ...]
     loss: LossBreakdown
@@ -454,7 +458,6 @@ def stage_evaluate(
         raw = embedded.z[:, config.augmentation.discrete.index(identity())]
         preds = classify_batch(stats, raw)
         err = float(np.mean(preds != dataset.labels))
-        alignment = tuple(empirical_r_eps(embedded, eps) for eps in config.epsilon_grid)
         first, second = class_moments(embedded, dataset, stats)
         loss = population_loss(embedded, config.training.loss, config.training.lam)
         correct = preds == dataset.labels
@@ -466,7 +469,8 @@ def stage_evaluate(
             frozen=frozen,
             stats=stats,
             err=err,
-            alignment=alignment,
+            r_eps=tuple(empirical_r_eps(embedded, eps) for eps in config.epsilon_grid),
+            l_pos=max(embedded.l_pos, 0.0),
             first_moments=tuple(float(v) for v in first),
             second_moments=tuple(float(v) for v in second),
             loss=loss,
@@ -477,14 +481,14 @@ def stage_evaluate(
             ("lipschitz", frozen.lipschitz),
             ("delta_mu", stats.delta_mu),
             ("radius", frozen.radius),
-            ("l_pos", alignment[0].l_pos),
+            ("l_pos", bundle.l_pos),
             ("loss.kind", loss.kind),
             ("loss.total", loss.total),
             ("loss.l1", loss.l1),
             ("loss.l2", loss.l2),
         ]
-        for stat in alignment:
-            rows.append((f"r_eps.{csv_value(stat.epsilon)}", stat.r_eps))
+        for eps, r_eps in zip(config.epsilon_grid, bundle.r_eps):
+            rows.append((f"r_eps.{csv_value(float(eps))}", r_eps))
         for k in range(dataset.num_classes):
             rows.append((f"moment.first.class_{k}", bundle.first_moments[k]))
             rows.append((f"moment.second.class_{k}", bundle.second_moments[k]))
@@ -501,7 +505,6 @@ def stage_evaluate(
 
 def stage_bounds(
     config: ExperimentConfig,
-    dataset: Dataset,
     curve: tuple[ConcentrationEstimate, ...],
     bundle: EvalBundle,
     out_dir: str,
@@ -517,20 +520,18 @@ def stage_bounds(
                 class_second_moments=bundle.second_moments,
                 premise_fraction=bundle.premise_fractions[i],
             )
-            for j, stat in enumerate(bundle.alignment):
+            for j, (eps, r_eps) in enumerate(zip(config.epsilon_grid, bundle.r_eps)):
                 inputs = BoundInputs(
                     sigma=estimate.sigma,
                     delta=estimate.delta,
-                    epsilon=stat.epsilon,
-                    r_eps=stat.r_eps,
-                    l_pos=stat.l_pos,
+                    epsilon=float(eps),
+                    r_eps=r_eps,
+                    l_pos=bundle.l_pos,
                     lipschitz=bundle.frozen.lipschitz,
                     radius=bundle.frozen.radius,
-                    dim=bundle.frozen.output_dim,
                     num_discrete=aug.num_discrete,
                     num_continuous=aug.num_continuous_params,
                     transform_lipschitz=aug.effective_lipschitz,
-                    num_classes=dataset.num_classes,
                     priors=bundle.stats.priors,
                     loss_kind=config.training.loss,
                     l1=bundle.loss.l1,
@@ -542,7 +543,7 @@ def stage_bounds(
                 report = full_report(inputs, empirical)
                 reports[(i, j)] = report
                 for key, value in report.to_flat_dict().items():
-                    long_rows.append((estimate.delta, stat.epsilon, key, value))
+                    long_rows.append((estimate.delta, inputs.epsilon, key, value))
         write_csv(
             os.path.join(out_dir, "bounds.csv"), ["delta", "epsilon", "key", "value"], long_rows
         )
@@ -567,7 +568,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     model, _ = stage_train(config, dataset, out_dir)
     curve = stage_concentration(config, dataset, out_dir)
     bundle = stage_evaluate(config, dataset, model, curve, out_dir)
-    reports = stage_bounds(config, dataset, curve, bundle, out_dir)
+    reports = stage_bounds(config, curve, bundle, out_dir)
     return ExperimentResult(
         config=config,
         out_dir=out_dir,
@@ -590,18 +591,18 @@ def scale_transform_strength(transform, factor: float):
     Shifts scale their direction, rotations their maximum angle, scalings
     their span around 1; discrete transforms are returned unchanged.
     """
-    if factor <= 0:
+    if not factor > 0:
         raise ValueError("strength factor must be positive")
-    spec = transform_to_spec(transform)
-    rule = spec["rule"]
-    if rule == "additive_shift":
-        spec["direction"] = [v * factor for v in spec["direction"]]
-    elif rule == "rotation_2d_subspace":
-        spec["max_angle"] = spec["max_angle"] * factor
-    elif rule == "scale":
-        low, high = spec["scale_span"]
-        spec["scale_span"] = [1.0 - factor * (1.0 - low), 1.0 + factor * (high - 1.0)]
-    return transform_from_spec(spec)
+    if transform.rule == "additive_shift":
+        return replace(transform, direction=tuple(v * factor for v in transform.direction))
+    if transform.rule == "rotation_2d_subspace":
+        return replace(transform, max_angle=transform.max_angle * factor)
+    if transform.rule == "scale":
+        low, high = transform.scale_span
+        return replace(
+            transform, scale_span=(1.0 - factor * (1.0 - low), 1.0 + factor * (high - 1.0))
+        )
+    return transform
 
 
 def _sweep_levels(config: ExperimentConfig, sweep: SweepSpec) -> list[tuple[str, AugmentationSet]]:

@@ -1,8 +1,8 @@
 """Contrastive losses and their alignment/divergence decompositions.
 
-Every loss reports a breakdown (total, l1, l2) where l1 measures alignment
-of positive pairs and l2 the divergence (negative-repulsion) part. The
-recomposition identity is loss-specific and checked on construction:
+Every loss reports a breakdown (l1, l2) where l1 measures alignment of
+positive pairs and l2 the divergence (negative-repulsion) part. The total
+is derived from them by a loss-specific identity:
 
     info_nce      total == l1 + l2
     cross_corr    total == (1 - lam) * l1 + lam * l2
@@ -54,22 +54,24 @@ def recompose(kind: str, l1: float, l2: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss value with its alignment (l1) and divergence (l2) parts."""
+    """Loss value from its alignment (l1) and divergence (l2) parts.
+
+    ``l1`` and ``l2`` must be finite; ``total`` is their recomposition for
+    the loss ``kind`` (see :func:`recompose`).
+    """
 
     kind: LossKind
-    total: float
     l1: float
     l2: float
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails.
-        if not abs(self.total - recompose(self.kind, self.l1, self.l2, self.lam)) <= 1e-9:
-            raise ValueError("breakdown does not recompose to the total")
+        if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
+            raise ValueError(f"loss terms must be finite, got l1={self.l1!r} l2={self.l2!r}")
 
-
-def _breakdown(kind: LossKind, l1: float, l2: float, lam: float) -> LossBreakdown:
-    return LossBreakdown(kind=kind, total=recompose(kind, l1, l2, lam), l1=l1, l2=l2, lam=lam)
+    @property
+    def total(self) -> float:
+        return recompose(self.kind, self.l1, self.l2, self.lam)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,6 @@ class CrossCorrMatrix:
     """Symmetrized cross-correlation estimate between two view batches."""
 
     matrix: np.ndarray
-    batch_size: int
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.float64)
@@ -152,7 +153,7 @@ def info_nce(z1: np.ndarray, z2: np.ndarray, z_neg: np.ndarray) -> LossBreakdown
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
     l1, l2 = _info_nce_terms(np.stack((z1, z2, z_neg)))
-    return _breakdown("info_nce", float(l1), float(l2), 1.0)
+    return LossBreakdown("info_nce", float(l1), float(l2), 1.0)
 
 
 def _check_standardized(pooled: np.ndarray) -> None:
@@ -188,7 +189,7 @@ def cross_correlation(view1: np.ndarray, view2: np.ndarray) -> CrossCorrMatrix:
     """
     view1, view2 = _check_batches(view1, view2)
     _check_standardized(np.concatenate([view1, view2], axis=0))
-    return CrossCorrMatrix(matrix=_cross_corr_matrix(view1, view2), batch_size=view1.shape[0])
+    return CrossCorrMatrix(_cross_corr_matrix(view1, view2))
 
 
 def cross_corr_loss(corr: CrossCorrMatrix, lam: float) -> LossBreakdown:
@@ -200,7 +201,7 @@ def cross_corr_loss(corr: CrossCorrMatrix, lam: float) -> LossBreakdown:
     """
     _check_lam(lam)
     l1, l2 = _cross_corr_terms(corr.matrix)
-    return _breakdown("cross_corr", float(l1), float(l2), lam)
+    return LossBreakdown("cross_corr", float(l1), float(l2), lam)
 
 
 def _simple_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,5 +223,5 @@ def simple_contrastive(
     z1, z2, z_neg = _check_batches(z1, z2, z_neg)
     _check_unit_norm(z1, z2, z_neg)
     l1, l2 = _simple_terms(np.stack((z1, z2, z_neg)))
-    return _breakdown("simple", float(l1), float(l2), lam)
+    return LossBreakdown("simple", float(l1), float(l2), lam)
 

@@ -17,9 +17,8 @@ from augbound import augment
 from augbound.augment import (
     TILE_BYTES,
     AugmentationSet,
+    Transform,
     additive_shift,
-    augmentation_from_spec,
-    augmentation_to_spec,
     augmented_distance,
     coordinate_permutation,
     distance_matrix,
@@ -28,12 +27,10 @@ from augbound.augment import (
     sample_views,
     scaling,
     sign_flip_mask,
-    transform_from_spec,
-    transform_to_spec,
     view_tensor,
     view_weights,
 )
-from augbound.core import Dataset, GeneratorConfig, generate_dataset
+from augbound.core import Dataset, GeneratorConfig, from_spec, generate_dataset, spec_dict
 
 
 def identity_only() -> AugmentationSet:
@@ -457,7 +454,7 @@ def test_distance_matrix_memory_bound_holds_with_one_worker(split_workers):
 
 def _one_class(points):
     points = np.asarray(points, dtype=np.float64)
-    return Dataset(points, np.zeros(len(points), dtype=np.int64), 1, (1.0,))
+    return Dataset(points, np.zeros(len(points), dtype=np.int64))
 
 
 def _random_class(n, dim, seed):
@@ -757,10 +754,10 @@ def test_spec_round_trip():
         ),
         grid_resolution=4,
     )
-    back = augmentation_from_spec(augmentation_to_spec(aug))
+    back = from_spec(AugmentationSet, spec_dict(aug), "augmentation")
     assert back == aug
     for t in aug.transforms:
-        assert transform_from_spec(transform_to_spec(t)) == t
+        assert from_spec(Transform, spec_dict(t), "transform") == t
 
 
 @pytest.mark.parametrize("axes", [(-1, 1), (0, -2), (-2, -1)])
@@ -771,7 +768,7 @@ def test_rotation_rejects_negative_axes(axes):
     spec = {"rule": "rotation_2d_subspace", "axes": list(axes), "max_angle": 1.0,
             "data_radius": 2.0}
     with pytest.raises(ValueError, match="non-negative axes"):
-        transform_from_spec(spec)
+        from_spec(Transform, spec, "transform")
 
 
 @pytest.mark.parametrize(
@@ -809,7 +806,7 @@ def test_transform_spec_rejects_non_finite_parameters(spec):
     text = json.dumps(spec)
     assert "NaN" in text or "Infinity" in text
     with pytest.raises(ValueError, match="must be finite"):
-        transform_from_spec(json.loads(text))
+        from_spec(Transform, json.loads(text), "transform")
 
 
 @pytest.mark.parametrize("theta", [float("nan"), np.array([0.5, float("nan")])])

@@ -432,11 +432,9 @@ def _inputs(**overrides):
         l_pos=0.02,
         lipschitz=2.0,
         radius=1.0,
-        dim=2,
         num_discrete=2,
         num_continuous=1,
         transform_lipschitz=0.5,
-        num_classes=2,
         priors=(0.5, 0.5),
         loss_kind="info_nce",
         l1=-0.6,
@@ -464,6 +462,7 @@ def test_bound_inputs_radius_conventions():
         centers=np.array([[1.3, 0.0], [0.0, 1.3]]),
     )
     assert cc.radius == pytest.approx(math.sqrt(2.0))
+    assert (cc.num_classes, cc.dim) == (2, 2)
     simple = _inputs(loss_kind="simple")
     assert simple.radius == 1.0
 
@@ -477,9 +476,9 @@ def test_bound_inputs_reject_bad_values():
         _inputs(l1=float("nan"))
     with pytest.raises(ValueError, match="finite"):
         _inputs(centers=np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="one entry per class"):
+    with pytest.raises(ValueError, match="one row per prior"):
         _inputs(priors=(1.0,))
-    with pytest.raises(ValueError, match="num_classes, dim"):
+    with pytest.raises(ValueError, match="one row per prior"):
         _inputs(centers=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="loss kind"):
         _inputs(loss_kind="triplet")

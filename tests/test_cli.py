@@ -17,11 +17,10 @@ from augbound.augment import (
     identity,
     rotation_2d,
     scaling,
-    transform_to_spec,
 )
 from augbound.cli import main
 from augbound import experiments
-from augbound.core import generate_dataset, save_dataset
+from augbound.core import generate_dataset, save_dataset, spec_dict
 from augbound.experiments import (
     ConfigError,
     StageError,
@@ -153,6 +152,23 @@ def test_config_rejects_non_finite_numbers(section, key, value):
     assert "NaN" in text or "Infinity" in text
     with pytest.raises(ConfigError, match=rf"{section}\.{key}.* must be finite"):
         config_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda c: replace(c, delta_grid=(0.5, float("nan"), 0.1)), "delta_grid"),
+        (lambda c: replace(c, epsilon_grid=(float("nan"),)), "epsilon_grid"),
+        (lambda c: experiments.SweepSpec("strength", (1.0, float("nan"), 0.5)), "strength"),
+        (lambda c: replace(c.dataset, cluster_spread=float("nan")), "cluster_spread"),
+    ],
+    ids=["delta_grid", "epsilon_grid", "strength_levels", "cluster_spread"],
+)
+def test_nan_fails_the_range_rules_of_a_config_built_in_code(build, fragment):
+    # replace() and constructors skip from_spec's refusal of non-finite numbers.
+    config = config_from_dict(_config_dict())
+    with pytest.raises((ConfigError, ValueError), match=fragment):
+        build(config)
 
 
 @pytest.mark.parametrize(
@@ -914,5 +930,5 @@ def test_transform_to_spec_round_trip_for_sweep_catalog():
         rotation_2d((0, 1), 0.3, 2.0),
         scaling(0.8, 1.2, 1.5),
     ):
-        spec = transform_to_spec(t)
-        assert spec == transform_to_spec(scale_transform_strength(t, 1.0))
+        spec = spec_dict(t)
+        assert spec == spec_dict(scale_transform_strength(t, 1.0))

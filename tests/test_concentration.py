@@ -242,7 +242,7 @@ def test_sigma_matches_brute_force_on_hand_classes():
         [[0.0], [0.3], [0.6], [2.0], [2.1], [50.0], [50.4], [50.5], [53.0], [56.0]]
     )
     labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    ds = Dataset(feats, labels, 2, (0.5, 0.5), seed=None)
+    ds = Dataset(feats, labels, seed=None)
     aug = _identity_aug()
     delta = 0.5
     est = estimate_sigma(ds, aug, delta, mode="exact")
@@ -347,12 +347,11 @@ def test_enrichment_with_baseline_never_decreases_sigma():
 
 
 def test_estimate_rejects_inconsistent_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must align"):
         ConcentrationEstimate(
             delta=0.5,
-            sigma=0.9,
             per_class_sigma=(0.5, 1.0),
-            main_parts=((0,), (1,)),
+            main_parts=((0,),),
             mode="exact",
         )
 
@@ -391,6 +390,14 @@ def _saved_record(tmp_path):
     path = tmp_path / "conc.txt"
     save_concentration(estimate_sigma(ds, aug, 0.7), str(path), aug.fingerprint())
     return path
+
+
+def test_concentration_record_header_sigma_must_be_the_smallest_sigma_k(tmp_path):
+    path = _saved_record(tmp_path)
+    sigma = load_concentration(str(path))[0].sigma
+    path.write_text(path.read_text().replace(f"sigma={sigma!r}", f"sigma={sigma / 2!r}", 1))
+    with pytest.raises(ValueError, match="conc.txt: record header sigma=.* is not the smallest"):
+        load_concentration(str(path))
 
 
 def test_concentration_record_header_token_without_equals_names_the_path(tmp_path):

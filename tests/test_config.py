@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from augbound.augment import Transform, transform_from_spec
+from augbound.augment import Transform
 from augbound.cli import main
 from augbound.core import from_spec
 from augbound.experiments import ConfigError, config_from_dict, config_to_dict
@@ -254,7 +254,7 @@ def test_the_hidden_layer_limit_is_checked_at_load(tmp_path, capsys):
 )
 def test_a_transform_refuses_fields_its_rule_does_not_use(spec, fragment):
     with pytest.raises(ValueError, match=fragment):
-        transform_from_spec(spec)
+        from_spec(Transform, spec, "transform")
     fields = {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()}
     with pytest.raises(ValueError, match=fragment):
         Transform(**fields)

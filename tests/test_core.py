@@ -1,6 +1,7 @@
 """Dataset generation, validation, and persistence."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ def test_two_blobs_stay_near_their_centers():
         seed=1,
     )
     ds = generate_dataset(cfg)
-    assert ds.empirical_priors == (0.5, 0.5)
+    assert ds.num_classes == 2
+    assert ds.priors == (0.5, 0.5)
     class0 = ds.features[ds.labels == 0]
     dists = np.linalg.norm(class0 - np.array([-10.0, 0.0]), axis=1)
     assert dists.max() < 3.5
@@ -103,18 +105,24 @@ def test_spacing_rule_can_be_disabled():
     assert ds.num_samples == 10
 
 
-def test_dataset_rejects_bad_priors():
-    feats = np.zeros((4, 2))
-    labels = np.array([0, 0, 1, 1])
-    with pytest.raises(ValueError):
-        Dataset(feats, labels, 2, (0.7, 0.7), seed=None)
-
-
 def test_dataset_rejects_empty_class():
     feats = np.zeros((4, 2))
-    labels = np.array([0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        Dataset(feats, labels, 2, (0.5, 0.5), seed=None)
+    labels = np.array([0, 0, 2, 2])
+    with pytest.raises(ValueError, match="class 1 has no sample"):
+        Dataset(feats, labels, seed=None)
+
+
+def test_a_large_label_is_refused_without_counting_up_to_it(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("f0,label\n1.0,0\n2.0,3000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="class 1 has no sample"):
+            load_dataset(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_csv_load_counts_empirical_priors(tmp_path):
@@ -122,7 +130,7 @@ def test_csv_load_counts_empirical_priors(tmp_path):
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.5,2.5,0\n-1.0,0.0,1\n")
     ds = load_dataset(str(path))
     assert ds.num_classes == 2
-    np.testing.assert_allclose(ds.empirical_priors, (2 / 3, 1 / 3))
+    np.testing.assert_allclose(ds.priors, (2 / 3, 1 / 3))
 
 
 def test_csv_empty_file_reports_no_samples(tmp_path):

@@ -457,8 +457,7 @@ def _one_pass_loss_and_gradient(model, batch, config):
         if i:
             grad = d_pre @ layer.weight
     lam = 1.0 if config.loss == "info_nce" else lam
-    total = losses.recompose(config.loss, l1, l2, lam)
-    breakdown = losses.LossBreakdown(kind=config.loss, total=total, l1=l1, l2=l2, lam=lam)
+    breakdown = losses.LossBreakdown(kind=config.loss, l1=l1, l2=l2, lam=lam)
     return breakdown, np.concatenate(parts[::-1])
 
 
@@ -565,7 +564,7 @@ def test_block_draws_match_the_per_call_stream_across_steps_and_chunks(
 def test_block_draws_of_a_one_sample_dataset(views_per_step, aug_name, monkeypatch):
     # Index draws with a bound of 1 take nothing from the generator; with
     # one discrete member (rotation_scale) no bounded draw is left at all.
-    ds = Dataset(features=[[0.5, -1.0, 2.0]], labels=[0], num_classes=1, priors=(1.0,))
+    ds = Dataset(features=[[0.5, -1.0, 2.0]], labels=[0])
     aug = _ORACLE_AUGS[aug_name]
     assert aug.num_discrete == (1 if aug_name == "rotation_scale" else 3)
     fallbacks = _record_fallbacks(monkeypatch)
@@ -672,8 +671,8 @@ def _reference_divergence_step(model, dataset, aug, config):
         batch = make_train_batch(dataset, aug, config.batch_size, rng, config.loss != "cross_corr")
         try:
             _, grad = loss_and_gradient(current, batch, config)
-        except ValueError as exc:  # a non-finite loss does not recompose
-            assert "recompose" in str(exc)
+        except ValueError as exc:  # a non-finite loss term is refused
+            assert "loss terms must be finite" in str(exc)
             return step
         params = params - config.learning_rate * grad
         if not (np.isfinite(grad).all() and np.isfinite(params).all()):
@@ -762,8 +761,6 @@ def test_train_memory_is_bounded_by_the_tile_budget():
     ds = Dataset(
         features=rng.standard_normal((40, d)),
         labels=np.repeat([0, 1], 20),
-        num_classes=2,
-        priors=(0.5, 0.5),
     )
     signs = tuple(float(s) for s in rng.choice([-1.0, 1.0], size=d))
     aug = AugmentationSet(

@@ -1,4 +1,4 @@
-"""Centers, nearest-center classification, alignment stats, population losses."""
+"""Centers, nearest-center classification, r_eps, population losses."""
 
 import copy
 import threading
@@ -71,10 +71,7 @@ def _collapsed_sphere(dim=2, bias=(0.3, -0.4)):
 
 def _tiny_dataset():
     feats = np.array([[2.0, 0.0], [0.0, 3.0], [-1.0, -1.0], [4.0, 1.0]])
-    return Dataset(
-        features=feats, labels=np.array([0, 0, 1, 1]), num_classes=2,
-        priors=(0.5, 0.5),
-    )
+    return Dataset(features=feats, labels=np.array([0, 0, 1, 1]))
 
 
 def _blobs(seed=0, spread=0.1):
@@ -100,9 +97,7 @@ def test_collapsed_encoder_centers_coincide():
 
 def test_one_sample_per_class_center_is_the_embedding():
     feats = np.array([[3.0, 4.0], [-5.0, 12.0]])
-    ds = Dataset(
-        features=feats, labels=np.array([0, 1]), num_classes=2, priors=(0.5, 0.5)
-    )
+    ds = Dataset(features=feats, labels=np.array([0, 1]))
     enc = _identity_sphere()
     stats = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
     np.testing.assert_allclose(
@@ -118,9 +113,7 @@ def test_center_is_the_weighted_view_mean():
     )
     np.testing.assert_allclose(view_weights(aug), [0.5, 1 / 6, 1 / 6, 1 / 6])
     x = np.array([2.0, 0.0])
-    ds = Dataset(
-        features=x[None, :], labels=np.array([0]), num_classes=1, priors=(1.0,)
-    )
+    ds = Dataset(features=x[None, :], labels=np.array([0]))
     enc = _identity_sphere()
     stats = class_centers(_embedded(enc, ds, aug), ds)
     views = np.array([x, x + [0, 0], x + [0, 1.0], x + [0, 2.0]])
@@ -134,7 +127,7 @@ def test_sign_flip_pair_center_cancels():
         transforms=(identity(), sign_flip_mask((-1.0, -1.0))), grid_resolution=3
     )
     x = np.array([[0.6, 0.8]])
-    ds = Dataset(features=x, labels=np.array([0]), num_classes=1, priors=(1.0,))
+    ds = Dataset(features=x, labels=np.array([0]))
     enc = _identity_sphere()
     stats = class_centers(_embedded(enc, ds, aug), ds)
     np.testing.assert_allclose(stats.centers, [[0.0, 0.0]], atol=1e-12)
@@ -209,7 +202,7 @@ def test_r_eps_collapsed_encoder_is_zero():
         transforms=(identity(), additive_shift((1.0, 1.0))), grid_resolution=4
     )
     for eps in (0.0, 0.1, 1.0):
-        assert empirical_r_eps(_embedded(enc, ds, aug), eps).r_eps == 0.0
+        assert empirical_r_eps(_embedded(enc, ds, aug), eps) == 0.0
 
 
 def test_r_eps_vanishes_beyond_the_diameter():
@@ -218,7 +211,7 @@ def test_r_eps_vanishes_beyond_the_diameter():
         transforms=(identity(), additive_shift((0.0, 3.0))), grid_resolution=3
     )
     enc = _identity_sphere()
-    assert empirical_r_eps(_embedded(enc, ds, aug), 2.0).r_eps == 0.0  # sphere diameter 2r
+    assert empirical_r_eps(_embedded(enc, ds, aug), 2.0) == 0.0  # sphere diameter 2r
 
 
 def test_r_eps_rejects_nan_epsilon():
@@ -232,9 +225,7 @@ def test_r_eps_hand_geometry():
     # Two samples on the x-axis; a vertical shift tilts each by a known
     # angle, so the embedded spread is the chord 2 sin(angle / 2).
     feats = np.array([[4.0, 0.0], [1.0, 0.0]])
-    ds = Dataset(
-        features=feats, labels=np.array([0, 1]), num_classes=2, priors=(0.5, 0.5)
-    )
+    ds = Dataset(features=feats, labels=np.array([0, 1]))
     aug = AugmentationSet(
         transforms=(identity(), additive_shift((0.0, 3.0))), grid_resolution=2
     )
@@ -243,9 +234,7 @@ def test_r_eps_hand_geometry():
     chords = 2.0 * np.sin(angles / 2.0)
     np.testing.assert_allclose(_embedded(enc, ds, aug).spreads, chords, atol=1e-12)
     threshold = float(chords.mean())  # between the two spreads
-    stats = empirical_r_eps(_embedded(enc, ds, aug), threshold)
-    assert stats.r_eps == 0.5
-    assert stats.pairs_per_sample == 9
+    assert empirical_r_eps(_embedded(enc, ds, aug), threshold) == 0.5
 
 
 def test_r_eps_monotone_in_epsilon_and_grid():
@@ -261,13 +250,13 @@ def test_r_eps_monotone_in_epsilon_and_grid():
         transforms=(identity(), additive_shift((0.2, 0.4))), grid_resolution=5
     )
     enc = _freeze(model, ds, coarse)
-    values = [empirical_r_eps(_embedded(enc, ds, coarse), e).r_eps for e in np.linspace(0, 1, 9)]
+    values = [empirical_r_eps(_embedded(enc, ds, coarse), e) for e in np.linspace(0, 1, 9)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     # the 5-point grid contains the 3-point grid, so spreads cannot shrink
     for eps in (0.0, 0.05, 0.2):
         assert (
-            empirical_r_eps(_embedded(enc, ds, fine), eps).r_eps
-            >= empirical_r_eps(_embedded(enc, ds, coarse), eps).r_eps
+            empirical_r_eps(_embedded(enc, ds, fine), eps)
+            >= empirical_r_eps(_embedded(enc, ds, coarse), eps)
         )
 
 
@@ -384,10 +373,7 @@ def _brute_population_info_nce(enc, ds, aug):
 
 def test_population_info_nce_matches_brute_force():
     feats = np.array([[2.0, 0.3], [-1.0, 1.0], [0.5, -2.0]])
-    ds = Dataset(
-        features=feats, labels=np.array([0, 1, 1]), num_classes=2,
-        priors=(1 / 3, 2 / 3),
-    )
+    ds = Dataset(features=feats, labels=np.array([0, 1, 1]))
     aug = AugmentationSet(
         transforms=(identity(), additive_shift((0.0, 0.5))), grid_resolution=2
     )
@@ -623,7 +609,7 @@ def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
     monkeypatch.setattr(evaluation, "forward_prenorm", counting)
     embedded = _embedded(enc, ds, aug)
     thresholds = np.quantile(embedded.spreads, [0.25, 0.5, 0.75])
-    stats = [empirical_r_eps(embedded, float(eps)) for eps in thresholds]
+    r_eps = [empirical_r_eps(embedded, float(eps)) for eps in thresholds]
     assert calls == [ds.num_samples * aug.num_views]
     # Spreads recomputed per sample from every pair of view embeddings.
     z = embedded.z
@@ -631,8 +617,8 @@ def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
         [max(np.linalg.norm(a - b) for a in zi for b in zi) for zi in z]
     )
     np.testing.assert_allclose(embedded.spreads, spreads, atol=1e-12)
-    for eps, stat in zip(thresholds, stats):
-        assert stat.r_eps == float(np.mean(embedded.spreads > eps))
+    for eps, r in zip(thresholds, r_eps):
+        assert r == float(np.mean(embedded.spreads > eps))
 
 
 _STAGE_CONFIG = {
@@ -707,7 +693,7 @@ def test_stage_evaluate_builds_and_embeds_the_view_grid_once(
     # The network runs once, over the view grid; the raw samples' embeddings
     # are the identity's views.
     assert prenorm_rows == [n * v]
-    assert len(bundle.alignment) == 4
+    assert len(bundle.r_eps) == 4
     monkeypatch.undo()
     # The shared grid gives what each quantity computes from the model alone.
     assert bundle.err == error_rate(bundle.frozen, ds, bundle.stats)
@@ -750,9 +736,7 @@ def test_population_cross_corr_matches_direct_moments():
 
 def test_population_simple_antipodal_pair_has_zero_mean_penalty():
     feats = np.array([[1.0, 2.0], [-1.0, -2.0]])
-    ds = Dataset(
-        features=feats, labels=np.array([0, 0]), num_classes=1, priors=(1.0,)
-    )
+    ds = Dataset(features=feats, labels=np.array([0, 0]))
     enc = _identity_sphere()
     got = population_loss(_embedded(enc, ds, IDENTITY_ONLY), "simple", lam=0.7)
     assert got.l1 == pytest.approx(-1.0, abs=1e-12)  # perfectly aligned views

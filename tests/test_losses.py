@@ -92,7 +92,6 @@ def test_cross_correlation_matches_hand_sums():
     corr = cross_correlation(z1, z2)
     expected = (z1.T @ z2 + z2.T @ z1) / (2 * 4)
     np.testing.assert_allclose(corr.matrix, expected, atol=1e-12)
-    assert corr.batch_size == 4
 
 
 def test_cross_correlation_rejects_unstandardized_input():
@@ -102,11 +101,11 @@ def test_cross_correlation_rejects_unstandardized_input():
 
 
 def test_cross_corr_loss_trivial_values():
-    eye = CrossCorrMatrix(matrix=np.eye(3), batch_size=4)
+    eye = CrossCorrMatrix(matrix=np.eye(3))
     b = cross_corr_loss(eye, lam=0.1)
     assert (b.total, b.l1, b.l2) == (0.0, 0.0, 0.0)
 
-    zero = CrossCorrMatrix(matrix=np.zeros((3, 3)), batch_size=4)
+    zero = CrossCorrMatrix(matrix=np.zeros((3, 3)))
     for lam in (0.1, 0.5, 0.9):
         z = cross_corr_loss(zero, lam=lam)
         assert z.l1 == pytest.approx(3.0)
@@ -115,7 +114,7 @@ def test_cross_corr_loss_trivial_values():
 
 
 def test_cross_corr_loss_hand_example():
-    f = CrossCorrMatrix(matrix=np.array([[1.0, 0.5], [0.5, 1.0]]), batch_size=4)
+    f = CrossCorrMatrix(matrix=np.array([[1.0, 0.5], [0.5, 1.0]]))
     b = cross_corr_loss(f, lam=0.25)
     assert b.l1 == pytest.approx(0.0, abs=1e-12)
     assert b.l2 == pytest.approx(0.5, abs=1e-12)
@@ -123,7 +122,7 @@ def test_cross_corr_loss_hand_example():
 
 
 def test_cross_corr_loss_rejects_non_positive_lambda():
-    eye = CrossCorrMatrix(matrix=np.eye(2), batch_size=4)
+    eye = CrossCorrMatrix(matrix=np.eye(2))
     with pytest.raises(ValueError):
         cross_corr_loss(eye, lam=0.0)
 
@@ -135,7 +134,7 @@ def test_identity_is_the_unique_zero_of_cross_corr_loss():
         perturbation = (perturbation + perturbation.T) / 2
         if np.allclose(perturbation, 0):
             continue
-        f = CrossCorrMatrix(matrix=np.eye(3) + perturbation, batch_size=4)
+        f = CrossCorrMatrix(matrix=np.eye(3) + perturbation)
         assert cross_corr_loss(f, lam=0.3).total > 0
 
 
@@ -188,18 +187,14 @@ def test_recompose_matches_each_kind():
         recompose("nope", 0.0, 0.0, 0.0)
 
 
-def test_breakdown_validates_recomposition():
-    with pytest.raises(ValueError):
-        LossBreakdown(kind="info_nce", total=5.0, l1=1.0, l2=1.0, lam=1.0)
-
-
 @pytest.mark.parametrize(
-    "total, l1, l2",
+    "l1, l2, lam",
     [(float("nan"), 0.0, 0.0), (0.0, float("nan"), 0.0), (float("inf"), float("inf"), 0.0)],
 )
-def test_breakdown_rejects_nan_and_infinite_recomposition(total, l1, l2):
-    with pytest.raises(ValueError, match="recompose"):
-        LossBreakdown(kind="info_nce", total=total, l1=l1, l2=l2, lam=1.0)
+def test_breakdown_rejects_nan_and_infinite_recomposition(l1, l2, lam):
+    # A non-finite term is refused, so no breakdown recomposes to a non-finite total.
+    with pytest.raises(ValueError, match="loss terms must be finite"):
+        LossBreakdown(kind="simple", l1=l1, l2=l2, lam=lam)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])
@@ -211,6 +206,6 @@ def test_simple_contrastive_rejects_lambda_outside_zero_to_infinity(lam):
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
 def test_cross_corr_loss_rejects_non_finite_lambda(lam):
-    eye = CrossCorrMatrix(matrix=np.eye(2), batch_size=4)
+    eye = CrossCorrMatrix(matrix=np.eye(2))
     with pytest.raises(ValueError, match="lam"):
         cross_corr_loss(eye, lam=lam)

@@ -10,10 +10,10 @@ are stable identifiers.
 
 Conventions: the classifier is the nearest-center rule; r is the embedding
 norm scale (1 for the sphere-normalized InfoNCE setup, sqrt(d) for the
-standardized cross-correlation setup); L is a certified Lipschitz constant
-of the embedding map. Reports refuse to mix the two conventions: an
-InfoNCE loss level is never fed into the cross-correlation separation
-bound or vice versa.
+standardized cross-correlation setup), so it follows from the loss kind
+and the center dimension; L is a certified Lipschitz constant of the
+embedding map. Reports never feed an InfoNCE loss level into the
+cross-correlation separation bound or the other way round.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "BoundReport",
     "rho",
     "rho_max",
+    "delta_mu",
     "divergence_threshold",
     "theorem1_bound",
     "eta",
@@ -85,6 +87,12 @@ def rho_max(
     if not priors:
         raise ValueError("priors must be non-empty")
     return rho(sigma, delta, epsilon, r_eps, min(priors), lipschitz, radius)
+
+
+def delta_mu(centers: np.ndarray, radius: float) -> float:
+    """1 - min_k ||mu_k||^2 / r^2 of (K, d) class centers; zero when every
+    center reaches the shell of radius r."""
+    return 1.0 - float(np.min(np.sum(centers**2, axis=1))) / radius**2
 
 
 def divergence_threshold(rho_max_value: float, delta_mu: float, radius: float) -> float:
@@ -291,11 +299,11 @@ def theorem4_bound(
 class BoundInputs:
     """Everything the guarantee formulas consume, in one place.
 
-    ``loss_kind`` decides which separation bound applies; ``radius`` must
-    match its convention (1 for info_nce/simple, sqrt(dim) for
-    cross_corr). ``centers`` (K, d) are the class centers under the same
-    view distribution as the loss levels, one row per entry of ``priors``;
-    ``num_classes`` K and the embedding dimension ``dim`` d follow from them.
+    ``loss_kind`` decides which separation bound applies. ``centers`` (K, d)
+    are the class centers under the same view distribution as the loss
+    levels, one row per entry of ``priors``. The class count K, the
+    embedding dimension d, the norm scale ``radius`` (1 for info_nce and
+    simple, sqrt(d) for cross_corr) and ``delta_mu`` follow from them.
     """
 
     sigma: float
@@ -304,7 +312,6 @@ class BoundInputs:
     r_eps: float
     l_pos: float
     lipschitz: float
-    radius: float
     num_discrete: int
     num_continuous: int
     transform_lipschitz: float
@@ -314,7 +321,6 @@ class BoundInputs:
     l2: float
     lam: float
     centers: np.ndarray
-    delta_mu: float
 
     def __post_init__(self) -> None:
         missing = [name for name, value in self.__dict__.items() if value is None]
@@ -330,17 +336,12 @@ class BoundInputs:
         object.__setattr__(self, "centers", centers)
         for name in (
             "sigma", "delta", "epsilon", "r_eps", "l_pos", "lipschitz",
-            "radius", "transform_lipschitz", "l1", "l2", "lam", "delta_mu",
+            "transform_lipschitz", "l1", "l2", "lam",
         ):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"bound input {name!r} must be finite")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must lie in (0, 1]")
-        expected_r = 1.0 if self.loss_kind in ("info_nce", "simple") else math.sqrt(self.dim)
-        if abs(self.radius - expected_r) > 1e-9:
-            raise ValueError(
-                f"radius {self.radius} does not match the {self.loss_kind} convention"
-            )
 
     @property
     def num_classes(self) -> int:
@@ -349,6 +350,14 @@ class BoundInputs:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
+
+    @cached_property
+    def radius(self) -> float:
+        return 1.0 if self.loss_kind in ("info_nce", "simple") else math.sqrt(self.dim)
+
+    @cached_property
+    def delta_mu(self) -> float:
+        return delta_mu(self.centers, self.radius)
 
 
 @dataclass(frozen=True)
@@ -418,22 +427,17 @@ class BoundReport:
         out["thm1.valid"] = self.thm1_valid
         out["thm2.eta"] = self.eta
         out["thm2.bound"] = self.thm2_bound
-        if self.tau is not None:
-            out["thm3.tau"] = self.tau
-        for pair in self.thm3_pairs:
-            key = f"thm3.bound.{pair.class_k}_{pair.class_l}"
-            out[key] = pair.value
-            out[f"thm3.in_domain.{pair.class_k}_{pair.class_l}"] = pair.in_domain
-        if self.thm3_pairs:
-            out["thm3.in_domain"] = all(p.in_domain for p in self.thm3_pairs)
-        if self.tau_prime is not None:
-            out["thm4.tau_prime"] = self.tau_prime
-        for pair in self.thm4_pairs:
-            key = f"thm4.bound.{pair.class_k}_{pair.class_l}"
-            out[key] = pair.value
-            out[f"thm4.in_domain.{pair.class_k}_{pair.class_l}"] = pair.in_domain
-        if self.thm4_pairs:
-            out["thm4.in_domain"] = all(p.in_domain for p in self.thm4_pairs)
+        for thm, gap_name, gap, pairs in (
+            ("thm3", "tau", self.tau, self.thm3_pairs),
+            ("thm4", "tau_prime", self.tau_prime, self.thm4_pairs),
+        ):
+            if gap is not None:
+                out[f"{thm}.{gap_name}"] = gap
+            for pair in pairs:
+                out[f"{thm}.bound.{pair.class_k}_{pair.class_l}"] = pair.value
+                out[f"{thm}.in_domain.{pair.class_k}_{pair.class_l}"] = pair.in_domain
+            if pairs:
+                out[f"{thm}.in_domain"] = all(p.in_domain for p in pairs)
         for k, (first, second) in enumerate(zip(self.lemma5_first, self.lemma5_second)):
             out[f"lemma5.first.class_{k}"] = first
             out[f"lemma5.second.class_{k}"] = second
@@ -515,10 +519,20 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
         lemma_first.append(first)
         lemma_second.append(second)
 
+    def pair_bounds(bound) -> tuple[PairBound, ...]:
+        """``bound(p_k, p_l)`` of every class pair, with its measured product."""
+        return tuple(
+            PairBound(k, l, *bound(inputs.priors[k], inputs.priors[l]), float(products[k, l]))
+            for k, l in pair_indices
+        )
+
+    def separated(pairs: tuple[PairBound, ...]) -> bool:
+        return bool(pairs) and all(p.in_domain and p.value < threshold for p in pairs)
+
     tau_value: float | None = None
-    thm3_pairs: list[PairBound] = []
+    thm3_pairs: tuple[PairBound, ...] = ()
     tau_prime_value: float | None = None
-    thm4_pairs: list[PairBound] = []
+    thm4_pairs: tuple[PairBound, ...] = ()
     combined_infonce: tuple[float, bool] | None = None
     combined_crosscorr: tuple[float, bool] | None = None
 
@@ -531,16 +545,11 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
             inputs.r_eps,
             inputs.lipschitz,
         )
-        for k, l in pair_indices:
-            value, in_domain = theorem3_bound(
-                inputs.l2, tau_value, inputs.priors[k], inputs.priors[l], inputs.epsilon
-            )
-            thm3_pairs.append(PairBound(k, l, value, in_domain, float(products[k, l])))
-        separation_ok = bool(thm3_pairs) and all(
-            p.in_domain and p.value < threshold for p in thm3_pairs
+        thm3_pairs = pair_bounds(
+            lambda p_k, p_l: theorem3_bound(inputs.l2, tau_value, p_k, p_l, inputs.epsilon)
         )
         value = (1.0 - inputs.sigma) + eta_value * math.sqrt(max(2.0 + 2.0 * inputs.l1, 0.0))
-        combined_infonce = (value, separation_ok)
+        combined_infonce = (value, separated(thm3_pairs))
     elif inputs.loss_kind == "cross_corr":
         tau_prime_value = tau_prime(
             inputs.epsilon,
@@ -553,23 +562,15 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
             inputs.l1,
             inputs.priors,
         )
-        for k, l in pair_indices:
-            value, in_domain = theorem4_bound(
-                inputs.l2,
-                tau_prime_value,
-                inputs.priors[k],
-                inputs.priors[l],
-                inputs.dim,
-                k_classes,
+        thm4_pairs = pair_bounds(
+            lambda p_k, p_l: theorem4_bound(
+                inputs.l2, tau_prime_value, p_k, p_l, inputs.dim, k_classes
             )
-            thm4_pairs.append(PairBound(k, l, value, in_domain, float(products[k, l])))
-        separation_ok = bool(thm4_pairs) and all(
-            p.in_domain and p.value < threshold for p in thm4_pairs
         )
         value = (1.0 - inputs.sigma) + math.sqrt(2.0) * eta_value * inputs.dim**0.25 * max(
             inputs.l1, 0.0
         ) ** 0.25
-        combined_crosscorr = (value, separation_ok)
+        combined_crosscorr = (value, separated(thm4_pairs))
 
     return BoundReport(
         inputs=inputs,
@@ -582,9 +583,9 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
         eta=eta_value,
         thm2_bound=thm2_value,
         tau=tau_value,
-        thm3_pairs=tuple(thm3_pairs),
+        thm3_pairs=thm3_pairs,
         tau_prime=tau_prime_value,
-        thm4_pairs=tuple(thm4_pairs),
+        thm4_pairs=thm4_pairs,
         lemma5_first=tuple(lemma_first),
         lemma5_second=tuple(lemma_second),
         combined_infonce=combined_infonce,

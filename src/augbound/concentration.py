@@ -278,12 +278,15 @@ def sigma_delta_curve(
 # ---------------------------------------------------------------------------
 
 
+_RECORD_COLUMNS = "class_id,class_size,main_part_size,sigma_k,mode,members"
+
+
 def save_concentration(estimate: ConcentrationEstimate, path: str, fingerprint: str) -> None:
     """Record file: a stamped header plus one line per class."""
     lines = [
         f"# delta={float(estimate.delta)!r} sigma={float(estimate.sigma)!r} "
         f"mode={estimate.mode} fingerprint={fingerprint}",
-        "class_id,class_size,main_part_size,sigma_k,mode,members",
+        _RECORD_COLUMNS,
     ]
     for k, (sig, part) in enumerate(zip(estimate.per_class_sigma, estimate.main_parts)):
         size = round(len(part) / sig)
@@ -313,6 +316,8 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
         raise ValueError(
             f"{path}: record header delta={header['delta']} sigma={header['sigma']} is not numeric"
         ) from None
+    if lines[1] != _RECORD_COLUMNS:
+        raise ValueError(f"{path}: line 2 is {lines[1]!r}, not the header {_RECORD_COLUMNS!r}")
     per_class: list[float] = []
     parts: list[tuple[int, ...]] = []
     for ln in lines[2:]:
@@ -328,6 +333,8 @@ def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
         except ValueError as exc:
             raise ValueError(f"{path}: malformed class row {ln!r}: {exc}") from None
         where = f"{path}: class row {ln!r}"
+        if fields[0] != str(len(per_class)):
+            raise ValueError(f"{where} has class_id {fields[0]!r}, expected {len(per_class)}")
         # Written so that NaN fails.
         if not 0.0 < sig <= 1.0:
             raise ValueError(f"{where} has sigma_k {sig!r} outside (0, 1]")

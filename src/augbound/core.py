@@ -57,13 +57,22 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        raw = np.asarray(self.labels)
+        try:
+            with np.errstate(invalid="ignore"):
+                labels = raw.astype(np.int64)
+        except OverflowError:
+            raise ValueError("labels must be integers in the int64 range") from None
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty (N, D) matrix")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must align with features rows")
+        changed = np.flatnonzero(labels != raw)
+        if changed.size:
+            i = int(changed[0])
+            raise ValueError(f"label {raw[i].item()!r} of row {i} is not an int64 integer")
         # Sorted, not counted, so memory stays O(N) whatever the largest label.
         ordered = np.sort(labels)
         if ordered[0] < 0:
@@ -400,8 +409,8 @@ def load_dataset(path: str) -> Dataset:
                 labels.append(int(row[dim]))
             except ValueError as exc:
                 raise ValueError(f"{path}: row {idx} is malformed: {exc}") from None
-            if labels[-1] < 0:
-                raise ValueError(f"{path}: row {idx} has negative label")
+            if not 0 <= labels[-1] < 2**63:
+                raise ValueError(f"{path}: row {idx} has label {labels[-1]} outside 0 .. 2**63 - 1")
     if not rows:
         raise ValueError(f"{path}: no samples")
     try:

@@ -72,7 +72,6 @@ __all__ = [
     "save_model",
     "load_model",
     "save_trace",
-    "load_trace",
 ]
 
 MAX_LAYERS = 3
@@ -444,7 +443,8 @@ def _block_draws(
 def _check_pairing(loss: str, norm_mode: str, radius: float) -> None:
     """Raise ``ValueError`` unless the loss can train an encoder with this output map."""
     if loss in ("info_nce", "simple"):
-        if norm_mode != "sphere" or abs(radius - 1.0) > 1e-9:
+        # Exactly 1: the bounds take r = 1 for these losses (bounds.BoundInputs).
+        if norm_mode != "sphere" or radius != 1.0:
             raise ValueError(f"loss '{loss}' needs norm_mode 'sphere' with radius 1")
     elif norm_mode != "batch_standardized":
         raise ValueError(f"loss '{loss}' needs norm_mode 'batch_standardized'")
@@ -741,6 +741,7 @@ def load_model(path: str) -> tuple[EncoderModel, int | None]:
 
 
 def save_trace(trace: np.ndarray, path: str) -> None:
+    """Write ``step,loss,l1,l2`` rows: the step as an integer, the rest as reprs."""
     with open(path, "w") as fh:
         fh.write("step,loss,l1,l2\n")
         for row in np.atleast_2d(trace):
@@ -749,20 +750,3 @@ def save_trace(trace: np.ndarray, path: str) -> None:
             fh.write(
                 f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},{float(row[3])!r}\n"
             )
-
-
-def load_trace(path: str) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "step,loss,l1,l2":
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            # A wrong field count fails the unpacking, a bad number float().
-            try:
-                step, loss, l1, l2 = (float(v) for v in parts)
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed trace row {line!r}: {exc}") from None
-            rows.append([step, loss, l1, l2])
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)

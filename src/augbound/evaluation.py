@@ -7,25 +7,24 @@ all refer to one common view distribution.
 
 An evaluation runs the encoder over that grid once. :func:`embed_views`
 takes a model and the (N, V, D) view tensor of a dataset, freezes the model
-into a :class:`FrozenEncoder` and returns an :class:`EmbeddedViews`: the
-frozen encoder, the embeddings z (N, V, d), the view weights, the
-per-sample weighted view means, the squared norms and the per-sample view
-spreads, from which it derives the mean squared view-pair distance
-``l_pos``. :func:`class_centers`, :func:`empirical_r_eps` (the fraction of
-samples whose view spread exceeds epsilon), :func:`class_moments` and
-:func:`population_loss` read from that value, so none of them builds or
-embeds views again.
+on it and returns an :class:`EmbeddedViews`: the certified Lipschitz
+constant L and norm scale r of the frozen map, the embeddings z (N, V, d),
+the view weights, the per-sample weighted view means, the squared norms and
+the per-sample view spreads, from which it derives the mean squared
+view-pair distance ``l_pos``. :func:`class_centers`, :func:`empirical_r_eps`
+(the fraction of samples whose view spread exceeds epsilon),
+:func:`class_moments` and :func:`population_loss` read from that value, so
+none of them builds or embeds views again.
 
-A :class:`FrozenEncoder` is a point-wise embedding map. For sphere models
-it is the model's own projection; for batch-standardized models the
-standardization statistics are computed once over the weighted views of
-the whole dataset and then frozen, which makes single-point embeddings
-well defined and pins the norm convention to sqrt(d) in the mean-square
-sense.
+Freezing keeps a sphere model's own projection. A batch-standardized model
+gets its standardization statistics once, over the weighted views of the
+whole dataset, which pins the norm convention to sqrt(d) in the
+mean-square sense.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +36,10 @@ from .encoder import EncoderModel, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
 
 __all__ = [
-    "FrozenEncoder",
     "EmbeddedViews",
-    "ClassStats",
     "embed_views",
     "class_centers",
-    "nn_classify",
     "classify_batch",
-    "linear_classifier",
-    "error_rate",
     "empirical_r_eps",
     "population_loss",
     "class_moments",
@@ -53,54 +47,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FrozenEncoder:
-    """Deterministic point-wise embedding map derived from a model.
-
-    ``shift``/``scale`` are the frozen standardization statistics (None in
-    sphere mode). ``lipschitz`` is the certified Lipschitz constant
-    :func:`embed_views` derived for this map. ``radius`` is the norm
-    convention the bounds use: the sphere radius, or sqrt(output_dim) for
-    standardized models.
-    """
-
-    model: EncoderModel
-    shift: np.ndarray | None
-    scale: np.ndarray | None
-    lipschitz: float
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Embeddings of raw points, one per row of ``x``."""
-        return self._project(forward_prenorm(self.model, x))
-
-    def _project(self, pre: np.ndarray) -> np.ndarray:
-        if self.shift is None:
-            norms = np.linalg.norm(pre, axis=1, keepdims=True)
-            if norms.min() < 1e-12:
-                raise ValueError("zero vector cannot be projected onto the sphere")
-            return self.model.radius * pre / norms
-        return (pre - self.shift) / self.scale
-
-    @property
-    def output_dim(self) -> int:
-        return self.model.output_dim
-
-    @property
-    def radius(self) -> float:
-        return self.model.radius if self.shift is None else float(np.sqrt(self.output_dim))
-
-
-@dataclass(frozen=True)
 class EmbeddedViews:
     """The view grid of a dataset, embedded once by a frozen encoder.
 
-    ``encoder`` is the frozen map that produced the grid, ``z`` holds the
-    embeddings (N, V, d), ``weights`` the view weights (V,), ``means`` the
-    weighted view mean of each sample (N, d), ``sq_norms`` the squared
-    embedding norms (N, V) and ``spreads`` the largest embedding distance
-    between two views of each sample (N,).
+    ``lipschitz`` is the certified Lipschitz constant of the frozen map and
+    ``radius`` its norm scale r: the sphere radius, or sqrt(d) for a
+    standardized model. ``z`` holds the embeddings (N, V, d), ``weights``
+    the view weights (V,), ``means`` the weighted view mean of each sample
+    (N, d), ``sq_norms`` the squared embedding norms (N, V) and ``spreads``
+    the largest embedding distance between two views of each sample (N,).
     """
 
-    encoder: FrozenEncoder
+    lipschitz: float
+    radius: float
     z: np.ndarray
     weights: np.ndarray
     means: np.ndarray
@@ -132,10 +91,12 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     pre = forward_prenorm(model, views.reshape(n * v, -1))
     product = lipschitz_upper_bound(model)
     if model.norm_mode == "sphere":
-        c = float(np.linalg.norm(pre, axis=1).min())
+        norms = np.linalg.norm(pre, axis=1, keepdims=True)
+        c = float(norms.min())
         if c < 1e-6:
             raise ValueError("pre-projection norms vanish on the view grid; factor unbounded")
-        encoder = FrozenEncoder(model, None, None, product * 2.0 * model.radius / c)
+        flat = model.radius * pre / norms
+        lipschitz, radius = product * 2.0 * model.radius / c, model.radius
     elif model.norm_mode == "batch_standardized":
         w = np.tile(weights, n) / n
         mu = w @ pre
@@ -143,12 +104,14 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
         if var.min() < 1e-24:
             raise ValueError("view population has zero variance in some embedding dimension")
         scale = np.sqrt(var)
-        encoder = FrozenEncoder(model, mu, scale, product / float(scale.min()))
+        flat = (pre - mu) / scale
+        lipschitz, radius = product / float(scale.min()), math.sqrt(model.output_dim)
     else:
         raise ValueError("evaluation needs a sphere or batch_standardized model")
-    z = encoder._project(pre).reshape(n, v, -1)
+    z = flat.reshape(n, v, -1)
     return EmbeddedViews(
-        encoder=encoder,
+        lipschitz=lipschitz,
+        radius=radius,
         z=z,
         weights=weights,
         means=np.einsum("v,nvd->nd", weights, z),
@@ -173,74 +136,23 @@ def _spreads(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(out, 0.0))
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    """Per-class embedding centers under the view distribution."""
-
-    centers: np.ndarray
-    priors: tuple[float, ...]
-    radius: float
-
-    def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[0] != len(self.priors):
-            raise ValueError("centers must be (K, d) aligned with priors")
-        object.__setattr__(self, "centers", centers)
-
-    @property
-    def num_classes(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def min_center_norm_sq(self) -> float:
-        return float(np.min(np.sum(self.centers**2, axis=1)))
-
-    @property
-    def delta_mu(self) -> float:
-        """1 - min_k ||mu_k||^2 / r^2; zero when every center hits the shell."""
-        return 1.0 - self.min_center_norm_sq / self.radius**2
-
-
-def class_centers(embedded: EmbeddedViews, dataset: Dataset) -> ClassStats:
-    """Class centers mu_k = E_{x in C_k} E_{views} f, the view expectation
-    taken over the enumerated grid with the sampling weights."""
-    centers = np.stack(
+def class_centers(embedded: EmbeddedViews, dataset: Dataset) -> np.ndarray:
+    """Class centers mu_k = E_{x in C_k} E_{views} f, one row per class
+    (K, d), the view expectation taken over the enumerated grid with the
+    sampling weights."""
+    return np.stack(
         [
             embedded.means[dataset.class_indices(k)].mean(axis=0)
             for k in range(dataset.num_classes)
         ]
     )
-    return ClassStats(
-        centers=centers, priors=dataset.priors, radius=embedded.encoder.radius
-    )
 
 
-def nn_classify(stats: ClassStats, z: np.ndarray) -> int:
-    """Nearest-center class for one embedding; ties go to the smaller id."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("nn_classify takes a single embedding")
-    dists = np.sum((stats.centers - z) ** 2, axis=1)
-    return int(np.argmin(dists))
-
-
-def classify_batch(stats: ClassStats, z: np.ndarray) -> np.ndarray:
+def classify_batch(centers: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Nearest-center class of each embedding row; ties go to the smaller id."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    d2 = _sqeuclidean(z.T[:, :, None], stats.centers.T[:, None, :])
+    d2 = _sqeuclidean(z.T[:, :, None], centers.T[:, None, :])
     return np.argmin(d2, axis=1)
-
-
-def linear_classifier(stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and biases of the equivalent linear rule argmax_k w_k.z + b_k."""
-    weights = stats.centers
-    biases = -0.5 * np.sum(stats.centers**2, axis=1)
-    return weights, biases
-
-
-def error_rate(encoder: FrozenEncoder, dataset: Dataset, stats: ClassStats) -> float:
-    """Misclassification rate of the nearest-center rule on raw samples."""
-    preds = classify_batch(stats, encoder.embed(dataset.features))
-    return float(np.mean(preds != dataset.labels))
 
 
 def empirical_r_eps(embedded: EmbeddedViews, epsilon: float) -> float:
@@ -251,7 +163,7 @@ def empirical_r_eps(embedded: EmbeddedViews, epsilon: float) -> float:
 
 
 def class_moments(
-    embedded: EmbeddedViews, dataset: Dataset, stats: ClassStats
+    embedded: EmbeddedViews, dataset: Dataset, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class E ||f(view) - mu_k|| and E ||f(view) - mu_k||^2.
 
@@ -262,7 +174,7 @@ def class_moments(
     second = np.empty(dataset.num_classes)
     for k in range(dataset.num_classes):
         idx = dataset.class_indices(k)
-        diff = embedded.z[idx] - stats.centers[k]
+        diff = embedded.z[idx] - centers[k]
         sq = np.sum(diff**2, axis=2)
         first[k] = np.mean(np.sqrt(sq) @ embedded.weights)
         second[k] = np.mean(sq @ embedded.weights)

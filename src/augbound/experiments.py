@@ -38,6 +38,7 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     EmpiricalMeasurements,
+    delta_mu,
     full_report,
     save_bound_report,
 )
@@ -64,8 +65,6 @@ from .encoder import (
     train,
 )
 from .evaluation import (
-    ClassStats,
-    FrozenEncoder,
     class_centers,
     class_moments,
     classify_batch,
@@ -335,13 +334,15 @@ def with_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 class EvalBundle:
     """Everything the guarantee report consumes from the trained encoder.
 
+    ``lipschitz`` is the certified Lipschitz constant of the frozen map and
+    ``centers`` (K, d) the class centers under the view distribution.
     ``r_eps`` holds one empirical r_eps per entry of the config's
     ``epsilon_grid``; ``l_pos`` is the mean squared view-pair distance,
     clamped at 0.
     """
 
-    frozen: FrozenEncoder
-    stats: ClassStats
+    lipschitz: float
+    centers: np.ndarray
     err: float
     r_eps: tuple[float, ...]
     l_pos: float
@@ -452,13 +453,12 @@ def stage_evaluate(
         views = view_tensor(dataset.features, config.augmentation)
         weights = view_weights(config.augmentation)
         embedded = embed_views(model, views, weights)
-        frozen = embedded.encoder
-        stats = class_centers(embedded, dataset)
+        centers = class_centers(embedded, dataset)
         # The identity's view of a sample is the sample itself, bit for bit.
         raw = embedded.z[:, config.augmentation.discrete.index(identity())]
-        preds = classify_batch(stats, raw)
+        preds = classify_batch(centers, raw)
         err = float(np.mean(preds != dataset.labels))
-        first, second = class_moments(embedded, dataset, stats)
+        first, second = class_moments(embedded, dataset, centers)
         loss = population_loss(embedded, config.training.loss, config.training.lam)
         correct = preds == dataset.labels
         premise = []
@@ -466,8 +466,8 @@ def stage_evaluate(
             members = np.concatenate([np.asarray(part, dtype=int) for part in estimate.main_parts])
             premise.append(float(np.mean(correct[members])))
         bundle = EvalBundle(
-            frozen=frozen,
-            stats=stats,
+            lipschitz=embedded.lipschitz,
+            centers=centers,
             err=err,
             r_eps=tuple(empirical_r_eps(embedded, eps) for eps in config.epsilon_grid),
             l_pos=max(embedded.l_pos, 0.0),
@@ -478,9 +478,9 @@ def stage_evaluate(
         )
         rows: list[tuple[str, object]] = [
             ("err", bundle.err),
-            ("lipschitz", frozen.lipschitz),
-            ("delta_mu", stats.delta_mu),
-            ("radius", frozen.radius),
+            ("lipschitz", embedded.lipschitz),
+            ("delta_mu", delta_mu(centers, embedded.radius)),
+            ("radius", embedded.radius),
             ("l_pos", bundle.l_pos),
             ("loss.kind", loss.kind),
             ("loss.total", loss.total),
@@ -492,8 +492,8 @@ def stage_evaluate(
         for k in range(dataset.num_classes):
             rows.append((f"moment.first.class_{k}", bundle.first_moments[k]))
             rows.append((f"moment.second.class_{k}", bundle.second_moments[k]))
-            rows.append((f"center_norm.class_{k}", float(np.linalg.norm(stats.centers[k]))))
-        products = stats.centers @ stats.centers.T
+            rows.append((f"center_norm.class_{k}", float(np.linalg.norm(centers[k]))))
+        products = centers @ centers.T
         for k in range(dataset.num_classes):
             for l in range(k + 1, dataset.num_classes):
                 rows.append((f"mu_product.{k}_{l}", float(products[k, l])))
@@ -505,6 +505,7 @@ def stage_evaluate(
 
 def stage_bounds(
     config: ExperimentConfig,
+    dataset: Dataset,
     curve: tuple[ConcentrationEstimate, ...],
     bundle: EvalBundle,
     out_dir: str,
@@ -527,18 +528,16 @@ def stage_bounds(
                     epsilon=float(eps),
                     r_eps=r_eps,
                     l_pos=bundle.l_pos,
-                    lipschitz=bundle.frozen.lipschitz,
-                    radius=bundle.frozen.radius,
+                    lipschitz=bundle.lipschitz,
                     num_discrete=aug.num_discrete,
                     num_continuous=aug.num_continuous_params,
                     transform_lipschitz=aug.effective_lipschitz,
-                    priors=bundle.stats.priors,
+                    priors=dataset.priors,
                     loss_kind=config.training.loss,
                     l1=bundle.loss.l1,
                     l2=bundle.loss.l2,
                     lam=bundle.loss.lam,
-                    centers=bundle.stats.centers,
-                    delta_mu=bundle.stats.delta_mu,
+                    centers=bundle.centers,
                 )
                 report = full_report(inputs, empirical)
                 reports[(i, j)] = report
@@ -568,7 +567,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     model, _ = stage_train(config, dataset, out_dir)
     curve = stage_concentration(config, dataset, out_dir)
     bundle = stage_evaluate(config, dataset, model, curve, out_dir)
-    reports = stage_bounds(config, curve, bundle, out_dir)
+    reports = stage_bounds(config, dataset, curve, bundle, out_dir)
     return ExperimentResult(
         config=config,
         out_dir=out_dir,

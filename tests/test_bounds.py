@@ -9,6 +9,7 @@ import pytest
 from augbound.bounds import (
     BoundInputs,
     EmpiricalMeasurements,
+    delta_mu,
     divergence_threshold,
     eta,
     full_report,
@@ -431,7 +432,6 @@ def _inputs(**overrides):
         r_eps=0.05,
         l_pos=0.02,
         lipschitz=2.0,
-        radius=1.0,
         num_discrete=2,
         num_continuous=1,
         transform_lipschitz=0.5,
@@ -441,7 +441,6 @@ def _inputs(**overrides):
         l2=1.4,
         lam=1.0,
         centers=np.array([[0.8, 0.0], [0.0, 0.8]]),
-        delta_mu=0.36,
     )
     base.update(overrides)
     return BoundInputs(**base)
@@ -453,18 +452,26 @@ def test_bound_inputs_enumerate_missing_fields():
 
 
 def test_bound_inputs_radius_conventions():
-    with pytest.raises(ValueError, match="convention"):
+    # r is 1 on the unit sphere and sqrt(d) for standardized embeddings;
+    # delta_mu = 1 - min_k ||mu_k||^2 / r^2 follows from it and the centers.
+    info = _inputs()
+    assert (info.radius, info.delta_mu) == (1.0, 1.0 - 0.8**2)
+    assert _inputs(loss_kind="simple").radius == 1.0
+    centers = np.array([[1.3, 0.0, 0.0], [0.0, 1.2, 0.6]])
+    cc = _inputs(loss_kind="cross_corr", centers=centers)
+    assert (cc.num_classes, cc.dim) == (2, 3)
+    assert cc.radius == math.sqrt(3.0)
+    assert cc.delta_mu == delta_mu(centers, math.sqrt(3.0)) == 1.0 - 1.3**2 / cc.radius**2
+    with pytest.raises(TypeError, match="radius"):
         _inputs(radius=2.0)
-    with pytest.raises(ValueError, match="convention"):
-        _inputs(loss_kind="cross_corr", radius=1.0)
-    cc = _inputs(
-        loss_kind="cross_corr", radius=math.sqrt(2.0),
-        centers=np.array([[1.3, 0.0], [0.0, 1.3]]),
-    )
-    assert cc.radius == pytest.approx(math.sqrt(2.0))
-    assert (cc.num_classes, cc.dim) == (2, 2)
-    simple = _inputs(loss_kind="simple")
-    assert simple.radius == 1.0
+    with pytest.raises(TypeError, match="delta_mu"):
+        _inputs(delta_mu=0.0)
+
+
+def test_delta_mu_is_one_minus_the_smallest_center_norm_ratio():
+    assert delta_mu(np.array([[0.6, 0.8], [0.0, 0.5]]), 1.0) == 1.0 - 0.25
+    assert delta_mu(np.array([[2.0, 0.0], [0.0, -2.0]]), 2.0) == 0.0
+    assert delta_mu(np.zeros((2, 3)), math.sqrt(3.0)) == 1.0
 
 
 def test_bound_inputs_reject_bad_values():
@@ -507,7 +514,7 @@ def test_perfect_case_infonce_report():
     l2 = 0.25 * 1.1 + 0.5  # puts the bound argument at 1.1 > 1 - eps
     inputs = _inputs(
         sigma=1.0, delta=0.0, epsilon=1e-9, r_eps=0.0, l_pos=0.0,
-        l1=-1.0, l2=l2, centers=np.eye(2), delta_mu=0.0,
+        l1=-1.0, l2=l2, centers=np.eye(2),
     )
     report = full_report(inputs, _empirical())
     assert report.rho_max == pytest.approx(0.0, abs=1e-8)
@@ -529,9 +536,8 @@ def test_perfect_case_crosscorr_report():
     # centers: orthogonal, each with norm sqrt(d) -> delta_mu = 0
     inputs = _inputs(
         sigma=1.0, delta=0.0, epsilon=1e-9, r_eps=0.0, l_pos=0.0,
-        loss_kind="cross_corr", radius=math.sqrt(d),
-        l1=0.0, l2=0.0, centers=np.diag([math.sqrt(d), math.sqrt(d)]),
-        delta_mu=0.0, lam=0.5,
+        loss_kind="cross_corr",
+        l1=0.0, l2=0.0, centers=np.diag([math.sqrt(d), math.sqrt(d)]), lam=0.5,
     )
     report = full_report(inputs, _empirical())
     assert report.tau_prime == pytest.approx(0.0, abs=1e-8)
@@ -610,8 +616,7 @@ def test_combined_error_bounds_delegate_to_report():
     assert infonce[0] == 0.0
     assert crosscorr is None
     cc_inputs = _inputs(
-        loss_kind="cross_corr", radius=math.sqrt(2.0), l1=0.0, sigma=1.0,
-        centers=np.diag([1.2, 1.2]), delta_mu=1 - 1.2**2 / 2,
+        loss_kind="cross_corr", l1=0.0, sigma=1.0, centers=np.diag([1.2, 1.2]),
     )
     report = full_report(cc_inputs, _empirical())
     infonce, crosscorr = report.combined_infonce, report.combined_crosscorr

@@ -136,6 +136,13 @@ def test_config_schema_violations(mutate, fragment):
         config_from_dict(data)
 
 
+def test_sphere_losses_need_a_radius_of_exactly_one():
+    # The bounds take r = 1 for info_nce and simple, so the sphere must have it.
+    for loss in ("info_nce", "simple"):
+        with pytest.raises(ConfigError, match="radius 1"):
+            config_from_dict(_config_dict(encoder={"radius": 1.0 + 1e-12}, training={"loss": loss}))
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

@@ -468,3 +468,23 @@ def test_concentration_record_row_mode_must_match_the_header(tmp_path):
     _edit_class_row(path, 4, "dual_approx")
     with pytest.raises(ValueError, match="conc.txt: class row .* mode 'dual_approx', the header"):
         load_concentration(str(path))
+
+
+def test_concentration_record_class_ids_must_count_rows_from_zero(tmp_path):
+    path = _saved_record(tmp_path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4  # header, columns and one row per class
+    for i in (2, 3):
+        lines[i] = "7" + lines[i][1:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="conc.txt: class row '7,.* has class_id '7', expected 0"):
+        load_concentration(str(path))
+
+
+def test_concentration_record_needs_the_column_header(tmp_path):
+    path = _saved_record(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[1] = "class_id,size,junk,sigma_k,mode,members"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="conc.txt: line 2 is 'class_id,size,junk.*not the header"):
+        load_concentration(str(path))

@@ -125,6 +125,24 @@ def test_a_large_label_is_refused_without_counting_up_to_it(tmp_path):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("label", ["100000000000000000000", str(2**63)])
+def test_a_label_past_int64_names_the_path_and_row(tmp_path, label):
+    path = tmp_path / "big.csv"
+    path.write_text(f"f0,label\n1.0,0\n2.0,{label}\n")
+    with pytest.raises(ValueError, match=f"big.csv: row 2 has label {label} outside"):
+        load_dataset(str(path))
+
+
+def test_dataset_refuses_labels_the_int64_cast_would_change():
+    with pytest.raises(ValueError, match="label 0.7 of row 0 is not an int64 integer"):
+        Dataset(np.zeros((2, 1)), [0.7, 1.2])
+    with pytest.raises(ValueError, match="label nan of row 1 is not an int64 integer"):
+        Dataset(np.zeros((2, 1)), [0.0, float("nan")])
+    with pytest.raises(ValueError, match="int64 range"):
+        Dataset(np.zeros((2, 1)), [0, 10**20])
+    np.testing.assert_array_equal(Dataset(np.zeros((2, 1)), [1.0, 0.0]).labels, [1, 0])
+
+
 def test_csv_load_counts_empirical_priors(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.5,2.5,0\n-1.0,0.0,1\n")

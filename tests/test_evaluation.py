@@ -18,27 +18,25 @@ from augbound.augment import (
     view_tensor,
     view_weights,
 )
+from augbound.bounds import delta_mu
 from augbound.core import Dataset, GeneratorConfig, generate_dataset
 from augbound.encoder import forward_prenorm, init_encoder, with_params
 from augbound.evaluation import (
     TILE_BYTES,
-    ClassStats,
     class_centers,
     class_moments,
     classify_batch,
     embed_views,
     empirical_r_eps,
-    error_rate,
-    linear_classifier,
-    nn_classify,
     population_loss,
 )
+from oracles import error_rate, freeze, nn_classify
 
 IDENTITY_ONLY = AugmentationSet(transforms=(identity(),), grid_resolution=3)
 
 
 def _freeze(model, ds, aug):
-    return embed_views(model, view_tensor(ds.features, aug), view_weights(aug)).encoder
+    return freeze(model, view_tensor(ds.features, aug), view_weights(aug))
 
 
 def _embedded(enc, ds, aug):
@@ -88,21 +86,19 @@ def _blobs(seed=0, spread=0.1):
 
 def test_collapsed_encoder_centers_coincide():
     ds = _tiny_dataset()
-    enc = _collapsed_sphere()
-    stats = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
+    embedded = _embedded(_collapsed_sphere(), ds, IDENTITY_ONLY)
+    centers = class_centers(embedded, ds)
     expected = np.array([0.6, -0.8])  # (0.3, -0.4) projected to the shell
-    np.testing.assert_allclose(stats.centers, [expected, expected], atol=1e-12)
-    assert stats.delta_mu == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(centers, [expected, expected], atol=1e-12)
+    assert delta_mu(centers, embedded.radius) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_sample_per_class_center_is_the_embedding():
     feats = np.array([[3.0, 4.0], [-5.0, 12.0]])
     ds = Dataset(features=feats, labels=np.array([0, 1]))
     enc = _identity_sphere()
-    stats = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
-    np.testing.assert_allclose(
-        stats.centers, [[0.6, 0.8], [-5 / 13, 12 / 13]], atol=1e-12
-    )
+    centers = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
+    np.testing.assert_allclose(centers, [[0.6, 0.8], [-5 / 13, 12 / 13]], atol=1e-12)
 
 
 def test_center_is_the_weighted_view_mean():
@@ -115,11 +111,11 @@ def test_center_is_the_weighted_view_mean():
     x = np.array([2.0, 0.0])
     ds = Dataset(features=x[None, :], labels=np.array([0]))
     enc = _identity_sphere()
-    stats = class_centers(_embedded(enc, ds, aug), ds)
+    centers = class_centers(_embedded(enc, ds, aug), ds)
     views = np.array([x, x + [0, 0], x + [0, 1.0], x + [0, 2.0]])
     unit = views / np.linalg.norm(views, axis=1, keepdims=True)
     expected = 0.5 * unit[0] + (unit[1] + unit[2] + unit[3]) / 6.0
-    np.testing.assert_allclose(stats.centers[0], expected, atol=1e-12)
+    np.testing.assert_allclose(centers[0], expected, atol=1e-12)
 
 
 def test_sign_flip_pair_center_cancels():
@@ -128,35 +124,25 @@ def test_sign_flip_pair_center_cancels():
     )
     x = np.array([[0.6, 0.8]])
     ds = Dataset(features=x, labels=np.array([0]))
-    enc = _identity_sphere()
-    stats = class_centers(_embedded(enc, ds, aug), ds)
-    np.testing.assert_allclose(stats.centers, [[0.0, 0.0]], atol=1e-12)
-    assert stats.delta_mu == pytest.approx(1.0)
+    embedded = _embedded(_identity_sphere(), ds, aug)
+    centers = class_centers(embedded, ds)
+    np.testing.assert_allclose(centers, [[0.0, 0.0]], atol=1e-12)
+    assert delta_mu(centers, embedded.radius) == pytest.approx(1.0)
 
 
 def test_nn_classify_picks_nearest_and_breaks_ties_low():
-    stats = ClassStats(
-        centers=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
-        priors=(1 / 3, 1 / 3, 1 / 3),
-        radius=1.0,
-    )
-    assert nn_classify(stats, np.array([-0.9, 0.1])) == 1
-    assert nn_classify(stats, np.array([0.0, 0.0])) == 0  # three-way tie
-    assert nn_classify(stats, stats.centers[2]) == 2
+    centers = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    z = np.array([[-0.9, 0.1], [0.0, 0.0], centers[2]])  # the middle one is a three-way tie
+    np.testing.assert_array_equal(classify_batch(centers, z), [1, 0, 2])
+    assert [nn_classify(centers, row) for row in z] == [1, 0, 2]
 
 
 def test_classifier_forms_agree():
     rng = np.random.default_rng(11)
-    stats = ClassStats(
-        centers=rng.normal(size=(4, 3)), priors=(0.25,) * 4, radius=2.0
-    )
-    z = rng.normal(size=(10_000, 3))
-    batched = classify_batch(stats, z)
-    weights, biases = linear_classifier(stats)
-    linear = np.argmax(z @ weights.T + biases, axis=1)
-    np.testing.assert_array_equal(batched, linear)
-    scan = np.array([nn_classify(stats, row) for row in z[:200]])
-    np.testing.assert_array_equal(batched[:200], scan)
+    centers = rng.normal(size=(4, 3))
+    z = rng.normal(size=(2_000, 3))
+    scan = np.array([nn_classify(centers, row) for row in z])
+    np.testing.assert_array_equal(classify_batch(centers, z), scan)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -165,12 +151,10 @@ def test_classifier_and_spreads_match_their_cdist_forms(dim):
 
     rng = np.random.default_rng(100 + dim)
     scale = 10.0 ** rng.uniform(-2, 2, dim)
-    stats = ClassStats(
-        centers=rng.normal(size=(5, dim)) * scale, priors=(0.2,) * 5, radius=1.0
-    )
+    centers = rng.normal(size=(5, dim)) * scale
     z = rng.normal(size=(400, dim)) * scale
     np.testing.assert_array_equal(
-        classify_batch(stats, z), np.argmin(cdist(z, stats.centers, "sqeuclidean"), axis=1)
+        classify_batch(centers, z), np.argmin(cdist(z, centers, "sqeuclidean"), axis=1)
     )
     # 30 samples of 126 views take several TILE_BYTES chunks.
     views = rng.normal(size=(30, 126, dim)) * scale
@@ -181,18 +165,13 @@ def test_classifier_and_spreads_match_their_cdist_forms(dim):
 def test_error_rate_zero_one_and_recount():
     ds = _blobs(seed=5)
     enc = _identity_sphere()
-    stats = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
-    assert error_rate(enc, ds, stats) == 0.0
-    swapped = ClassStats(
-        centers=stats.centers[::-1], priors=stats.priors, radius=stats.radius
-    )
-    assert error_rate(enc, ds, swapped) == 1.0
-    # recount by hand with the single-point rule
-    z = enc.embed(ds.features)
-    manual = np.mean(
-        [nn_classify(stats, row) != lab for row, lab in zip(z, ds.labels)]
-    )
-    assert error_rate(enc, ds, stats) == pytest.approx(manual)
+    centers = class_centers(_embedded(enc, ds, IDENTITY_ONLY), ds)
+    assert error_rate(enc, ds, centers) == 0.0
+    assert error_rate(enc, ds, centers[::-1]) == 1.0
+    # recount with the batched rule on the identity's views
+    z = _embedded(enc, ds, IDENTITY_ONLY).z[:, 0]
+    batched = np.mean(classify_batch(centers[::-1], z) != ds.labels)
+    assert error_rate(enc, ds, centers[::-1]) == batched
 
 
 def test_r_eps_collapsed_encoder_is_zero():
@@ -269,11 +248,12 @@ def test_sphere_centers_respect_jensen():
         input_dim=2, hidden_dims=(5,), output_dim=3, norm_mode="sphere",
         radius=1.5, seed=10,
     )
-    enc = _freeze(model, ds, aug)
-    stats = class_centers(_embedded(enc, ds, aug), ds)
-    norms = np.linalg.norm(stats.centers, axis=1)
+    embedded = _embedded(_freeze(model, ds, aug), ds, aug)
+    centers = class_centers(embedded, ds)
+    norms = np.linalg.norm(centers, axis=1)
     assert (norms <= 1.5 + 1e-9).all()
-    assert 0.0 <= stats.delta_mu <= 1.0
+    assert embedded.radius == 1.5
+    assert 0.0 <= delta_mu(centers, embedded.radius) <= 1.0
 
 
 def test_class_moments_match_direct_loop():
@@ -286,15 +266,15 @@ def test_class_moments_match_direct_loop():
         radius=1.0, seed=13,
     )
     enc = _freeze(model, ds, aug)
-    stats = class_centers(_embedded(enc, ds, aug), ds)
-    first, second = class_moments(_embedded(enc, ds, aug), ds, stats)
+    centers = class_centers(_embedded(enc, ds, aug), ds)
+    first, second = class_moments(_embedded(enc, ds, aug), ds, centers)
     weights = view_weights(aug)
     for k in range(ds.num_classes):
         acc1, acc2, count = 0.0, 0.0, 0
         for i in ds.class_indices(k):
             views = view_tensor(ds.features[i], aug)[0]
             z = enc.embed(views)
-            dist = np.linalg.norm(z - stats.centers[k], axis=1)
+            dist = np.linalg.norm(z - centers[k], axis=1)
             acc1 += float(weights @ dist)
             acc2 += float(weights @ dist**2)
             count += 1
@@ -302,8 +282,8 @@ def test_class_moments_match_direct_loop():
         assert second[k] == pytest.approx(acc2 / count, abs=1e-12)
     # collapsed encoder has zero moments
     collapsed = _collapsed_sphere()
-    cstats = class_centers(_embedded(collapsed, ds, aug), ds)
-    cfirst, csecond = class_moments(_embedded(collapsed, ds, aug), ds, cstats)
+    ccenters = class_centers(_embedded(collapsed, ds, aug), ds)
+    cfirst, csecond = class_moments(_embedded(collapsed, ds, aug), ds, ccenters)
     np.testing.assert_allclose(cfirst, 0.0, atol=1e-12)
     np.testing.assert_allclose(csecond, 0.0, atol=1e-12)
 
@@ -318,10 +298,12 @@ def test_frozen_standardization_is_exact_under_view_weights():
         radius=1.0, seed=15,
     )
     enc = _freeze(model, ds, aug)
-    assert enc.radius == pytest.approx(np.sqrt(3.0))
+    embedded = _embedded(enc, ds, aug)
+    assert embedded.radius == np.sqrt(3.0)
     views = view_tensor(ds.features, aug)
     n, v, _ = views.shape
     z = enc.embed(views.reshape(n * v, -1))
+    np.testing.assert_array_equal(embedded.z, z.reshape(n, v, -1))
     w = np.tile(view_weights(aug), n) / n
     np.testing.assert_allclose(w @ z, 0.0, atol=1e-10)
     np.testing.assert_allclose(w @ z**2, 1.0, atol=1e-10)
@@ -337,7 +319,7 @@ def test_frozen_lipschitz_covers_view_pairs():
         radius=1.0, seed=17,
     )
     enc = _freeze(model, ds, aug)
-    bound = enc.lipschitz
+    bound = _embedded(enc, ds, aug).lipschitz
     views = view_tensor(ds.features, aug).reshape(-1, 2)
     z = enc.embed(views)
     rng = np.random.default_rng(18)
@@ -696,14 +678,15 @@ def test_stage_evaluate_builds_and_embeds_the_view_grid_once(
     assert len(bundle.r_eps) == 4
     monkeypatch.undo()
     # The shared grid gives what each quantity computes from the model alone.
-    assert bundle.err == error_rate(bundle.frozen, ds, bundle.stats)
     views = view_tensor(ds.features, config.augmentation)
-    z = bundle.frozen.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
     weights = view_weights(config.augmentation)
+    frozen = freeze(model, views, weights)
+    assert bundle.err == error_rate(frozen, ds, bundle.centers)
+    z = frozen.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
     per_sample = np.einsum("v,nvd->nd", weights, z)
     for k in range(ds.num_classes):
         np.testing.assert_allclose(
-            bundle.stats.centers[k], per_sample[ds.labels == k].mean(axis=0), atol=1e-12
+            bundle.centers[k], per_sample[ds.labels == k].mean(axis=0), atol=1e-12
         )
 
 
@@ -758,7 +741,7 @@ def test_freeze_rejects_unevaluable_modes():
         radius=1.0, seed=22,
     )
     with pytest.raises(ValueError, match="sphere or batch_standardized"):
-        _freeze(model, ds, IDENTITY_ONLY)
+        _embedded(_freeze(model, ds, IDENTITY_ONLY), ds, IDENTITY_ONLY)
 
 
 def test_embed_matches_model_forward_in_sphere_mode():
@@ -771,6 +754,10 @@ def test_embed_matches_model_forward_in_sphere_mode():
     from augbound.encoder import forward
 
     np.testing.assert_array_equal(enc.embed(ds.features), forward(model, ds.features))
+    # The identity's view of the grid is the raw sample, bit for bit.
+    np.testing.assert_array_equal(
+        _embedded(enc, ds, IDENTITY_ONLY).z[:, 0], forward(model, ds.features)
+    )
     pre = forward_prenorm(model, ds.features)
     np.testing.assert_allclose(
         enc.embed(ds.features),

@@ -185,45 +185,76 @@ def class_moments(
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 
 
-def _info_nce_divergence(z: np.ndarray, weights: np.ndarray) -> float:
-    """Population InfoNCE divergence term l2 of embeddings z, shape (N, V, d).
+def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> float:
+    """Population InfoNCE divergence term l2 of embeddings z, shape (N, V, d),
+    whose scores differ by at most ``span`` = 2 max||z||^2 (see
+    :func:`population_loss` for the formula and its rounding).
 
-    Rows are the flattened anchor views (i, a). Each tile holds the pair
-    terms of as many rows as fit in its budget (at least one row): all of
-    ``TILE_BYTES`` when the whole job fits it, which then runs inline as a
-    single tile, else ``TILE_BYTES // _WORKERS``, with the calling thread
-    computing every other tile and one helper thread the rest (see
-    ``augment._run_split``). Tiles write each row's weighted log term and
-    shift into two N·V vectors, which are reduced once at the end, so the
-    result does not depend on the worker count or the tiling.
+    Rows are the flattened anchor views (i, a), R to a tile. A tile lays its
+    shifted exponentials out as (N·V, R), so that the (V, R) block of each
+    negative sample j is contiguous, and repeats the positives to (V, V·R);
+    per negative sample one add and one multiply then run over the whole
+    (V, V, R) block of (b, c, a). Each worker holds one set of buffers: per
+    row, the N·V exponentials, a scratch of max(N·V, V²), and V² each for
+    the positives, the log sum and the product. Their bytes per row set R
+    within the tile budget: all of ``TILE_BYTES`` when the whole job fits
+    it, which then runs inline as a single tile, else ``TILE_BYTES //
+    _WORKERS``, with the calling thread computing every other tile and one
+    helper thread the rest (see ``augment._run_split``). Tiles write each
+    row's weighted log sum and shift into two N·V vectors, which are reduced
+    once at the end.
     """
-    n, v, _ = z.shape
-    flat = z.reshape(n * v, -1)
-    w_neg = np.tile(weights, n) / n
-    row_bytes = v * n * v * 8
-    rows = min(n * v, max(1, _tile_budget(n * v * row_bytes, TILE_BYTES) // row_bytes))
-    per_row = np.empty(n * v)
-    shifts = np.empty(n * v)
+    n, v, d = z.shape
+    nv, vv = n * v, v * v
+    flat = z.reshape(nv, d)
+    group = min(n, int(-_EXP_FLOOR // max(span, 1.0)))
+    pair_w = np.outer(weights, weights / n).ravel()
+    row_bytes = 8 * (nv + max(nv, vv) + 3 * vv)
+    rows = min(nv, max(1, _tile_budget(nv * row_bytes, TILE_BYTES) // row_bytes))
+    per_row = np.empty(nv)
+    shifts = np.empty(nv)
 
     def work(starts: range) -> None:
-        tile = np.empty((rows, v, n * v))
+        exps_buf, scratch_buf = np.empty(nv * rows), np.empty(max(nv, vv) * rows)
+        pos_buf, logs_buf, product_buf = np.empty((3, vv * rows))
         for start in starts:
-            stop = min(start + rows, n * v)
-            q = flat[start:stop] @ flat.T
-            # The positive scores of row (i, a) are the V columns of sample i
-            # among its negative scores, so the row max covers both.
-            shift = q.max(axis=1)
-            q -= shift[:, None]
+            stop = min(start + rows, nv)
+            r = stop - start
+            anchors = flat[start:stop].T
+            q = exps_buf[: nv * r].reshape(nv, r)
+            term = scratch_buf[: nv * r].reshape(nv, r)
+            np.multiply(flat[:, :1], anchors[0], out=q)
+            for k in range(1, d):
+                np.multiply(flat[:, k : k + 1], anchors[k], out=term)
+                q += term
+            # The positive scores of row (i, a) are the V scores of sample i
+            # among its negative scores, so the column max covers both.
+            shift = q.max(axis=0)
+            q -= shift
             np.exp(q, out=q)
-            anchor = np.arange(start, stop)
-            pos = q.reshape(-1, n, v)[np.arange(stop - start), anchor // v]
-            terms = tile[: stop - start]
-            np.add(pos[:, :, None], q[:, None, :], out=terms)
-            np.log(terms, out=terms)
-            per_row[start:stop] = (terms.reshape(-1, n * v) @ w_neg).reshape(-1, v) @ weights
+            pos = pos_buf[: vv * r].reshape(v, v * r)
+            positives = q.reshape(n, v, r)[np.arange(start, stop) // v, :, np.arange(r)]
+            pos.reshape(v, v, r)[...] = positives.T[:, None, :]
+            blocks = q.reshape(n, v * r)
+            logs, product, factor = (
+                buf[: vv * r].reshape(v, v * r) for buf in (logs_buf, product_buf, scratch_buf)
+            )
+            for first in range(0, n, group):
+                # The first group's product and its log go straight to the sum.
+                acc = logs if first == 0 else product
+                np.add(pos, blocks[first], out=acc)
+                for j in range(first + 1, min(first + group, n)):
+                    np.add(pos, blocks[j], out=factor)
+                    acc *= factor
+                np.log(acc, out=acc)
+                if first:
+                    logs += acc
+            weighted = factor.reshape(r, vv)
+            np.multiply(logs.reshape(vv, r).T, pair_w, out=weighted)
+            per_row[start:stop] = weighted.sum(axis=1)
             shifts[start:stop] = shift
 
-    _run_split(work, range(0, n * v, rows))
+    _run_split(work, range(0, nv, rows))
     return float(np.tile(weights, n) @ (per_row + shifts) / n)
 
 
@@ -240,35 +271,66 @@ def population_loss(
     The InfoNCE divergence term averages logaddexp(P[a, b], Q[a, jc]) over
     anchor views a, positive views b and negative views (j, c), where P and
     Q are the positive and negative scores. With s_a the largest score of
-    anchor a it uses the exact identity
+    anchor a, p_b = exp(P[a, b] - s_a) and q_jc = exp(Q[a, jc] - s_a), it
+    uses the exact identity
 
-        logaddexp(P[a, b], Q[a, jc])
-            = s_a + log(exp(P[a, b] - s_a) + exp(Q[a, jc] - s_a)),
+        logaddexp(P[a, b], Q[a, jc]) = s_a + log(p_b + q_jc),
 
-    so exp runs once per score and each of the N^2 V^3 terms costs one add
-    and one log; the view and negative weights sum to one, so the shifts
-    add back as sum_a w_a s_a. The identity needs every exponent to stay a
-    normal float64. Scores lie in [-max||z||^2, max||z||^2], so this holds
-    when 2 max||z||^2 <= -log(tiny) (about 708, every sphere up to radius
-    18; the pipeline trains InfoNCE on the unit sphere). Other embeddings
-    raise ValueError.
+    so exp runs once per score; the weights sum to one, so the shifts add
+    back as sum_a w_a s_a. Every negative (j, c) weighs w_c / N, so for a
+    fixed (a, b, c) the logs of the N negative samples add up to the log of
+    one product,
 
-    The pair terms are computed in tiles of anchor rows. A job whose terms
-    fit one ``TILE_BYTES`` tile runs inline; a larger one uses tiles of
+        sum_j log(p_b + q_jc) = log prod_j (p_b + q_jc).
+
+    The product is taken over groups of g samples, with one log per group:
+    ceil(N / g) N V^3 logs in all (N V^3 on the unit sphere), against
+    N^2 V^3 adds and multiplies. Scores lie in [-m, m] with m = max||z||^2, so p and q lie
+    in [exp(-2m), 1], each factor in [2 exp(-2m), 2] and a product of g
+    factors in [2^g exp(-2mg), 2^g]. With
+
+        g = min(N, floor(-log(tiny) / max(2m, 1))),   -log(tiny) = 708.39,
+
+    exp(-2mg) >= tiny and 2^g <= 2^708, so every product is a finite,
+    normal float64, with a margin of 2^g for the rounding of the scores.
+    On the unit sphere g = N (one group), at radius 6 g = 9 for N = 28, and
+    at radius 18 g = 1, one log per pair term. The exponents need
+    2m <= -log(tiny) (every sphere up to radius 18; the pipeline trains
+    InfoNCE on the unit sphere); other embeddings, NaN ones included, raise
+    ValueError before any tile runs.
+
+    Rounding: against one log per pair term on the same p and q, the
+    products are the only new rounding. A group product rounds g sums and
+    g - 1 products of normal floats, so it carries at most (2g - 1)u
+    relative error (u = 2^-53) and its log at most about (2g - 1)u
+    absolute. Over the groups, the log sum of the N negatives of one
+    (a, b, c) moves by at most 2N·u, about 6e-15 at N = 28; l2 weighs these
+    sums by w_a w_b w_c / N^2, weights that add up to 1/N, so the products
+    move l2 by at most 2u. One log of a product of g factors rounds within
+    an ulp of a value up to g times a single factor's log, the worst case
+    of g logs. The tests hold l2 within 2N·u·max(1, |l2|) of a long-double
+    oracle on the unit sphere and at radii 6 and 18.
+
+    The terms are computed in tiles of anchor rows. A job that fits one
+    ``TILE_BYTES`` tile runs inline; a larger one uses tiles of
     ``TILE_BYTES // _WORKERS``, and with two usable CPUs the calling thread
     computes half of them while one helper thread computes the other half
-    (``augment._run_split``). The per-row values are reduced once in a fixed
-    order, so the result does not depend on the worker count or the tiling.
+    (``augment._run_split``). Scores are summed left to right over the d
+    coordinates, as ``augment._sqeuclidean`` does, and each row's weighted
+    logs in one row ``sum``: unlike a BLAS product, whose rounding changes
+    with the block shape, neither depends on the tile's width. The per-row
+    values are reduced once in a fixed order, so the result does not depend
+    on the worker count or the tiling.
     """
     means = embedded.means
     if kind == "info_nce":
-        if 2.0 * embedded.sq_norms.max() > -_EXP_FLOOR:
+        span = 2.0 * float(embedded.sq_norms.max())
+        if not span <= -_EXP_FLOOR:
             raise ValueError(
-                "population InfoNCE needs 2 max||z||^2 <= "
-                f"{-_EXP_FLOOR:.1f}, got {2.0 * embedded.sq_norms.max():.1f}"
+                f"population InfoNCE needs 2 max||z||^2 <= {-_EXP_FLOOR:.1f}, got {span:.1f}"
             )
         l1 = embedded.l_pos / 2.0 - 1.0
-        l2 = _info_nce_divergence(embedded.z, embedded.weights)
+        l2 = _info_nce_divergence(embedded.z, embedded.weights, span)
         return LossBreakdown("info_nce", l1, l2, 1.0)
     if kind == "simple":
         l1 = embedded.l_pos / 2.0 - 1.0

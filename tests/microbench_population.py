@@ -8,9 +8,12 @@ Run it on its own with
 The case is the shape of the ``ring_pairs`` benchmark: the 3-d interleaved
 two-ring task at 14 samples per class, identity plus a wide rotation and a
 scaling at grid 5 (26 views), a sphere encoder and the ``info_nce`` loss.
-With N·V = 728 anchor rows its pair terms span several ``TILE_BYTES`` tiles.
-The view grid is embedded once before timing, as ``stage_evaluate`` does, so
-the timing covers the loss alone.
+With N·V = 728 anchor rows its buffers span several ``TILE_BYTES`` tiles.
+On the unit sphere the kernel takes one product over the N = 28 negative
+samples per (anchor, positive view, negative view) and one ``log`` of it:
+N·V³ = 492,128 ``log`` calls, against N²V³ = 13.8 million adds and
+multiplies. The view grid is embedded once before timing, as
+``stage_evaluate`` does, so the timing covers the loss alone.
 """
 
 from augbound.augment import (

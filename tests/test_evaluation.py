@@ -1,6 +1,7 @@
 """Centers, nearest-center classification, r_eps, population losses."""
 
 import copy
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -14,6 +15,8 @@ from augbound.augment import (
     additive_shift,
     coordinate_permutation,
     identity,
+    rotation_2d,
+    scaling,
     sign_flip_mask,
     view_tensor,
     view_weights,
@@ -451,28 +454,31 @@ def test_population_info_nce_peak_memory_is_one_tile():
 
 
 def _per_tile_info_nce_l2(z, weights):
-    """The divergence term summed tile by tile, as before the tiles were
-    split between threads; the reference for jobs that fit one tile."""
-    n, v, _ = z.shape
-    flat = z.reshape(n * v, -1)
-    w_neg = np.tile(weights, n) / n
-    rows = min(n * v, max(1, TILE_BYTES // (v * n * v * 8)))
-    tile = np.empty((rows, v, n * v))
-    l2 = 0.0
-    for start in range(0, n * v, rows):
-        stop = min(start + rows, n * v)
-        q = flat[start:stop] @ flat.T
-        shift = q.max(axis=1)
-        q -= shift[:, None]
-        np.exp(q, out=q)
-        anchor = np.arange(start, stop)
-        pos = q.reshape(-1, n, v)[np.arange(stop - start), anchor // v]
-        terms = tile[: stop - start]
-        np.add(pos[:, :, None], q[:, None, :], out=terms)
-        np.log(terms, out=terms)
-        per_row = (terms.reshape(-1, n * v) @ w_neg).reshape(-1, v) @ weights
-        l2 += weights[anchor % v] @ (per_row + shift)
-    return float(l2 / n)
+    """The divergence term of a job that fits one tile, on the unit sphere:
+    scores summed left to right over the coordinates, then per anchor row
+    (i, a), positive view b and negative view c one product over all N
+    negative samples (one group), one log of it, and the row's weighted
+    logs in one row sum."""
+    n, v, d = z.shape
+    flat = z.reshape(n * v, d)
+    scores = flat[:, None, 0] * flat[None, :, 0]
+    for k in range(1, d):
+        scores = scores + flat[:, None, k] * flat[None, :, k]
+    shift = scores.max(axis=1)
+    q = np.exp(scores - shift[:, None]).reshape(n * v, n, v)
+    anchor = np.arange(n * v)
+    pos = q[anchor, anchor // v]
+    # factors[row, j, b, c] = p_b + q_jc, multiplied over j in order.
+    factors = pos[:, None, :, None] + q[:, :, None, :]
+    logs = np.log(np.prod(factors, axis=1)).reshape(n * v, v * v)
+    per_row = (logs * np.outer(weights, weights / n).ravel()).sum(axis=1)
+    return float(np.tile(weights, n) @ (per_row + shift) / n)
+
+
+def _row_bytes(n, v):
+    """Bytes the kernel holds per anchor row: N·V exponentials, a scratch of
+    max(N·V, V²), and the positives, log sum and product, V² each."""
+    return 8 * (n * v + max(n * v, v * v) + 3 * v * v)
 
 
 def _embeddings(enc, ds, aug):
@@ -485,7 +491,7 @@ def _embeddings(enc, ds, aug):
 def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
     split_workers, workers
 ):
-    # 24 samples x 7 views fill 1.58 MB of one TILE_BYTES tile.
+    # 24 samples x 7 views fill 0.65 MB of one TILE_BYTES tile.
     started = split_workers(workers)
     ds = _blobs(seed=26, spread=0.5)
     aug = AugmentationSet(
@@ -493,7 +499,7 @@ def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
         grid_resolution=5,
     )
     n, v = ds.num_samples, aug.num_views
-    assert n * v * v * n * v * 8 <= TILE_BYTES
+    assert n * v * _row_bytes(n, v) <= TILE_BYTES
     enc = _sphere_on(ds, aug)
     got = population_loss(_embedded(enc, ds, aug), "info_nce")
     assert got.l2 == _per_tile_info_nce_l2(*_embeddings(enc, ds, aug))
@@ -503,7 +509,7 @@ def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
 def test_population_info_nce_does_not_depend_on_workers_or_tiling(monkeypatch, split_workers):
     ds = _blobs(seed=26, spread=0.5)
     n, v = ds.num_samples, MIXED_AUG.num_views
-    row_bytes = v * n * v * 8
+    row_bytes = _row_bytes(n, v)
     enc = _sphere_on(ds, MIXED_AUG)
     # One row per tile; 7 rows (3 with two workers), the last tile short;
     # the default budget; and the whole job in one tile.
@@ -574,6 +580,126 @@ def test_population_info_nce_rejects_exponent_underflow():
     # 2 r^2 = 722 does not.
     with pytest.raises(ValueError, match="max"):
         population_loss(_embedded(_sphere_on(ds, aug, radius=19.0), ds, aug), "info_nce")
+
+
+def _ring_embedded(radius, grid_resolution):
+    """The ring_pairs task (14 samples per class, identity plus a rotation
+    and a scaling: 26 views at grid 5) under a linear sphere encoder to 2-d."""
+    ds = generate_dataset(
+        GeneratorConfig(
+            num_classes=2,
+            samples_per_class=14,
+            cluster_centers=((2.0, 0.0, 1.0), (2.0, 0.0, -1.0)),
+            cluster_spread=3.2,
+            manifold="ring_segments",
+            seed=0,
+            disjoint_classes=False,
+        )
+    )
+    aug = AugmentationSet(
+        transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
+        grid_resolution=grid_resolution,
+    )
+    model = init_encoder(
+        input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", radius=radius, seed=0
+    )
+    return embed_views(model, view_tensor(ds.features, aug), view_weights(aug))
+
+
+def _long_double_population_l2(z, weights):
+    """The InfoNCE divergence term in long double with one log per pair
+    term, logaddexp(P, Q) = s + log(exp(P - s) + exp(Q - s)) for s the
+    anchor's largest score."""
+    assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+    n, v, d = z.shape
+    flat = z.reshape(n * v, d).astype(np.longdouble)
+    w = weights.astype(np.longdouble)
+    w_neg = np.tile(w, n) / n
+    l2 = np.longdouble(0)
+    for i in range(n):
+        scores = flat[i * v : (i + 1) * v] @ flat.T
+        shift = scores.max(axis=1)
+        e = np.exp(scores - shift[:, None])
+        pos = e[:, i * v : (i + 1) * v]
+        terms = np.log(pos[:, :, None] + e[:, None, :])
+        l2 += w @ ((terms @ w_neg) @ w + shift)
+    return l2 / n
+
+
+@pytest.mark.parametrize(
+    "radius, grid_resolution, groups", [(1.0, 5, 1), (6.0, 3, 4), (18.0, 3, 28)]
+)
+def test_population_info_nce_is_within_its_rounding_bound_of_a_long_double_oracle(
+    radius, grid_resolution, groups
+):
+    # The ring_pairs shape N = 28, V = 26 on the unit sphere, one group of
+    # all 28 samples; then N = 28, V = 10 at radius 6, groups of g = 9
+    # (9, 9, 9, 1), and at radius 18, g = 1: a log per pair term.
+    embedded = _ring_embedded(radius, grid_resolution)
+    n = embedded.z.shape[0]
+    span = 2.0 * embedded.sq_norms.max()
+    g = min(n, int(-evaluation._EXP_FLOOR // max(span, 1.0)))
+    assert n == 28 and -(-n // g) == groups
+    got = population_loss(embedded, "info_nce").l2
+    oracle = _long_double_population_l2(embedded.z, embedded.weights)
+    assert abs(got - oracle) <= 2 * n * 2.0**-53 * max(1.0, abs(oracle))
+
+
+def test_population_info_nce_refuses_nan_embeddings_before_any_tile(monkeypatch):
+    embedded = _ring_embedded(1.0, 3)
+    z = embedded.z.copy()
+    z[3, 1, 0] = np.nan
+    nan = dataclasses.replace(embedded, z=z, sq_norms=np.sum(z**2, axis=2))
+
+    def no_tiles(work, items):
+        raise AssertionError("a tile ran")
+
+    monkeypatch.setattr(evaluation, "_run_split", no_tiles)
+    with pytest.raises(ValueError, match="max"):
+        population_loss(nan, "info_nce")
+
+
+def test_population_info_nce_peak_memory_at_the_ring_pairs_shape_with_two_workers(
+    split_workers,
+):
+    started = split_workers(2)
+    embedded = _ring_embedded(1.0, 5)
+    n, v, d = embedded.z.shape
+    assert n * v * _row_bytes(n, v) > 8 * TILE_BYTES
+    tracemalloc.start()
+    try:
+        population_loss(embedded, "info_nce")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two tiles of TILE_BYTES // 2 in flight, plus O(N V d): the per-row
+    # log sums and shifts, the tiled weights and numpy's ufunc buffers.
+    assert peak < TILE_BYTES + 32 * n * v * d * 8
+    assert len(started) == 1
+
+
+def test_population_info_nce_does_not_depend_on_the_tiling_on_random_shapes(
+    monkeypatch, split_workers
+):
+    # A BLAS product's rounding changes with the block shape: with each
+    # tile's scores taken as one matrix product, the radius-18 shape here
+    # gave two values.
+    rng = np.random.default_rng(30)
+    for radius in (1.0, 1.0, 3.0, 6.0, 18.0, 1.0, 1.0, 6.0):
+        n, v, d = (int(x) for x in rng.integers((2, 1, 2), (30, 30, 5)))
+        z = rng.standard_normal((n, v, d))
+        z *= radius / np.linalg.norm(z, axis=2, keepdims=True)
+        weights = rng.random(v)
+        weights /= weights.sum()
+        span = 2.0 * float(np.max(np.sum(z**2, axis=2)))
+        row_bytes = _row_bytes(n, v)
+        l2 = set()
+        for workers in (1, 2):
+            split_workers(workers)
+            for tile_bytes in (row_bytes, 3 * row_bytes, 20 * row_bytes + 8, n * v * row_bytes):
+                monkeypatch.setattr(evaluation, "TILE_BYTES", tile_bytes)
+                l2.add(evaluation._info_nce_divergence(z, weights, span))
+        assert len(l2) == 1, (n, v, d, radius)
 
 
 def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):

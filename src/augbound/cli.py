@@ -2,9 +2,10 @@
 
 Subcommands cover the pipeline stages individually (``gen-data``,
 ``train``, ``concentration``, ``evaluate``, ``bounds``) plus ``sweep``.
-Because every stage is deterministic given the config, a later-stage
-subcommand simply reruns the stages before it; the artifacts it persists
-are byte-identical across reruns with the same config and seed.
+Because every stage is deterministic given the config, a subcommand
+simply reruns the stages it needs, in ``run_experiment``'s order (dataset,
+concentration, train, evaluate, bounds); the artifacts it persists are
+byte-identical across reruns with the same config and seed.
 
 Exit codes: 0 success, 2 config error, 3 stage failure.
 """
@@ -123,9 +124,9 @@ def _run(args: argparse.Namespace) -> None:
             f"(sigma at largest delta: {curve[-1].sigma:.4f})"
         )
         return
-    # evaluate
-    model, _ = stage_train(config, dataset, out_dir)
+    # evaluate, in run_experiment's order
     curve = stage_concentration(config, dataset, out_dir)
+    model, _ = stage_train(config, dataset, out_dir)
     bundle = stage_evaluate(config, dataset, model, curve, out_dir)
     print(
         f"evaluation written to {os.path.join(out_dir, 'evaluation.csv')} "

@@ -7,11 +7,13 @@ it is within ``delta`` under some view pair. The concentration level sigma
 is the smallest, over classes, of |main part| / |class|.
 
 One branch-and-bound search serves both modes. The exact mode runs it to
-completion (vertex budget 32) and returns the lexicographically smallest
-maximum clique. The ``dual_approx`` mode runs it under a budget of
-``APPROX_NODE_BUDGET`` search nodes and returns the incumbent: a maximal
-clique, never larger than the maximum, and equal to the exact answer when
-the search finishes within the budget (always at 8 vertices or fewer).
+completion and returns the lexicographically smallest maximum clique; it
+refuses a class of more than ``EXACT_CLIQUE_BUDGET`` = 32 samples, and the
+estimators check every class size before any distance is computed. The
+``dual_approx`` mode runs it under a budget of ``APPROX_NODE_BUDGET``
+search nodes and returns the incumbent: a maximal clique, never larger than
+the maximum, and equal to the exact answer when the search finishes within
+the budget (always at 8 vertices or fewer).
 
 A budgeted search is not monotone under edge deletion, so its estimate can
 dip as ``delta`` grows even though the true optimum cannot. Estimation
@@ -127,14 +129,19 @@ def _search(graph: ThresholdGraph, node_budget: int | None) -> tuple[int, ...]:
     return tuple(best)
 
 
+def _check_exact_budget(num_nodes: int) -> None:
+    """Refuse an exact search over more than ``EXACT_CLIQUE_BUDGET`` vertices."""
+    if num_nodes > EXACT_CLIQUE_BUDGET:
+        raise ValueError(
+            f"graph has {num_nodes} nodes, over the exact budget of "
+            f"{EXACT_CLIQUE_BUDGET}; use the dual_approx mode"
+        )
+
+
 def exact_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
     """Lexicographically smallest maximum clique; refuses graphs beyond the
     vertex budget, where approx_max_clique applies."""
-    if graph.num_nodes > EXACT_CLIQUE_BUDGET:
-        raise ValueError(
-            f"graph has {graph.num_nodes} nodes, over the exact budget of "
-            f"{EXACT_CLIQUE_BUDGET}; use the dual_approx mode"
-        )
+    _check_exact_budget(graph.num_nodes)
     return _search(graph, None)
 
 
@@ -208,12 +215,21 @@ def _curve(
     baseline: ConcentrationEstimate | None,
 ) -> list[ConcentrationEstimate]:
     """Estimates along ascending ``deltas``; each class's step is seeded with
-    its previous certificate, the first one with the baseline's part."""
+    its previous certificate, the first one with the baseline's part.
+
+    Inputs are checked before any distance work: the thresholds, then in
+    exact mode each class size against the vertex budget, in class order.
+    """
     if any(not d >= 0 for d in deltas):
         raise ValueError("thresholds must be non-negative")
     if any(b < a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("thresholds must be ascending")
+    if not deltas:
+        return []
     class_ids = [dataset.class_indices(k) for k in range(dataset.num_classes)]
+    if mode == "exact":
+        for ids in class_ids:
+            _check_exact_budget(ids.size)
     class_dists = [distance_matrix(dataset, aug, class_filter=k) for k in range(len(class_ids))]
     prev_local: list[tuple[int, ...] | None] = [None] * dataset.num_classes
     if baseline is not None:

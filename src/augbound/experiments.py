@@ -1,9 +1,11 @@
 """End-to-end experiment pipeline and sweep drivers.
 
-A single experiment runs data generation, encoder training, concentration
-estimation over a delta grid, evaluation, and the full guarantee report,
-persisting every stage artifact under one output directory. Sweeps repeat
-the experiment across augmentation levels (richer sets, stronger
+A single experiment runs data generation, concentration estimation over a
+delta grid, encoder training, evaluation, and the full guarantee report,
+persisting every stage artifact under one output directory. Concentration
+needs only the dataset and the augmentation set, so it runs before
+training: a run that exact mode refuses fails before any training. Sweeps
+repeat the experiment across augmentation levels (richer sets, stronger
 transforms, or all transform pairs from a catalog), training a fresh
 encoder per level, and summarize how concentration tracks the observed
 error rate.
@@ -558,14 +560,15 @@ def stage_bounds(
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Run the full pipeline, persist every artifact, return the results.
 
-    Stage order: dataset, train, concentration, evaluate, bounds. A stage
+    Stage order: dataset, concentration, train, evaluate, bounds. A stage
     failure raises StageError with that stage's name; artifacts written by
-    earlier stages stay on disk for inspection.
+    earlier stages stay on disk for inspection. Training draws only from its
+    own seed, so no artifact depends on where it sits in this order.
     """
     write_config(config, out_dir)
     dataset = stage_dataset(config, out_dir)
-    model, _ = stage_train(config, dataset, out_dir)
     curve = stage_concentration(config, dataset, out_dir)
+    model, _ = stage_train(config, dataset, out_dir)
     bundle = stage_evaluate(config, dataset, model, curve, out_dir)
     reports = stage_bounds(config, dataset, curve, bundle, out_dir)
     return ExperimentResult(

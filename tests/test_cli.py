@@ -407,14 +407,23 @@ def test_stage_error_names_the_stage_and_keeps_artifacts(tmp_path):
     assert not (out2 / "model.bin").exists()
 
 
-# Per stage: the callee a failure is injected into, and the files of the
-# stages before it.
+# Per stage, in pipeline order: the callee a failure is injected into, and
+# the files the stage writes.
+_STAGE_FILES = [
+    ("dataset", "generate_dataset", ["dataset.csv"]),
+    (
+        "concentration",
+        "sigma_delta_curve",
+        ["concentration.csv", "concentration_00.txt", "concentration_01.txt"],
+    ),
+    ("train", "train", ["model.bin", "trace.csv"]),
+    ("evaluate", "embed_views", ["evaluation.csv"]),
+    ("bounds", "full_report", ["bounds.csv", "report.csv", "report.json"]),
+]
+# Per stage: the callee, and every file written before the stage runs.
 _STAGE_CALLEES = [
-    ("dataset", "generate_dataset", ["config.json"]),
-    ("train", "train", ["config.json", "dataset.csv"]),
-    ("concentration", "sigma_delta_curve", ["dataset.csv", "model.bin", "trace.csv"]),
-    ("evaluate", "embed_views", ["trace.csv", "concentration.csv", "concentration_01.txt"]),
-    ("bounds", "full_report", ["concentration.csv", "evaluation.csv"]),
+    (stage, callee, ["config.json"] + [name for *_, files in _STAGE_FILES[:i] for name in files])
+    for i, (stage, callee, _) in enumerate(_STAGE_FILES)
 ]
 
 
@@ -435,9 +444,7 @@ def test_each_stage_reports_its_failure_and_keeps_earlier_artifacts(
     assert info.value.stage == stage
     assert str(info.value) == f"stage '{stage}' failed: injected fault"
     assert info.value.__cause__ is boom
-    for name in earlier:
-        assert (out / name).is_file(), name
-    assert not (out / "report.csv").exists()
+    assert sorted(os.listdir(out)) == sorted(earlier)
 
     inner = StageError("inner", "raised inside")
 
@@ -448,6 +455,46 @@ def test_each_stage_reports_its_failure_and_keeps_earlier_artifacts(
     with pytest.raises(StageError) as info:
         run_experiment(config, str(tmp_path / "again"))
     assert info.value is inner
+
+
+_OVER_BUDGET = "graph has 33 nodes, over the exact budget of 32; use the dual_approx mode"
+
+
+def _forbid_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(experiments, "train", fail)
+
+
+def test_an_over_budget_exact_run_fails_at_concentration_before_training(tmp_path, monkeypatch):
+    _forbid_training(monkeypatch)
+    config = config_from_dict(_config_dict(dataset={"samples_per_class": 33}))
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as info:
+        run_experiment(config, str(out))
+    assert info.value.stage == "concentration"
+    assert str(info.value) == f"stage 'concentration' failed: {_OVER_BUDGET}"
+    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv"]
+
+
+def test_an_over_budget_sweep_level_fails_at_concentration(tmp_path, monkeypatch):
+    _forbid_training(monkeypatch)
+    data = _config_dict(
+        dataset={"samples_per_class": 33}, sweep={"kind": "strength", "levels": [1.0]}
+    )
+    out = tmp_path / "sweep"
+    result = run_sweep(config_from_dict(data), str(out))
+    assert result.results == {}
+    with open(out / "failures.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [
+        {
+            "level": "1.0",
+            "stage": "concentration",
+            "message": f"stage 'concentration' failed: {_OVER_BUDGET}",
+        }
+    ]
 
 
 def test_loaded_dataset_round_trips_through_pipeline(tmp_path):
@@ -602,7 +649,11 @@ def test_richness_sweep_levels_and_failure_recovery(tmp_path):
     assert len(result.failures) == 1
     label, stage, message = result.failures[0]
     assert label == "3"
-    assert stage in ("train", "concentration", "evaluate")
+    assert stage == "concentration"
+    assert message == (
+        "stage 'concentration' failed: "
+        "additive_shift length does not match feature dimension 2"
+    )
     rows = _read_summary(out / "summary.csv")
     assert [r["level"] for r in rows] == ["1", "2"]
     with open(out / "failures.csv", newline="") as fh:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from augbound import concentration
 from augbound.augment import AugmentationSet, additive_shift, identity, sign_flip_mask
 from augbound.concentration import (
     APPROX_NODE_BUDGET,
@@ -150,8 +151,11 @@ def test_adjacency_masks_match_the_bit_loop(n):
 def test_exact_clique_budget():
     n = EXACT_CLIQUE_BUDGET + 1
     g = build_threshold_graph(np.zeros((n, n)), 1.0)
-    with pytest.raises(ValueError, match="dual_approx"):
+    with pytest.raises(ValueError) as info:
         exact_max_clique(g)
+    assert str(info.value) == (
+        "graph has 33 nodes, over the exact budget of 32; use the dual_approx mode"
+    )
 
 
 def test_approx_clique_complete_graph():
@@ -315,6 +319,55 @@ def test_sigma_delta_curve_rejects_nan_thresholds():
 def test_estimate_sigma_rejects_nan_delta():
     with pytest.raises(ValueError, match="non-negative"):
         estimate_sigma(_blob_dataset(samples=4), _identity_aug(), float("nan"))
+
+
+def _sized_dataset(sizes):
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    features = np.random.default_rng(3).normal(size=(labels.size, 2))
+    return Dataset(features, labels)
+
+
+def _forbid_distance_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("distance_matrix was called")
+
+    monkeypatch.setattr(concentration, "distance_matrix", fail)
+
+
+def _exact_refusal(n):
+    with pytest.raises(ValueError) as info:
+        exact_max_clique(build_threshold_graph(np.zeros((n, n)), 1.0))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("sizes, refused", [((32, 33), 33), ((32, 34, 33), 34)])
+def test_exact_mode_refuses_an_over_budget_class_before_any_distance_work(
+    monkeypatch, sizes, refused
+):
+    # The first class over the budget, in class order, names the refusal.
+    ds = _sized_dataset(sizes)
+    _forbid_distance_work(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        sigma_delta_curve(ds, _identity_aug(), [0.5, 1.0], mode="exact")
+    assert str(info.value) == _exact_refusal(refused)
+    with pytest.raises(ValueError) as info:
+        estimate_sigma(ds, _identity_aug(), 0.5, mode="exact")
+    assert str(info.value) == _exact_refusal(refused)
+
+
+def test_empty_delta_list_does_no_distance_work(monkeypatch):
+    _forbid_distance_work(monkeypatch)
+    assert sigma_delta_curve(_sized_dataset((33, 33)), _identity_aug(), [], "exact") == []
+
+
+def test_exact_mode_runs_at_the_budget_and_approx_beyond_it():
+    aug = _identity_aug()
+    at_budget = sigma_delta_curve(_sized_dataset((32, 32)), aug, [0.5, 100.0], "exact")
+    assert [e.mode for e in at_budget] == ["exact", "exact"]
+    assert at_budget[-1].sigma == 1.0
+    beyond = sigma_delta_curve(_sized_dataset((32, 33)), aug, [0.5, 100.0], "dual_approx")
+    assert beyond[-1].per_class_sigma == (1.0, 1.0)
+    assert all(b.sigma >= a.sigma for a, b in zip(beyond, beyond[1:]))
 
 
 def test_dual_approx_curve_is_monotone():

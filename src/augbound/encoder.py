@@ -16,18 +16,25 @@ cross-correlation matrix for ``cross_corr``). After the loop, one
 vectorized call of the loss kernels gives the l1, l2 and total of every
 step in the chunk for the trace.
 
+A step's arrays are a few dozen rows of a few columns, so its count of
+numpy calls, not its arithmetic, sets its cost. Its sums are
+matrix–vector products with the constant vectors of ``_Sums``, one BLAS
+call each; only the forward batch mean stays a pairwise sum (see
+``_norm_forward``).
+
 ``train`` validates its inputs once, at entry: the pairing of loss and
 normalization, the dataset dimension against the encoder, and every
 augmentation member against that dimension (``TrainConfig`` checks its
 numbers when it is built). A step then does only its arithmetic: the loss
 kernels of :mod:`augbound.losses` run on embeddings it has just normalized,
 without the batch-shape, unit-norm, standardization and symmetry checks of
-the public losses. Each step still guards against a diverging state: a zero
-pre-projection norm or a zero-variance dimension raises ``ValueError``, and
-non-finite updated parameters raise ``RuntimeError`` with the step index. A
-non-finite gradient makes them non-finite, since the learning rate is
-positive; a non-finite loss, found after the chunk's loop, raises the same
-error for its first step.
+the public losses. Divergence is checked once per chunk (see ``train``).
+A chunk that fails the check is replayed with every step's checks, so a
+run fails as a loop checked at every step would: a zero pre-projection
+norm or a zero-variance dimension raises ``ValueError``, and non-finite
+updated parameters raise ``RuntimeError`` with the step index. A non-finite
+loss, found after the chunk's loss pass, raises the same error for its
+first step. ``forward`` and ``loss_and_gradient`` check on every call.
 
 ``lipschitz_upper_bound`` certifies the network before its normalization:
 the product of layer operator norms (tanh has slope at most 1). The factor
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -78,7 +85,12 @@ MAX_LAYERS = 3
 
 _MODEL_MAGIC = b"CENC1"
 
-NormMode = Literal["sphere", "batch_standardized", "none"]
+NormMode = Literal["sphere", "batch_standardized"]
+
+# The smallest pre-projection norm and per-dimension batch variance a step
+# accepts; below them the normalization is refused.
+_MIN_NORM = 1e-12
+_MIN_VAR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,7 @@ class EncoderModel:
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.weight.shape[1] != prev.weight.shape[0]:
                 raise ValueError("layer dimensions do not chain")
-        if self.norm_mode not in ("sphere", "batch_standardized", "none"):
+        if self.norm_mode not in get_args(NormMode):
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be positive and finite")
@@ -172,28 +184,57 @@ def forward_prenorm(model: EncoderModel, x: np.ndarray) -> np.ndarray:
     return _forward_layers(model, x)[0]
 
 
-def _norm_forward(model: EncoderModel, y: np.ndarray) -> tuple[np.ndarray, tuple]:
+class _Sums(NamedTuple):
+    """Constant weight vectors that turn a step's reductions over an (n, d)
+    batch into matrix–vector products, each one BLAS call."""
+
+    row_sum: np.ndarray  # (d, 1) ones: a @ row_sum is the (n, 1) column of row sums
+    col_sum: np.ndarray  # (n,) ones: col_sum @ a is the (d,) vector of column sums
+    col_mean: np.ndarray  # (n,) of 1/n: col_mean @ a is the (d,) vector of column means
+
+
+def _sums(n: int, d: int) -> _Sums:
+    return _Sums(np.ones((d, 1)), np.ones(n), np.full(n, 1.0 / n))
+
+
+def _norm_forward(
+    model: EncoderModel,
+    y: np.ndarray,
+    sums: _Sums,
+    stat: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, tuple]:
+    """The output normalization of the (n, d) network outputs ``y``: the
+    embeddings, written into ``out`` when given, and the cache of
+    ``_norm_backward``.
+
+    The sphere's row norms (n, 1) or the batch's column variances (d,) are
+    checked against ``_MIN_NORM`` or ``_MIN_VAR`` here, unless ``stat`` is
+    given: then they are written into it, unchecked, for the caller to
+    check (``train`` checks a whole chunk's at once).
+    """
     if model.norm_mode == "sphere":
-        # ufunc reductions are the ndarray methods' values without their wrappers.
-        norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
-        if np.minimum.reduce(norms, axis=None) < 1e-12:
+        norms = np.sqrt((y * y) @ sums.row_sum, out=stat)
+        if stat is None and np.minimum.reduce(norms, axis=None) < _MIN_NORM:
             raise ValueError("zero vector cannot be projected onto the sphere")
-        yhat = y / norms
-        # r * y / norms is yhat bit for bit at r == 1 exactly, not near it.
-        z = yhat if model.radius == 1.0 else model.radius * y / norms
+        if model.radius == 1.0:
+            yhat = z = np.divide(y, norms, out=out)
+        else:
+            yhat = y / norms
+            z = np.divide(model.radius * y, norms, out=out)
         return z, (yhat, norms)
-    if model.norm_mode == "batch_standardized":
-        if y.shape[0] < 2:
-            raise ValueError("batch standardization needs at least 2 rows")
-        # Column sum over row count is np.mean's value without its dispatch cost.
-        centered = y - np.add.reduce(y, axis=0) / len(y)
-        var = np.add.reduce(centered**2, axis=0) / len(y)
-        if np.minimum.reduce(var) < 1e-24:
-            raise ValueError("batch standardization hit a zero-variance dimension")
-        scale = np.sqrt(var)
-        z = centered / scale
-        return z, (z, scale)
-    return y, ()
+    if y.shape[0] < 2:
+        raise ValueError("batch standardization needs at least 2 rows")
+    # A pairwise sum, not col_mean @ y, which scales each row before adding:
+    # the sum overflows once the outputs grow huge, and that is where a
+    # diverging run of huge weights is caught.
+    centered = y - np.add.reduce(y, axis=0) / len(y)
+    var = np.matmul(sums.col_mean, centered * centered, out=stat)
+    if stat is None and np.minimum.reduce(var) < _MIN_VAR:
+        raise ValueError("batch standardization hit a zero-variance dimension")
+    scale = np.sqrt(var)
+    z = np.divide(centered, scale, out=out)
+    return z, (z, scale)
 
 
 def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -202,7 +243,7 @@ def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
     Batch standardization uses the statistics of the batch it is given.
     """
     y = forward_prenorm(model, x)
-    z, _ = _norm_forward(model, y)
+    z, _ = _norm_forward(model, y, _sums(*y.shape))
     return z
 
 
@@ -450,17 +491,13 @@ def _check_pairing(loss: str, norm_mode: str, radius: float) -> None:
         raise ValueError(f"loss '{loss}' needs norm_mode 'batch_standardized'")
 
 
-def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray) -> np.ndarray:
+def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray, sums: _Sums) -> np.ndarray:
     if model.norm_mode == "sphere":
         yhat, norms = cache
-        inner = np.add.reduce(dz * yhat, axis=1, keepdims=True)
-        return (model.radius / norms) * (dz - yhat * inner)
-    if model.norm_mode == "batch_standardized":
-        z, scale = cache
-        n = len(dz)
-        mean_dz = np.add.reduce(dz, axis=0) / n
-        return (dz - mean_dz - z * (np.add.reduce(dz * z, axis=0) / n)) / scale
-    return dz
+        d_y = (dz - yhat * ((dz * yhat) @ sums.row_sum)) / norms
+        return d_y if model.radius == 1.0 else model.radius * d_y
+    z, scale = cache
+    return (dz - sums.col_mean @ dz - z * (sums.col_mean @ (dz * z))) / scale
 
 
 def _layers_backward(
@@ -468,6 +505,7 @@ def _layers_backward(
     activations: list[np.ndarray],
     d_out: np.ndarray,
     grad: list[tuple[np.ndarray, np.ndarray]],
+    sums: _Sums,
 ) -> None:
     """Write the parameter gradient into ``grad``, the ``_param_views`` of a
     flat vector; the gradient of the input is not formed."""
@@ -476,7 +514,7 @@ def _layers_backward(
         post = activations[i + 1]
         d_pre = d_out * (1.0 - post**2) if layer.activation == "tanh" else d_out
         np.matmul(d_pre.T, activations[i], out=grad[i][0])
-        np.add.reduce(d_pre, axis=0, out=grad[i][1])
+        np.matmul(sums.col_sum, d_pre, out=grad[i][1])
         if i:
             d_out = d_pre @ layer.weight
 
@@ -488,15 +526,19 @@ def loss_and_gradient(
 
     The reported value is exactly what the corresponding loss function in
     :mod:`augbound.losses` computes on the embeddings of the stacked views
-    (anchors, positives, then negatives when the loss uses them).
+    (anchors, positives, then negatives when the loss uses them). The
+    gradient is a ``train`` step's on the same batch, bit for bit; the
+    norms or variances are checked on every call.
     """
     _check_pairing(config.loss, model.norm_mode, model.radius)
     with_negatives = config.loss in ("info_nce", "simple")
     if with_negatives and batch.negatives is None:
         raise ValueError(f"{config.loss} needs a negative batch")
     views = (batch.anchors, batch.positives, batch.negatives)[: 3 if with_negatives else 2]
+    x = np.concatenate(views)
     grad = np.empty(sum(layer.weight.size + layer.bias.size for layer in model.layers))
-    kept = _gradient(model, np.concatenate(views), batch.size, config, _param_views(model, grad))
+    sums = _sums(len(x), model.output_dim)
+    kept = _gradient(model, x, batch.size, config, _param_views(model, grad), sums)
     l1, l2 = (float(v[0]) for v in _loss_terms(kept[None], batch.size, config))
     lam = 1.0 if config.loss == "info_nce" else config.lam
     return LossBreakdown(config.loss, l1, l2, lam), grad
@@ -508,18 +550,27 @@ def _gradient(
     b: int,
     config: TrainConfig,
     grad: list[tuple[np.ndarray, np.ndarray]],
+    sums: _Sums,
+    stat: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Write the loss gradient on stacked views into ``grad`` (the
     ``_param_views`` of a flat vector) and return what ``_loss_terms`` needs
-    for the step's loss: the (k·B, d) embeddings, or F (d, d) for cross_corr.
+    for the step's loss: the (k·B, d) embeddings, or F (d, d) for cross_corr,
+    written into ``out`` when given.
 
     ``x`` stacks anchors, positives, then negatives when the loss uses them,
     ``b`` rows each. The caller checks the pairing. The embeddings are
     normalized here, so the loss kernels of :mod:`augbound.losses` run
     without the unit-norm and standardization checks of the public losses.
+    Every sum over rows or dimensions but the forward batch mean is a
+    product with a vector of ``sums``, built for k·B rows of the output
+    dimension. The norms or
+    variances are checked unless ``stat`` is given (see ``_norm_forward``).
     """
     y, activations = _forward_layers(model, x)
-    z, cache = _norm_forward(model, y)
+    cross_corr = config.loss == "cross_corr"
+    z, cache = _norm_forward(model, y, sums, stat, None if cross_corr else out)
     d = z.shape[1]
     blocks = z.reshape(-1, b, d)
     lam = config.lam
@@ -528,12 +579,13 @@ def _gradient(
     d_blocks = dz.reshape(-1, b, d)
     kept = z
     if config.loss == "info_nce":
-        pos, neg = losses_mod._info_nce_scores(blocks)
-        p_neg = _expit(neg - pos)[:, None]
-        np.multiply(p_neg, blocks[2] - blocks[1], out=d_blocks[0])
-        np.multiply(p_neg, blocks[0], out=d_blocks[2])
-        d_blocks[::2] /= b
-        # -p_neg * z1 / b is the exact negation of the negatives' block.
+        # The negative's weight σ(z1·z_neg − z1·z2), from one score
+        # difference z1·(z_neg − z2) per anchor, over B.
+        w = blocks[2] - blocks[1]
+        q = _expit((blocks[0] * w) @ sums.row_sum) / b
+        np.multiply(q, w, out=d_blocks[0])
+        np.multiply(q, blocks[0], out=d_blocks[2])
+        # -q * z1 is the exact negation of the negatives' block.
         np.negative(d_blocks[2], out=d_blocks[1])
     elif config.loss == "simple":
         # lam * zn - z2 is -z2 + lam * zn exactly: IEEE addition commutes.
@@ -543,13 +595,13 @@ def _gradient(
         np.multiply(lam, blocks[0], out=d_blocks[2])
         dz /= b
     else:
-        kept = f = losses_mod._cross_corr_matrix(blocks[0], blocks[1])
-        g = 2.0 * lam * f
-        g.flat[:: d + 1] = -2.0 * (1.0 - f.diagonal())
-        np.matmul(blocks[1], g, out=d_blocks[0])
-        np.matmul(blocks[0], g, out=d_blocks[1])
-        dz /= b
-    _layers_backward(model, activations, _norm_backward(model, cache, dz), grad)
+        kept = f = losses_mod._cross_corr_matrix(blocks[0], blocks[1], out)
+        # d(total)/dF over B: 2·lam·F_ij off the diagonal, -2(1 - F_ii) on it.
+        g = (2.0 * lam / b) * f
+        g.flat[:: d + 1] = (-2.0 / b) * (1.0 - f.diagonal())
+        # Each view's block is the other view's block times g.
+        np.matmul(blocks[::-1], g, out=d_blocks)
+    _layers_backward(model, activations, _norm_backward(model, cache, dz, sums), grad, sums)
     return kept
 
 
@@ -565,17 +617,18 @@ def _loss_terms(stack: np.ndarray, b: int, config: TrainConfig) -> tuple[np.ndar
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
-    """The logistic function 1 / (1 + exp(-t)) of a 1-d array.
+    """The logistic function 1 / (1 + exp(-t)), elementwise, in the shape of ``t``.
 
     Uses libm's ``exp`` through ``math.exp``, as ``scipy.special.expit``
     does, so the values are the same; numpy's vectorized ``exp`` differs
     from libm in the last bit on some inputs.
     """
-    values = t.tolist()
+    values = t.ravel().tolist()
     try:
-        return np.array([1.0 / (1.0 + math.exp(-x)) for x in values], dtype=np.float64)
+        p = np.array([1.0 / (1.0 + math.exp(-x)) for x in values], dtype=np.float64)
     except OverflowError:
-        return np.array([_logistic(x) for x in values], dtype=np.float64)
+        p = np.array([_logistic(x) for x in values], dtype=np.float64)
+    return p.reshape(t.shape)
 
 
 def _logistic(x: float) -> float:
@@ -612,6 +665,15 @@ def train(
     embeddings (F for cross_corr). Last, one vectorized pass of the loss
     kernels gives every step's l1, l2 and total, the values that
     ``loss_and_gradient`` reports for the step.
+
+    The step loop runs unchecked, under an error state that raises every
+    floating-point event the caller does not ignore, and writes each step's
+    norms or variances into an array of the chunk. One check follows: the
+    parameters are finite and no norm or variance is below its floor. If it
+    fails, or the loop raised ``FloatingPointError``, the chunk is replayed
+    from its starting parameters with every step's checks, under the
+    caller's error state, which raises and warns as a loop checked at every
+    step does. A replay that raises nothing stands.
     """
     _check_pairing(config.loss, model.norm_mode, model.radius)
     if dataset.input_dim != model.input_dim:
@@ -628,8 +690,17 @@ def train(
     grad = _param_views(model, flat_grad)
     b, d = config.batch_size, model.output_dim
     k = 3 if config.loss in ("info_nce", "simple") else 2
+    sums = _sums(k * b, d)
     chunk = max(1, TILE_BYTES // (k * b * (dataset.input_dim + d) * 8))
     kept_shape = (d, d) if config.loss == "cross_corr" else (k * b, d)
+    if model.norm_mode == "sphere":
+        stat_shape, stat_floor = (k * b, 1), _MIN_NORM
+    else:
+        stat_shape, stat_floor = (d,), _MIN_VAR
+    # Floating-point events the caller does not ignore end the unchecked pass.
+    unchecked_errstate = {
+        event: "ignore" if mode == "ignore" else "raise" for event, mode in np.geterr().items()
+    }
     lr = config.learning_rate
     trace = np.empty((config.steps, 4))
     trace[:, 0] = np.arange(config.steps)
@@ -637,12 +708,30 @@ def train(
         steps = min(chunk, config.steps - start)
         views = _sample_chunk(dataset, aug, b, steps, k, rng).reshape(steps, k * b, -1)
         kept = np.empty((steps, *kept_shape))
-        for s in range(steps):
-            kept[s] = _gradient(current, views[s], b, config, grad)
-            params -= lr * flat_grad
-            # With lr > 0 a non-finite gradient makes the parameters non-finite.
-            if not np.logical_and.reduce(np.isfinite(params)):
-                raise RuntimeError(f"training diverged at step {start + s}")
+        stats = np.empty((steps, *stat_shape))
+        snapshot = params.copy()
+        try:
+            with np.errstate(**unchecked_errstate):
+                for s in range(steps):
+                    _gradient(current, views[s], b, config, grad, sums, stats[s], kept[s])
+                    params -= lr * flat_grad
+                # With lr > 0 a non-finite gradient makes the parameters
+                # non-finite, and they stay so in later steps.
+                sound = np.logical_and.reduce(np.isfinite(params)) and (
+                    np.minimum.reduce(stats, axis=None) >= stat_floor
+                )
+        except FloatingPointError:
+            sound = False
+        if not sound:
+            # Replay the chunk with the checks of every step, under the
+            # caller's error state: it raises, warns or goes on as such a
+            # loop does.
+            params[...] = snapshot
+            for s in range(steps):
+                _gradient(current, views[s], b, config, grad, sums, out=kept[s])
+                params -= lr * flat_grad
+                if not np.logical_and.reduce(np.isfinite(params)):
+                    raise RuntimeError(f"training diverged at step {start + s}")
         del views  # before the loss pass's temporaries
         l1, l2 = _loss_terms(kept, b, config)
         rows = trace[start : start + steps]
@@ -650,7 +739,7 @@ def train(
         rows[:, 2] = l1
         rows[:, 3] = l2
         # A backstop: a non-finite loss needs non-finite embeddings, whose
-        # gradient is non-finite, so the loop above has raised already.
+        # gradient is non-finite, so the checks above have raised already.
         diverged = np.flatnonzero(~np.isfinite(rows[:, 1]))
         if diverged.size:
             raise RuntimeError(f"training diverged at step {start + diverged[0]}")

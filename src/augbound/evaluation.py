@@ -97,7 +97,7 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
             raise ValueError("pre-projection norms vanish on the view grid; factor unbounded")
         flat = model.radius * pre / norms
         lipschitz, radius = product * 2.0 * model.radius / c, model.radius
-    elif model.norm_mode == "batch_standardized":
+    else:  # batch_standardized
         w = np.tile(weights, n) / n
         mu = w @ pre
         var = w @ (pre - mu) ** 2
@@ -106,8 +106,6 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
         scale = np.sqrt(var)
         flat = (pre - mu) / scale
         lipschitz, radius = product / float(scale.min()), math.sqrt(model.output_dim)
-    else:
-        raise ValueError("evaluation needs a sphere or batch_standardized model")
     z = flat.reshape(n, v, -1)
     return EmbeddedViews(
         lipschitz=lipschitz,

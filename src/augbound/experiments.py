@@ -59,6 +59,7 @@ from .core import (
 from .encoder import (
     MAX_LAYERS,
     EncoderModel,
+    NormMode,
     TrainConfig,
     _check_pairing,
     init_encoder,
@@ -119,7 +120,7 @@ class EncoderArch:
 
     hidden_dims: tuple[int, ...]
     output_dim: int
-    norm_mode: Literal["sphere", "batch_standardized", "none"]
+    norm_mode: NormMode
     seed: int
     radius: float = 1.0
 

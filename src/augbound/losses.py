@@ -166,10 +166,13 @@ def _check_standardized(pooled: np.ndarray) -> None:
         raise ValueError("view batches must be standardized per dimension over their union")
 
 
-def _cross_corr_matrix(view1: np.ndarray, view2: np.ndarray) -> np.ndarray:
-    """(F + F^T) / 2 for F = view1^T view2 / B; symmetric by construction."""
+def _cross_corr_matrix(
+    view1: np.ndarray, view2: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(F + F^T) / 2 for F = view1^T view2 / B, written into ``out`` when
+    given; symmetric by construction."""
     raw = view1.T @ view2 / view1.shape[0]
-    return (raw + raw.T) / 2.0
+    return np.divide(raw + raw.T, 2.0, out=out)
 
 
 def _cross_corr_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

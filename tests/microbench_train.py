@@ -9,10 +9,12 @@ The blob cases are one 250-step training run with batch size 8 on
 6-per-class blobs with an identity + shift augmentation set, the settings
 of the ``info_nce_d2_k2`` and ``cross_corr_d2_k2`` acceptance fixtures (2
 classes, 2-d embeddings) and of ``info_nce_d8_k4`` (4 classes, 8-d
-embeddings, the most kept embedding values per step). The ring case is one
-300-step ``info_nce`` run with batch size 16 on the 3-d two-ring task of
-acceptance 09 and 10 with identity + wide rotation + scale at grid 5 (26
-views), which times the continuous members.
+embeddings, the most kept embedding values per step). The hidden-layer
+case is the ``cross_corr_d2_k2`` run through a tanh hidden layer of width
+8 (``hidden_dims=(8,)``), which times the per-layer backward pass. The
+ring case is one 300-step ``info_nce`` run with batch size 16 on the 3-d
+two-ring task of acceptance 09 and 10 with identity + wide rotation +
+scale at grid 5 (26 views), which times the continuous members.
 The ladder case is one 100-step ``cross_corr`` run with batch size 16 on
 the same ring task at 14 per class with identity + wide rotation + scale +
 shift at grid 5 (126 views), the settings of the smallest 126-view rung of
@@ -82,6 +84,18 @@ def test_train_250_steps(benchmark, fixture):
         loss=loss, steps=250, batch_size=8, learning_rate=0.05, seed=0
     )
     _, trace = benchmark(train, model, dataset, aug, config)
+    assert trace.shape == (250, 4)
+
+
+def test_train_hidden_tanh_cross_corr_250_steps(benchmark):
+    model = init_encoder(
+        input_dim=2, hidden_dims=(8,), output_dim=2, norm_mode="batch_standardized",
+        radius=1.0, seed=0,
+    )
+    config = TrainConfig(
+        loss="cross_corr", steps=250, batch_size=8, learning_rate=0.05, seed=0
+    )
+    _, trace = benchmark(train, model, _blob_dataset(2), _blob_aug(), config)
     assert trace.shape == (250, 4)
 
 

@@ -1,10 +1,14 @@
-"""Point-wise reference forms of what the evaluation computes on a view grid.
+"""Reference forms that tests check the batched and product forms against.
 
 ``evaluation.embed_views`` freezes a model and embeds a whole view grid in
 one network pass, and the pipeline classifies those embeddings in one
 ``evaluation.classify_batch`` call. The oracles here do the same one map,
 one point or one row at a time, so tests can check the batched forms
 against them.
+
+``reduce_gradient`` is the training step's gradient with every sum an
+``np.add.reduce``, the formulation the step had before its sums became
+products with vectors of ones.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from augbound import encoder, losses
 from augbound.encoder import EncoderModel, forward_prenorm
 
 
@@ -58,3 +63,68 @@ def error_rate(frozen: FrozenMap, dataset, centers: np.ndarray) -> float:
     classified one embedding at a time."""
     z = frozen.embed(dataset.features)
     return float(np.mean([nn_classify(centers, row) != y for row, y in zip(z, dataset.labels)]))
+
+
+def reduce_gradient(model: EncoderModel, batch, config) -> tuple[np.ndarray, np.ndarray]:
+    """The flat loss gradient of ``encoder.loss_and_gradient`` with the row
+    norms, scores, batch means and variances, their backward sums and the
+    bias gradients summed by ``np.add.reduce``; and its magnitude, the
+    same backward pass on the absolute values of every term.
+
+    A sum's rounding is bounded by a multiple of eps times the sum of its
+    terms' magnitudes, not of its value, and the backward pass through the
+    normalization cancels: near a stationary point of ``cross_corr`` the
+    gradient is far smaller than its terms. The magnitude is the scale of
+    that rounding."""
+    b = batch.size
+    views = (batch.anchors, batch.positives, batch.negatives)
+    x = np.concatenate(views[: 2 if config.loss == "cross_corr" else 3])
+    y, activations = encoder._forward_layers(model, x)
+    if model.norm_mode == "sphere":
+        norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
+        z = yhat = y / norms
+    else:
+        centered = y - np.add.reduce(y, axis=0) / len(y)
+        scale = np.sqrt(np.add.reduce(centered**2, axis=0) / len(y))
+        z = centered / scale
+    d = z.shape[1]
+    blocks = z.reshape(-1, b, d)
+    dz = np.empty_like(z)
+    d_blocks = dz.reshape(-1, b, d)
+    if config.loss == "info_nce":
+        pos, neg = np.add.reduce(blocks[1:] * blocks[0], axis=-1)
+        p_neg = encoder._expit(neg - pos)[:, None]
+        d_blocks[0] = p_neg * (blocks[2] - blocks[1]) / b
+        d_blocks[2] = p_neg * blocks[0] / b
+        d_blocks[1] = -d_blocks[2]
+    elif config.loss == "simple":
+        d_blocks[0] = (config.lam * blocks[2] - blocks[1]) / b
+        d_blocks[1] = -blocks[0] / b
+        d_blocks[2] = config.lam * blocks[0] / b
+    else:
+        f = losses._cross_corr_matrix(blocks[0], blocks[1])
+        g = 2.0 * config.lam * f
+        g.flat[:: d + 1] = -2.0 * (1.0 - f.diagonal())
+        d_blocks[0] = blocks[1] @ g / b
+        d_blocks[1] = blocks[0] @ g / b
+    if model.norm_mode == "sphere":
+        inner = np.add.reduce(dz * yhat, axis=1, keepdims=True)
+        d_out = (model.radius / norms) * (dz - yhat * inner)
+        inner_abs = np.add.reduce(abs(dz * yhat), axis=1, keepdims=True)
+        d_abs = (model.radius / norms) * (abs(dz) + abs(yhat) * inner_abs)
+    else:
+        n = len(dz)
+        mean_dz = np.add.reduce(dz, axis=0) / n
+        d_out = (dz - mean_dz - z * (np.add.reduce(dz * z, axis=0) / n)) / scale
+        mean_abs = np.add.reduce(abs(dz), axis=0) / n
+        d_abs = (abs(dz) + mean_abs + abs(z) * (np.add.reduce(abs(dz * z), axis=0) / n)) / scale
+    parts, magnitude = [], []
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        slope = 1.0 - activations[i + 1] ** 2 if layer.activation == "tanh" else 1.0
+        d_pre, d_pre_abs = d_out * slope, d_abs * slope
+        parts += (np.add.reduce(d_pre, axis=0), (d_pre.T @ activations[i]).ravel())
+        magnitude += (np.add.reduce(d_pre_abs, axis=0), (d_pre_abs.T @ abs(activations[i])).ravel())
+        if i:
+            d_out, d_abs = d_pre @ layer.weight, d_pre_abs @ abs(layer.weight)
+    return np.concatenate(parts[::-1]), np.concatenate(magnitude[::-1])

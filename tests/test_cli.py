@@ -127,6 +127,11 @@ def _read_kv(path):
             lambda d: d["dataset"].update(cluster_centers=[[1.0, 0.0], [3.0]]),
             "dataset section invalid: cluster_centers row 1 has length 1, row 0 has length 2",
         ),
+        # No loss trains an encoder without an output normalization.
+        (
+            lambda d: d["encoder"].update(norm_mode="none"),
+            "encoder.norm_mode must be one of sphere, batch_standardized, got 'none'",
+        ),
     ],
 )
 def test_config_schema_violations(mutate, fragment):

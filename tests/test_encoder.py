@@ -1,10 +1,14 @@
 """Encoder forward conventions, manual gradients, training, Lipschitz."""
 
+import dataclasses
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from augbound import encoder, losses
 from augbound.augment import (
     TILE_BYTES,
@@ -113,9 +117,8 @@ def test_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ValueError, match="radius"):
         init_encoder(2, (), 2, "sphere", radius, 0)
     layers = init_encoder(2, (), 2, "sphere", 1.0, 0).layers
-    for norm_mode in ("sphere", "none"):
-        with pytest.raises(ValueError, match="radius"):
-            EncoderModel(layers, norm_mode=norm_mode, radius=radius)
+    with pytest.raises(ValueError, match="radius"):
+        EncoderModel(layers, norm_mode="sphere", radius=radius)
 
 
 def _loss_value(model, batch, config):
@@ -406,14 +409,21 @@ def _one_pass_loss_and_gradient(model, batch, config):
     """The one-pass step that computed each step's loss beside its gradient:
     per-batch loss kernels, ``np.diag`` and ``np.fill_diagonal``, and a
     gradient built by ``ravel`` and ``concatenate``. An oracle for the
-    split into a gradient half and a vectorized loss pass."""
+    split into a gradient half and a vectorized loss pass.
+
+    The gradient's sums are the step's products with vectors of ones: the
+    InfoNCE score difference z1·(z_neg − z2) over the embedding dimensions
+    and the bias gradient over the batch rows. The loss values keep the
+    kernels' sums."""
     b = batch.size
     views = [batch.anchors, batch.positives]
     if config.loss != "cross_corr":
         views.append(batch.negatives)
     y, activations = encoder._forward_layers(model, np.concatenate(views))
-    z, cache = encoder._norm_forward(model, y)
+    sums = encoder._sums(*y.shape)
+    z, cache = encoder._norm_forward(model, y, sums)
     z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
+    ones_d, ones_n = np.ones((z.shape[1], 1)), np.ones(len(z))
     lam = config.lam
 
     def mean(values):
@@ -423,12 +433,10 @@ def _one_pass_loss_and_gradient(model, batch, config):
     dz = np.empty_like(z)
     blocks = dz.reshape(-1, b, z.shape[1])
     if config.loss == "info_nce":
-        pos, neg = (z1 * z2).sum(axis=1), (z1 * zn).sum(axis=1)
-        l2 = mean(np.logaddexp(pos, neg))
-        p_neg = encoder._expit(neg - pos)[:, None]
-        np.multiply(p_neg, zn - z2, out=blocks[0])
-        np.multiply(p_neg, z1, out=blocks[2])
-        blocks[::2] /= b
+        l2 = mean(np.logaddexp((z1 * z2).sum(axis=1), (z1 * zn).sum(axis=1)))
+        q = encoder._expit((z1 * (zn - z2)) @ ones_d) / b
+        np.multiply(q, zn - z2, out=blocks[0])
+        np.multiply(q, z1, out=blocks[2])
         np.negative(blocks[2], out=blocks[1])
     elif config.loss == "simple":
         l2 = mean((z1 * zn).sum(axis=1))
@@ -442,17 +450,15 @@ def _one_pass_loss_and_gradient(model, batch, config):
         f = (raw + raw.T) / 2.0
         l1 = float(((1.0 - np.diag(f)) ** 2).sum())
         l2 = float(((f - np.eye(len(f))) ** 2).sum())
-        g = 2.0 * lam * f
-        np.fill_diagonal(g, -2.0 * (1.0 - np.diag(f)))
-        np.matmul(z2, g, out=blocks[0])
-        np.matmul(z1, g, out=blocks[1])
-        dz /= b
-    grad, parts = encoder._norm_backward(model, cache, dz), []
+        g = (2.0 * lam / b) * f
+        np.fill_diagonal(g, (-2.0 / b) * (1.0 - np.diag(f)))
+        np.matmul(np.stack((z2, z1)), g, out=blocks)
+    grad, parts = encoder._norm_backward(model, cache, dz, sums), []
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         post = activations[i + 1]
         d_pre = grad * (1.0 - post**2) if layer.activation == "tanh" else grad
-        parts += (d_pre.sum(axis=0), (d_pre.T @ activations[i]).ravel())
+        parts += (ones_n @ d_pre, (d_pre.T @ activations[i]).ravel())
         if i:
             grad = d_pre @ layer.weight
     lam = 1.0 if config.loss == "info_nce" else lam
@@ -480,6 +486,25 @@ def test_loss_and_gradient_matches_the_one_pass_step_bit_for_bit(loss):
             expected, expected_grad = _one_pass_loss_and_gradient(model, batch, config)
             assert breakdown == expected
             assert grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(), (6,)])
+@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
+def test_gradient_is_within_its_rounding_of_the_reduce_formulation(loss, hidden):
+    # The step's sums are products with vectors of ones, in BLAS's order;
+    # np.add.reduce sums pairwise. The two gradients differ by rounding
+    # only, which scales with the magnitude of the summed terms.
+    rng = np.random.default_rng(79)
+    eps = np.finfo(np.float64).eps
+    for _ in range(20):
+        model, batch, config = _random_case(rng, loss)
+        model = init_encoder(
+            input_dim=model.input_dim, hidden_dims=hidden, output_dim=model.output_dim,
+            norm_mode=model.norm_mode, radius=1.0, seed=int(rng.integers(10_000)),
+        )
+        _, grad = loss_and_gradient(model, batch, config)
+        expected, magnitude = oracles.reduce_gradient(model, batch, config)
+        assert np.linalg.norm(grad - expected) <= 64 * eps * np.linalg.norm(magnitude)
 
 
 def _per_step_views(ds, aug, b, steps, views_per_step, rng):
@@ -724,6 +749,163 @@ def test_non_finite_loss_of_a_chunk_reports_its_first_step(monkeypatch):
         train(model, ds, _ORACLE_AUGS["rotation_scale"], config)
 
 
+_IDENTITY_ONLY = AugmentationSet(transforms=(identity(),))
+
+
+def _per_step_failure(model, dataset, aug, config):
+    """The first failure of the per-step loop with every step's checks: its
+    step and exception, or (None, None) if all steps pass."""
+    rng = np.random.default_rng(config.seed)
+    params = flat_params(model)
+    current = model
+    for step in range(config.steps):
+        batch = make_train_batch(dataset, aug, config.batch_size, rng, config.loss != "cross_corr")
+        try:
+            _, grad = loss_and_gradient(current, batch, config)
+        except ValueError as exc:
+            return step, exc
+        params = params - config.learning_rate * grad
+        if not np.isfinite(params).all():
+            return step, RuntimeError(f"training diverged at step {step}")
+        current = with_params(current, params)
+    return None, None
+
+
+def _record_gradient_calls(monkeypatch):
+    """Wrap ``encoder._gradient``; the returned list gets, per call, whether
+    the step checked its own norms or variances (the replay of a chunk)."""
+    calls = []
+    real = encoder._gradient
+
+    def recording(model, x, b, config, grad, sums, stat=None, out=None):
+        calls.append(stat is None)
+        return real(model, x, b, config, grad, sums, stat, out)
+
+    monkeypatch.setattr(encoder, "_gradient", recording)
+    return calls
+
+
+def _assert_train_fails_as_the_per_step_loop(model, ds, config, expected, monkeypatch):
+    """``train`` raises the per-step loop's exception type and message at
+    its step: the steps before it pass unchecked, and the failing chunk, run
+    unchecked first, is replayed with every step's checks up to that step.
+    No warning escapes, and the caller's error state is kept."""
+    step, exc = _per_step_failure(model, ds, _IDENTITY_ONLY, config)
+    assert type(exc) is expected and 0 < step < config.steps - 1
+    calls = _record_gradient_calls(monkeypatch)
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train(model, ds, _IDENTITY_ONLY, dataclasses.replace(config, steps=step))
+        assert np.geterr() == state
+        assert calls == [False] * step
+        calls.clear()
+        with pytest.raises(expected, match=f"^{re.escape(str(exc))}$"):
+            train(model, ds, _IDENTITY_ONLY, config)
+        assert np.geterr() == state
+    unchecked = len(calls) - (step + 1)
+    assert unchecked > 0 and calls == [False] * unchecked + [True] * (step + 1)
+
+
+# The caller's floating-point error state: numpy's default, and everything ignored.
+_ERRSTATES = [{}, {"all": "ignore"}]
+
+
+@pytest.mark.parametrize("chunk_ends_there", [False, True])
+@pytest.mark.parametrize("errstate", _ERRSTATES)
+def test_a_zero_norm_inside_a_chunk_raises_at_its_step(errstate, chunk_ends_there, monkeypatch):
+    # Sample j is first drawn at step s; it is placed where the layer, as
+    # it stands at step s, maps it 1e-14 from the origin, below the 1e-12
+    # the projection needs. The steps before s never read it. The norm is
+    # not zero, so the updates stay finite: only the check of the norms
+    # sees the failure.
+    rng = np.random.default_rng(40)
+    features = rng.uniform(-1.0, 1.0, (40, 2))
+    labels = np.repeat([0, 1], 20)
+    model = init_encoder(2, (), 2, "sphere", 1.0, seed=41)
+    config = TrainConfig(loss="info_nce", steps=24, batch_size=2, learning_rate=0.1, seed=42)
+    first = np.full(len(features), config.steps)
+    draws = np.random.default_rng(config.seed)
+    for step in range(config.steps):
+        batch = make_train_batch(Dataset(features, labels), _IDENTITY_ONLY, 2, draws, True)
+        for row in np.concatenate((batch.anchors, batch.negatives)):
+            j = np.flatnonzero((features == row).all(axis=1))[0]
+            first[j] = min(first[j], step)
+    j = int(np.argmax(np.where(first < config.steps - 2, first, -1)))
+    s = int(first[j])
+    assert s > 2
+    trained, _ = train(
+        model, Dataset(features, labels), _IDENTITY_ONLY, dataclasses.replace(config, steps=s)
+    )
+    layer = trained.layers[0]
+    features[j] = np.linalg.solve(layer.weight, np.array([1e-14, 0.0]) - layer.bias)
+    if chunk_ends_there:
+        step_bytes = 3 * config.batch_size * (2 + model.output_dim) * 8
+        monkeypatch.setattr(encoder, "TILE_BYTES", (s + 1) * step_bytes + step_bytes // 2)
+    with np.errstate(**errstate):
+        _assert_train_fails_as_the_per_step_loop(
+            model, Dataset(features, labels), config, ValueError, monkeypatch
+        )
+
+
+@pytest.mark.parametrize("errstate", _ERRSTATES)
+def test_a_zero_variance_inside_a_chunk_raises_at_its_step(errstate, monkeypatch):
+    # With two anchors per step and no augmentation, a step whose two
+    # anchors are one sample has four equal rows: zero variance.
+    rng = np.random.default_rng(40)
+    ds = Dataset(features=rng.uniform(-1.0, 1.0, (20, 3)), labels=np.repeat([0, 1], 10))
+    model = init_encoder(3, (), 2, "batch_standardized", 1.0, seed=41)
+    config = TrainConfig(loss="cross_corr", steps=24, batch_size=2, learning_rate=0.05, seed=5)
+    with np.errstate(**errstate):
+        _assert_train_fails_as_the_per_step_loop(model, ds, config, ValueError, monkeypatch)
+
+
+@pytest.mark.parametrize("chunk_ends_there", [False, True])
+@pytest.mark.parametrize("errstate", [{"over": "ignore"}, {"all": "ignore"}])
+def test_tanh_weights_that_overflow_while_embeddings_stay_finite_raise_at_their_step(
+    errstate, chunk_ends_there, monkeypatch
+):
+    # Every sample but one sits at the origin, where the hidden layer gives
+    # 0 and the head gives the pole (1, 0): a collapse with an exactly zero
+    # gradient, so the parameters do not move. The outlier's first step has
+    # a hidden-bias gradient above 1.8, which a rate of 1e308 overflows to
+    # ±inf; after it the hidden units saturate, the embeddings stay finite,
+    # and only the parameter check sees the divergence. Overflow is ignored
+    # because the per-step loop warns of it before it raises.
+    rng = np.random.default_rng(0)
+    features = np.zeros((20, 2))
+    features[10] = (0.3, -0.4)
+    ds = Dataset(features=features, labels=np.repeat([0, 1], 10))
+    hidden = Layer(10.0 * rng.standard_normal((4, 2)), np.zeros(4), "tanh")
+    head = Layer(100.0 * rng.standard_normal((2, 4)), np.array([1.0, 0.0]), "identity")
+    model = EncoderModel((hidden, head), norm_mode="sphere", radius=1.0)
+    config = TrainConfig(loss="info_nce", steps=24, batch_size=2, learning_rate=1e308, seed=3)
+    if chunk_ends_there:
+        step_bytes = 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+        monkeypatch.setattr(encoder, "TILE_BYTES", 8 * step_bytes + step_bytes // 2)
+    with np.errstate(**errstate):
+        step, _ = _per_step_failure(model, ds, _IDENTITY_ONLY, config)
+        assert step == 7
+        _assert_train_fails_as_the_per_step_loop(model, ds, config, RuntimeError, monkeypatch)
+
+
+def test_a_chunk_that_overflows_without_diverging_warns_and_stands(monkeypatch):
+    # Sphere outputs past 1e154 overflow their squared norms: the rows
+    # project to zero, their gradient is zero, and training goes on. A loop
+    # checked at every step warns of the overflow and goes on; so does the
+    # replay of the chunk, and its results stand.
+    model = init_encoder(2, (), 2, "sphere", 1.0, seed=0)
+    model = with_params(model, 1e160 * flat_params(model))
+    config = TrainConfig(loss="info_nce", steps=5, batch_size=4, learning_rate=0.1, seed=0)
+    calls = _record_gradient_calls(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trained, trace = train(model, _blob_dataset(), _shift_aug(), config)
+    assert calls == [False] + [True] * config.steps
+    np.testing.assert_array_equal(flat_params(trained), flat_params(model))
+    l1, l2 = -1.0, np.log(2.0)
+    np.testing.assert_array_equal(trace[:, 1:], [[l1 + l2, l1, l2]] * config.steps)
+
+
 @pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
 def test_train_validates_embeddings_once_not_per_step(loss, monkeypatch):
     ds, model, config = _oracle_case(loss, steps=20)
@@ -870,14 +1052,14 @@ def test_operator_norm_never_falls_below_the_svd_value():
 
 def test_lipschitz_scaled_identity_layer():
     layer = Layer(weight=2.0 * np.eye(3), bias=np.zeros(3), activation="identity")
-    model = EncoderModel(layers=(layer,), norm_mode="none", radius=1.0)
+    model = EncoderModel(layers=(layer,), norm_mode="sphere", radius=1.0)
     assert lipschitz_upper_bound(model) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_lipschitz_composes_operator_norms():
     l1 = Layer(weight=2.0 * np.eye(3), bias=np.zeros(3), activation="identity")
     l2 = Layer(weight=3.0 * np.eye(3), bias=np.ones(3), activation="identity")
-    model = EncoderModel(layers=(l1, l2), norm_mode="none", radius=1.0)
+    model = EncoderModel(layers=(l1, l2), norm_mode="sphere", radius=1.0)
     bound = lipschitz_upper_bound(model)
     assert bound <= 6.0 + 1e-8
     assert bound == pytest.approx(6.0, abs=1e-6)

@@ -861,13 +861,13 @@ def test_population_loss_rejects_unknown_kind():
 
 
 def test_freeze_rejects_unevaluable_modes():
-    ds = _tiny_dataset()
-    model = init_encoder(
-        input_dim=2, hidden_dims=(), output_dim=2, norm_mode="none",
-        radius=1.0, seed=22,
-    )
-    with pytest.raises(ValueError, match="sphere or batch_standardized"):
-        _embedded(_freeze(model, ds, IDENTITY_ONLY), ds, IDENTITY_ONLY)
+    # Evaluation freezes a sphere or a batch standardization; a model
+    # without either output map is refused when it is built.
+    with pytest.raises(ValueError, match="unknown norm mode 'none'"):
+        init_encoder(
+            input_dim=2, hidden_dims=(), output_dim=2, norm_mode="none",
+            radius=1.0, seed=22,
+        )
 
 
 def test_embed_matches_model_forward_in_sphere_mode():

@@ -55,6 +55,7 @@ quantities estimate the same thing.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import math
@@ -133,9 +134,11 @@ def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
 
     With ``_WORKERS >= 2`` and two items or more, a new thread runs
     ``work(items[1::2])`` while the calling thread runs ``work(items[0::2])``;
-    otherwise the calling thread runs ``work(items)`` alone. The helper is
-    joined before this returns or raises. An error of the calling thread's
-    share propagates as raised; otherwise an error of the helper's share is
+    otherwise the calling thread runs ``work(items)`` alone. The helper runs
+    in a copy of the caller's context, so numpy's error state, a context
+    variable, is the caller's in both shares. The helper is joined before
+    this returns or raises. An error of the calling thread's share
+    propagates as raised; otherwise an error of the helper's share is
     re-raised here with its type and traceback.
     """
     if _WORKERS < 2 or len(items) < 2:
@@ -149,7 +152,9 @@ def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
         except BaseException as exc:  # handed to the calling thread below
             errors.append(exc)
 
-    thread = threading.Thread(target=helper, name="augbound-tiles", daemon=True)
+    thread = threading.Thread(
+        target=contextvars.copy_context().run, args=(helper,), name="augbound-tiles", daemon=True
+    )
     thread.start()
     try:
         work(items[0::2])

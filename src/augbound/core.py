@@ -53,7 +53,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -222,7 +221,7 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
             points = _ring_segment(rng, centers[k], per, config.cluster_spread)
         blocks.append(points)
         labels.append(np.full(per, k, dtype=np.int64))
-    return Dataset(np.concatenate(blocks, axis=0), np.concatenate(labels), seed=config.seed)
+    return Dataset(np.concatenate(blocks, axis=0), np.concatenate(labels))
 
 
 def _ring_segment(
@@ -414,6 +413,6 @@ def load_dataset(path: str) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no samples")
     try:
-        return Dataset(rows, labels, seed=None)
+        return Dataset(rows, labels)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

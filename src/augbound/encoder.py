@@ -17,10 +17,10 @@ vectorized call of the loss kernels gives the l1, l2 and total of every
 step in the chunk for the trace.
 
 A step's arrays are a few dozen rows of a few columns, so its count of
-numpy calls, not its arithmetic, sets its cost. Its sums are
+numpy calls, not its arithmetic, sets its cost. Its sums are all
 matrix–vector products with the constant vectors of ``_Sums``, one BLAS
-call each; only the forward batch mean stays a pairwise sum (see
-``_norm_forward``).
+call each. ``_norm_forward``, the one output normalization, also gives the
+frozen map of :func:`augbound.evaluation.embed_views`.
 
 ``train`` validates its inputs once, at entry: the pairing of loss and
 normalization, the dataset dimension against the encoder, and every
@@ -30,11 +30,12 @@ kernels of :mod:`augbound.losses` run on embeddings it has just normalized,
 without the batch-shape, unit-norm, standardization and symmetry checks of
 the public losses. Divergence is checked once per chunk (see ``train``).
 A chunk that fails the check is replayed with every step's checks, so a
-run fails as a loop checked at every step would: a zero pre-projection
-norm or a zero-variance dimension raises ``ValueError``, and non-finite
-updated parameters raise ``RuntimeError`` with the step index. A non-finite
-loss, found after the chunk's loss pass, raises the same error for its
-first step. ``forward`` and ``loss_and_gradient`` check on every call.
+run fails as a loop checked at every step would: a pre-projection norm
+or batch variance that vanishes or overflows raises ``ValueError``, and
+non-finite updated parameters raise ``RuntimeError`` with the step
+index. A non-finite loss, found after the chunk's loss pass, raises the
+same error for its first step. ``forward`` and ``loss_and_gradient``
+check on every call.
 
 ``lipschitz_upper_bound`` certifies the network before its normalization:
 the product of layer operator norms (tanh has slope at most 1). The factor
@@ -87,8 +88,8 @@ _MODEL_MAGIC = b"CENC1"
 
 NormMode = Literal["sphere", "batch_standardized"]
 
-# The smallest pre-projection norm and per-dimension batch variance a step
-# accepts; below them the normalization is refused.
+# The smallest pre-projection norm and per-dimension batch variance the
+# normalization accepts; below them, or at inf, it is refused.
 _MIN_NORM = 1e-12
 _MIN_VAR = 1e-24
 
@@ -185,12 +186,12 @@ def forward_prenorm(model: EncoderModel, x: np.ndarray) -> np.ndarray:
 
 
 class _Sums(NamedTuple):
-    """Constant weight vectors that turn a step's reductions over an (n, d)
+    """Constant weight vectors that turn the reductions over an (n, d)
     batch into matrix–vector products, each one BLAS call."""
 
     row_sum: np.ndarray  # (d, 1) ones: a @ row_sum is the (n, 1) column of row sums
     col_sum: np.ndarray  # (n,) ones: col_sum @ a is the (d,) vector of column sums
-    col_mean: np.ndarray  # (n,) of 1/n: col_mean @ a is the (d,) vector of column means
+    col_mean: np.ndarray  # (n,) weights, 1/n in a step: col_mean @ a, the column means
 
 
 def _sums(n: int, d: int) -> _Sums:
@@ -206,35 +207,38 @@ def _norm_forward(
 ) -> tuple[np.ndarray, tuple]:
     """The output normalization of the (n, d) network outputs ``y``: the
     embeddings, written into ``out`` when given, and the cache of
-    ``_norm_backward``.
+    ``_norm_backward``: (yhat, row norms (n, 1)) on the sphere, else
+    (z, column scales (d,)). Standardization takes its means and variances
+    under the column weights ``sums.col_mean``: 1/n in a step, the view
+    weights in :func:`augbound.evaluation.embed_views`.
 
-    The sphere's row norms (n, 1) or the batch's column variances (d,) are
-    checked against ``_MIN_NORM`` or ``_MIN_VAR`` here, unless ``stat`` is
-    given: then they are written into it, unchecked, for the caller to
-    check (``train`` checks a whole chunk's at once).
+    The norms or variances must be finite and at least ``_MIN_NORM`` or
+    ``_MIN_VAR``. That is checked here, unless ``stat`` is given: then they
+    are written into it for the caller to check (``train`` checks a whole
+    chunk's at once).
     """
     if model.norm_mode == "sphere":
         norms = np.sqrt((y * y) @ sums.row_sum, out=stat)
-        if stat is None and np.minimum.reduce(norms, axis=None) < _MIN_NORM:
-            raise ValueError("zero vector cannot be projected onto the sphere")
+        if stat is None and not _within(norms, _MIN_NORM):
+            raise ValueError("norms vanish or overflow: a zero vector has no sphere projection")
         if model.radius == 1.0:
             yhat = z = np.divide(y, norms, out=out)
         else:
             yhat = y / norms
             z = np.divide(model.radius * y, norms, out=out)
         return z, (yhat, norms)
-    if y.shape[0] < 2:
-        raise ValueError("batch standardization needs at least 2 rows")
-    # A pairwise sum, not col_mean @ y, which scales each row before adding:
-    # the sum overflows once the outputs grow huge, and that is where a
-    # diverging run of huge weights is caught.
-    centered = y - np.add.reduce(y, axis=0) / len(y)
+    centered = y - sums.col_mean @ y
     var = np.matmul(sums.col_mean, centered * centered, out=stat)
-    if stat is None and np.minimum.reduce(var) < _MIN_VAR:
-        raise ValueError("batch standardization hit a zero-variance dimension")
+    if stat is None and not _within(var, _MIN_VAR):
+        raise ValueError("batch standardization hit a zero-variance or overflowing dimension")
     scale = np.sqrt(var)
     z = np.divide(centered, scale, out=out)
     return z, (z, scale)
+
+
+def _within(stat: np.ndarray, floor: float) -> bool:
+    """Whether every value of ``stat`` is finite and at least ``floor``."""
+    return floor <= stat.min() and stat.max() < math.inf
 
 
 def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -563,9 +567,8 @@ def _gradient(
     ``b`` rows each. The caller checks the pairing. The embeddings are
     normalized here, so the loss kernels of :mod:`augbound.losses` run
     without the unit-norm and standardization checks of the public losses.
-    Every sum over rows or dimensions but the forward batch mean is a
-    product with a vector of ``sums``, built for k·B rows of the output
-    dimension. The norms or
+    Every sum over rows or dimensions is a product with a vector of
+    ``sums``, built for k·B rows of the output dimension. The norms or
     variances are checked unless ``stat`` is given (see ``_norm_forward``).
     """
     y, activations = _forward_layers(model, x)
@@ -669,11 +672,11 @@ def train(
     The step loop runs unchecked, under an error state that raises every
     floating-point event the caller does not ignore, and writes each step's
     norms or variances into an array of the chunk. One check follows: the
-    parameters are finite and no norm or variance is below its floor. If it
-    fails, or the loop raised ``FloatingPointError``, the chunk is replayed
-    from its starting parameters with every step's checks, under the
-    caller's error state, which raises and warns as a loop checked at every
-    step does. A replay that raises nothing stands.
+    parameters, norms and variances are finite, and no norm or variance is
+    below its floor. If it fails, or the loop raised ``FloatingPointError``,
+    the chunk is replayed from its starting parameters with every step's
+    checks, under the caller's error state, which raises and warns as a
+    loop checked at every step does. A replay that raises nothing stands.
     """
     _check_pairing(config.loss, model.norm_mode, model.radius)
     if dataset.input_dim != model.input_dim:
@@ -717,9 +720,7 @@ def train(
                     params -= lr * flat_grad
                 # With lr > 0 a non-finite gradient makes the parameters
                 # non-finite, and they stay so in later steps.
-                sound = np.logical_and.reduce(np.isfinite(params)) and (
-                    np.minimum.reduce(stats, axis=None) >= stat_floor
-                )
+                sound = np.logical_and.reduce(np.isfinite(params)) and _within(stats, stat_floor)
         except FloatingPointError:
             sound = False
         if not sound:

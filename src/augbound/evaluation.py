@@ -16,10 +16,11 @@ view-pair distance ``l_pos``. :func:`class_centers`, :func:`empirical_r_eps`
 :func:`class_moments` and :func:`population_loss` read from that value, so
 none of them builds or embeds views again.
 
-Freezing keeps a sphere model's own projection. A batch-standardized model
-gets its standardization statistics once, over the weighted views of the
-whole dataset, which pins the norm convention to sqrt(d) in the
-mean-square sense.
+The frozen map is the training step's output normalization,
+``encoder._norm_forward``, under the view weights: a sphere model keeps its
+projection, and a batch-standardized model gets its statistics once, over
+the weighted views of the whole dataset, which pins the norm convention to
+sqrt(d) in the mean-square sense.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import losses as losses_mod
 from .augment import TILE_BYTES, _run_split, _sqeuclidean, _tile_budget
 from .core import Dataset
-from .encoder import EncoderModel, forward_prenorm, lipschitz_upper_bound
+from .encoder import EncoderModel, _norm_forward, _sums, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
 
 __all__ = [
@@ -78,34 +79,23 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     """Freeze a model on a view tensor (N, V, D) with its weights (V,) and
     embed the tensor, running the network over the N·V views once.
 
-    Those pre-projection values give the frozen map, its certificate and the
-    embeddings. A sphere model keeps its projection, certified by the layer
-    product times 2r / c, with c the smallest pre-projection norm on the
-    grid; the certificate holds between points whose pre-projection norms
-    reach c. A batch-standardized model gets shift/scale from the weighted
-    view population, so the frozen map satisfies E[f_i] = 0 and E[f_i^2] = 1
-    per dimension exactly under the view distribution; it is certified by
-    the layer product times the largest inverse scale.
+    The frozen map is the step's ``encoder._norm_forward`` with the view
+    weights w_v / N as column weights in place of 1/n, which refuses norms
+    or variances that vanish or overflow. The standardized map satisfies
+    E[f_i] = 0 and E[f_i^2] = 1 per dimension exactly under the view
+    distribution. The certificate is the layer product times 2r / c on the
+    sphere, with c the smallest pre-projection norm on the grid (it holds
+    between points whose norms reach c), or times 1 / c, with c the
+    smallest scale.
     """
     n, v, _ = views.shape
     pre = forward_prenorm(model, views.reshape(n * v, -1))
-    product = lipschitz_upper_bound(model)
-    if model.norm_mode == "sphere":
-        norms = np.linalg.norm(pre, axis=1, keepdims=True)
-        c = float(norms.min())
-        if c < 1e-6:
-            raise ValueError("pre-projection norms vanish on the view grid; factor unbounded")
-        flat = model.radius * pre / norms
-        lipschitz, radius = product * 2.0 * model.radius / c, model.radius
-    else:  # batch_standardized
-        w = np.tile(weights, n) / n
-        mu = w @ pre
-        var = w @ (pre - mu) ** 2
-        if var.min() < 1e-24:
-            raise ValueError("view population has zero variance in some embedding dimension")
-        scale = np.sqrt(var)
-        flat = (pre - mu) / scale
-        lipschitz, radius = product / float(scale.min()), math.sqrt(model.output_dim)
+    sums = _sums(*pre.shape)._replace(col_mean=np.tile(weights, n) / n)
+    flat, (_, scales) = _norm_forward(model, pre, sums)
+    sphere = model.norm_mode == "sphere"
+    factor = 2.0 * model.radius if sphere else 1.0
+    lipschitz = lipschitz_upper_bound(model) * factor / float(scales.min())
+    radius = model.radius if sphere else math.sqrt(model.output_dim)
     z = flat.reshape(n, v, -1)
     return EmbeddedViews(
         lipschitz=lipschitz,

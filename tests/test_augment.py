@@ -426,6 +426,20 @@ def test_run_split_gives_every_item_to_exactly_one_thread(split_workers):
     assert owners == {True: items[0::2], False: items[1::2]}
 
 
+def test_run_split_helper_keeps_the_callers_error_state(split_workers):
+    started = split_workers(2)
+    caller = threading.current_thread()
+
+    def work(share):
+        if threading.current_thread() is not caller:
+            np.divide(np.ones(1), np.zeros(1))  # a floating-point event in the helper's share
+
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            augment._run_split(work, range(4))
+    assert len(started) == 1
+
+
 def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert augment._WORKERS == min(2, augment._usable_cpus())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)

@@ -4,7 +4,9 @@
 reported inequalities, the concentration curve and sampled main-part
 cliques. It reads the pipeline's result objects, so a rename in ``src/``
 can break it; this module runs it in the suite on one pass of small
-benchmark inputs. ``bench/`` is imported by path and not edited.
+benchmark inputs, and loads and re-seeds every config of the three
+workloads as ``bench/worker.py`` does. ``bench/`` is imported by path and
+not edited.
 """
 
 import importlib.util
@@ -35,6 +37,22 @@ _CASES = [
     ("scale_ladder", "n14_v6_exact"),
     ("scale_ladder", "n14_v6_dual_approx"),
 ]
+
+
+_ALL_CONFIGS = [
+    (workload, label) for workload in workloads.WORKLOADS
+    for label, _ in workloads.raw_configs(workload)
+]
+
+
+@pytest.mark.parametrize("workload, label", _ALL_CONFIGS, ids=lambda v: v)
+def test_every_bench_config_loads_and_takes_its_pass_seed(workload, label):
+    # bench/worker.py reads each config as below before its first pass; a
+    # config schema change that breaks one would crash the benchmark.
+    raw = dict(workloads.raw_configs(workload))[label]
+    seed = workloads.pass_seeds(workload, 0, 0)[0]
+    config = experiments.with_seed_override(experiments.config_from_dict(raw), seed)
+    assert (config.encoder.seed, config.training.seed) == (seed + 1, seed + 2)
 
 
 @pytest.mark.parametrize("workload, label", _CASES, ids=lambda v: v)

@@ -246,7 +246,7 @@ def test_sigma_matches_brute_force_on_hand_classes():
         [[0.0], [0.3], [0.6], [2.0], [2.1], [50.0], [50.4], [50.5], [53.0], [56.0]]
     )
     labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    ds = Dataset(feats, labels, seed=None)
+    ds = Dataset(feats, labels)
     aug = _identity_aug()
     delta = 0.5
     est = estimate_sigma(ds, aug, delta, mode="exact")

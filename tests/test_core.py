@@ -109,7 +109,7 @@ def test_dataset_rejects_empty_class():
     feats = np.zeros((4, 2))
     labels = np.array([0, 0, 2, 2])
     with pytest.raises(ValueError, match="class 1 has no sample"):
-        Dataset(feats, labels, seed=None)
+        Dataset(feats, labels)
 
 
 def test_a_large_label_is_refused_without_counting_up_to_it(tmp_path):

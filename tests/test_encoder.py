@@ -705,22 +705,35 @@ def _reference_divergence_step(model, dataset, aug, config):
     return None
 
 
+def _pole_collapse():
+    """A dataset and sphere model whose every sample but one sits at the
+    origin, where the hidden layer gives 0 and the head gives the pole
+    (1, 0): a collapse with an exactly zero gradient, so the parameters do
+    not move until a batch draws the outlier. The outlier's first step has
+    a hidden-bias gradient above 1.8, which a rate of 1e308 overflows to
+    ±inf; after it the hidden units saturate and the embeddings stay
+    finite."""
+    rng = np.random.default_rng(0)
+    features = np.zeros((20, 2))
+    features[10] = (0.3, -0.4)
+    ds = Dataset(features=features, labels=np.repeat([0, 1], 10))
+    hidden = Layer(10.0 * rng.standard_normal((4, 2)), np.zeros(4), "tanh")
+    head = Layer(100.0 * rng.standard_normal((2, 4)), np.array([1.0, 0.0]), "identity")
+    return ds, EncoderModel((hidden, head), norm_mode="sphere", radius=1.0)
+
+
 def test_divergence_inside_a_chunk_reports_the_per_step_index(monkeypatch):
-    # A learning rate of 1e308 throws the standardized encoder to the edge
-    # of the float range; its pre-activations overflow many steps later.
-    ds, _, _ = _oracle_case("cross_corr", steps=1)
-    aug = AugmentationSet(transforms=(identity(), additive_shift((0.1, 0.0, 0.2))))
-    model = init_encoder(
-        input_dim=3, hidden_dims=(), output_dim=3, norm_mode="batch_standardized",
-        radius=1.0, seed=2,
-    )
+    # The run diverges at the first step that draws the outlier of
+    # _pole_collapse, in the middle of a chunk: its update overflows.
+    ds, model = _pole_collapse()
+    aug = _IDENTITY_ONLY
     config = TrainConfig(
-        loss="cross_corr", steps=30, batch_size=8, learning_rate=1e308, seed=3, lam=0.3
+        loss="simple", steps=24, batch_size=2, learning_rate=1e308, seed=4, lam=0.5
     )
     with np.errstate(all="ignore"):
         step = _reference_divergence_step(model, ds, aug, config)
         assert step is not None and step % 7 not in (0, 6)
-        step_bytes = 2 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+        step_bytes = 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
         for tile_bytes in (TILE_BYTES, 7 * step_bytes):
             monkeypatch.setattr(encoder, "TILE_BYTES", tile_bytes)
             with pytest.raises(RuntimeError, match=f"diverged at step {step}$"):
@@ -865,20 +878,10 @@ def test_a_zero_variance_inside_a_chunk_raises_at_its_step(errstate, monkeypatch
 def test_tanh_weights_that_overflow_while_embeddings_stay_finite_raise_at_their_step(
     errstate, chunk_ends_there, monkeypatch
 ):
-    # Every sample but one sits at the origin, where the hidden layer gives
-    # 0 and the head gives the pole (1, 0): a collapse with an exactly zero
-    # gradient, so the parameters do not move. The outlier's first step has
-    # a hidden-bias gradient above 1.8, which a rate of 1e308 overflows to
-    # ±inf; after it the hidden units saturate, the embeddings stay finite,
-    # and only the parameter check sees the divergence. Overflow is ignored
-    # because the per-step loop warns of it before it raises.
-    rng = np.random.default_rng(0)
-    features = np.zeros((20, 2))
-    features[10] = (0.3, -0.4)
-    ds = Dataset(features=features, labels=np.repeat([0, 1], 10))
-    hidden = Layer(10.0 * rng.standard_normal((4, 2)), np.zeros(4), "tanh")
-    head = Layer(100.0 * rng.standard_normal((2, 4)), np.array([1.0, 0.0]), "identity")
-    model = EncoderModel((hidden, head), norm_mode="sphere", radius=1.0)
+    # In _pole_collapse only the parameter check sees the divergence, since
+    # the embeddings stay finite. Overflow is ignored because the per-step
+    # loop warns of it before it raises.
+    ds, model = _pole_collapse()
     config = TrainConfig(loss="info_nce", steps=24, batch_size=2, learning_rate=1e308, seed=3)
     if chunk_ends_there:
         step_bytes = 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
@@ -889,21 +892,45 @@ def test_tanh_weights_that_overflow_while_embeddings_stay_finite_raise_at_their_
         _assert_train_fails_as_the_per_step_loop(model, ds, config, RuntimeError, monkeypatch)
 
 
-def test_a_chunk_that_overflows_without_diverging_warns_and_stands(monkeypatch):
-    # Sphere outputs past 1e154 overflow their squared norms: the rows
-    # project to zero, their gradient is zero, and training goes on. A loop
-    # checked at every step warns of the overflow and goes on; so does the
-    # replay of the chunk, and its results stand.
+def test_a_chunk_that_overflows_is_refused_at_its_step(monkeypatch):
+    # Sphere outputs past 1e154 overflow their squared norms, which would
+    # project the rows to zero. The unchecked pass stops at the overflow,
+    # and the replay of the chunk refuses the norms at step 0, warning of
+    # the overflow first, as a loop checked at every step does.
     model = init_encoder(2, (), 2, "sphere", 1.0, seed=0)
     model = with_params(model, 1e160 * flat_params(model))
     config = TrainConfig(loss="info_nce", steps=5, batch_size=4, learning_rate=0.1, seed=0)
+    with np.errstate(over="ignore"):
+        step, exc = _per_step_failure(model, _blob_dataset(), _shift_aug(), config)
+    assert step == 0 and type(exc) is ValueError
     calls = _record_gradient_calls(monkeypatch)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        trained, trace = train(model, _blob_dataset(), _shift_aug(), config)
-    assert calls == [False] + [True] * config.steps
-    np.testing.assert_array_equal(flat_params(trained), flat_params(model))
-    l1, l2 = -1.0, np.log(2.0)
-    np.testing.assert_array_equal(trace[:, 1:], [[l1 + l2, l1, l2]] * config.steps)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            train(model, _blob_dataset(), _shift_aug(), config)
+    assert calls == [False, True]
+
+
+@pytest.mark.parametrize(
+    "norm_mode, loss", [("sphere", "info_nce"), ("batch_standardized", "cross_corr")]
+)
+def test_outputs_whose_norms_or_variances_overflow_are_refused(norm_mode, loss):
+    # Outputs near 1e160 overflow their squares. An infinite norm or
+    # variance would map every row to zero and certify a Lipschitz
+    # constant of 0.
+    model = init_encoder(2, (), 2, norm_mode, 1.0, seed=0)
+    model = with_params(model, 1e160 * flat_params(model))
+    ds, aug = _blob_dataset(), _shift_aug()
+    config = TrainConfig(loss=loss, steps=3, batch_size=4, seed=0)
+    batch = make_train_batch(ds, aug, 4, np.random.default_rng(0), loss == "info_nce")
+    with np.errstate(over="ignore"):
+        for call in (
+            lambda: forward(model, ds.features),
+            lambda: loss_and_gradient(model, batch, config),
+            lambda: train(model, ds, aug, config),
+            lambda: embed_views(model, ds.features[:, None, :], np.ones(1)),
+        ):
+            with pytest.raises(ValueError, match="overflow"):
+                call()
 
 
 @pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])

@@ -18,15 +18,12 @@ cross-correlation separation bound or the other way round.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .core import write_csv
 
 __all__ = [
     "BoundInputs",
@@ -46,7 +43,6 @@ __all__ = [
     "tau_prime",
     "theorem4_bound",
     "full_report",
-    "save_bound_report",
 ]
 
 
@@ -593,16 +589,3 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
         empirical=empirical,
     )
 
-
-def save_bound_report(report: BoundReport, csv_path: str, json_path: str | None = None) -> None:
-    """Write the flat key-value CSV and optionally a structured JSON."""
-    flat = report.to_flat_dict()
-    write_csv(csv_path, ["key", "value"], flat.items())
-    if json_path is not None:
-        payload = {
-            k: (None if isinstance(v, float) and math.isnan(v) else v)
-            for k, v in flat.items()
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")

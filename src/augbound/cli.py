@@ -7,12 +7,14 @@ simply reruns the stages it needs, in ``run_experiment``'s order (dataset,
 concentration, train, evaluate, bounds); the artifacts it persists are
 byte-identical across reruns with the same config and seed.
 
-Exit codes: 0 success, 2 config error, 3 stage failure.
+Exit codes: 0 success, 2 config error or an output directory that cannot
+be created, 3 stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -79,23 +81,19 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _run(args: argparse.Namespace) -> None:
-    import os
-
-    config = _resolve_config(args)
-    out_dir = args.out
-    if args.command == "sweep":
+def _run(command: str, config: ExperimentConfig, out_dir: str) -> None:
+    if command == "sweep":
         result = run_sweep(config, out_dir)
         print(
             f"sweep complete: {len(result.results)} of {len(result.levels)} levels "
             f"succeeded, summary at {os.path.join(out_dir, 'summary.csv')}"
         )
         return
-    if args.command == "bounds":
+    if command == "bounds":
         result = run_experiment(config, out_dir)
         report = result.canonical_report
         print(
-            f"bounds written to {os.path.join(out_dir, 'report.csv')} "
+            f"bounds written to {os.path.join(out_dir, 'bounds.csv')} "
             f"(err={result.bundle.err:.4f}, thm1_bound={report.thm1_bound:.4f}, "
             f"valid={str(report.thm1_valid).lower()})"
         )
@@ -103,13 +101,13 @@ def _run(args: argparse.Namespace) -> None:
 
     write_config(config, out_dir)
     dataset = stage_dataset(config, out_dir)
-    if args.command == "gen-data":
+    if command == "gen-data":
         print(
             f"dataset written to {os.path.join(out_dir, 'dataset.csv')} "
             f"({dataset.num_samples} samples, {dataset.num_classes} classes)"
         )
         return
-    if args.command == "train":
+    if command == "train":
         model, trace = stage_train(config, dataset, out_dir)
         final = trace[-1, 1] if trace.size else float("nan")
         print(
@@ -117,7 +115,7 @@ def _run(args: argparse.Namespace) -> None:
             f"({trace.shape[0]} steps, final loss {final:.6f})"
         )
         return
-    if args.command == "concentration":
+    if command == "concentration":
         curve = stage_concentration(config, dataset, out_dir)
         print(
             f"concentration written to {os.path.join(out_dir, 'concentration.csv')} "
@@ -137,7 +135,13 @@ def _run(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _run(args)
+        config = _resolve_config(args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot write output directory {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        _run(args.command, config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -79,7 +79,6 @@ __all__ = [
     "operator_norm",
     "save_model",
     "load_model",
-    "save_trace",
 ]
 
 MAX_LAYERS = 3
@@ -829,14 +828,3 @@ def load_model(path: str) -> tuple[EncoderModel, int | None]:
         except (struct.error, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model file: {exc!r}") from None
 
-
-def save_trace(trace: np.ndarray, path: str) -> None:
-    """Write ``step,loss,l1,l2`` rows: the step as an integer, the rest as reprs."""
-    with open(path, "w") as fh:
-        fh.write("step,loss,l1,l2\n")
-        for row in np.atleast_2d(trace):
-            if row.size == 0:
-                continue
-            fh.write(
-                f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},{float(row[3])!r}\n"
-            )

@@ -42,7 +42,6 @@ from .bounds import (
     EmpiricalMeasurements,
     delta_mu,
     full_report,
-    save_bound_report,
 )
 from .concentration import ConcentrationEstimate, save_concentration, sigma_delta_curve
 from .core import (
@@ -64,7 +63,6 @@ from .encoder import (
     _check_pairing,
     init_encoder,
     save_model,
-    save_trace,
     train,
 )
 from .evaluation import (
@@ -418,7 +416,11 @@ def stage_train(
         )
         trained, trace = train(model, dataset, config.augmentation, config.training)
         save_model(trained, os.path.join(out_dir, "model.bin"), seed=config.encoder.seed)
-        save_trace(trace, os.path.join(out_dir, "trace.csv"))
+        write_csv(
+            os.path.join(out_dir, "trace.csv"),
+            ["step", "loss", "l1", "l2"],
+            ((int(s), l, a, b) for s, l, a, b in trace.tolist()),
+        )
         return trained, trace
 
 
@@ -548,12 +550,6 @@ def stage_bounds(
                     long_rows.append((estimate.delta, inputs.epsilon, key, value))
         write_csv(
             os.path.join(out_dir, "bounds.csv"), ["delta", "epsilon", "key", "value"], long_rows
-        )
-        canonical = reports[(len(curve) - 1, 0)]
-        save_bound_report(
-            canonical,
-            os.path.join(out_dir, "report.csv"),
-            os.path.join(out_dir, "report.json"),
         )
         return reports
 

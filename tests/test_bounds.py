@@ -1,6 +1,5 @@
 """Closed-form guarantee formulas, domain flags, and the assembled report."""
 
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from augbound.bounds import (
     lemma5_moments,
     rho,
     rho_max,
-    save_bound_report,
     tau,
     tau_prime,
     theorem1_bound,
@@ -651,37 +649,3 @@ def test_flat_dict_has_stable_keys():
     assert "thm4.tau_prime" not in flat
     assert flat["empirical.mu_product.0_1"] == pytest.approx(0.0)
 
-
-def test_save_bound_report_round_trip(tmp_path):
-    report = full_report(_inputs(), _empirical())
-    csv_path = tmp_path / "report.csv"
-    json_path = tmp_path / "report.json"
-    save_bound_report(report, str(csv_path), str(json_path))
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "key,value"
-    parsed = dict(line.split(",", 1) for line in lines[1:])
-    flat = report.to_flat_dict()
-    assert set(parsed) == set(flat)
-    assert parsed["thm1.condition_holds"] in ("true", "false")
-    assert float(parsed["rho.max"]) == report.rho_max
-    payload = json.loads(json_path.read_text())
-    assert payload["thm2.eta"] == report.eta
-    assert payload["inputs.loss_kind"] == "info_nce"
-    # a second save is byte-identical
-    again_csv = tmp_path / "again.csv"
-    again_json = tmp_path / "again.json"
-    save_bound_report(report, str(again_csv), str(again_json))
-    assert again_csv.read_bytes() == csv_path.read_bytes()
-    assert again_json.read_bytes() == json_path.read_bytes()
-
-
-def test_save_bound_report_nan_becomes_null(tmp_path):
-    # far out-of-domain theorem-3 pair: CSV keeps the nan repr, JSON nulls it
-    inputs = _inputs(l2=-5.0)
-    report = full_report(inputs, _empirical())
-    assert not report.thm3_pairs[0].in_domain
-    csv_path = tmp_path / "r.csv"
-    json_path = tmp_path / "r.json"
-    save_bound_report(report, str(csv_path), str(json_path))
-    assert "thm3.bound.0_1,nan" in csv_path.read_text()
-    assert json.loads(json_path.read_text())["thm3.bound.0_1"] is None

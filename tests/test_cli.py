@@ -20,7 +20,7 @@ from augbound.augment import (
 )
 from augbound.cli import main
 from augbound import experiments
-from augbound.core import generate_dataset, save_dataset, spec_dict
+from augbound.core import csv_value, generate_dataset, save_dataset, spec_dict
 from augbound.experiments import (
     ConfigError,
     StageError,
@@ -30,6 +30,7 @@ from augbound.experiments import (
     run_experiment,
     run_sweep,
     scale_transform_strength,
+    stage_train,
     with_seed_override,
 )
 
@@ -83,13 +84,6 @@ def _write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
-
-
-def _read_kv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["key", "value"]
-    return dict(rows[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +340,6 @@ EXPECTED_ARTIFACTS = (
     "concentration_01.txt",
     "evaluation.csv",
     "bounds.csv",
-    "report.csv",
-    "report.json",
 )
 
 
@@ -355,15 +347,10 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     config = config_from_dict(_config_dict())
     out = tmp_path / "run"
     result = run_experiment(config, str(out))
-    for name in EXPECTED_ARTIFACTS:
-        assert (out / name).is_file(), name
+    # exactly these files: no fact is written twice
+    assert sorted(os.listdir(out)) == sorted(EXPECTED_ARTIFACTS)
     assert set(result.reports) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert result.canonical_report is result.reports[(1, 0)]
-    # the persisted report is the canonical one
-    flat = result.canonical_report.to_flat_dict()
-    persisted = _read_kv(out / "report.csv")
-    assert float(persisted["inputs.delta"]) == flat["inputs.delta"] == 1.0
-    assert float(persisted["inputs.epsilon"]) == flat["inputs.epsilon"] == 0.1
 
 
 def test_bounds_csv_covers_the_full_grid(tmp_path):
@@ -378,6 +365,48 @@ def test_bounds_csv_covers_the_full_grid(tmp_path):
     assert epsilons == {repr(0.1), repr(0.2)}
     keys = {row["key"] for row in rows}
     assert "thm1.bound" in keys and "thm2.bound" in keys
+
+
+def test_the_canonical_cell_of_bounds_csv_is_the_canonical_report(tmp_path, monkeypatch):
+    real_loss = experiments.population_loss
+
+    def far_below_the_thm3_domain(*args, **kwargs):
+        return replace(real_loss(*args, **kwargs), l2=-1e9)
+
+    monkeypatch.setattr(experiments, "population_loss", far_below_the_thm3_domain)
+    config = config_from_dict(_config_dict())
+    out = tmp_path / "run"
+    result = run_experiment(config, str(out))
+    with open(out / "bounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = {}
+    for row in rows:
+        cell = cells.setdefault((row["delta"], row["epsilon"]), {})
+        assert row["key"] not in cell, row
+        cell[row["key"]] = row["value"]
+    canonical = cells[(csv_value(config.delta_grid[-1]), csv_value(config.epsilon_grid[0]))]
+    flat = result.canonical_report.to_flat_dict()
+    assert canonical == {key: csv_value(value) for key, value in flat.items()}
+    assert not result.canonical_report.thm3_pairs[0].in_domain
+    assert canonical["thm3.bound.0_1"] == "nan"
+    assert canonical["thm3.in_domain.0_1"] == "false"
+
+
+def test_stage_train_writes_integer_steps_and_repr_losses_to_trace_csv(tmp_path, monkeypatch):
+    trace = np.array([[0, 0.5, -0.9, 1.4], [1, 0.1 + 0.2, -0.95, 1.35]])
+    monkeypatch.setattr(experiments, "train", lambda model, *args: (model, trace))
+    config = config_from_dict(_config_dict())
+    stage_train(config, generate_dataset(config.dataset), str(tmp_path))
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"step,loss,l1,l2\r\n0,0.5,-0.9,1.4\r\n1,0.30000000000000004,-0.95,1.35\r\n"
+    )
+
+
+def test_zero_training_steps_write_the_trace_header_only(tmp_path):
+    config = config_from_dict(_config_dict(training={"steps": 0}))
+    _, trace = stage_train(config, generate_dataset(config.dataset), str(tmp_path))
+    assert trace.shape == (0, 4)
+    assert (tmp_path / "trace.csv").read_bytes() == b"step,loss,l1,l2\r\n"
 
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
@@ -423,7 +452,7 @@ _STAGE_FILES = [
     ),
     ("train", "train", ["model.bin", "trace.csv"]),
     ("evaluate", "embed_views", ["evaluation.csv"]),
-    ("bounds", "full_report", ["bounds.csv", "report.csv", "report.json"]),
+    ("bounds", "full_report", ["bounds.csv"]),
 ]
 # Per stage: the callee, and every file written before the stage runs.
 _STAGE_CALLEES = [
@@ -665,9 +694,9 @@ def test_richness_sweep_levels_and_failure_recovery(tmp_path):
         failure_rows = list(csv.DictReader(fh))
     assert failure_rows[0]["level"] == "3"
     assert failure_rows[0]["stage"] == stage
-    assert (out / "level_00" / "report.csv").is_file()
-    assert (out / "level_01" / "report.csv").is_file()
-    assert not (out / "level_02" / "report.csv").exists()
+    assert (out / "level_00" / "bounds.csv").is_file()
+    assert (out / "level_01" / "bounds.csv").is_file()
+    assert not (out / "level_02" / "bounds.csv").exists()
 
 
 def test_pairs_sweep_enumerates_two_subsets(tmp_path):
@@ -856,7 +885,7 @@ def test_cli_evaluate_runs_prior_stages(tmp_path, capsys):
     assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
     for name in ("dataset.csv", "model.bin", "concentration.csv", "evaluation.csv"):
         assert (out / name).is_file(), name
-    assert not (out / "report.csv").exists()
+    assert not (out / "bounds.csv").exists()
     assert "err=" in capsys.readouterr().out
 
 
@@ -866,9 +895,11 @@ def test_cli_bounds_is_deterministic(tmp_path, capsys):
     second = tmp_path / "b"
     assert main(["bounds", "--config", path, "--out", str(first)]) == 0
     assert main(["bounds", "--config", path, "--out", str(second)]) == 0
-    for name in ("report.csv", "bounds.csv", "evaluation.csv"):
+    for name in ("bounds.csv", "evaluation.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
-    assert "thm1_bound=" in capsys.readouterr().out
+    captured = capsys.readouterr().out
+    assert f"bounds written to {os.path.join(first, 'bounds.csv')} (err=" in captured
+    assert "thm1_bound=" in captured
 
 
 def test_cli_seed_and_mode_overrides(tmp_path):
@@ -930,6 +961,48 @@ def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["bounds", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("config error:") == 2
+
+
+@pytest.mark.parametrize(
+    "under, reason", [(False, "File exists"), (True, "Not a directory")]
+)
+def test_an_output_directory_under_or_at_a_file_exits_2(tmp_path, capsys, under, reason):
+    path = _write_config(tmp_path, _config_dict())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file")
+    out = blocker / "run" if under else blocker
+    assert main(["bounds", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write output directory {out}: {reason}\n"
+    assert captured.out == ""
+    assert blocker.read_text() == "a file"
+
+
+def test_every_csv_of_a_bounds_run_and_a_sweep_parses_and_ends_lines_with_crlf(tmp_path):
+    path = _write_config(tmp_path, _config_dict())
+    assert main(["bounds", "--config", path, "--out", str(tmp_path / "bounds")]) == 0
+    catalog = [
+        {"rule": "additive_shift", "direction": [0.0, 0.2]},
+        {"rule": "additive_shift", "direction": [0.2, 0.0]},
+        {"rule": "sign_flip_mask", "signs": [-1.0, 1.0]},
+    ]
+    sweep = _write_config(
+        tmp_path, _config_dict(sweep={"kind": "pairs", "levels": catalog}), name="sweep.json"
+    )
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 0
+    written = sorted(tmp_path.rglob("*.csv"))
+    assert {p.name for p in written} == {
+        "dataset.csv", "trace.csv", "concentration.csv", "evaluation.csv", "bounds.csv",
+        "summary.csv", "failures.csv", "correlation.csv",
+    }
+    for p in written:
+        lines = p.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"", p
+        assert not any(b"\n" in line or b"\r" in line for line in lines), p
+        with open(p, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == len(lines) - 1, p
+        assert all(len(row) == len(rows[0]) for row in rows), p
 
 
 def test_cli_exit_code_3_on_stage_failure(tmp_path, capsys):

@@ -37,7 +37,6 @@ from augbound.encoder import (
     make_train_batch,
     operator_norm,
     save_model,
-    save_trace,
     train,
     with_params,
 )
@@ -1137,15 +1136,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.radius == model.radius
     np.testing.assert_array_equal(flat_params(back), flat_params(model))
     assert [l.activation for l in back.layers] == [l.activation for l in model.layers]
-
-
-def test_save_trace_writes_the_step_and_the_repr_of_each_loss(tmp_path):
-    trace = np.array([[0, 0.5, -0.9, 1.4], [1, 0.1 + 0.2, -0.95, 1.35]])
-    path = tmp_path / "trace.csv"
-    save_trace(trace, str(path))
-    assert path.read_text() == (
-        "step,loss,l1,l2\n0,0.5,-0.9,1.4\n1,0.30000000000000004,-0.95,1.35\n"
-    )
 
 
 def _saved_model_bytes(tmp_path):

@@ -16,26 +16,32 @@ cross-correlation matrix for ``cross_corr``). After the loop, one
 vectorized call of the loss kernels gives the l1, l2 and total of every
 step in the chunk for the trace.
 
+Encoders of one architecture, each with its own augmentation set and
+generator (the levels of a sweep), train in lockstep (``_train_stack``):
+one step loop runs every level's step on parameters stacked on a leading
+axis, and each level's model, trace or error is that of training it
+alone. ``train`` is a stack of one, which runs on unstacked arrays.
+
 A step's arrays are a few dozen rows of a few columns, so its count of
 numpy calls, not its arithmetic, sets its cost. Its sums are all
 matrix–vector products with the constant vectors of ``_Sums``, one BLAS
 call each. ``_norm_forward``, the one output normalization, also gives the
 frozen map of :func:`augbound.evaluation.embed_views`.
 
-``train`` validates its inputs once, at entry: the pairing of loss and
+Training validates its inputs once, at entry: the pairing of loss and
 normalization, the dataset dimension against the encoder, and every
 augmentation member against that dimension (``TrainConfig`` checks its
 numbers when it is built). A step then does only its arithmetic: the loss
 kernels of :mod:`augbound.losses` run on embeddings it has just normalized,
 without the batch-shape, unit-norm, standardization and symmetry checks of
-the public losses. Divergence is checked once per chunk (see ``train``).
-A chunk that fails the check is replayed with every step's checks, so a
-run fails as a loop checked at every step would: a pre-projection norm
-or batch variance that vanishes or overflows raises ``ValueError``, and
-non-finite updated parameters raise ``RuntimeError`` with the step
-index. A non-finite loss, found after the chunk's loss pass, raises the
-same error for its first step. ``forward`` and ``loss_and_gradient``
-check on every call.
+the public losses. Divergence is checked once per chunk and level (see
+``_train_stack``). A level whose chunk fails the check is replayed alone
+with every step's checks, so it fails as a loop checked at every step
+would: a pre-projection norm or batch variance that vanishes or overflows
+raises ``ValueError``, and non-finite updated parameters raise
+``RuntimeError`` with the step index. A non-finite loss, found after the
+chunk's loss pass, raises the same error for its first step. ``forward``
+and ``loss_and_gradient`` check on every call.
 
 ``lipschitz_upper_bound`` certifies the network before its normalization:
 the product of layer operator norms (tanh has slope at most 1). The factor
@@ -46,6 +52,7 @@ of the output map is applied where that map is frozen, in
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, get_args
 
@@ -168,10 +175,13 @@ def init_encoder(
 # ---------------------------------------------------------------------------
 
 
-def _forward_layers(model: EncoderModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _forward_layers(
+    model: EncoderModel | _Stack, x: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Layer outputs of (n, D) rows ``x``, or of (L, n, D) for a ``_Stack``."""
     activations = [x]
     for layer in model.layers:
-        pre = activations[-1] @ layer.weight.T + layer.bias
+        pre = activations[-1] @ layer.weight.mT + layer.bias
         activations.append(np.tanh(pre) if layer.activation == "tanh" else pre)
     return activations[-1], activations
 
@@ -190,7 +200,10 @@ class _Sums(NamedTuple):
 
     row_sum: np.ndarray  # (d, 1) ones: a @ row_sum is the (n, 1) column of row sums
     col_sum: np.ndarray  # (n,) ones: col_sum @ a is the (d,) vector of column sums
-    col_mean: np.ndarray  # (n,) weights, 1/n in a step: col_mean @ a, the column means
+    # (n,) weights, 1/n in a step: col_mean @ a, the column means. A stack's
+    # are a (1, n) row, so col_mean @ a is (L, 1, d) and broadcasts over each
+    # level's rows.
+    col_mean: np.ndarray
 
 
 def _sums(n: int, d: int) -> _Sums:
@@ -198,7 +211,7 @@ def _sums(n: int, d: int) -> _Sums:
 
 
 def _norm_forward(
-    model: EncoderModel,
+    model: EncoderModel | _Stack,
     y: np.ndarray,
     sums: _Sums,
     stat: np.ndarray | None = None,
@@ -209,7 +222,8 @@ def _norm_forward(
     ``_norm_backward``: (yhat, row norms (n, 1)) on the sphere, else
     (z, column scales (d,)). Standardization takes its means and variances
     under the column weights ``sums.col_mean``: 1/n in a step, the view
-    weights in :func:`augbound.evaluation.embed_views`.
+    weights in :func:`augbound.evaluation.embed_views`. For a ``_Stack``,
+    ``y`` and every array computed from it have a leading axis of L.
 
     The norms or variances must be finite and at least ``_MIN_NORM`` or
     ``_MIN_VAR``. That is checked here, unless ``stat`` is given: then they
@@ -270,17 +284,46 @@ def _bind_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
 
 
 def _param_views(model: EncoderModel, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views into a flat vector laid out as ``flat_params``, per layer."""
+    """(weight, bias) views into a flat vector laid out as ``flat_params``,
+    per layer; for (L, P) rows of such vectors, (L, out, in) and (L, out)."""
     views = []
     pos = 0
+    lead = flat.shape[:-1]
     for layer in model.layers:
         mid = pos + layer.weight.size
         end = mid + layer.bias.size
-        views.append((flat[pos:mid].reshape(layer.weight.shape), flat[mid:end]))
+        views.append((flat[..., pos:mid].reshape(*lead, *layer.weight.shape), flat[..., mid:end]))
         pos = end
-    if pos != flat.size:
+    if pos != flat.shape[-1]:
         raise ValueError("parameter vector size mismatch")
     return views
+
+
+class _StackLayer(NamedTuple):
+    weight: np.ndarray  # (L, out, in)
+    bias: np.ndarray  # (L, 1, out), to broadcast over each level's rows
+    activation: str
+
+
+class _Stack(NamedTuple):
+    """L encoders of one architecture, their parameters on a leading axis:
+    what the step functions take in place of an ``EncoderModel``. Each
+    level's products are slices of one stacked ``matmul``, so they are the
+    products of that encoder alone, bit for bit."""
+
+    layers: tuple[_StackLayer, ...]
+    norm_mode: NormMode
+    radius: float
+
+
+def _bind_stack(model: EncoderModel, flat: np.ndarray) -> _Stack:
+    """Encoders shaped as ``model`` whose parameters are views into the
+    (L, P) rows of ``flat``."""
+    layers = tuple(
+        _StackLayer(weight, bias[:, None, :], layer.activation)
+        for (weight, bias), layer in zip(_param_views(model, flat), model.layers)
+    )
+    return _Stack(layers, model.norm_mode, model.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +537,9 @@ def _check_pairing(loss: str, norm_mode: str, radius: float) -> None:
         raise ValueError(f"loss '{loss}' needs norm_mode 'batch_standardized'")
 
 
-def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray, sums: _Sums) -> np.ndarray:
+def _norm_backward(
+    model: EncoderModel | _Stack, cache: tuple, dz: np.ndarray, sums: _Sums
+) -> np.ndarray:
     if model.norm_mode == "sphere":
         yhat, norms = cache
         d_y = (dz - yhat * ((dz * yhat) @ sums.row_sum)) / norms
@@ -504,7 +549,7 @@ def _norm_backward(model: EncoderModel, cache: tuple, dz: np.ndarray, sums: _Sum
 
 
 def _layers_backward(
-    model: EncoderModel,
+    model: EncoderModel | _Stack,
     activations: list[np.ndarray],
     d_out: np.ndarray,
     grad: list[tuple[np.ndarray, np.ndarray]],
@@ -516,7 +561,7 @@ def _layers_backward(
         layer = model.layers[i]
         post = activations[i + 1]
         d_pre = d_out * (1.0 - post**2) if layer.activation == "tanh" else d_out
-        np.matmul(d_pre.T, activations[i], out=grad[i][0])
+        np.matmul(d_pre.mT, activations[i], out=grad[i][0])
         np.matmul(sums.col_sum, d_pre, out=grad[i][1])
         if i:
             d_out = d_pre @ layer.weight
@@ -548,7 +593,7 @@ def loss_and_gradient(
 
 
 def _gradient(
-    model: EncoderModel,
+    model: EncoderModel | _Stack,
     x: np.ndarray,
     b: int,
     config: TrainConfig,
@@ -560,7 +605,9 @@ def _gradient(
     """Write the loss gradient on stacked views into ``grad`` (the
     ``_param_views`` of a flat vector) and return what ``_loss_terms`` needs
     for the step's loss: the (k·B, d) embeddings, or F (d, d) for cross_corr,
-    written into ``out`` when given.
+    written into ``out`` when given. For a stack of L encoders, every array
+    has a leading axis of L, and each encoder's arithmetic is that of the
+    encoder alone.
 
     ``x`` stacks anchors, positives, then negatives when the loss uses them,
     ``b`` rows each. The caller checks the pairing. The embeddings are
@@ -573,12 +620,12 @@ def _gradient(
     y, activations = _forward_layers(model, x)
     cross_corr = config.loss == "cross_corr"
     z, cache = _norm_forward(model, y, sums, stat, None if cross_corr else out)
-    d = z.shape[1]
-    blocks = z.reshape(-1, b, d)
+    d = z.shape[-1]
+    blocks = _blocks(z, b)
     lam = config.lam
     # dz is d(total)/dz, written block by block: anchors, positives, negatives.
-    dz = np.empty_like(z)
-    d_blocks = dz.reshape(-1, b, d)
+    dz = np.empty(z.shape)
+    d_blocks = _blocks(dz, b)
     kept = z
     if config.loss == "info_nce":
         # The negative's weight σ(z1·z_neg − z1·z2), from one score
@@ -600,11 +647,19 @@ def _gradient(
         kept = f = losses_mod._cross_corr_matrix(blocks[0], blocks[1], out)
         # d(total)/dF over B: 2·lam·F_ij off the diagonal, -2(1 - F_ii) on it.
         g = (2.0 * lam / b) * f
-        g.flat[:: d + 1] = (-2.0 / b) * (1.0 - f.diagonal())
+        g.reshape(-1, d * d)[:, :: d + 1] = (-2.0 / b) * (1.0 - f.diagonal(0, -2, -1))
         # Each view's block is the other view's block times g.
         np.matmul(blocks[::-1], g, out=d_blocks)
     _layers_backward(model, activations, _norm_backward(model, cache, dz, sums), grad, sums)
     return kept
+
+
+def _blocks(rows: np.ndarray, b: int) -> np.ndarray:
+    """The k (B, d) blocks of (k·B, d) rows as (k, B, d); of a stack's
+    (L, k·B, d), as (k, L, B, d)."""
+    if rows.ndim == 2:
+        return rows.reshape(-1, b, rows.shape[1])
+    return rows.reshape(len(rows), -1, b, rows.shape[2]).swapaxes(0, 1)
 
 
 def _loss_terms(stack: np.ndarray, b: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -655,28 +710,19 @@ def train(
     modified.
 
     The batches are those of ``make_train_batch`` called once per step on
-    one generator seeded with ``config.seed``. Steps run in chunks of at
-    most ``TILE_BYTES // (k·B·(D + d)·8)`` (k = 3 views per anchor with
-    negatives, else 2), in two passes. First the chunk's views are made:
-    the same stream as those calls, decoded from one ``random_raw`` block of
-    the generator, with each augmentation member applied once to all of its
-    views (for a bit generator other than PCG64, or at a bounded draw that
-    numpy might reject, ``make_train_batch`` itself, once per step, from the
-    chunk's starting state; see ``_block_draws``). Then the step loop
-    computes only the gradient and the update, and keeps each step's
-    embeddings (F for cross_corr). Last, one vectorized pass of the loss
-    kernels gives every step's l1, l2 and total, the values that
-    ``loss_and_gradient`` reports for the step.
-
-    The step loop runs unchecked, under an error state that raises every
-    floating-point event the caller does not ignore, and writes each step's
-    norms or variances into an array of the chunk. One check follows: the
-    parameters, norms and variances are finite, and no norm or variance is
-    below its floor. If it fails, or the loop raised ``FloatingPointError``,
-    the chunk is replayed from its starting parameters with every step's
-    checks, under the caller's error state, which raises and warns as a
-    loop checked at every step does. A replay that raises nothing stands.
+    one generator seeded with ``config.seed``. This is ``_train_stack``
+    for a stack of one, which describes how the steps run and are checked.
     """
+    (result,) = _train_stack([model], dataset, [aug], config)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _check_inputs(
+    model: EncoderModel, dataset: Dataset, aug: AugmentationSet, config: TrainConfig
+) -> None:
+    """Raise ``ValueError`` unless ``train`` can train ``model`` on these inputs."""
     _check_pairing(config.loss, model.norm_mode, model.radius)
     if dataset.input_dim != model.input_dim:
         raise ValueError(
@@ -684,66 +730,157 @@ def train(
             f"input {model.input_dim}"
         )
     aug.check_dimension(dataset.input_dim)
-    rng = np.random.default_rng(config.seed)
-    params = flat_params(model)
-    # Updating params in place updates the layers of current.
-    current = _bind_params(model, params)
-    flat_grad = np.empty_like(params)
-    grad = _param_views(model, flat_grad)
-    b, d = config.batch_size, model.output_dim
+
+
+def _train_stack(
+    models: Sequence[EncoderModel],
+    dataset: Dataset,
+    augs: Sequence[AugmentationSet],
+    config: TrainConfig,
+) -> list[tuple[EncoderModel, np.ndarray] | Exception]:
+    """``train`` for encoders of one architecture at once, level i with the
+    augmentation set ``augs[i]``. Per level it gives what ``train`` gives
+    for that level alone: the new model and trace, or the exception it
+    raises, at the same step.
+
+    Each level has its own generator, seeded with ``config.seed``. Steps run
+    in chunks of at most ``TILE_BYTES // (L·k·B·(D + d)·8)``, L the levels
+    still training and k = 3 views per anchor with negatives, else 2, in
+    two passes. First each level's views of the chunk are made by
+    ``_sample_chunk``: the stream of ``make_train_batch`` called once per
+    step, decoded from one ``random_raw`` block of the level's generator,
+    with each augmentation member applied once to all of its views (for a
+    bit generator other than PCG64, or at a bounded draw that numpy might
+    reject, ``make_train_batch`` itself; see ``_block_draws``). Then one
+    step loop runs all levels' steps on parameters stacked on a leading
+    axis (``_gradient`` of a ``_Stack``), computes only the gradient and the
+    update, and keeps each step's embeddings (F for cross_corr). Last, per
+    level, one vectorized pass of the loss kernels gives every step's l1,
+    l2 and total, the values that ``loss_and_gradient`` reports for the
+    step.
+
+    The step loop runs unchecked, under an error state that raises every
+    floating-point event the caller does not ignore, and writes each step's
+    norms or variances into an array of the chunk. One check per level
+    follows: its parameters, norms and variances are finite, and no norm or
+    variance is below its floor. A level that fails it (every level, if the
+    loop raised ``FloatingPointError``) is replayed alone from its starting
+    parameters with every step's checks, under the caller's error state,
+    which raises and warns as a loop checked at every step does. A replay
+    that raises nothing stands; one that raises ends its level with that
+    exception, and the other levels go on.
+    """
+    results: list = [None] * len(models)
+    for i, (model, aug) in enumerate(zip(models, augs)):
+        try:
+            _check_inputs(model, dataset, aug, config)
+        except ValueError as exc:
+            results[i] = exc
+    live = [i for i, result in enumerate(results) if result is None]
+    if not live:
+        return results
+    template = models[live[0]]
+    rngs = {i: np.random.default_rng(config.seed) for i in live}
+    traces = {i: np.empty((config.steps, 4)) for i in live}
+    for trace in traces.values():
+        trace[:, 0] = np.arange(config.steps)
+    params = np.stack([flat_params(models[i]) for i in live])
+    b, d = config.batch_size, template.output_dim
     k = 3 if config.loss in ("info_nce", "simple") else 2
     sums = _sums(k * b, d)
-    chunk = max(1, TILE_BYTES // (k * b * (dataset.input_dim + d) * 8))
+    stack_sums = sums._replace(col_mean=sums.col_mean[None])
     kept_shape = (d, d) if config.loss == "cross_corr" else (k * b, d)
-    if model.norm_mode == "sphere":
-        stat_shape, stat_floor = (k * b, 1), _MIN_NORM
-    else:
-        stat_shape, stat_floor = (d,), _MIN_VAR
+    sphere = template.norm_mode == "sphere"
+    stat_floor = _MIN_NORM if sphere else _MIN_VAR
     # Floating-point events the caller does not ignore end the unchecked pass.
     unchecked_errstate = {
         event: "ignore" if mode == "ignore" else "raise" for event, mode in np.geterr().items()
     }
     lr = config.learning_rate
-    trace = np.empty((config.steps, 4))
-    trace[:, 0] = np.arange(config.steps)
-    for start in range(0, config.steps, chunk):
+    start = 0
+    while live and start < config.steps:
+        width = len(live)
+        chunk = max(1, TILE_BYTES // (width * k * b * (dataset.input_dim + d) * 8))
         steps = min(chunk, config.steps - start)
-        views = _sample_chunk(dataset, aug, b, steps, k, rng).reshape(steps, k * b, -1)
-        kept = np.empty((steps, *kept_shape))
-        stats = np.empty((steps, *stat_shape))
+        drawn = [
+            _sample_chunk(dataset, augs[i], b, steps, k, rngs[i]).reshape(steps, k * b, -1)
+            for i in live
+        ]
+        # A chunk's arrays are (steps, L, ...), each step's slice one stack.
+        # A single level runs unstacked, on (steps, ...) arrays of its own.
+        # Updating params in place updates the layers of current.
+        if width > 1:
+            lead, step_sums, current = (width,), stack_sums, _bind_stack(template, params)
+            views = np.stack(drawn, axis=1)
+        else:
+            lead, step_sums, current = (), sums, _bind_params(template, params[0])
+            views = drawn[0]
+        del drawn
+        # A step's norms are (k·B, 1) and its variances (d,); a stack's
+        # norms are (L, k·B, 1) and its variances (L, 1, d).
+        stat_shape = (k * b, 1) if sphere else (1,) * len(lead) + (d,)
+        kept = np.empty((steps, *lead, *kept_shape))
+        stats = np.empty((steps, *lead, *stat_shape))
         snapshot = params.copy()
+        flat_grad = np.empty_like(params)
+        grad = _param_views(template, flat_grad.reshape(*lead, -1))
         try:
             with np.errstate(**unchecked_errstate):
                 for s in range(steps):
-                    _gradient(current, views[s], b, config, grad, sums, stats[s], kept[s])
+                    _gradient(current, views[s], b, config, grad, step_sums, stats[s], kept[s])
                     params -= lr * flat_grad
                 # With lr > 0 a non-finite gradient makes the parameters
                 # non-finite, and they stay so in later steps.
-                sound = np.logical_and.reduce(np.isfinite(params)) and _within(stats, stat_floor)
+                level_stats = stats.reshape(steps, width, -1)
+                sound = (
+                    np.logical_and.reduce(np.isfinite(params), axis=1)
+                    & (stat_floor <= level_stats.min(axis=(0, 2)))
+                    & (level_stats.max(axis=(0, 2)) < math.inf)
+                )
         except FloatingPointError:
-            sound = False
-        if not sound:
-            # Replay the chunk with the checks of every step, under the
-            # caller's error state: it raises, warns or goes on as such a
-            # loop does.
-            params[...] = snapshot
-            for s in range(steps):
-                _gradient(current, views[s], b, config, grad, sums, out=kept[s])
-                params -= lr * flat_grad
-                if not np.logical_and.reduce(np.isfinite(params)):
-                    raise RuntimeError(f"training diverged at step {start + s}")
-        del views  # before the loss pass's temporaries
-        l1, l2 = _loss_terms(kept, b, config)
-        rows = trace[start : start + steps]
-        rows[:, 1] = losses_mod.recompose(config.loss, l1, l2, config.lam)
-        rows[:, 2] = l1
-        rows[:, 3] = l2
-        # A backstop: a non-finite loss needs non-finite embeddings, whose
-        # gradient is non-finite, so the checks above have raised already.
-        diverged = np.flatnonzero(~np.isfinite(rows[:, 1]))
-        if diverged.size:
-            raise RuntimeError(f"training diverged at step {start + diverged[0]}")
-    return with_params(model, params), trace
+            sound = np.zeros(width, dtype=bool)
+        level_views = views.reshape(steps, width, k * b, -1)
+        level_kept = kept.reshape(steps, width, *kept_shape)
+        for p in np.flatnonzero(~sound):
+            # Replay the level's chunk alone with the checks of every step,
+            # under the caller's error state: it raises, warns or goes on as
+            # such a loop does.
+            level_params, level_grad = params[p], flat_grad[p]
+            level_params[...] = snapshot[p]
+            level = _bind_params(template, level_params)
+            level_grad_views = _param_views(template, level_grad)
+            try:
+                for s in range(steps):
+                    x, out = level_views[s, p], level_kept[s, p]
+                    _gradient(level, x, b, config, level_grad_views, sums, out=out)
+                    level_params -= lr * level_grad
+                    if not np.logical_and.reduce(np.isfinite(level_params)):
+                        raise RuntimeError(f"training diverged at step {start + s}")
+            except Exception as exc:  # what the level's loop alone raises
+                results[live[p]] = exc
+        del views, level_views  # before the loss passes' temporaries
+        for p, i in enumerate(live):
+            if results[i] is not None:
+                continue
+            # The loss kernels take each level's steps contiguous, as alone.
+            l1, l2 = _loss_terms(np.ascontiguousarray(level_kept[:, p]), b, config)
+            rows = traces[i][start : start + steps]
+            rows[:, 1] = losses_mod.recompose(config.loss, l1, l2, config.lam)
+            rows[:, 2] = l1
+            rows[:, 3] = l2
+            # A backstop: a non-finite loss needs non-finite embeddings, whose
+            # gradient is non-finite, so the checks above have failed already.
+            diverged = np.flatnonzero(~np.isfinite(rows[:, 1]))
+            if diverged.size:
+                results[i] = RuntimeError(f"training diverged at step {start + diverged[0]}")
+        going_on = [p for p, i in enumerate(live) if results[i] is None]
+        if len(going_on) < width:
+            params = params[going_on]
+            live = [live[p] for p in going_on]
+        start += steps
+    for p, i in enumerate(live):
+        results[i] = (with_params(models[i], params[p]), traces[i])
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ persisting every stage artifact under one output directory. Concentration
 needs only the dataset and the augmentation set, so it runs before
 training: a run that exact mode refuses fails before any training. Sweeps
 repeat the experiment across augmentation levels (richer sets, stronger
-transforms, or all transform pairs from a catalog), training a fresh
-encoder per level, and summarize how concentration tracks the observed
-error rate.
+transforms, or all transform pairs from a catalog), with a fresh encoder
+per level, and summarize how concentration tracks the observed error rate.
+A sweep trains its levels in lockstep: the first level to reach training
+trains itself and every later level in one stacked SGD loop, and each
+level's model and trace are those of training it alone.
 
 Configs are single JSON documents with sections ``dataset``,
 ``augmentation``, ``encoder``, ``training``, ``analysis``, and optionally
@@ -24,11 +26,13 @@ import json
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
 
+from . import encoder
 from .augment import (
     AugmentationSet,
     Transform,
@@ -173,6 +177,8 @@ class SweepSpec:
         else:
             if any(t.rule == "identity" for t in levels):
                 raise ValueError("sweep.levels catalog must not contain identity")
+            if len(set(levels)) != len(levels):
+                raise ValueError("sweep.levels catalog must not repeat a transform")
             if len(levels) < 2:
                 raise ValueError("pairs sweep needs a catalog of at least two transforms")
 
@@ -402,19 +408,68 @@ def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:
         return dataset
 
 
+def _init_model(config: ExperimentConfig, dataset: Dataset) -> EncoderModel:
+    return init_encoder(
+        input_dim=dataset.input_dim,
+        hidden_dims=config.encoder.hidden_dims,
+        output_dim=config.encoder.output_dim,
+        norm_mode=config.encoder.norm_mode,
+        radius=config.encoder.radius,
+        seed=config.encoder.seed,
+    )
+
+
+class _SweepTraining:
+    """Lockstep training of a sweep's levels, set by ``run_sweep`` for the
+    sweep's duration; ``level`` is the index of the level running.
+
+    The first level to reach ``stage_train`` trains, in one stack
+    (``encoder._train_stack``), itself and every level not yet started, on
+    its own dataset: the levels share the dataset config, so their datasets
+    are alike. Each of those levels then takes its own model and trace, or
+    the exception that training it alone raises. A level that fails before
+    training trains nothing of its own, and a sweep whose levels all fail
+    before training trains nothing at all.
+    """
+
+    def __init__(self, configs: list[ExperimentConfig]) -> None:
+        self.configs = configs
+        self.level = 0
+        self.results: dict[int, tuple[EncoderModel, np.ndarray] | Exception] | None = None
+
+    def train(self, dataset: Dataset) -> tuple[EncoderModel, np.ndarray]:
+        if self.results is None:
+            pending = self.configs[self.level :]
+            trained = encoder._train_stack(
+                [_init_model(config, dataset) for config in pending],
+                dataset,
+                [config.augmentation for config in pending],
+                pending[0].training,
+            )
+            self.results = dict(enumerate(trained, start=self.level))
+        result = self.results.pop(self.level)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+
+_SWEEP_TRAINING: ContextVar[_SweepTraining | None] = ContextVar("sweep_training", default=None)
+
+
 def stage_train(
     config: ExperimentConfig, dataset: Dataset, out_dir: str
 ) -> tuple[EncoderModel, np.ndarray]:
+    """Train the encoder and write ``model.bin`` and ``trace.csv``. For the
+    config of the sweep level that is running, the model and trace come
+    from the sweep's lockstep training; they are those of training the
+    level here alone."""
     with _stage("train"):
-        model = init_encoder(
-            input_dim=dataset.input_dim,
-            hidden_dims=config.encoder.hidden_dims,
-            output_dim=config.encoder.output_dim,
-            norm_mode=config.encoder.norm_mode,
-            radius=config.encoder.radius,
-            seed=config.encoder.seed,
-        )
-        trained, trace = train(model, dataset, config.augmentation, config.training)
+        sweep = _SWEEP_TRAINING.get()
+        if sweep is not None and config is sweep.configs[sweep.level]:
+            trained, trace = sweep.train(dataset)
+        else:
+            model = _init_model(config, dataset)
+            trained, trace = train(model, dataset, config.augmentation, config.training)
         save_model(trained, os.path.join(out_dir, "model.bin"), seed=config.encoder.seed)
         write_csv(
             os.path.join(out_dir, "trace.csv"),
@@ -647,6 +702,12 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
     """One full experiment per sweep level, fresh encoder each time.
 
+    Each level runs through its own ``run_experiment`` call, in level order.
+    The levels train in lockstep (see ``_SweepTraining``): the first level
+    to reach ``stage_train`` trains every level not yet started, so its
+    ``run_experiment`` call carries their training time. Every artifact is
+    that of running the level's config through ``run_experiment`` alone.
+
     Writes the resolved config, sweep section included, to ``config.json``,
     per-level artifacts under level subdirectories, a summary CSV
     (columns level, sigma, one_minus_sigma, err, thm1_bound, valid — sigma
@@ -658,19 +719,24 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
         raise ConfigError("config has no sweep section")
     write_config(config, out_dir)
     levels = _sweep_levels(config, config.sweep)
+    labels = [label for label, _ in levels]
+    level_cfgs = [replace(config, augmentation=aug, sweep=None) for _, aug in levels]
     results: dict[str, ExperimentResult] = {}
     failures: list[tuple[str, str, str]] = []
-    labels: list[str] = []
-    for index, (label, aug) in enumerate(levels):
-        labels.append(label)
-        level_cfg = replace(config, augmentation=aug, sweep=None)
-        level_dir = os.path.join(out_dir, f"level_{index:02d}")
-        try:
-            results[label] = run_experiment(level_cfg, level_dir)
-        except StageError as exc:
-            failures.append((label, exc.stage, str(exc)))
-        except ConfigError as exc:
-            failures.append((label, "config", str(exc)))
+    training = _SweepTraining(level_cfgs)
+    token = _SWEEP_TRAINING.set(training)
+    try:
+        for index, (label, level_cfg) in enumerate(zip(labels, level_cfgs)):
+            training.level = index
+            level_dir = os.path.join(out_dir, f"level_{index:02d}")
+            try:
+                results[label] = run_experiment(level_cfg, level_dir)
+            except StageError as exc:
+                failures.append((label, exc.stage, str(exc)))
+            except ConfigError as exc:
+                failures.append((label, "config", str(exc)))
+    finally:
+        _SWEEP_TRAINING.reset(token)
 
     summary = []
     for label in labels:

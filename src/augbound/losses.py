@@ -170,9 +170,10 @@ def _cross_corr_matrix(
     view1: np.ndarray, view2: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(F + F^T) / 2 for F = view1^T view2 / B, written into ``out`` when
-    given; symmetric by construction."""
-    raw = view1.T @ view2 / view1.shape[0]
-    return np.divide(raw + raw.T, 2.0, out=out)
+    given; symmetric by construction. Stacked (..., B, d) views give
+    stacked matrices."""
+    raw = view1.mT @ view2 / view1.shape[-2]
+    return np.divide(raw + raw.mT, 2.0, out=out)
 
 
 def _cross_corr_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

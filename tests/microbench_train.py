@@ -1,4 +1,5 @@
-"""Timing of ``encoder.train`` on the acceptance fixture blobs and the ring task.
+"""Timing of ``encoder.train`` on the acceptance fixture blobs and the ring task,
+and of the lockstep training of a ring pair sweep's levels.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it on its own with
@@ -14,7 +15,11 @@ case is the ``cross_corr_d2_k2`` run through a tanh hidden layer of width
 8 (``hidden_dims=(8,)``), which times the per-layer backward pass. The
 ring case is one 300-step ``info_nce`` run with batch size 16 on the 3-d
 two-ring task of acceptance 09 and 10 with identity + wide rotation +
-scale at grid 5 (26 views), which times the continuous members.
+scale at grid 5 (26 views), which times the continuous members. The
+lockstep case trains the six levels of the ring pair sweep of acceptance 10
+(identity + two of wide rotation, narrow rotation, scale and shift, 26 views
+each) with the ring case's settings in one stack (``encoder._train_stack``),
+as a pairs sweep does; it times the stacked step against six ring cases.
 The ladder case is one 100-step ``cross_corr`` run with batch size 16 on
 the same ring task at 14 per class with identity + wide rotation + scale +
 shift at grid 5 (126 views), the settings of the smallest 126-view rung of
@@ -23,6 +28,8 @@ The draw cases time ``encoder._sample_chunk`` alone, the views of one
 chunk of 250 steps on the ``info_nce_d2_k2`` shape and of 300 steps on
 the 26-view ring shape (3 views per step, as InfoNCE draws them).
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -125,6 +132,28 @@ def test_train_ring_300_steps(benchmark):
     )
     _, trace = benchmark(train, model, dataset, aug, config)
     assert trace.shape == (300, 4)
+
+
+def test_train_ring_pairs_lockstep_6_levels_300_steps(benchmark):
+    catalog = (
+        rotation_2d((0, 1), 1.4, 2.0),
+        rotation_2d((0, 1), 0.6, 2.0),
+        scaling(0.85, 1.15, 2.0),
+        additive_shift((0.0, 0.25, 0.0)),
+    )
+    augs = [
+        AugmentationSet(transforms=(identity(), a, b), grid_resolution=5)
+        for a, b in combinations(catalog, 2)
+    ]
+    assert len(augs) == 6 and all(aug.num_views == 26 for aug in augs)
+    model = init_encoder(
+        input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", radius=1.0, seed=0
+    )
+    config = TrainConfig(
+        loss="info_nce", steps=300, batch_size=16, learning_rate=0.1, seed=0
+    )
+    results = benchmark(encoder._train_stack, [model] * 6, _ring_dataset(), augs, config)
+    assert all(trace.shape == (300, 4) for _, trace in results)
 
 
 def test_train_ladder_cross_corr_100_steps(benchmark):

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from augbound.augment import (
+    AugmentationSet,
     additive_shift,
     identity,
     rotation_2d,
     scaling,
 )
 from augbound.cli import main
-from augbound import experiments
-from augbound.core import csv_value, generate_dataset, save_dataset, spec_dict
+from augbound import encoder, experiments
+from augbound.core import Dataset, csv_value, generate_dataset, save_dataset, spec_dict
+from augbound.encoder import init_encoder, make_train_batch, train
 from augbound.experiments import (
     ConfigError,
     StageError,
@@ -499,6 +501,7 @@ def _forbid_training(monkeypatch):
         raise AssertionError("train was called")
 
     monkeypatch.setattr(experiments, "train", fail)
+    monkeypatch.setattr(encoder, "_train_stack", fail)
 
 
 def test_an_over_budget_exact_run_fails_at_concentration_before_training(tmp_path, monkeypatch):
@@ -699,14 +702,16 @@ def test_richness_sweep_levels_and_failure_recovery(tmp_path):
     assert not (out / "level_02" / "bounds.csv").exists()
 
 
+_PAIRS_CATALOG = [
+    {"rule": "additive_shift", "direction": [0.0, 0.2]},
+    {"rule": "additive_shift", "direction": [0.2, 0.0]},
+    {"rule": "sign_flip_mask", "signs": [-1.0, 1.0]},
+    {"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": 0.1, "data_radius": 3.0},
+]
+
+
 def test_pairs_sweep_enumerates_two_subsets(tmp_path):
-    catalog = [
-        {"rule": "additive_shift", "direction": [0.0, 0.2]},
-        {"rule": "additive_shift", "direction": [0.2, 0.0]},
-        {"rule": "sign_flip_mask", "signs": [-1.0, 1.0]},
-        {"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": 0.1, "data_radius": 3.0},
-    ]
-    config = config_from_dict(_config_dict(sweep={"kind": "pairs", "levels": catalog}))
+    config = config_from_dict(_config_dict(sweep={"kind": "pairs", "levels": _PAIRS_CATALOG}))
     out = tmp_path / "pairs"
     result = run_sweep(config, str(out))
     assert result.levels == ("0_1", "0_2", "0_3", "1_2", "1_3", "2_3")
@@ -1030,6 +1035,18 @@ def test_a_transform_that_does_not_fit_the_generated_dimension_exits_2(tmp_path,
     assert not (out / "config.json").exists()
 
 
+def test_a_pairs_catalog_that_repeats_a_transform_exits_2_before_writing(tmp_path, capsys):
+    rot = {"rule": "rotation_2d_subspace", "axes": [0, 1], "max_angle": 1.4, "data_radius": 2.0}
+    scale = {"rule": "scale", "scale_span": [0.85, 1.15], "data_radius": 2.0}
+    data = _config_dict(sweep={"kind": "pairs", "levels": [rot, rot, scale]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep section invalid: sweep.levels catalog must not repeat a transform\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_sweep_subcommand(tmp_path, capsys):
     data = _config_dict(sweep={"kind": "strength", "levels": [0.5, 1.0]})
     path = _write_config(tmp_path, data)
@@ -1068,3 +1085,152 @@ def test_transform_to_spec_round_trip_for_sweep_catalog():
     ):
         spec = spec_dict(t)
         assert spec == spec_dict(scale_transform_strength(t, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep training of a sweep's levels
+# ---------------------------------------------------------------------------
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _assert_levels_match_lone_runs(config, out):
+    """Run the sweep; each level's files, and failures.csv, must be those of
+    running the level's config through ``run_experiment`` alone."""
+    result = run_sweep(config, str(out))
+    expected_failures = []
+    for index, (label, aug) in enumerate(experiments._sweep_levels(config, config.sweep)):
+        alone = out.parent / f"alone_{index:02d}"
+        try:
+            run_experiment(replace(config, augmentation=aug, sweep=None), str(alone))
+        except StageError as exc:
+            expected_failures.append({"level": label, "stage": exc.stage, "message": str(exc)})
+        assert _tree(out / f"level_{index:02d}") == _tree(alone), label
+    with open(out / "failures.csv", newline="") as fh:
+        assert list(csv.DictReader(fh)) == expected_failures
+    return result
+
+
+_LONG_TRAINING = {"steps": 40}
+
+
+def test_a_pairs_sweep_writes_each_level_as_a_lone_run(tmp_path):
+    config = config_from_dict(
+        _config_dict(training=_LONG_TRAINING, sweep={"kind": "pairs", "levels": _PAIRS_CATALOG})
+    )
+    result = _assert_levels_match_lone_runs(config, tmp_path / "sweep")
+    assert len(result.results) == 6
+
+
+def test_a_richness_sweep_from_identity_alone_writes_each_level_as_a_lone_run(tmp_path):
+    # The first level draws only discrete views; the others add continuous
+    # parameters, so each level's generator is read in its own layout.
+    lean, rich = _richness_levels()
+    richer = {
+        "grid_resolution": 3,
+        "transforms": rich["transforms"] + [{"rule": "sign_flip_mask", "signs": [-1.0, 1.0]}],
+    }
+    config = config_from_dict(
+        _config_dict(
+            training=_LONG_TRAINING, sweep={"kind": "richness", "levels": [lean, rich, richer]}
+        )
+    )
+    assert config.sweep.levels[0].num_continuous_params == 0
+    result = _assert_levels_match_lone_runs(config, tmp_path / "sweep")
+    assert set(result.results) == {"1", "2", "3"}
+
+
+def test_a_strength_sweep_writes_each_level_as_a_lone_run(tmp_path):
+    config = config_from_dict(
+        _config_dict(
+            training=_LONG_TRAINING, sweep={"kind": "strength", "levels": [0.5, 1.0, 2.0]}
+        )
+    )
+    result = _assert_levels_match_lone_runs(config, tmp_path / "sweep")
+    assert len(result.results) == 3
+
+
+def test_a_sweep_level_that_fails_in_training_fails_as_alone_and_the_others_finish(tmp_path):
+    # Sample j is first drawn at step s by the identity-only level. It is
+    # placed where that level's layer, as it stands at step s, maps it
+    # 1e-14 from the origin, below the norm the projection needs; the steps
+    # before s never read it. The richer level draws its own stream and
+    # trains on.
+    rng = np.random.default_rng(40)
+    features = rng.uniform(-1.0, 1.0, (40, 2))
+    labels = np.repeat([0, 1], 20)
+    lean, rich = _richness_levels()
+    data = _config_dict(
+        encoder={"hidden_dims": [], "seed": 41},
+        training={"steps": 24, "batch_size": 2, "learning_rate": 0.1, "seed": 42},
+        sweep={"kind": "richness", "levels": [lean, rich]},
+    )
+    data["dataset"] = {"path": str(tmp_path / "points.csv")}
+    config = config_from_dict(data)
+    lone = AugmentationSet(transforms=(identity(),))
+    steps = config.training.steps
+    first = np.full(len(features), steps)
+    draws = np.random.default_rng(config.training.seed)
+    for step in range(steps):
+        batch = make_train_batch(Dataset(features, labels), lone, 2, draws, True)
+        for row in np.concatenate((batch.anchors, batch.negatives)):
+            j = np.flatnonzero((features == row).all(axis=1))[0]
+            first[j] = min(first[j], step)
+    j = int(np.argmax(np.where(first < steps - 2, first, -1)))
+    s = int(first[j])
+    assert s > 2
+    model = init_encoder(2, (), 2, "sphere", 1.0, seed=41)
+    trained, _ = train(model, Dataset(features, labels), lone, replace(config.training, steps=s))
+    layer = trained.layers[0]
+    features[j] = np.linalg.solve(layer.weight, np.array([1e-14, 0.0]) - layer.bias)
+    save_dataset(Dataset(features, labels), str(tmp_path / "points.csv"))
+
+    result = _assert_levels_match_lone_runs(config, tmp_path / "sweep")
+    assert set(result.results) == {"2"}
+    assert [(label, stage) for label, stage, _ in result.failures] == [("1", "train")]
+    assert "norms vanish" in result.failures[0][2]
+
+
+def _rebind_everywhere(monkeypatch, original, replacement):
+    """Rebind every ``augbound`` module attribute that holds ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "augbound" or name.startswith("augbound."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_a_sweep_runs_each_level_through_run_experiment_and_trains_inside_the_first(
+    tmp_path, monkeypatch
+):
+    # The benchmark times each level by rebinding run_experiment, wherever
+    # it is held, to a timer that takes exactly (config, out_dir). The
+    # lockstep training must run inside a level's timed call.
+    calls = []
+    running = []
+    original = experiments.run_experiment
+
+    def recorder(config, out_dir):
+        calls.append(os.path.basename(out_dir))
+        running.append(calls[-1])
+        try:
+            return original(config, out_dir)
+        finally:
+            running.pop()
+
+    _rebind_everywhere(monkeypatch, original, recorder)
+    stacks = []
+    stack = encoder._train_stack
+
+    def recording_stack(models, dataset, augs, config):
+        stacks.append((list(running), len(models)))
+        return stack(models, dataset, augs, config)
+
+    monkeypatch.setattr(encoder, "_train_stack", recording_stack)
+    config = config_from_dict(_config_dict(sweep={"kind": "pairs", "levels": _PAIRS_CATALOG}))
+    result = run_sweep(config, str(tmp_path / "pairs"))
+    assert len(result.results) == 6
+    assert calls == [f"level_{i:02d}" for i in range(6)]
+    assert stacks == [(["level_00"], 6)]

@@ -211,6 +211,19 @@ def test_an_unknown_key_is_a_config_error_that_names_it(mutate, key):
         config_from_dict(doc)
 
 
+def test_a_pairs_catalog_that_repeats_a_transform_is_a_config_error():
+    doc = _base()
+    dim = len(doc["dataset"]["cluster_centers"][0])
+    shift = {"rule": "additive_shift", "direction": [0.1] * dim}
+    flip = {"rule": "sign_flip_mask", "signs": [-1.0] * dim}
+    doc["sweep"] = {"kind": "pairs", "levels": [shift, flip, dict(shift)]}
+    message = "sweep section invalid: sweep.levels catalog must not repeat a transform"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(doc)
+    doc["sweep"]["levels"].pop()
+    assert len(config_from_dict(doc).sweep.levels) == 2
+
+
 def test_a_dataset_path_keeps_ignoring_generator_keys_beside_it():
     doc = _base()
     doc["dataset"]["path"] = "points.csv"

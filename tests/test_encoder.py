@@ -957,6 +957,84 @@ def test_train_validates_embeddings_once_not_per_step(loss, monkeypatch):
             call()
 
 
+# Draw layouts of every kind: discrete views only, discrete members with a
+# shift, and two continuous members.
+_STACK_AUGS = (_IDENTITY_ONLY, _ORACLE_AUGS["perm_sign_shift"], _ORACLE_AUGS["rotation_scale"])
+
+
+def _assert_stack_matches_train_alone(models, ds, augs, config):
+    """``_train_stack`` gives each level what ``train`` gives it alone: the
+    same parameters and trace, or an exception of the same type and message."""
+    stacked = encoder._train_stack(models, ds, augs, config)
+    assert len(stacked) == len(models)
+    for model, aug, got in zip(models, augs, stacked):
+        try:
+            ref_model, ref_trace = train(model, ds, aug, config)
+        except (ValueError, RuntimeError) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        trained, trace = got
+        np.testing.assert_array_equal(trace, ref_trace)
+        np.testing.assert_array_equal(flat_params(trained), flat_params(ref_model))
+    return stacked
+
+
+@pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
+def test_a_stack_trains_each_level_as_train_does_alone(loss, monkeypatch):
+    # Levels with their own starting models and draw layouts, in chunks of
+    # the default budget, of one step and of seven.
+    ds, model, config = _oracle_case(loss, steps=30)
+    models = [with_params(model, (1.0 + 0.25 * i) * flat_params(model)) for i in range(3)]
+    k = 2 if loss == "cross_corr" else 3
+    step_bytes = len(models) * k * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    for chunk_steps in (None, 1, 7):
+        if chunk_steps is not None:
+            monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
+        _assert_stack_matches_train_alone(models, ds, _STACK_AUGS, config)
+
+
+def _resting_pole():
+    """``_pole_collapse``'s architecture with a zero hidden layer: every
+    embedding is the pole (1, 0), so every gradient is exactly zero and no
+    learning rate moves the parameters."""
+    _, model = _pole_collapse()
+    hidden, head = model.layers
+    rest = Layer(np.zeros_like(hidden.weight), hidden.bias, "tanh")
+    return EncoderModel((rest, head), norm_mode="sphere", radius=1.0)
+
+
+@pytest.mark.parametrize("chunk_steps", [None, 5])
+@pytest.mark.parametrize("errstate", [{"over": "ignore"}, {"all": "ignore"}])
+def test_a_stack_level_that_diverges_ends_at_its_step_and_the_others_go_on(
+    errstate, chunk_steps, monkeypatch
+):
+    # The collapsing levels draw the outlier at steps 7 and 1, in different
+    # chunks when a chunk is 5 steps; the resting level trains on.
+    ds, collapsing = _pole_collapse()
+    flip = AugmentationSet(transforms=(identity(), sign_flip_mask((-1.0, 1.0))))
+    models = [collapsing, _resting_pole(), collapsing]
+    augs = [_IDENTITY_ONLY, _IDENTITY_ONLY, flip]
+    config = TrainConfig(loss="info_nce", steps=24, batch_size=2, learning_rate=1e308, seed=3)
+    if chunk_steps is not None:
+        step_bytes = 3 * 3 * config.batch_size * (ds.input_dim + 2) * 8
+        monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
+    with np.errstate(**errstate):
+        stacked = _assert_stack_matches_train_alone(models, ds, augs, config)
+    first, rest, second = stacked
+    assert str(first) == "training diverged at step 7"
+    assert str(second) == "training diverged at step 1"
+    np.testing.assert_array_equal(flat_params(rest[0]), flat_params(_resting_pole()))
+
+
+def test_a_stack_reports_each_levels_input_error_and_trains_the_rest():
+    ds, model, config = _oracle_case("info_nce", steps=5)
+    wide = AugmentationSet(transforms=(identity(), additive_shift((0.1, 0.2))))
+    stacked = _assert_stack_matches_train_alone(
+        [model, model], ds, [wide, _ORACLE_AUGS["rotation_scale"]], config
+    )
+    assert type(stacked[0]) is ValueError and isinstance(stacked[1], tuple)
+
+
 def test_train_memory_is_bounded_by_the_tile_budget():
     # 500 steps of 3 x 64 views of 32 features are 24.6 MB of views, over
     # ten tile budgets. Sampled a chunk of at most TILE_BYTES at a time,
@@ -985,6 +1063,23 @@ def test_train_memory_is_bounded_by_the_tile_budget():
     finally:
         tracemalloc.stop()
     assert trace.shape == (steps, 4)
+    assert peak < 8 * TILE_BYTES
+    # A stack of six levels shares the budget, in chunks a sixth as long:
+    # its peak measures 1.9 x TILE_BYTES.
+    augs = [
+        AugmentationSet(
+            (identity(), sign_flip_mask(signs), additive_shift(tuple(rng.uniform(-0.2, 0.2, d)))),
+            grid_resolution=3,
+        )
+        for _ in range(6)
+    ]
+    tracemalloc.start()
+    try:
+        stacked = encoder._train_stack([model] * 6, ds, augs, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(trace.shape == (steps, 4) for _, trace in stacked)
     assert peak < 8 * TILE_BYTES
 
 

@@ -51,13 +51,14 @@ the discrete members (1/(2m) each) and the continuous family (theta uniform
 on the cube); with no continuous member all mass is discrete. Expectations
 over enumerated views use matching weights so sampled and enumerated
 quantities estimate the same thing.
+
+A set has no identity on disk but its JSON form (``core.spec_dict``) in the
+``config.json`` written beside every artifact.
 """
 
 from __future__ import annotations
 
 import contextvars
-import hashlib
-import json
 import math
 import os
 import threading
@@ -68,7 +69,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import Dataset, spec_dict
+from .core import Dataset
 
 __all__ = [
     "Transform",
@@ -384,11 +385,6 @@ class AugmentationSet:
         """Raise ``ValueError`` unless every member acts on ``dim``-dimensional points."""
         for transform in self.transforms:
             transform.check_dimension(dim)
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the set (used to stamp derived artifacts)."""
-        payload = json.dumps(spec_dict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def view_tensor(points: np.ndarray, aug: AugmentationSet) -> np.ndarray:

@@ -14,6 +14,11 @@ standardized cross-correlation setup), so it follows from the loss kind
 and the center dimension; L is a certified Lipschitz constant of the
 embedding map. Reports never feed an InfoNCE loss level into the
 cross-correlation separation bound or the other way round.
+
+A ``BoundReport`` keeps its inputs and measurements in memory for the
+checks that compare them with the bounds. Its flat form, the rows of
+``bounds.csv``, holds only what the formulas derive: each measured value
+is on disk once, in ``concentration.csv`` or ``evaluation.csv``.
 """
 
 from __future__ import annotations
@@ -315,7 +320,6 @@ class BoundInputs:
     loss_kind: str
     l1: float
     l2: float
-    lam: float
     centers: np.ndarray
 
     def __post_init__(self) -> None:
@@ -332,7 +336,7 @@ class BoundInputs:
         object.__setattr__(self, "centers", centers)
         for name in (
             "sigma", "delta", "epsilon", "r_eps", "l_pos", "lipschitz",
-            "transform_lipschitz", "l1", "l2", "lam",
+            "transform_lipschitz", "l1", "l2",
         ):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"bound input {name!r} must be finite")
@@ -363,7 +367,6 @@ class EmpiricalMeasurements:
     err: float
     class_first_moments: tuple[float, ...]
     class_second_moments: tuple[float, ...]
-    premise_fraction: float
 
 
 @dataclass(frozen=True)
@@ -399,21 +402,10 @@ class BoundReport:
     empirical: EmpiricalMeasurements
 
     def to_flat_dict(self) -> dict[str, object]:
-        """Stable key-value view used by the CSV serialization."""
-        out: dict[str, object] = {
-            "inputs.sigma": self.inputs.sigma,
-            "inputs.delta": self.inputs.delta,
-            "inputs.epsilon": self.inputs.epsilon,
-            "inputs.r_eps": self.inputs.r_eps,
-            "inputs.l_pos": self.inputs.l_pos,
-            "inputs.lipschitz": self.inputs.lipschitz,
-            "inputs.radius": self.inputs.radius,
-            "inputs.loss_kind": self.inputs.loss_kind,
-            "inputs.l1": self.inputs.l1,
-            "inputs.l2": self.inputs.l2,
-            "inputs.lam": self.inputs.lam,
-            "inputs.delta_mu": self.inputs.delta_mu,
-        }
+        """Stable key-value view of the derived values: the rows of a
+        ``bounds.csv`` cell. The inputs and measurements are not repeated
+        here; ``concentration.csv`` and ``evaluation.csv`` hold them."""
+        out: dict[str, object] = {}
         for k, value in enumerate(self.rho_per_class):
             out[f"rho.class_{k}"] = value
         out["rho.max"] = self.rho_max
@@ -443,17 +435,6 @@ class BoundReport:
         if self.combined_crosscorr is not None:
             out["combined.crosscorr.bound"] = self.combined_crosscorr[0]
             out["combined.crosscorr.valid"] = self.combined_crosscorr[1]
-        out["empirical.err"] = self.empirical.err
-        for k, (first, second) in enumerate(
-            zip(self.empirical.class_first_moments, self.empirical.class_second_moments)
-        ):
-            out[f"empirical.first_moment.class_{k}"] = first
-            out[f"empirical.second_moment.class_{k}"] = second
-        out["empirical.premise_fraction"] = self.empirical.premise_fraction
-        products = self.inputs.centers @ self.inputs.centers.T
-        for k in range(self.inputs.num_classes):
-            for l in range(k + 1, self.inputs.num_classes):
-                out[f"empirical.mu_product.{k}_{l}"] = float(products[k, l])
         return out
 
 

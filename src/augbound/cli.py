@@ -8,7 +8,8 @@ concentration, train, evaluate, bounds); the artifacts it persists are
 byte-identical across reruns with the same config and seed.
 
 Exit codes: 0 success, 2 config error or an output directory that cannot
-be created, 3 stage failure.
+be written (outside a stage: the directory, ``config.json``, a sweep's
+level directories and summary files), 3 stage failure.
 """
 
 from __future__ import annotations
@@ -136,11 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot write output directory {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
+        os.makedirs(args.out, exist_ok=True)
         _run(args.command, config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -148,6 +145,12 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(exc, file=sys.stderr)
         return 3
+    except OSError as exc:
+        # Stages report their own IO errors as StageError; what is left is
+        # writing the output tree: the directory, config.json, sweep files.
+        where = "" if exc.filename in (None, args.out) else f": {exc.filename}"
+        print(f"cannot write output directory {args.out}: {exc.strerror}{where}", file=sys.stderr)
+        return 2
     return 0
 
 

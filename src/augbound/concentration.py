@@ -21,6 +21,10 @@ therefore accepts a baseline estimate whose main parts are revalidated
 against the current graph and kept when they are larger; a part certified
 at a smaller threshold (or a leaner augmentation set) stays certified,
 which restores monotonicity without giving up on certificates.
+
+The module does no file IO. ``experiments.stage_concentration`` writes each
+estimate to ``concentration.csv``, one row per delta and class, the
+main-part members included.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ __all__ = [
     "approx_max_clique",
     "estimate_sigma",
     "sigma_delta_curve",
-    "save_concentration",
-    "load_concentration",
 ]
 
 EXACT_CLIQUE_BUDGET = 32
@@ -287,95 +289,3 @@ def sigma_delta_curve(
     along the curve in both modes.
     """
     return _curve(dataset, aug, [float(d) for d in deltas], mode, None)
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-_RECORD_COLUMNS = "class_id,class_size,main_part_size,sigma_k,mode,members"
-
-
-def save_concentration(estimate: ConcentrationEstimate, path: str, fingerprint: str) -> None:
-    """Record file: a stamped header plus one line per class."""
-    lines = [
-        f"# delta={float(estimate.delta)!r} sigma={float(estimate.sigma)!r} "
-        f"mode={estimate.mode} fingerprint={fingerprint}",
-        _RECORD_COLUMNS,
-    ]
-    for k, (sig, part) in enumerate(zip(estimate.per_class_sigma, estimate.main_parts)):
-        size = round(len(part) / sig)
-        members = " ".join(str(i) for i in part)
-        lines.append(f"{k},{size},{len(part)},{float(sig)!r},{estimate.mode},{members}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_concentration(path: str) -> tuple[ConcentrationEstimate, str]:
-    """Read a record file back; returns the estimate and the fingerprint."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if len(lines) < 3 or not lines[0].startswith("# "):
-        raise ValueError(f"{path}: not a concentration record")
-    tokens = lines[0][2:].split()
-    bad = [tok for tok in tokens if "=" not in tok]
-    if bad:
-        raise ValueError(f"{path}: record header token {bad[0]!r} is not key=value")
-    header = dict(tok.split("=", 1) for tok in tokens)
-    missing = [key for key in ("delta", "sigma", "mode", "fingerprint") if key not in header]
-    if missing:
-        raise ValueError(f"{path}: record header lacks {', '.join(missing)}")
-    try:
-        delta, sigma = float(header["delta"]), float(header["sigma"])
-    except ValueError:
-        raise ValueError(
-            f"{path}: record header delta={header['delta']} sigma={header['sigma']} is not numeric"
-        ) from None
-    if lines[1] != _RECORD_COLUMNS:
-        raise ValueError(f"{path}: line 2 is {lines[1]!r}, not the header {_RECORD_COLUMNS!r}")
-    per_class: list[float] = []
-    parts: list[tuple[int, ...]] = []
-    for ln in lines[2:]:
-        if not ln:
-            continue
-        fields = ln.split(",")
-        if len(fields) != 6:
-            raise ValueError(f"{path}: malformed class row {ln!r}")
-        try:
-            class_size, part_size = int(fields[1]), int(fields[2])
-            sig = float(fields[3])
-            part = tuple(int(v) for v in fields[5].split())
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed class row {ln!r}: {exc}") from None
-        where = f"{path}: class row {ln!r}"
-        if fields[0] != str(len(per_class)):
-            raise ValueError(f"{where} has class_id {fields[0]!r}, expected {len(per_class)}")
-        # Written so that NaN fails.
-        if not 0.0 < sig <= 1.0:
-            raise ValueError(f"{where} has sigma_k {sig!r} outside (0, 1]")
-        if part_size != len(part):
-            raise ValueError(f"{where} lists {len(part)} members under main_part_size {part_size}")
-        if class_size != round(part_size / sig):
-            raise ValueError(
-                f"{where} has class_size {class_size}, not round(main_part_size / sigma_k)"
-            )
-        if fields[4] != header["mode"]:
-            raise ValueError(f"{where} has mode {fields[4]!r}, the header {header['mode']!r}")
-        per_class.append(sig)
-        parts.append(part)
-    try:
-        estimate = ConcentrationEstimate(
-            delta=delta,
-            per_class_sigma=tuple(per_class),
-            main_parts=tuple(parts),
-            mode=header["mode"],  # type: ignore[arg-type]
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if sigma != estimate.sigma:
-        raise ValueError(
-            f"{path}: record header sigma={header['sigma']} is not the smallest "
-            f"sigma_k {estimate.sigma!r}"
-        )
-    return estimate, header["fingerprint"]

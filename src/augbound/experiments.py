@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -47,7 +48,7 @@ from .bounds import (
     delta_mu,
     full_report,
 )
-from .concentration import ConcentrationEstimate, save_concentration, sigma_delta_curve
+from .concentration import ConcentrationEstimate, sigma_delta_curve
 from .core import (
     Dataset,
     GeneratorConfig,
@@ -486,15 +487,17 @@ def stage_concentration(
         curve = sigma_delta_curve(
             dataset, config.augmentation, config.delta_grid, config.clique_mode
         )
-        fingerprint = config.augmentation.fingerprint()
-        for i, estimate in enumerate(curve):
-            path = os.path.join(out_dir, f"concentration_{i:02d}.txt")
-            save_concentration(estimate, path, fingerprint)
         write_csv(
             os.path.join(out_dir, "concentration.csv"),
-            ["delta", "class_id", "class_size", "main_part_size", "sigma_class", "sigma", "mode"],
+            [
+                "delta", "class_id", "class_size", "main_part_size",
+                "sigma_class", "sigma", "mode", "members",
+            ],
             (
-                (e.delta, k, len(dataset.class_indices(k)), len(part), sigma_k, e.sigma, e.mode)
+                (
+                    e.delta, k, len(dataset.class_indices(k)), len(part), sigma_k, e.sigma,
+                    e.mode, " ".join(map(str, part)),
+                )
                 for e in curve
                 for k, (sigma_k, part) in enumerate(zip(e.per_class_sigma, e.main_parts))
             ),
@@ -572,15 +575,14 @@ def stage_bounds(
 ) -> dict[tuple[int, int], BoundReport]:
     with _stage("bounds"):
         aug = config.augmentation
+        empirical = EmpiricalMeasurements(
+            err=bundle.err,
+            class_first_moments=bundle.first_moments,
+            class_second_moments=bundle.second_moments,
+        )
         reports: dict[tuple[int, int], BoundReport] = {}
         long_rows: list[tuple[float, float, str, object]] = []
         for i, estimate in enumerate(curve):
-            empirical = EmpiricalMeasurements(
-                err=bundle.err,
-                class_first_moments=bundle.first_moments,
-                class_second_moments=bundle.second_moments,
-                premise_fraction=bundle.premise_fractions[i],
-            )
             for j, (eps, r_eps) in enumerate(zip(config.epsilon_grid, bundle.r_eps)):
                 inputs = BoundInputs(
                     sigma=estimate.sigma,
@@ -596,7 +598,6 @@ def stage_bounds(
                     loss_kind=config.training.loss,
                     l1=bundle.loss.l1,
                     l2=bundle.loss.l2,
-                    lam=bundle.loss.lam,
                     centers=bundle.centers,
                 )
                 report = full_report(inputs, empirical)
@@ -714,6 +715,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
     taken at the last delta of the grid, the bound at the first epsilon),
     a failures CSV, and for pairs sweeps a correlation CSV with the
     Spearman rank correlation between (1 - sigma) and err at every delta.
+    Where that correlation is undefined it reads nan, and one stderr line
+    says why.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
@@ -733,8 +736,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
                 results[label] = run_experiment(level_cfg, level_dir)
             except StageError as exc:
                 failures.append((label, exc.stage, str(exc)))
-            except ConfigError as exc:
-                failures.append((label, "config", str(exc)))
     finally:
         _SWEEP_TRAINING.reset(token)
 
@@ -775,18 +776,20 @@ def _write_pairs_correlation(
     errs = [results[label].bundle.err for label in ok]
     rows = []
     for i, delta in enumerate(config.delta_grid):
-        one_minus_sigma = [1.0 - results[label].curve[i].sigma for label in ok]
-        degenerate = (
-            len(ok) < 2
-            or len(set(one_minus_sigma)) < 2
-            or len(set(errs)) < 2
-        )
-        if degenerate:
-            value = float("nan")
-        else:
-            value = _spearman(one_minus_sigma, errs)
         # Library callers may pass int deltas; the column holds floats.
-        rows.append((float(delta), value))
+        delta = float(delta)
+        one_minus_sigma = [1.0 - results[label].curve[i].sigma for label in ok]
+        if len(ok) < 2:
+            reason = "fewer than two levels completed"
+        elif len(set(one_minus_sigma)) < 2:
+            reason = "1 - sigma is the same at every level"
+        elif len(set(errs)) < 2:
+            reason = "err is the same at every level"
+        else:
+            rows.append((delta, _spearman(one_minus_sigma, errs)))
+            continue
+        print(f"spearman at delta {csv_value(delta)} is nan: {reason}", file=sys.stderr)
+        rows.append((delta, float("nan")))
     write_csv(os.path.join(out_dir, "correlation.csv"), ["delta", "spearman"], rows)
 
 

@@ -338,8 +338,6 @@ EXPECTED_ARTIFACTS = (
     "model.bin",
     "trace.csv",
     "concentration.csv",
-    "concentration_00.txt",
-    "concentration_01.txt",
     "evaluation.csv",
     "bounds.csv",
 )
@@ -367,6 +365,61 @@ def test_bounds_csv_covers_the_full_grid(tmp_path):
     assert epsilons == {repr(0.1), repr(0.2)}
     keys = {row["key"] for row in rows}
     assert "thm1.bound" in keys and "thm2.bound" in keys
+    assert not any(key.startswith(("inputs.", "empirical.")) for key in keys)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("mode", ["exact", "dual_approx"])
+def test_concentration_csv_members_are_the_main_parts(tmp_path, mode):
+    config = config_from_dict(
+        _config_dict(dataset={"cluster_spread": 0.5}, analysis={"clique_mode": mode})
+    )
+    result = run_experiment(config, str(tmp_path / "run"))
+    rows = _csv_rows(tmp_path / "run" / "concentration.csv")
+    expected = [
+        (csv_value(estimate.delta), str(k), part)
+        for estimate in result.curve
+        for k, part in enumerate(estimate.main_parts)
+    ]
+    got = [
+        (row["delta"], row["class_id"], tuple(int(v) for v in row["members"].split()))
+        for row in rows
+    ]
+    assert got == expected
+    # A main part smaller than its class, so the column is not every sample.
+    assert len(result.curve[0].main_parts[0]) < 6
+    assert all(int(row["main_part_size"]) == len(row["members"].split()) for row in rows)
+
+
+def test_each_measured_input_of_a_report_is_on_disk_once_outside_bounds_csv(tmp_path):
+    config = config_from_dict(_config_dict())
+    out = tmp_path / "run"
+    result = run_experiment(config, str(out))
+    measured = {row["key"]: row["value"] for row in _csv_rows(out / "evaluation.csv")}
+    sigma_at = {row["delta"]: row["sigma"] for row in _csv_rows(out / "concentration.csv")}
+    for (i, _), report in result.reports.items():
+        inputs, empirical = report.inputs, report.empirical
+        assert sigma_at[csv_value(inputs.delta)] == csv_value(inputs.sigma)
+        assert measured[f"r_eps.{csv_value(inputs.epsilon)}"] == csv_value(inputs.r_eps)
+        premise = result.bundle.premise_fractions[i]
+        assert measured[f"premise_fraction.delta_{i}"] == csv_value(premise)
+        for key, value in [
+            ("err", empirical.err),
+            ("lipschitz", inputs.lipschitz),
+            ("radius", inputs.radius),
+            ("delta_mu", inputs.delta_mu),
+            ("l_pos", inputs.l_pos),
+            ("loss.kind", inputs.loss_kind),
+            ("loss.l1", inputs.l1),
+            ("loss.l2", inputs.l2),
+            ("moment.first.class_1", empirical.class_first_moments[1]),
+            ("moment.second.class_1", empirical.class_second_moments[1]),
+        ]:
+            assert measured[key] == csv_value(value), key
 
 
 def test_the_canonical_cell_of_bounds_csv_is_the_canonical_report(tmp_path, monkeypatch):
@@ -447,11 +500,7 @@ def test_stage_error_names_the_stage_and_keeps_artifacts(tmp_path):
 # the files the stage writes.
 _STAGE_FILES = [
     ("dataset", "generate_dataset", ["dataset.csv"]),
-    (
-        "concentration",
-        "sigma_delta_curve",
-        ["concentration.csv", "concentration_00.txt", "concentration_01.txt"],
-    ),
+    ("concentration", "sigma_delta_curve", ["concentration.csv"]),
     ("train", "train", ["model.bin", "trace.csv"]),
     ("evaluate", "embed_views", ["evaluation.csv"]),
     ("bounds", "full_report", ["bounds.csv"]),
@@ -640,11 +689,6 @@ def test_sweep_validation_errors():
         run_sweep(config_from_dict(_config_dict()), "unused")
 
 
-def _read_summary(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def test_single_level_sweep_equals_direct_run(tmp_path):
     _, rich = _richness_levels()
     config = config_from_dict(
@@ -654,7 +698,7 @@ def test_single_level_sweep_equals_direct_run(tmp_path):
     result = run_sweep(config, str(sweep_dir))
     assert result.levels == ("2",)
     assert result.failures == ()
-    rows = _read_summary(sweep_dir / "summary.csv")
+    rows = _csv_rows(sweep_dir / "summary.csv")
     assert len(rows) == 1
 
     direct = run_experiment(
@@ -691,7 +735,7 @@ def test_richness_sweep_levels_and_failure_recovery(tmp_path):
         "stage 'concentration' failed: "
         "additive_shift length does not match feature dimension 2"
     )
-    rows = _read_summary(out / "summary.csv")
+    rows = _csv_rows(out / "summary.csv")
     assert [r["level"] for r in rows] == ["1", "2"]
     with open(out / "failures.csv", newline="") as fh:
         failure_rows = list(csv.DictReader(fh))
@@ -710,12 +754,12 @@ _PAIRS_CATALOG = [
 ]
 
 
-def test_pairs_sweep_enumerates_two_subsets(tmp_path):
+def test_pairs_sweep_enumerates_two_subsets(tmp_path, capsys):
     config = config_from_dict(_config_dict(sweep={"kind": "pairs", "levels": _PAIRS_CATALOG}))
     out = tmp_path / "pairs"
     result = run_sweep(config, str(out))
     assert result.levels == ("0_1", "0_2", "0_3", "1_2", "1_3", "2_3")
-    rows = _read_summary(out / "summary.csv")
+    rows = _csv_rows(out / "summary.csv")
     assert len(rows) == 6
     with open(out / "correlation.csv", newline="") as fh:
         corr = list(csv.DictReader(fh))
@@ -723,6 +767,10 @@ def test_pairs_sweep_enumerates_two_subsets(tmp_path):
     for row in corr:
         value = float(row["spearman"])
         assert math.isnan(value) or -1.0 <= value <= 1.0
+    # One stderr line per nan, naming its delta.
+    said = [line.split(" is nan: ")[0] for line in capsys.readouterr().err.splitlines()]
+    nan_deltas = [row["delta"] for row in corr if row["spearman"] == "nan"]
+    assert said == [f"spearman at delta {delta}" for delta in nan_deltas]
 
 
 def _tied_values(rng, n):
@@ -753,16 +801,17 @@ def _read_correlation(path):
     return rows[1:]
 
 
-def test_pairs_correlation_is_nan_exactly_for_degenerate_inputs(tmp_path):
-    def level(one_minus_sigma, err):
-        curve = [SimpleNamespace(sigma=1.0 - s) for s in one_minus_sigma]
-        return SimpleNamespace(curve=curve, bundle=SimpleNamespace(err=err))
+def _level(one_minus_sigma, err):
+    curve = [SimpleNamespace(sigma=1.0 - s) for s in one_minus_sigma]
+    return SimpleNamespace(curve=curve, bundle=SimpleNamespace(err=err))
 
+
+def test_pairs_correlation_is_nan_exactly_for_degenerate_inputs(tmp_path):
     config = SimpleNamespace(delta_grid=(0.5, 1, 2.0))
     varied = {
-        "0_1": level((0.5, 0.25, 0.0), 0.125),
-        "0_2": level((0.75, 0.25, 0.0), 0.375),
-        "1_2": level((0.25, 0.25, 0.0), 0.25),
+        "0_1": _level((0.5, 0.25, 0.0), 0.125),
+        "0_2": _level((0.75, 0.25, 0.0), 0.375),
+        "1_2": _level((0.25, 0.25, 0.0), 0.25),
     }
     experiments._write_pairs_correlation(config, varied, ["0_1", "0_2", "1_2"], str(tmp_path))
     expected = experiments._spearman([0.5, 0.75, 0.25], [0.125, 0.375, 0.25])
@@ -771,12 +820,45 @@ def test_pairs_correlation_is_nan_exactly_for_degenerate_inputs(tmp_path):
         ["1.0", "nan"],  # constant 1 - sigma
         ["2.0", "nan"],
     ]
-    same_err = {label: level((s, 0.5, 0.0), 0.25) for label, s in (("a", 0.5), ("b", 0.75))}
+    same_err = {label: _level((s, 0.5, 0.0), 0.25) for label, s in (("a", 0.5), ("b", 0.75))}
     experiments._write_pairs_correlation(config, same_err, ["a", "b"], str(tmp_path))
     assert [row[1] for row in _read_correlation(tmp_path / "correlation.csv")] == ["nan"] * 3
     one_level = {"a": varied["0_1"]}
     experiments._write_pairs_correlation(config, one_level, ["a", "b"], str(tmp_path))
     assert [row[1] for row in _read_correlation(tmp_path / "correlation.csv")] == ["nan"] * 3
+
+
+@pytest.mark.parametrize(
+    "levels, reasons",
+    [
+        (
+            {"a": _level((0.5, 0.25, 0.0), 0.125), "b": _level((0.75, 0.25, 0.0), 0.375)},
+            [None, "1 - sigma is the same at every level", "1 - sigma is the same at every level"],
+        ),
+        (
+            # At the second delta both are constant; 1 - sigma is named first.
+            {"a": _level((0.5, 0.25), 0.25), "b": _level((0.75, 0.25), 0.25)},
+            ["err is the same at every level", "1 - sigma is the same at every level"],
+        ),
+        ({"a": _level((0.5,), 0.125)}, ["fewer than two levels completed"]),
+        ({}, ["fewer than two levels completed"] * 2),
+    ],
+)
+def test_a_pairs_sweep_says_on_stderr_why_each_nan_spearman_is_nan(
+    tmp_path, capsys, levels, reasons
+):
+    deltas = (0.5, 1, 2.0)[: len(reasons)]
+    config = SimpleNamespace(delta_grid=deltas)
+    experiments._write_pairs_correlation(config, levels, ["a", "b"], str(tmp_path))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"spearman at delta {float(delta)!r} is nan: {reason}"
+        for delta, reason in zip(deltas, reasons)
+        if reason is not None
+    ]
+    values = [row[1] for row in _read_correlation(tmp_path / "correlation.csv")]
+    assert [value == "nan" for value in values] == [reason is not None for reason in reasons]
 
 
 _SCIPY_FREE_RUN = """
@@ -981,6 +1063,52 @@ def test_an_output_directory_under_or_at_a_file_exits_2(tmp_path, capsys, under,
     assert captured.err == f"cannot write output directory {out}: {reason}\n"
     assert captured.out == ""
     assert blocker.read_text() == "a file"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "concentration", "evaluate", "bounds"])
+def test_a_config_json_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    path = _write_config(tmp_path, _config_dict())
+    out = tmp_path / "out"
+    (out / "config.json").mkdir(parents=True)
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"cannot write output directory {out}: Is a directory: {out / 'config.json'}\n"
+    )
+    assert captured.out == ""
+    assert os.listdir(out) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "blocked, reason",
+    [
+        ("config.json", "Is a directory"),
+        ("level_00", "File exists"),
+        ("level_01", "File exists"),
+        ("summary.csv", "Is a directory"),
+        ("failures.csv", "Is a directory"),
+    ],
+)
+def test_a_sweep_whose_output_tree_cannot_be_written_exits_2(tmp_path, capsys, blocked, reason):
+    sweep = {"kind": "strength", "levels": [1.0, 2.0]}
+    path = _write_config(tmp_path, _config_dict(sweep=sweep))
+    out = tmp_path / "sweep"
+    out.mkdir()
+    if blocked.startswith("level_"):
+        (out / blocked).write_text("a file")
+    else:
+        (out / blocked).mkdir()
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write output directory {out}: {reason}: {out / blocked}\n"
+    assert captured.out == ""
+
+
+def test_cli_concentration_writes_exactly_its_artifacts(tmp_path):
+    path = _write_config(tmp_path, _config_dict())
+    out = tmp_path / "out"
+    assert main(["concentration", "--config", path, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["concentration.csv", "config.json", "dataset.csv"]
 
 
 def test_every_csv_of_a_bounds_run_and_a_sweep_parses_and_ends_lines_with_crlf(tmp_path):

@@ -14,8 +14,6 @@ from augbound.concentration import (
     build_threshold_graph,
     estimate_sigma,
     exact_max_clique,
-    load_concentration,
-    save_concentration,
     sigma_delta_curve,
 )
 from augbound.core import Dataset, GeneratorConfig, generate_dataset
@@ -407,137 +405,3 @@ def test_estimate_rejects_inconsistent_construction():
             main_parts=((0,),),
             mode="exact",
         )
-
-
-def test_concentration_record_round_trip(tmp_path):
-    ds = _blob_dataset(samples=6, seed=8)
-    aug = _identity_aug()
-    est = estimate_sigma(ds, aug, 0.7, mode="exact")
-    path = tmp_path / "conc.txt"
-    save_concentration(est, str(path), aug.fingerprint())
-    back, fingerprint = load_concentration(str(path))
-    assert fingerprint == aug.fingerprint()
-    assert back.delta == est.delta
-    assert back.sigma == est.sigma
-    assert back.per_class_sigma == est.per_class_sigma
-    assert back.main_parts == est.main_parts
-    assert back.mode == est.mode
-
-
-@pytest.mark.parametrize("key", ["delta", "sigma", "mode", "fingerprint"])
-def test_concentration_record_header_lacking_a_key_names_the_path(tmp_path, key):
-    ds = _blob_dataset(samples=6, seed=8)
-    aug = _identity_aug()
-    path = tmp_path / "conc.txt"
-    save_concentration(estimate_sigma(ds, aug, 0.7), str(path), aug.fingerprint())
-    header, rest = path.read_text().split("\n", 1)
-    kept = [tok for tok in header[2:].split() if not tok.startswith(f"{key}=")]
-    path.write_text("# " + " ".join(kept) + "\n" + rest)
-    with pytest.raises(ValueError, match=f"conc.txt: record header lacks {key}"):
-        load_concentration(str(path))
-
-
-def _saved_record(tmp_path):
-    ds = _blob_dataset(samples=6, seed=8)
-    aug = _identity_aug()
-    path = tmp_path / "conc.txt"
-    save_concentration(estimate_sigma(ds, aug, 0.7), str(path), aug.fingerprint())
-    return path
-
-
-def test_concentration_record_header_sigma_must_be_the_smallest_sigma_k(tmp_path):
-    path = _saved_record(tmp_path)
-    sigma = load_concentration(str(path))[0].sigma
-    path.write_text(path.read_text().replace(f"sigma={sigma!r}", f"sigma={sigma / 2!r}", 1))
-    with pytest.raises(ValueError, match="conc.txt: record header sigma=.* is not the smallest"):
-        load_concentration(str(path))
-
-
-def test_concentration_record_header_token_without_equals_names_the_path(tmp_path):
-    path = _saved_record(tmp_path)
-    header, rest = path.read_text().split("\n", 1)
-    path.write_text(header + " junk\n" + rest)
-    with pytest.raises(ValueError, match="conc.txt: record header token 'junk' is not key=value"):
-        load_concentration(str(path))
-
-
-@pytest.mark.parametrize("key", ["delta", "sigma"])
-def test_concentration_record_header_non_numeric_value_names_the_path(tmp_path, key):
-    path = _saved_record(tmp_path)
-    header, rest = path.read_text().split("\n", 1)
-    tokens = [f"{key}=abc" if tok.startswith(f"{key}=") else tok for tok in header[2:].split()]
-    path.write_text("# " + " ".join(tokens) + "\n" + rest)
-    with pytest.raises(ValueError, match=f"conc.txt: record header .*{key}=abc.* is not numeric"):
-        load_concentration(str(path))
-
-
-@pytest.mark.parametrize("column", [3, 5])
-def test_concentration_record_non_numeric_class_row_names_the_path(tmp_path, column):
-    path = _saved_record(tmp_path)
-    lines = path.read_text().splitlines()
-    fields = lines[2].split(",")
-    fields[column] = "abc"
-    lines[2] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="conc.txt: malformed class row .*abc"):
-        load_concentration(str(path))
-
-
-def _edit_class_row(path, column, value):
-    lines = path.read_text().splitlines()
-    fields = lines[2].split(",")
-    fields[column] = value
-    lines[2] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    return lines[2]
-
-
-def test_concentration_record_sigma_k_out_of_range_names_the_path(tmp_path):
-    path = _saved_record(tmp_path)
-    _edit_class_row(path, 3, "7.5")
-    with pytest.raises(ValueError, match=r"conc.txt: class row .* sigma_k 7.5 outside \(0, 1\]"):
-        load_concentration(str(path))
-
-
-def test_concentration_record_members_must_match_main_part_size(tmp_path):
-    path = _saved_record(tmp_path)
-    row = _edit_class_row(path, 5, " 99 98")
-    assert int(row.split(",")[2]) > 2
-    with pytest.raises(ValueError, match="conc.txt: class row .* lists 2 members under main_part"):
-        load_concentration(str(path))
-
-
-def test_concentration_record_class_size_must_match_part_size_over_sigma(tmp_path):
-    path = _saved_record(tmp_path)
-    size = int(path.read_text().splitlines()[2].split(",")[1])
-    _edit_class_row(path, 1, str(size + 1))
-    with pytest.raises(ValueError, match=f"conc.txt: class row .* class_size {size + 1}, not"):
-        load_concentration(str(path))
-
-
-def test_concentration_record_row_mode_must_match_the_header(tmp_path):
-    path = _saved_record(tmp_path)
-    assert "mode=exact" in path.read_text().splitlines()[0]
-    _edit_class_row(path, 4, "dual_approx")
-    with pytest.raises(ValueError, match="conc.txt: class row .* mode 'dual_approx', the header"):
-        load_concentration(str(path))
-
-
-def test_concentration_record_class_ids_must_count_rows_from_zero(tmp_path):
-    path = _saved_record(tmp_path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4  # header, columns and one row per class
-    for i in (2, 3):
-        lines[i] = "7" + lines[i][1:]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="conc.txt: class row '7,.* has class_id '7', expected 0"):
-        load_concentration(str(path))
-
-
-def test_concentration_record_needs_the_column_header(tmp_path):
-    path = _saved_record(tmp_path)
-    lines = path.read_text().splitlines()
-    lines[1] = "class_id,size,junk,sigma_k,mode,members"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="conc.txt: line 2 is 'class_id,size,junk.*not the header"):
-        load_concentration(str(path))

@@ -149,7 +149,6 @@ def test_config_round_trips_through_its_json_form(seed):
     written = config_to_dict(config)
     again = config_from_dict(json.loads(json.dumps(written)))
     assert again == config
-    assert again.augmentation.fingerprint() == config.augmentation.fingerprint()
     assert config_to_dict(again) == written
 
 
@@ -176,7 +175,7 @@ def test_an_integer_read_as_a_float_comes_back_as_a_float():
     assert all(type(v) is float for v in config.augmentation.transforms[1].scale_span)
     as_floats = read(1.0, 2.0, 3.0)
     assert json.dumps(config_to_dict(config)) == json.dumps(config_to_dict(as_floats))
-    assert config.augmentation.fingerprint() == as_floats.augmentation.fingerprint()
+    assert config == as_floats
 
 
 @pytest.mark.parametrize(

@@ -34,17 +34,13 @@ those few are recomputed with the exact float64 formula on the unscaled
 views, so each entry is bit-identical to the pairwise
 ``augmented_distance``. ``distance_matrix``'s docstring derives the bound.
 
-``distance_matrix`` and the population InfoNCE of ``evaluation`` share one
-split rule (``_tile_budget`` and ``_run_split``). A job that fits one
-``TILE_BYTES`` tile runs inline on the calling thread. A larger job is cut
-into tiles of at most ``TILE_BYTES // _WORKERS``, and with two usable CPUs
-the calling thread works through every other tile while one helper thread,
-started for that call, works through the rest; the tiles in flight still
-total at most one ``TILE_BYTES``. BLAS and numpy's ufuncs release the GIL,
-so the two shares run in parallel. Each tile writes its own slice of
-the output, so results do not depend on the worker count or the tiling. A
-call uses at most one helper thread; pinning the process to one CPU
-(``taskset -c 0``) makes both kernels single-threaded.
+``distance_matrix`` works through all its tiles on the calling thread, one
+at a time, so the tiles in flight never exceed one ``TILE_BYTES``. Each
+row of tiles ends in a finish of many small numpy calls, whose share of a
+second thread would mostly wait for the GIL; the population InfoNCE of
+``evaluation``, whose tiles are a few long ufunc passes, keeps its helper
+thread. Each tile writes its own entries of the output, so results do not
+depend on the tiling.
 
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
@@ -58,11 +54,7 @@ A set has no identity on disk but its JSON form (``core.spec_dict``) in the
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -106,63 +98,6 @@ TILE_BYTES = 2 << 20
 
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Threads that compute the tiles of one job: the calling thread plus at most
-# one helper.
-_WORKERS = min(2, _usable_cpus())
-
-
-def _tile_budget(job_bytes: int, tile_bytes: int) -> int:
-    """Byte budget of one tile of a job that needs ``job_bytes`` in all.
-
-    A job that fits ``tile_bytes`` keeps it whole and runs inline; a larger
-    one gives each of the ``_WORKERS`` threads an equal share, so the tiles
-    in flight together stay within ``tile_bytes``.
-    """
-    return tile_bytes if job_bytes <= tile_bytes else tile_bytes // _WORKERS
-
-
-def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
-    """Run ``work`` over ``items`` on the calling thread and at most one helper.
-
-    With ``_WORKERS >= 2`` and two items or more, a new thread runs
-    ``work(items[1::2])`` while the calling thread runs ``work(items[0::2])``;
-    otherwise the calling thread runs ``work(items)`` alone. The helper runs
-    in a copy of the caller's context, so numpy's error state, a context
-    variable, is the caller's in both shares. The helper is joined before
-    this returns or raises. An error of the calling thread's share
-    propagates as raised; otherwise an error of the helper's share is
-    re-raised here with its type and traceback.
-    """
-    if _WORKERS < 2 or len(items) < 2:
-        work(items)
-        return
-    errors: list[BaseException] = []
-
-    def helper() -> None:
-        try:
-            work(items[1::2])
-        except BaseException as exc:  # handed to the calling thread below
-            errors.append(exc)
-
-    thread = threading.Thread(
-        target=contextvars.copy_context().run, args=(helper,), name="augbound-tiles", daemon=True
-    )
-    thread.start()
-    try:
-        work(items[0::2])
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -468,26 +403,23 @@ def distance_matrix(
     Returns an (N, N) symmetric matrix with zero diagonal where N is the
     number of selected samples (row order follows dataset order). Every
     entry is bit-identical to ``augmented_distance`` of the two points,
-    whatever the worker count or tiling.
+    whatever the tiling.
 
     A job whose (D + 1)·(N·V)² squared differences and distances fit in
     ``TILE_BYTES`` at 8 bytes each computes every view pair with the exact
     formula of ``_sqeuclidean``. A larger job searches only the upper
     triangle, in square tiles of ``side`` samples per axis whose (side·V)²
-    float32 view pairs fit the tile budget at 4 bytes each (one sample per
-    side at least). The budget is ``TILE_BYTES`` when the whole (N·V)² job
-    fits it at 4 bytes each, which then runs inline as a single tile.
-    Otherwise it is ``TILE_BYTES // _WORKERS``, and the calling thread works
-    through every other tile while one helper thread works through the rest
-    (``_run_split``). Extra memory is about one ``TILE_BYTES`` plus the
-    output, the N·V·D views and their lifted N·V·(D+2) float32 copy.
+    float32 view pairs fit ``TILE_BYTES`` at 4 bytes each (one sample per
+    side at least). The calling thread computes them one at a time, so
+    extra memory is about one ``TILE_BYTES`` plus the output, the N·V·D
+    views and their lifted N·V·(D+2) float32 copy.
 
     A tile is one float32 GEMM: with ĉ the views centered on their mean and
     scaled, and q = ‖ĉ‖², the rows ``[-2ĉ, 1, q]`` times the lifted views
     ``[ĉ, q, 1]`` give every scaled squared view distance approximately, and
     the tile keeps only, for each column, its minimum over each row sample's
-    views (``_tile_colmin``). Once a thread has done its tiles of a row of
-    tiles, ``_column_limits`` gives each sample pair the limit m + 2E below
+    views (``_tile_colmin``). Once the tiles of a row of tiles are done,
+    ``_column_limits`` gives each sample pair the limit m + 2E below
     and picks the columns that reach it; those columns are recomputed
     against the row samples' views in one more GEMM, and the view pairs that
     reach the limit are the candidates, a few per sample pair. Only they are
@@ -546,8 +478,7 @@ def distance_matrix(
         # A job this small costs less with the exact formula on every pair.
         sq = _sqeuclidean(coords[:, :, None], coords[:, None, :])
         return _finish_distances(sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
-    budget = _tile_budget(4 * (n * v) ** 2, TILE_BYTES)
-    side = max(1, math.isqrt(budget // 4) // v)
+    side = max(1, math.isqrt(TILE_BYTES // 4) // v)
     keep = np.tile(_distinct_views(views), n)
     # Indices, within a row of tiles, of the distinct views of its samples.
     rowsel = (v * np.arange(side)[:, None] + keep[:v].nonzero()[0]).reshape(-1)
@@ -567,7 +498,7 @@ def distance_matrix(
         left = left.take(rows, axis=0)
         rowview = i0 * v + rows
         w = rows.size // ni
-        step = max(1, budget // (16 * rows.size))
+        step = max(1, TILE_BYTES // (16 * rows.size))
         for lo in range(0, colview.size, step):
             cols = colview[lo : lo + step]
             g = left @ lifted.take(cols, axis=0).T
@@ -577,22 +508,21 @@ def distance_matrix(
             exact = _sqeuclidean(coords.take(r, axis=1), coords.take(c, axis=1))
             np.minimum.at(out.reshape(-1), r // v * n + c // v, exact)
 
-    def work(tiles: Sequence[tuple[int, int]]) -> None:
+    for i0 in range(0, n, side):
+        left = _left_operand(lifted[i0 * v : (i0 + side) * v])
         parts: list[tuple[int, np.ndarray]] = []
         held = 0
-        for k, (i0, j0) in enumerate(tiles):
-            if not parts:
-                left = _left_operand(lifted[i0 * v : (i0 + side) * v])
+        for j0 in range(i0, n, side):
             colmin = _tile_colmin(left, lifted[j0 * v : (j0 + side) * v], v)
             parts.append((j0, colmin))
             held += colmin.nbytes
-            # A thread finishes a row of tiles at once, or a part of one
-            # when its column minima reach an eighth of the budget.
-            if k + 1 == len(tiles) or tiles[k + 1][0] != i0 or 8 * held >= budget:
+            # A row of tiles is finished at once, or a part of one when its
+            # column minima reach an eighth of the budget.
+            if 8 * held >= TILE_BYTES:
                 finish(i0, left, parts)
                 parts, held = [], 0
-
-    _run_split(work, [(i0, j0) for i0 in range(0, n, side) for j0 in range(i0, n, side)])
+        if parts:
+            finish(i0, left, parts)
     return _finish_distances(np.minimum(out, out.T))
 
 
@@ -665,11 +595,11 @@ def _column_limits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The columns of one row of tiles that may hold a candidate, and their limits.
 
-    ``colmin`` (ni, W) holds the column minima of a thread's tiles of the row
-    whose samples start at ``i0``, and ``colview`` (W,) the view index of
-    each column. The limit of a sample pair is its smallest GEMM value plus
-    2E; a column may hold a candidate of a row sample when its minimum over
-    that sample's views reaches the limit. Returns the (ni, U) limits of the
+    ``colmin`` (ni, W) holds the column minima of the tiles, or of a run of
+    them, of the row whose samples start at ``i0``, and ``colview`` (W,) the
+    view index of each column. The limit of a sample pair is its smallest
+    GEMM value plus 2E; a column may hold a candidate of a row sample when
+    its minimum over that sample's views reaches the limit. Returns the (ni, U) limits of the
     U columns of views that ``keep`` marks (a mask over all N·V views) and
     that some row sample's limit reaches, and their view indices. A sample
     paired with itself gets no limit: its distance is zero.

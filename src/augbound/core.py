@@ -258,11 +258,35 @@ def csv_value(value: object) -> str:
 
 
 def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
-    """Write ``header`` then ``rows`` to ``path``, every cell through :func:`csv_value`."""
+    """Write ``header`` then ``rows`` to ``path``, every cell through :func:`csv_value`.
+
+    The bytes are those of ``csv.writer``'s default dialect: minimal quoting
+    and CRLF line ends. The file is built as one string and written at once.
+    """
+    lines = [_csv_record(list(header))]
+    lines += [_csv_record([csv_value(cell) for cell in row]) for row in rows]
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([csv_value(cell) for cell in row] for row in rows)
+        fh.write("\r\n".join(lines))
+
+
+def _csv_record(cells: list[str]) -> str:
+    """One CSV line as ``csv.writer`` writes it, without the line end.
+
+    A cell that holds a comma, a quote, CR or LF is quoted, its quotes
+    doubled; a record of one empty cell is written ``""`` so that it reads
+    back as one cell, not as a blank line.
+    """
+    line = ",".join(cells)
+    if line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
+        line = ",".join(_quoted(cell) for cell in cells)
+    return '""' if cells == [""] else line
+
+
+def _quoted(cell: str) -> str:
+    if any(ch in cell for ch in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def spec_dict(obj: object) -> dict:

@@ -25,13 +25,17 @@ sqrt(d) in the mean-square sense.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses as losses_mod
-from .augment import TILE_BYTES, _run_split, _sqeuclidean, _tile_budget
+from .augment import TILE_BYTES, _sqeuclidean
 from .core import Dataset
 from .encoder import EncoderModel, _norm_forward, _sums, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
@@ -173,6 +177,63 @@ def class_moments(
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that compute the tiles of one population InfoNCE term: the calling
+# thread plus at most one helper.
+_WORKERS = min(2, _usable_cpus())
+
+
+def _tile_budget(job_bytes: int, tile_bytes: int) -> int:
+    """Byte budget of one tile of a job that needs ``job_bytes`` in all.
+
+    A job that fits ``tile_bytes`` keeps it whole and runs inline; a larger
+    one gives each of the ``_WORKERS`` threads an equal share, so the tiles
+    in flight together stay within ``tile_bytes``.
+    """
+    return tile_bytes if job_bytes <= tile_bytes else tile_bytes // _WORKERS
+
+
+def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
+    """Run ``work`` over ``items`` on the calling thread and at most one helper.
+
+    With ``_WORKERS >= 2`` and two items or more, a new thread runs
+    ``work(items[1::2])`` while the calling thread runs ``work(items[0::2])``;
+    otherwise the calling thread runs ``work(items)`` alone. The helper runs
+    in a copy of the caller's context, so numpy's error state, a context
+    variable, is the caller's in both shares. The helper is joined before
+    this returns or raises. An error of the calling thread's share
+    propagates as raised; otherwise an error of the helper's share is
+    re-raised here with its type and traceback.
+    """
+    if _WORKERS < 2 or len(items) < 2:
+        work(items)
+        return
+    errors: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            work(items[1::2])
+        except BaseException as exc:  # handed to the calling thread below
+            errors.append(exc)
+
+    thread = threading.Thread(
+        target=contextvars.copy_context().run, args=(helper,), name="augbound-tiles", daemon=True
+    )
+    thread.start()
+    try:
+        work(items[0::2])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> float:
     """Population InfoNCE divergence term l2 of embeddings z, shape (N, V, d),
     whose scores differ by at most ``span`` = 2 max||z||^2 (see
@@ -188,7 +249,7 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
     within the tile budget: all of ``TILE_BYTES`` when the whole job fits
     it, which then runs inline as a single tile, else ``TILE_BYTES //
     _WORKERS``, with the calling thread computing every other tile and one
-    helper thread the rest (see ``augment._run_split``). Tiles write each
+    helper thread the rest (see ``_run_split``). Tiles write each
     row's weighted log sum and shift into two N·V vectors, which are reduced
     once at the end.
     """
@@ -303,7 +364,7 @@ def population_loss(
     ``TILE_BYTES`` tile runs inline; a larger one uses tiles of
     ``TILE_BYTES // _WORKERS``, and with two usable CPUs the calling thread
     computes half of them while one helper thread computes the other half
-    (``augment._run_split``). Scores are summed left to right over the d
+    (``_run_split``). Scores are summed left to right over the d
     coordinates, as ``augment._sqeuclidean`` does, and each row's weighted
     logs in one row ``sum``: unlike a BLAS product, whose rounding changes
     with the block shape, neither depends on the tile's width. The per-row

@@ -4,17 +4,18 @@ import threading
 
 import pytest
 
-from augbound import augment
+from augbound import evaluation
 
 
 @pytest.fixture
 def split_workers(monkeypatch):
-    """Setter of ``augment._WORKERS`` that also watches thread starts.
+    """Setter of ``evaluation._WORKERS`` that also watches thread starts.
 
     ``split_workers(2)`` lets threads start and returns a list that gets one
     entry (the thread's name) per thread started from then on.
     ``split_workers(1)`` makes starting any thread raise, as a process with
-    one usable CPU must run both tiled kernels on the calling thread alone.
+    one usable CPU must run the population InfoNCE on the calling thread
+    alone. ``augment.distance_matrix`` starts no thread under either.
     """
     real_thread = threading.Thread
     started = []
@@ -27,7 +28,7 @@ def split_workers(monkeypatch):
         raise AssertionError("a thread was started with one worker")
 
     def set_workers(workers):
-        monkeypatch.setattr(augment, "_WORKERS", workers)
+        monkeypatch.setattr(evaluation, "_WORKERS", workers)
         monkeypatch.setattr(threading, "Thread", counted if workers >= 2 else refused)
         return started
 

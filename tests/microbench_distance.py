@@ -13,15 +13,14 @@ grid 5, the first one, two or three of them (6, 26 or 126 views). Every
 shape is timed twice, with the package's kernel (``numpy``: one float32
 GEMM per tile of 4-byte entries as a filter, then the exact float64 formula
 on the few view pairs that may hold a minimum) and with
-``_cdist_distance_matrix`` (``cdist``: the same byte budget and threads,
-but float64 tiles of 8-byte entries, so half the view pairs per tile, each
-one ``scipy.spatial.distance.cdist`` call and two minima), so the two can
-be compared shape by shape; both return the same matrix bit for bit.
+``_cdist_distance_matrix`` (``cdist``: the same byte budget, also on the
+calling thread, but float64 tiles of 8-byte entries, so half the view pairs
+per tile, each one ``scipy.spatial.distance.cdist`` call and two minima), so
+the two can be compared shape by shape; both return the same matrix bit for bit.
 ``view_tensor`` is timed on the whole dataset of the ``n96_v126`` rung.
 """
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -75,12 +74,10 @@ def _cdist_distance_matrix(dataset, aug, class_filter=None):
     views = view_tensor(points, aug)
     n, v, d = views.shape
     flat = views.reshape(n * v, d)
-    budget = augment._tile_budget(8 * (n * v) ** 2, augment.TILE_BYTES)
-    side = max(1, math.isqrt(budget // 8) // v)
+    side = max(1, math.isqrt(augment.TILE_BYTES // 8) // v)
     out = np.empty((n, n))
-
-    def work(tiles: Sequence[tuple[int, int]]) -> None:
-        for i0, j0 in tiles:
+    for i0 in range(0, n, side):
+        for j0 in range(i0, n, side):
             i1, j1 = min(i0 + side, n), min(j0 + side, n)
             tile = (
                 cdist(flat[i0 * v : i1 * v], flat[j0 * v : j1 * v], "sqeuclidean")
@@ -89,8 +86,6 @@ def _cdist_distance_matrix(dataset, aug, class_filter=None):
             )
             out[i0:i1, j0:j1] = tile
             out[j0:j1, i0:i1] = tile.T
-
-    augment._run_split(work, [(i0, j0) for i0 in range(0, n, side) for j0 in range(i0, n, side)])
     out = np.sqrt(np.maximum(out, 0.0))
     np.fill_diagonal(out, 0.0)
     return out

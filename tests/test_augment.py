@@ -3,10 +3,6 @@
 import itertools
 import json
 import math
-import os
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -293,13 +289,14 @@ _RING_V26 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_reso
     [
         # N = 50 and V = 26; the tile side is 7 and 4 samples (last tiles short).
         (1, 4 * (26 * 7) ** 2, 36),
-        (2, 4 * (26 * 7) ** 2, 91),
+        (2, 4 * (26 * 4) ** 2, 91),
         # Sides 12 and 8 (last tiles short).
         (1, 4 * (26 * 12) ** 2, 15),
-        (2, 4 * (26 * 12) ** 2, 28),
-        # Sides 27 and 19 (last tiles short).
+        (2, 4 * (26 * 8) ** 2, 28),
+        # Sides 27 and 19 (last tiles short); two workers do not halve the budget.
         (1, TILE_BYTES, 3),
-        (2, TILE_BYTES, 6),
+        (2, TILE_BYTES // 2, 6),
+        (2, TILE_BYTES, 3),
     ],
 )
 def test_distance_matrix_does_not_depend_on_workers_or_tiling(
@@ -319,7 +316,8 @@ def test_distance_matrix_does_not_depend_on_workers_or_tiling(
     m = distance_matrix(ds, _RING_V26)
     assert len(tile_rows) == tiles
     assert min(tile_rows) < max(tile_rows)
-    assert len(started) == (1 if workers == 2 else 0)
+    # Every tile runs on the calling thread, even where threads may start.
+    assert started == []
     np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V26))
 
 
@@ -341,11 +339,11 @@ _RING_V126 = AugmentationSet(
     "workers, tile_bytes, tiles",
     [
         # N = 20 and V = 126, the ladder's largest view set. Tiles of 3
-        # samples per thread: 7 per axis, the last one 2 samples.
+        # samples: 7 per axis, the last one 2 samples.
         (1, 4 * (126 * 3) ** 2, 28),
-        (2, 2 * 4 * (126 * 3) ** 2, 28),
-        # The one-thread budget split between two threads: side 2, 10 per axis.
-        (2, 4 * (126 * 3) ** 2, 55),
+        (2, 4 * (126 * 3) ** 2, 28),
+        # Side 2, 10 per axis.
+        (2, 4 * (126 * 2) ** 2, 55),
     ],
 )
 def test_distance_matrix_126_views_matches_row_blocks_on_several_tiles(
@@ -365,102 +363,24 @@ def test_distance_matrix_126_views_matches_row_blocks_on_several_tiles(
     m = distance_matrix(ds, _RING_V126, class_filter=0)
     assert _RING_V126.num_views == 126
     assert len(tile_rows) == tiles
-    assert len(started) == (1 if workers == 2 else 0)
+    assert started == []
     if tiles == 28:
         assert (3 * 126, 2 * 126) in tile_rows
     # The row-block oracle reduces each block with a single .min(axis=(1, 3)).
     np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V126, 0, block_rows=4))
 
 
-class _Injected(Exception):
-    pass
-
-
-@pytest.mark.parametrize("fail_in_helper", [True, False])
-def test_distance_matrix_error_in_either_share_propagates_after_the_join(
-    monkeypatch, split_workers, fail_in_helper
-):
-    split_workers(2)
-    baseline = threading.active_count()
-    caller = threading.current_thread()
-    calls = []
-    tile_colmin = augment._tile_colmin
-
-    def tile_failing_on_third_call(left, right, v):
-        in_helper = threading.current_thread() is not caller
-        if in_helper == fail_in_helper:
-            calls.append(None)
-            if len(calls) == 3:
-                raise _Injected("third tile")
-        else:
-            # The other share is still running when the error is raised.
-            time.sleep(0.005)
-        return tile_colmin(left, right, v)
-
-    monkeypatch.setattr(augment, "_tile_colmin", tile_failing_on_third_call)
-    with pytest.raises(_Injected, match="third tile"):
-        distance_matrix(_ring_dataset(25), _RING_V26)
-    assert threading.active_count() == baseline
-
-
-def test_run_split_gives_every_item_to_exactly_one_thread(split_workers):
-    started = split_workers(2)
-    items = range(2001)
-    hits = np.zeros(len(items), dtype=np.int64)
-    caller = threading.current_thread()
-    owners = {}
-
-    def work(share):
-        for i in share:
-            hits[i] += 1
-        owners[threading.current_thread() is caller] = share
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        augment._run_split(work, items)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(started) == 1
-    np.testing.assert_array_equal(hits, 1)
-    assert owners == {True: items[0::2], False: items[1::2]}
-
-
-def test_run_split_helper_keeps_the_callers_error_state(split_workers):
-    started = split_workers(2)
-    caller = threading.current_thread()
-
-    def work(share):
-        if threading.current_thread() is not caller:
-            np.divide(np.ones(1), np.zeros(1))  # a floating-point event in the helper's share
-
-    with np.errstate(all="raise"):
-        with pytest.raises(FloatingPointError, match="divide by zero"):
-            augment._run_split(work, range(4))
-    assert len(started) == 1
-
-
-def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
-    assert augment._WORKERS == min(2, augment._usable_cpus())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert augment._usable_cpus() == 3
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert augment._usable_cpus() == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert augment._usable_cpus() == 1
-
-
 def test_distance_matrix_memory_bound_holds_with_two_workers(split_workers):
-    # The same scenario and bound with the tiles split between two threads,
-    # whatever the CPU count of the host running the tests.
+    # The same scenario and bound where threads may start, whatever the CPU
+    # count of the host running the tests: every tile runs on the calling
+    # thread.
     started = split_workers(2)
     test_distance_matrix_memory_is_one_tile_plus_output_and_views()
-    assert len(started) == 1
+    assert started == []
 
 
 def test_distance_matrix_memory_bound_holds_with_one_worker(split_workers):
-    # One thread gets tiles twice as large; the bound is the same.
+    # Starting a thread raises here.
     started = split_workers(1)
     test_distance_matrix_memory_is_one_tile_plus_output_and_views()
     assert started == []

@@ -10,6 +10,7 @@ from augbound.augment import AugmentationSet, additive_shift, augmented_distance
 from augbound.core import (
     Dataset,
     GeneratorConfig,
+    csv_value,
     generate_dataset,
     load_dataset,
     save_dataset,
@@ -246,3 +247,32 @@ def test_write_csv_formats_every_cell(tmp_path):
     ]
     assert float(rows[2][1]) == third
     assert path.read_bytes().startswith(b"a,b\r\ntrue,false\r\n")
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    header = ["key", "a,b", 'say "hi"', ""]
+    rows = [
+        ("plain", 1, 2.5, True),
+        ("comma,cell", 'quote"d', "cr\rcell", "lf\ncell"),
+        ("cr\ronly", "x"),
+        ("lf\nonly", "x"),
+        ('quote"only', "x"),
+        ("x", "comma,only"),
+        ("crlf\r\ncell", "", False, np.float64(1.0) / 3.0),
+        ("", "", "", ""),
+        ("",),
+        (),
+        (" lead", "trail ", "\t", '""'),
+        (np.float64(-0.0), np.float64(1e300), -7, 'a,"b"\r\n'),
+        ("é", "#", "a'b", ";"),
+    ]
+    path = tmp_path / "tricky.csv"
+    write_csv(str(path), header, rows)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([csv_value(cell) for cell in row] for row in rows)
+    assert path.read_bytes() == oracle.read_bytes()
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh))[9] == [""]

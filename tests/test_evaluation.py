@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -566,6 +568,54 @@ def test_population_info_nce_error_in_either_share_propagates_after_the_join(
     with pytest.raises(_Injected, match="third tile"):
         population_loss(_embedded(enc, ds, MIXED_AUG), "info_nce")
     assert threading.active_count() == baseline
+
+
+def test_run_split_gives_every_item_to_exactly_one_thread(split_workers):
+    started = split_workers(2)
+    items = range(2001)
+    hits = np.zeros(len(items), dtype=np.int64)
+    caller = threading.current_thread()
+    owners = {}
+
+    def work(share):
+        for i in share:
+            hits[i] += 1
+        owners[threading.current_thread() is caller] = share
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        evaluation._run_split(work, items)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 1
+    np.testing.assert_array_equal(hits, 1)
+    assert owners == {True: items[0::2], False: items[1::2]}
+
+
+def test_run_split_helper_keeps_the_callers_error_state(split_workers):
+    started = split_workers(2)
+    caller = threading.current_thread()
+
+    def work(share):
+        if threading.current_thread() is not caller:
+            np.divide(np.ones(1), np.zeros(1))  # a floating-point event in the helper's share
+
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            evaluation._run_split(work, range(4))
+    assert len(started) == 1
+
+
+def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    assert evaluation._WORKERS == min(2, evaluation._usable_cpus())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert evaluation._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert evaluation._usable_cpus() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert evaluation._usable_cpus() == 1
 
 
 def test_population_info_nce_rejects_exponent_underflow():

@@ -2,18 +2,17 @@
 
 All functions are pure and total on their stated domains: they evaluate
 the literal formulas relating concentration (sigma, delta), alignment
-(epsilon, r_eps), loss levels (l1, l2), and classifier geometry (centers,
-priors, radius) to error-rate and center-separation guarantees. The
-numbered names (theorem1 ... theorem4, lemma5) follow the result numbering
-used throughout this package's reports, so report keys like ``thm1.bound``
-are stable identifiers.
+(epsilon, r_eps), loss levels (l1, l2), and classifier geometry (center
+products, priors, radius) to error-rate and center-separation guarantees.
+The numbered names (theorem1 ... theorem4, lemma5) follow the result
+numbering used throughout this package's reports, so report keys like
+``thm1.bound`` are stable identifiers.
 
-Conventions: the classifier is the nearest-center rule; r is the embedding
-norm scale (1 for the sphere-normalized InfoNCE setup, sqrt(d) for the
-standardized cross-correlation setup), so it follows from the loss kind
-and the center dimension; L is a certified Lipschitz constant of the
-embedding map. Reports never feed an InfoNCE loss level into the
-cross-correlation separation bound or the other way round.
+Conventions: the classifier is the nearest-center rule; r is the
+embedding norm scale, as measured with the embeddings (1 on the unit
+sphere, sqrt(d) for standardized embeddings); L is a certified Lipschitz
+constant of the embedding map. Reports never feed an InfoNCE loss level
+into the cross-correlation separation bound or the other way round.
 
 A ``BoundReport`` keeps its inputs and measurements in memory for the
 checks that compare them with the bounds. Its flat form, the rows of
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -300,11 +298,12 @@ def theorem4_bound(
 class BoundInputs:
     """Everything the guarantee formulas consume, in one place.
 
-    ``loss_kind`` decides which separation bound applies. ``centers`` (K, d)
-    are the class centers under the same view distribution as the loss
-    levels, one row per entry of ``priors``. The class count K, the
-    embedding dimension d, the norm scale ``radius`` (1 for info_nce and
-    simple, sqrt(d) for cross_corr) and ``delta_mu`` follow from them.
+    ``loss_kind`` decides which separation bound applies. ``radius`` is the
+    embedding norm scale r and ``dim`` the embedding dimension d. The class
+    centers enter through ``delta_mu`` and ``mu_products``, the products
+    mu_k . mu_l of every class pair k < l in row order (0_1, 0_2, ..., 1_2,
+    ...), measured under the same view distribution as the loss levels; K
+    is the number of ``priors``.
     """
 
     sigma: float
@@ -320,7 +319,10 @@ class BoundInputs:
     loss_kind: str
     l1: float
     l2: float
-    centers: np.ndarray
+    radius: float
+    dim: int
+    delta_mu: float
+    mu_products: tuple[float, ...]
 
     def __post_init__(self) -> None:
         missing = [name for name, value in self.__dict__.items() if value is None]
@@ -328,15 +330,16 @@ class BoundInputs:
             raise ValueError(f"bound inputs missing: {', '.join(sorted(missing))}")
         if self.loss_kind not in ("info_nce", "cross_corr", "simple"):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        centers = np.asarray(self.centers, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[0] != len(self.priors):
-            raise ValueError("centers must be (K, d) with one row per prior")
-        if not np.all(np.isfinite(centers)):
-            raise ValueError("centers must be finite")
-        object.__setattr__(self, "centers", centers)
+        k = len(self.priors)
+        products = tuple(float(p) for p in self.mu_products)
+        if len(products) != k * (k - 1) // 2:
+            raise ValueError("mu_products must hold one product per class pair k < l")
+        if not all(math.isfinite(p) for p in products):
+            raise ValueError("mu_products must be finite")
+        object.__setattr__(self, "mu_products", products)
         for name in (
             "sigma", "delta", "epsilon", "r_eps", "l_pos", "lipschitz",
-            "transform_lipschitz", "l1", "l2",
+            "transform_lipschitz", "l1", "l2", "radius", "delta_mu",
         ):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"bound input {name!r} must be finite")
@@ -346,18 +349,6 @@ class BoundInputs:
     @property
     def num_classes(self) -> int:
         return len(self.priors)
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
-
-    @cached_property
-    def radius(self) -> float:
-        return 1.0 if self.loss_kind in ("info_nce", "simple") else math.sqrt(self.dim)
-
-    @cached_property
-    def delta_mu(self) -> float:
-        return delta_mu(self.centers, self.radius)
 
 
 @dataclass(frozen=True)
@@ -469,9 +460,8 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
         inputs.radius,
     )
     threshold = divergence_threshold(rho_worst, inputs.delta_mu, inputs.radius)
-    products = inputs.centers @ inputs.centers.T
     pair_indices = [(k, l) for k in range(k_classes) for l in range(k + 1, k_classes)]
-    condition = all(products[k, l] < threshold for k, l in pair_indices)
+    condition = all(product < threshold for product in inputs.mu_products)
     thm1_value, thm1_valid = theorem1_bound(inputs.sigma, inputs.r_eps, condition)
     eta_value = eta(
         inputs.epsilon,
@@ -499,8 +489,8 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
     def pair_bounds(bound) -> tuple[PairBound, ...]:
         """``bound(p_k, p_l)`` of every class pair, with its measured product."""
         return tuple(
-            PairBound(k, l, *bound(inputs.priors[k], inputs.priors[l]), float(products[k, l]))
-            for k, l in pair_indices
+            PairBound(k, l, *bound(inputs.priors[k], inputs.priors[l]), product)
+            for (k, l), product in zip(pair_indices, inputs.mu_products)
         )
 
     def separated(pairs: tuple[PairBound, ...]) -> bool:

@@ -126,10 +126,10 @@ def _run(command: str, config: ExperimentConfig, out_dir: str) -> None:
     # evaluate, in run_experiment's order
     curve = stage_concentration(config, dataset, out_dir)
     model, _ = stage_train(config, dataset, out_dir)
-    bundle = stage_evaluate(config, dataset, model, curve, out_dir)
+    record = stage_evaluate(config, dataset, model, curve, out_dir)
     print(
         f"evaluation written to {os.path.join(out_dir, 'evaluation.csv')} "
-        f"(err={bundle.err:.4f}, l_pos={bundle.l_pos:.6f})"
+        f"(err={record['err']:.4f}, l_pos={record['l_pos']:.6f})"
     )
 
 

@@ -530,7 +530,8 @@ def _block_draws(
 def _check_pairing(loss: str, norm_mode: str, radius: float) -> None:
     """Raise ``ValueError`` unless the loss can train an encoder with this output map."""
     if loss in ("info_nce", "simple"):
-        # Exactly 1: the bounds take r = 1 for these losses (bounds.BoundInputs).
+        # Exactly 1: the bounds for these losses hold on the unit sphere, and
+        # evaluation.embed_views reports the sphere radius as r.
         if norm_mode != "sphere" or radius != 1.0:
             raise ValueError(f"loss '{loss}' needs norm_mode 'sphere' with radius 1")
     elif norm_mode != "batch_standardized":

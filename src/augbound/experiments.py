@@ -22,10 +22,11 @@ earlier stages already on disk.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -78,7 +79,6 @@ from .evaluation import (
     empirical_r_eps,
     population_loss,
 )
-from .losses import LossBreakdown
 
 __all__ = [
     "ConfigError",
@@ -86,7 +86,7 @@ __all__ = [
     "EncoderArch",
     "SweepSpec",
     "ExperimentConfig",
-    "EvalBundle",
+    "EvalRecord",
     "ExperimentResult",
     "SweepResult",
     "load_config",
@@ -207,6 +207,8 @@ class ExperimentConfig:
             raise ConfigError("analysis.epsilon_grid must be non-empty")
         if not all(e > 0 for e in self.epsilon_grid):
             raise ConfigError("analysis.epsilon_grid entries must be positive")
+        if len(set(self.epsilon_grid)) != len(self.epsilon_grid):
+            raise ConfigError("analysis.epsilon_grid must not repeat a value")
         try:
             _check_pairing(self.training.loss, self.encoder.norm_mode, self.encoder.radius)
         except ValueError as exc:
@@ -338,26 +340,14 @@ def with_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalBundle:
-    """Everything the guarantee report consumes from the trained encoder.
+class EvalRecord(dict):
+    """What ``stage_evaluate`` measured on the trained encoder: the rows of
+    ``evaluation.csv``, key to value in file order. ``err`` reads
+    ``self["err"]``."""
 
-    ``lipschitz`` is the certified Lipschitz constant of the frozen map and
-    ``centers`` (K, d) the class centers under the view distribution.
-    ``r_eps`` holds one empirical r_eps per entry of the config's
-    ``epsilon_grid``; ``l_pos`` is the mean squared view-pair distance,
-    clamped at 0.
-    """
-
-    lipschitz: float
-    centers: np.ndarray
-    err: float
-    r_eps: tuple[float, ...]
-    l_pos: float
-    first_moments: tuple[float, ...]
-    second_moments: tuple[float, ...]
-    loss: LossBreakdown
-    premise_fractions: tuple[float, ...]
+    @property
+    def err(self) -> float:
+        return self["err"]
 
 
 @dataclass(frozen=True)
@@ -367,7 +357,7 @@ class ExperimentResult:
     dataset: Dataset
     model: EncoderModel
     curve: tuple[ConcentrationEstimate, ...]
-    bundle: EvalBundle
+    bundle: EvalRecord
     reports: dict[tuple[int, int], BoundReport]
 
     @property
@@ -511,7 +501,9 @@ def stage_evaluate(
     model: EncoderModel,
     curve: tuple[ConcentrationEstimate, ...],
     out_dir: str,
-) -> EvalBundle:
+) -> EvalRecord:
+    """Measure the trained encoder over the view grid; write the record to
+    ``evaluation.csv`` and return it."""
     with _stage("evaluate"):
         views = view_tensor(dataset.features, config.augmentation)
         weights = view_weights(config.augmentation)
@@ -519,86 +511,84 @@ def stage_evaluate(
         centers = class_centers(embedded, dataset)
         # The identity's view of a sample is the sample itself, bit for bit.
         raw = embedded.z[:, config.augmentation.discrete.index(identity())]
-        preds = classify_batch(centers, raw)
-        err = float(np.mean(preds != dataset.labels))
+        correct = classify_batch(centers, raw) == dataset.labels
         first, second = class_moments(embedded, dataset, centers)
         loss = population_loss(embedded, config.training.loss, config.training.lam)
-        correct = preds == dataset.labels
-        premise = []
-        for estimate in curve:
-            members = np.concatenate([np.asarray(part, dtype=int) for part in estimate.main_parts])
-            premise.append(float(np.mean(correct[members])))
-        bundle = EvalBundle(
-            lipschitz=embedded.lipschitz,
-            centers=centers,
-            err=err,
-            r_eps=tuple(empirical_r_eps(embedded, eps) for eps in config.epsilon_grid),
-            l_pos=max(embedded.l_pos, 0.0),
-            first_moments=tuple(float(v) for v in first),
-            second_moments=tuple(float(v) for v in second),
-            loss=loss,
-            premise_fractions=tuple(premise),
+        record = EvalRecord(
+            {
+                "err": float(np.mean(~correct)),
+                "lipschitz": embedded.lipschitz,
+                "delta_mu": delta_mu(centers, embedded.radius),
+                "radius": embedded.radius,
+                "l_pos": max(embedded.l_pos, 0.0),
+                "loss.kind": loss.kind,
+                "loss.total": loss.total,
+                "loss.l1": loss.l1,
+                "loss.l2": loss.l2,
+            }
         )
-        rows: list[tuple[str, object]] = [
-            ("err", bundle.err),
-            ("lipschitz", embedded.lipschitz),
-            ("delta_mu", delta_mu(centers, embedded.radius)),
-            ("radius", embedded.radius),
-            ("l_pos", bundle.l_pos),
-            ("loss.kind", loss.kind),
-            ("loss.total", loss.total),
-            ("loss.l1", loss.l1),
-            ("loss.l2", loss.l2),
-        ]
-        for eps, r_eps in zip(config.epsilon_grid, bundle.r_eps):
-            rows.append((f"r_eps.{csv_value(float(eps))}", r_eps))
+        for eps in config.epsilon_grid:
+            record[f"r_eps.{csv_value(float(eps))}"] = empirical_r_eps(embedded, eps)
         for k in range(dataset.num_classes):
-            rows.append((f"moment.first.class_{k}", bundle.first_moments[k]))
-            rows.append((f"moment.second.class_{k}", bundle.second_moments[k]))
-            rows.append((f"center_norm.class_{k}", float(np.linalg.norm(centers[k]))))
+            record[f"moment.first.class_{k}"] = float(first[k])
+            record[f"moment.second.class_{k}"] = float(second[k])
+            record[f"center_norm.class_{k}"] = float(np.linalg.norm(centers[k]))
         products = centers @ centers.T
-        for k in range(dataset.num_classes):
-            for l in range(k + 1, dataset.num_classes):
-                rows.append((f"mu_product.{k}_{l}", float(products[k, l])))
+        for k, l in itertools.combinations(range(dataset.num_classes), 2):
+            record[f"mu_product.{k}_{l}"] = float(products[k, l])
         for i, estimate in enumerate(curve):
-            rows.append((f"premise_fraction.delta_{i}", bundle.premise_fractions[i]))
-        write_csv(os.path.join(out_dir, "evaluation.csv"), ["key", "value"], rows)
-        return bundle
+            members = np.concatenate([np.asarray(part, dtype=int) for part in estimate.main_parts])
+            record[f"premise_fraction.delta_{i}"] = float(np.mean(correct[members]))
+        write_csv(os.path.join(out_dir, "evaluation.csv"), ["key", "value"], record.items())
+        return record
 
 
 def stage_bounds(
     config: ExperimentConfig,
     dataset: Dataset,
     curve: tuple[ConcentrationEstimate, ...],
-    bundle: EvalBundle,
+    record: Mapping[str, object],
     out_dir: str,
 ) -> dict[tuple[int, int], BoundReport]:
+    """Evaluate every (delta, epsilon) cell and write ``bounds.csv``.
+
+    A cell reads the evaluation record, the curve's delta and sigma, the
+    config and the dataset priors, nothing else: the record parsed back from
+    ``evaluation.csv`` gives the same file.
+    """
     with _stage("bounds"):
         aug = config.augmentation
+        classes = range(len(dataset.priors))
         empirical = EmpiricalMeasurements(
-            err=bundle.err,
-            class_first_moments=bundle.first_moments,
-            class_second_moments=bundle.second_moments,
+            err=record["err"],
+            class_first_moments=tuple(record[f"moment.first.class_{k}"] for k in classes),
+            class_second_moments=tuple(record[f"moment.second.class_{k}"] for k in classes),
+        )
+        mu_products = tuple(
+            record[f"mu_product.{k}_{l}"] for k, l in itertools.combinations(classes, 2)
         )
         reports: dict[tuple[int, int], BoundReport] = {}
         long_rows: list[tuple[float, float, str, object]] = []
         for i, estimate in enumerate(curve):
-            for j, (eps, r_eps) in enumerate(zip(config.epsilon_grid, bundle.r_eps)):
+            for j, eps in enumerate(config.epsilon_grid):
                 inputs = BoundInputs(
                     sigma=estimate.sigma,
                     delta=estimate.delta,
                     epsilon=float(eps),
-                    r_eps=r_eps,
-                    l_pos=bundle.l_pos,
-                    lipschitz=bundle.lipschitz,
+                    r_eps=record[f"r_eps.{csv_value(float(eps))}"],
+                    l_pos=record["l_pos"],
+                    lipschitz=record["lipschitz"],
                     num_discrete=aug.num_discrete,
                     num_continuous=aug.num_continuous_params,
                     transform_lipschitz=aug.effective_lipschitz,
                     priors=dataset.priors,
-                    loss_kind=config.training.loss,
-                    l1=bundle.loss.l1,
-                    l2=bundle.loss.l2,
-                    centers=bundle.centers,
+                    loss_kind=record["loss.kind"],
+                    l1=record["loss.l1"],
+                    l2=record["loss.l2"],
+                    radius=record["radius"],
+                    dim=config.encoder.output_dim,
+                    delta_mu=record["delta_mu"],
+                    mu_products=mu_products,
                 )
                 report = full_report(inputs, empirical)
                 reports[(i, j)] = report
@@ -622,15 +612,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     dataset = stage_dataset(config, out_dir)
     curve = stage_concentration(config, dataset, out_dir)
     model, _ = stage_train(config, dataset, out_dir)
-    bundle = stage_evaluate(config, dataset, model, curve, out_dir)
-    reports = stage_bounds(config, dataset, curve, bundle, out_dir)
+    record = stage_evaluate(config, dataset, model, curve, out_dir)
+    reports = stage_bounds(config, dataset, curve, record, out_dir)
     return ExperimentResult(
         config=config,
         out_dir=out_dir,
         dataset=dataset,
         model=model,
         curve=curve,
-        bundle=bundle,
+        bundle=record,
         reports=reports,
     )
 

@@ -437,7 +437,10 @@ def _inputs(**overrides):
         loss_kind="info_nce",
         l1=-0.6,
         l2=1.4,
-        centers=np.array([[0.8, 0.0], [0.0, 0.8]]),
+        radius=1.0,
+        dim=2,
+        delta_mu=1.0 - 0.8**2,
+        mu_products=(0.0,),
     )
     base.update(overrides)
     return BoundInputs(**base)
@@ -448,21 +451,27 @@ def test_bound_inputs_enumerate_missing_fields():
         _inputs(sigma=None, delta=None)
 
 
-def test_bound_inputs_radius_conventions():
-    # r is 1 on the unit sphere and sqrt(d) for standardized embeddings;
-    # delta_mu = 1 - min_k ||mu_k||^2 / r^2 follows from it and the centers.
-    info = _inputs()
-    assert (info.radius, info.delta_mu) == (1.0, 1.0 - 0.8**2)
-    assert _inputs(loss_kind="simple").radius == 1.0
-    centers = np.array([[1.3, 0.0, 0.0], [0.0, 1.2, 0.6]])
-    cc = _inputs(loss_kind="cross_corr", centers=centers)
-    assert (cc.num_classes, cc.dim) == (2, 3)
-    assert cc.radius == math.sqrt(3.0)
-    assert cc.delta_mu == delta_mu(centers, math.sqrt(3.0)) == 1.0 - 1.3**2 / cc.radius**2
-    with pytest.raises(TypeError, match="radius"):
-        _inputs(radius=2.0)
-    with pytest.raises(TypeError, match="delta_mu"):
-        _inputs(delta_mu=0.0)
+def test_bound_inputs_refuse_bad_center_inputs():
+    # One product per class pair k < l: K = 3 has three.
+    three = _inputs(priors=(0.25, 0.25, 0.5), mu_products=(0.1, -0.2, 0.3))
+    assert (three.num_classes, three.mu_products) == (3, (0.1, -0.2, 0.3))
+    for priors, products in [
+        ((0.5, 0.5), ()),
+        ((0.5, 0.5), (0.0, 0.0)),
+        ((1.0,), (0.0,)),
+        ((0.25, 0.25, 0.5), (0.1, 0.2)),
+    ]:
+        with pytest.raises(ValueError, match="one product per class pair"):
+            _inputs(priors=priors, mu_products=products)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="mu_products must be finite"):
+            _inputs(mu_products=(bad,))
+        with pytest.raises(ValueError, match="'radius' must be finite"):
+            _inputs(radius=bad)
+        with pytest.raises(ValueError, match="'delta_mu' must be finite"):
+            _inputs(delta_mu=bad)
+    with pytest.raises(TypeError, match="centers"):
+        _inputs(centers=np.eye(2))
 
 
 def test_delta_mu_is_one_minus_the_smallest_center_norm_ratio():
@@ -479,11 +488,9 @@ def test_bound_inputs_reject_bad_values():
     with pytest.raises(ValueError, match="finite"):
         _inputs(l1=float("nan"))
     with pytest.raises(ValueError, match="finite"):
-        _inputs(centers=np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="one row per prior"):
+        _inputs(mu_products=(np.inf,))
+    with pytest.raises(ValueError, match="one product per class pair"):
         _inputs(priors=(1.0,))
-    with pytest.raises(ValueError, match="one row per prior"):
-        _inputs(centers=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="loss kind"):
         _inputs(loss_kind="triplet")
 
@@ -510,7 +517,7 @@ def test_perfect_case_infonce_report():
     l2 = 0.25 * 1.1 + 0.5  # puts the bound argument at 1.1 > 1 - eps
     inputs = _inputs(
         sigma=1.0, delta=0.0, epsilon=1e-9, r_eps=0.0, l_pos=0.0,
-        l1=-1.0, l2=l2, centers=np.eye(2),
+        l1=-1.0, l2=l2, delta_mu=0.0, mu_products=(0.0,),
     )
     report = full_report(inputs, _empirical())
     assert report.rho_max == pytest.approx(0.0, abs=1e-8)
@@ -533,7 +540,7 @@ def test_perfect_case_crosscorr_report():
     inputs = _inputs(
         sigma=1.0, delta=0.0, epsilon=1e-9, r_eps=0.0, l_pos=0.0,
         loss_kind="cross_corr",
-        l1=0.0, l2=0.0, centers=np.diag([math.sqrt(d), math.sqrt(d)]),
+        l1=0.0, l2=0.0, radius=math.sqrt(d), dim=d, delta_mu=0.0, mu_products=(0.0,),
     )
     report = full_report(inputs, _empirical())
     assert report.tau_prime == pytest.approx(0.0, abs=1e-8)
@@ -571,8 +578,7 @@ def test_report_matches_individually_invoked_operations():
     assert report.threshold == divergence_threshold(
         report.rho_max, inputs.delta_mu, inputs.radius
     )
-    products = inputs.centers @ inputs.centers.T
-    assert report.condition_holds == (products[0, 1] < report.threshold)
+    assert report.condition_holds == (inputs.mu_products[0] < report.threshold)
     assert report.thm1_bound == theorem1_bound(
         inputs.sigma, inputs.r_eps, report.condition_holds
     )[0]
@@ -591,7 +597,7 @@ def test_report_matches_individually_invoked_operations():
         inputs.l2, expected_tau, inputs.priors[0], inputs.priors[1], inputs.epsilon
     )
     assert (report.thm3_pairs[0].value, report.thm3_pairs[0].in_domain) == expected_pair
-    assert report.thm3_pairs[0].empirical == pytest.approx(float(products[0, 1]))
+    assert report.thm3_pairs[0].empirical == inputs.mu_products[0]
     for k, p in enumerate(inputs.priors):
         first, second = lemma5_moments(
             inputs.epsilon, inputs.sigma, inputs.delta, inputs.radius,
@@ -612,7 +618,8 @@ def test_combined_error_bounds_delegate_to_report():
     assert infonce[0] == 0.0
     assert crosscorr is None
     cc_inputs = _inputs(
-        loss_kind="cross_corr", l1=0.0, sigma=1.0, centers=np.diag([1.2, 1.2]),
+        loss_kind="cross_corr", l1=0.0, sigma=1.0, radius=math.sqrt(2.0),
+        delta_mu=delta_mu(np.diag([1.2, 1.2]), math.sqrt(2.0)),
     )
     report = full_report(cc_inputs, _empirical())
     infonce, crosscorr = report.combined_infonce, report.combined_crosscorr

@@ -21,7 +21,14 @@ from augbound.augment import (
 )
 from augbound.cli import main
 from augbound import encoder, experiments
-from augbound.core import Dataset, csv_value, generate_dataset, save_dataset, spec_dict
+from augbound.core import (
+    Dataset,
+    csv_value,
+    generate_dataset,
+    load_dataset,
+    save_dataset,
+    spec_dict,
+)
 from augbound.encoder import init_encoder, make_train_batch, train
 from augbound.experiments import (
     ConfigError,
@@ -35,6 +42,7 @@ from augbound.experiments import (
     stage_train,
     with_seed_override,
 )
+from test_acceptance import _RING_COMMON, _RING_DATASET, INEQUALITY_FIXTURES
 
 
 def _config_dict(**overrides):
@@ -101,6 +109,8 @@ def _write_config(tmp_path, data, name="config.json"):
         (lambda d: d["analysis"].update(delta_grid=[1.0, 0.5]), "strictly ascending"),
         (lambda d: d["analysis"].update(delta_grid=[-0.5, 1.0]), "positive"),
         (lambda d: d["analysis"].update(epsilon_grid=[]), "non-empty"),
+        (lambda d: d["analysis"].update(epsilon_grid=[0.5, 0.1, 0.5]), "must not repeat"),
+        (lambda d: d["analysis"].update(epsilon_grid=[1, 0.5, 1.0]), "must not repeat"),
         (lambda d: d["analysis"].update(clique_mode="greedy"), "analysis.clique_mode"),
         (lambda d: d["training"].update(loss="triplet"), "training.loss"),
         (lambda d: d["training"].update(steps=True), "must be an integer"),
@@ -400,13 +410,15 @@ def test_each_measured_input_of_a_report_is_on_disk_once_outside_bounds_csv(tmp_
     out = tmp_path / "run"
     result = run_experiment(config, str(out))
     measured = {row["key"]: row["value"] for row in _csv_rows(out / "evaluation.csv")}
+    # The evaluation record is the file, row for row.
+    assert list(measured) == list(result.bundle)
+    assert measured == {key: csv_value(value) for key, value in result.bundle.items()}
     sigma_at = {row["delta"]: row["sigma"] for row in _csv_rows(out / "concentration.csv")}
-    for (i, _), report in result.reports.items():
+    for report in result.reports.values():
         inputs, empirical = report.inputs, report.empirical
         assert sigma_at[csv_value(inputs.delta)] == csv_value(inputs.sigma)
         assert measured[f"r_eps.{csv_value(inputs.epsilon)}"] == csv_value(inputs.r_eps)
-        premise = result.bundle.premise_fractions[i]
-        assert measured[f"premise_fraction.delta_{i}"] == csv_value(premise)
+        assert measured["mu_product.0_1"] == csv_value(inputs.mu_products[0])
         for key, value in [
             ("err", empirical.err),
             ("lipschitz", inputs.lipschitz),
@@ -420,6 +432,64 @@ def test_each_measured_input_of_a_report_is_on_disk_once_outside_bounds_csv(tmp_
             ("moment.second.class_1", empirical.class_second_moments[1]),
         ]:
             assert measured[key] == csv_value(value), key
+
+
+def _bounds_csv_from_the_other_files(run_dir, out_dir):
+    """``bounds.csv`` rebuilt from ``config.json``, ``dataset.csv``,
+    ``concentration.csv`` and ``evaluation.csv`` alone, every number parsed
+    back from its cell."""
+    config = load_config(str(run_dir / "config.json"))
+    dataset = load_dataset(str(run_dir / "dataset.csv"))
+    sigma_at = {}
+    for row in _csv_rows(run_dir / "concentration.csv"):
+        sigma_at.setdefault(float(row["delta"]), float(row["sigma"]))
+    curve = tuple(SimpleNamespace(delta=delta, sigma=sigma) for delta, sigma in sigma_at.items())
+    record = {
+        row["key"]: row["value"] if row["key"] == "loss.kind" else float(row["value"])
+        for row in _csv_rows(run_dir / "evaluation.csv")
+    }
+    out_dir.mkdir()
+    experiments.stage_bounds(config, dataset, curve, record, str(out_dir))
+    return (out_dir / "bounds.csv").read_bytes()
+
+
+_FIXTURES = {name: (seeds, raw) for name, seeds, raw in INEQUALITY_FIXTURES}
+
+
+@pytest.mark.parametrize("case", ["info_nce_d8_k4", "cross_corr_d8_k4", "simple", "ring_pairs"])
+def test_bounds_csv_is_a_function_of_the_other_files(tmp_path, case):
+    seed = 0
+    if case == "simple":
+        # An unsorted epsilon grid: its order is free.
+        raw = _config_dict(training={"loss": "simple"}, analysis={"epsilon_grid": [0.5, 0.1, 0.25]})
+    elif case == "ring_pairs":
+        rot = {"rule": "rotation_2d_subspace", "axes": [0, 1], "data_radius": 2.0}
+        raw = {
+            "dataset": _RING_DATASET,
+            "augmentation": {"grid_resolution": 5, "transforms": [{"rule": "identity"}]},
+            **_RING_COMMON,
+            "analysis": {"delta_grid": [0.4, 0.6], "epsilon_grid": [0.25]},
+            "sweep": {"kind": "pairs", "levels": [
+                {**rot, "max_angle": 1.4},
+                {**rot, "max_angle": 0.6},
+                {"rule": "scale", "scale_span": [0.85, 1.15], "data_radius": 2.0},
+                {"rule": "additive_shift", "direction": [0.0, 0.25, 0.0]},
+            ]},
+        }
+    else:
+        (seed, _), raw = _FIXTURES[case]
+    config = with_seed_override(config_from_dict(raw), seed)
+    out = tmp_path / "run"
+    if config.sweep is None:
+        run_experiment(config, str(out))
+        run_dirs = [out]
+    else:
+        assert run_sweep(config, str(out)).failures == ()
+        run_dirs = sorted(out.glob("level_*"))
+        assert len(run_dirs) == 6
+    for i, run_dir in enumerate(run_dirs):
+        rebuilt = _bounds_csv_from_the_other_files(run_dir, tmp_path / f"rebuilt_{i}")
+        assert rebuilt == (run_dir / "bounds.csv").read_bytes(), run_dir.name
 
 
 def test_the_canonical_cell_of_bounds_csv_is_the_canonical_report(tmp_path, monkeypatch):
@@ -1171,6 +1241,16 @@ def test_a_pairs_catalog_that_repeats_a_transform_exits_2_before_writing(tmp_pat
     assert main(["sweep", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: sweep section invalid: sweep.levels catalog must not repeat a transform\n"
+    )
+    assert not out.exists()
+
+
+def test_an_epsilon_grid_that_repeats_a_value_exits_2_before_writing(tmp_path, capsys):
+    data = _config_dict(analysis={"epsilon_grid": [0.5, 0.1, 0.5]})
+    out = tmp_path / "run"
+    assert main(["bounds", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: analysis.epsilon_grid must not repeat a value\n"
     )
     assert not out.exists()
 

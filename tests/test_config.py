@@ -104,7 +104,10 @@ def _random_config(rng):
     _maybe(rng, training, "lam", _number(rng, 0.001, 2.0))
     analysis = {
         "delta_grid": sorted({round(float(d), 3) for d in rng.uniform(0.05, 2.0, 3)}),
-        "epsilon_grid": [_number(rng, 0.01, 1.0) for _ in range(int(rng.integers(1, 4)))],
+        # Distinct values in drawn order: a grid may be unsorted but not repeat one.
+        "epsilon_grid": list(
+            dict.fromkeys(_number(rng, 0.01, 1.0) for _ in range(int(rng.integers(1, 4))))
+        ),
     }
     _maybe(rng, analysis, "clique_mode", str(rng.choice(["exact", "dual_approx"])))
     doc = {

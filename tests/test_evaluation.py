@@ -1,7 +1,9 @@
 """Centers, nearest-center classification, r_eps, population losses."""
 
 import copy
+import csv
 import dataclasses
+import math
 import os
 import sys
 import threading
@@ -843,7 +845,7 @@ def test_stage_evaluate_builds_and_embeds_the_view_grid_once(
         if getattr(module, "forward_prenorm", None) is forward_prenorm:
             monkeypatch.setattr(module, "forward_prenorm", counting_forward_prenorm)
     monkeypatch.setattr(experiments, "embed_views", counting_embed_views)
-    bundle = experiments.stage_evaluate(config, ds, model, curve, str(tmp_path))
+    record = experiments.stage_evaluate(config, ds, model, curve, str(tmp_path))
 
     n, v = ds.num_samples, config.augmentation.num_views
     assert tensors == [n]
@@ -851,19 +853,44 @@ def test_stage_evaluate_builds_and_embeds_the_view_grid_once(
     # The network runs once, over the view grid; the raw samples' embeddings
     # are the identity's views.
     assert prenorm_rows == [n * v]
-    assert len(bundle.r_eps) == 4
+    assert [key for key in record if key.startswith("r_eps.")] == [
+        "r_eps.0.05", "r_eps.0.1", "r_eps.0.2", "r_eps.0.4"
+    ]
     monkeypatch.undo()
     # The shared grid gives what each quantity computes from the model alone.
     views = view_tensor(ds.features, config.augmentation)
     weights = view_weights(config.augmentation)
     frozen = freeze(model, views, weights)
-    assert bundle.err == error_rate(frozen, ds, bundle.centers)
     z = frozen.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
     per_sample = np.einsum("v,nvd->nd", weights, z)
+    centers = np.stack([per_sample[ds.labels == k].mean(axis=0) for k in range(ds.num_classes)])
+    assert record["err"] == error_rate(frozen, ds, centers)
     for k in range(ds.num_classes):
-        np.testing.assert_allclose(
-            bundle.centers[k], per_sample[ds.labels == k].mean(axis=0), atol=1e-12
-        )
+        norm = np.linalg.norm(centers[k])
+        assert record[f"center_norm.class_{k}"] == pytest.approx(norm, abs=1e-12)
+    assert record["mu_product.0_1"] == pytest.approx(centers[0] @ centers[1], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "loss, norm_mode, radius",
+    [
+        ("info_nce", "sphere", 1.0),
+        ("simple", "sphere", 1.0),
+        ("cross_corr", "batch_standardized", math.sqrt(3.0)),
+    ],
+)
+def test_the_radius_row_of_evaluation_csv_is_one_on_the_sphere_and_sqrt_d_standardized(
+    tmp_path, loss, norm_mode, radius
+):
+    # embed_views sets r, and encoder._check_pairing holds the sphere losses
+    # to radius 1; the bounds read r from this row.
+    raw = copy.deepcopy(_STAGE_CONFIG)
+    raw["encoder"].update(norm_mode=norm_mode, output_dim=3)
+    raw["training"]["loss"] = loss
+    experiments.run_experiment(experiments.config_from_dict(raw), str(tmp_path))
+    with open(tmp_path / "evaluation.csv", newline="") as fh:
+        rows = dict(csv.reader(fh))
+    assert rows["radius"] == repr(radius)
 
 
 def test_population_cross_corr_matches_direct_moments():

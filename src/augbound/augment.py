@@ -18,29 +18,19 @@ Squared distances are summed over the coordinates left to right, the order
 of ``scipy.spatial.distance.cdist``, whose values they equal bit for bit
 (``_sqeuclidean``); the package itself needs numpy only.
 
-``distance_matrix`` computes the augmented distances of a whole class. A
-small class takes the exact formula on every view pair; a larger one is
-searched over the upper triangle only, in square tiles of at most
-``TILE_BYTES`` (2 MiB) of float32 view pairs, so its extra memory is about
-one tile plus the N×N output, the N·V·D views and their lifted N·V·(D+2)
-float32 copy. A tile is one float32 BLAS GEMM on lifted views,
-``[-2ĉ, 1, q]`` times ``[ĉ, q, 1]``, with ĉ the views centered on their
-mean in float64, scaled by a power of two so that M = max q lies in
-[1/4, 1] (q = ‖ĉ‖²), and rounded to float32. It gives every scaled squared
-view distance up to a derived rounding bound
-E = 10·(D + 4)·(eps32·M + tiny32). Only the view pairs whose GEMM value
-lies within 2E of their sample pair's smallest one can hold its minimum;
-those few are recomputed with the exact float64 formula on the unscaled
-views, so each entry is bit-identical to the pairwise
-``augmented_distance``. ``distance_matrix``'s docstring derives the bound.
-
-``distance_matrix`` works through all its tiles on the calling thread, one
-at a time, so the tiles in flight never exceed one ``TILE_BYTES``. Each
-row of tiles ends in a finish of many small numpy calls, whose share of a
-second thread would mostly wait for the GIL; the population InfoNCE of
-``evaluation``, whose tiles are a few long ufunc passes, keeps its helper
-thread. Each tile writes its own entries of the output, so results do not
-depend on the tiling.
+``distance_levels`` places every pairwise augmented distance of a class on
+an ascending delta grid: entry (i, j) counts the deltas strictly below the
+pair's distance, all that a threshold graph needs. A small class takes the
+exact formula on every view pair. A larger one bounds each pair's exact
+minimum with float32 BLAS GEMMs on centered views scaled by a power of two,
+to within a derived rounding bound E: an identity pre-pass settles the
+pairs whose upper bound lies within the first delta, a screen over all view
+pairs settles nearly all the others, and only a pair whose bounds straddle
+a delta gets the exact formula. Every level is that of
+``augmented_distance``; the docstring of ``distance_levels`` derives E and
+the decision rule. Every buffer holds at most one ``TILE_BYTES`` (2 MiB),
+the levels do not depend on it, and all of it runs on the calling thread
+(the population InfoNCE of ``evaluation`` keeps its helper thread).
 
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
@@ -75,7 +65,7 @@ __all__ = [
     "view_tensor",
     "view_weights",
     "augmented_distance",
-    "distance_matrix",
+    "distance_levels",
     "sample_views",
 ]
 
@@ -92,8 +82,8 @@ _RULE_FIELDS = {
 }
 _PARAMETER_FIELDS = tuple(dict.fromkeys(name for uses in _RULE_FIELDS.values() for name in uses))
 
-# Byte budget of one float32 tile of squared view distances in
-# ``distance_matrix``; ``evaluation`` tiles its InfoNCE pair terms by it too.
+# Byte budget of one buffer of ``distance_levels``; ``evaluation`` tiles its
+# InfoNCE pair terms by it too.
 TILE_BYTES = 2 << 20
 
 _EPS32 = float(np.finfo(np.float32).eps)
@@ -393,49 +383,54 @@ def _sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def distance_matrix(
+def distance_levels(
     dataset: Dataset,
     aug: AugmentationSet,
+    deltas: list[float] | np.ndarray,
     class_filter: int | None = None,
 ) -> np.ndarray:
-    """Pairwise augmented distances, optionally restricted to one class.
+    """Threshold level of every pairwise augmented distance, optionally in one class.
 
-    Returns an (N, N) symmetric matrix with zero diagonal where N is the
-    number of selected samples (row order follows dataset order). Every
-    entry is bit-identical to ``augmented_distance`` of the two points,
-    whatever the tiling.
+    Returns an (N, N) symmetric integer array with zero diagonal, N the
+    number of selected samples in dataset order: entry (i, j) is
+    ``np.searchsorted(deltas, dist, "left")`` for the ascending,
+    non-negative ``deltas`` and the pair's augmented distance dist, so the
+    pair is within δ_k exactly when the entry is at most k. dist, where it
+    is computed at all, is ``augmented_distance`` of the two points bit for
+    bit.
 
     A job whose (D + 1)·(N·V)² squared differences and distances fit in
-    ``TILE_BYTES`` at 8 bytes each computes every view pair with the exact
-    formula of ``_sqeuclidean``. A larger job searches only the upper
-    triangle, in square tiles of ``side`` samples per axis whose (side·V)²
-    float32 view pairs fit ``TILE_BYTES`` at 4 bytes each (one sample per
-    side at least). The calling thread computes them one at a time, so
-    extra memory is about one ``TILE_BYTES`` plus the output, the N·V·D
-    views and their lifted N·V·(D+2) float32 copy.
+    ``TILE_BYTES`` at 8 bytes each takes the exact formula of
+    ``_sqeuclidean`` on every view pair. A larger one bounds each sample
+    pair's exact smallest squared view distance c with float32 GEMMs on
+    lifted views, in one buffer of ``TILE_BYTES`` (or of one sample's GEMM
+    where that is larger), so no level depends on the budget:
 
-    A tile is one float32 GEMM: with ĉ the views centered on their mean and
-    scaled, and q = ‖ĉ‖², the rows ``[-2ĉ, 1, q]`` times the lifted views
-    ``[ĉ, q, 1]`` give every scaled squared view distance approximately, and
-    the tile keeps only, for each column, its minimum over each row sample's
-    views (``_tile_colmin``). Once the tiles of a row of tiles are done,
-    ``_column_limits`` gives each sample pair the limit m + 2E below
-    and picks the columns that reach it; those columns are recomputed
-    against the row samples' views in one more GEMM, and the view pairs that
-    reach the limit are the candidates, a few per sample pair. Only they are
-    recomputed with the exact left-to-right formula of ``_sqeuclidean`` on
-    the unscaled float64 views, and the smallest is the exact minimum. Views
-    that repeat an earlier view of every sample bit for bit
-    (``_distinct_views``) are left out of the candidates, as their distances
-    repeat too. Tiles write disjoint entries, and the lower triangle is the
-    upper one's mirror, since squared distances are the same in either
-    argument order.
+    1. Identity pre-pass (``_identity_minima``): each sample's identity
+       view, the sample itself, against every view of the class. The
+       smallest GEMM value h of a pair gives c ≤ (h + E)/s², so a pair
+       whose upper bound is at or below ``deltas[0]`` is settled at level 0.
+    2. Screen (``_pair_minima``): the smallest GEMM value m over the V×V
+       view pairs of every other pair of the upper triangle gives
+       (m − E)/s² ≤ c ≤ (m + E)/s².
+    3. Exact fallback (``_exact_minima``): a pair whose two bounds fall on
+       different levels, its interval straddling a delta, gets c from the
+       exact formula over its views.
 
-    The filter is sound by a rounding bound. ``_lifted`` centers the views
+    A bound is (g ± E)/s² rounded outward after each inexact step
+    (``_unscaled``): the sum, then the two divisions by s, exact unless
+    they leave float64's normal range. The level of a bound b is that of
+    fl(√max(b, 0)); a correctly rounded square root never decreases, so a
+    bound below or above c gives a level at most or at least c's, and two
+    equal levels are c's level.
+
+    The bounds are sound by a rounding bound. ``_lifted`` centers the views
     in float64 and multiplies them by a power of two s, chosen so that
-    M = max q lies in [1/4, 1]; that is exact. It then rounds ĉ and q to
-    float32. (Without the scaling, q overflows float32 once coordinates
-    reach about 1e19, and the GEMM values turn infinite or NaN.) Let u be
+    M = max q lies in [1/4, 1] (q = ‖ĉ‖², ĉ the scaled centered views);
+    that is exact. It then rounds ĉ and q to float32. (Without the
+    scaling, q overflows float32 once coordinates reach about 1e19, and the
+    GEMM values turn infinite or NaN.) A GEMM multiplies the lifted views
+    ``[ĉ, q, 1]`` by the rows ``[-2ĉ, 1, q]`` of ``_left_operand``. Let u be
     float32's unit roundoff, eps32 = 2u its machine epsilon and tiny32 its
     smallest normal number, and write γ_n = n·u for the bound on an n-term
     inner product computed in any order (Higham 2002, §3.1). This assumes
@@ -456,108 +451,76 @@ def distance_matrix(
 
     These add up to (4D + 22)·u·M = (2D + 11)·eps32·M, and the factor
     10·(D + 4) leaves a margin of (8D + 29)·eps32·M. It covers the
-    second-order terms, the float64 steps, the rounding of M and E, and the
-    float32 rounding of the limit m + 2E, which is at most about
-    2·eps32·M, as |m| ≤ 4M + E; tiny32 covers float32 underflow. Within a
-    sample pair let p minimize c over the pairs of distinct views and let m
-    be the pair's smallest tile GEMM value, attained by the view pair r.
-    Then g_p ≤ s²·c_p + E ≤ s²·c_r + E ≤ m + 2E, with g_p from the tile or
-    from any other GEMM, and the margin keeps this true of the rounded
-    limit. So p's column reaches the limit in its tile, and p itself
-    reaches it when its column is recomputed: every view pair that does is
-    a candidate.
+    second-order terms, the float64 steps and the rounding of M and E;
+    tiny32 covers float32 underflow. So if the view pair p attains c and r
+    attains the smallest GEMM value m of the sample pair, then
+    m − E ≤ g_p − E ≤ s²·c ≤ s²·c_r ≤ g_r + E = m + E.
     """
     if class_filter is None:
         points = dataset.features
     else:
         points = dataset.features[dataset.class_indices(class_filter)]
+    deltas = np.asarray(deltas, dtype=np.float64)
+    grid = [0.0, *deltas.tolist()]
+    # Written so that NaN, which compares false, fails it.
+    if not all(a <= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("thresholds must be non-negative and ascending")
     views = view_tensor(points, aug)
     n, v, d = views.shape
     coords = np.ascontiguousarray(views.reshape(n * v, d).T)
+    del views
     if (d + 1) * 8 * (n * v) ** 2 <= TILE_BYTES:
         # A job this small costs less with the exact formula on every pair.
         sq = _sqeuclidean(coords[:, :, None], coords[:, None, :])
-        return _finish_distances(sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
-    side = max(1, math.isqrt(TILE_BYTES // 4) // v)
-    keep = np.tile(_distinct_views(views), n)
-    # Indices, within a row of tiles, of the distinct views of its samples.
-    rowsel = (v * np.arange(side)[:, None] + keep[:v].nonzero()[0]).reshape(-1)
-    del views
-    lifted, bound = _lifted(coords)
-    out = np.full((n, n), np.inf)
-
-    def finish(i0: int, left: np.ndarray, parts: list[tuple[int, np.ndarray]]) -> None:
-        colmin = np.concatenate([m for _, m in parts], axis=1)
-        starts = v * np.array([j0 for j0, _ in parts])
-        colview = (starts[:, None] + np.arange(side * v)).reshape(-1)[: colmin.shape[1]]
-        limit, colview = _column_limits(colmin, colview, bound, v, i0, keep)
-        # Recompute the columns some row sample's limit reaches against the
-        # row samples' distinct views, a quarter of the tile budget at a time.
-        ni = colmin.shape[0]
-        rows = rowsel[: rowsel.size // side * ni]
-        left = left.take(rows, axis=0)
-        rowview = i0 * v + rows
-        w = rows.size // ni
-        step = max(1, TILE_BYTES // (16 * rows.size))
-        for lo in range(0, colview.size, step):
-            cols = colview[lo : lo + step]
-            g = left @ lifted.take(cols, axis=0).T
-            hit = (g.reshape(ni, w, -1) <= limit[:, None, lo : lo + step]).reshape(-1).nonzero()[0]
-            row = hit // cols.size
-            r, c = rowview[row], cols[hit - row * cols.size]
-            exact = _sqeuclidean(coords.take(r, axis=1), coords.take(c, axis=1))
-            np.minimum.at(out.reshape(-1), r // v * n + c // v, exact)
-
-    for i0 in range(0, n, side):
-        left = _left_operand(lifted[i0 * v : (i0 + side) * v])
-        parts: list[tuple[int, np.ndarray]] = []
-        held = 0
-        for j0 in range(i0, n, side):
-            colmin = _tile_colmin(left, lifted[j0 * v : (j0 + side) * v], v)
-            parts.append((j0, colmin))
-            held += colmin.nbytes
-            # A row of tiles is finished at once, or a part of one when its
-            # column minima reach an eighth of the budget.
-            if 8 * held >= TILE_BYTES:
-                finish(i0, left, parts)
-                parts, held = [], 0
-        if parts:
-            finish(i0, left, parts)
-    return _finish_distances(np.minimum(out, out.T))
+        return _level(deltas, sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
+    lifted, bound, scale = _lifted(coords)
+    # One buffer for every GEMM, one sample's at least: a fresh array each
+    # time would fault in its pages anew.
+    buf = np.empty(max(TILE_BYTES // 4, v * max(n, v)), dtype=np.float32)
+    upper = _identity_minima(lifted, v, aug.discrete.index(identity()), buf)
+    need = np.triu(_level(deltas, _unscaled(upper, bound, scale)) > 0, 1)
+    rows, cols = need.nonzero()
+    m = _pair_minima(lifted, v, need, buf)[rows, cols]
+    del buf
+    low = _level(deltas, _unscaled(m, -bound, scale))
+    levels = np.zeros((n, n), dtype=low.dtype)
+    levels[rows, cols] = low
+    straddle = (low != _level(deltas, _unscaled(m, bound, scale))).nonzero()[0]
+    rows, cols = rows[straddle], cols[straddle]
+    levels[rows, cols] = _level(deltas, _exact_minima(coords, v, rows, cols))
+    return levels + levels.T
 
 
-def _finish_distances(sq: np.ndarray) -> np.ndarray:
-    """Distances from the (N, N) smallest squared view distances, zero diagonal."""
-    out = np.sqrt(np.maximum(sq, 0.0))
-    np.fill_diagonal(out, 0.0)
-    return out
+def _level(deltas: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """How many ``deltas`` lie strictly below fl(√max(sq, 0)), elementwise."""
+    return np.searchsorted(deltas, np.sqrt(np.maximum(sq, 0.0)), side="left")
 
 
-def _distinct_views(views: np.ndarray) -> np.ndarray:
-    """Mask (V,) of the views of (N, V, D) ``views`` that do not repeat, in
-    every sample bit for bit, an earlier view (a rotation at angle 0 repeats
-    the identity, for one)."""
-    n, v, d = views.shape
-    rows = np.ascontiguousarray(views.transpose(1, 0, 2)).reshape(v, n * d)
-    keys = rows.view(np.dtype((np.void, 8 * n * d))).reshape(v)
-    keep = np.zeros(v, dtype=bool)
-    keep[np.unique(keys, return_index=True)[1]] = True
-    return keep
+def _unscaled(g: np.ndarray, e: float, scale: float) -> np.ndarray:
+    """(g + e)/s² in float64, each inexact step rounded up for e > 0 and
+    down for e < 0, so the result bounds the real value from that side."""
+    toward = math.copysign(math.inf, e)
+    total = np.nextafter(g.astype(np.float64) + e, toward)
+    # The two divisions by the power of two s are exact in float64's normal
+    # range and err by less than one unit below it.
+    return np.nextafter(total / scale / scale, toward)
 
 
-def _lifted(coords: np.ndarray) -> tuple[np.ndarray, float]:
-    """The float32 lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords`` and the bound E.
+def _lifted(coords: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The float32 lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords``, the
+    bound E and the scale s.
 
-    ĉ are the views centered on their mean in float64 and scaled by a power
-    of two, which is exact: first so that max |ĉ| lies in [1/2, 1), where
-    q = ‖ĉ‖² neither overflows nor underflows, then so that max q lies in
-    [1/4, 1]. Both are then rounded to float32. E is in the same scaled
-    units; see ``distance_matrix``.
+    ĉ are the views centered on their mean in float64 and multiplied by the
+    power of two s, which is exact: first so that max |ĉ| lies in [1/2, 1),
+    where q = ‖ĉ‖² neither overflows nor underflows, then so that max q lies
+    in [1/4, 1]. Both are then rounded to float32. E is in the same scaled
+    units; see ``distance_levels``.
     """
     d, nv = coords.shape
     centered = coords.T - coords.mean(axis=1)
     peak = max(float(centered.max(initial=0.0)), -float(centered.min(initial=0.0)))
-    np.ldexp(centered, -np.frexp(peak)[1], out=centered)
+    exponent = int(np.frexp(peak)[1])
+    np.ldexp(centered, -exponent, out=centered)
     q = np.einsum("ij,ij->i", centered, centered)
     k = (int(np.frexp(q.max(initial=0.0))[1]) + 1) // 2
     lifted = np.empty((nv, d + 2), dtype=np.float32)
@@ -565,7 +528,7 @@ def _lifted(coords: np.ndarray) -> tuple[np.ndarray, float]:
     np.ldexp(q, -2 * k, out=lifted[:, d])
     lifted[:, d + 1] = 1.0
     bound = 10.0 * (d + 4) * (_EPS32 * float(lifted[:, d].max(initial=0.0)) + _TINY32)
-    return lifted, bound
+    return lifted, bound, math.ldexp(1.0, -exponent - k)
 
 
 def _left_operand(lifted: np.ndarray) -> np.ndarray:
@@ -579,42 +542,66 @@ def _left_operand(lifted: np.ndarray) -> np.ndarray:
     return left
 
 
-def _tile_colmin(left: np.ndarray, right: np.ndarray, v: int) -> np.ndarray:
-    """GEMM values of one tile, each column's minimum over each row sample's views.
+def _identity_minima(lifted: np.ndarray, v: int, ident: int, buf: np.ndarray) -> np.ndarray:
+    """(N, N) smallest GEMM value of each sample pair over the view pairs
+    that hold the identity view ``ident`` of either sample.
 
-    ``left`` holds the ni·V rows ``[-2ĉ, 1, q]`` of the tile's row samples
-    and ``right`` the lifted views ``[ĉ, q, 1]`` of its column samples;
-    returns (ni, nj·V).
+    Every identity view meets the views of as many samples at a time as fit
+    ``TILE_BYTES``, in the buffer ``buf``.
     """
-    g = left @ right.T
-    return g.reshape(left.shape[0] // v, v, right.shape[0]).min(axis=1)
+    n = lifted.shape[0] // v
+    left = _left_operand(lifted[ident::v])
+    out = np.empty((n, n), dtype=np.float32)
+    step = max(1, TILE_BYTES // (4 * v * n))
+    for j0 in range(0, n, step):
+        right = lifted[j0 * v : (j0 + step) * v]
+        g = np.matmul(right, left.T, out=buf[: right.shape[0] * n].reshape(-1, n))
+        out[j0 : j0 + step] = g.reshape(-1, v, n).min(axis=1)
+    return np.minimum(out, out.T)
 
 
-def _column_limits(
-    colmin: np.ndarray, colview: np.ndarray, bound: float, v: int, i0: int, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of one row of tiles that may hold a candidate, and their limits.
+def _pair_minima(lifted: np.ndarray, v: int, need: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(N, N) smallest GEMM value over the V×V view pairs of each pair that
+    ``need`` marks; the other entries are undefined.
 
-    ``colmin`` (ni, W) holds the column minima of the tiles, or of a run of
-    them, of the row whose samples start at ``i0``, and ``colview`` (W,) the
-    view index of each column. The limit of a sample pair is its smallest
-    GEMM value plus 2E; a column may hold a candidate of a row sample when
-    its minimum over that sample's views reaches the limit. Returns the (ni, U) limits of the
-    U columns of views that ``keep`` marks (a mask over all N·V views) and
-    that some row sample's limit reaches, and their view indices. A sample
-    paired with itself gets no limit: its distance is zero.
+    Row samples go in blocks of as many as fit one ``TILE_BYTES`` GEMM
+    against the whole class, at least one. A block meets, in the buffer
+    ``buf``, only the column samples that ``need`` pairs with one of its
+    rows, as many at a time as fit ``TILE_BYTES``.
     """
-    ni = colmin.shape[0]
-    # A transposed copy makes the minimum over each pair's V columns run
-    # over long contiguous rows whatever V.
-    limit = colmin.reshape(-1, v).T.copy().min(axis=0).reshape(ni, -1)
-    limit += 2.0 * bound
-    if colview[0] == i0 * v:
-        # The row's diagonal tile comes first.
-        np.fill_diagonal(limit, -np.inf)
-    limit = np.repeat(limit, v, axis=1)
-    used = ((colmin <= limit).any(axis=0) & keep[colview]).nonzero()[0]
-    return limit.take(used, axis=1), colview[used]
+    n = need.shape[0]
+    views = lifted.reshape(n, v, -1)
+    out = np.empty((n, n), dtype=np.float32)
+    block = max(1, TILE_BYTES // (4 * v * v * n))
+    for i0 in range(0, n, block):
+        cols = need[i0 : i0 + block].any(axis=0).nonzero()[0]
+        left = _left_operand(lifted[i0 * v : (i0 + block) * v])
+        ni = left.shape[0] // v
+        step = max(1, TILE_BYTES // (4 * v * v * ni))
+        for c0 in range(0, cols.size, step):
+            c = cols[c0 : c0 + step]
+            right = views.take(c, axis=0).reshape(c.size * v, -1)
+            g = np.matmul(left, right.T, out=buf[: ni * v * c.size * v].reshape(ni * v, -1))
+            # The minimum over the row views runs along long contiguous rows,
+            # and so, after a transposed copy, does the one over the column views.
+            m = g.reshape(ni, v, -1).min(axis=1).reshape(-1, v).T.copy().min(axis=0)
+            out[i0 : i0 + ni, c] = m.reshape(ni, c.size)
+    return out
+
+
+def _exact_minima(coords: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact smallest squared view distance of each sample pair (rows[k],
+    cols[k]), by ``_sqeuclidean`` on the (D, N·V) ``coords``, as many pairs
+    at a time as fit ``TILE_BYTES``."""
+    d = coords.shape[0]
+    grid = coords.reshape(d, -1, v)
+    out = np.empty(rows.size)
+    step = max(1, TILE_BYTES // (8 * d * v * v))
+    for k in range(0, rows.size, step):
+        a = grid[:, rows[k : k + step], :, None]
+        b = grid[:, cols[k : k + step], None, :]
+        out[k : k + step] = _sqeuclidean(a, b).reshape(a.shape[1], -1).min(axis=1)
+    return out
 
 
 def sample_views(points: np.ndarray, aug: AugmentationSet, rng: np.random.Generator) -> np.ndarray:

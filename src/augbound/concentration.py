@@ -6,6 +6,11 @@ class samples and whose edges join samples with augmented distance at most
 it is within ``delta`` under some view pair. The concentration level sigma
 is the smallest, over classes, of |main part| / |class|.
 
+A graph needs only which side of ``delta`` each distance lies on, so the
+estimators take ``augment.distance_levels`` once per class for the whole
+grid: a pair at level k (k deltas below its distance) is an edge of the
+graphs from deltas[k] on.
+
 One branch-and-bound search serves both modes. The exact mode runs it to
 completion and returns the lexicographically smallest maximum clique; it
 refuses a class of more than ``EXACT_CLIQUE_BUDGET`` = 32 samples, and the
@@ -35,7 +40,7 @@ from typing import Literal
 
 import numpy as np
 
-from .augment import AugmentationSet, distance_matrix
+from .augment import AugmentationSet, distance_levels
 from .core import Dataset
 
 __all__ = [
@@ -193,12 +198,17 @@ class ConcentrationEstimate:
 
 
 def _class_clique(
-    distances: np.ndarray,
+    levels: np.ndarray,
+    step: int,
     delta: float,
     mode: str,
     baseline_local: tuple[int, ...] | None,
 ) -> tuple[int, ...]:
-    graph = build_threshold_graph(distances, delta)
+    """Clique of the class graph at the grid's ``step``-th threshold ``delta``,
+    whose edges are the pairs of ``distance_levels`` at most ``step``."""
+    adjacency = levels <= step
+    np.fill_diagonal(adjacency, False)
+    graph = ThresholdGraph(adjacency, delta)
     if mode == "exact":
         clique = exact_max_clique(graph)
     else:
@@ -232,7 +242,7 @@ def _curve(
     if mode == "exact":
         for ids in class_ids:
             _check_exact_budget(ids.size)
-    class_dists = [distance_matrix(dataset, aug, class_filter=k) for k in range(len(class_ids))]
+    levels = [distance_levels(dataset, aug, deltas, class_filter=k) for k in range(len(class_ids))]
     prev_local: list[tuple[int, ...] | None] = [None] * dataset.num_classes
     if baseline is not None:
         for k, part in enumerate(baseline.main_parts[: dataset.num_classes]):
@@ -240,11 +250,11 @@ def _curve(
             if all(int(v) in id_to_local for v in part):
                 prev_local[k] = tuple(id_to_local[int(v)] for v in part)
     out: list[ConcentrationEstimate] = []
-    for delta in deltas:
+    for step, delta in enumerate(deltas):
         per_class: list[float] = []
         parts: list[tuple[int, ...]] = []
         for k, ids in enumerate(class_ids):
-            clique = _class_clique(class_dists[k], delta, mode, prev_local[k])
+            clique = _class_clique(levels[k], step, delta, mode, prev_local[k])
             prev_local[k] = clique
             per_class.append(len(clique) / ids.size)
             parts.append(tuple(int(ids[v]) for v in clique))
@@ -284,7 +294,8 @@ def sigma_delta_curve(
 ) -> list[ConcentrationEstimate]:
     """Concentration estimates across an ascending threshold grid.
 
-    Distance matrices are computed once per class and rethresholded. Each
+    The distance levels of each class are computed once for the whole grid
+    (``distance_levels``), and each threshold's graph is read from them. Each
     step starts from the previous certificate, so sigma is non-decreasing
     along the curve in both modes.
     """

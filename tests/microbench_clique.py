@@ -9,19 +9,21 @@ Run it on its own, with one BLAS thread as the benchmark harness pins it:
 Each case is one class of the interleaved two-ring task at 14, 32, 64 or 96
 samples per class, under identity plus a rotation and a scaling at grid 5
 (26 views), thresholded at the four ``delta_grid`` values of the
-``scale_ladder`` benchmark. One timed call searches all four graphs.
+``scale_ladder`` benchmark, whose edges are read from the class's
+``distance_levels``. One timed call searches all four graphs.
 ``approx_max_clique`` (the search under ``APPROX_NODE_BUDGET`` nodes) is
 timed at every size; ``exact_max_clique`` (the complete search) only up to
 ``EXACT_CLIQUE_BUDGET`` vertices, where it does not refuse.
 """
 
+import numpy as np
 import pytest
 
-from augbound.augment import AugmentationSet, distance_matrix, identity, rotation_2d, scaling
+from augbound.augment import AugmentationSet, distance_levels, identity, rotation_2d, scaling
 from augbound.concentration import (
     EXACT_CLIQUE_BUDGET,
+    ThresholdGraph,
     approx_max_clique,
-    build_threshold_graph,
     exact_max_clique,
 )
 from augbound.core import GeneratorConfig, generate_dataset
@@ -46,8 +48,13 @@ def _ring_graphs(samples_per_class):
             disjoint_classes=False,
         )
     )
-    distances = distance_matrix(dataset, _AUG, class_filter=0)
-    return [build_threshold_graph(distances, delta) for delta in _DELTAS]
+    levels = distance_levels(dataset, _AUG, _DELTAS, class_filter=0)
+    graphs = []
+    for step, delta in enumerate(_DELTAS):
+        adjacency = levels <= step
+        np.fill_diagonal(adjacency, False)
+        graphs.append(ThresholdGraph(adjacency, delta))
+    return graphs
 
 
 @pytest.mark.parametrize(

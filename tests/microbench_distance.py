@@ -1,4 +1,4 @@
-"""Timing of ``augment.distance_matrix`` on the scale-ladder shapes, next to a cdist kernel.
+"""Timing of ``augment.distance_levels`` on the scale-ladder shapes, next to a cdist kernel.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it on its own, with one BLAS thread as the benchmark harness pins it:
@@ -6,18 +6,20 @@ Run it on its own, with one BLAS thread as the benchmark harness pins it:
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/microbench_distance.py \\
         --benchmark-group-by=param:shape
 
-Each ``distance_matrix`` case is one class of the interleaved two-ring task
+Each ``distance_levels`` case is one class of the interleaved two-ring task
 at one of the 12 shapes of the ``scale_ladder`` benchmark: 14, 32, 64 or 96
 samples per class, times identity plus a rotation, a scaling and a shift at
-grid 5, the first one, two or three of them (6, 26 or 126 views). Every
-shape is timed twice, with the package's kernel (``numpy``: one float32
-GEMM per tile of 4-byte entries as a filter, then the exact float64 formula
-on the few view pairs that may hold a minimum) and with
-``_cdist_distance_matrix`` (``cdist``: the same byte budget, also on the
-calling thread, but float64 tiles of 8-byte entries, so half the view pairs
-per tile, each one ``scipy.spatial.distance.cdist`` call and two minima), so
-the two can be compared shape by shape; both return the same matrix bit for bit.
-``view_tensor`` is timed on the whole dataset of the ``n96_v126`` rung.
+grid 5, the first one, two or three of them (6, 26 or 126 views), against
+the ladder's delta grid. Every shape is timed twice, with the package's
+kernel (``numpy``: float32 GEMMs bound each pair's distance, an identity
+pre-pass and a screen of the pairs it leaves, and the exact float64 formula
+only where the bounds straddle a delta) and with ``_cdist_distance_levels``
+(``cdist``: every exact distance, in tiles of the same byte budget on the
+calling thread, float64 tiles of 8-byte entries, each one
+``scipy.spatial.distance.cdist`` call and two minima, then thresholded by
+``np.searchsorted``), so the two can be compared shape by shape; both
+return the same levels. ``view_tensor`` is timed on the whole dataset of
+the ``n96_v126`` rung.
 """
 
 import math
@@ -30,7 +32,7 @@ from augbound import augment
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
-    distance_matrix,
+    distance_levels,
     identity,
     rotation_2d,
     scaling,
@@ -63,10 +65,12 @@ _AUGS = {
     for k in (1, 2, 3)
 }
 _SHAPES = [(n, v) for n in (14, 32, 64, 96) for v in (6, 26, 126)]
+# The ``delta_grid`` of the scale_ladder benchmark.
+_DELTAS = (0.2, 0.4, 0.6, 0.8)
 
 
-def _cdist_distance_matrix(dataset, aug, class_filter=None):
-    """The tiled kernel with one cdist call per tile of squared view distances."""
+def _cdist_distance_levels(dataset, aug, deltas, class_filter=None):
+    """Exact distances in tiles of one cdist call each, thresholded by ``deltas``."""
     if class_filter is None:
         points = dataset.features
     else:
@@ -88,20 +92,22 @@ def _cdist_distance_matrix(dataset, aug, class_filter=None):
             out[j0:j1, i0:i1] = tile.T
     out = np.sqrt(np.maximum(out, 0.0))
     np.fill_diagonal(out, 0.0)
-    return out
+    return np.searchsorted(deltas, out, side="left")
 
 
-_KERNELS = {"numpy": distance_matrix, "cdist": _cdist_distance_matrix}
+_KERNELS = {"numpy": distance_levels, "cdist": _cdist_distance_levels}
 
 
 @pytest.mark.parametrize("kernel", list(_KERNELS))
 @pytest.mark.parametrize("shape", [f"n{n}_v{v}" for n, v in _SHAPES])
-def test_distance_matrix_ladder_shape(benchmark, shape, kernel):
+def test_distance_levels_ladder_shape(benchmark, shape, kernel):
     n, v = (int(part[1:]) for part in shape.split("_"))
     dataset, aug = _ring_dataset(n), _AUGS[v]
     assert aug.num_views == v
-    matrix = benchmark(_KERNELS[kernel], dataset, aug, class_filter=0)
-    np.testing.assert_array_equal(matrix, _cdist_distance_matrix(dataset, aug, class_filter=0))
+    levels = benchmark(_KERNELS[kernel], dataset, aug, _DELTAS, class_filter=0)
+    np.testing.assert_array_equal(
+        levels, _cdist_distance_levels(dataset, aug, _DELTAS, class_filter=0)
+    )
 
 
 def test_view_tensor_192_points_126_views(benchmark):

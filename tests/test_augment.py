@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,7 @@ from augbound.augment import (
     additive_shift,
     augmented_distance,
     coordinate_permutation,
-    distance_matrix,
+    distance_levels,
     identity,
     rotation_2d,
     sample_views,
@@ -131,60 +130,9 @@ def _toy_dataset(n_per_class=4, seed=0):
     return generate_dataset(cfg)
 
 
-def test_distance_matrix_trivial_cases():
-    aug = identity_only()
-    ds = _toy_dataset(1)
-    m = distance_matrix(ds, aug, class_filter=0)
-    np.testing.assert_array_equal(m, [[0.0]])
-
-
-def test_distance_matrix_matches_euclidean_for_identity_only():
-    ds = _toy_dataset(4)
-    aug = identity_only()
-    m = distance_matrix(ds, aug)
-    diff = ds.features[:, None, :] - ds.features[None, :, :]
-    expected = np.sqrt((diff**2).sum(axis=2))
-    np.testing.assert_allclose(m, expected, atol=1e-12)
-    np.testing.assert_allclose(m, m.T, atol=0)
-    np.testing.assert_array_equal(np.diag(m), 0.0)
-
-
-def test_distance_matrix_pairwise_consistency():
-    ds = _toy_dataset(3)
-    aug = AugmentationSet(
-        transforms=(identity(), additive_shift((0.3, -0.2))), grid_resolution=3
-    )
-    m = distance_matrix(ds, aug)
-    for i in range(ds.num_samples):
-        for j in range(ds.num_samples):
-            np.testing.assert_allclose(
-                m[i, j],
-                augmented_distance(ds.features[i], ds.features[j], aug),
-                atol=1e-12,
-            )
-
-
-def test_enrichment_never_increases_distances():
-    ds = _toy_dataset(5)
-    base = AugmentationSet(
-        transforms=(identity(), additive_shift((0.3, 0.0))), grid_resolution=3
-    )
-    richer = AugmentationSet(
-        transforms=(identity(), additive_shift((0.3, 0.0)), sign_flip_mask((1.0, -1.0))),
-        grid_resolution=3,
-    )
-    # 3 -> 5 grid points: the coarse thetas {0, .5, 1} survive refinement
-    finer = AugmentationSet(
-        transforms=(identity(), additive_shift((0.3, 0.0))), grid_resolution=5
-    )
-    m_base = distance_matrix(ds, base)
-    for enriched in (richer, finer):
-        m_rich = distance_matrix(ds, enriched)
-        assert np.all(m_rich <= m_base + 1e-12)
-
-
 def _row_block_distance_matrix(dataset, aug, class_filter=None, block_rows=32):
-    """The former kernel: full rows of view distances, then min with the transpose."""
+    """The reference distances: full rows of view distances by cdist, then
+    the min with the transpose."""
     if class_filter is None:
         points = dataset.features
     else:
@@ -202,6 +150,93 @@ def _row_block_distance_matrix(dataset, aug, class_filter=None, block_rows=32):
     out = np.minimum(out, out.T)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _tight_grid(distances, count=48):
+    """Up to ``count`` of the distinct off-diagonal ``distances``, evenly
+    spread in sorted order, each with its float64 neighbours on both sides."""
+    values = np.unique(distances[~np.eye(len(distances), dtype=bool)])
+    picked = values[np.linspace(0, values.size - 1, min(count, values.size)).astype(int)]
+    grid = np.concatenate([picked, np.nextafter(picked, -np.inf), np.nextafter(picked, np.inf)])
+    return np.unique(np.maximum(grid, 0.0))
+
+
+def _grids(distances):
+    """A coarse grid at quantiles of the off-diagonal ``distances``, where
+    bounds settle most pairs, and the tight grid, where some pairs sit
+    exactly on a delta and others one float64 step from one."""
+    off = distances[~np.eye(len(distances), dtype=bool)]
+    coarse = np.quantile(off, [0.1, 0.3, 0.5, 0.7]) if off.size else np.array([0.5])
+    return [coarse, _tight_grid(distances)]
+
+
+def _assert_levels_match_reference(dataset, aug, class_filter=None, block_rows=32):
+    """``distance_levels`` against the thresholded reference on both grids;
+    returns the reference distances."""
+    reference = _row_block_distance_matrix(dataset, aug, class_filter, block_rows)
+    for deltas in _grids(reference):
+        levels = distance_levels(dataset, aug, deltas, class_filter=class_filter)
+        np.testing.assert_array_equal(levels, np.searchsorted(deltas, reference, side="left"))
+    return reference
+
+
+def test_distance_levels_trivial_cases():
+    aug = identity_only()
+    ds = _toy_dataset(1)
+    np.testing.assert_array_equal(distance_levels(ds, aug, [0.5], class_filter=0), [[0]])
+    # With no threshold every level is 0.
+    np.testing.assert_array_equal(distance_levels(ds, aug, []), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("deltas", [[0.5, 0.2], [0.2, float("nan")], [-0.1, 0.2]])
+def test_distance_levels_rejects_a_bad_grid(deltas):
+    with pytest.raises(ValueError, match="non-negative and ascending"):
+        distance_levels(_toy_dataset(2), identity_only(), deltas)
+
+
+def test_distance_levels_match_euclidean_for_identity_only():
+    ds = _toy_dataset(4)
+    diff = ds.features[:, None, :] - ds.features[None, :, :]
+    expected = np.sqrt((diff**2).sum(axis=2))
+    for deltas in _grids(expected):
+        levels = distance_levels(ds, identity_only(), deltas)
+        np.testing.assert_array_equal(levels, np.searchsorted(deltas, expected, side="left"))
+        np.testing.assert_array_equal(levels, levels.T)
+        np.testing.assert_array_equal(np.diag(levels), 0)
+
+
+def test_distance_levels_pairwise_consistency():
+    ds = _toy_dataset(3)
+    aug = AugmentationSet(
+        transforms=(identity(), additive_shift((0.3, -0.2))), grid_resolution=3
+    )
+    n = ds.num_samples
+    pairwise = np.array(
+        [[augmented_distance(ds.features[i], ds.features[j], aug) for j in range(n)]
+         for i in range(n)]
+    )
+    for deltas in _grids(pairwise):
+        levels = distance_levels(ds, aug, deltas)
+        np.testing.assert_array_equal(levels, np.searchsorted(deltas, pairwise, side="left"))
+
+
+def test_enrichment_never_raises_a_level():
+    ds = _toy_dataset(5)
+    base = AugmentationSet(
+        transforms=(identity(), additive_shift((0.3, 0.0))), grid_resolution=3
+    )
+    richer = AugmentationSet(
+        transforms=(identity(), additive_shift((0.3, 0.0)), sign_flip_mask((1.0, -1.0))),
+        grid_resolution=3,
+    )
+    # 3 -> 5 grid points: the coarse thetas {0, .5, 1} survive refinement
+    finer = AugmentationSet(
+        transforms=(identity(), additive_shift((0.3, 0.0))), grid_resolution=5
+    )
+    deltas = _tight_grid(_row_block_distance_matrix(ds, base))
+    levels_base = distance_levels(ds, base, deltas)
+    for enriched in (richer, finer):
+        assert np.all(distance_levels(ds, enriched, deltas) <= levels_base)
 
 
 def _ring_dataset(n_per_class, seed=0):
@@ -222,10 +257,14 @@ def _ring_dataset(n_per_class, seed=0):
 _RING_ROTATION = rotation_2d((0, 1), 1.4, 2.0)
 _RING_SCALE = scaling(0.85, 1.15, 2.0)
 _RING_SHIFT = additive_shift((0.0, 0.25, 0.0))
+# The ``delta_grid`` of the scale_ladder benchmark.
+_LADDER_DELTAS = (0.2, 0.4, 0.6, 0.8)
 
 
-def _tile_side(aug):
-    return max(1, math.isqrt(TILE_BYTES // 8) // aug.num_views)
+def _fits_all_pairs(n, aug, d=3):
+    # The job size up to which ``distance_levels`` takes the exact formula
+    # on every view pair.
+    return (d + 1) * 8 * (n * aug.num_views) ** 2 <= TILE_BYTES
 
 
 @pytest.mark.parametrize(
@@ -235,35 +274,32 @@ def _tile_side(aug):
         (AugmentationSet((identity(),)), 20, None),
         (AugmentationSet((identity(), coordinate_permutation((2, 0, 1)),
                           sign_flip_mask((1.0, -1.0, 1.0)))), 20, 1),
-        # V = 26, tile side 19: N = 50 spans 3 tiles per axis, the last one short.
+        # V = 26: N = 50 screens 15 row samples per GEMM block.
         (AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=5),
          25, None),
-        # V = 290, tile side 1.
+        # V = 290: one row sample per block, 6 column samples per GEMM.
         (AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=17),
          4, None),
     ],
 )
-def test_distance_matrix_tiles_match_row_blocks_bit_for_bit(aug, n_per_class, class_filter):
+def test_distance_levels_match_row_blocks(aug, n_per_class, class_filter):
     ds = _ring_dataset(n_per_class)
-    m = distance_matrix(ds, aug, class_filter=class_filter)
-    n = m.shape[0]
-    if aug.num_views == 26:
-        assert n % _tile_side(aug) != 0 and -(-n // _tile_side(aug)) >= 3
-    if aug.num_views == 290:
-        assert _tile_side(aug) == 1
-    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, aug, class_filter))
-    np.testing.assert_array_equal(m, m.T)
-    np.testing.assert_array_equal(np.diag(m), 0.0)
+    reference = _assert_levels_match_reference(ds, aug, class_filter)
+    n = len(reference)
+    if aug.num_views >= 26:
+        assert not _fits_all_pairs(n, aug)
+    levels = distance_levels(ds, aug, _LADDER_DELTAS, class_filter=class_filter)
     points = ds.features if class_filter is None else ds.features[ds.class_indices(class_filter)]
     for i in range(0, n, 7):
         for j in range(n):
-            if i != j:
-                assert m[i, j] == augmented_distance(points[i], points[j], aug)
+            distance = augmented_distance(points[i], points[j], aug)
+            assert levels[i, j] == np.searchsorted(_LADDER_DELTAS, distance, side="left")
 
 
-def test_distance_matrix_memory_is_one_tile_plus_output_and_views():
-    # 96 per class x 126 views, the largest ladder rung; the former row
-    # blocks held about 780 MB here.
+def test_distance_levels_memory_is_one_tile_plus_output_and_views():
+    # 96 per class x 126 views, the largest ladder rung: the identity
+    # pre-pass takes 3 chunks and the screen 131 GEMM batches, each
+    # within one TILE_BYTES; the former row blocks held about 780 MB here.
     ds = _ring_dataset(96)
     aug = AugmentationSet(
         (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT), grid_resolution=5
@@ -272,118 +308,128 @@ def test_distance_matrix_memory_is_one_tile_plus_output_and_views():
     assert v == 126
     tracemalloc.start()
     try:
-        m = distance_matrix(ds, aug, class_filter=0)
+        levels = distance_levels(ds, aug, _LADDER_DELTAS, class_filter=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert m.shape == (n, n)
+    assert levels.shape == (n, n)
     slack = 1 << 20
     assert peak < TILE_BYTES + 8 * n * n + 2 * 8 * n * v * d + slack
 
 
 _RING_V26 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=5)
-
-
-@pytest.mark.parametrize(
-    "workers, tile_bytes, tiles",
-    [
-        # N = 50 and V = 26; the tile side is 7 and 4 samples (last tiles short).
-        (1, 4 * (26 * 7) ** 2, 36),
-        (2, 4 * (26 * 4) ** 2, 91),
-        # Sides 12 and 8 (last tiles short).
-        (1, 4 * (26 * 12) ** 2, 15),
-        (2, 4 * (26 * 8) ** 2, 28),
-        # Sides 27 and 19 (last tiles short); two workers do not halve the budget.
-        (1, TILE_BYTES, 3),
-        (2, TILE_BYTES // 2, 6),
-        (2, TILE_BYTES, 3),
-    ],
-)
-def test_distance_matrix_does_not_depend_on_workers_or_tiling(
-    monkeypatch, split_workers, workers, tile_bytes, tiles
-):
-    ds = _ring_dataset(25)
-    started = split_workers(workers)
-    monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
-    tile_rows = []
-    tile_colmin = augment._tile_colmin
-
-    def counting_tile(left, right, v):
-        tile_rows.append(left.shape[0])
-        return tile_colmin(left, right, v)
-
-    monkeypatch.setattr(augment, "_tile_colmin", counting_tile)
-    m = distance_matrix(ds, _RING_V26)
-    assert len(tile_rows) == tiles
-    assert min(tile_rows) < max(tile_rows)
-    # Every tile runs on the calling thread, even where threads may start.
-    assert started == []
-    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V26))
-
-
-def test_distance_matrix_of_one_tile_runs_inline(split_workers):
-    # The squared view distances of 19 samples x 26 views fit one tile.
-    started = split_workers(2)
-    ds = _ring_dataset(19)
-    m = distance_matrix(ds, _RING_V26, class_filter=0)
-    assert 8 * (19 * 26) ** 2 <= TILE_BYTES and started == []
-    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V26, 0))
-
-
 _RING_V126 = AugmentationSet(
     (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT), grid_resolution=5
 )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "workers, tile_bytes, tiles",
+    "aug, n_per_class, tile_bytes",
     [
-        # N = 20 and V = 126, the ladder's largest view set. Tiles of 3
-        # samples: 7 per axis, the last one 2 samples.
-        (1, 4 * (126 * 3) ** 2, 28),
-        (2, 4 * (126 * 3) ** 2, 28),
-        # Side 2, 10 per axis.
-        (2, 4 * (126 * 2) ** 2, 55),
+        # V = 26, N = 50: blocks of 1, 3 and 15 row samples, columns in
+        # batches of 1, 50 and 50 samples.
+        (_RING_V26, 25, 4 * 26 * 26),
+        (_RING_V26, 25, 4 * 26 * 26 * 50 * 3),
+        (_RING_V26, 25, TILE_BYTES),
+        # V = 126, N = 20: one row sample per block, 1, 3 and 20 column samples.
+        (_RING_V126, 10, 4 * 126 * 126),
+        (_RING_V126, 10, 4 * 126 * 126 * 3 + 1),
+        (_RING_V126, 10, TILE_BYTES),
     ],
 )
-def test_distance_matrix_126_views_matches_row_blocks_on_several_tiles(
-    monkeypatch, split_workers, workers, tile_bytes, tiles
+def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
+    monkeypatch, split_workers, workers, aug, n_per_class, tile_bytes
 ):
-    ds = _ring_dataset(20)
+    ds = _ring_dataset(n_per_class)
     started = split_workers(workers)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
-    tile_rows = []
-    tile_colmin = augment._tile_colmin
+    reference = _assert_levels_match_reference(ds, aug, block_rows=4)
+    # The rows of every left GEMM operand: the identity pre-pass's N, then
+    # V per row sample of each screen block.
+    rows = []
+    left_operand = augment._left_operand
 
-    def counting_tile(left, right, v):
-        tile_rows.append((left.shape[0], right.shape[0]))
-        return tile_colmin(left, right, v)
+    def counted(lifted):
+        rows.append(lifted.shape[0])
+        return left_operand(lifted)
 
-    monkeypatch.setattr(augment, "_tile_colmin", counting_tile)
-    m = distance_matrix(ds, _RING_V126, class_filter=0)
-    assert _RING_V126.num_views == 126
-    assert len(tile_rows) == tiles
+    monkeypatch.setattr(augment, "_left_operand", counted)
+    distance_levels(ds, aug, _grids(reference)[0])
+    n, v = 2 * n_per_class, aug.num_views
+    block = max(1, tile_bytes // (4 * v * v * n))
+    assert rows[0] == n and max(rows[1:]) == min(block, n) * v
+    # Every batch runs on the calling thread, even where threads may start.
     assert started == []
-    if tiles == 28:
-        assert (3 * 126, 2 * 126) in tile_rows
-    # The row-block oracle reduces each block with a single .min(axis=(1, 3)).
-    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, _RING_V126, 0, block_rows=4))
 
 
-def test_distance_matrix_memory_bound_holds_with_two_workers(split_workers):
+def test_distance_levels_of_one_tile_runs_inline(split_workers):
+    # The squared view distances of 19 samples x 26 views fit one tile.
+    started = split_workers(2)
+    ds = _ring_dataset(19)
+    _assert_levels_match_reference(ds, _RING_V26, 0)
+    assert 8 * (19 * 26) ** 2 <= TILE_BYTES and started == []
+
+
+def test_distance_levels_memory_bound_holds_with_two_workers(split_workers):
     # The same scenario and bound where threads may start, whatever the CPU
-    # count of the host running the tests: every tile runs on the calling
+    # count of the host running the tests: every batch runs on the calling
     # thread.
     started = split_workers(2)
-    test_distance_matrix_memory_is_one_tile_plus_output_and_views()
+    test_distance_levels_memory_is_one_tile_plus_output_and_views()
     assert started == []
 
 
-def test_distance_matrix_memory_bound_holds_with_one_worker(split_workers):
+def test_distance_levels_memory_bound_holds_with_one_worker(split_workers):
     # Starting a thread raises here.
     started = split_workers(1)
-    test_distance_matrix_memory_is_one_tile_plus_output_and_views()
+    test_distance_levels_memory_is_one_tile_plus_output_and_views()
     assert started == []
+
+
+def test_identity_pre_pass_settles_pairs_before_the_screen(monkeypatch):
+    # Below the first delta every pair is settled at level 0 by its identity
+    # bound, and no pair reaches the screen; the ladder grid settles some.
+    ds = _ring_dataset(25)
+    screened = []
+    pair_minima = augment._pair_minima
+
+    def counted(lifted, v, need, buf):
+        screened.append(int(need.sum()))
+        return pair_minima(lifted, v, need, buf)
+
+    monkeypatch.setattr(augment, "_pair_minima", counted)
+    views = view_tensor(ds.features, _RING_V126).reshape(-1, 3)
+    diameter = float(np.sqrt(((views.max(axis=0) - views.min(axis=0)) ** 2).sum()))
+    levels = distance_levels(ds, _RING_V126, [diameter, 2 * diameter])
+    np.testing.assert_array_equal(levels, 0)
+    assert screened == [0]
+    distance_levels(ds, _RING_V126, _LADDER_DELTAS)
+    assert 0 < screened[1] < 50 * 49 // 2
+
+
+def test_exact_fallback_runs_where_the_bounds_straddle_a_delta(monkeypatch):
+    # On a grid of the reference distances themselves, a pair whose distance
+    # is a delta has bounds on both sides of it; only the exact formula
+    # places it.
+    ds = _ring_dataset(20)
+    fallback = []
+    exact_minima = augment._exact_minima
+
+    def counted(coords, v, rows, cols):
+        fallback.append(rows.size)
+        return exact_minima(coords, v, rows, cols)
+
+    monkeypatch.setattr(augment, "_exact_minima", counted)
+    reference = _row_block_distance_matrix(ds, _RING_V126, 0)
+    deltas = np.unique(reference)
+    levels = distance_levels(ds, _RING_V126, deltas, class_filter=0)
+    np.testing.assert_array_equal(levels, np.searchsorted(deltas, reference, side="left"))
+    assert fallback[0] >= 20 * 19 // 2 - 1
+    # The exact formula on each of those pairs is ``augmented_distance``.
+    points = ds.features[ds.class_indices(0)]
+    for i, j in [(0, 1), (3, 17), (18, 19)]:
+        assert deltas[levels[i, j]] == augmented_distance(points[i], points[j], _RING_V126)
 
 
 def _one_class(points):
@@ -405,10 +451,10 @@ def _rich_aug(dim, seed):
 
 _RING_V290 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=17)
 
-# Each job is too large for the all-pairs path, so it runs the GEMM filter.
+# Each job is too large for the all-pairs path, so it runs the GEMM bounds.
 _HARD_CASES = {
     # Points near 1e6 a thousandth apart: uncentered, the GEMM's squared
-    # norms would be about 1e12; the centering keeps the filter's bound small.
+    # norms would be about 1e12; the centering keeps the bound E small.
     "cancellation": (
         _one_class(1e6 + 1e-3 * np.random.default_rng(1).standard_normal((30, 3))),
         AugmentationSet(
@@ -433,44 +479,46 @@ _HARD_CASES = {
     "V=1": (_random_class(300, 3, 7), AugmentationSet((identity(),))),
     "N=1": (_random_class(1, 3, 8), _RING_V290),
     "N=2": (_random_class(2, 3, 9), _RING_V290),
-    "multi-tile": (_ring_dataset(50), _RING_V126),
+    "multi-batch": (_ring_dataset(50), _RING_V126),
 }
 
 
 @pytest.mark.parametrize("case", list(_HARD_CASES))
-def test_distance_matrix_is_exact_in_hard_cases(case):
+def test_distance_levels_are_exact_in_hard_cases(case):
     ds, aug = _HARD_CASES[case]
     n, d = ds.features.shape
-    assert (d + 1) * 8 * (n * aug.num_views) ** 2 > TILE_BYTES
-    if case == "multi-tile":
-        assert 8 * (n * aug.num_views) ** 2 > TILE_BYTES
-    m = distance_matrix(ds, aug)
-    np.testing.assert_array_equal(m, _row_block_distance_matrix(ds, aug))
+    assert not _fits_all_pairs(n, aug, d)
+    if case == "multi-batch":
+        assert 4 * (n * aug.num_views) ** 2 > 8 * TILE_BYTES
+    _assert_levels_match_reference(ds, aug)
 
 
-def _assert_equals_augmented_distance(m, points, aug):
-    np.testing.assert_array_equal(m, m.T)
-    np.testing.assert_array_equal(np.diag(m), 0.0)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            assert m[i, j] == augmented_distance(points[i], points[j], aug)
+def _assert_levels_of_augmented_distance(ds, aug):
+    points = ds.features
+    n = len(points)
+    pairwise = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            pairwise[i, j] = pairwise[j, i] = augmented_distance(points[i], points[j], aug)
+    for deltas in _grids(pairwise):
+        levels = distance_levels(ds, aug, deltas)
+        np.testing.assert_array_equal(levels, np.searchsorted(deltas, pairwise, side="left"))
 
 
 @pytest.mark.parametrize("scale", [1e-30, 1e20, 1e25])
-def test_distance_matrix_is_exact_at_extreme_magnitudes(scale):
+def test_distance_levels_are_exact_at_extreme_magnitudes(scale):
     # Squared norms near 1e-60, 1e40 and 1e50 lie outside float32's range;
-    # the filter scales the views by a power of two before rounding them.
+    # the GEMMs scale the views by a power of two before rounding them, and
+    # the bounds divide by its square.
     points = _ring_dataset(25).features * scale
-    assert 4 * (len(points) * _RING_V26.num_views) ** 2 > TILE_BYTES
-    m = distance_matrix(_one_class(points), _RING_V26)
-    assert np.all(np.isfinite(m))
-    _assert_equals_augmented_distance(m, points, _RING_V26)
+    assert not _fits_all_pairs(len(points), _RING_V26)
+    _assert_levels_of_augmented_distance(_one_class(points), _RING_V26)
 
 
-def test_distance_matrix_is_exact_on_near_ties_below_the_float32_bound():
+def test_distance_levels_are_exact_on_near_ties_below_the_float32_bound():
     # A shift of 1e-7 and a rotation of at most 1e-6 make the view distances
-    # of each sample pair differ by more than the float64 filter's bound but
-    # less than the float32 one, so the float32 GEMM cannot order them.
+    # of each sample pair differ by more than a float64 bound but less than
+    # the float32 one, so the float32 GEMM cannot order them.
     points = _ring_dataset(25).features
     aug = AugmentationSet(
         (identity(), additive_shift((1e-7, 1e-7, 0.0)), rotation_2d((0, 1), 1e-6, 8.0)),
@@ -485,8 +533,7 @@ def test_distance_matrix_is_exact_on_near_ties_below_the_float32_bound():
     gaps = sq.reshape(n, n, v * v) - sq.min(axis=(2, 3))[:, :, None]
     near = ((gaps > 2 * bound64) & (gaps <= 2 * bound32)).any(axis=2)
     assert near[~np.eye(n, dtype=bool)].mean() > 0.9
-    m = distance_matrix(_one_class(points), aug)
-    _assert_equals_augmented_distance(m, points, aug)
+    _assert_levels_of_augmented_distance(_one_class(points), aug)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

@@ -955,8 +955,8 @@ ring = generate_dataset(GeneratorConfig(
     cluster_spread=3.2, manifold="ring_segments", seed=0, disjoint_classes=False,
 ))
 assert 8 * (50 * aug.num_views) ** 2 > augment.TILE_BYTES
-augment.distance_matrix(ring, aug)
-assert not scipy_modules(), ("distance_matrix", scipy_modules()[:3])
+augment.distance_levels(ring, aug, [0.2, 0.4, 0.6, 0.8])
+assert not scipy_modules(), ("distance_levels", scipy_modules()[:3])
 """
 
 

@@ -327,9 +327,9 @@ def _sized_dataset(sizes):
 
 def _forbid_distance_work(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("distance_matrix was called")
+        raise AssertionError("distance_levels was called")
 
-    monkeypatch.setattr(concentration, "distance_matrix", fail)
+    monkeypatch.setattr(concentration, "distance_levels", fail)
 
 
 def _exact_refusal(n):

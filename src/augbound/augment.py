@@ -51,8 +51,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import Dataset
-
 __all__ = [
     "Transform",
     "AugmentationSet",
@@ -384,16 +382,13 @@ def _sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def distance_levels(
-    dataset: Dataset,
-    aug: AugmentationSet,
-    deltas: list[float] | np.ndarray,
-    class_filter: int | None = None,
+    points: np.ndarray, aug: AugmentationSet, deltas: list[float] | np.ndarray
 ) -> np.ndarray:
-    """Threshold level of every pairwise augmented distance, optionally in one class.
+    """Threshold level of every pairwise augmented distance of ``points``.
 
-    Returns an (N, N) symmetric integer array with zero diagonal, N the
-    number of selected samples in dataset order: entry (i, j) is
-    ``np.searchsorted(deltas, dist, "left")`` for the ascending,
+    ``points`` is (N, D), one class's samples in the concentration stage.
+    Returns an (N, N) symmetric integer array with zero diagonal: entry
+    (i, j) is ``np.searchsorted(deltas, dist, "left")`` for the ascending,
     non-negative ``deltas`` and the pair's augmented distance dist, so the
     pair is within δ_k exactly when the entry is at most k. dist, where it
     is computed at all, is ``augmented_distance`` of the two points bit for
@@ -456,10 +451,6 @@ def distance_levels(
     attains the smallest GEMM value m of the sample pair, then
     m − E ≤ g_p − E ≤ s²·c ≤ s²·c_r ≤ g_r + E = m + E.
     """
-    if class_filter is None:
-        points = dataset.features
-    else:
-        points = dataset.features[dataset.class_indices(class_filter)]
     deltas = np.asarray(deltas, dtype=np.float64)
     grid = [0.0, *deltas.tolist()]
     # Written so that NaN, which compares false, fails it.

@@ -20,12 +20,14 @@ search nodes and returns the incumbent: a maximal clique, never larger than
 the maximum, and equal to the exact answer when the search finishes within
 the budget (always at 8 vertices or fewer).
 
-A budgeted search is not monotone under edge deletion, so its estimate can
-dip as ``delta`` grows even though the true optimum cannot. Estimation
-therefore accepts a baseline estimate whose main parts are revalidated
-against the current graph and kept when they are larger; a part certified
-at a smaller threshold (or a leaner augmentation set) stays certified,
-which restores monotonicity without giving up on certificates.
+A budgeted search can return a smaller clique on a graph with more edges,
+so its estimate could dip as ``delta`` grows though the optimum cannot. A
+clique at one delta is a clique at every larger one, so each class keeps
+its previous certificate whenever the search finds a smaller clique, with
+no check. An outside baseline estimate, such as one under a leaner
+augmentation set, seeds the first delta: its part of each class is checked
+once, against the first graph, and kept only when it is a clique there and
+larger than the search's result.
 
 The module does no file IO. ``experiments.stage_concentration`` writes each
 estimate to ``concentration.csv``, one row per delta and class, the
@@ -62,7 +64,6 @@ class ThresholdGraph:
     """Intra-class proximity graph at a fixed distance threshold."""
 
     adjacency: np.ndarray
-    delta: float
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -88,7 +89,7 @@ def build_threshold_graph(distances: np.ndarray, delta: float) -> ThresholdGraph
         raise ValueError("distance matrix must be square")
     adjacency = distances <= delta
     np.fill_diagonal(adjacency, False)
-    return ThresholdGraph(adjacency, float(delta))
+    return ThresholdGraph(adjacency)
 
 
 def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
@@ -174,49 +175,32 @@ class ConcentrationEstimate:
     ``main_parts`` holds dataset-level sample indices per class; each part
     is a clique of its class graph, so the per-class sigma values are
     attained by explicit certificates rather than being mere scores.
-    ``sigma`` is the smallest per-class value.
+    ``per_class_sigma`` is each part's size over its class's size in
+    ``class_sizes``; ``sigma`` is the smallest per-class value.
     """
 
     delta: float
-    per_class_sigma: tuple[float, ...]
     main_parts: tuple[tuple[int, ...], ...]
+    class_sizes: tuple[int, ...]
     mode: Literal["exact", "dual_approx"]
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "dual_approx"):
             raise ValueError(f"unknown concentration mode {self.mode!r}")
-        if len(self.per_class_sigma) != len(self.main_parts):
-            raise ValueError("per-class sigma and main parts must align")
-        if not self.per_class_sigma:
+        if len(self.main_parts) != len(self.class_sizes):
+            raise ValueError("main parts and class sizes must align")
+        if not self.main_parts:
             raise ValueError("estimate needs at least one class")
-        if any(not 0.0 < s <= 1.0 for s in self.per_class_sigma):
-            raise ValueError("per-class sigma must lie in (0, 1]")
+        if any(not 0 < len(p) <= n for p, n in zip(self.main_parts, self.class_sizes)):
+            raise ValueError("a main part must be non-empty and no larger than its class")
+
+    @property
+    def per_class_sigma(self) -> tuple[float, ...]:
+        return tuple(len(p) / n for p, n in zip(self.main_parts, self.class_sizes))
 
     @property
     def sigma(self) -> float:
         return min(self.per_class_sigma)
-
-
-def _class_clique(
-    levels: np.ndarray,
-    step: int,
-    delta: float,
-    mode: str,
-    baseline_local: tuple[int, ...] | None,
-) -> tuple[int, ...]:
-    """Clique of the class graph at the grid's ``step``-th threshold ``delta``,
-    whose edges are the pairs of ``distance_levels`` at most ``step``."""
-    adjacency = levels <= step
-    np.fill_diagonal(adjacency, False)
-    graph = ThresholdGraph(adjacency, delta)
-    if mode == "exact":
-        clique = exact_max_clique(graph)
-    else:
-        clique = approx_max_clique(graph)
-    if baseline_local and len(baseline_local) > len(clique):
-        if _is_clique(graph.adjacency, np.asarray(baseline_local, dtype=np.int64)):
-            clique = tuple(sorted(baseline_local))
-    return clique
 
 
 def _curve(
@@ -242,28 +226,33 @@ def _curve(
     if mode == "exact":
         for ids in class_ids:
             _check_exact_budget(ids.size)
-    levels = [distance_levels(dataset, aug, deltas, class_filter=k) for k in range(len(class_ids))]
-    prev_local: list[tuple[int, ...] | None] = [None] * dataset.num_classes
+    levels = [distance_levels(dataset.features[ids], aug, deltas) for ids in class_ids]
+    carried: list[tuple[int, ...] | None] = [None] * dataset.num_classes
     if baseline is not None:
         for k, part in enumerate(baseline.main_parts[: dataset.num_classes]):
             id_to_local = {int(v): i for i, v in enumerate(class_ids[k])}
             if all(int(v) in id_to_local for v in part):
-                prev_local[k] = tuple(id_to_local[int(v)] for v in part)
+                carried[k] = tuple(sorted(id_to_local[int(v)] for v in part))
+    search = exact_max_clique if mode == "exact" else approx_max_clique
+    sizes = tuple(int(ids.size) for ids in class_ids)
     out: list[ConcentrationEstimate] = []
     for step, delta in enumerate(deltas):
-        per_class: list[float] = []
         parts: list[tuple[int, ...]] = []
         for k, ids in enumerate(class_ids):
-            clique = _class_clique(levels[k], step, delta, mode, prev_local[k])
-            prev_local[k] = clique
-            per_class.append(len(clique) / ids.size)
+            adjacency = levels[k] <= step
+            np.fill_diagonal(adjacency, False)
+            clique = search(ThresholdGraph(adjacency))
+            kept = carried[k]
+            # A part carried from the previous step is a clique here too; the
+            # baseline's, at step 0, is checked once.
+            if kept is not None and len(kept) > len(clique):
+                if step > 0 or _is_clique(adjacency, np.asarray(kept, dtype=np.int64)):
+                    clique = kept
+            carried[k] = clique
             parts.append(tuple(int(ids[v]) for v in clique))
         out.append(
             ConcentrationEstimate(
-                delta=delta,
-                per_class_sigma=tuple(per_class),
-                main_parts=tuple(parts),
-                mode=mode,
+                delta=delta, main_parts=tuple(parts), class_sizes=sizes, mode=mode
             )
         )
     return out
@@ -278,8 +267,8 @@ def estimate_sigma(
 ) -> ConcentrationEstimate:
     """Concentration level of the dataset at threshold ``delta``.
 
-    With a ``baseline``, its per-class main parts are revalidated against
-    the current class graphs and kept when still certified and larger;
+    With a ``baseline``, its per-class main parts are checked against the
+    class graphs at ``delta`` and kept when they are cliques and larger;
     chain estimates through baselines when sweeping nested augmentation
     sets so the reported sigma cannot dip for spurious reasons.
     """

@@ -279,7 +279,9 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     analysis = _read(_Analysis, raw["analysis"], "analysis")
     dataset = _read_dataset(raw["dataset"], base_dir)
     augmentation = _read(AugmentationSet, raw["augmentation"], "augmentation")
-    # A generated dataset's dimension is known now; a saved one's at its load.
+    # A generated dataset's dimension is known now. A saved one is not read
+    # here: a transform that does not fit it fails the first stage that
+    # applies the views.
     if isinstance(dataset, GeneratorConfig):
         try:
             augmentation.check_dimension(dataset.input_dim)
@@ -484,12 +486,11 @@ def stage_concentration(
                 "sigma_class", "sigma", "mode", "members",
             ],
             (
-                (
-                    e.delta, k, len(dataset.class_indices(k)), len(part), sigma_k, e.sigma,
-                    e.mode, " ".join(map(str, part)),
-                )
+                (e.delta, k, size, len(part), sigma_k, e.sigma, e.mode, " ".join(map(str, part)))
                 for e in curve
-                for k, (sigma_k, part) in enumerate(zip(e.per_class_sigma, e.main_parts))
+                for k, (part, size, sigma_k) in enumerate(
+                    zip(e.main_parts, e.class_sizes, e.per_class_sigma)
+                )
             ),
         )
         return curve

@@ -48,12 +48,12 @@ def _ring_graphs(samples_per_class):
             disjoint_classes=False,
         )
     )
-    levels = distance_levels(dataset, _AUG, _DELTAS, class_filter=0)
+    levels = distance_levels(dataset.features[dataset.class_indices(0)], _AUG, _DELTAS)
     graphs = []
-    for step, delta in enumerate(_DELTAS):
+    for step in range(len(_DELTAS)):
         adjacency = levels <= step
         np.fill_diagonal(adjacency, False)
-        graphs.append(ThresholdGraph(adjacency, delta))
+        graphs.append(ThresholdGraph(adjacency))
     return graphs
 
 

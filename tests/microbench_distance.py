@@ -69,12 +69,8 @@ _SHAPES = [(n, v) for n in (14, 32, 64, 96) for v in (6, 26, 126)]
 _DELTAS = (0.2, 0.4, 0.6, 0.8)
 
 
-def _cdist_distance_levels(dataset, aug, deltas, class_filter=None):
+def _cdist_distance_levels(points, aug, deltas):
     """Exact distances in tiles of one cdist call each, thresholded by ``deltas``."""
-    if class_filter is None:
-        points = dataset.features
-    else:
-        points = dataset.features[dataset.class_indices(class_filter)]
     views = view_tensor(points, aug)
     n, v, d = views.shape
     flat = views.reshape(n * v, d)
@@ -104,10 +100,9 @@ def test_distance_levels_ladder_shape(benchmark, shape, kernel):
     n, v = (int(part[1:]) for part in shape.split("_"))
     dataset, aug = _ring_dataset(n), _AUGS[v]
     assert aug.num_views == v
-    levels = benchmark(_KERNELS[kernel], dataset, aug, _DELTAS, class_filter=0)
-    np.testing.assert_array_equal(
-        levels, _cdist_distance_levels(dataset, aug, _DELTAS, class_filter=0)
-    )
+    points = dataset.features[dataset.class_indices(0)]
+    levels = benchmark(_KERNELS[kernel], points, aug, _DELTAS)
+    np.testing.assert_array_equal(levels, _cdist_distance_levels(points, aug, _DELTAS))
 
 
 def test_view_tensor_192_points_126_views(benchmark):

@@ -25,7 +25,7 @@ from augbound.augment import (
     view_tensor,
     view_weights,
 )
-from augbound.core import Dataset, GeneratorConfig, from_spec, generate_dataset, spec_dict
+from augbound.core import GeneratorConfig, from_spec, generate_dataset, spec_dict
 
 
 def identity_only() -> AugmentationSet:
@@ -130,13 +130,16 @@ def _toy_dataset(n_per_class=4, seed=0):
     return generate_dataset(cfg)
 
 
-def _row_block_distance_matrix(dataset, aug, class_filter=None, block_rows=32):
+def _class_points(dataset, class_id):
+    """The features of one class, or of the whole dataset for ``None``."""
+    if class_id is None:
+        return dataset.features
+    return dataset.features[dataset.class_indices(class_id)]
+
+
+def _row_block_distance_matrix(points, aug, block_rows=32):
     """The reference distances: full rows of view distances by cdist, then
     the min with the transpose."""
-    if class_filter is None:
-        points = dataset.features
-    else:
-        points = dataset.features[dataset.class_indices(class_filter)]
     n = points.shape[0]
     views = view_tensor(points, aug)
     v = views.shape[1]
@@ -170,12 +173,12 @@ def _grids(distances):
     return [coarse, _tight_grid(distances)]
 
 
-def _assert_levels_match_reference(dataset, aug, class_filter=None, block_rows=32):
+def _assert_levels_match_reference(points, aug, block_rows=32):
     """``distance_levels`` against the thresholded reference on both grids;
     returns the reference distances."""
-    reference = _row_block_distance_matrix(dataset, aug, class_filter, block_rows)
+    reference = _row_block_distance_matrix(points, aug, block_rows)
     for deltas in _grids(reference):
-        levels = distance_levels(dataset, aug, deltas, class_filter=class_filter)
+        levels = distance_levels(points, aug, deltas)
         np.testing.assert_array_equal(levels, np.searchsorted(deltas, reference, side="left"))
     return reference
 
@@ -183,15 +186,15 @@ def _assert_levels_match_reference(dataset, aug, class_filter=None, block_rows=3
 def test_distance_levels_trivial_cases():
     aug = identity_only()
     ds = _toy_dataset(1)
-    np.testing.assert_array_equal(distance_levels(ds, aug, [0.5], class_filter=0), [[0]])
+    np.testing.assert_array_equal(distance_levels(_class_points(ds, 0), aug, [0.5]), [[0]])
     # With no threshold every level is 0.
-    np.testing.assert_array_equal(distance_levels(ds, aug, []), np.zeros((2, 2)))
+    np.testing.assert_array_equal(distance_levels(ds.features, aug, []), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("deltas", [[0.5, 0.2], [0.2, float("nan")], [-0.1, 0.2]])
 def test_distance_levels_rejects_a_bad_grid(deltas):
     with pytest.raises(ValueError, match="non-negative and ascending"):
-        distance_levels(_toy_dataset(2), identity_only(), deltas)
+        distance_levels(_toy_dataset(2).features, identity_only(), deltas)
 
 
 def test_distance_levels_match_euclidean_for_identity_only():
@@ -199,7 +202,7 @@ def test_distance_levels_match_euclidean_for_identity_only():
     diff = ds.features[:, None, :] - ds.features[None, :, :]
     expected = np.sqrt((diff**2).sum(axis=2))
     for deltas in _grids(expected):
-        levels = distance_levels(ds, identity_only(), deltas)
+        levels = distance_levels(ds.features, identity_only(), deltas)
         np.testing.assert_array_equal(levels, np.searchsorted(deltas, expected, side="left"))
         np.testing.assert_array_equal(levels, levels.T)
         np.testing.assert_array_equal(np.diag(levels), 0)
@@ -216,7 +219,7 @@ def test_distance_levels_pairwise_consistency():
          for i in range(n)]
     )
     for deltas in _grids(pairwise):
-        levels = distance_levels(ds, aug, deltas)
+        levels = distance_levels(ds.features, aug, deltas)
         np.testing.assert_array_equal(levels, np.searchsorted(deltas, pairwise, side="left"))
 
 
@@ -233,10 +236,10 @@ def test_enrichment_never_raises_a_level():
     finer = AugmentationSet(
         transforms=(identity(), additive_shift((0.3, 0.0))), grid_resolution=5
     )
-    deltas = _tight_grid(_row_block_distance_matrix(ds, base))
-    levels_base = distance_levels(ds, base, deltas)
+    deltas = _tight_grid(_row_block_distance_matrix(ds.features, base))
+    levels_base = distance_levels(ds.features, base, deltas)
     for enriched in (richer, finer):
-        assert np.all(distance_levels(ds, enriched, deltas) <= levels_base)
+        assert np.all(distance_levels(ds.features, enriched, deltas) <= levels_base)
 
 
 def _ring_dataset(n_per_class, seed=0):
@@ -268,7 +271,7 @@ def _fits_all_pairs(n, aug, d=3):
 
 
 @pytest.mark.parametrize(
-    "aug, n_per_class, class_filter",
+    "aug, n_per_class, class_id",
     [
         # Discrete only, V = 1 and V = 3.
         (AugmentationSet((identity(),)), 20, None),
@@ -282,14 +285,13 @@ def _fits_all_pairs(n, aug, d=3):
          4, None),
     ],
 )
-def test_distance_levels_match_row_blocks(aug, n_per_class, class_filter):
-    ds = _ring_dataset(n_per_class)
-    reference = _assert_levels_match_reference(ds, aug, class_filter)
+def test_distance_levels_match_row_blocks(aug, n_per_class, class_id):
+    points = _class_points(_ring_dataset(n_per_class), class_id)
+    reference = _assert_levels_match_reference(points, aug)
     n = len(reference)
     if aug.num_views >= 26:
         assert not _fits_all_pairs(n, aug)
-    levels = distance_levels(ds, aug, _LADDER_DELTAS, class_filter=class_filter)
-    points = ds.features if class_filter is None else ds.features[ds.class_indices(class_filter)]
+    levels = distance_levels(points, aug, _LADDER_DELTAS)
     for i in range(0, n, 7):
         for j in range(n):
             distance = augmented_distance(points[i], points[j], aug)
@@ -308,7 +310,7 @@ def test_distance_levels_memory_is_one_tile_plus_output_and_views():
     assert v == 126
     tracemalloc.start()
     try:
-        levels = distance_levels(ds, aug, _LADDER_DELTAS, class_filter=0)
+        levels = distance_levels(_class_points(ds, 0), aug, _LADDER_DELTAS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -344,7 +346,7 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
     ds = _ring_dataset(n_per_class)
     started = split_workers(workers)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
-    reference = _assert_levels_match_reference(ds, aug, block_rows=4)
+    reference = _assert_levels_match_reference(ds.features, aug, block_rows=4)
     # The rows of every left GEMM operand: the identity pre-pass's N, then
     # V per row sample of each screen block.
     rows = []
@@ -355,7 +357,7 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
         return left_operand(lifted)
 
     monkeypatch.setattr(augment, "_left_operand", counted)
-    distance_levels(ds, aug, _grids(reference)[0])
+    distance_levels(ds.features, aug, _grids(reference)[0])
     n, v = 2 * n_per_class, aug.num_views
     block = max(1, tile_bytes // (4 * v * v * n))
     assert rows[0] == n and max(rows[1:]) == min(block, n) * v
@@ -367,7 +369,7 @@ def test_distance_levels_of_one_tile_runs_inline(split_workers):
     # The squared view distances of 19 samples x 26 views fit one tile.
     started = split_workers(2)
     ds = _ring_dataset(19)
-    _assert_levels_match_reference(ds, _RING_V26, 0)
+    _assert_levels_match_reference(_class_points(ds, 0), _RING_V26)
     assert 8 * (19 * 26) ** 2 <= TILE_BYTES and started == []
 
 
@@ -401,10 +403,10 @@ def test_identity_pre_pass_settles_pairs_before_the_screen(monkeypatch):
     monkeypatch.setattr(augment, "_pair_minima", counted)
     views = view_tensor(ds.features, _RING_V126).reshape(-1, 3)
     diameter = float(np.sqrt(((views.max(axis=0) - views.min(axis=0)) ** 2).sum()))
-    levels = distance_levels(ds, _RING_V126, [diameter, 2 * diameter])
+    levels = distance_levels(ds.features, _RING_V126, [diameter, 2 * diameter])
     np.testing.assert_array_equal(levels, 0)
     assert screened == [0]
-    distance_levels(ds, _RING_V126, _LADDER_DELTAS)
+    distance_levels(ds.features, _RING_V126, _LADDER_DELTAS)
     assert 0 < screened[1] < 50 * 49 // 2
 
 
@@ -421,24 +423,19 @@ def test_exact_fallback_runs_where_the_bounds_straddle_a_delta(monkeypatch):
         return exact_minima(coords, v, rows, cols)
 
     monkeypatch.setattr(augment, "_exact_minima", counted)
-    reference = _row_block_distance_matrix(ds, _RING_V126, 0)
+    points = _class_points(ds, 0)
+    reference = _row_block_distance_matrix(points, _RING_V126)
     deltas = np.unique(reference)
-    levels = distance_levels(ds, _RING_V126, deltas, class_filter=0)
+    levels = distance_levels(points, _RING_V126, deltas)
     np.testing.assert_array_equal(levels, np.searchsorted(deltas, reference, side="left"))
     assert fallback[0] >= 20 * 19 // 2 - 1
     # The exact formula on each of those pairs is ``augmented_distance``.
-    points = ds.features[ds.class_indices(0)]
     for i, j in [(0, 1), (3, 17), (18, 19)]:
         assert deltas[levels[i, j]] == augmented_distance(points[i], points[j], _RING_V126)
 
 
-def _one_class(points):
-    points = np.asarray(points, dtype=np.float64)
-    return Dataset(points, np.zeros(len(points), dtype=np.int64))
-
-
 def _random_class(n, dim, seed):
-    return _one_class(np.random.default_rng(seed).standard_normal((n, dim)))
+    return np.random.default_rng(seed).standard_normal((n, dim))
 
 
 def _rich_aug(dim, seed):
@@ -456,21 +453,24 @@ _HARD_CASES = {
     # Points near 1e6 a thousandth apart: uncentered, the GEMM's squared
     # norms would be about 1e12; the centering keeps the bound E small.
     "cancellation": (
-        _one_class(1e6 + 1e-3 * np.random.default_rng(1).standard_normal((30, 3))),
+        1e6 + 1e-3 * np.random.default_rng(1).standard_normal((30, 3)),
         AugmentationSet(
             (identity(), additive_shift((1e-3, 0.0, 0.0)), rotation_2d((0, 1), 1e-9, 2e6)),
             grid_resolution=3,
         ),
     ),
     "duplicate points": (
-        _one_class(np.repeat(np.random.default_rng(2).standard_normal((6, 3)), 4, axis=0)),
+        np.repeat(np.random.default_rng(2).standard_normal((6, 3)), 4, axis=0),
         _RING_V26,
     ),
     # Rotations at theta = 0 repeat the identity view; with max_angle 0 all
     # six views of a point coincide, so every view pair ties.
-    "duplicate views": (_ring_dataset(30), AugmentationSet((identity(), _RING_ROTATION), 5)),
+    "duplicate views": (
+        _ring_dataset(30).features, AugmentationSet((identity(), _RING_ROTATION), 5)
+    ),
     "all views equal": (
-        _ring_dataset(30), AugmentationSet((identity(), rotation_2d((0, 1), 0.0, 2.0)), 5)
+        _ring_dataset(30).features,
+        AugmentationSet((identity(), rotation_2d((0, 1), 0.0, 2.0)), 5),
     ),
     "D=1": (_random_class(40, 1, 3), _rich_aug(1, 3)),
     "D=2": (_random_class(40, 2, 4), _rich_aug(2, 4)),
@@ -479,29 +479,28 @@ _HARD_CASES = {
     "V=1": (_random_class(300, 3, 7), AugmentationSet((identity(),))),
     "N=1": (_random_class(1, 3, 8), _RING_V290),
     "N=2": (_random_class(2, 3, 9), _RING_V290),
-    "multi-batch": (_ring_dataset(50), _RING_V126),
+    "multi-batch": (_ring_dataset(50).features, _RING_V126),
 }
 
 
 @pytest.mark.parametrize("case", list(_HARD_CASES))
 def test_distance_levels_are_exact_in_hard_cases(case):
-    ds, aug = _HARD_CASES[case]
-    n, d = ds.features.shape
+    points, aug = _HARD_CASES[case]
+    n, d = points.shape
     assert not _fits_all_pairs(n, aug, d)
     if case == "multi-batch":
         assert 4 * (n * aug.num_views) ** 2 > 8 * TILE_BYTES
-    _assert_levels_match_reference(ds, aug)
+    _assert_levels_match_reference(points, aug)
 
 
-def _assert_levels_of_augmented_distance(ds, aug):
-    points = ds.features
+def _assert_levels_of_augmented_distance(points, aug):
     n = len(points)
     pairwise = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             pairwise[i, j] = pairwise[j, i] = augmented_distance(points[i], points[j], aug)
     for deltas in _grids(pairwise):
-        levels = distance_levels(ds, aug, deltas)
+        levels = distance_levels(points, aug, deltas)
         np.testing.assert_array_equal(levels, np.searchsorted(deltas, pairwise, side="left"))
 
 
@@ -512,7 +511,7 @@ def test_distance_levels_are_exact_at_extreme_magnitudes(scale):
     # the bounds divide by its square.
     points = _ring_dataset(25).features * scale
     assert not _fits_all_pairs(len(points), _RING_V26)
-    _assert_levels_of_augmented_distance(_one_class(points), _RING_V26)
+    _assert_levels_of_augmented_distance(points, _RING_V26)
 
 
 def test_distance_levels_are_exact_on_near_ties_below_the_float32_bound():
@@ -533,7 +532,7 @@ def test_distance_levels_are_exact_on_near_ties_below_the_float32_bound():
     gaps = sq.reshape(n, n, v * v) - sq.min(axis=(2, 3))[:, :, None]
     near = ((gaps > 2 * bound64) & (gaps <= 2 * bound32)).any(axis=2)
     assert near[~np.eye(n, dtype=bool)].mean() > 0.9
-    _assert_levels_of_augmented_distance(_one_class(points), aug)
+    _assert_levels_of_augmented_distance(points, aug)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

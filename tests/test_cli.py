@@ -955,7 +955,7 @@ ring = generate_dataset(GeneratorConfig(
     cluster_spread=3.2, manifold="ring_segments", seed=0, disjoint_classes=False,
 ))
 assert 8 * (50 * aug.num_views) ** 2 > augment.TILE_BYTES
-augment.distance_levels(ring, aug, [0.2, 0.4, 0.6, 0.8])
+augment.distance_levels(ring.features, aug, [0.2, 0.4, 0.6, 0.8])
 assert not scipy_modules(), ("distance_levels", scipy_modules()[:3])
 """
 
@@ -1231,6 +1231,28 @@ def test_a_transform_that_does_not_fit_the_generated_dimension_exits_2(tmp_path,
     assert fragment in capsys.readouterr().err
     assert not (out / "dataset.csv").exists()
     assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("command, stage", [("bounds", "concentration"), ("train", "train")])
+def test_a_transform_that_does_not_fit_a_saved_dataset_fails_its_first_stage(
+    tmp_path, capsys, command, stage
+):
+    # A saved dataset is not read when the config loads, so its dimension
+    # is first checked by the stage that applies the views: exit code 3,
+    # after config.json and dataset.csv are written.
+    features = np.random.default_rng(0).normal(size=(12, 2))
+    save_dataset(Dataset(features, np.repeat([0, 1], 6)), str(tmp_path / "points.csv"))
+    data = _config_dict()
+    data["dataset"] = {"path": str(tmp_path / "points.csv")}
+    data["augmentation"]["transforms"][1]["direction"] = [0.0, 0.3, 0.0]
+    path = _write_config(tmp_path, data)
+    config_from_dict(data)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"stage '{stage}' failed: additive_shift length does not match feature dimension 2\n"
+    )
+    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv"]
 
 
 def test_a_pairs_catalog_that_repeats_a_transform_exits_2_before_writing(tmp_path, capsys):

@@ -397,11 +397,42 @@ def test_enrichment_with_baseline_never_decreases_sigma():
             prev, prev_sigma = est, est.sigma
 
 
+def test_baseline_part_is_ignored_unless_it_is_a_clique_of_the_first_graph():
+    # Both outside parts are larger than the search's singletons at delta
+    # 0, and neither is a clique there: one is a whole class certified at a
+    # larger delta, the other holds a sample of the other class.
+    ds = _blob_dataset(samples=6)
+    aug = _identity_aug()
+    plain = estimate_sigma(ds, aug, 0.0, mode="exact")
+    assert all(len(p) == 1 for p in plain.main_parts)
+    wide = estimate_sigma(ds, aug, 10.0, mode="exact")
+    assert wide.per_class_sigma == (1.0, 1.0)
+    first, second = (ds.class_indices(k).tolist() for k in range(2))
+    mixed = ConcentrationEstimate(
+        delta=0.0,
+        main_parts=(tuple(first[:5] + second[:1]), tuple(second[:1] + first[:5])),
+        class_sizes=(6, 6),
+        mode="exact",
+    )
+    for mode in ("exact", "dual_approx"):
+        for baseline in (wide, mixed):
+            est = estimate_sigma(ds, aug, 0.0, mode=mode, baseline=baseline)
+            assert est.main_parts == plain.main_parts
+            assert est.sigma == pytest.approx(1 / 6)
+
+
 def test_estimate_rejects_inconsistent_construction():
+    def build(parts, sizes):
+        return ConcentrationEstimate(delta=0.5, main_parts=parts, class_sizes=sizes, mode="exact")
+
     with pytest.raises(ValueError, match="must align"):
-        ConcentrationEstimate(
-            delta=0.5,
-            per_class_sigma=(0.5, 1.0),
-            main_parts=((0,),),
-            mode="exact",
-        )
+        build(((0,),), (2, 2))
+    with pytest.raises(ValueError, match="at least one class"):
+        build((), ())
+    with pytest.raises(ValueError, match="non-empty"):
+        build(((0,), ()), (2, 2))
+    with pytest.raises(ValueError, match="no larger than its class"):
+        build(((0, 1, 2), (3,)), (2, 2))
+    est = build(((0,), (2, 3)), (2, 2))
+    assert est.per_class_sigma == (0.5, 1.0)
+    assert est.sigma == 0.5

@@ -23,14 +23,16 @@ an ascending delta grid: entry (i, j) counts the deltas strictly below the
 pair's distance, all that a threshold graph needs. A small class takes the
 exact formula on every view pair. A larger one bounds each pair's exact
 minimum with float32 BLAS GEMMs on centered views scaled by a power of two,
-to within a derived rounding bound E: an identity pre-pass settles the
-pairs whose upper bound lies within the first delta, a screen over all view
-pairs settles nearly all the others, and only a pair whose bounds straddle
-a delta gets the exact formula. Every level is that of
-``augmented_distance``; the docstring of ``distance_levels`` derives E and
-the decision rule. Every buffer holds at most one ``TILE_BYTES`` (2 MiB),
-the levels do not depend on it, and all of it runs on the calling thread
-(the population InfoNCE of ``evaluation`` keeps its helper thread).
+to within a derived rounding bound E. One routine, ``_pair_minima``,
+takes each pair's smallest GEMM value and runs twice: against each sample's
+identity view, which settles the pairs whose upper bound lies within the
+first delta, then over all view pairs of the others, which settles nearly
+all of them. Only a pair whose bounds straddle a delta gets the exact
+formula. Every level is that of ``augmented_distance``; the docstring of
+``distance_levels`` derives E and the decision rule. Every buffer holds at
+most one ``TILE_BYTES`` (2 MiB), the levels do not depend on it, and all of
+it runs on the calling thread (the population InfoNCE of ``evaluation``
+keeps its helper thread).
 
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
@@ -401,12 +403,12 @@ def distance_levels(
     lifted views, in one buffer of ``TILE_BYTES`` (or of one sample's GEMM
     where that is larger), so no level depends on the budget:
 
-    1. Identity pre-pass (``_identity_minima``): each sample's identity
-       view, the sample itself, against every view of the class. The
-       smallest GEMM value h of a pair gives c ≤ (h + E)/s², so a pair
+    1. Identity pre-pass, ``_pair_minima`` with w = 1: each sample's V
+       views against every sample's identity view, the sample itself. The
+       smaller h of a pair's two such minima gives c ≤ (h + E)/s², so a pair
        whose upper bound is at or below ``deltas[0]`` is settled at level 0.
-    2. Screen (``_pair_minima``): the smallest GEMM value m over the V×V
-       view pairs of every other pair of the upper triangle gives
+    2. Screen, ``_pair_minima`` with w = V: the smallest GEMM value m over
+       the V×V view pairs of every other pair of the upper triangle gives
        (m − E)/s² ≤ c ≤ (m + E)/s².
     3. Exact fallback (``_exact_minima``): a pair whose two bounds fall on
        different levels, its interval straddling a delta, gets c from the
@@ -424,13 +426,13 @@ def distance_levels(
     M = max q lies in [1/4, 1] (q = ‖ĉ‖², ĉ the scaled centered views);
     that is exact. It then rounds ĉ and q to float32. (Without the
     scaling, q overflows float32 once coordinates reach about 1e19, and the
-    GEMM values turn infinite or NaN.) A GEMM multiplies the lifted views
-    ``[ĉ, q, 1]`` by the rows ``[-2ĉ, 1, q]`` of ``_left_operand``. Let u be
-    float32's unit roundoff, eps32 = 2u its machine epsilon and tiny32 its
-    smallest normal number, and write γ_n = n·u for the bound on an n-term
-    inner product computed in any order (Higham 2002, §3.1). This assumes
-    that BLAS ``sgemm`` accumulates in IEEE float32 (or wider). Then any
-    GEMM value g of a view pair, whatever the kernel, is within
+    GEMM values turn infinite or NaN.) A GEMM multiplies the rows
+    ``[-2ĉ, 1, q]`` of some views by the lifted ``[ĉ, q, 1]`` of others.
+    Let u be float32's unit roundoff, eps32 = 2u its machine epsilon and
+    tiny32 its smallest normal number, and write γ_n = n·u for the bound on
+    an n-term inner product computed in any order (Higham 2002, §3.1). This
+    assumes that BLAS ``sgemm`` accumulates in IEEE float32 (or wider).
+    Then any GEMM value g of a view pair, whatever the kernel, is within
     E = 10·(D + 4)·(eps32·M + tiny32) of s²·c, with c the exact formula's
     value on the unscaled views a, b, because to first order in u:
 
@@ -464,14 +466,15 @@ def distance_levels(
         # A job this small costs less with the exact formula on every pair.
         sq = _sqeuclidean(coords[:, :, None], coords[:, None, :])
         return _level(deltas, sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
-    lifted, bound, scale = _lifted(coords)
+    lifted, left, bound, scale = _lifted(coords)
     # One buffer for every GEMM, one sample's at least: a fresh array each
     # time would fault in its pages anew.
     buf = np.empty(max(TILE_BYTES // 4, v * max(n, v)), dtype=np.float32)
-    upper = _identity_minima(lifted, v, aug.discrete.index(identity()), buf)
-    need = np.triu(_level(deltas, _unscaled(upper, bound, scale)) > 0, 1)
+    ident = lifted[aug.discrete.index(identity()) :: v]
+    h = _pair_minima(left, ident, 1, np.ones((n, n), dtype=bool), buf)
+    need = np.triu(_level(deltas, _unscaled(np.minimum(h, h.T), bound, scale)) > 0, 1)
     rows, cols = need.nonzero()
-    m = _pair_minima(lifted, v, need, buf)[rows, cols]
+    m = _pair_minima(left, lifted, v, need, buf)[rows, cols]
     del buf
     low = _level(deltas, _unscaled(m, -bound, scale))
     levels = np.zeros((n, n), dtype=low.dtype)
@@ -497,15 +500,16 @@ def _unscaled(g: np.ndarray, e: float, scale: float) -> np.ndarray:
     return np.nextafter(total / scale / scale, toward)
 
 
-def _lifted(coords: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _lifted(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The float32 lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords``, the
-    bound E and the scale s.
+    GEMM rows ``[-2ĉ, 1, q]`` of the same views, the bound E and the scale s.
 
     ĉ are the views centered on their mean in float64 and multiplied by the
     power of two s, which is exact: first so that max |ĉ| lies in [1/2, 1),
     where q = ‖ĉ‖² neither overflows nor underflows, then so that max q lies
-    in [1/4, 1]. Both are then rounded to float32. E is in the same scaled
-    units; see ``distance_levels``.
+    in [1/4, 1]. Both are then rounded to float32; -2ĉ is exact, as -2 is a
+    power of two and max |ĉ| ≤ 1. E is in the same scaled units; see
+    ``distance_levels``.
     """
     d, nv = coords.shape
     centered = coords.T - coords.mean(axis=1)
@@ -518,64 +522,45 @@ def _lifted(coords: np.ndarray) -> tuple[np.ndarray, float, float]:
     np.ldexp(centered, -k, out=lifted[:, :d])
     np.ldexp(q, -2 * k, out=lifted[:, d])
     lifted[:, d + 1] = 1.0
-    bound = 10.0 * (d + 4) * (_EPS32 * float(lifted[:, d].max(initial=0.0)) + _TINY32)
-    return lifted, bound, math.ldexp(1.0, -exponent - k)
-
-
-def _left_operand(lifted: np.ndarray) -> np.ndarray:
-    """Rows ``[-2ĉ, 1, q]`` for lifted views ``[ĉ, q, 1]``; exact, as -2 is a
-    power of two and max |ĉ| ≤ 1."""
-    d = lifted.shape[1] - 2
     left = np.empty_like(lifted)
     np.multiply(lifted[:, :d], -2.0, out=left[:, :d])
-    left[:, d] = lifted[:, d + 1]
+    left[:, d] = 1.0
     left[:, d + 1] = lifted[:, d]
-    return left
+    bound = 10.0 * (d + 4) * (_EPS32 * float(lifted[:, d].max(initial=0.0)) + _TINY32)
+    return lifted, left, bound, math.ldexp(1.0, -exponent - k)
 
 
-def _identity_minima(lifted: np.ndarray, v: int, ident: int, buf: np.ndarray) -> np.ndarray:
-    """(N, N) smallest GEMM value of each sample pair over the view pairs
-    that hold the identity view ``ident`` of either sample.
+def _pair_minima(
+    left: np.ndarray, right: np.ndarray, w: int, need: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """(N, N) smallest GEMM value of each sample pair that ``need`` marks;
+    the other entries are undefined.
 
-    Every identity view meets the views of as many samples at a time as fit
-    ``TILE_BYTES``, in the buffer ``buf``.
-    """
-    n = lifted.shape[0] // v
-    left = _left_operand(lifted[ident::v])
-    out = np.empty((n, n), dtype=np.float32)
-    step = max(1, TILE_BYTES // (4 * v * n))
-    for j0 in range(0, n, step):
-        right = lifted[j0 * v : (j0 + step) * v]
-        g = np.matmul(right, left.T, out=buf[: right.shape[0] * n].reshape(-1, n))
-        out[j0 : j0 + step] = g.reshape(-1, v, n).min(axis=1)
-    return np.minimum(out, out.T)
-
-
-def _pair_minima(lifted: np.ndarray, v: int, need: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """(N, N) smallest GEMM value over the V×V view pairs of each pair that
-    ``need`` marks; the other entries are undefined.
-
-    Row samples go in blocks of as many as fit one ``TILE_BYTES`` GEMM
-    against the whole class, at least one. A block meets, in the buffer
-    ``buf``, only the column samples that ``need`` pairs with one of its
-    rows, as many at a time as fit ``TILE_BYTES``.
+    Entry (i, j) is taken over the view pairs of row sample i's V views, as
+    the GEMM rows ``left`` (N·V of them), and column sample j's w views, as
+    the lifted views ``right`` (N·w of them). Row samples go in blocks of as
+    many as fit one ``TILE_BYTES`` GEMM against the whole class, at least
+    one. A block meets, in the buffer ``buf``, only the column samples that
+    ``need`` pairs with one of its rows, as many at a time as fit
+    ``TILE_BYTES``.
     """
     n = need.shape[0]
-    views = lifted.reshape(n, v, -1)
+    v = left.shape[0] // n
+    views = right.reshape(n, w, -1)
     out = np.empty((n, n), dtype=np.float32)
-    block = max(1, TILE_BYTES // (4 * v * v * n))
+    block = max(1, TILE_BYTES // (4 * v * w * n))
     for i0 in range(0, n, block):
         cols = need[i0 : i0 + block].any(axis=0).nonzero()[0]
-        left = _left_operand(lifted[i0 * v : (i0 + block) * v])
-        ni = left.shape[0] // v
-        step = max(1, TILE_BYTES // (4 * v * v * ni))
+        rows = left[i0 * v : (i0 + block) * v]
+        ni = rows.shape[0] // v
+        step = max(1, TILE_BYTES // (4 * v * w * ni))
         for c0 in range(0, cols.size, step):
             c = cols[c0 : c0 + step]
-            right = views.take(c, axis=0).reshape(c.size * v, -1)
-            g = np.matmul(left, right.T, out=buf[: ni * v * c.size * v].reshape(ni * v, -1))
+            col_views = views.take(c, axis=0).reshape(c.size * w, -1)
+            g = np.matmul(rows, col_views.T, out=buf[: ni * v * c.size * w].reshape(ni * v, -1))
             # The minimum over the row views runs along long contiguous rows,
             # and so, after a transposed copy, does the one over the column views.
-            m = g.reshape(ni, v, -1).min(axis=1).reshape(-1, v).T.copy().min(axis=0)
+            m = g.reshape(ni, v, -1).min(axis=1).reshape(-1, w).T.copy().min(axis=0)
             out[i0 : i0 + ni, c] = m.reshape(ni, c.size)
     return out
 

@@ -280,8 +280,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     dataset = _read_dataset(raw["dataset"], base_dir)
     augmentation = _read(AugmentationSet, raw["augmentation"], "augmentation")
     # A generated dataset's dimension is known now. A saved one is not read
-    # here: a transform that does not fit it fails the first stage that
-    # applies the views.
+    # here: ``stage_dataset`` checks the transforms against it once loaded.
     if isinstance(dataset, GeneratorConfig):
         try:
             augmentation.check_dimension(dataset.input_dim)
@@ -395,6 +394,9 @@ def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:
     with _stage("dataset"):
         if isinstance(config.dataset, str):
             dataset = load_dataset(config.dataset)
+            # Its dimension is first known here; a generated one is checked
+            # when the config loads.
+            config.augmentation.check_dimension(dataset.input_dim)
         else:
             dataset = generate_dataset(config.dataset)
         save_dataset(dataset, os.path.join(out_dir, "dataset.csv"))

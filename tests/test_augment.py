@@ -300,8 +300,10 @@ def test_distance_levels_match_row_blocks(aug, n_per_class, class_id):
 
 def test_distance_levels_memory_is_one_tile_plus_output_and_views():
     # 96 per class x 126 views, the largest ladder rung: the identity
-    # pre-pass takes 3 chunks and the screen 131 GEMM batches, each
-    # within one TILE_BYTES; the former row blocks held about 780 MB here.
+    # pre-pass takes 3 GEMMs of up to 43 row samples and the screen 131 of
+    # one row sample, each within one TILE_BYTES, beside the GEMM rows
+    # built once per class (242 KB); the former row blocks held about
+    # 780 MB here.
     ds = _ring_dataset(96)
     aug = AugmentationSet(
         (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT), grid_resolution=5
@@ -347,20 +349,33 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
     started = split_workers(workers)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
     reference = _assert_levels_match_reference(ds.features, aug, block_rows=4)
-    # The rows of every left GEMM operand: the identity pre-pass's N, then
-    # V per row sample of each screen block.
-    rows = []
-    left_operand = augment._left_operand
+    # Each ``_pair_minima`` call's column view count w and the rows of its
+    # GEMMs: V per row sample of each block.
+    calls = []
+    pair_minima = augment._pair_minima
 
-    def counted(lifted):
-        rows.append(lifted.shape[0])
-        return left_operand(lifted)
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(augment, "_left_operand", counted)
+        @staticmethod
+        def matmul(a, b, out):
+            calls[-1][1].append(a.shape[0])
+            return np.matmul(a, b, out=out)
+
+    def counted(left, right, w, need, buf):
+        calls.append((w, []))
+        return pair_minima(left, right, w, need, buf)
+
+    monkeypatch.setattr(augment, "np", CountedNumpy())
+    monkeypatch.setattr(augment, "_pair_minima", counted)
     distance_levels(ds.features, aug, _grids(reference)[0])
     n, v = 2 * n_per_class, aug.num_views
-    block = max(1, tile_bytes // (4 * v * v * n))
-    assert rows[0] == n and max(rows[1:]) == min(block, n) * v
+    # The identity pre-pass (w = 1), then the screen (w = V).
+    assert [w for w, _ in calls] == [1, v]
+    for w, rows in calls:
+        block = max(1, tile_bytes // (4 * v * w * n))
+        assert max(rows) == min(block, n) * v
     # Every batch runs on the calling thread, even where threads may start.
     assert started == []
 
@@ -396,9 +411,10 @@ def test_identity_pre_pass_settles_pairs_before_the_screen(monkeypatch):
     screened = []
     pair_minima = augment._pair_minima
 
-    def counted(lifted, v, need, buf):
-        screened.append(int(need.sum()))
-        return pair_minima(lifted, v, need, buf)
+    def counted(left, right, w, need, buf):
+        if w > 1:
+            screened.append(int(need.sum()))
+        return pair_minima(left, right, w, need, buf)
 
     monkeypatch.setattr(augment, "_pair_minima", counted)
     views = view_tensor(ds.features, _RING_V126).reshape(-1, 3)
@@ -533,6 +549,54 @@ def test_distance_levels_are_exact_on_near_ties_below_the_float32_bound():
     near = ((gaps > 2 * bound64) & (gaps <= 2 * bound32)).any(axis=2)
     assert near[~np.eye(n, dtype=bool)].mean() > 0.9
     _assert_levels_of_augmented_distance(points, aug)
+
+
+# Ring classes at 6, 26 and 126 views, and the extreme magnitudes above.
+_BOUND_CASES = {
+    "V=6": (
+        _class_points(_ring_dataset(48), 0), AugmentationSet((identity(), _RING_ROTATION), 5)
+    ),
+    "V=26": (_class_points(_ring_dataset(25), 0), _RING_V26),
+    "V=126": (_class_points(_ring_dataset(25), 0), _RING_V126),
+    **{f"x{scale:g}": (_ring_dataset(25).features * scale, _RING_V26)
+       for scale in (1e-30, 1e20, 1e25)},
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUND_CASES))
+def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
+    # Levels only show a bound that errs by more than the gap to the nearest
+    # delta; here every bound is compared with the pair's exact smallest
+    # squared view distance c. A zero delta screens every pair.
+    points, aug = _BOUND_CASES[case]
+    (n, d), v = points.shape, aug.num_views
+    assert not _fits_all_pairs(n, aug, d)
+    lifted, pair_minima = augment._lifted, augment._pair_minima
+    scaled, calls = [], []
+
+    def spy_lifted(coords):
+        out = lifted(coords)
+        scaled.append(out[2:])
+        return out
+
+    def spy_minima(left, right, w, need, buf):
+        out = pair_minima(left, right, w, need, buf)
+        calls.append((out.copy(), need.copy()))
+        return out
+
+    monkeypatch.setattr(augment, "_lifted", spy_lifted)
+    monkeypatch.setattr(augment, "_pair_minima", spy_minima)
+    distance_levels(points, aug, [0.0])
+    [(bound, scale)] = scaled
+    [(h, _), (m, need)] = calls
+    coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    exact = augment._exact_minima(coords, v, rows, cols).reshape(n, n)
+    # Each sample's views against each sample's identity view bound c from above.
+    assert np.all(augment._unscaled(h, bound, scale) >= exact)
+    assert need.sum() == n * (n - 1) // 2
+    assert np.all(augment._unscaled(m[need], -bound, scale) <= exact[need])
+    assert np.all(exact[need] <= augment._unscaled(m[need], bound, scale))
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

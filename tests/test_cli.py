@@ -1233,13 +1233,15 @@ def test_a_transform_that_does_not_fit_the_generated_dimension_exits_2(tmp_path,
     assert not (out / "config.json").exists()
 
 
-@pytest.mark.parametrize("command, stage", [("bounds", "concentration"), ("train", "train")])
+@pytest.mark.parametrize(
+    "command", ["gen-data", "train", "concentration", "evaluate", "bounds"]
+)
 def test_a_transform_that_does_not_fit_a_saved_dataset_fails_its_first_stage(
-    tmp_path, capsys, command, stage
+    tmp_path, capsys, command
 ):
     # A saved dataset is not read when the config loads, so its dimension
-    # is first checked by the stage that applies the views: exit code 3,
-    # after config.json and dataset.csv are written.
+    # is first checked by stage 'dataset', which loads it: exit code 3,
+    # after config.json is written and before dataset.csv is.
     features = np.random.default_rng(0).normal(size=(12, 2))
     save_dataset(Dataset(features, np.repeat([0, 1], 6)), str(tmp_path / "points.csv"))
     data = _config_dict()
@@ -1250,9 +1252,9 @@ def test_a_transform_that_does_not_fit_a_saved_dataset_fails_its_first_stage(
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        f"stage '{stage}' failed: additive_shift length does not match feature dimension 2\n"
+        "stage 'dataset' failed: additive_shift length does not match feature dimension 2\n"
     )
-    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv"]
+    assert sorted(os.listdir(out)) == ["config.json"]
 
 
 def test_a_pairs_catalog_that_repeats_a_transform_exits_2_before_writing(tmp_path, capsys):

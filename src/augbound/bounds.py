@@ -82,7 +82,12 @@ def rho_max(
     lipschitz: float,
     radius: float,
 ) -> float:
-    """Worst-case rho over classes: evaluated at the smallest prior."""
+    """Worst-case rho over classes: evaluated at the smallest prior.
+
+    For r_eps >= 0, rho is non-increasing in the prior under correctly
+    rounded division and addition, so this is the very float of the largest
+    per-class rho, which ``full_report`` takes.
+    """
     if not priors:
         raise ValueError("priors must be non-empty")
     return rho(sigma, delta, epsilon, r_eps, min(priors), lipschitz, radius)
@@ -450,15 +455,7 @@ def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundR
         )
         for p in inputs.priors
     )
-    rho_worst = rho_max(
-        inputs.sigma,
-        inputs.delta,
-        inputs.epsilon,
-        inputs.r_eps,
-        inputs.priors,
-        inputs.lipschitz,
-        inputs.radius,
-    )
+    rho_worst = max(rho_values)
     threshold = divergence_threshold(rho_worst, inputs.delta_mu, inputs.radius)
     pair_indices = [(k, l) for k in range(k_classes) for l in range(k + 1, k_classes)]
     condition = all(product < threshold for product in inputs.mu_products)

@@ -210,8 +210,9 @@ def _curve(
     mode: Literal["exact", "dual_approx"],
     baseline: ConcentrationEstimate | None,
 ) -> list[ConcentrationEstimate]:
-    """Estimates along ascending ``deltas``; each class's step is seeded with
-    its previous certificate, the first one with the baseline's part.
+    """Estimates along ascending ``deltas``; each class's step keeps its
+    previous certificate, the first one the baseline's part, where the
+    search finds a smaller clique.
 
     Inputs are checked before any distance work: the thresholds, then in
     exact mode each class size against the vertex budget, in class order.

@@ -185,18 +185,9 @@ def _usable_cpus() -> int:
 
 
 # Threads that compute the tiles of one population InfoNCE term: the calling
-# thread plus at most one helper.
+# thread plus at most one helper. Each holds one tile of ``TILE_BYTES //
+# _WORKERS``, so the tiles in flight together stay within ``TILE_BYTES``.
 _WORKERS = min(2, _usable_cpus())
-
-
-def _tile_budget(job_bytes: int, tile_bytes: int) -> int:
-    """Byte budget of one tile of a job that needs ``job_bytes`` in all.
-
-    A job that fits ``tile_bytes`` keeps it whole and runs inline; a larger
-    one gives each of the ``_WORKERS`` threads an equal share, so the tiles
-    in flight together stay within ``tile_bytes``.
-    """
-    return tile_bytes if job_bytes <= tile_bytes else tile_bytes // _WORKERS
 
 
 def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
@@ -246,12 +237,10 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
     (V, V, R) block of (b, c, a). Each worker holds one set of buffers: per
     row, the N·V exponentials, a scratch of max(N·V, V²), and V² each for
     the positives, the log sum and the product. Their bytes per row set R
-    within the tile budget: all of ``TILE_BYTES`` when the whole job fits
-    it, which then runs inline as a single tile, else ``TILE_BYTES //
-    _WORKERS``, with the calling thread computing every other tile and one
-    helper thread the rest (see ``_run_split``). Tiles write each
-    row's weighted log sum and shift into two N·V vectors, which are reduced
-    once at the end.
+    within ``TILE_BYTES // _WORKERS``; ``_run_split`` runs a single tile
+    inline, and more with the calling thread computing every other tile and
+    one helper thread the rest. Tiles write each row's weighted log sum and
+    shift into two N·V vectors, which are reduced once at the end.
     """
     n, v, d = z.shape
     nv, vv = n * v, v * v
@@ -259,7 +248,7 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
     group = min(n, int(-_EXP_FLOOR // max(span, 1.0)))
     pair_w = np.outer(weights, weights / n).ravel()
     row_bytes = 8 * (nv + max(nv, vv) + 3 * vv)
-    rows = min(nv, max(1, _tile_budget(nv * row_bytes, TILE_BYTES) // row_bytes))
+    rows = min(nv, max(1, TILE_BYTES // _WORKERS // row_bytes))
     per_row = np.empty(nv)
     shifts = np.empty(nv)
 
@@ -360,16 +349,15 @@ def population_loss(
     of g logs. The tests hold l2 within 2N·u·max(1, |l2|) of a long-double
     oracle on the unit sphere and at radii 6 and 18.
 
-    The terms are computed in tiles of anchor rows. A job that fits one
-    ``TILE_BYTES`` tile runs inline; a larger one uses tiles of
-    ``TILE_BYTES // _WORKERS``, and with two usable CPUs the calling thread
-    computes half of them while one helper thread computes the other half
-    (``_run_split``). Scores are summed left to right over the d
-    coordinates, as ``augment._sqeuclidean`` does, and each row's weighted
-    logs in one row ``sum``: unlike a BLAS product, whose rounding changes
-    with the block shape, neither depends on the tile's width. The per-row
-    values are reduced once in a fixed order, so the result does not depend
-    on the worker count or the tiling.
+    The terms are computed in tiles of anchor rows, each of ``TILE_BYTES //
+    _WORKERS``. A job of one tile runs inline; with two usable CPUs the
+    calling thread computes half the tiles of a larger one while one helper
+    thread computes the other half (``_run_split``). Scores are summed left
+    to right over the d coordinates, as ``augment._sqeuclidean`` does, and
+    each row's weighted logs in one row ``sum``: unlike a BLAS product,
+    whose rounding changes with the block shape, neither depends on the
+    tile's width. The per-row values are reduced once in a fixed order, so
+    the result does not depend on the worker count or the tiling.
     """
     means = embedded.means
     if kind == "info_nce":

@@ -280,7 +280,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     dataset = _read_dataset(raw["dataset"], base_dir)
     augmentation = _read(AugmentationSet, raw["augmentation"], "augmentation")
     # A generated dataset's dimension is known now. A saved one is not read
-    # here: ``stage_dataset`` checks the transforms against it once loaded.
+    # here: ``stage_dataset`` checks every set against it, sweep levels too.
     if isinstance(dataset, GeneratorConfig):
         try:
             augmentation.check_dimension(dataset.input_dim)
@@ -391,14 +391,16 @@ def write_config(config: ExperimentConfig, out_dir: str) -> None:
 
 
 def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:
+    """Load or generate the dataset, check that every transform fits its
+    dimension and write ``dataset.csv``. The config loader checks only a
+    generated dataset's base set; a saved dataset or a sweep level is first
+    checked here."""
     with _stage("dataset"):
         if isinstance(config.dataset, str):
             dataset = load_dataset(config.dataset)
-            # Its dimension is first known here; a generated one is checked
-            # when the config loads.
-            config.augmentation.check_dimension(dataset.input_dim)
         else:
             dataset = generate_dataset(config.dataset)
+        config.augmentation.check_dimension(dataset.input_dim)
         save_dataset(dataset, os.path.join(out_dir, "dataset.csv"))
         return dataset
 

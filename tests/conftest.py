@@ -15,7 +15,7 @@ def split_workers(monkeypatch):
     entry (the thread's name) per thread started from then on.
     ``split_workers(1)`` makes starting any thread raise, as a process with
     one usable CPU must run the population InfoNCE on the calling thread
-    alone. ``augment.distance_levels`` starts no thread under either.
+    alone.
     """
     real_thread = threading.Thread
     started = []

@@ -5,16 +5,24 @@ Run it on its own with
 
     python -m pytest tests/microbench_population.py
 
-The case is the shape of the ``ring_pairs`` benchmark: the 3-d interleaved
-two-ring task at 14 samples per class, identity plus a wide rotation and a
-scaling at grid 5 (26 views), a sphere encoder and the ``info_nce`` loss.
-With N·V = 728 anchor rows its buffers span several ``TILE_BYTES`` tiles.
-On the unit sphere the kernel takes one product over the N = 28 negative
-samples per (anchor, positive view, negative view) and one ``log`` of it:
-N·V³ = 492,128 ``log`` calls, against N²V³ = 13.8 million adds and
-multiplies. The view grid is embedded once before timing, as
-``stage_evaluate`` does, so the timing covers the loss alone.
+The cases are the ring task of the ``ring_pairs`` benchmark: the 3-d
+interleaved two-ring task at 14 samples per class, identity plus a wide
+rotation and a scaling, a sphere encoder and the ``info_nce`` loss.
+
+- At grid 5 (26 views), the benchmark's shape: with N·V = 728 anchor rows
+  its buffers span several ``TILE_BYTES`` tiles. On the unit sphere the
+  kernel takes one product over the N = 28 negative samples per (anchor,
+  positive view, negative view) and one ``log`` of it: N·V³ = 492,128
+  ``log`` calls, against N²V³ = 13.8 million adds and multiplies.
+- At grid 3 (10 views), a job of 1.84 MiB: one ``TILE_BYTES`` tile, but
+  two of ``TILE_BYTES // 2``, so with two usable CPUs it is split between
+  the calling thread and one helper.
+
+The view grid is embedded once before timing, as ``stage_evaluate`` does,
+so the timing covers the loss alone.
 """
+
+import pytest
 
 from augbound.augment import (
     AugmentationSet,
@@ -29,7 +37,8 @@ from augbound.encoder import init_encoder
 from augbound.evaluation import embed_views, population_loss
 
 
-def test_population_info_nce_ring_14_per_class_26_views(benchmark):
+@pytest.mark.parametrize("grid_resolution, num_views", [(5, 26), (3, 10)])
+def test_population_info_nce_ring_14_per_class(benchmark, grid_resolution, num_views):
     dataset = generate_dataset(
         GeneratorConfig(
             num_classes=2,
@@ -43,9 +52,9 @@ def test_population_info_nce_ring_14_per_class_26_views(benchmark):
     )
     aug = AugmentationSet(
         transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
-        grid_resolution=5,
+        grid_resolution=grid_resolution,
     )
-    assert aug.num_views == 26
+    assert aug.num_views == num_views
     model = init_encoder(
         input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", radius=1.0, seed=0
     )

@@ -298,12 +298,14 @@ def test_distance_levels_match_row_blocks(aug, n_per_class, class_id):
             assert levels[i, j] == np.searchsorted(_LADDER_DELTAS, distance, side="left")
 
 
-def test_distance_levels_memory_is_one_tile_plus_output_and_views():
+def test_distance_levels_memory_is_one_tile_plus_output_and_views(split_workers):
     # 96 per class x 126 views, the largest ladder rung: the identity
     # pre-pass takes 3 GEMMs of up to 43 row samples and the screen 131 of
     # one row sample, each within one TILE_BYTES, beside the GEMM rows
     # built once per class (242 KB); the former row blocks held about
-    # 780 MB here.
+    # 780 MB here. Every batch runs on the calling thread, even where
+    # threads may start.
+    started = split_workers(2)
     ds = _ring_dataset(96)
     aug = AugmentationSet(
         (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT), grid_resolution=5
@@ -319,6 +321,7 @@ def test_distance_levels_memory_is_one_tile_plus_output_and_views():
     assert levels.shape == (n, n)
     slack = 1 << 20
     assert peak < TILE_BYTES + 8 * n * n + 2 * 8 * n * v * d + slack
+    assert started == []
 
 
 _RING_V26 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=5)
@@ -327,7 +330,6 @@ _RING_V126 = AugmentationSet(
 )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "aug, n_per_class, tile_bytes",
     [
@@ -343,10 +345,10 @@ _RING_V126 = AugmentationSet(
     ],
 )
 def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
-    monkeypatch, split_workers, workers, aug, n_per_class, tile_bytes
+    monkeypatch, split_workers, aug, n_per_class, tile_bytes
 ):
     ds = _ring_dataset(n_per_class)
-    started = split_workers(workers)
+    started = split_workers(2)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
     reference = _assert_levels_match_reference(ds.features, aug, block_rows=4)
     # Each ``_pair_minima`` call's column view count w and the rows of its
@@ -386,22 +388,6 @@ def test_distance_levels_of_one_tile_runs_inline(split_workers):
     ds = _ring_dataset(19)
     _assert_levels_match_reference(_class_points(ds, 0), _RING_V26)
     assert 8 * (19 * 26) ** 2 <= TILE_BYTES and started == []
-
-
-def test_distance_levels_memory_bound_holds_with_two_workers(split_workers):
-    # The same scenario and bound where threads may start, whatever the CPU
-    # count of the host running the tests: every batch runs on the calling
-    # thread.
-    started = split_workers(2)
-    test_distance_levels_memory_is_one_tile_plus_output_and_views()
-    assert started == []
-
-
-def test_distance_levels_memory_bound_holds_with_one_worker(split_workers):
-    # Starting a thread raises here.
-    started = split_workers(1)
-    test_distance_levels_memory_is_one_tile_plus_output_and_views()
-    assert started == []
 
 
 def test_identity_pre_pass_settles_pairs_before_the_screen(monkeypatch):

@@ -565,6 +565,29 @@ def test_simple_loss_report_skips_separation_bounds():
     assert math.isfinite(report.thm2_bound)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_report_rho_max_is_rho_max_at_the_smallest_prior_bit_for_bit(k):
+    # The report takes the largest per-class rho; for r_eps >= 0 rho does
+    # not increase with the prior, so that is rho_max's float exactly.
+    rng = np.random.default_rng(36 + k)
+    for trial in range(100):
+        weights = rng.random(k) + 0.05
+        priors = tuple(float(p) for p in weights / weights.sum())
+        assert len(set(priors)) == k
+        r_eps = 0.0 if trial % 10 == 0 else float(rng.random())
+        sigma = 1.0 - float(rng.random())
+        delta, epsilon = (float(x) for x in rng.random(2))
+        lipschitz, radius = (float(x) for x in 0.1 + 5.0 * rng.random(2))
+        inputs = _inputs(
+            sigma=sigma, delta=delta, epsilon=epsilon, r_eps=r_eps, lipschitz=lipschitz,
+            radius=radius, priors=priors, mu_products=(0.0,) * (k * (k - 1) // 2),
+        )
+        report = full_report(inputs, _empirical(k))
+        assert report.rho_max == rho_max(
+            sigma, delta, epsilon, r_eps, priors, lipschitz, radius
+        ), (trial, inputs)
+
+
 def test_report_matches_individually_invoked_operations():
     inputs = _inputs()
     report = full_report(inputs, _empirical())

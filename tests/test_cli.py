@@ -800,10 +800,9 @@ def test_richness_sweep_levels_and_failure_recovery(tmp_path):
     assert len(result.failures) == 1
     label, stage, message = result.failures[0]
     assert label == "3"
-    assert stage == "concentration"
+    assert stage == "dataset"
     assert message == (
-        "stage 'concentration' failed: "
-        "additive_shift length does not match feature dimension 2"
+        "stage 'dataset' failed: additive_shift length does not match feature dimension 2"
     )
     rows = _csv_rows(out / "summary.csv")
     assert [r["level"] for r in rows] == ["1", "2"]
@@ -813,7 +812,7 @@ def test_richness_sweep_levels_and_failure_recovery(tmp_path):
     assert failure_rows[0]["stage"] == stage
     assert (out / "level_00" / "bounds.csv").is_file()
     assert (out / "level_01" / "bounds.csv").is_file()
-    assert not (out / "level_02" / "bounds.csv").exists()
+    assert os.listdir(out / "level_02") == ["config.json"]
 
 
 _PAIRS_CATALOG = [
@@ -841,6 +840,39 @@ def test_pairs_sweep_enumerates_two_subsets(tmp_path, capsys):
     said = [line.split(" is nan: ")[0] for line in capsys.readouterr().err.splitlines()]
     nan_deltas = [row["delta"] for row in corr if row["spearman"] == "nan"]
     assert said == [f"spearman at delta {delta}" for delta in nan_deltas]
+
+
+@pytest.mark.parametrize("source", ["generated", "saved"])
+def test_a_pairs_sweep_level_that_does_not_fit_the_dataset_dimension_fails_at_dataset(
+    tmp_path, capsys, source
+):
+    # The loader checks at most the base augmentation against the dataset's
+    # dimension; each catalog pair is checked by its level's stage 'dataset',
+    # whichever the source of the 2-d dataset.
+    catalog = _PAIRS_CATALOG[:2] + [{"rule": "additive_shift", "direction": [0.0, 0.0, 0.4]}]
+    data = _config_dict(sweep={"kind": "pairs", "levels": catalog})
+    if source == "saved":
+        points = tmp_path / "points.csv"
+        save_dataset(generate_dataset(config_from_dict(data).dataset), str(points))
+        data["dataset"] = {"path": str(points)}
+    out = tmp_path / "pairs"
+    assert main(["sweep", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 0
+    assert "1 of 3 levels succeeded" in capsys.readouterr().out
+    assert [r["level"] for r in _csv_rows(out / "summary.csv")] == ["0_1"]
+    with open(out / "failures.csv", newline="") as fh:
+        failure_rows = list(csv.DictReader(fh))
+    assert [(r["level"], r["stage"]) for r in failure_rows] == [
+        ("0_2", "dataset"),
+        ("1_2", "dataset"),
+    ]
+    assert all(
+        r["message"]
+        == "stage 'dataset' failed: additive_shift length does not match feature dimension 2"
+        for r in failure_rows
+    )
+    assert (out / "level_00" / "bounds.csv").is_file()
+    for level in ("level_01", "level_02"):
+        assert os.listdir(out / level) == ["config.json"]
 
 
 def _tied_values(rng, n):
@@ -1231,6 +1263,19 @@ def test_a_transform_that_does_not_fit_the_generated_dimension_exits_2(tmp_path,
     assert fragment in capsys.readouterr().err
     assert not (out / "dataset.csv").exists()
     assert not (out / "config.json").exists()
+
+
+def test_stage_dataset_checks_a_generated_dataset_against_every_transform(tmp_path):
+    # A sweep level's augmentation reaches the stages without the loader's
+    # check, so stage 'dataset' refuses it before writing dataset.csv.
+    config = config_from_dict(_config_dict())
+    misfit = AugmentationSet((identity(), additive_shift((0.0, 0.0, 0.4))), grid_resolution=3)
+    with pytest.raises(StageError) as info:
+        experiments.stage_dataset(replace(config, augmentation=misfit), str(tmp_path))
+    assert str(info.value) == (
+        "stage 'dataset' failed: additive_shift length does not match feature dimension 2"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(

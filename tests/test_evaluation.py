@@ -495,7 +495,7 @@ def _embeddings(enc, ds, aug):
 def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
     split_workers, workers
 ):
-    # 24 samples x 7 views fill 0.65 MB of one TILE_BYTES tile.
+    # 24 samples x 7 views fill 0.65 MB of one TILE_BYTES // 2 tile.
     started = split_workers(workers)
     ds = _blobs(seed=26, spread=0.5)
     aug = AugmentationSet(
@@ -503,7 +503,7 @@ def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
         grid_resolution=5,
     )
     n, v = ds.num_samples, aug.num_views
-    assert n * v * _row_bytes(n, v) <= TILE_BYTES
+    assert n * v * _row_bytes(n, v) <= TILE_BYTES // 2
     enc = _sphere_on(ds, aug)
     got = population_loss(_embedded(enc, ds, aug), "info_nce")
     assert got.l2 == _per_tile_info_nce_l2(*_embeddings(enc, ds, aug))
@@ -516,8 +516,8 @@ def test_population_info_nce_does_not_depend_on_workers_or_tiling(monkeypatch, s
     row_bytes = _row_bytes(n, v)
     enc = _sphere_on(ds, MIXED_AUG)
     # One row per tile; 7 rows (3 with two workers), the last tile short;
-    # the default budget; and the whole job in one tile.
-    budgets = (row_bytes, 7 * row_bytes + row_bytes // 2, TILE_BYTES, n * v * row_bytes)
+    # the default budget; and the whole job in one tile, which runs inline.
+    budgets = (row_bytes, 7 * row_bytes + row_bytes // 2, TILE_BYTES, 2 * n * v * row_bytes)
     l2 = set()
     for workers in (1, 2):
         started = split_workers(workers)
@@ -728,6 +728,23 @@ def test_population_info_nce_peak_memory_at_the_ring_pairs_shape_with_two_worker
     # log sums and shifts, the tiled weights and numpy's ufunc buffers.
     assert peak < TILE_BYTES + 32 * n * v * d * 8
     assert len(started) == 1
+
+
+@pytest.mark.parametrize("workers, helpers", [(2, 1), (1, 0)])
+def test_population_info_nce_of_two_half_tiles_matches_the_per_tile_sum(
+    split_workers, workers, helpers
+):
+    # 28 samples x 10 views need 1.84 MiB: one TILE_BYTES tile, but two of
+    # TILE_BYTES // 2, which split between two threads where two may run.
+    started = split_workers(workers)
+    embedded = _ring_embedded(1.0, 3)
+    n, v, _ = embedded.z.shape
+    assert (n, v) == (28, 10)
+    assert TILE_BYTES // 2 < n * v * _row_bytes(n, v) <= TILE_BYTES
+    assert population_loss(embedded, "info_nce").l2 == _per_tile_info_nce_l2(
+        embedded.z, embedded.weights
+    )
+    assert len(started) == helpers
 
 
 def test_population_info_nce_does_not_depend_on_the_tiling_on_random_shapes(

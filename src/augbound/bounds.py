@@ -14,14 +14,16 @@ sphere, sqrt(d) for standardized embeddings); L is a certified Lipschitz
 constant of the embedding map. Reports never feed an InfoNCE loss level
 into the cross-correlation separation bound or the other way round.
 
-A ``BoundReport`` keeps its inputs and measurements in memory for the
-checks that compare them with the bounds. Its flat form, the rows of
+A ``BoundReport`` evaluates every applicable bound when it is made, from
+its inputs and measurements, and keeps both in memory for the checks that
+compare them with the bounds. Its flat form, the rows of
 ``bounds.csv``, holds only what the formulas derive: each measured value
 is on disk once, in ``concentration.csv`` or ``evaluation.csv``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,7 +88,7 @@ def rho_max(
 
     For r_eps >= 0, rho is non-increasing in the prior under correctly
     rounded division and addition, so this is the very float of the largest
-    per-class rho, which ``full_report`` takes.
+    per-class rho, which a ``BoundReport`` takes.
     """
     if not priors:
         raise ValueError("priors must be non-empty")
@@ -308,7 +310,8 @@ class BoundInputs:
     centers enter through ``delta_mu`` and ``mu_products``, the products
     mu_k . mu_l of every class pair k < l in row order (0_1, 0_2, ..., 1_2,
     ...), measured under the same view distribution as the loss levels; K
-    is the number of ``priors``.
+    is the number of ``priors``, each positive. ``r_eps`` is a fraction of
+    samples, in [0, 1].
     """
 
     sigma: float
@@ -335,6 +338,8 @@ class BoundInputs:
             raise ValueError(f"bound inputs missing: {', '.join(sorted(missing))}")
         if self.loss_kind not in ("info_nce", "cross_corr", "simple"):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+        if not self.priors or not all(p > 0 for p in self.priors):
+            raise ValueError("priors must be non-empty and positive")
         k = len(self.priors)
         products = tuple(float(p) for p in self.mu_products)
         if len(products) != k * (k - 1) // 2:
@@ -350,6 +355,8 @@ class BoundInputs:
                 raise ValueError(f"bound input {name!r} must be finite")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must lie in (0, 1]")
+        if not 0.0 <= self.r_eps <= 1.0:
+            raise ValueError("r_eps must lie in [0, 1]")
 
     @property
     def num_classes(self) -> int:
@@ -374,28 +381,115 @@ class PairBound:
     empirical: float
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    """All guarantee values, validity flags, and empirical comparisons."""
+    """All guarantee values, validity flags, and empirical comparisons.
 
-    inputs: BoundInputs
-    rho_per_class: tuple[float, ...]
-    rho_max: float
-    threshold: float
-    condition_holds: bool
-    thm1_bound: float
-    thm1_valid: bool
-    eta: float
-    thm2_bound: float
-    tau: float | None
-    thm3_pairs: tuple[PairBound, ...]
-    tau_prime: float | None
-    thm4_pairs: tuple[PairBound, ...]
-    lemma5_first: tuple[float, ...]
-    lemma5_second: tuple[float, ...]
-    combined_infonce: tuple[float, bool] | None
-    combined_crosscorr: tuple[float, bool] | None
-    empirical: EmpiricalMeasurements
+    Made from the inputs and the measurements, it evaluates each guarantee
+    once, into the attribute that holds it. The separation bound matching
+    ``loss_kind`` is evaluated per class pair; the other one is reported as
+    not applicable (``None`` and no pairs) rather than fed the wrong loss
+    level. Combined error bounds are flagged valid only when every pair
+    bound is in domain and clears the divergence threshold. Treat instances
+    as immutable.
+    """
+
+    tau: float | None = None
+    thm3_pairs: tuple[PairBound, ...] = ()
+    combined_infonce: tuple[float, bool] | None = None
+    tau_prime: float | None = None
+    thm4_pairs: tuple[PairBound, ...] = ()
+    combined_crosscorr: tuple[float, bool] | None = None
+
+    def __init__(self, inputs: BoundInputs, empirical: EmpiricalMeasurements) -> None:
+        self.inputs = inputs
+        self.empirical = empirical
+        self.rho_per_class = tuple(
+            rho(
+                inputs.sigma,
+                inputs.delta,
+                inputs.epsilon,
+                inputs.r_eps,
+                p,
+                inputs.lipschitz,
+                inputs.radius,
+            )
+            for p in inputs.priors
+        )
+        self.rho_max = max(self.rho_per_class)
+        self.threshold = divergence_threshold(self.rho_max, inputs.delta_mu, inputs.radius)
+        self.condition_holds = all(product < self.threshold for product in inputs.mu_products)
+        self.thm1_bound, self.thm1_valid = theorem1_bound(
+            inputs.sigma, inputs.r_eps, self.condition_holds
+        )
+        self.eta = eta(
+            inputs.epsilon,
+            inputs.num_continuous,
+            inputs.num_discrete,
+            inputs.lipschitz,
+            inputs.transform_lipschitz,
+        )
+        self.thm2_bound = theorem2_bound(self.eta, inputs.l_pos)
+        moments = [
+            lemma5_moments(
+                inputs.epsilon,
+                inputs.sigma,
+                inputs.delta,
+                inputs.radius,
+                inputs.lipschitz,
+                inputs.r_eps,
+                p,
+            )
+            for p in inputs.priors
+        ]
+        self.lemma5_first = tuple(first for first, _ in moments)
+        self.lemma5_second = tuple(second for _, second in moments)
+        if inputs.loss_kind == "info_nce":
+            self.tau = tau(
+                inputs.epsilon,
+                inputs.sigma,
+                inputs.delta,
+                inputs.num_classes,
+                inputs.r_eps,
+                inputs.lipschitz,
+            )
+            self.thm3_pairs = self._pair_bounds(
+                lambda p_k, p_l: theorem3_bound(inputs.l2, self.tau, p_k, p_l, inputs.epsilon)
+            )
+            value = (1.0 - inputs.sigma) + self.eta * math.sqrt(max(2.0 + 2.0 * inputs.l1, 0.0))
+            self.combined_infonce = (value, self._separated(self.thm3_pairs))
+        elif inputs.loss_kind == "cross_corr":
+            self.tau_prime = tau_prime(
+                inputs.epsilon,
+                inputs.sigma,
+                inputs.delta,
+                inputs.dim,
+                inputs.num_classes,
+                inputs.r_eps,
+                inputs.lipschitz,
+                inputs.l1,
+                inputs.priors,
+            )
+            self.thm4_pairs = self._pair_bounds(
+                lambda p_k, p_l: theorem4_bound(
+                    inputs.l2, self.tau_prime, p_k, p_l, inputs.dim, inputs.num_classes
+                )
+            )
+            value = (1.0 - inputs.sigma) + math.sqrt(2.0) * self.eta * inputs.dim**0.25 * max(
+                inputs.l1, 0.0
+            ) ** 0.25
+            self.combined_crosscorr = (value, self._separated(self.thm4_pairs))
+
+    def _pair_bounds(self, bound) -> tuple[PairBound, ...]:
+        """``bound(p_k, p_l)`` of every class pair k < l, with its measured product."""
+        priors = self.inputs.priors
+        pairs = itertools.combinations(range(len(priors)), 2)
+        return tuple(
+            PairBound(k, l, *bound(priors[k], priors[l]), product)
+            for (k, l), product in zip(pairs, self.inputs.mu_products)
+        )
+
+    def _separated(self, pairs: tuple[PairBound, ...]) -> bool:
+        return bool(pairs) and all(p.in_domain and p.value < self.threshold for p in pairs)
 
     def to_flat_dict(self) -> dict[str, object]:
         """Stable key-value view of the derived values: the rows of a
@@ -435,125 +529,5 @@ class BoundReport:
 
 
 def full_report(inputs: BoundInputs, empirical: EmpiricalMeasurements) -> BoundReport:
-    """Evaluate every applicable guarantee and pair it with measurements.
-
-    The separation bound matching ``loss_kind`` is evaluated per class
-    pair; the other one is reported as not applicable rather than fed the
-    wrong loss level. Combined error bounds are flagged valid only when
-    every pair bound is in domain and clears the divergence threshold.
-    """
-    k_classes = inputs.num_classes
-    rho_values = tuple(
-        rho(
-            inputs.sigma,
-            inputs.delta,
-            inputs.epsilon,
-            inputs.r_eps,
-            p,
-            inputs.lipschitz,
-            inputs.radius,
-        )
-        for p in inputs.priors
-    )
-    rho_worst = max(rho_values)
-    threshold = divergence_threshold(rho_worst, inputs.delta_mu, inputs.radius)
-    pair_indices = [(k, l) for k in range(k_classes) for l in range(k + 1, k_classes)]
-    condition = all(product < threshold for product in inputs.mu_products)
-    thm1_value, thm1_valid = theorem1_bound(inputs.sigma, inputs.r_eps, condition)
-    eta_value = eta(
-        inputs.epsilon,
-        inputs.num_continuous,
-        inputs.num_discrete,
-        inputs.lipschitz,
-        inputs.transform_lipschitz,
-    )
-    thm2_value = theorem2_bound(eta_value, inputs.l_pos)
-    lemma_first = []
-    lemma_second = []
-    for p in inputs.priors:
-        first, second = lemma5_moments(
-            inputs.epsilon,
-            inputs.sigma,
-            inputs.delta,
-            inputs.radius,
-            inputs.lipschitz,
-            inputs.r_eps,
-            p,
-        )
-        lemma_first.append(first)
-        lemma_second.append(second)
-
-    def pair_bounds(bound) -> tuple[PairBound, ...]:
-        """``bound(p_k, p_l)`` of every class pair, with its measured product."""
-        return tuple(
-            PairBound(k, l, *bound(inputs.priors[k], inputs.priors[l]), product)
-            for (k, l), product in zip(pair_indices, inputs.mu_products)
-        )
-
-    def separated(pairs: tuple[PairBound, ...]) -> bool:
-        return bool(pairs) and all(p.in_domain and p.value < threshold for p in pairs)
-
-    tau_value: float | None = None
-    thm3_pairs: tuple[PairBound, ...] = ()
-    tau_prime_value: float | None = None
-    thm4_pairs: tuple[PairBound, ...] = ()
-    combined_infonce: tuple[float, bool] | None = None
-    combined_crosscorr: tuple[float, bool] | None = None
-
-    if inputs.loss_kind == "info_nce":
-        tau_value = tau(
-            inputs.epsilon,
-            inputs.sigma,
-            inputs.delta,
-            k_classes,
-            inputs.r_eps,
-            inputs.lipschitz,
-        )
-        thm3_pairs = pair_bounds(
-            lambda p_k, p_l: theorem3_bound(inputs.l2, tau_value, p_k, p_l, inputs.epsilon)
-        )
-        value = (1.0 - inputs.sigma) + eta_value * math.sqrt(max(2.0 + 2.0 * inputs.l1, 0.0))
-        combined_infonce = (value, separated(thm3_pairs))
-    elif inputs.loss_kind == "cross_corr":
-        tau_prime_value = tau_prime(
-            inputs.epsilon,
-            inputs.sigma,
-            inputs.delta,
-            inputs.dim,
-            k_classes,
-            inputs.r_eps,
-            inputs.lipschitz,
-            inputs.l1,
-            inputs.priors,
-        )
-        thm4_pairs = pair_bounds(
-            lambda p_k, p_l: theorem4_bound(
-                inputs.l2, tau_prime_value, p_k, p_l, inputs.dim, k_classes
-            )
-        )
-        value = (1.0 - inputs.sigma) + math.sqrt(2.0) * eta_value * inputs.dim**0.25 * max(
-            inputs.l1, 0.0
-        ) ** 0.25
-        combined_crosscorr = (value, separated(thm4_pairs))
-
-    return BoundReport(
-        inputs=inputs,
-        rho_per_class=rho_values,
-        rho_max=rho_worst,
-        threshold=threshold,
-        condition_holds=condition,
-        thm1_bound=thm1_value,
-        thm1_valid=thm1_valid,
-        eta=eta_value,
-        thm2_bound=thm2_value,
-        tau=tau_value,
-        thm3_pairs=thm3_pairs,
-        tau_prime=tau_prime_value,
-        thm4_pairs=thm4_pairs,
-        lemma5_first=tuple(lemma_first),
-        lemma5_second=tuple(lemma_second),
-        combined_infonce=combined_infonce,
-        combined_crosscorr=combined_crosscorr,
-        empirical=empirical,
-    )
-
+    """Every applicable guarantee, paired with its measurements."""
+    return BoundReport(inputs, empirical)

@@ -214,13 +214,10 @@ def _curve(
     previous certificate, the first one the baseline's part, where the
     search finds a smaller clique.
 
-    Inputs are checked before any distance work: the thresholds, then in
-    exact mode each class size against the vertex budget, in class order.
+    Inputs are checked before any distance work: in exact mode each class
+    size against the vertex budget, in class order, then the thresholds,
+    which the first class's ``distance_levels`` call checks first.
     """
-    if any(not d >= 0 for d in deltas):
-        raise ValueError("thresholds must be non-negative")
-    if any(b < a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("thresholds must be ascending")
     if not deltas:
         return []
     class_ids = [dataset.class_indices(k) for k in range(dataset.num_classes)]

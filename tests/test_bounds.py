@@ -1,5 +1,6 @@
 """Closed-form guarantee formulas, domain flags, and the assembled report."""
 
+import itertools
 import math
 
 import numpy as np
@@ -493,6 +494,14 @@ def test_bound_inputs_reject_bad_values():
         _inputs(priors=(1.0,))
     with pytest.raises(ValueError, match="loss kind"):
         _inputs(loss_kind="triplet")
+    # r_eps is a fraction of samples; rho_max's smallest-prior shortcut
+    # needs r_eps >= 0.
+    for r_eps in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="r_eps"):
+            _inputs(r_eps=r_eps)
+    for priors in ((), (0.0, 1.0), (-0.3, 1.3), (float("nan"), 0.5)):
+        with pytest.raises(ValueError, match="priors"):
+            _inputs(priors=priors, mu_products=())
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +597,24 @@ def test_report_rho_max_is_rho_max_at_the_smallest_prior_bit_for_bit(k):
         ), (trial, inputs)
 
 
-def test_report_matches_individually_invoked_operations():
-    inputs = _inputs()
-    report = full_report(inputs, _empirical())
+# Per loss kind: the overrides of ``_inputs``, and the names of the
+# separation gap, the pair bounds and the combined bound it reports.
+_KINDS = {
+    "info_nce": ({}, ("tau", "thm3_pairs", "combined_infonce")),
+    "cross_corr": (
+        dict(loss_kind="cross_corr", l1=0.3, radius=math.sqrt(3.0), dim=3,
+             priors=(0.25, 0.25, 0.5), mu_products=(0.1, -0.2, 0.3)),
+        ("tau_prime", "thm4_pairs", "combined_crosscorr"),
+    ),
+    "simple": (dict(loss_kind="simple"), ()),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_report_matches_individually_invoked_operations(kind):
+    overrides, names = _KINDS[kind]
+    inputs = _inputs(**overrides)
+    report = full_report(inputs, _empirical(inputs.num_classes))
     expected_rho = tuple(
         rho(inputs.sigma, inputs.delta, inputs.epsilon, inputs.r_eps, p,
             inputs.lipschitz, inputs.radius)
@@ -601,7 +625,7 @@ def test_report_matches_individually_invoked_operations():
     assert report.threshold == divergence_threshold(
         report.rho_max, inputs.delta_mu, inputs.radius
     )
-    assert report.condition_holds == (inputs.mu_products[0] < report.threshold)
+    assert report.condition_holds == all(p < report.threshold for p in inputs.mu_products)
     assert report.thm1_bound == theorem1_bound(
         inputs.sigma, inputs.r_eps, report.condition_holds
     )[0]
@@ -611,16 +635,6 @@ def test_report_matches_individually_invoked_operations():
     )
     assert report.eta == expected_eta
     assert report.thm2_bound == theorem2_bound(expected_eta, inputs.l_pos)
-    expected_tau = tau(
-        inputs.epsilon, inputs.sigma, inputs.delta, inputs.num_classes,
-        inputs.r_eps, inputs.lipschitz,
-    )
-    assert report.tau == expected_tau
-    expected_pair = theorem3_bound(
-        inputs.l2, expected_tau, inputs.priors[0], inputs.priors[1], inputs.epsilon
-    )
-    assert (report.thm3_pairs[0].value, report.thm3_pairs[0].in_domain) == expected_pair
-    assert report.thm3_pairs[0].empirical == inputs.mu_products[0]
     for k, p in enumerate(inputs.priors):
         first, second = lemma5_moments(
             inputs.epsilon, inputs.sigma, inputs.delta, inputs.radius,
@@ -628,10 +642,45 @@ def test_report_matches_individually_invoked_operations():
         )
         assert report.lemma5_first[k] == first
         assert report.lemma5_second[k] == second
-    expected_combined = (1 - inputs.sigma) + expected_eta * math.sqrt(
-        max(2 + 2 * inputs.l1, 0.0)
-    )
-    assert report.combined_infonce[0] == pytest.approx(expected_combined)
+    # The other kind's separation bound is not applicable.
+    for _, other in _KINDS.values():
+        if other and other != names:
+            assert tuple(getattr(report, name) for name in other) == (None, (), None)
+    if not names:
+        return
+    if kind == "info_nce":
+        gap = tau(
+            inputs.epsilon, inputs.sigma, inputs.delta, inputs.num_classes,
+            inputs.r_eps, inputs.lipschitz,
+        )
+
+        def pair_bound(p_k, p_l):
+            return theorem3_bound(inputs.l2, gap, p_k, p_l, inputs.epsilon)
+
+        combined = (1 - inputs.sigma) + expected_eta * math.sqrt(max(2 + 2 * inputs.l1, 0.0))
+    else:
+        gap = tau_prime(
+            inputs.epsilon, inputs.sigma, inputs.delta, inputs.dim, inputs.num_classes,
+            inputs.r_eps, inputs.lipschitz, inputs.l1, inputs.priors,
+        )
+
+        def pair_bound(p_k, p_l):
+            return theorem4_bound(inputs.l2, gap, p_k, p_l, inputs.dim, inputs.num_classes)
+
+        combined = (1 - inputs.sigma) + math.sqrt(2) * expected_eta * inputs.dim**0.25 * max(
+            inputs.l1, 0.0
+        ) ** 0.25
+    gap_name, pairs_name, combined_name = names
+    assert getattr(report, gap_name) == gap
+    pairs = getattr(report, pairs_name)
+    expected_pairs = list(itertools.combinations(range(inputs.num_classes), 2))
+    assert [(p.class_k, p.class_l) for p in pairs] == expected_pairs
+    for pair, (k, l), product in zip(pairs, expected_pairs, inputs.mu_products):
+        assert (pair.value, pair.in_domain) == pair_bound(inputs.priors[k], inputs.priors[l])
+        assert pair.empirical == product
+    value, valid = getattr(report, combined_name)
+    assert value == pytest.approx(combined)
+    assert valid == all(p.in_domain and p.value < report.threshold for p in pairs)
 
 
 def test_combined_error_bounds_delegate_to_report():
@@ -660,19 +709,23 @@ def test_combined_validity_requires_separation_below_threshold():
     assert report.combined_infonce == (0.0, False)
 
 
-def test_flat_dict_has_stable_keys():
-    report = full_report(_inputs(), _empirical())
+@pytest.mark.parametrize("kind, thm, gap, combined", [
+    ("info_nce", "thm3", "tau", "infonce"),
+    ("cross_corr", "thm4", "tau_prime", "crosscorr"),
+])
+def test_flat_dict_has_stable_keys(kind, thm, gap, combined):
+    report = full_report(_inputs(loss_kind=kind, l1=0.3), _empirical())
     flat = report.to_flat_dict()
     # Only derived values: the inputs and measurements live in
     # concentration.csv and evaluation.csv.
     assert list(flat) == [
         "rho.class_0", "rho.class_1", "rho.max",
         "thm1.threshold", "thm1.condition_holds", "thm1.bound", "thm1.valid",
-        "thm2.eta", "thm2.bound", "thm3.tau", "thm3.bound.0_1",
-        "thm3.in_domain.0_1", "thm3.in_domain",
+        "thm2.eta", "thm2.bound", f"{thm}.{gap}", f"{thm}.bound.0_1",
+        f"{thm}.in_domain.0_1", f"{thm}.in_domain",
         "lemma5.first.class_0", "lemma5.second.class_0",
         "lemma5.first.class_1", "lemma5.second.class_1",
-        "combined.infonce.bound", "combined.infonce.valid",
+        f"combined.{combined}.bound", f"combined.{combined}.valid",
     ]
     assert not any(key.startswith(("inputs.", "empirical.")) for key in flat)
 

@@ -24,15 +24,18 @@ pair's distance, all that a threshold graph needs. A small class takes the
 exact formula on every view pair. A larger one bounds each pair's exact
 minimum with float32 BLAS GEMMs on centered views scaled by a power of two,
 to within a derived rounding bound E. One routine, ``_pair_minima``,
-takes each pair's smallest GEMM value and runs twice: against each sample's
-identity view, which settles the pairs whose upper bound lies within the
-first delta, then over all view pairs of the others, which settles nearly
-all of them. Only a pair whose bounds straddle a delta gets the exact
-formula. Every level is that of ``augmented_distance``; the docstring of
-``distance_levels`` derives E and the decision rule. Every buffer holds at
-most one ``TILE_BYTES`` (2 MiB), the levels do not depend on it, and all of
-it runs on the calling thread (the population InfoNCE of ``evaluation``
-keeps its helper thread).
+takes each pair's smallest GEMM value: against each sample's identity
+view, which settles the pairs whose upper bound lies within the first
+delta; where a screen block is one row sample, between the centers of
+runs of grid views, which settles the pairs whose lower bound, less twice
+the largest run radius, lies above the last delta; then over all view
+pairs of the others, which settles nearly all of them. Only a pair whose
+bounds straddle a delta gets the exact formula. Every level is that of
+``augmented_distance``; the docstring of ``distance_levels`` derives E,
+the group floor and the decision rule. Every buffer holds at most one
+``TILE_BYTES`` (2 MiB), the levels do not depend on it, and all of it runs
+on the calling thread (the population InfoNCE of ``evaluation`` keeps its
+helper thread).
 
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
@@ -88,6 +91,10 @@ TILE_BYTES = 2 << 20
 
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
+_EPS64 = float(np.finfo(np.float64).eps)
+# More than float64 underflow can take from a squared distance of D < 2^70
+# coordinates; its square root is 2^-500.
+_UNDERFLOW64 = math.ldexp(1.0, -1000)
 
 
 @dataclass(frozen=True)
@@ -407,10 +414,17 @@ def distance_levels(
        views against every sample's identity view, the sample itself. The
        smaller h of a pair's two such minima gives c ≤ (h + E)/s², so a pair
        whose upper bound is at or below ``deltas[0]`` is settled at level 0.
-    2. Screen, ``_pair_minima`` with w = V: the smallest GEMM value m over
+    2. Group screen (``_group_floor``), where a screen block is one row
+       sample, ``TILE_BYTES // (4·V·V·N) <= 1``, and the set has a
+       continuous member: ``_pair_minima`` with w = G on the centers of
+       each sample's G view groups floors each pair's distance, and a pair
+       whose floor lies above ``deltas[-1]`` is settled at level
+       ``len(deltas)``. A block of several row samples meets nearly every
+       column sample anyway, so there it would save no GEMM.
+    3. Screen, ``_pair_minima`` with w = V: the smallest GEMM value m over
        the V×V view pairs of every other pair of the upper triangle gives
        (m − E)/s² ≤ c ≤ (m + E)/s².
-    3. Exact fallback (``_exact_minima``): a pair whose two bounds fall on
+    4. Exact fallback (``_exact_minima``): a pair whose two bounds fall on
        different levels, its interval straddling a delta, gets c from the
        exact formula over its views.
 
@@ -451,7 +465,31 @@ def distance_levels(
     second-order terms, the float64 steps and the rounding of M and E;
     tiny32 covers float32 underflow. So if the view pair p attains c and r
     attains the smallest GEMM value m of the sample pair, then
-    m − E ≤ g_p − E ≤ s²·c ≤ s²·c_r ≤ g_r + E = m + E.
+    m − E ≤ g_p − E ≤ s²·c ≤ s²·c_r ≤ g_r + E = m + E. As c's roundings
+    are among the float64 steps covered, g is also within E of s²‖a − b‖²,
+    the real squared distance of the two float64 views.
+
+    The group floor is sound by the triangle inequality. Each discrete view
+    is a group of its own; each run of ``grid_resolution`` consecutive grid
+    views, which differ only in the last-declared member's parameter, is
+    one group centered on its float64 mean. Any point is a sound center,
+    so the mean's rounding costs nothing. ρ bounds ‖a − α‖ for every grid
+    view a and its center α: the largest float64 sum w of squared
+    differences has at most D + 1 roundings per term, so, with u now
+    float64's unit roundoff and eps64 = 2u, ‖a − α‖² ≤
+    (w + 2^-1000)·(1 + (D + 3)·eps64), where 2^-1000 covers underflow; ρ is
+    the square root of that, each step rounded up, one value for the class.
+    For views a, b in groups centered at α, β (a discrete view is its own
+    center), ‖a − b‖ ≥ ‖α − β‖ − 2ρ. The centers are lifted with their own
+    scale s' and bound E', so the smallest GEMM value m' over the pair's
+    G×G center pairs gives ‖α − β‖² ≥ (m' − E')/s'² for each of them, and
+    t = √((m' − E')/s'²) − 2ρ, each step rounded down, is at most every
+    real view distance of the pair. Each of the exact formula's values
+    has D + 2 roundings, so c ≥ (1 − γ_{D+2})·t² − 2^-1000 for t ≥ 0, and
+    fl(√c) ≥ (1 − u)·√c ≥ (1 − (D + 4)·u)·t − 2^-500. The floor
+    (1 − (D + 3)·eps64)·t − 2^-500, rounded down, is therefore at most
+    fl(√c) (and negative for t < 0), so a pair whose floor lies above a
+    delta has its distance above it.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     grid = [0.0, *deltas.tolist()]
@@ -473,11 +511,17 @@ def distance_levels(
     ident = lifted[aug.discrete.index(identity()) :: v]
     h = _pair_minima(left, ident, 1, np.ones((n, n), dtype=bool), buf)
     need = np.triu(_level(deltas, _unscaled(np.minimum(h, h.T), bound, scale)) > 0, 1)
+    levels = np.zeros((n, n), dtype=np.intp)
+    if aug.continuous and need.any() and TILE_BYTES // (4 * v * v * n) <= 1:
+        rows, cols = need.nonzero()
+        far = _group_floor(coords, aug, need, buf) > deltas[-1]
+        rows, cols = rows[far], cols[far]
+        levels[rows, cols] = deltas.size
+        need[rows, cols] = False
     rows, cols = need.nonzero()
     m = _pair_minima(left, lifted, v, need, buf)[rows, cols]
     del buf
     low = _level(deltas, _unscaled(m, -bound, scale))
-    levels = np.zeros((n, n), dtype=low.dtype)
     levels[rows, cols] = low
     straddle = (low != _level(deltas, _unscaled(m, bound, scale))).nonzero()[0]
     rows, cols = rows[straddle], cols[straddle]
@@ -563,6 +607,38 @@ def _pair_minima(
             m = g.reshape(ni, v, -1).min(axis=1).reshape(-1, w).T.copy().min(axis=0)
             out[i0 : i0 + ni, c] = m.reshape(ni, c.size)
     return out
+
+
+def _group_floor(
+    coords: np.ndarray, aug: AugmentationSet, need: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """Floor of the distance fl(√c) of each sample pair that ``need`` marks,
+    in ``need.nonzero()`` order, from the (D, N·V) ``coords``' group
+    centers: each discrete view, and the mean of each run of
+    ``grid_resolution`` consecutive grid views. The derivation is in
+    ``distance_levels``."""
+    d, n = coords.shape[0], need.shape[0]
+    views = coords.reshape(d, n, -1)
+    m = aug.num_discrete
+    runs = views[:, :, m:].reshape(d, n, -1, aug.grid_resolution)
+    centers = runs.mean(axis=3)
+    widest = 0.0
+    for k in range(aug.grid_resolution):
+        gap = runs[..., k] - centers
+        widest = max(widest, float(np.einsum("ijk,ijk->jk", gap, gap).max()))
+    rho = _up(math.sqrt(_up(_up(widest + _UNDERFLOW64) * (1.0 + (d + 3) * _EPS64))))
+    groups = np.concatenate([views[:, :, :m], centers], axis=2)
+    g = groups.shape[2]
+    lifted, left, bound, scale = _lifted(groups.reshape(d, n * g))
+    rows, cols = need.nonzero()
+    low = _unscaled(_pair_minima(left, lifted, g, need, buf)[rows, cols], -bound, scale)
+    t = np.nextafter(np.nextafter(np.sqrt(np.maximum(low, 0.0)), -np.inf) - 2.0 * rho, -np.inf)
+    floor = np.nextafter(t * (1.0 - (d + 3) * _EPS64), -np.inf)
+    return np.nextafter(floor - math.sqrt(_UNDERFLOW64), -np.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
 
 def _exact_minima(coords: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

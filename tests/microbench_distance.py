@@ -12,14 +12,25 @@ samples per class, times identity plus a rotation, a scaling and a shift at
 grid 5, the first one, two or three of them (6, 26 or 126 views), against
 the ladder's delta grid. Every shape is timed twice, with the package's
 kernel (``numpy``: float32 GEMMs bound each pair's distance, an identity
-pre-pass and a screen of the pairs it leaves, and the exact float64 formula
-only where the bounds straddle a delta) and with ``_cdist_distance_levels``
-(``cdist``: every exact distance, in tiles of the same byte budget on the
-calling thread, float64 tiles of 8-byte entries, each one
-``scipy.spatial.distance.cdist`` call and two minima, then thresholded by
-``np.searchsorted``), so the two can be compared shape by shape; both
-return the same levels. ``view_tensor`` is timed on the whole dataset of
-the ``n96_v126`` rung.
+pre-pass, a group screen, a screen of the pairs they leave, and the exact
+float64 formula only where the bounds straddle a delta) and with
+``_cdist_distance_levels`` (``cdist``: every exact distance, in tiles of
+the same byte budget on the calling thread, float64 tiles of 8-byte
+entries, each one ``scipy.spatial.distance.cdist`` call and two minima,
+then thresholded by ``np.searchsorted``), so the two can be compared shape
+by shape; both return the same levels. ``view_tensor`` is timed on the
+whole dataset of the ``n96_v126`` rung.
+
+The group screen runs where a screen block is one row sample, on the
+32-, 64- and 96-sample 126-view shapes. It floors each pair's distance
+from the GEMM bound between the centers of its samples' view groups (the
+identity view, and each run of 5 consecutive grid views, the shift's
+axis), less twice the largest run radius, and settles at the top level
+every pair whose floor lies above the last delta. Each ``numpy`` case
+records in ``extra_info`` the pairs of the upper triangle that each step
+settles: ``pre-pass``, ``group``, ``screen`` and ``exact`` (all of them on
+the shapes small enough for the all-pairs exact formula), counted on one
+untimed call.
 """
 
 import math
@@ -91,16 +102,49 @@ def _cdist_distance_levels(points, aug, deltas):
     return np.searchsorted(deltas, out, side="left")
 
 
+def _settled_by_step(monkeypatch, points, aug):
+    """Pairs of the upper triangle that each step of ``distance_levels``
+    settles, from the pairs that each later step is given."""
+    given = {}
+    pair_minima, exact_minima = augment._pair_minima, augment._exact_minima
+
+    def counted_minima(left, right, w, need, buf):
+        if w > 1:
+            given["group" if w < aug.num_views else "screen"] = int(need.sum())
+        return pair_minima(left, right, w, need, buf)
+
+    def counted_exact(coords, v, rows, cols):
+        given["exact"] = rows.size
+        return exact_minima(coords, v, rows, cols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(augment, "_pair_minima", counted_minima)
+        patch.setattr(augment, "_exact_minima", counted_exact)
+        distance_levels(points, aug, _DELTAS)
+    total = len(points) * (len(points) - 1) // 2
+    if "screen" not in given:
+        return {"pre-pass": 0, "group": 0, "screen": 0, "exact": total}
+    group = given.get("group", given["screen"])
+    return {
+        "pre-pass": total - group,
+        "group": group - given["screen"],
+        "screen": given["screen"] - given["exact"],
+        "exact": given["exact"],
+    }
+
+
 _KERNELS = {"numpy": distance_levels, "cdist": _cdist_distance_levels}
 
 
 @pytest.mark.parametrize("kernel", list(_KERNELS))
 @pytest.mark.parametrize("shape", [f"n{n}_v{v}" for n, v in _SHAPES])
-def test_distance_levels_ladder_shape(benchmark, shape, kernel):
+def test_distance_levels_ladder_shape(benchmark, monkeypatch, shape, kernel):
     n, v = (int(part[1:]) for part in shape.split("_"))
     dataset, aug = _ring_dataset(n), _AUGS[v]
     assert aug.num_views == v
     points = dataset.features[dataset.class_indices(0)]
+    if kernel == "numpy":
+        benchmark.extra_info.update(_settled_by_step(monkeypatch, points, aug))
     levels = benchmark(_KERNELS[kernel], points, aug, _DELTAS)
     np.testing.assert_array_equal(levels, _cdist_distance_levels(points, aug, _DELTAS))
 

@@ -300,11 +300,12 @@ def test_distance_levels_match_row_blocks(aug, n_per_class, class_id):
 
 def test_distance_levels_memory_is_one_tile_plus_output_and_views(split_workers):
     # 96 per class x 126 views, the largest ladder rung: the identity
-    # pre-pass takes 3 GEMMs of up to 43 row samples and the screen 131 of
-    # one row sample, each within one TILE_BYTES, beside the GEMM rows
-    # built once per class (242 KB); the former row blocks held about
-    # 780 MB here. Every batch runs on the calling thread, even where
-    # threads may start.
+    # pre-pass takes 3 GEMMs of up to 43 row samples, the group screen 12
+    # of 8 row samples with 26 group centers each, and the screen 88 of one
+    # row sample, each within one TILE_BYTES, beside the GEMM rows built
+    # once per class (242 KB); the former row blocks held about 780 MB
+    # here. Every batch runs on the calling thread, even where threads may
+    # start.
     started = split_workers(2)
     ds = _ring_dataset(96)
     aug = AugmentationSet(
@@ -351,8 +352,8 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
     started = split_workers(2)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
     reference = _assert_levels_match_reference(ds.features, aug, block_rows=4)
-    # Each ``_pair_minima`` call's column view count w and the rows of its
-    # GEMMs: V per row sample of each block.
+    # Each ``_pair_minima`` call's row views per sample, its column view
+    # count w and the rows of its GEMMs.
     calls = []
     pair_minima = augment._pair_minima
 
@@ -362,22 +363,27 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
 
         @staticmethod
         def matmul(a, b, out):
-            calls[-1][1].append(a.shape[0])
+            calls[-1][2].append(a.shape[0])
             return np.matmul(a, b, out=out)
 
     def counted(left, right, w, need, buf):
-        calls.append((w, []))
+        calls.append((left.shape[0] // len(need), w, []))
         return pair_minima(left, right, w, need, buf)
 
     monkeypatch.setattr(augment, "np", CountedNumpy())
     monkeypatch.setattr(augment, "_pair_minima", counted)
     distance_levels(ds.features, aug, _grids(reference)[0])
     n, v = 2 * n_per_class, aug.num_views
-    # The identity pre-pass (w = 1), then the screen (w = V).
-    assert [w for w, _ in calls] == [1, v]
-    for w, rows in calls:
-        block = max(1, tile_bytes // (4 * v * w * n))
-        assert max(rows) == min(block, n) * v
+    # The identity pre-pass (V by 1), then, where a screen block is one row
+    # sample, the group screen (G by G, G the discrete views and the run
+    # centers of each sample), and the screen (V by V).
+    g = aug.num_discrete + (v - aug.num_discrete) // aug.grid_resolution
+    one_row = tile_bytes // (4 * v * v * n) <= 1
+    expected = [(v, 1), (g, g), (v, v)] if one_row else [(v, 1), (v, v)]
+    assert [(per_row, w) for per_row, w, _ in calls] == expected
+    for per_row, w, rows in calls:
+        block = max(1, tile_bytes // (4 * per_row * w * n))
+        assert max(rows) == min(block, n) * per_row
     # Every batch runs on the calling thread, even where threads may start.
     assert started == []
 
@@ -398,7 +404,7 @@ def test_identity_pre_pass_settles_pairs_before_the_screen(monkeypatch):
     pair_minima = augment._pair_minima
 
     def counted(left, right, w, need, buf):
-        if w > 1:
+        if w == _RING_V126.num_views:
             screened.append(int(need.sum()))
         return pair_minima(left, right, w, need, buf)
 
@@ -553,26 +559,30 @@ _BOUND_CASES = {
 def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
     # Levels only show a bound that errs by more than the gap to the nearest
     # delta; here every bound is compared with the pair's exact smallest
-    # squared view distance c. A zero delta screens every pair.
+    # squared view distance c. A zero delta screens every pair but those the
+    # group screen settles, where it runs.
     points, aug = _BOUND_CASES[case]
     (n, d), v = points.shape, aug.num_views
     assert not _fits_all_pairs(n, aug, d)
     lifted, pair_minima = augment._lifted, augment._pair_minima
-    scaled, calls = [], []
+    scaled, calls, grouped = [], [], []
 
     def spy_lifted(coords):
         out = lifted(coords)
-        scaled.append(out[2:])
+        # The views, not the group centers.
+        if coords.shape[1] == n * v:
+            scaled.append(out[2:])
         return out
 
     def spy_minima(left, right, w, need, buf):
         out = pair_minima(left, right, w, need, buf)
-        calls.append((out.copy(), need.copy()))
+        # The identity pre-pass and the screen, not the group screen.
+        (calls if w in (1, v) else grouped).append((out.copy(), need.copy()))
         return out
 
     monkeypatch.setattr(augment, "_lifted", spy_lifted)
     monkeypatch.setattr(augment, "_pair_minima", spy_minima)
-    distance_levels(points, aug, [0.0])
+    levels = distance_levels(points, aug, [0.0])
     [(bound, scale)] = scaled
     [(h, _), (m, need)] = calls
     coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
@@ -580,9 +590,79 @@ def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
     exact = augment._exact_minima(coords, v, rows, cols).reshape(n, n)
     # Each sample's views against each sample's identity view bound c from above.
     assert np.all(augment._unscaled(h, bound, scale) >= exact)
-    assert need.sum() == n * (n - 1) // 2
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    settled = upper & ~need
+    assert np.all(need <= upper) and settled.any() == bool(grouped)
+    np.testing.assert_array_equal(levels[settled], 1)
     assert np.all(augment._unscaled(m[need], -bound, scale) <= exact[need])
     assert np.all(exact[need] <= augment._unscaled(m[need], bound, scale))
+
+
+# The group screen's cases beside the ``_BOUND_CASES``: a rotation by at
+# most 0, whose runs have radius 0, so that each floor is the GEMM bound of
+# its centers; the wide rotation as the last-declared member, so that its
+# runs are wide and little is settled; sign-flip and permutation members,
+# each a group of its own, beside the runs; and a discrete-only set, which
+# has no group screen.
+_GROUP_CASES = {
+    **_BOUND_CASES,
+    "runs of equal views": (
+        _class_points(_ring_dataset(25), 0),
+        AugmentationSet((identity(), rotation_2d((0, 1), 0.0, 2.0)), 5),
+    ),
+    "rotation last": (
+        _class_points(_ring_dataset(25), 0),
+        AugmentationSet((identity(), _RING_SCALE, _RING_SHIFT, _RING_ROTATION), 5),
+    ),
+    "discrete members": (
+        _class_points(_ring_dataset(25), 0),
+        AugmentationSet(
+            (identity(), sign_flip_mask((1.0, -1.0, 1.0)), coordinate_permutation((2, 0, 1)),
+             _RING_ROTATION, _RING_SHIFT),
+            5,
+        ),
+    ),
+    "discrete only": (
+        _random_class(60, 3, 10),
+        AugmentationSet((identity(), sign_flip_mask((1.0, -1.0, 1.0)),
+                         coordinate_permutation((2, 0, 1)))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_GROUP_CASES))
+def test_group_floors_hold_pair_by_pair(monkeypatch, case):
+    # Every floor of the group screen is compared with the pair's distance
+    # fl(√c) by the exact formula. A zero delta leaves every pair to it; a
+    # smaller tile makes a screen block one row sample where it is not.
+    points, aug = _GROUP_CASES[case]
+    (n, d), v = points.shape, aug.num_views
+    if TILE_BYTES // (4 * v * v * n) > 1:
+        monkeypatch.setattr(augment, "TILE_BYTES", 4 * v * v * n)
+    group_floor, floors = augment._group_floor, []
+
+    def spy(coords, aug, need, buf):
+        out = group_floor(coords, aug, need, buf)
+        floors.append((out, need.copy()))
+        return out
+
+    monkeypatch.setattr(augment, "_group_floor", spy)
+    levels = distance_levels(points, aug, [0.0])
+    coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    exact = np.sqrt(augment._exact_minima(coords, v, rows, cols)).reshape(n, n)
+    np.testing.assert_array_equal(levels, exact > 0)
+    if not aug.continuous:
+        assert floors == []
+        return
+    [(floor, need)] = floors
+    np.testing.assert_array_equal(need, np.triu(exact > 0, 1))
+    assert np.all(floor <= exact[need])
+    settled = np.mean(floor > 0)
+    assert settled < 0.05 if case == "rotation last" else settled > 0.2
+    _assert_levels_match_reference(points, aug)
+    if case == "rotation last":
+        _assert_levels_of_augmented_distance(points, aug)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

@@ -146,6 +146,11 @@ def _check_exact_budget(num_nodes: int) -> None:
         )
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "dual_approx"):
+        raise ValueError(f"unknown concentration mode {mode!r}")
+
+
 def exact_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
     """Lexicographically smallest maximum clique; refuses graphs beyond the
     vertex budget, where approx_max_clique applies."""
@@ -161,11 +166,6 @@ def approx_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
     vertices has at most 2^8 search nodes).
     """
     return _search(graph, APPROX_NODE_BUDGET)
-
-
-def _is_clique(adjacency: np.ndarray, members: np.ndarray) -> bool:
-    sub = adjacency[np.ix_(members, members)]
-    return bool(np.all(sub | np.eye(members.size, dtype=bool)))
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,7 @@ class ConcentrationEstimate:
     mode: Literal["exact", "dual_approx"]
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "dual_approx"):
-            raise ValueError(f"unknown concentration mode {self.mode!r}")
+        _check_mode(self.mode)
         if len(self.main_parts) != len(self.class_sizes):
             raise ValueError("main parts and class sizes must align")
         if not self.main_parts:
@@ -214,10 +213,13 @@ def _curve(
     previous certificate, the first one the baseline's part, where the
     search finds a smaller clique.
 
-    Inputs are checked before any distance work: in exact mode each class
-    size against the vertex budget, in class order, then the thresholds,
-    which the first class's ``distance_levels`` call checks first.
+    Inputs are checked before any distance work: the mode, then in exact
+    mode each class size against the vertex budget, in class order, then
+    the thresholds, which the first class's ``distance_levels`` call checks
+    first. A baseline part is carried only where it lies in its class and
+    each of its pairs is at level 0, a clique of the first graph.
     """
+    _check_mode(mode)
     if not deltas:
         return []
     class_ids = [dataset.class_indices(k) for k in range(dataset.num_classes)]
@@ -228,9 +230,9 @@ def _curve(
     carried: list[tuple[int, ...] | None] = [None] * dataset.num_classes
     if baseline is not None:
         for k, part in enumerate(baseline.main_parts[: dataset.num_classes]):
-            id_to_local = {int(v): i for i, v in enumerate(class_ids[k])}
-            if all(int(v) in id_to_local for v in part):
-                carried[k] = tuple(sorted(id_to_local[int(v)] for v in part))
+            local = np.flatnonzero(np.isin(class_ids[k], part))
+            if local.size == len(part) and not levels[k][np.ix_(local, local)].any():
+                carried[k] = tuple(int(v) for v in local)
     search = exact_max_clique if mode == "exact" else approx_max_clique
     sizes = tuple(int(ids.size) for ids in class_ids)
     out: list[ConcentrationEstimate] = []
@@ -240,12 +242,11 @@ def _curve(
             adjacency = levels[k] <= step
             np.fill_diagonal(adjacency, False)
             clique = search(ThresholdGraph(adjacency))
+            # A carried part is a clique of this graph too: this delta is
+            # no smaller than the one it was certified at.
             kept = carried[k]
-            # A part carried from the previous step is a clique here too; the
-            # baseline's, at step 0, is checked once.
             if kept is not None and len(kept) > len(clique):
-                if step > 0 or _is_clique(adjacency, np.asarray(kept, dtype=np.int64)):
-                    clique = kept
+                clique = kept
             carried[k] = clique
             parts.append(tuple(int(ids[v]) for v in clique))
         out.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import math
 import types
 from collections.abc import Callable, Iterable
@@ -273,20 +274,16 @@ def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]
 def _csv_record(cells: list[str]) -> str:
     """One CSV line as ``csv.writer`` writes it, without the line end.
 
-    A cell that holds a comma, a quote, CR or LF is quoted, its quotes
-    doubled; a record of one empty cell is written ``""`` so that it reads
-    back as one cell, not as a blank line.
+    A record with no comma, quote, CR or LF in any cell, and not one lone
+    empty cell, is the plain join; ``csv.writer`` writes any other. (It
+    keeps its CRLF terminator: without one it stops quoting CR and LF.)
     """
     line = ",".join(cells)
-    if line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
-        line = ",".join(_quoted(cell) for cell in cells)
-    return '""' if cells == [""] else line
-
-
-def _quoted(cell: str) -> str:
-    if any(ch in cell for ch in ',"\r\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+    if not line or line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
+        out = io.StringIO()
+        csv.writer(out).writerow(cells)
+        line = out.getvalue()[:-2]
+    return line
 
 
 def spec_dict(obj: object) -> dict:

@@ -528,23 +528,24 @@ def _block_draws(
 
 
 def _check_pairing(loss: str, norm_mode: str, radius: float) -> None:
-    """Raise ``ValueError`` unless the loss can train an encoder with this output map."""
-    if loss in ("info_nce", "simple"):
-        # Exactly 1: the bounds for these losses hold on the unit sphere, and
-        # evaluation.embed_views reports the sphere radius as r.
-        if norm_mode != "sphere" or radius != 1.0:
-            raise ValueError(f"loss '{loss}' needs norm_mode 'sphere' with radius 1")
-    elif norm_mode != "batch_standardized":
-        raise ValueError(f"loss '{loss}' needs norm_mode 'batch_standardized'")
+    """Raise ``ValueError`` unless the loss can train an encoder with this output map.
+
+    The radius must be exactly 1 for every loss: the bounds of info_nce and
+    simple hold on the unit sphere, and standardization reads no radius
+    (evaluation.embed_views reports r = 1 on the sphere, √d standardized).
+    """
+    needed = "sphere" if loss in ("info_nce", "simple") else "batch_standardized"
+    if norm_mode != needed or radius != 1.0:
+        raise ValueError(f"loss '{loss}' needs norm_mode '{needed}' with radius 1")
 
 
 def _norm_backward(
     model: EncoderModel | _Stack, cache: tuple, dz: np.ndarray, sums: _Sums
 ) -> np.ndarray:
     if model.norm_mode == "sphere":
+        # Radius 1: every caller of _gradient runs _check_pairing first.
         yhat, norms = cache
-        d_y = (dz - yhat * ((dz * yhat) @ sums.row_sum)) / norms
-        return d_y if model.radius == 1.0 else model.radius * d_y
+        return (dz - yhat * ((dz * yhat) @ sums.row_sum)) / norms
     z, scale = cache
     return (dz - sums.col_mean @ dz - z * (sums.col_mean @ (dz * z))) / scale
 

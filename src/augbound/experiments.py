@@ -659,32 +659,19 @@ def _sweep_levels(config: ExperimentConfig, sweep: SweepSpec) -> list[tuple[str,
     """Expand a sweep into (level label, augmentation set) pairs."""
     if sweep.kind == "richness":
         return [(str(len(aug.transforms)), aug) for aug in sweep.levels]
+    base = config.augmentation
     if sweep.kind == "strength":
         out = []
         for factor in sweep.levels:
-            transforms = tuple(
-                scale_transform_strength(t, factor) for t in config.augmentation.transforms
-            )
-            out.append(
-                (
-                    csv_value(float(factor)),
-                    AugmentationSet(
-                        transforms=transforms,
-                        grid_resolution=config.augmentation.grid_resolution,
-                    ),
-                )
-            )
+            transforms = tuple(scale_transform_strength(t, factor) for t in base.transforms)
+            out.append((csv_value(float(factor)), replace(base, transforms=transforms)))
         return out
     catalog = sweep.levels
-    out = []
-    for a in range(len(catalog)):
-        for b in range(a + 1, len(catalog)):
-            aug = AugmentationSet(
-                transforms=(identity(), catalog[a], catalog[b]),
-                grid_resolution=config.augmentation.grid_resolution,
-            )
-            out.append((f"{a}_{b}", aug))
-    return out
+    return [
+        (f"{a}_{b}", replace(base, transforms=(identity(), catalog[a], catalog[b])))
+        for a in range(len(catalog))
+        for b in range(a + 1, len(catalog))
+    ]
 
 
 @dataclass(frozen=True)

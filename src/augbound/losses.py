@@ -129,14 +129,9 @@ def _alignment(z: np.ndarray) -> np.ndarray:
     return _mean(np.add.reduce((z[..., 0, :, :] - z[..., 1, :, :]) ** 2, axis=-1)) / 2.0 - 1.0
 
 
-def _info_nce_scores(z: np.ndarray) -> np.ndarray:
-    """The scores z1.z2 and z1.z_neg per row of stacked blocks (..., 3, B, d): (..., 2, B)."""
-    return np.add.reduce(z[..., 1:, :, :] * z[..., :1, :, :], axis=-1)
-
-
 def _info_nce_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """l1 and l2 of ``info_nce`` per step of stacked blocks (..., 3, B, d)."""
-    scores = _info_nce_scores(z)
+    scores = np.add.reduce(z[..., 1:, :, :] * z[..., :1, :, :], axis=-1)  # z1.z2, z1.z_neg
     return _alignment(z), _mean(np.logaddexp(scores[..., 0, :], scores[..., 1, :]))
 
 

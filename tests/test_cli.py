@@ -129,6 +129,15 @@ def _write_config(tmp_path, data, name="config.json"):
             "batch_standardized",
         ),
         (lambda d: d["encoder"].update(radius=2.0), "radius 1"),
+        # Standardization reads no radius: another value would reach only
+        # config.json and model.bin.
+        (
+            lambda d: (
+                d["encoder"].update(norm_mode="batch_standardized", radius=2.0),
+                d["training"].update(loss="cross_corr"),
+            ),
+            "loss 'cross_corr' needs norm_mode 'batch_standardized' with radius 1",
+        ),
         (
             lambda d: d["dataset"].update(cluster_centers=[[1.0, 0.0], [3.0]]),
             "dataset section invalid: cluster_centers row 1 has length 1, row 0 has length 2",

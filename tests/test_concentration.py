@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from augbound import concentration
-from augbound.augment import AugmentationSet, additive_shift, identity, sign_flip_mask
+from augbound.augment import (
+    AugmentationSet,
+    additive_shift,
+    augmented_distance,
+    identity,
+    sign_flip_mask,
+)
 from augbound.concentration import (
     APPROX_NODE_BUDGET,
     EXACT_CLIQUE_BUDGET,
@@ -358,6 +364,16 @@ def test_empty_delta_list_does_no_distance_work(monkeypatch):
     assert sigma_delta_curve(_sized_dataset((33, 33)), _identity_aug(), [], "exact") == []
 
 
+def test_a_misspelt_mode_is_refused_before_any_distance_work(monkeypatch):
+    # Over the exact budget too: the mode is checked before the class sizes.
+    ds = _sized_dataset((33, 4))
+    _forbid_distance_work(monkeypatch)
+    with pytest.raises(ValueError, match="unknown concentration mode 'exakt'"):
+        sigma_delta_curve(ds, _identity_aug(), [0.5, 1.0], mode="exakt")
+    with pytest.raises(ValueError, match="unknown concentration mode 'exakt'"):
+        estimate_sigma(ds, _identity_aug(), 0.5, mode="exakt")
+
+
 def test_exact_mode_runs_at_the_budget_and_approx_beyond_it():
     aug = _identity_aug()
     at_budget = sigma_delta_curve(_sized_dataset((32, 32)), aug, [0.5, 100.0], "exact")
@@ -419,6 +435,66 @@ def test_baseline_part_is_ignored_unless_it_is_a_clique_of_the_first_graph():
             est = estimate_sigma(ds, aug, 0.0, mode=mode, baseline=baseline)
             assert est.main_parts == plain.main_parts
             assert est.sigma == pytest.approx(1 / 6)
+
+
+@pytest.mark.parametrize(
+    "mode, node_budget",
+    [("exact", None), ("dual_approx", APPROX_NODE_BUDGET), ("dual_approx", 1)],
+)
+def test_an_outside_part_is_kept_exactly_when_it_is_a_larger_clique_of_the_graph(
+    monkeypatch, mode, node_budget
+):
+    # Per class, estimate_sigma returns the baseline's part where that part
+    # lies in the class, is a clique of the threshold graph on
+    # augmented_distance and is larger than the plain search's part, and
+    # the plain part otherwise. A budget of one node leaves the approximate
+    # search its first descent, so a larger outside clique is common there.
+    if node_budget is not None:
+        monkeypatch.setattr(concentration, "APPROX_NODE_BUDGET", node_budget)
+    ds = _blob_dataset(samples=10, seed=7, spread=0.6)
+    aug = AugmentationSet(
+        transforms=(identity(), additive_shift((0.3, 0.0))), grid_resolution=3
+    )
+    delta = 0.5
+    plain = estimate_sigma(ds, aug, delta, mode=mode)
+    class_ids = [ds.class_indices(k) for k in range(ds.num_classes)]
+    graphs = [
+        build_threshold_graph(
+            np.array([[augmented_distance(ds.features[a], ds.features[b], aug) for b in ids]
+                      for a in ids]),
+            delta,
+        )
+        for ids in class_ids
+    ]
+    largest = [ids[list(exact_max_clique(g))] for ids, g in zip(class_ids, graphs)]
+    rng = np.random.default_rng(17)
+    kept = 0
+    for _ in range(60):
+        parts = []
+        for k, ids in enumerate(class_ids):
+            # Within the class's largest clique, within the class, or across classes.
+            pool = (largest[k], ids, np.arange(ds.num_samples))[rng.integers(3)]
+            part = rng.choice(pool, int(rng.integers(1, min(pool.size, ids.size) + 1)), False)
+            parts.append(tuple(int(v) for v in (np.sort(part) if rng.random() < 0.5 else part)))
+        baseline = ConcentrationEstimate(
+            delta=delta, main_parts=tuple(parts), class_sizes=plain.class_sizes, mode=mode
+        )
+        est = estimate_sigma(ds, aug, delta, mode=mode, baseline=baseline)
+        for k, (ids, part) in enumerate(zip(class_ids, parts)):
+            local = [int(np.flatnonzero(ids == v)[0]) for v in part if v in ids]
+            if (
+                len(local) == len(part)
+                and is_clique(graphs[k].adjacency, local)
+                and len(part) > len(plain.main_parts[k])
+            ):
+                assert est.main_parts[k] == tuple(sorted(part))
+                kept += 1
+            else:
+                assert est.main_parts[k] == plain.main_parts[k]
+    # The exact search's part is a largest clique, and so is the approximate
+    # one's at the full budget on these small classes; only the one-node
+    # budget leaves a larger clique for the baseline.
+    assert (kept > 0) == (node_budget == 1)
 
 
 def test_estimate_rejects_inconsistent_construction():

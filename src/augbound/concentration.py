@@ -192,6 +192,9 @@ class ConcentrationEstimate:
             raise ValueError("estimate needs at least one class")
         if any(not 0 < len(p) <= n for p, n in zip(self.main_parts, self.class_sizes)):
             raise ValueError("a main part must be non-empty and no larger than its class")
+        for k, part in enumerate(self.main_parts):
+            if len(set(part)) != len(part):
+                raise ValueError(f"the main part of class {k} repeats a member")
 
     @property
     def per_class_sigma(self) -> tuple[float, ...]:
@@ -239,9 +242,7 @@ def _curve(
     for step, delta in enumerate(deltas):
         parts: list[tuple[int, ...]] = []
         for k, ids in enumerate(class_ids):
-            adjacency = levels[k] <= step
-            np.fill_diagonal(adjacency, False)
-            clique = search(ThresholdGraph(adjacency))
+            clique = search(build_threshold_graph(levels[k], step))
             # A carried part is a clique of this graph too: this delta is
             # no smaller than the one it was certified at.
             kept = carried[k]

@@ -1,7 +1,7 @@
 """Small trainable encoder with hand-rolled gradients.
 
 At most three dense layers (tanh or identity activations) followed by an
-output normalization: either projection onto the sphere of radius ``r`` or
+output normalization: either projection onto the unit sphere or
 per-dimension batch standardization (zero mean, unit mean square over the
 current batch). Gradients are computed by manual backpropagation through
 the whole stack, including the normalization. Training is minibatch SGD on
@@ -99,6 +99,9 @@ NormMode = Literal["sphere", "batch_standardized"]
 _MIN_NORM = 1e-12
 _MIN_VAR = 1e-24
 
+# The losses trained on the unit sphere, each step with a negative batch.
+_SPHERE_LOSSES = ("info_nce", "simple")
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -121,11 +124,10 @@ class Layer:
 
 @dataclass(frozen=True)
 class EncoderModel:
-    """Feed-forward encoder; treat instances as immutable."""
+    """Feed-forward encoder; treat instances as immutable. Its sphere has radius 1."""
 
     layers: tuple[Layer, ...]
     norm_mode: NormMode = "sphere"
-    radius: float = 1.0
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
@@ -136,8 +138,6 @@ class EncoderModel:
                 raise ValueError("layer dimensions do not chain")
         if self.norm_mode not in get_args(NormMode):
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive and finite")
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -157,7 +157,9 @@ def init_encoder(
     radius: float = 1.0,
     seed: int = 0,
 ) -> EncoderModel:
-    """Fresh encoder with 1/sqrt(fan_in) weights; hidden tanh, linear head."""
+    """Fresh encoder with 1/sqrt(fan_in) weights; hidden tanh, linear head; radius 1 only."""
+    if radius != 1.0:
+        raise ValueError(f"radius must be 1, got {radius!r}")
     dims = [int(input_dim), *[int(h) for h in hidden_dims], int(output_dim)]
     if len(dims) - 1 > MAX_LAYERS:
         raise ValueError(f"at most {MAX_LAYERS - 1} hidden layers supported")
@@ -167,7 +169,7 @@ def init_encoder(
         weight = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
         activation = "identity" if i == len(dims) - 2 else "tanh"
         layers.append(Layer(weight, np.zeros(d_out), activation))
-    return EncoderModel(tuple(layers), norm_mode=norm_mode, radius=float(radius))
+    return EncoderModel(tuple(layers), norm_mode=norm_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def _norm_forward(
 ) -> tuple[np.ndarray, tuple]:
     """The output normalization of the (n, d) network outputs ``y``: the
     embeddings, written into ``out`` when given, and the cache of
-    ``_norm_backward``: (yhat, row norms (n, 1)) on the sphere, else
+    ``_norm_backward``: (z, row norms (n, 1)) on the unit sphere, else
     (z, column scales (d,)). Standardization takes its means and variances
     under the column weights ``sums.col_mean``: 1/n in a step, the view
     weights in :func:`augbound.evaluation.embed_views`. For a ``_Stack``,
@@ -234,12 +236,8 @@ def _norm_forward(
         norms = np.sqrt((y * y) @ sums.row_sum, out=stat)
         if stat is None and not _within(norms, _MIN_NORM):
             raise ValueError("norms vanish or overflow: a zero vector has no sphere projection")
-        if model.radius == 1.0:
-            yhat = z = np.divide(y, norms, out=out)
-        else:
-            yhat = y / norms
-            z = np.divide(model.radius * y, norms, out=out)
-        return z, (yhat, norms)
+        z = np.divide(y, norms, out=out)
+        return z, (z, norms)
     centered = y - sums.col_mean @ y
     var = np.matmul(sums.col_mean, centered * centered, out=stat)
     if stat is None and not _within(var, _MIN_VAR):
@@ -280,7 +278,7 @@ def _bind_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
         Layer(weight, bias, layer.activation)
         for (weight, bias), layer in zip(_param_views(model, flat), model.layers)
     ]
-    return EncoderModel(tuple(layers), norm_mode=model.norm_mode, radius=model.radius)
+    return EncoderModel(tuple(layers), norm_mode=model.norm_mode)
 
 
 def _param_views(model: EncoderModel, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -313,7 +311,6 @@ class _Stack(NamedTuple):
 
     layers: tuple[_StackLayer, ...]
     norm_mode: NormMode
-    radius: float
 
 
 def _bind_stack(model: EncoderModel, flat: np.ndarray) -> _Stack:
@@ -323,7 +320,7 @@ def _bind_stack(model: EncoderModel, flat: np.ndarray) -> _Stack:
         _StackLayer(weight, bias[:, None, :], layer.activation)
         for (weight, bias), layer in zip(_param_views(model, flat), model.layers)
     )
-    return _Stack(layers, model.norm_mode, model.radius)
+    return _Stack(layers, model.norm_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +524,14 @@ def _block_draws(
 # ---------------------------------------------------------------------------
 
 
-def _check_pairing(loss: str, norm_mode: str, radius: float) -> None:
+def _check_pairing(loss: str, norm_mode: str, radius: float = 1.0) -> None:
     """Raise ``ValueError`` unless the loss can train an encoder with this output map.
 
-    The radius must be exactly 1 for every loss: the bounds of info_nce and
-    simple hold on the unit sphere, and standardization reads no radius
+    The config's radius must be exactly 1 for every loss: the bounds of info_nce
+    and simple hold on the unit sphere, and standardization reads no radius
     (evaluation.embed_views reports r = 1 on the sphere, √d standardized).
     """
-    needed = "sphere" if loss in ("info_nce", "simple") else "batch_standardized"
+    needed = "sphere" if loss in _SPHERE_LOSSES else "batch_standardized"
     if norm_mode != needed or radius != 1.0:
         raise ValueError(f"loss '{loss}' needs norm_mode '{needed}' with radius 1")
 
@@ -543,9 +540,9 @@ def _norm_backward(
     model: EncoderModel | _Stack, cache: tuple, dz: np.ndarray, sums: _Sums
 ) -> np.ndarray:
     if model.norm_mode == "sphere":
-        # Radius 1: every caller of _gradient runs _check_pairing first.
-        yhat, norms = cache
-        return (dz - yhat * ((dz * yhat) @ sums.row_sum)) / norms
+        # z = y / |y| on the unit sphere.
+        z, norms = cache
+        return (dz - z * ((dz * z) @ sums.row_sum)) / norms
     z, scale = cache
     return (dz - sums.col_mean @ dz - z * (sums.col_mean @ (dz * z))) / scale
 
@@ -580,8 +577,8 @@ def loss_and_gradient(
     gradient is a ``train`` step's on the same batch, bit for bit; the
     norms or variances are checked on every call.
     """
-    _check_pairing(config.loss, model.norm_mode, model.radius)
-    with_negatives = config.loss in ("info_nce", "simple")
+    _check_pairing(config.loss, model.norm_mode)
+    with_negatives = config.loss in _SPHERE_LOSSES
     if with_negatives and batch.negatives is None:
         raise ValueError(f"{config.loss} needs a negative batch")
     views = (batch.anchors, batch.positives, batch.negatives)[: 3 if with_negatives else 2]
@@ -725,7 +722,7 @@ def _check_inputs(
     model: EncoderModel, dataset: Dataset, aug: AugmentationSet, config: TrainConfig
 ) -> None:
     """Raise ``ValueError`` unless ``train`` can train ``model`` on these inputs."""
-    _check_pairing(config.loss, model.norm_mode, model.radius)
+    _check_pairing(config.loss, model.norm_mode)
     if dataset.input_dim != model.input_dim:
         raise ValueError(
             f"dataset dimension {dataset.input_dim} does not match encoder "
@@ -788,7 +785,7 @@ def _train_stack(
         trace[:, 0] = np.arange(config.steps)
     params = np.stack([flat_params(models[i]) for i in live])
     b, d = config.batch_size, template.output_dim
-    k = 3 if config.loss in ("info_nce", "simple") else 2
+    k = 3 if config.loss in _SPHERE_LOSSES else 2
     sums = _sums(k * b, d)
     stack_sums = sums._replace(col_mean=sums.col_mean[None])
     kept_shape = (d, d) if config.loss == "cross_corr" else (k * b, d)
@@ -932,7 +929,7 @@ def save_model(model: EncoderModel, path: str, seed: int | None = None) -> None:
         "layer_dims": [list(layer.weight.shape) for layer in model.layers],
         "activations": [layer.activation for layer in model.layers],
         "norm_mode": model.norm_mode,
-        "radius": model.radius,
+        "radius": 1.0,
         "seed": seed,
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -957,12 +954,12 @@ def load_model(path: str) -> tuple[EncoderModel, int | None]:
             (blob_len,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(blob_len).decode())
             params = np.frombuffer(fh.read(), dtype="<f8")
+            if header["radius"] != 1.0:
+                raise ValueError(f"radius {header['radius']!r} is not 1")
             layers = []
             for (d_out, d_in), act in zip(header["layer_dims"], header["activations"]):
                 layers.append(Layer(np.zeros((d_out, d_in)), np.zeros(d_out), act))
-            skeleton = EncoderModel(
-                tuple(layers), norm_mode=header["norm_mode"], radius=header["radius"]
-            )
+            skeleton = EncoderModel(tuple(layers), norm_mode=header["norm_mode"])
             return with_params(skeleton, params), header["seed"]
         except (struct.error, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model file: {exc!r}") from None

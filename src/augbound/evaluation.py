@@ -56,7 +56,7 @@ class EmbeddedViews:
     """The view grid of a dataset, embedded once by a frozen encoder.
 
     ``lipschitz`` is the certified Lipschitz constant of the frozen map and
-    ``radius`` its norm scale r: the sphere radius, or sqrt(d) for a
+    ``radius`` its norm scale r: 1 on the unit sphere, or sqrt(d) for a
     standardized model. ``z`` holds the embeddings (N, V, d), ``weights``
     the view weights (V,), ``means`` the weighted view mean of each sample
     (N, d), ``sq_norms`` the squared embedding norms (N, V) and ``spreads``
@@ -87,9 +87,9 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     weights w_v / N as column weights in place of 1/n, which refuses norms
     or variances that vanish or overflow. The standardized map satisfies
     E[f_i] = 0 and E[f_i^2] = 1 per dimension exactly under the view
-    distribution. The certificate is the layer product times 2r / c on the
-    sphere, with c the smallest pre-projection norm on the grid (it holds
-    between points whose norms reach c), or times 1 / c, with c the
+    distribution. The certificate is the layer product times 2 / c on the
+    unit sphere, with c the smallest pre-projection norm on the grid (it
+    holds between points whose norms reach c), or times 1 / c, with c the
     smallest scale.
     """
     n, v, _ = views.shape
@@ -97,9 +97,9 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     sums = _sums(*pre.shape)._replace(col_mean=np.tile(weights, n) / n)
     flat, (_, scales) = _norm_forward(model, pre, sums)
     sphere = model.norm_mode == "sphere"
-    factor = 2.0 * model.radius if sphere else 1.0
+    factor = 2.0 if sphere else 1.0
     lipschitz = lipschitz_upper_bound(model) * factor / float(scales.min())
-    radius = model.radius if sphere else math.sqrt(model.output_dim)
+    radius = 1.0 if sphere else math.sqrt(model.output_dim)
     z = flat.reshape(n, v, -1)
     return EmbeddedViews(
         lipschitz=lipschitz,
@@ -331,11 +331,11 @@ def population_loss(
 
     exp(-2mg) >= tiny and 2^g <= 2^708, so every product is a finite,
     normal float64, with a margin of 2^g for the rounding of the scores.
-    On the unit sphere g = N (one group), at radius 6 g = 9 for N = 28, and
-    at radius 18 g = 1, one log per pair term. The exponents need
-    2m <= -log(tiny) (every sphere up to radius 18; the pipeline trains
-    InfoNCE on the unit sphere); other embeddings, NaN ones included, raise
-    ValueError before any tile runs.
+    On the unit sphere, where every model embeds, g = N (one group); for
+    embeddings of norm 6, g = 9 at N = 28, and of norm 18, g = 1, one log per
+    pair term. The exponents need 2m <= -log(tiny) (every norm up to 18);
+    other embeddings, NaN ones included, raise ValueError before any tile
+    runs.
 
     Rounding: against one log per pair term on the same p and q, the
     products are the only new rounding. A group product rounds g sums and
@@ -347,7 +347,7 @@ def population_loss(
     move l2 by at most 2u. One log of a product of g factors rounds within
     an ulp of a value up to g times a single factor's log, the worst case
     of g logs. The tests hold l2 within 2N·u·max(1, |l2|) of a long-double
-    oracle on the unit sphere and at radii 6 and 18.
+    oracle on the unit sphere and on unit embeddings scaled to norms 6 and 18.
 
     The terms are computed in tiles of anchor rows, each of ``TILE_BYTES //
     _WORKERS``. A job of one tile runs inline; with two usable CPUs the

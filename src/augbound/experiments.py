@@ -134,9 +134,6 @@ class EncoderArch:
             raise ValueError("hidden_dims entries must be >= 1")
         if self.output_dim < 1:
             raise ValueError("output_dim must be >= 1")
-        # Written so that NaN fails.
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -411,7 +408,6 @@ def _init_model(config: ExperimentConfig, dataset: Dataset) -> EncoderModel:
         hidden_dims=config.encoder.hidden_dims,
         output_dim=config.encoder.output_dim,
         norm_mode=config.encoder.norm_mode,
-        radius=config.encoder.radius,
         seed=config.encoder.seed,
     )
 

@@ -38,7 +38,7 @@ class FrozenMap:
         """Embeddings of raw points, one per row of ``x``."""
         pre = forward_prenorm(self.model, x)
         if self.shift is None:
-            return self.model.radius * pre / np.linalg.norm(pre, axis=1, keepdims=True)
+            return pre / np.linalg.norm(pre, axis=1, keepdims=True)
         return (pre - self.shift) / self.scale
 
 
@@ -109,9 +109,9 @@ def reduce_gradient(model: EncoderModel, batch, config) -> tuple[np.ndarray, np.
         d_blocks[1] = blocks[0] @ g / b
     if model.norm_mode == "sphere":
         inner = np.add.reduce(dz * yhat, axis=1, keepdims=True)
-        d_out = (model.radius / norms) * (dz - yhat * inner)
+        d_out = (dz - yhat * inner) / norms
         inner_abs = np.add.reduce(abs(dz * yhat), axis=1, keepdims=True)
-        d_abs = (model.radius / norms) * (abs(dz) + abs(yhat) * inner_abs)
+        d_abs = (abs(dz) + abs(yhat) * inner_abs) / norms
     else:
         n = len(dz)
         mean_dz = np.add.reduce(dz, axis=0) / n

@@ -509,6 +509,11 @@ def test_estimate_rejects_inconsistent_construction():
         build(((0,), ()), (2, 2))
     with pytest.raises(ValueError, match="no larger than its class"):
         build(((0, 1, 2), (3,)), (2, 2))
+    # A repeated member would read sigma 1 for a class of two from one sample.
+    with pytest.raises(ValueError, match="main part of class 0 repeats a member"):
+        build(((0, 0), (5,)), (2, 2))
+    with pytest.raises(ValueError, match="main part of class 1 repeats a member"):
+        build(((0,), (3, 4, 3)), (2, 3))
     est = build(((0,), (2, 3)), (2, 2))
     assert est.per_class_sigma == (0.5, 1.0)
     assert est.sigma == 0.5

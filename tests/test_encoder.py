@@ -42,10 +42,9 @@ from augbound.encoder import (
 )
 
 
-def _identity_sphere_model(dim=2, radius=1.0):
+def _identity_sphere_model(dim=2):
     model = init_encoder(
-        input_dim=dim, hidden_dims=(), output_dim=dim, norm_mode="sphere",
-        radius=radius, seed=0,
+        input_dim=dim, hidden_dims=(), output_dim=dim, norm_mode="sphere", seed=0
     )
     flat = np.concatenate([np.eye(dim).ravel(), np.zeros(dim)])
     return with_params(model, flat)
@@ -83,12 +82,13 @@ def test_sphere_rejects_zero_vector():
 
 def test_sphere_norms_exact():
     model = init_encoder(
-        input_dim=3, hidden_dims=(8,), output_dim=4, norm_mode="sphere",
-        radius=2.5, seed=1,
+        input_dim=3, hidden_dims=(8,), output_dim=4, norm_mode="sphere", seed=1
     )
     rng = np.random.default_rng(0)
     z = forward(model, rng.normal(size=(32, 3)))
-    np.testing.assert_allclose(np.linalg.norm(z, axis=1), 2.5, atol=1e-9)
+    np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
+    # A sphere of radius r is the unit embeddings scaled by r.
+    np.testing.assert_allclose(np.linalg.norm(2.5 * z, axis=1), 2.5, atol=1e-9)
 
 
 def test_batch_standardized_statistics():
@@ -110,14 +110,12 @@ def test_architecture_depth_is_capped():
         )
 
 
-@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
-def test_radius_must_be_positive_and_finite(radius):
-    # NaN slips past a bare `radius <= 0` and gives all-NaN sphere embeddings
-    with pytest.raises(ValueError, match="radius"):
+@pytest.mark.parametrize("radius", [2.5, float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_init_encoder_refuses_every_radius_but_one(radius):
+    # A sphere model projects onto the unit sphere; NaN is unequal to 1 too.
+    with pytest.raises(ValueError, match="radius must be 1"):
         init_encoder(2, (), 2, "sphere", radius, 0)
-    layers = init_encoder(2, (), 2, "sphere", 1.0, 0).layers
-    with pytest.raises(ValueError, match="radius"):
-        EncoderModel(layers, norm_mode="sphere", radius=radius)
+    assert init_encoder(2, (), 2, "sphere", 1.0, 0).norm_mode == "sphere"
 
 
 def _loss_value(model, batch, config):
@@ -718,7 +716,7 @@ def _pole_collapse():
     ds = Dataset(features=features, labels=np.repeat([0, 1], 10))
     hidden = Layer(10.0 * rng.standard_normal((4, 2)), np.zeros(4), "tanh")
     head = Layer(100.0 * rng.standard_normal((2, 4)), np.array([1.0, 0.0]), "identity")
-    return ds, EncoderModel((hidden, head), norm_mode="sphere", radius=1.0)
+    return ds, EncoderModel((hidden, head), norm_mode="sphere")
 
 
 def test_divergence_inside_a_chunk_reports_the_per_step_index(monkeypatch):
@@ -1000,7 +998,7 @@ def _resting_pole():
     _, model = _pole_collapse()
     hidden, head = model.layers
     rest = Layer(np.zeros_like(hidden.weight), hidden.bias, "tanh")
-    return EncoderModel((rest, head), norm_mode="sphere", radius=1.0)
+    return EncoderModel((rest, head), norm_mode="sphere")
 
 
 @pytest.mark.parametrize("chunk_steps", [None, 5])
@@ -1173,14 +1171,14 @@ def test_operator_norm_never_falls_below_the_svd_value():
 
 def test_lipschitz_scaled_identity_layer():
     layer = Layer(weight=2.0 * np.eye(3), bias=np.zeros(3), activation="identity")
-    model = EncoderModel(layers=(layer,), norm_mode="sphere", radius=1.0)
+    model = EncoderModel(layers=(layer,), norm_mode="sphere")
     assert lipschitz_upper_bound(model) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_lipschitz_composes_operator_norms():
     l1 = Layer(weight=2.0 * np.eye(3), bias=np.zeros(3), activation="identity")
     l2 = Layer(weight=3.0 * np.eye(3), bias=np.ones(3), activation="identity")
-    model = EncoderModel(layers=(l1, l2), norm_mode="sphere", radius=1.0)
+    model = EncoderModel(layers=(l1, l2), norm_mode="sphere")
     bound = lipschitz_upper_bound(model)
     assert bound <= 6.0 + 1e-8
     assert bound == pytest.approx(6.0, abs=1e-6)
@@ -1228,7 +1226,6 @@ def test_checkpoint_round_trip(tmp_path):
     back, seed = load_model(str(path))
     assert seed == 16
     assert back.norm_mode == model.norm_mode
-    assert back.radius == model.radius
     np.testing.assert_array_equal(flat_params(back), flat_params(model))
     assert [l.activation for l in back.layers] == [l.activation for l in model.layers]
 
@@ -1240,6 +1237,24 @@ def _saved_model_bytes(tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, str(path), seed=3)
     return path, path.read_bytes()
+
+
+def test_saved_model_header_bytes_are_pinned(tmp_path):
+    # A model has no radius; the file still records the unit sphere's.
+    _, blob = _saved_model_bytes(tmp_path)
+    header = (
+        b'{"activations": ["tanh", "identity"], "layer_dims": [[5, 3], [2, 5]], '
+        b'"norm_mode": "sphere", "radius": 1.0, "seed": 3}'
+    )
+    assert blob[: 9 + len(header)] == b"CENC1" + len(header).to_bytes(4, "little") + header
+    assert len(blob) == 9 + len(header) + 8 * (5 * 3 + 5 + 2 * 5 + 2)
+
+
+def test_model_file_with_another_radius_names_the_path(tmp_path):
+    path, blob = _saved_model_bytes(tmp_path)
+    path.write_bytes(blob.replace(b'"radius": 1.0', b'"radius": 2.0'))
+    with pytest.raises(ValueError, match=r"model.bin: malformed model file.*radius 2.0 is not 1"):
+        load_model(str(path))
 
 
 @pytest.mark.parametrize("keep", [6, 9, 30, -8, -3])

@@ -52,6 +52,16 @@ def _embedded(enc, ds, aug):
     return embed_views(enc.model, view_tensor(ds.features, aug), view_weights(aug))
 
 
+def _scaled(embedded, r):
+    """Unit-sphere embeddings scaled to the sphere of radius r, with the
+    values that depend on the scale scaled with them."""
+    z = r * embedded.z
+    return dataclasses.replace(
+        embedded, lipschitz=r * embedded.lipschitz, radius=r, z=z, means=r * embedded.means,
+        sq_norms=np.sum(z**2, axis=2), spreads=r * embedded.spreads,
+    )
+
+
 def _identity_sphere(dim=2):
     model = init_encoder(
         input_dim=dim, hidden_dims=(), output_dim=dim, norm_mode="sphere",
@@ -252,10 +262,9 @@ def test_sphere_centers_respect_jensen():
         transforms=(identity(), additive_shift((0.0, 1.0))), grid_resolution=4
     )
     model = init_encoder(
-        input_dim=2, hidden_dims=(5,), output_dim=3, norm_mode="sphere",
-        radius=1.5, seed=10,
+        input_dim=2, hidden_dims=(5,), output_dim=3, norm_mode="sphere", seed=10
     )
-    embedded = _embedded(_freeze(model, ds, aug), ds, aug)
+    embedded = _scaled(_embedded(_freeze(model, ds, aug), ds, aug), 1.5)
     centers = class_centers(embedded, ds)
     norms = np.linalg.norm(centers, axis=1)
     assert (norms <= 1.5 + 1e-9).all()
@@ -378,12 +387,13 @@ def test_population_info_nce_matches_brute_force():
     assert got.total == pytest.approx(l1 + l2, abs=1e-10)
 
 
-def _logaddexp_population_l2(enc, ds, aug):
-    """The InfoNCE divergence term as one logaddexp per pair term."""
+def _logaddexp_population_l2(enc, ds, aug, r=1.0):
+    """The InfoNCE divergence term as one logaddexp per pair term, on the
+    embeddings of ``enc`` scaled by r."""
     weights = view_weights(aug)
     views = view_tensor(ds.features, aug)
     n, v, _ = views.shape
-    z = enc.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
+    z = r * enc.embed(views.reshape(n * v, -1)).reshape(n, v, -1)
     flat = z.reshape(n * v, -1)
     w_neg = np.tile(weights, n) / n
     pair_w = np.outer(weights, weights).ravel()
@@ -408,10 +418,9 @@ MIXED_AUG = AugmentationSet(
 )
 
 
-def _sphere_on(ds, aug, radius=1.0, seed=25):
+def _sphere_on(ds, aug, seed=25):
     model = init_encoder(
-        input_dim=2, hidden_dims=(4,), output_dim=3, norm_mode="sphere",
-        radius=radius, seed=seed,
+        input_dim=2, hidden_dims=(4,), output_dim=3, norm_mode="sphere", seed=seed
     )
     return _freeze(model, ds, aug)
 
@@ -625,18 +634,20 @@ def test_population_info_nce_rejects_exponent_underflow():
     aug = AugmentationSet(
         transforms=(identity(), additive_shift((0.0, 0.5))), grid_resolution=3
     )
+    enc = _sphere_on(ds, aug)
+    unit = _embedded(enc, ds, aug)
     # 2 r^2 = 648 keeps exp of every shifted score a normal float64.
-    enc = _sphere_on(ds, aug, radius=18.0)
-    got = population_loss(_embedded(enc, ds, aug), "info_nce")
-    assert got.l2 == pytest.approx(_logaddexp_population_l2(enc, ds, aug), rel=1e-12)
+    got = population_loss(_scaled(unit, 18.0), "info_nce")
+    assert got.l2 == pytest.approx(_logaddexp_population_l2(enc, ds, aug, 18.0), rel=1e-12)
     # 2 r^2 = 722 does not.
     with pytest.raises(ValueError, match="max"):
-        population_loss(_embedded(_sphere_on(ds, aug, radius=19.0), ds, aug), "info_nce")
+        population_loss(_scaled(unit, 19.0), "info_nce")
 
 
 def _ring_embedded(radius, grid_resolution):
     """The ring_pairs task (14 samples per class, identity plus a rotation
-    and a scaling: 26 views at grid 5) under a linear sphere encoder to 2-d."""
+    and a scaling: 26 views at grid 5) under a linear sphere encoder to 2-d,
+    its embeddings scaled to the sphere of the given radius."""
     ds = generate_dataset(
         GeneratorConfig(
             num_classes=2,
@@ -652,10 +663,8 @@ def _ring_embedded(radius, grid_resolution):
         transforms=(identity(), rotation_2d((0, 1), 1.4, 2.0), scaling(0.85, 1.15, 2.0)),
         grid_resolution=grid_resolution,
     )
-    model = init_encoder(
-        input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", radius=radius, seed=0
-    )
-    return embed_views(model, view_tensor(ds.features, aug), view_weights(aug))
+    model = init_encoder(input_dim=3, hidden_dims=(), output_dim=2, norm_mode="sphere", seed=0)
+    return _scaled(embed_views(model, view_tensor(ds.features, aug), view_weights(aug)), radius)
 
 
 def _long_double_population_l2(z, weights):

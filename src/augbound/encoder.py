@@ -40,8 +40,8 @@ with every step's checks, so it fails as a loop checked at every step
 would: a pre-projection norm or batch variance that vanishes or overflows
 raises ``ValueError``, and non-finite updated parameters raise
 ``RuntimeError`` with the step index. A non-finite loss, found after the
-chunk's loss pass, raises the same error for its first step. ``forward``
-and ``loss_and_gradient`` check on every call.
+chunk's loss pass, raises the same error for its first step.
+``loss_and_gradient`` checks on every call.
 
 ``lipschitz_upper_bound`` certifies the network before its normalization:
 the product of layer operator norms (tanh has slope at most 1). The factor
@@ -75,7 +75,6 @@ __all__ = [
     "TrainConfig",
     "ViewBatch",
     "init_encoder",
-    "forward",
     "forward_prenorm",
     "flat_params",
     "with_params",
@@ -85,7 +84,6 @@ __all__ = [
     "lipschitz_upper_bound",
     "operator_norm",
     "save_model",
-    "load_model",
 ]
 
 MAX_LAYERS = 3
@@ -250,16 +248,6 @@ def _norm_forward(
 def _within(stat: np.ndarray, floor: float) -> bool:
     """Whether every value of ``stat`` is finite and at least ``floor``."""
     return floor <= stat.min() and stat.max() < math.inf
-
-
-def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
-    """Embeddings for a batch (or single point, returned as (1, d)).
-
-    Batch standardization uses the statistics of the batch it is given.
-    """
-    y = forward_prenorm(model, x)
-    z, _ = _norm_forward(model, y, _sums(*y.shape))
-    return z
 
 
 def flat_params(model: EncoderModel) -> np.ndarray:
@@ -938,29 +926,3 @@ def save_model(model: EncoderModel, path: str, seed: int | None = None) -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(flat_params(model).astype("<f8").tobytes())
-
-
-def load_model(path: str) -> tuple[EncoderModel, int | None]:
-    import json
-    import struct
-
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MODEL_MAGIC))
-        if magic != _MODEL_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        # The rest is read from the file: a truncated or edited file fails
-        # somewhere in here, and the error names the file.
-        try:
-            (blob_len,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(blob_len).decode())
-            params = np.frombuffer(fh.read(), dtype="<f8")
-            if header["radius"] != 1.0:
-                raise ValueError(f"radius {header['radius']!r} is not 1")
-            layers = []
-            for (d_out, d_in), act in zip(header["layer_dims"], header["activations"]):
-                layers.append(Layer(np.zeros((d_out, d_in)), np.zeros(d_out), act))
-            skeleton = EncoderModel(tuple(layers), norm_mode=header["norm_mode"])
-            return with_params(skeleton, params), header["seed"]
-        except (struct.error, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed model file: {exc!r}") from None
-

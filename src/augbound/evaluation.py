@@ -9,12 +9,12 @@ An evaluation runs the encoder over that grid once. :func:`embed_views`
 takes a model and the (N, V, D) view tensor of a dataset, freezes the model
 on it and returns an :class:`EmbeddedViews`: the certified Lipschitz
 constant L and norm scale r of the frozen map, the embeddings z (N, V, d),
-the view weights, the per-sample weighted view means, the squared norms and
-the per-sample view spreads, from which it derives the mean squared
-view-pair distance ``l_pos``. :func:`class_centers`, :func:`empirical_r_eps`
-(the fraction of samples whose view spread exceeds epsilon),
-:func:`class_moments` and :func:`population_loss` read from that value, so
-none of them builds or embeds views again.
+the view weights, the per-sample weighted view means and the squared norms,
+from which it derives the mean squared view-pair distance ``l_pos``.
+:func:`class_centers`, :func:`empirical_r_eps` (which decides the whole
+epsilon grid in one call), :func:`class_moments` and
+:func:`population_loss` read from that value, so none of them builds or
+embeds views again.
 
 The frozen map is the training step's output normalization,
 ``encoder._norm_forward``, under the view weights: a sphere model keeps its
@@ -59,8 +59,7 @@ class EmbeddedViews:
     ``radius`` its norm scale r: 1 on the unit sphere, or sqrt(d) for a
     standardized model. ``z`` holds the embeddings (N, V, d), ``weights``
     the view weights (V,), ``means`` the weighted view mean of each sample
-    (N, d), ``sq_norms`` the squared embedding norms (N, V) and ``spreads``
-    the largest embedding distance between two views of each sample (N,).
+    (N, d) and ``sq_norms`` the squared embedding norms (N, V).
     """
 
     lipschitz: float
@@ -69,7 +68,6 @@ class EmbeddedViews:
     weights: np.ndarray
     means: np.ndarray
     sq_norms: np.ndarray
-    spreads: np.ndarray
 
     @property
     def l_pos(self) -> float:
@@ -108,7 +106,6 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
         weights=weights,
         means=np.einsum("v,nvd->nd", weights, z),
         sq_norms=np.sum(z**2, axis=2),
-        spreads=_spreads(z),
     )
 
 
@@ -147,11 +144,49 @@ def classify_batch(centers: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def empirical_r_eps(embedded: EmbeddedViews, epsilon: float) -> float:
-    """Fraction of samples whose view spread exceeds epsilon."""
-    if not epsilon >= 0:
+def empirical_r_eps(embedded: EmbeddedViews, epsilons: Sequence[float]) -> list[float]:
+    """Fraction of samples whose view spread, as ``_spreads`` computes it,
+    exceeds each of ``epsilons``. By ``_spread_bounds``, lo > ε proves that
+    it does and hi ≤ ε that it does not; only the samples whose bounds
+    straddle some ε go through ``_spreads``."""
+    eps = np.asarray(epsilons, dtype=np.float64)
+    # Written so that NaN, which compares false, fails it.
+    if not np.all(eps >= 0):
         raise ValueError("epsilon must be non-negative")
-    return float(np.mean(embedded.spreads > epsilon))
+    lo, hi = _spread_bounds(embedded)
+    exceeds = lo[:, None] > eps
+    open_rows = (~exceeds & (hi[:, None] > eps)).any(axis=1).nonzero()[0]
+    exceeds[open_rows] = _spreads(embedded.z[open_rows])[:, None] > eps
+    return exceeds.mean(axis=0).tolist()
+
+
+def _spread_bounds(embedded: EmbeddedViews) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo ≤ fl(√c) ≤ hi on each sample's view spread, c the largest
+    ``_sqeuclidean`` value over its view pairs. With m the weighted view
+    mean and w the largest value from m to a view, lo = fl(√l), l the
+    largest value from the view attaining w to each view (fewer samples
+    straddle than from view 0): entries of c's own matrix, bit for bit, so
+    l ≤ c, and a correctly rounded square root never decreases.
+
+    hi = 2·√(w + 2^-1000)·(1 + (d + 2)·eps64), each step rounded up. Every
+    real view distance D is at most 2ρ, ρ = max_v ‖z_v − m‖, as any point
+    is a sound center. With u = 2^-53, eps64 = 2u and γ_n = n·u/(1 − n·u),
+    a value s of real squared distance t has d + 1 roundings per term and,
+    where squares underflow, an error of up to d·2^-1075 (differences and
+    sums are exact there), so (1 − u)^(d+1)·t − d·2^-1075 ≤ s ≤
+    (1 + u)^(d+1)·t + d·2^-1075. Then ρ² ≤ (1 + γ_{d+1})(w + d·2^-1075),
+    c ≤ 4(1 + γ_{d+1})²(w + 2^-1000) for d < 2^70, and with the root's
+    1 + u, fl(√c) ≤ 2(1 + γ_{d+2})√(w + 2^-1000) ≤ hi, as
+    γ_{d+2} ≤ (d + 2)·eps64. The factor and the doubling are exact.
+    """
+    z = embedded.z
+    coords = np.ascontiguousarray(z.transpose(2, 0, 1))
+    sq = _sqeuclidean(coords, embedded.means.T[:, :, None])
+    samples, far = np.arange(z.shape[0]), sq.argmax(axis=1)
+    lo = np.sqrt(_sqeuclidean(z[samples, far].T[:, :, None], coords).max(axis=1))
+    up = np.nextafter(np.sqrt(np.nextafter(sq[samples, far] + 2.0**-1000, np.inf)), np.inf)
+    factor = 1.0 + (z.shape[2] + 2) * np.finfo(np.float64).eps
+    return lo, np.nextafter(2.0 * up * factor, np.inf)
 
 
 def class_moments(

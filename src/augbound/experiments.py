@@ -528,8 +528,9 @@ def stage_evaluate(
                 "loss.l2": loss.l2,
             }
         )
-        for eps in config.epsilon_grid:
-            record[f"r_eps.{csv_value(float(eps))}"] = empirical_r_eps(embedded, eps)
+        fractions = empirical_r_eps(embedded, config.epsilon_grid)
+        for eps, fraction in zip(config.epsilon_grid, fractions):
+            record[f"r_eps.{csv_value(float(eps))}"] = fraction
         for k in range(dataset.num_classes):
             record[f"moment.first.class_{k}"] = float(first[k])
             record[f"moment.second.class_{k}"] = float(second[k])

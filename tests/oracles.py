@@ -9,16 +9,23 @@ against them.
 ``reduce_gradient`` is the training step's gradient with every sum an
 ``np.add.reduce``, the formulation the step had before its sums became
 products with vectors of ones.
+
+``forward`` is the embedding map of a model on one batch, normalized by
+``encoder._norm_forward`` with the batch's own statistics. ``load_model``
+reads back a ``model.bin`` written by ``encoder.save_model``. The pipeline
+calls neither.
 """
 
 from __future__ import annotations
 
+import json
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from augbound import encoder, losses
-from augbound.encoder import EncoderModel, forward_prenorm
+from augbound.encoder import _MODEL_MAGIC, EncoderModel, Layer, forward_prenorm, with_params
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,13 @@ def freeze(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> Froze
     w = np.tile(weights, n) / n
     mu = w @ pre
     return FrozenMap(model, mu, np.sqrt(w @ (pre - mu) ** 2))
+
+
+def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
+    """Embeddings for a batch (or single point, returned as (1, d)); batch
+    standardization uses the statistics of the batch it is given."""
+    y = forward_prenorm(model, x)
+    return encoder._norm_forward(model, y, encoder._sums(*y.shape))[0]
 
 
 def nn_classify(centers: np.ndarray, z: np.ndarray) -> int:
@@ -128,3 +142,28 @@ def reduce_gradient(model: EncoderModel, batch, config) -> tuple[np.ndarray, np.
         if i:
             d_out, d_abs = d_pre @ layer.weight, d_pre_abs @ abs(layer.weight)
     return np.concatenate(parts[::-1]), np.concatenate(magnitude[::-1])
+
+
+def load_model(path: str) -> tuple[EncoderModel, int | None]:
+    """The model and seed of a ``model.bin``; a file that is not one, or
+    whose header records a radius other than 1, raises ValueError naming
+    the path."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_MODEL_MAGIC))
+        if magic != _MODEL_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        # The rest is read from the file: a truncated or edited file fails
+        # somewhere in here, and the error names the file.
+        try:
+            (blob_len,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(blob_len).decode())
+            params = np.frombuffer(fh.read(), dtype="<f8")
+            if header["radius"] != 1.0:
+                raise ValueError(f"radius {header['radius']!r} is not 1")
+            layers = []
+            for (d_out, d_in), act in zip(header["layer_dims"], header["activations"]):
+                layers.append(Layer(np.zeros((d_out, d_in)), np.zeros(d_out), act))
+            skeleton = EncoderModel(tuple(layers), norm_mode=header["norm_mode"])
+            return with_params(skeleton, params), header["seed"]
+        except (struct.error, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model file: {exc!r}") from None

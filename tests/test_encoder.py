@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import forward, load_model
 from augbound import encoder, losses
 from augbound.augment import (
     TILE_BYTES,
@@ -29,10 +30,8 @@ from augbound.encoder import (
     TrainConfig,
     ViewBatch,
     flat_params,
-    forward,
     init_encoder,
     lipschitz_upper_bound,
-    load_model,
     loss_and_gradient,
     make_train_batch,
     operator_norm,

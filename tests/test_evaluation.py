@@ -37,7 +37,7 @@ from augbound.evaluation import (
     empirical_r_eps,
     population_loss,
 )
-from oracles import error_rate, freeze, nn_classify
+from oracles import error_rate, forward, freeze, nn_classify
 
 IDENTITY_ONLY = AugmentationSet(transforms=(identity(),), grid_resolution=3)
 
@@ -58,7 +58,16 @@ def _scaled(embedded, r):
     z = r * embedded.z
     return dataclasses.replace(
         embedded, lipschitz=r * embedded.lipschitz, radius=r, z=z, means=r * embedded.means,
-        sq_norms=np.sum(z**2, axis=2), spreads=r * embedded.spreads,
+        sq_norms=np.sum(z**2, axis=2),
+    )
+
+
+def _views_embedded(z):
+    """Embeddings (N, V, d) as an ``EmbeddedViews`` with uniform view weights."""
+    weights = np.full(z.shape[1], 1.0 / z.shape[1])
+    return evaluation.EmbeddedViews(
+        lipschitz=1.0, radius=1.0, z=z, weights=weights,
+        means=np.einsum("v,nvd->nd", weights, z), sq_norms=np.sum(z**2, axis=2),
     )
 
 
@@ -175,8 +184,13 @@ def test_classifier_and_spreads_match_their_cdist_forms(dim):
     )
     # 30 samples of 126 views take several TILE_BYTES chunks.
     views = rng.normal(size=(30, 126, dim)) * scale
-    expected = [np.sqrt(max(cdist(x, x, "sqeuclidean").max(), 0.0)) for x in views]
+    expected = np.array([np.sqrt(max(cdist(x, x, "sqeuclidean").max(), 0.0)) for x in views])
     np.testing.assert_array_equal(evaluation._spreads(views), expected)
+    # The grid decision at every sample's spread, and between spreads.
+    grid = np.sort(np.concatenate([expected, expected * 0.999]))
+    assert empirical_r_eps(_views_embedded(views), grid) == [
+        float(np.mean(expected > eps)) for eps in grid
+    ]
 
 
 def test_error_rate_zero_one_and_recount():
@@ -197,8 +211,7 @@ def test_r_eps_collapsed_encoder_is_zero():
     aug = AugmentationSet(
         transforms=(identity(), additive_shift((1.0, 1.0))), grid_resolution=4
     )
-    for eps in (0.0, 0.1, 1.0):
-        assert empirical_r_eps(_embedded(enc, ds, aug), eps) == 0.0
+    assert empirical_r_eps(_embedded(enc, ds, aug), (0.0, 0.1, 1.0)) == [0.0, 0.0, 0.0]
 
 
 def test_r_eps_vanishes_beyond_the_diameter():
@@ -207,14 +220,15 @@ def test_r_eps_vanishes_beyond_the_diameter():
         transforms=(identity(), additive_shift((0.0, 3.0))), grid_resolution=3
     )
     enc = _identity_sphere()
-    assert empirical_r_eps(_embedded(enc, ds, aug), 2.0) == 0.0  # sphere diameter 2r
+    assert empirical_r_eps(_embedded(enc, ds, aug), [2.0]) == [0.0]  # sphere diameter 2r
 
 
 def test_r_eps_rejects_nan_epsilon():
     ds = _tiny_dataset()
     embedded = _embedded(_identity_sphere(), ds, IDENTITY_ONLY)
-    with pytest.raises(ValueError, match="non-negative"):
-        empirical_r_eps(embedded, float("nan"))
+    for grid in ([float("nan")], [0.1, float("nan")], [0.1, -0.1], [-0.0, -1e-300]):
+        with pytest.raises(ValueError, match="non-negative"):
+            empirical_r_eps(embedded, grid)
 
 
 def test_r_eps_hand_geometry():
@@ -228,9 +242,10 @@ def test_r_eps_hand_geometry():
     enc = _identity_sphere()
     angles = np.arctan2(3.0, feats[:, 0])
     chords = 2.0 * np.sin(angles / 2.0)
-    np.testing.assert_allclose(_embedded(enc, ds, aug).spreads, chords, atol=1e-12)
+    embedded = _embedded(enc, ds, aug)
+    np.testing.assert_allclose(evaluation._spreads(embedded.z), chords, atol=1e-12)
     threshold = float(chords.mean())  # between the two spreads
-    assert empirical_r_eps(_embedded(enc, ds, aug), threshold) == 0.5
+    assert empirical_r_eps(embedded, [0.0, threshold, 2.0]) == [1.0, 0.5, 0.0]
 
 
 def test_r_eps_monotone_in_epsilon_and_grid():
@@ -246,14 +261,74 @@ def test_r_eps_monotone_in_epsilon_and_grid():
         transforms=(identity(), additive_shift((0.2, 0.4))), grid_resolution=5
     )
     enc = _freeze(model, ds, coarse)
-    values = [empirical_r_eps(_embedded(enc, ds, coarse), e) for e in np.linspace(0, 1, 9)]
+    values = empirical_r_eps(_embedded(enc, ds, coarse), np.linspace(0, 1, 9))
     assert all(a >= b for a, b in zip(values, values[1:]))
     # the 5-point grid contains the 3-point grid, so spreads cannot shrink
-    for eps in (0.0, 0.05, 0.2):
-        assert (
-            empirical_r_eps(_embedded(enc, ds, fine), eps)
-            >= empirical_r_eps(_embedded(enc, ds, coarse), eps)
-        )
+    grid = (0.0, 0.05, 0.2)
+    pairs = zip(
+        empirical_r_eps(_embedded(enc, ds, fine), grid),
+        empirical_r_eps(_embedded(enc, ds, coarse), grid),
+    )
+    assert all(f >= c for f, c in pairs)
+
+
+def _spread_test_embeddings(kind, n, v, d, seed):
+    """n samples of v views in d dimensions: unit-sphere rows, or rows
+    standardized over all views. In every other sample the second half of
+    the views reflects the first through one point (the origin on the
+    sphere), so its spread is close to twice its largest distance from its
+    view mean, where the upper bound of ``_spread_bounds`` is tightest."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, v, d)) * rng.uniform(0.05, 1.0, size=(n, 1, 1))
+    center = np.zeros((n // 2, 1, d)) if kind == "sphere" else rng.normal(size=(n // 2, 1, d))
+    z[::2, v - v // 2 :] = 2.0 * center - z[::2, : v // 2]
+    if kind == "sphere":
+        return z / np.linalg.norm(z, axis=2, keepdims=True)
+    flat = z.reshape(n * v, d)
+    return ((z - flat.mean(axis=0)) / flat.std(axis=0)).reshape(n, v, d)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "standardized"])
+@pytest.mark.parametrize("v", [1, 4, 126])
+@pytest.mark.parametrize("d", [1, 2, 8, 12])
+def test_r_eps_decides_each_spread_and_its_neighbours_exactly(kind, v, d):
+    z = _spread_test_embeddings(kind, 40, v, d, seed=100 * d + v)
+    exact = evaluation._spreads(z)
+    lo, hi = evaluation._spread_bounds(_views_embedded(z))
+    assert (lo <= exact).all() and (exact <= hi).all()
+    below, above = np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)
+    grid = np.unique(np.concatenate([exact, below, above]))
+    grid = grid[grid >= 0]
+    for i in range(len(z)):
+        # One sample at a time, so each fraction is that sample's decision.
+        decided = empirical_r_eps(_views_embedded(z[i : i + 1]), grid)
+        assert decided == [float(exact[i] > eps) for eps in grid]
+    assert empirical_r_eps(_views_embedded(z), grid) == [
+        float(np.mean(exact > eps)) for eps in grid
+    ]
+
+
+@pytest.mark.parametrize("kind", ["sphere", "standardized"])
+def test_r_eps_takes_the_exact_spread_of_exactly_the_straddling_samples(monkeypatch, kind):
+    z = _spread_test_embeddings(kind, 40, 26, 2, seed=7)
+    embedded = _views_embedded(z)
+    exact = evaluation._spreads(z)
+    lo, hi = evaluation._spread_bounds(embedded)
+    assert (lo <= exact).all() and (exact <= hi).all()
+    # Thresholds at three samples' own spreads make those three straddle.
+    grid = np.array([0.25, 1.0, *exact[[3, 10, 17]]])
+    straddling = ((lo[:, None] <= grid) & (grid < hi[:, None])).any(axis=1).nonzero()[0]
+    assert {3, 10, 17} <= set(straddling) and straddling.size < len(z)
+    seen, exact_spreads = [], evaluation._spreads
+
+    def recording(rows):
+        seen.append(rows.copy())
+        return exact_spreads(rows)
+
+    monkeypatch.setattr(evaluation, "_spreads", recording)
+    assert empirical_r_eps(embedded, grid) == [float(np.mean(exact > eps)) for eps in grid]
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], z[straddling])
 
 
 def test_sphere_centers_respect_jensen():
@@ -794,17 +869,16 @@ def test_empirical_r_eps_embeds_the_grid_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "forward_prenorm", counting)
     embedded = _embedded(enc, ds, aug)
-    thresholds = np.quantile(embedded.spreads, [0.25, 0.5, 0.75])
-    r_eps = [empirical_r_eps(embedded, float(eps)) for eps in thresholds]
+    exact = evaluation._spreads(embedded.z)
+    thresholds = np.quantile(exact, [0.25, 0.5, 0.75])
+    r_eps = empirical_r_eps(embedded, thresholds)
     assert calls == [ds.num_samples * aug.num_views]
     # Spreads recomputed per sample from every pair of view embeddings.
-    z = embedded.z
     spreads = np.array(
-        [max(np.linalg.norm(a - b) for a in zi for b in zi) for zi in z]
+        [max(np.linalg.norm(a - b) for a in zi for b in zi) for zi in embedded.z]
     )
-    np.testing.assert_allclose(embedded.spreads, spreads, atol=1e-12)
-    for eps, r in zip(thresholds, r_eps):
-        assert r == float(np.mean(embedded.spreads > eps))
+    np.testing.assert_allclose(exact, spreads, atol=1e-12)
+    assert r_eps == [float(np.mean(exact > eps)) for eps in thresholds]
 
 
 _STAGE_CONFIG = {
@@ -980,8 +1054,6 @@ def test_embed_matches_model_forward_in_sphere_mode():
         radius=1.0, seed=24,
     )
     enc = _freeze(model, ds, IDENTITY_ONLY)
-    from augbound.encoder import forward
-
     np.testing.assert_array_equal(enc.embed(ds.features), forward(model, ds.features))
     # The identity's view of the grid is the raw sample, bit for bit.
     np.testing.assert_array_equal(

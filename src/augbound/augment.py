@@ -21,21 +21,11 @@ of ``scipy.spatial.distance.cdist``, whose values they equal bit for bit
 ``distance_levels`` places every pairwise augmented distance of a class on
 an ascending delta grid: entry (i, j) counts the deltas strictly below the
 pair's distance, all that a threshold graph needs. A small class takes the
-exact formula on every view pair. A larger one bounds each pair's exact
-minimum with float32 BLAS GEMMs on centered views scaled by a power of two,
-to within a derived rounding bound E. One routine, ``_pair_minima``,
-takes each pair's smallest GEMM value: against each sample's identity
-view, which settles the pairs whose upper bound lies within the first
-delta; where a screen block is one row sample, between the centers of
-runs of grid views, which settles the pairs whose lower bound, less twice
-the largest run radius, lies above the last delta; then over all view
-pairs of the others, which settles nearly all of them. Only a pair whose
-bounds straddle a delta gets the exact formula. Every level is that of
-``augmented_distance``; the docstring of ``distance_levels`` derives E,
-the group floor and the decision rule. Every buffer holds at most one
-``TILE_BYTES`` (2 MiB), the levels do not depend on it, and all of it runs
-on the calling thread (the population InfoNCE of ``evaluation`` keeps its
-helper thread).
+exact formula on every view pair; a larger one narrows each pair's level
+interval in one loop of steps, float32 GEMM bounds within a derived
+rounding bound E and then the exact formula. Every level is that of
+``augmented_distance``, every buffer holds at most one ``TILE_BYTES``
+(2 MiB), and all of it runs on the calling thread.
 
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
@@ -405,28 +395,21 @@ def distance_levels(
 
     A job whose (D + 1)·(N·V)² squared differences and distances fit in
     ``TILE_BYTES`` at 8 bytes each takes the exact formula of
-    ``_sqeuclidean`` on every view pair. A larger one bounds each sample
-    pair's exact smallest squared view distance c with float32 GEMMs on
-    lifted views, in one buffer of ``TILE_BYTES`` (or of one sample's GEMM
-    where that is larger), so no level depends on the budget:
+    ``_sqeuclidean`` on every view pair. In a larger one each pair of the
+    upper triangle starts at the level interval [0, len(deltas)], and each
+    step of ``_steps`` narrows the intervals still open, with float32 GEMM
+    bounds on the pair's exact smallest squared view distance c, in one
+    buffer of ``TILE_BYTES`` or more, so no level depends on the budget:
 
-    1. Identity pre-pass, ``_pair_minima`` with w = 1: each sample's V
-       views against every sample's identity view, the sample itself. The
-       smaller h of a pair's two such minima gives c ≤ (h + E)/s², so a pair
-       whose upper bound is at or below ``deltas[0]`` is settled at level 0.
-    2. Group screen (``_group_floor``), where a screen block is one row
-       sample, ``TILE_BYTES // (4·V·V·N) <= 1``, and the set has a
-       continuous member: ``_pair_minima`` with w = G on the centers of
-       each sample's G view groups floors each pair's distance, and a pair
-       whose floor lies above ``deltas[-1]`` is settled at level
-       ``len(deltas)``. A block of several row samples meets nearly every
-       column sample anyway, so there it would save no GEMM.
-    3. Screen, ``_pair_minima`` with w = V: the smallest GEMM value m over
-       the V×V view pairs of every other pair of the upper triangle gives
-       (m − E)/s² ≤ c ≤ (m + E)/s².
-    4. Exact fallback (``_exact_minima``): a pair whose two bounds fall on
-       different levels, its interval straddling a delta, gets c from the
-       exact formula over its views.
+    1. pre-pass: each sample's V views against every sample's identity
+       view. The smaller h of a pair's two minima gives c ≤ (h + E)/s².
+    2. group floor (``_group_floor``): the pair's G×G group centers floor
+       its distance. It runs where the set has a continuous member and
+       ``TILE_BYTES // (4·V·V·N) <= 1``; elsewhere it costs more than the
+       screen work it saves.
+    3. screen (``_pair_minima``): the smallest GEMM value m over the pair's
+       V×V view pairs gives (m − E)/s² ≤ c ≤ (m + E)/s².
+    4. exact (``_exact_minima``): c by the exact formula, at both ends.
 
     A bound is (g ± E)/s² rounded outward after each inexact step
     (``_unscaled``): the sum, then the two divisions by s, exact unless
@@ -496,37 +479,50 @@ def distance_levels(
     # Written so that NaN, which compares false, fails it.
     if not all(a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError("thresholds must be non-negative and ascending")
-    views = view_tensor(points, aug)
-    n, v, d = views.shape
-    coords = np.ascontiguousarray(views.reshape(n * v, d).T)
-    del views
+    coords = view_tensor(points, aug)
+    n, v, d = coords.shape
+    coords = np.ascontiguousarray(coords.reshape(n * v, d).T)
     if (d + 1) * 8 * (n * v) ** 2 <= TILE_BYTES:
         # A job this small costs less with the exact formula on every pair.
         sq = _sqeuclidean(coords[:, :, None], coords[:, None, :])
         return _level(deltas, sq.reshape(n, v, n, v).min(axis=1).min(axis=2))
+    # Level intervals [lo, hi] of the pairs above the diagonal, from [0, len(deltas)].
+    lo, hi = np.zeros(n * n, dtype=np.intp), np.full(n * n, deltas.size)
+    pending = np.flatnonzero(np.less.outer(np.arange(n), np.arange(n)))
+    steps = _steps(coords, aug, deltas)
+    while pending.size and steps:
+        # Each step is dropped once run, so the GEMM buffer is freed before the exact step.
+        step_lo, step_hi = steps.pop(0)(*np.divmod(pending, n))
+        lo[pending] = step_lo = np.maximum(lo[pending], step_lo)
+        hi[pending] = step_hi = np.minimum(hi[pending], step_hi)
+        pending = pending[step_lo < step_hi]
+    return lo.reshape(n, n) + lo.reshape(n, n).T
+
+
+def _steps(coords: np.ndarray, aug: AugmentationSet, deltas: np.ndarray) -> list:
+    """The steps of ``distance_levels`` on the (D, N·V) ``coords``, in order:
+    each maps open pairs (rows[k], cols[k]) to a lower and an upper level."""
+    v, n = aug.num_views, coords.shape[1] // aug.num_views
     lifted, left, bound, scale = _lifted(coords)
-    # One buffer for every GEMM, one sample's at least: a fresh array each
-    # time would fault in its pages anew.
-    buf = np.empty(max(TILE_BYTES // 4, v * max(n, v)), dtype=np.float32)
-    ident = lifted[aug.discrete.index(identity()) :: v]
-    h = _pair_minima(left, ident, 1, np.ones((n, n), dtype=bool), buf)
-    need = np.triu(_level(deltas, _unscaled(np.minimum(h, h.T), bound, scale)) > 0, 1)
-    levels = np.zeros((n, n), dtype=np.intp)
-    if aug.continuous and need.any() and TILE_BYTES // (4 * v * v * n) <= 1:
-        rows, cols = need.nonzero()
-        far = _group_floor(coords, aug, need, buf) > deltas[-1]
-        rows, cols = rows[far], cols[far]
-        levels[rows, cols] = deltas.size
-        need[rows, cols] = False
-    rows, cols = need.nonzero()
-    m = _pair_minima(left, lifted, v, need, buf)[rows, cols]
-    del buf
-    low = _level(deltas, _unscaled(m, -bound, scale))
-    levels[rows, cols] = low
-    straddle = (low != _level(deltas, _unscaled(m, bound, scale))).nonzero()[0]
-    rows, cols = rows[straddle], cols[straddle]
-    levels[rows, cols] = _level(deltas, _exact_minima(coords, v, rows, cols))
-    return levels + levels.T
+    # One buffer for every GEMM, one row sample's or pair's at least.
+    buf = np.empty(max(TILE_BYTES // 4, v * max(n, v + 2 * len(coords) + 4)), dtype=np.float32)
+
+    def pre_pass(rows, cols):
+        h = _all_minima(left, lifted[aug.discrete.index(identity()) :: v], v, 1, buf)
+        return 0, _level(deltas, _unscaled(np.minimum(h, h.T)[rows, cols], bound, scale))
+
+    def group(rows, cols):
+        return np.searchsorted(deltas, _group_floor(coords, aug, rows, cols, buf)), deltas.size
+
+    def screen(rows, cols):
+        m = _pair_minima(left, lifted, v, rows, cols, buf)
+        return _level(deltas, _unscaled(m, np.array([[-bound], [bound]]), scale))
+
+    def exact(rows, cols):
+        return (_level(deltas, _exact_minima(coords, v, rows, cols)),) * 2
+
+    grouped = aug.continuous and TILE_BYTES // (4 * v * v * n) <= 1
+    return [pre_pass, *([group] if grouped else []), screen, exact]
 
 
 def _level(deltas: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -534,11 +530,11 @@ def _level(deltas: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return np.searchsorted(deltas, np.sqrt(np.maximum(sq, 0.0)), side="left")
 
 
-def _unscaled(g: np.ndarray, e: float, scale: float) -> np.ndarray:
+def _unscaled(g: np.ndarray, e: float | np.ndarray, scale: float) -> np.ndarray:
     """(g + e)/s² in float64, each inexact step rounded up for e > 0 and
     down for e < 0, so the result bounds the real value from that side."""
-    toward = math.copysign(math.inf, e)
-    total = np.nextafter(g.astype(np.float64) + e, toward)
+    toward = np.copysign(np.inf, e)
+    total = np.nextafter(np.add(g, e, dtype=np.float64), toward)
     # The two divisions by the power of two s are exact in float64's normal
     # range and err by less than one unit below it.
     return np.nextafter(total / scale / scale, toward)
@@ -546,15 +542,10 @@ def _unscaled(g: np.ndarray, e: float, scale: float) -> np.ndarray:
 
 def _lifted(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The float32 lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords``, the
-    GEMM rows ``[-2ĉ, 1, q]`` of the same views, the bound E and the scale s.
-
-    ĉ are the views centered on their mean in float64 and multiplied by the
-    power of two s, which is exact: first so that max |ĉ| lies in [1/2, 1),
-    where q = ‖ĉ‖² neither overflows nor underflows, then so that max q lies
-    in [1/4, 1]. Both are then rounded to float32; -2ĉ is exact, as -2 is a
-    power of two and max |ĉ| ≤ 1. E is in the same scaled units; see
-    ``distance_levels``.
-    """
+    GEMM rows ``[-2ĉ, 1, q]`` of the same views, the bound E and the scale s
+    of ``distance_levels``. s scales in two exact steps: max |ĉ| into
+    [1/2, 1), where q = ‖ĉ‖² neither overflows nor underflows, then max q
+    into [1/4, 1]. -2ĉ is exact too, as -2 is a power of two."""
     d, nv = coords.shape
     centered = coords.T - coords.mean(axis=1)
     peak = max(float(centered.max(initial=0.0)), -float(centered.min(initial=0.0)))
@@ -574,52 +565,61 @@ def _lifted(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     return lifted, left, bound, math.ldexp(1.0, -exponent - k)
 
 
-def _pair_minima(
-    left: np.ndarray, right: np.ndarray, w: int, need: np.ndarray, buf: np.ndarray
-) -> np.ndarray:
-    """(N, N) smallest GEMM value of each sample pair that ``need`` marks;
-    the other entries are undefined.
-
-    Entry (i, j) is taken over the view pairs of row sample i's V views, as
-    the GEMM rows ``left`` (N·V of them), and column sample j's w views, as
-    the lifted views ``right`` (N·w of them). Row samples go in blocks of as
-    many as fit one ``TILE_BYTES`` GEMM against the whole class, at least
-    one. A block meets, in the buffer ``buf``, only the column samples that
-    ``need`` pairs with one of its rows, as many at a time as fit
-    ``TILE_BYTES``.
-    """
-    n = need.shape[0]
-    v = left.shape[0] // n
-    views = right.reshape(n, w, -1)
-    out = np.empty((n, n), dtype=np.float32)
-    block = max(1, TILE_BYTES // (4 * v * w * n))
-    for i0 in range(0, n, block):
-        cols = need[i0 : i0 + block].any(axis=0).nonzero()[0]
+def _all_minima(left: np.ndarray, right: np.ndarray, v: int, w: int, buf: np.ndarray) -> np.ndarray:
+    """(R, C) smallest GEMM value of each sample pair (i, j) over row sample
+    i's v views, as the GEMM rows ``left``, and column sample j's w views,
+    as the lifted views ``right``, in blocks of as many row samples as fit
+    one ``TILE_BYTES`` GEMM against all columns in ``buf``, at least one."""
+    n_rows, n_cols = left.shape[0] // v, right.shape[0] // w
+    out = np.empty((n_rows, n_cols), dtype=np.float32)
+    block = max(1, TILE_BYTES // (4 * v * n_cols * w))
+    for i0 in range(0, n_rows, block):
         rows = left[i0 * v : (i0 + block) * v]
-        ni = rows.shape[0] // v
-        step = max(1, TILE_BYTES // (4 * v * w * ni))
-        for c0 in range(0, cols.size, step):
-            c = cols[c0 : c0 + step]
-            col_views = views.take(c, axis=0).reshape(c.size * w, -1)
-            g = np.matmul(rows, col_views.T, out=buf[: ni * v * c.size * w].reshape(ni * v, -1))
-            # The minimum over the row views runs along long contiguous rows,
-            # and so, after a transposed copy, does the one over the column views.
-            m = g.reshape(ni, v, -1).min(axis=1).reshape(-1, w).T.copy().min(axis=0)
-            out[i0 : i0 + ni, c] = m.reshape(ni, c.size)
+        g = np.matmul(rows, right.T, out=buf[: rows.shape[0] * n_cols * w].reshape(len(rows), -1))
+        # Both minima run along contiguous rows, the second after a transposed copy.
+        m = g.reshape(-1, v, n_cols * w).min(axis=1).reshape(-1, w).T.copy().min(axis=0)
+        out[i0 : i0 + block] = m.reshape(-1, n_cols)
+    return out
+
+
+def _pair_minima(
+    left: np.ndarray, right: np.ndarray, w: int, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """Smallest GEMM value of each sample pair (rows[k], cols[k]): one GEMM
+    per pair, stacked with its gathered operands in ``buf``, ``TILE_BYTES``
+    at a time, or, where a pair's GEMM is smaller than its operands and one
+    row sample's fits ``buf``, ``_all_minima`` of the column samples asked."""
+    n = right.shape[0] // w
+    v, k = left.shape[0] // n, left.shape[1]
+    if v * w < (v + w) * k and v * w * n <= buf.size:
+        used = np.zeros(n, dtype=bool)
+        used[cols] = True
+        sub = _all_minima(left, right.reshape(n, w, k)[used].reshape(-1, k), v, w, buf)
+        return sub[rows, np.cumsum(used)[cols] - 1]
+    row_views, col_views = left.reshape(n, v, k), right.reshape(n, w, k).transpose(0, 2, 1)
+    out = np.empty(rows.size, dtype=np.float32)
+    per_pair = v * w + (v + w) * k
+    step = max(1, TILE_BYTES // (4 * per_pair))
+    for p in range(0, rows.size, step):
+        r, c = rows[p : p + step], cols[p : p + step]
+        a, b, g = np.split(buf[: r.size * per_pair], [r.size * v * k, r.size * (v + w) * k])
+        # "clip" fills the buffer without a temporary; every index is in range.
+        a = row_views.take(r, axis=0, out=a.reshape(r.size, v, k), mode="clip")
+        b = col_views.take(c, axis=0, out=b.reshape(r.size, k, w), mode="clip")
+        g = np.matmul(a, b, out=g.reshape(r.size, v, w))
+        out[p : p + step] = np.minimum.reduceat(g.ravel(), np.arange(0, g.size, v * w))
     return out
 
 
 def _group_floor(
-    coords: np.ndarray, aug: AugmentationSet, need: np.ndarray, buf: np.ndarray
+    coords: np.ndarray, aug: AugmentationSet, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray
 ) -> np.ndarray:
-    """Floor of the distance fl(√c) of each sample pair that ``need`` marks,
-    in ``need.nonzero()`` order, from the (D, N·V) ``coords``' group
-    centers: each discrete view, and the mean of each run of
-    ``grid_resolution`` consecutive grid views. The derivation is in
-    ``distance_levels``."""
-    d, n = coords.shape[0], need.shape[0]
-    views = coords.reshape(d, n, -1)
-    m = aug.num_discrete
+    """Floor of the distance fl(√c) of each sample pair (rows[k], cols[k]),
+    from the (D, N·V) ``coords``' group centers: each discrete view, and
+    the mean of each run of ``grid_resolution`` consecutive grid views. The
+    derivation is in ``distance_levels``."""
+    d, n = coords.shape[0], coords.shape[1] // aug.num_views
+    views, m = coords.reshape(d, n, -1), aug.num_discrete
     runs = views[:, :, m:].reshape(d, n, -1, aug.grid_resolution)
     centers = runs.mean(axis=3)
     widest = 0.0
@@ -630,8 +630,7 @@ def _group_floor(
     groups = np.concatenate([views[:, :, :m], centers], axis=2)
     g = groups.shape[2]
     lifted, left, bound, scale = _lifted(groups.reshape(d, n * g))
-    rows, cols = need.nonzero()
-    low = _unscaled(_pair_minima(left, lifted, g, need, buf)[rows, cols], -bound, scale)
+    low = _unscaled(_pair_minima(left, lifted, g, rows, cols, buf), -bound, scale)
     t = np.nextafter(np.nextafter(np.sqrt(np.maximum(low, 0.0)), -np.inf) - 2.0 * rho, -np.inf)
     floor = np.nextafter(t * (1.0 - (d + 3) * _EPS64), -np.inf)
     return np.nextafter(floor - math.sqrt(_UNDERFLOW64), -np.inf)

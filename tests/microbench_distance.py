@@ -11,9 +11,9 @@ at one of the 12 shapes of the ``scale_ladder`` benchmark: 14, 32, 64 or 96
 samples per class, times identity plus a rotation, a scaling and a shift at
 grid 5, the first one, two or three of them (6, 26 or 126 views), against
 the ladder's delta grid. Every shape is timed twice, with the package's
-kernel (``numpy``: float32 GEMMs bound each pair's distance, an identity
-pre-pass, a group screen, a screen of the pairs they leave, and the exact
-float64 formula only where the bounds straddle a delta) and with
+kernel (``numpy``: a loop of steps narrows each pair's level interval, an
+identity pre-pass, a group floor, a screen on float32 GEMM bounds, and the
+exact float64 formula for the pairs they leave open) and with
 ``_cdist_distance_levels`` (``cdist``: every exact distance, in tiles of
 the same byte budget on the calling thread, float64 tiles of 8-byte
 entries, each one ``scipy.spatial.distance.cdist`` call and two minima,
@@ -21,16 +21,17 @@ then thresholded by ``np.searchsorted``), so the two can be compared shape
 by shape; both return the same levels. ``view_tensor`` is timed on the
 whole dataset of the ``n96_v126`` rung.
 
-The group screen runs where a screen block is one row sample, on the
-32-, 64- and 96-sample 126-view shapes. It floors each pair's distance
-from the GEMM bound between the centers of its samples' view groups (the
-identity view, and each run of 5 consecutive grid views, the shift's
-axis), less twice the largest run radius, and settles at the top level
-every pair whose floor lies above the last delta. Each ``numpy`` case
-records in ``extra_info`` the pairs of the upper triangle that each step
-settles: ``pre-pass``, ``group``, ``screen`` and ``exact`` (all of them on
-the shapes small enough for the all-pairs exact formula), counted on one
-untimed call.
+The group floor runs where a GEMM of all rows against one column sample
+holds at most one row sample, on the 32-, 64- and 96-sample 126-view
+shapes. Each ``numpy`` case records in ``extra_info``, counted on one
+untimed call, for each step that runs (``pre_pass``, ``group``,
+``screen``, ``exact``; ``exact`` alone on the shapes small enough for the
+all-pairs exact formula): ``asked``, the open pairs of the upper triangle
+it is given; ``computed``, the sample pairs its GEMMs (or the exact
+formula) compute, ordered pairs where a GEMM covers the whole class;
+``settled``, the pairs it settles; and ``middle``, those of them that
+its own bounds leave open, settled by the intersection with the earlier
+steps' bounds. ``computed`` over ``asked`` is the overcompute of a step.
 """
 
 import math
@@ -102,35 +103,52 @@ def _cdist_distance_levels(points, aug, deltas):
     return np.searchsorted(deltas, out, side="left")
 
 
-def _settled_by_step(monkeypatch, points, aug):
-    """Pairs of the upper triangle that each step of ``distance_levels``
-    settles, from the pairs that each later step is given."""
-    given = {}
-    pair_minima, exact_minima = augment._pair_minima, augment._exact_minima
+def _step_counts(monkeypatch, points, aug):
+    """The ``extra_info`` counts of each step of ``distance_levels``."""
+    n, v = len(points), aug.num_views
+    g = aug.num_discrete + (v - aug.num_discrete) // aug.grid_resolution
+    # GEMM values per sample pair of each step.
+    values = {"pre_pass": v, "group": g * g, "screen": v * v}
+    runs = []
 
-    def counted_minima(left, right, w, need, buf):
-        if w > 1:
-            given["group" if w < aug.num_views else "screen"] = int(need.sum())
-        return pair_minima(left, right, w, need, buf)
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    def counted_exact(coords, v, rows, cols):
-        given["exact"] = rows.size
-        return exact_minima(coords, v, rows, cols)
+        @staticmethod
+        def matmul(a, b, out):
+            runs[-1]["computed"] += out.size // values[runs[-1]["name"]]
+            return np.matmul(a, b, out=out)
 
+    def record(step):
+        def run(rows, cols):
+            exact = step.__name__ == "exact"
+            runs.append({"name": step.__name__, "computed": rows.size if exact else 0})
+            lo, hi = np.broadcast_arrays(*step(rows, cols), rows)[:2]
+            runs[-1].update(pairs=rows * n + cols, own=lo == hi)
+            return lo, hi
+
+        return run
+
+    steps = augment._steps
     with monkeypatch.context() as patch:
-        patch.setattr(augment, "_pair_minima", counted_minima)
-        patch.setattr(augment, "_exact_minima", counted_exact)
+        patch.setattr(augment, "np", CountedNumpy())
+        patch.setattr(augment, "_steps", lambda *args: [record(s) for s in steps(*args)])
         distance_levels(points, aug, _DELTAS)
-    total = len(points) * (len(points) - 1) // 2
-    if "screen" not in given:
-        return {"pre-pass": 0, "group": 0, "screen": 0, "exact": total}
-    group = given.get("group", given["screen"])
-    return {
-        "pre-pass": total - group,
-        "group": group - given["screen"],
-        "screen": given["screen"] - given["exact"],
-        "exact": given["exact"],
-    }
+    total = n * (n - 1) // 2
+    if not runs:
+        return {"exact.asked": total, "exact.computed": n * n, "exact.settled": total,
+                "exact.middle": 0}
+    counts = {}
+    for run, later in zip(runs, runs[1:] + [{"pairs": []}]):
+        settled = ~np.isin(run["pairs"], later["pairs"])
+        counts.update({
+            f"{run['name']}.asked": run["pairs"].size,
+            f"{run['name']}.computed": run["computed"],
+            f"{run['name']}.settled": int(settled.sum()),
+            f"{run['name']}.middle": int((settled & ~run["own"]).sum()),
+        })
+    return counts
 
 
 _KERNELS = {"numpy": distance_levels, "cdist": _cdist_distance_levels}
@@ -144,7 +162,7 @@ def test_distance_levels_ladder_shape(benchmark, monkeypatch, shape, kernel):
     assert aug.num_views == v
     points = dataset.features[dataset.class_indices(0)]
     if kernel == "numpy":
-        benchmark.extra_info.update(_settled_by_step(monkeypatch, points, aug))
+        benchmark.extra_info.update(_step_counts(monkeypatch, points, aug))
     levels = benchmark(_KERNELS[kernel], points, aug, _DELTAS)
     np.testing.assert_array_equal(levels, _cdist_distance_levels(points, aug, _DELTAS))
 

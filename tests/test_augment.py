@@ -270,6 +270,25 @@ def _fits_all_pairs(n, aug, d=3):
     return (d + 1) * 8 * (n * aug.num_views) ** 2 <= TILE_BYTES
 
 
+def _spy_steps(monkeypatch):
+    """A list that gets, for each step of ``distance_levels`` as it runs, its
+    name, the open pairs (rows, cols) it is given and the lower and upper
+    levels it returns for them."""
+    calls = []
+    steps = augment._steps
+
+    def record(step):
+        def run(rows, cols):
+            lo, hi = step(rows, cols)
+            calls.append((step.__name__, rows, cols, *np.broadcast_arrays(lo, hi, rows)[:2]))
+            return lo, hi
+
+        return run
+
+    monkeypatch.setattr(augment, "_steps", lambda *args: [record(s) for s in steps(*args)])
+    return calls
+
+
 @pytest.mark.parametrize(
     "aug, n_per_class, class_id",
     [
@@ -300,12 +319,12 @@ def test_distance_levels_match_row_blocks(aug, n_per_class, class_id):
 
 def test_distance_levels_memory_is_one_tile_plus_output_and_views(split_workers):
     # 96 per class x 126 views, the largest ladder rung: the identity
-    # pre-pass takes 3 GEMMs of up to 43 row samples, the group screen 12
-    # of 8 row samples with 26 group centers each, and the screen 88 of one
-    # row sample, each within one TILE_BYTES, beside the GEMM rows built
-    # once per class (242 KB); the former row blocks held about 780 MB
-    # here. Every batch runs on the calling thread, even where threads may
-    # start.
+    # pre-pass takes 3 GEMMs of up to 43 row samples, the group floor
+    # stacks up to 560 pairs' GEMMs of 26 group centers each, and the screen
+    # 30 pairs' of 126 views each, with their gathered operands, each within
+    # one TILE_BYTES, beside the GEMM rows built once per class (242 KB);
+    # the former row blocks held about 780 MB here. Every batch runs on the
+    # calling thread, even where threads may start.
     started = split_workers(2)
     ds = _ring_dataset(96)
     aug = AugmentationSet(
@@ -352,10 +371,11 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
     started = split_workers(2)
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
     reference = _assert_levels_match_reference(ds.features, aug, block_rows=4)
-    # Each ``_pair_minima`` call's row views per sample, its column view
-    # count w and the rows of its GEMMs.
+    # Each GEMM routine call: whole-class or pairwise, its row views per
+    # sample, its column view count w, its row and column samples or the
+    # pairs asked about, and the row count of each of its GEMMs.
     calls = []
-    pair_minima = augment._pair_minima
+    all_minima, pair_minima = augment._all_minima, augment._pair_minima
 
     class CountedNumpy:
         def __getattr__(self, name):
@@ -363,27 +383,44 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
 
         @staticmethod
         def matmul(a, b, out):
-            calls[-1][2].append(a.shape[0])
+            calls[-1][4].append(a.shape[0])
             return np.matmul(a, b, out=out)
 
-    def counted(left, right, w, need, buf):
-        calls.append((left.shape[0] // len(need), w, []))
-        return pair_minima(left, right, w, need, buf)
+    def counted_all(left, right, v, w, buf):
+        calls.append(("all", v, w, (len(left) // v, len(right) // w), []))
+        return all_minima(left, right, v, w, buf)
+
+    def counted_pairs(left, right, w, rows, cols, buf):
+        calls.append(("pairs", left.shape[0] * w // right.shape[0], w, rows.size, []))
+        return pair_minima(left, right, w, rows, cols, buf)
 
     monkeypatch.setattr(augment, "np", CountedNumpy())
-    monkeypatch.setattr(augment, "_pair_minima", counted)
+    monkeypatch.setattr(augment, "_all_minima", counted_all)
+    monkeypatch.setattr(augment, "_pair_minima", counted_pairs)
     distance_levels(ds.features, aug, _grids(reference)[0])
-    n, v = 2 * n_per_class, aug.num_views
-    # The identity pre-pass (V by 1), then, where a screen block is one row
-    # sample, the group screen (G by G, G the discrete views and the run
-    # centers of each sample), and the screen (V by V).
+    n, v, k = 2 * n_per_class, aug.num_views, ds.features.shape[1] + 2
+    # The identity pre-pass over the whole class (V by 1), then, where a
+    # GEMM of all rows against one column sample holds at most one row
+    # sample, the group floor (G by G, G the discrete views and the run
+    # centers of each sample), and the screen (V by V). Either of the last
+    # two may hand its pairs to one whole-class GEMM.
     g = aug.num_discrete + (v - aug.num_discrete) // aug.grid_resolution
     one_row = tile_bytes // (4 * v * v * n) <= 1
-    expected = [(v, 1), (g, g), (v, v)] if one_row else [(v, 1), (v, v)]
-    assert [(per_row, w) for per_row, w, _ in calls] == expected
-    for per_row, w, rows in calls:
-        block = max(1, tile_bytes // (4 * per_row * w * n))
-        assert max(rows) == min(block, n) * per_row
+    steps = [call[:3] for call in calls if call[0] == "pairs" or call[2] == 1]
+    assert steps == [("all", v, 1)] + [("pairs", g, g)] * one_row + [("pairs", v, v)]
+    for before, call in zip(calls, calls[1:]):
+        if call[0] == "all":
+            assert before[:3] == ("pairs", *call[1:3]) and before[4] == []
+    # Every GEMM is as large as the tile allows: whole-class blocks of row
+    # samples, or stacks of pairs with their gathered operands.
+    for kind, per_row, w, asked, rows in calls:
+        if kind == "all":
+            n_rows, n_cols = asked
+            block = max(1, tile_bytes // (4 * per_row * w * n_cols))
+            assert max(rows) == min(block, n_rows) * per_row
+        elif rows:
+            step = max(1, tile_bytes // (4 * (per_row * w + (per_row + w) * k)))
+            assert max(rows) == min(step, asked)
     # Every batch runs on the calling thread, even where threads may start.
     assert started == []
 
@@ -398,24 +435,19 @@ def test_distance_levels_of_one_tile_runs_inline(split_workers):
 
 def test_identity_pre_pass_settles_pairs_before_the_screen(monkeypatch):
     # Below the first delta every pair is settled at level 0 by its identity
-    # bound, and no pair reaches the screen; the ladder grid settles some.
+    # bound, and no step runs after the pre-pass; the ladder grid leaves some
+    # pairs to the screen.
     ds = _ring_dataset(25)
-    screened = []
-    pair_minima = augment._pair_minima
-
-    def counted(left, right, w, need, buf):
-        if w == _RING_V126.num_views:
-            screened.append(int(need.sum()))
-        return pair_minima(left, right, w, need, buf)
-
-    monkeypatch.setattr(augment, "_pair_minima", counted)
+    steps = _spy_steps(monkeypatch)
     views = view_tensor(ds.features, _RING_V126).reshape(-1, 3)
     diameter = float(np.sqrt(((views.max(axis=0) - views.min(axis=0)) ** 2).sum()))
     levels = distance_levels(ds.features, _RING_V126, [diameter, 2 * diameter])
     np.testing.assert_array_equal(levels, 0)
-    assert screened == [0]
+    assert [name for name, *_ in steps] == ["pre_pass"]
+    steps.clear()
     distance_levels(ds.features, _RING_V126, _LADDER_DELTAS)
-    assert 0 < screened[1] < 50 * 49 // 2
+    [screened] = [rows.size for name, rows, *_ in steps if name == "screen"]
+    assert 0 < screened < 50 * 49 // 2
 
 
 def test_exact_fallback_runs_where_the_bounds_straddle_a_delta(monkeypatch):
@@ -560,12 +592,12 @@ def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
     # Levels only show a bound that errs by more than the gap to the nearest
     # delta; here every bound is compared with the pair's exact smallest
     # squared view distance c. A zero delta screens every pair but those the
-    # group screen settles, where it runs.
+    # group floor settles, where it runs.
     points, aug = _BOUND_CASES[case]
     (n, d), v = points.shape, aug.num_views
     assert not _fits_all_pairs(n, aug, d)
-    lifted, pair_minima = augment._lifted, augment._pair_minima
-    scaled, calls, grouped = [], [], []
+    lifted, all_minima, pair_minima = augment._lifted, augment._all_minima, augment._pair_minima
+    scaled, identity_minima, screened, grouped = [], [], [], []
 
     def spy_lifted(coords):
         out = lifted(coords)
@@ -574,36 +606,46 @@ def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
             scaled.append(out[2:])
         return out
 
-    def spy_minima(left, right, w, need, buf):
-        out = pair_minima(left, right, w, need, buf)
-        # The identity pre-pass and the screen, not the group screen.
-        (calls if w in (1, v) else grouped).append((out.copy(), need.copy()))
+    def spy_all(left, right, v, w, buf):
+        out = all_minima(left, right, v, w, buf)
+        # The identity pre-pass, not a screen or group GEMM of the whole class.
+        if w == 1:
+            identity_minima.append(out.copy())
+        return out
+
+    def spy_pairs(left, right, w, rows, cols, buf):
+        out = pair_minima(left, right, w, rows, cols, buf)
+        (screened if w == v else grouped).append((out.copy(), rows, cols))
         return out
 
     monkeypatch.setattr(augment, "_lifted", spy_lifted)
-    monkeypatch.setattr(augment, "_pair_minima", spy_minima)
+    monkeypatch.setattr(augment, "_all_minima", spy_all)
+    monkeypatch.setattr(augment, "_pair_minima", spy_pairs)
     levels = distance_levels(points, aug, [0.0])
     [(bound, scale)] = scaled
-    [(h, _), (m, need)] = calls
+    [h] = identity_minima
+    [(m, rows, cols)] = screened
     coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
-    rows, cols = np.indices((n, n)).reshape(2, -1)
-    exact = augment._exact_minima(coords, v, rows, cols).reshape(n, n)
+    every = np.indices((n, n)).reshape(2, -1)
+    exact = augment._exact_minima(coords, v, *every).reshape(n, n)
     # Each sample's views against each sample's identity view bound c from above.
     assert np.all(augment._unscaled(h, bound, scale) >= exact)
+    need = np.zeros((n, n), dtype=bool)
+    need[rows, cols] = True
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     settled = upper & ~need
     assert np.all(need <= upper) and settled.any() == bool(grouped)
     np.testing.assert_array_equal(levels[settled], 1)
-    assert np.all(augment._unscaled(m[need], -bound, scale) <= exact[need])
-    assert np.all(exact[need] <= augment._unscaled(m[need], bound, scale))
+    assert np.all(augment._unscaled(m, -bound, scale) <= exact[rows, cols])
+    assert np.all(exact[rows, cols] <= augment._unscaled(m, bound, scale))
 
 
-# The group screen's cases beside the ``_BOUND_CASES``: a rotation by at
+# The group floor's cases beside the ``_BOUND_CASES``: a rotation by at
 # most 0, whose runs have radius 0, so that each floor is the GEMM bound of
 # its centers; the wide rotation as the last-declared member, so that its
 # runs are wide and little is settled; sign-flip and permutation members,
 # each a group of its own, beside the runs; and a discrete-only set, which
-# has no group screen.
+# has no group step.
 _GROUP_CASES = {
     **_BOUND_CASES,
     "runs of equal views": (
@@ -632,37 +674,104 @@ _GROUP_CASES = {
 
 @pytest.mark.parametrize("case", list(_GROUP_CASES))
 def test_group_floors_hold_pair_by_pair(monkeypatch, case):
-    # Every floor of the group screen is compared with the pair's distance
+    # Every floor of the group step is compared with the pair's distance
     # fl(√c) by the exact formula. A zero delta leaves every pair to it; a
-    # smaller tile makes a screen block one row sample where it is not.
+    # smaller tile makes the group step run where it does not.
     points, aug = _GROUP_CASES[case]
     (n, d), v = points.shape, aug.num_views
     if TILE_BYTES // (4 * v * v * n) > 1:
         monkeypatch.setattr(augment, "TILE_BYTES", 4 * v * v * n)
     group_floor, floors = augment._group_floor, []
 
-    def spy(coords, aug, need, buf):
-        out = group_floor(coords, aug, need, buf)
-        floors.append((out, need.copy()))
+    def spy(coords, aug, rows, cols, buf):
+        out = group_floor(coords, aug, rows, cols, buf)
+        floors.append((out, rows, cols))
         return out
 
     monkeypatch.setattr(augment, "_group_floor", spy)
     levels = distance_levels(points, aug, [0.0])
     coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
-    rows, cols = np.indices((n, n)).reshape(2, -1)
-    exact = np.sqrt(augment._exact_minima(coords, v, rows, cols)).reshape(n, n)
+    every = np.indices((n, n)).reshape(2, -1)
+    exact = np.sqrt(augment._exact_minima(coords, v, *every)).reshape(n, n)
     np.testing.assert_array_equal(levels, exact > 0)
     if not aug.continuous:
         assert floors == []
         return
-    [(floor, need)] = floors
+    [(floor, rows, cols)] = floors
+    need = np.zeros((n, n), dtype=bool)
+    need[rows, cols] = True
     np.testing.assert_array_equal(need, np.triu(exact > 0, 1))
-    assert np.all(floor <= exact[need])
+    assert np.all(floor <= exact[rows, cols])
     settled = np.mean(floor > 0)
     assert settled < 0.05 if case == "rotation last" else settled > 0.2
     _assert_levels_match_reference(points, aug)
     if case == "rotation last":
         _assert_levels_of_augmented_distance(points, aug)
+
+
+# The ``_BOUND_CASES`` and four ring shapes of the scale ladder, one class each.
+_STEP_CASES = {
+    **_BOUND_CASES,
+    **{f"n{n}_v{aug.num_views}": (_class_points(_ring_dataset(n), 0), aug)
+       for n in (14, 32) for aug in (_RING_V26, _RING_V126)},
+}
+
+
+@pytest.mark.parametrize("case", list(_STEP_CASES))
+def test_every_step_bounds_the_exact_level_pair_by_pair(monkeypatch, case):
+    # Each step's lower and upper levels must hold the exact level of every
+    # pair it is given. The exact distances are checked against
+    # ``augmented_distance``. Beside a coarse grid, the grid of every exact
+    # distance and its float64 neighbours puts a delta at each pair's
+    # distance, so a bound one float64 step on the wrong side of it shows. A
+    # smaller tile makes the group step run where it does not.
+    points, aug = _STEP_CASES[case]
+    (n, d), v = points.shape, aug.num_views
+    assert not _fits_all_pairs(n, aug, d)
+    if TILE_BYTES // (4 * v * v * n) > 1:
+        monkeypatch.setattr(augment, "TILE_BYTES", 4 * v * v * n)
+    coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
+    every = np.indices((n, n)).reshape(2, -1)
+    exact = np.sqrt(augment._exact_minima(coords, v, *every)).reshape(n, n)
+    for i, j in [(0, 1), (0, n - 1), (n - 2, n - 1)]:
+        assert exact[i, j] == augmented_distance(points[i], points[j], aug)
+    near = np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)])
+    steps = _spy_steps(monkeypatch)
+    for deltas in (_grids(exact)[0], np.unique(np.maximum(near, 0.0))):
+        steps.clear()
+        expected = np.searchsorted(deltas, exact, side="left")
+        np.testing.assert_array_equal(distance_levels(points, aug, deltas), expected)
+        names = [name for name, *_ in steps]
+        assert names == [s for s in ("pre_pass", "group", "screen", "exact") if s in names]
+        assert names[:2] == ["pre_pass", "group"]
+        for name, rows, cols, lo, hi in steps:
+            level = expected[rows, cols]
+            assert np.all(lo <= level) and np.all(level <= hi), name
+
+
+def test_a_pair_settles_at_a_middle_level_without_the_screen(monkeypatch):
+    # A rotation by at most 0 repeats each point, so both the identity bound
+    # and the group floor of a pair lie within rounding of its distance. On
+    # 25 points of the unit lattice and a grid of half the smallest and
+    # twice the largest distance, the pre-pass's upper level and the group's
+    # lower level meet at level 1 for every pair, and no pair reaches the
+    # screen.
+    points = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)[:25]
+    aug = AugmentationSet((identity(), rotation_2d((0, 1), 0.0, 2.0)), 5)
+    n, v = len(points), aug.num_views
+    monkeypatch.setattr(augment, "TILE_BYTES", 4 * v * v * n)
+    distances = _row_block_distance_matrix(points, aug)[~np.eye(n, dtype=bool)]
+    widths, pair_minima = [], augment._pair_minima
+
+    def spy(left, right, w, *rest):
+        widths.append(w)
+        return pair_minima(left, right, w, *rest)
+
+    monkeypatch.setattr(augment, "_pair_minima", spy)
+    levels = distance_levels(points, aug, [distances.min() / 2, 2 * distances.max()])
+    np.testing.assert_array_equal(levels, 1 - np.eye(n, dtype=int))
+    # Only the group floor's GEMM runs, on each sample's 2 group centers.
+    assert widths == [2]
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

@@ -588,7 +588,8 @@ def _pair_minima(
     """Smallest GEMM value of each sample pair (rows[k], cols[k]): one GEMM
     per pair, stacked with its gathered operands in ``buf``, ``TILE_BYTES``
     at a time, or, where a pair's GEMM is smaller than its operands and one
-    row sample's fits ``buf``, ``_all_minima`` of the column samples asked."""
+    row sample's fits ``buf``, ``_all_minima`` of the column samples asked:
+    0.95–0.99× the stacked time at 64 and 96 samples × 6 views, 1.5–1.7× at × 26."""
     n = right.shape[0] // w
     v, k = left.shape[0] // n, left.shape[1]
     if v * w < (v + w) * k and v * w * n <= buf.size:

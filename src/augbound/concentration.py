@@ -8,8 +8,8 @@ is the smallest, over classes, of |main part| / |class|.
 
 A graph needs only which side of ``delta`` each distance lies on, so the
 estimators take ``augment.distance_levels`` once per class for the whole
-grid and search the graph at deltas[k] as bit masks of the levels at most
-k, read straight from them: no ``ThresholdGraph`` is built or re-checked.
+grid: a pair at level k (k deltas below its distance) is an edge of the
+graphs from deltas[k] on.
 
 One branch-and-bound search serves both modes. The exact mode runs it to
 completion and returns the lexicographically smallest maximum clique; it
@@ -98,8 +98,8 @@ def _adjacency_masks(adjacency: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _search(adj: list[int], node_budget: int | None) -> tuple[int, ...]:
-    """Largest clique of the ``_adjacency_masks`` ``adj`` by branch and bound, as sorted indices.
+def _search(graph: ThresholdGraph, node_budget: int | None) -> tuple[int, ...]:
+    """Largest clique found by branch and bound, as sorted local vertex indices.
 
     Vertices are explored in ascending order, so a complete search returns
     the lexicographically smallest maximum clique. After ``node_budget``
@@ -107,11 +107,11 @@ def _search(adj: list[int], node_budget: int | None) -> tuple[int, ...]:
     first one. So the first descent completes, and the incumbent is maximal:
     it was last set at a leaf, and a vertex that could extend it would head
     an earlier sibling branch, searched in full, holding a larger clique.
-    A branch on v meets only vertices above v, so a self-loop is ignored.
     """
-    n = len(adj)
+    n = graph.num_nodes
     if n == 0:
         raise ValueError("empty graph has no clique")
+    adj = _adjacency_masks(graph.adjacency)
     limit = math.inf if node_budget is None else node_budget
     best: list[int] = []
     nodes = 0
@@ -155,7 +155,7 @@ def exact_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
     """Lexicographically smallest maximum clique; refuses graphs beyond the
     vertex budget, where approx_max_clique applies."""
     _check_exact_budget(graph.num_nodes)
-    return _search(_adjacency_masks(graph.adjacency), None)
+    return _search(graph, None)
 
 
 def approx_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
@@ -165,7 +165,7 @@ def approx_max_clique(graph: ThresholdGraph) -> tuple[int, ...]:
     whenever the search finishes within the budget (a graph of at most 8
     vertices has at most 2^8 search nodes).
     """
-    return _search(_adjacency_masks(graph.adjacency), APPROX_NODE_BUDGET)
+    return _search(graph, APPROX_NODE_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,13 @@ def _curve(
             local = np.flatnonzero(np.isin(class_ids[k], part))
             if local.size == len(part) and not levels[k][np.ix_(local, local)].any():
                 carried[k] = tuple(int(v) for v in local)
-    budget = None if mode == "exact" else APPROX_NODE_BUDGET
+    search = exact_max_clique if mode == "exact" else approx_max_clique
     sizes = tuple(int(ids.size) for ids in class_ids)
     out: list[ConcentrationEstimate] = []
     for step, delta in enumerate(deltas):
         parts: list[tuple[int, ...]] = []
         for k, ids in enumerate(class_ids):
-            clique = _search(_adjacency_masks(levels[k] <= step), budget)
+            clique = search(build_threshold_graph(levels[k], step))
             # A carried part is a clique of this graph too: this delta is
             # no smaller than the one it was certified at.
             kept = carried[k]

@@ -8,7 +8,6 @@ from augbound.augment import (
     AugmentationSet,
     additive_shift,
     augmented_distance,
-    distance_levels,
     identity,
     sign_flip_mask,
 )
@@ -304,33 +303,6 @@ def test_sigma_delta_curve_matches_pointwise_estimates_in_exact_mode():
         single = estimate_sigma(ds, aug, delta, mode="exact")
         assert est.sigma == pytest.approx(single.sigma)
         assert est.per_class_sigma == single.per_class_sigma
-
-
-@pytest.mark.parametrize("mode", ["exact", "dual_approx"])
-def test_curve_searches_the_levels_without_building_a_graph(monkeypatch, mode):
-    # Each class's graph at each delta is searched straight from its levels:
-    # no ThresholdGraph is built or checked, and every part is the library
-    # search's clique of that threshold graph. At 8 vertices the budgeted
-    # search is exact, so no step keeps an earlier certificate.
-    ds = _blob_dataset(samples=8, seed=4, spread=0.6)
-    aug = AugmentationSet((identity(), additive_shift((0.3, -0.2))), grid_resolution=3)
-    deltas = [0.1, 0.3, 0.6, 1.2]
-    search = exact_max_clique if mode == "exact" else approx_max_clique
-    class_ids = [ds.class_indices(k) for k in range(ds.num_classes)]
-    levels = [distance_levels(ds.features[ids], aug, deltas) for ids in class_ids]
-    expected = [
-        tuple(tuple(int(ids[v]) for v in search(build_threshold_graph(lv, step)))
-              for ids, lv in zip(class_ids, levels))
-        for step in range(len(deltas))
-    ]
-    assert len({parts for parts in expected}) > 2
-
-    def refused(*args):
-        raise AssertionError("a threshold graph was built")
-
-    monkeypatch.setattr(concentration.ThresholdGraph, "__post_init__", refused)
-    curve = sigma_delta_curve(ds, aug, deltas, mode=mode)
-    assert [est.main_parts for est in curve] == expected
 
 
 def test_sigma_delta_curve_rejects_descending_deltas():

@@ -92,7 +92,9 @@ class Transform:
     """One member of the transform catalog.
 
     Exactly the fields that ``rule`` uses are set; use the factory functions
-    below rather than constructing directly.
+    below rather than constructing directly. NaN and infinite parameters
+    are refused when a transform is built, so a config with one fails when
+    it loads; ``apply`` refuses a NaN theta.
     """
 
     # ``core.from_spec`` names a transform's keys after its rule.
@@ -316,6 +318,9 @@ def view_tensor(points: np.ndarray, aug: AugmentationSet) -> np.ndarray:
     in lexicographic order (first axis slowest). Continuous transforms
     compose in declaration order, one grid coordinate per transform; each is
     applied once per grid value, a scalar theta, to all grid rows so far.
+    So r grid values and n continuous members cost r·n ``Transform.apply``
+    calls, not r^n·n, and every view equals the per-grid-point composition
+    bit for bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     views = [t.apply(points)[:, None] for t in aug.discrete]
@@ -410,6 +415,13 @@ def distance_levels(
     3. screen (``_pair_minima``): the smallest GEMM value m over the pair's
        V×V view pairs gives (m − E)/s² ≤ c ≤ (m + E)/s².
     4. exact (``_exact_minima``): c by the exact formula, at both ends.
+
+    The loop intersects each step's lower and upper level with the pair's
+    interval so far, and a pair is settled once the two ends meet, at a
+    middle level too where the pre-pass's upper end meets the group floor's
+    lower end. A GEMM step computes only the pairs it is given
+    (``_pair_minima``). The extra memory is about one tile plus the N×N
+    output, the N·V views and their two lifted float32 operands.
 
     A bound is (g ± E)/s² rounded outward after each inexact step
     (``_unscaled``): the sum, then the two divisions by s, exact unless

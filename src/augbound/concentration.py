@@ -107,6 +107,11 @@ def _search(graph: ThresholdGraph, node_budget: int | None) -> tuple[int, ...]:
     first one. So the first descent completes, and the incumbent is maximal:
     it was last set at a leaf, and a vertex that could extend it would head
     an earlier sibling branch, searched in full, holding a larger clique.
+
+    The search runs on an explicit stack, one entry per node of the current
+    path holding its candidates not yet branched on, so its depth is not
+    bounded by Python's recursion limit. It visits the nodes of the
+    recursive search (``tests/oracles.py``) in the same order.
     """
     n = graph.num_nodes
     if n == 0:
@@ -114,27 +119,30 @@ def _search(graph: ThresholdGraph, node_budget: int | None) -> tuple[int, ...]:
     adj = _adjacency_masks(graph.adjacency)
     limit = math.inf if node_budget is None else node_budget
     best: list[int] = []
-    nodes = 0
-
-    def extend(current: list[int], candidates: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if len(current) > len(best):
-            best = current.copy()
-        cand = candidates
-        while cand:
-            if len(current) + cand.bit_count() <= len(best):
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            current.append(v)
-            extend(current, cand & adj[v])
-            current.pop()
-            if nodes >= limit:
-                return
-
-    extend([], (1 << n) - 1)
-    return tuple(best)
+    path = [0] * n
+    depth = size = 0
+    stack = [(1 << n) - 1]
+    nodes = 1
+    while True:
+        cand = stack[-1]
+        if cand and depth + cand.bit_count() > size:
+            # Branch on the lowest candidate; the node keeps those above it.
+            low = cand & -cand
+            cand ^= low
+            stack[-1] = cand
+            v = low.bit_length() - 1
+            path[depth] = v
+            depth += 1
+            nodes += 1
+            if depth > size:
+                best, size = path[:depth], depth
+            stack.append(cand & adj[v])
+            continue
+        # The node is done; once the budget is spent its parent takes no further branch.
+        stack.pop()
+        if not stack or nodes >= limit:
+            return tuple(best)
+        depth -= 1
 
 
 def _check_exact_budget(num_nodes: int) -> None:

@@ -122,7 +122,12 @@ class Layer:
 
 @dataclass(frozen=True)
 class EncoderModel:
-    """Feed-forward encoder; treat instances as immutable. Its sphere has radius 1."""
+    """Feed-forward encoder; treat instances as immutable. Its sphere has radius 1.
+
+    A model carries no radius of its own: radius 1 is checked where it
+    enters, in the config (``_check_pairing``), ``init_encoder`` and the
+    ``model.bin`` header.
+    """
 
     layers: tuple[Layer, ...]
     norm_mode: NormMode = "sphere"
@@ -196,7 +201,10 @@ def forward_prenorm(model: EncoderModel, x: np.ndarray) -> np.ndarray:
 
 class _Sums(NamedTuple):
     """Constant weight vectors that turn the reductions over an (n, d)
-    batch into matrix–vector products, each one BLAS call."""
+    batch into matrix–vector products, each one BLAS call: the sphere's
+    squared norms, the InfoNCE score difference z1·(z_neg − z2), the batch
+    means and variances, the backward sums of both normalizations and the
+    bias gradients."""
 
     row_sum: np.ndarray  # (d, 1) ones: a @ row_sum is the (n, 1) column of row sums
     col_sum: np.ndarray  # (n,) ones: col_sum @ a is the (d,) vector of column sums
@@ -374,7 +382,13 @@ def make_train_batch(
     with_negatives: bool,
 ) -> ViewBatch:
     """Sample anchors uniformly, two views each, plus one view of an
-    independent sample per anchor when negatives are requested."""
+    independent sample per anchor when negatives are requested.
+
+    The order of the generator draws is part of the reproducibility
+    contract: the anchor indices, then per view batch (anchors, positives,
+    then negatives after their own indices) the draws of ``sample_views``.
+    ``_block_draws`` decodes the same stream for a whole chunk of steps.
+    """
     idx = rng.integers(0, dataset.num_samples, size=batch_size)
     points = dataset.features[idx]
     anchors = sample_views(points, aug, rng)
@@ -691,13 +705,15 @@ def train(
     """Minibatch SGD; returns the new model and a (steps, 4) trace.
 
     Trace columns are step, total, l1, l2, recorded at the parameters the
-    step started from. Aborts with the step index if the updated parameters
+    step started from; ``experiments.stage_train`` writes the trace as
+    ``trace.csv``. Aborts with the step index if the updated parameters
     or the loss go non-finite (learning rate too high). Zero steps returns
     a copy of the model with an empty trace. The caller's model is never
     modified.
 
     The batches are those of ``make_train_batch`` called once per step on
-    one generator seeded with ``config.seed``. This is ``_train_stack``
+    one generator seeded with ``config.seed``, so the same config gives the
+    same trace and parameters, float for float. This is ``_train_stack``
     for a stack of one, which describes how the steps run and are checked.
     """
     (result,) = _train_stack([model], dataset, [aug], config)
@@ -743,14 +759,17 @@ def _train_stack(
     axis (``_gradient`` of a ``_Stack``), computes only the gradient and the
     update, and keeps each step's embeddings (F for cross_corr). Last, per
     level, one vectorized pass of the loss kernels gives every step's l1,
-    l2 and total, the values that ``loss_and_gradient`` reports for the
-    step.
+    l2 and total. The kernels reduce only over trailing contiguous axes, so
+    each value equals what ``loss_and_gradient`` reports for the step, bit
+    for bit.
 
     The step loop runs unchecked, under an error state that raises every
     floating-point event the caller does not ignore, and writes each step's
     norms or variances into an array of the chunk. One check per level
     follows: its parameters, norms and variances are finite, and no norm or
-    variance is below its floor. A level that fails it (every level, if the
+    variance is below its floor (``_MIN_NORM``, ``_MIN_VAR``). Finiteness is
+    checked too because a norm or variance that overflows would map its
+    rows to zero. A level that fails it (every level, if the
     loop raised ``FloatingPointError``) is replayed alone from its starting
     parameters with every step's checks, under the caller's error state,
     which raises and warns as a loop checked at every step does. A replay
@@ -910,6 +929,10 @@ def lipschitz_upper_bound(model: EncoderModel) -> float:
 
 
 def save_model(model: EncoderModel, path: str, seed: int | None = None) -> None:
+    """Write ``model.bin``: a magic, a JSON header (layer shapes,
+    activations, norm mode, radius 1, seed) and the float64 parameters.
+    The pipeline never reads it back; the test oracle ``load_model`` in
+    ``tests/oracles.py`` does, and refuses a header with another radius."""
     import json
     import struct
 

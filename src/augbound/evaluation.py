@@ -88,7 +88,8 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     distribution. The certificate is the layer product times 2 / c on the
     unit sphere, with c the smallest pre-projection norm on the grid (it
     holds between points whose norms reach c), or times 1 / c, with c the
-    smallest scale.
+    smallest scale. As vanishing and overflowing norms or variances are
+    refused, the certificate is finite and never 0.
     """
     n, v, _ = views.shape
     pre = forward_prenorm(model, views.reshape(n * v, -1))
@@ -222,6 +223,8 @@ def _usable_cpus() -> int:
 # Threads that compute the tiles of one population InfoNCE term: the calling
 # thread plus at most one helper. Each holds one tile of ``TILE_BYTES //
 # _WORKERS``, so the tiles in flight together stay within ``TILE_BYTES``.
+# Under ``taskset -c 0`` (one usable CPU) every tile is ``TILE_BYTES``, all
+# on the calling thread. There is no setting for it.
 _WORKERS = min(2, _usable_cpus())
 
 
@@ -392,7 +395,8 @@ def population_loss(
     each row's weighted logs in one row ``sum``: unlike a BLAS product,
     whose rounding changes with the block shape, neither depends on the
     tile's width. The per-row values are reduced once in a fixed order, so
-    the result does not depend on the worker count or the tiling.
+    the result does not depend on the worker count or the tiling. The
+    extra memory is one ``TILE_BYTES`` in all, plus the N·V embeddings.
     """
     means = embedded.means
     if kind == "info_nce":

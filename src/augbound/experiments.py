@@ -504,7 +504,13 @@ def stage_evaluate(
     out_dir: str,
 ) -> EvalRecord:
     """Measure the trained encoder over the view grid; write the record to
-    ``evaluation.csv`` and return it."""
+    ``evaluation.csv`` and return it.
+
+    The network runs over the dataset's view grid once (``embed_views``).
+    The raw samples' embeddings, which the nearest-center rule classifies
+    for ``err``, are the identity's column of that grid: the identity is a
+    required member, and its view of a sample is the sample itself.
+    """
     with _stage("evaluate"):
         views = view_tensor(dataset.features, config.augmentation)
         weights = view_weights(config.augmentation)

@@ -1,15 +1,22 @@
 """Write every benchmark workload's artifacts at the gate seeds, for ``diff -r``.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
-Run it once with each version of ``augbound`` on ``PYTHONPATH``, with one
-BLAS thread as the benchmark harness pins it, and compare the two trees:
+It is the byte-identity gate of a change that must not move an artifact:
+write the tree with the parent commit and with the change, each from its
+own checkout and with one BLAS thread as the benchmark harness pins it,
+then compare the two trees. An empty ``diff -r`` passes the gate.
 
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
-        PYTHONPATH=src python tests/artifact_tree.py OUT
+    export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+    (cd PARENT_CHECKOUT && PYTHONPATH=src python tests/artifact_tree.py PARENT_TREE)
+    (cd CHANGE_CHECKOUT && PYTHONPATH=src python tests/artifact_tree.py CHANGE_TREE)
+    diff -r PARENT_TREE CHANGE_TREE
+
+``git archive PARENT | tar -x -C PARENT_CHECKOUT`` makes the parent's
+checkout in an empty directory. Each tree directory must not exist yet.
 
 Every config of the ``fixtures``, ``ring_pairs`` and ``scale_ladder``
 workloads (``bench/workloads.py``, loaded by path) runs at each of its
-``GATE_SEEDS`` master seeds into ``OUT/<workload>/<label>_s<seed>/``. A run
+``GATE_SEEDS`` master seeds into ``<tree>/<workload>/<label>_s<seed>/``. A run
 that a stage refuses keeps what it wrote, and its ``StageError`` message
 goes to an ``ERROR`` file beside it, so the refusals are compared too.
 """

@@ -14,17 +14,23 @@ products with vectors of ones.
 ``encoder._norm_forward`` with the batch's own statistics. ``load_model``
 reads back a ``model.bin`` written by ``encoder.save_model``. The pipeline
 calls neither.
+
+``recursive_search`` is ``concentration._search`` as a recursion, one call
+per search node: the form the search had before it ran on an explicit
+stack, and the reference for its clique and node budget rule.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from augbound import encoder, losses
+from augbound.concentration import ThresholdGraph, _adjacency_masks
 from augbound.encoder import _MODEL_MAGIC, EncoderModel, Layer, forward_prenorm, with_params
 
 
@@ -167,3 +173,34 @@ def load_model(path: str) -> tuple[EncoderModel, int | None]:
             return with_params(skeleton, params), header["seed"]
         except (struct.error, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model file: {exc!r}") from None
+
+
+def recursive_search(graph: ThresholdGraph, node_budget: int | None) -> tuple[int, ...]:
+    """``concentration._search`` with one recursive call per search node."""
+    n = graph.num_nodes
+    if n == 0:
+        raise ValueError("empty graph has no clique")
+    adj = _adjacency_masks(graph.adjacency)
+    limit = math.inf if node_budget is None else node_budget
+    best: list[int] = []
+    nodes = 0
+
+    def extend(current: list[int], candidates: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if len(current) > len(best):
+            best = current.copy()
+        cand = candidates
+        while cand:
+            if len(current) + cand.bit_count() <= len(best):
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            current.append(v)
+            extend(current, cand & adj[v])
+            current.pop()
+            if nodes >= limit:
+                return
+
+    extend([], (1 << n) - 1)
+    return tuple(best)

@@ -662,6 +662,22 @@ def test_an_over_budget_sweep_level_fails_at_concentration(tmp_path, monkeypatch
     ]
 
 
+def test_a_dual_approx_run_of_a_thousand_per_class_finds_each_whole_class(tmp_path):
+    # Each class graph is complete at both deltas, so the search's first
+    # descent is 1,000 nodes deep: deeper than Python's recursion limit.
+    raw = {label: data for label, _, data in INEQUALITY_FIXTURES}["info_nce_d2_k2"]
+    data = {
+        **raw,
+        "dataset": {**raw["dataset"], "samples_per_class": 1000},
+        "analysis": {**raw["analysis"], "clique_mode": "dual_approx"},
+    }
+    out = tmp_path / "out"
+    assert main(["concentration", "--config", _write_config(tmp_path, data), "--out", str(out)]) == 0
+    rows = _csv_rows(out / "concentration.csv")
+    assert len(rows) == 4
+    assert {(row["main_part_size"], row["sigma"]) for row in rows} == {("1000", "1.0")}
+
+
 def test_loaded_dataset_round_trips_through_pipeline(tmp_path):
     config = config_from_dict(_config_dict())
     dataset = generate_dataset(config.dataset)

@@ -1,5 +1,7 @@
 """Threshold graphs, clique search, and sigma estimation."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from augbound.concentration import (
     sigma_delta_curve,
 )
 from augbound.core import Dataset, GeneratorConfig, generate_dataset
+from oracles import recursive_search
 
 
 def brute_force_max_clique_size(adjacency: np.ndarray) -> int:
@@ -210,6 +213,22 @@ def test_approx_clique_when_the_budget_runs_out():
     assert is_maximal(g.adjacency, approx)
     assert list(approx) == sorted(approx)
     assert all(approx_max_clique(g) == approx for _ in range(3))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 7, 256])
+def test_search_matches_the_recursive_search(budget):
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(1, 41))
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        assert concentration._search(g, budget) == recursive_search(g, budget)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # The first descent on a complete graph is one node per vertex.
+    n = sys.getrecursionlimit() + 100
+    g = build_threshold_graph(np.zeros((n, n)), 1.0)
+    assert approx_max_clique(g) == tuple(range(n))
 
 
 def _blob_dataset(samples=6, seed=0, spread=0.2):

@@ -14,7 +14,7 @@ import functools
 import io
 import math
 import types
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import MISSING, asdict, dataclass
 from functools import cached_property
 from typing import Literal, Union, get_args, get_origin, get_type_hints
@@ -259,19 +259,38 @@ def csv_value(value: object) -> str:
 
 
 def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
-    """Write ``header`` then ``rows`` to ``path``, every cell through :func:`csv_value`.
+    """Write ``header`` then ``rows`` to ``path``, each cell as :func:`csv_value` formats it.
 
     The bytes are those of ``csv.writer``'s default dialect: minimal quoting
-    and CRLF line ends. The file is built as one string and written at once.
+    and CRLF line ends. The file is built as one string and written at once,
+    column by column where the rows are of one nonzero length: a column of
+    floats takes ``float.__repr__`` and one of ints ``int.__repr__``, which
+    give ``csv_value``'s strings and never need quoting, so the records are
+    plain joins unless another column needs the check of ``_csv_record``.
+    Other columns and ragged rows go cell by cell through ``csv_value``.
     """
+    rows = [tuple(row) for row in rows]
     lines = [_csv_record(list(header))]
-    lines += [_csv_record([csv_value(cell) for cell in row]) for row in rows]
+    if rows and rows[0] and len(set(map(len, rows))) == 1:
+        columns, plain = [], True
+        for column in zip(*rows):
+            kinds = set(map(type, column))
+            if all(issubclass(kind, float) for kind in kinds):
+                columns.append(map(float.__repr__, column))
+            elif kinds == {int}:
+                columns.append(map(int.__repr__, column))
+            else:
+                columns.append(map(csv_value, column))
+                plain = False
+        lines += map(",".join, zip(*columns)) if plain else map(_csv_record, zip(*columns))
+    else:
+        lines += [_csv_record([csv_value(cell) for cell in row]) for row in rows]
     lines.append("")
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
 
 
-def _csv_record(cells: list[str]) -> str:
+def _csv_record(cells: Sequence[str]) -> str:
     """One CSV line as ``csv.writer`` writes it, without the line end.
 
     A record with no comma, quote, CR or LF in any cell, and not one lone

@@ -23,10 +23,14 @@ axis, and each level's model, trace or error is that of training it
 alone. ``train`` is a stack of one, which runs on unstacked arrays.
 
 A step's arrays are a few dozen rows of a few columns, so its count of
-numpy calls, not its arithmetic, sets its cost. Its sums are all
-matrix–vector products with the constant vectors of ``_Sums``, one BLAS
-call each. ``_norm_forward``, the one output normalization, also gives the
-frozen map of :func:`augbound.evaluation.embed_views`.
+numpy calls and the Python around them, not its arithmetic, set its cost.
+Its sums are all matrix–vector products with the constant vectors of
+``_Sums``, one BLAS call each. A ``_Workspace``, built once per chunk,
+binds the parameter views and holds every buffer, so a step writes each
+intermediate with ``out=``, looks nothing up, and makes one call where two
+operands take the same operation. ``_norm_forward``, the one output
+normalization, also gives the frozen map of
+:func:`augbound.evaluation.embed_views`.
 
 Training validates its inputs once, at entry: the pairing of loss and
 normalization, the dataset dimension against the encoder, and every
@@ -180,10 +184,8 @@ def init_encoder(
 # ---------------------------------------------------------------------------
 
 
-def _forward_layers(
-    model: EncoderModel | _Stack, x: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Layer outputs of (n, D) rows ``x``, or of (L, n, D) for a ``_Stack``."""
+def _forward_layers(model: EncoderModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Layer outputs of (n, D) rows ``x``."""
     activations = [x]
     for layer in model.layers:
         pre = activations[-1] @ layer.weight.mT + layer.bias
@@ -214,42 +216,46 @@ class _Sums(NamedTuple):
     col_mean: np.ndarray
 
 
-def _sums(n: int, d: int) -> _Sums:
-    return _Sums(np.ones((d, 1)), np.ones(n), np.full(n, 1.0 / n))
+def _sums(n: int, d: int, stacked: bool = False) -> _Sums:
+    return _Sums(np.ones((d, 1)), np.ones(n), np.full((1,) * stacked + (n,), 1.0 / n))
 
 
 def _norm_forward(
-    model: EncoderModel | _Stack,
+    model: EncoderModel,
     y: np.ndarray,
     sums: _Sums,
     stat: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    buffers: tuple = (None,) * 5,
 ) -> tuple[np.ndarray, tuple]:
     """The output normalization of the (n, d) network outputs ``y``: the
-    embeddings, written into ``out`` when given, and the cache of
-    ``_norm_backward``: (z, row norms (n, 1)) on the unit sphere, else
-    (z, column scales (d,)). Standardization takes its means and variances
-    under the column weights ``sums.col_mean``: 1/n in a step, the view
-    weights in :func:`augbound.evaluation.embed_views`. For a ``_Stack``,
-    ``y`` and every array computed from it have a leading axis of L.
+    embeddings and the cache of ``_gradient``'s backward pass: (z, row norms
+    (n, 1)) on the unit sphere, else (z, column scales (d,)).
+    Standardization takes its means and variances under the column weights
+    ``sums.col_mean``: 1/n in a step, the view weights in
+    :func:`augbound.evaluation.embed_views`. For a stack of L encoders,
+    ``y`` and every array computed from it have a leading axis of L. The
+    arrays are written into ``buffers`` when given (``_Workspace.norm``).
 
     The norms or variances must be finite and at least ``_MIN_NORM`` or
     ``_MIN_VAR``. That is checked here, unless ``stat`` is given: then they
     are written into it for the caller to check (``train`` checks a whole
     chunk's at once).
     """
+    z, t, col, scale, checked_stat = buffers
+    checked = stat is None
+    stat = checked_stat if checked else stat
     if model.norm_mode == "sphere":
-        norms = np.sqrt((y * y) @ sums.row_sum, out=stat)
-        if stat is None and not _within(norms, _MIN_NORM):
+        norms = np.sqrt(np.matmul(np.multiply(y, y, out=t), sums.row_sum, out=stat), out=stat)
+        if checked and not _within(norms, _MIN_NORM):
             raise ValueError("norms vanish or overflow: a zero vector has no sphere projection")
-        z = np.divide(y, norms, out=out)
+        z = np.divide(y, norms, out=z)
         return z, (z, norms)
-    centered = y - sums.col_mean @ y
-    var = np.matmul(sums.col_mean, centered * centered, out=stat)
-    if stat is None and not _within(var, _MIN_VAR):
+    centered = np.subtract(y, np.matmul(sums.col_mean, y, out=col), out=z)
+    var = np.matmul(sums.col_mean, np.multiply(centered, centered, out=t), out=stat)
+    if checked and not _within(var, _MIN_VAR):
         raise ValueError("batch standardization hit a zero-variance or overflowing dimension")
-    scale = np.sqrt(var)
-    z = np.divide(centered, scale, out=out)
+    scale = np.sqrt(var, out=scale)
+    z = np.divide(centered, scale, out=centered)
     return z, (z, scale)
 
 
@@ -291,32 +297,6 @@ def _param_views(model: EncoderModel, flat: np.ndarray) -> list[tuple[np.ndarray
     if pos != flat.shape[-1]:
         raise ValueError("parameter vector size mismatch")
     return views
-
-
-class _StackLayer(NamedTuple):
-    weight: np.ndarray  # (L, out, in)
-    bias: np.ndarray  # (L, 1, out), to broadcast over each level's rows
-    activation: str
-
-
-class _Stack(NamedTuple):
-    """L encoders of one architecture, their parameters on a leading axis:
-    what the step functions take in place of an ``EncoderModel``. Each
-    level's products are slices of one stacked ``matmul``, so they are the
-    products of that encoder alone, bit for bit."""
-
-    layers: tuple[_StackLayer, ...]
-    norm_mode: NormMode
-
-
-def _bind_stack(model: EncoderModel, flat: np.ndarray) -> _Stack:
-    """Encoders shaped as ``model`` whose parameters are views into the
-    (L, P) rows of ``flat``."""
-    layers = tuple(
-        _StackLayer(weight, bias[:, None, :], layer.activation)
-        for (weight, bias), layer in zip(_param_views(model, flat), model.layers)
-    )
-    return _Stack(layers, model.norm_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -538,34 +518,80 @@ def _check_pairing(loss: str, norm_mode: str, radius: float = 1.0) -> None:
         raise ValueError(f"loss '{loss}' needs norm_mode '{needed}' with radius 1")
 
 
-def _norm_backward(
-    model: EncoderModel | _Stack, cache: tuple, dz: np.ndarray, sums: _Sums
-) -> np.ndarray:
-    if model.norm_mode == "sphere":
-        # z = y / |y| on the unit sphere.
-        z, norms = cache
-        return (dz - z * ((dz * z) @ sums.row_sum)) / norms
-    z, scale = cache
-    return (dz - sums.col_mean @ dz - z * (sums.col_mean @ (dz * z))) / scale
+class _Workspace(NamedTuple):
+    """What ``_gradient`` needs for one architecture and step shape, bound
+    and allocated once by ``_workspace``, so that a step looks nothing up and
+    allocates only ``_expit``'s values. Rows are (…, k·B, d) and columns shaped
+    as a step's norms or variances, … being L for a stack and nothing for
+    one encoder. Buffers that a step runs one operation on are adjacent, so
+    that one call covers both: t and dz, the two column scratches, and
+    InfoNCE's w = z_neg − z2, one block ahead of z, with z1."""
+
+    model: EncoderModel  # the architecture, whose parameters are the caller's (…, P)
+    flat_grad: np.ndarray  # (…, P), and the update lr·flat_grad
+    update: np.ndarray
+    # Per layer: weight, weight.mT, bias, whether tanh, its outputs (then its
+    # d_pre), its inputs and their gradient (None for the first layer's) and
+    # the ``_param_views`` of its gradient.
+    layers: tuple[tuple, ...]
+    sums: _Sums
+    config: TrainConfig
+    b: float  # B, the divisor of the batch means
+    # ``_norm_forward``'s buffers: z, t, a column scratch, the scales and
+    # the norms or variances when checked.
+    norm: tuple
+    dz: np.ndarray
+    td: np.ndarray  # (2, …): t and dz
+    cols: np.ndarray  # (2, …): the column scratch and a second one
+    blocks: tuple[np.ndarray, ...]  # the k (…, B, d) blocks of z and of dz
+    d_blocks: tuple[np.ndarray, ...]
+    kept: np.ndarray  # what ``_loss_terms`` needs: z, or F (…, d, d) for cross_corr
+    extra: tuple  # the loss's buffers and views (see ``_workspace``)
 
 
-def _layers_backward(
-    model: EncoderModel | _Stack,
-    activations: list[np.ndarray],
-    d_out: np.ndarray,
-    grad: list[tuple[np.ndarray, np.ndarray]],
-    sums: _Sums,
-) -> None:
-    """Write the parameter gradient into ``grad``, the ``_param_views`` of a
-    flat vector; the gradient of the input is not formed."""
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        post = activations[i + 1]
-        d_pre = d_out * (1.0 - post**2) if layer.activation == "tanh" else d_out
-        np.matmul(d_pre.mT, activations[i], out=grad[i][0])
-        np.matmul(sums.col_sum, d_pre, out=grad[i][1])
-        if i:
-            d_out = d_pre @ layer.weight
+def _workspace(
+    template: EncoderModel, params: np.ndarray, k: int, b: int, config: TrainConfig
+) -> _Workspace:
+    """``_gradient``'s workspace for steps of k·B rows of ``template``'s
+    architecture on ``params``, views of which it binds: one encoder's (P,)
+    vector, or a stack's (L, P) rows, each level's products then slices of
+    one stacked ``matmul``, so those of that encoder alone, bit for bit."""
+    lead, n, d = params.shape[:-1], k * b, template.output_dim
+    sums = _sums(n, d, bool(lead))
+    flat_grad = np.empty_like(params)
+    posts = [np.empty((*lead, n, layer.weight.shape[0])) for layer in template.layers]
+    layers = tuple(
+        (weight, weight.mT, bias[:, None, :] if lead else bias, layer.activation == "tanh",
+         post, x, None if x is None else np.empty_like(x), *grad)
+        for layer, (weight, bias), post, x, grad in zip(
+            template.layers, _param_views(template, params), posts, [None, *posts[:-1]],
+            _param_views(template, flat_grad),
+        )
+    )
+    info_nce = config.loss == "info_nce"
+    rows, td = np.empty((*lead, n + b * info_nce, d)), np.empty((2, *lead, n, d))
+    z_blocks, d_blocks = (np.moveaxis(a.reshape(*lead, -1, b, d), -3, 0) for a in (rows, td[1]))
+    # A step's norms are (k·B, 1) and its variances (d,); a stack's are
+    # (L, k·B, 1) and (L, 1, d).
+    sphere = template.norm_mode == "sphere"
+    column = (*lead, n, 1) if sphere else (*lead, 1, d) if lead else (d,)
+    z = kept = rows[..., b * info_nce :, :]
+    cols, extra = np.empty((2, *column)), ()
+    if info_nce:  # w's block, w and z1, the anchors' and negatives' blocks of dz, the scores
+        extra = (z_blocks[0], z_blocks[:2], d_blocks[::2], cols[0][..., :b, :])
+    elif config.loss == "cross_corr":
+        # F before its symmetrization, g, the diagonals of g and F, z's
+        # blocks swapped, dz's blocks and the coefficients of g.
+        kept, raw, g = (np.empty((*lead, d, d)) for _ in range(3))
+        diagonals = tuple(m.reshape(*lead, d * d)[..., :: d + 1] for m in (g, kept))
+        # As 0-d arrays, which numpy takes faster than floats.
+        coefficients = (np.array(2.0 * config.lam / b), np.array(1.0), np.array(-2.0 / b))
+        extra = (raw, g, *diagonals, z_blocks[::-1], d_blocks, *coefficients)
+    norm = (z, td[0], cols[0], np.empty(column), np.empty(column))
+    return _Workspace(
+        template, flat_grad, np.empty_like(params), layers, sums, config, float(b), norm, td[1], td,
+        cols, tuple(z_blocks[info_nce:]), tuple(d_blocks), kept, extra,
+    )
 
 
 def loss_and_gradient(
@@ -584,83 +610,82 @@ def loss_and_gradient(
     if with_negatives and batch.negatives is None:
         raise ValueError(f"{config.loss} needs a negative batch")
     views = (batch.anchors, batch.positives, batch.negatives)[: 3 if with_negatives else 2]
-    x = np.concatenate(views)
-    grad = np.empty(sum(layer.weight.size + layer.bias.size for layer in model.layers))
-    sums = _sums(len(x), model.output_dim)
-    kept = _gradient(model, x, batch.size, config, _param_views(model, grad), sums)
+    ws = _workspace(model, flat_params(model), len(views), batch.size, config)
+    kept = _gradient(ws, np.concatenate(views))
     l1, l2 = (float(v[0]) for v in _loss_terms(kept[None], batch.size, config))
     lam = 1.0 if config.loss == "info_nce" else config.lam
-    return LossBreakdown(config.loss, l1, l2, lam), grad
+    return LossBreakdown(config.loss, l1, l2, lam), ws.flat_grad
 
 
-def _gradient(
-    model: EncoderModel | _Stack,
-    x: np.ndarray,
-    b: int,
-    config: TrainConfig,
-    grad: list[tuple[np.ndarray, np.ndarray]],
-    sums: _Sums,
-    stat: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Write the loss gradient on stacked views into ``grad`` (the
-    ``_param_views`` of a flat vector) and return what ``_loss_terms`` needs
-    for the step's loss: the (k·B, d) embeddings, or F (d, d) for cross_corr,
-    written into ``out`` when given. For a stack of L encoders, every array
-    has a leading axis of L, and each encoder's arithmetic is that of the
-    encoder alone.
+def _gradient(ws: _Workspace, x: np.ndarray, stat: np.ndarray | None = None) -> np.ndarray:
+    """Write the loss gradient on stacked views ``x`` into ``ws.flat_grad``
+    and return ``ws.kept``, what ``_loss_terms`` needs for the step's loss.
+    For a stack of L encoders every array has a leading axis of L, and each
+    encoder's arithmetic is that of the encoder alone.
 
     ``x`` stacks anchors, positives, then negatives when the loss uses them,
-    ``b`` rows each. The caller checks the pairing. The embeddings are
+    B rows each. The caller checks the pairing. The embeddings are
     normalized here, so the loss kernels of :mod:`augbound.losses` run
-    without the unit-norm and standardization checks of the public losses.
-    Every sum over rows or dimensions is a product with a vector of
-    ``sums``, built for k·B rows of the output dimension. The norms or
+    without the checks of the public losses. Every sum over rows or
+    dimensions is a product with a vector of ``ws.sums``. The norms or
     variances are checked unless ``stat`` is given (see ``_norm_forward``).
+    Each intermediate goes into a buffer of ``ws`` by the operations of the
+    expression in its comment, so with its bits.
     """
-    y, activations = _forward_layers(model, x)
-    cross_corr = config.loss == "cross_corr"
-    z, cache = _norm_forward(model, y, sums, stat, None if cross_corr else out)
-    d = z.shape[-1]
-    blocks = _blocks(z, b)
-    lam = config.lam
+    layers, sums, b, (z, t, _, _, _), dz = ws.layers, ws.sums, ws.b, ws.norm, ws.dz
+    y = x
+    for _, weight_t, bias, tanh, post, _, _, _, _ in layers:  # post = tanh(y @ weight.mT + bias)
+        np.add(np.matmul(y, weight_t, out=post), bias, out=post)
+        y = np.tanh(post, out=post) if tanh else post
+    _, (_, scale) = _norm_forward(ws.model, y, sums, stat, ws.norm)
+    blocks, d_blocks, loss, lam = ws.blocks, ws.d_blocks, ws.config.loss, ws.config.lam
     # dz is d(total)/dz, written block by block: anchors, positives, negatives.
-    dz = np.empty(z.shape)
-    d_blocks = _blocks(dz, b)
-    kept = z
-    if config.loss == "info_nce":
-        # The negative's weight σ(z1·z_neg − z1·z2), from one score
-        # difference z1·(z_neg − z2) per anchor, over B.
-        w = blocks[2] - blocks[1]
-        q = _expit((blocks[0] * w) @ sums.row_sum) / b
-        np.multiply(q, w, out=d_blocks[0])
-        np.multiply(q, blocks[0], out=d_blocks[2])
+    if loss == "info_nce":
+        # The negative's weight q = σ(z1·z_neg − z1·z2) / B, from one score
+        # difference z1·w per anchor, w = z_neg − z2; z1·w waits in the
+        # negatives' block of dz. One product gives q·w and q·z1.
+        w, w_z1, d_outer, scores = ws.extra
+        np.subtract(blocks[2], blocks[1], out=w)
+        np.matmul(np.multiply(blocks[0], w, out=d_blocks[2]), sums.row_sum, out=scores)
+        np.multiply(_expit(scores, b), w_z1, out=d_outer)
         # -q * z1 is the exact negation of the negatives' block.
         np.negative(d_blocks[2], out=d_blocks[1])
-    elif config.loss == "simple":
+    elif loss == "simple":
         # lam * zn - z2 is -z2 + lam * zn exactly: IEEE addition commutes.
-        np.multiply(lam, blocks[2], out=d_blocks[0])
-        d_blocks[0] -= blocks[1]
+        np.subtract(np.multiply(lam, blocks[2], out=d_blocks[0]), blocks[1], out=d_blocks[0])
         np.negative(blocks[0], out=d_blocks[1])
         np.multiply(lam, blocks[0], out=d_blocks[2])
-        dz /= b
+        np.divide(dz, b, out=dz)
     else:
-        kept = f = losses_mod._cross_corr_matrix(blocks[0], blocks[1], out)
-        # d(total)/dF over B: 2·lam·F_ij off the diagonal, -2(1 - F_ii) on it.
-        g = (2.0 * lam / b) * f
-        g.reshape(-1, d * d)[:, :: d + 1] = (-2.0 / b) * (1.0 - f.diagonal(0, -2, -1))
+        raw, g, g_diag, f_diag, swapped, d_rows, off_diagonal, one, on_diagonal = ws.extra
+        f = losses_mod._cross_corr_matrix(blocks[0], blocks[1], ws.kept, raw)
+        # d(total)/dF over B: g = 2·lam·F_ij / B off the diagonal, -2(1 - F_ii) / B on it.
+        np.multiply(off_diagonal, f, out=g)
+        np.multiply(on_diagonal, np.subtract(one, f_diag, out=g_diag), out=g_diag)
         # Each view's block is the other view's block times g.
-        np.matmul(blocks[::-1], g, out=d_blocks)
-    _layers_backward(model, activations, _norm_backward(model, cache, dz, sums), grad, sums)
-    return kept
-
-
-def _blocks(rows: np.ndarray, b: int) -> np.ndarray:
-    """The k (B, d) blocks of (k·B, d) rows as (k, B, d); of a stack's
-    (L, k·B, d), as (k, L, B, d)."""
-    if rows.ndim == 2:
-        return rows.reshape(-1, b, rows.shape[1])
-    return rows.reshape(len(rows), -1, b, rows.shape[2]).swapaxes(0, 1)
+        np.matmul(swapped, g, out=d_rows)
+    # Back through the normalization, into dz: on the unit sphere
+    # (dz - z * ((dz * z) @ row_sum)) / norms, else (dz - col_mean @ dz
+    # - z * (col_mean @ (dz * z))) / scale, with both col_mean products in one call.
+    np.multiply(dz, z, out=t)
+    if ws.model.norm_mode == "sphere":
+        np.multiply(z, np.matmul(t, sums.row_sum, out=ws.cols[0]), out=t)
+    else:
+        means = np.matmul(sums.col_mean, ws.td, out=ws.cols)
+        np.multiply(z, means[0], out=t)
+        np.subtract(dz, means[1], out=dz)
+    d_out = np.divide(np.subtract(dz, t, out=dz), scale, out=dz)
+    # Back through the layers: d_pre = d_out * (1 - post**2) after tanh, and
+    # d_out = d_pre @ weight for the layer below; no gradient of x is formed.
+    for weight, _, _, tanh, post, inputs, d_in, grad_w, grad_b in reversed(layers):
+        if tanh:
+            np.subtract(1.0, np.square(post, out=post), out=post)
+            d_out = np.multiply(d_out, post, out=post)
+        np.matmul(d_out.mT, x if inputs is None else inputs, out=grad_w)
+        np.matmul(sums.col_sum, d_out, out=grad_b)
+        if d_in is not None:
+            d_out = np.matmul(d_out, weight, out=d_in)
+    return ws.kept
 
 
 def _loss_terms(stack: np.ndarray, b: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -674,8 +699,9 @@ def _loss_terms(stack: np.ndarray, b: int, config: TrainConfig) -> tuple[np.ndar
     return losses_mod._simple_terms(blocks)
 
 
-def _expit(t: np.ndarray) -> np.ndarray:
-    """The logistic function 1 / (1 + exp(-t)), elementwise, in the shape of ``t``.
+def _expit(t: np.ndarray, over: float = 1.0) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-t)), elementwise, in the shape of
+    ``t``, divided by ``over``, which rounds as numpy's division does.
 
     Uses libm's ``exp`` through ``math.exp``, as ``scipy.special.expit``
     does, so the values are the same; numpy's vectorized ``exp`` differs
@@ -683,9 +709,9 @@ def _expit(t: np.ndarray) -> np.ndarray:
     """
     values = t.ravel().tolist()
     try:
-        p = np.array([1.0 / (1.0 + math.exp(-x)) for x in values], dtype=np.float64)
+        p = np.array([1.0 / (1.0 + math.exp(-x)) / over for x in values], dtype=np.float64)
     except OverflowError:
-        p = np.array([_logistic(x) for x in values], dtype=np.float64)
+        p = np.array([_logistic(x) / over for x in values], dtype=np.float64)
     return p.reshape(t.shape)
 
 
@@ -756,12 +782,12 @@ def _train_stack(
     bit generator other than PCG64, or at a bounded draw that numpy might
     reject, ``make_train_batch`` itself; see ``_block_draws``). Then one
     step loop runs all levels' steps on parameters stacked on a leading
-    axis (``_gradient`` of a ``_Stack``), computes only the gradient and the
-    update, and keeps each step's embeddings (F for cross_corr). Last, per
-    level, one vectorized pass of the loss kernels gives every step's l1,
-    l2 and total. The kernels reduce only over trailing contiguous axes, so
-    each value equals what ``loss_and_gradient`` reports for the step, bit
-    for bit.
+    axis, in a ``_Workspace`` built for the chunk (so again after the stack
+    narrows), computes only the gradient and the update, and keeps each
+    step's embeddings (F for cross_corr). Last, per level, one vectorized
+    pass of the loss kernels gives every step's l1, l2 and total. The
+    kernels reduce only over trailing contiguous axes, so each value equals
+    what ``loss_and_gradient`` reports for the step, bit for bit.
 
     The step loop runs unchecked, under an error state that raises every
     floating-point event the caller does not ignore, and writes each step's
@@ -773,7 +799,9 @@ def _train_stack(
     loop raised ``FloatingPointError``) is replayed alone from its starting
     parameters with every step's checks, under the caller's error state,
     which raises and warns as a loop checked at every step does. A replay
-    that raises nothing stands; one that raises ends its level with that
+    runs in a workspace of its own, bound to the level's row of the
+    parameters, so it writes no buffer of the other levels. A replay that
+    raises nothing stands; one that raises ends its level with that
     exception, and the other levels go on.
     """
     results: list = [None] * len(models)
@@ -793,16 +821,12 @@ def _train_stack(
     params = np.stack([flat_params(models[i]) for i in live])
     b, d = config.batch_size, template.output_dim
     k = 3 if config.loss in _SPHERE_LOSSES else 2
-    sums = _sums(k * b, d)
-    stack_sums = sums._replace(col_mean=sums.col_mean[None])
-    kept_shape = (d, d) if config.loss == "cross_corr" else (k * b, d)
-    sphere = template.norm_mode == "sphere"
-    stat_floor = _MIN_NORM if sphere else _MIN_VAR
+    stat_floor = _MIN_NORM if template.norm_mode == "sphere" else _MIN_VAR
     # Floating-point events the caller does not ignore end the unchecked pass.
     unchecked_errstate = {
         event: "ignore" if mode == "ignore" else "raise" for event, mode in np.geterr().items()
     }
-    lr = config.learning_rate
+    lr = np.array(config.learning_rate)  # 0-d: numpy takes it faster than a float
     start = 0
     while live and start < config.steps:
         width = len(live)
@@ -814,27 +838,20 @@ def _train_stack(
         ]
         # A chunk's arrays are (steps, L, ...), each step's slice one stack.
         # A single level runs unstacked, on (steps, ...) arrays of its own.
-        # Updating params in place updates the layers of current.
-        if width > 1:
-            lead, step_sums, current = (width,), stack_sums, _bind_stack(template, params)
-            views = np.stack(drawn, axis=1)
-        else:
-            lead, step_sums, current = (), sums, _bind_params(template, params[0])
-            views = drawn[0]
+        # The workspace binds views of params, which the update writes in place.
+        current = params if width > 1 else params[0]
+        ws = _workspace(template, current, k, b, config)
+        flat_grad, update = ws.flat_grad, ws.update
+        views = np.stack(drawn, axis=1) if width > 1 else drawn[0]
         del drawn
-        # A step's norms are (k·B, 1) and its variances (d,); a stack's
-        # norms are (L, k·B, 1) and its variances (L, 1, d).
-        stat_shape = (k * b, 1) if sphere else (1,) * len(lead) + (d,)
-        kept = np.empty((steps, *lead, *kept_shape))
-        stats = np.empty((steps, *lead, *stat_shape))
+        kept = np.empty((steps, *ws.kept.shape))
+        stats = np.empty((steps, *ws.cols.shape[1:]))
         snapshot = params.copy()
-        flat_grad = np.empty_like(params)
-        grad = _param_views(template, flat_grad.reshape(*lead, -1))
         try:
             with np.errstate(**unchecked_errstate):
                 for s in range(steps):
-                    _gradient(current, views[s], b, config, grad, step_sums, stats[s], kept[s])
-                    params -= lr * flat_grad
+                    kept[s] = _gradient(ws, views[s], stats[s])
+                    current -= np.multiply(lr, flat_grad, out=update)
                 # With lr > 0 a non-finite gradient makes the parameters
                 # non-finite, and they stay so in later steps.
                 level_stats = stats.reshape(steps, width, -1)
@@ -846,20 +863,18 @@ def _train_stack(
         except FloatingPointError:
             sound = np.zeros(width, dtype=bool)
         level_views = views.reshape(steps, width, k * b, -1)
-        level_kept = kept.reshape(steps, width, *kept_shape)
+        level_kept = kept.reshape(steps, width, *kept.shape[-2:])
         for p in np.flatnonzero(~sound):
             # Replay the level's chunk alone with the checks of every step,
-            # under the caller's error state: it raises, warns or goes on as
-            # such a loop does.
-            level_params, level_grad = params[p], flat_grad[p]
+            # under the caller's error state, in a workspace of its own: it
+            # raises, warns or goes on as such a loop does.
+            level_params = params[p]
             level_params[...] = snapshot[p]
-            level = _bind_params(template, level_params)
-            level_grad_views = _param_views(template, level_grad)
+            level = _workspace(template, level_params, k, b, config)
             try:
                 for s in range(steps):
-                    x, out = level_views[s, p], level_kept[s, p]
-                    _gradient(level, x, b, config, level_grad_views, sums, out=out)
-                    level_params -= lr * level_grad
+                    level_kept[s, p] = _gradient(level, level_views[s, p])
+                    level_params -= np.multiply(lr, level.flat_grad, out=level.update)
                     if not np.logical_and.reduce(np.isfinite(level_params)):
                         raise RuntimeError(f"training diverged at step {start + s}")
             except Exception as exc:  # what the level's loop alone raises

@@ -162,13 +162,18 @@ def _check_standardized(pooled: np.ndarray) -> None:
 
 
 def _cross_corr_matrix(
-    view1: np.ndarray, view2: np.ndarray, out: np.ndarray | None = None
+    view1: np.ndarray,
+    view2: np.ndarray,
+    out: np.ndarray | None = None,
+    raw: np.ndarray | None = None,
 ) -> np.ndarray:
     """(F + F^T) / 2 for F = view1^T view2 / B, written into ``out`` when
-    given; symmetric by construction. Stacked (..., B, d) views give
-    stacked matrices."""
-    raw = view1.mT @ view2 / view1.shape[-2]
-    return np.divide(raw + raw.mT, 2.0, out=out)
+    given, with F into ``raw``; symmetric by construction. Stacked
+    (..., B, d) views give stacked matrices."""
+    raw = np.matmul(view1.mT, view2, out=raw)
+    raw /= float(view1.shape[-2])  # as / B, without numpy's slower int scalar path
+    out = np.add(raw, raw.mT, out=out)
+    return np.divide(out, 2.0, out=out)
 
 
 def _cross_corr_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

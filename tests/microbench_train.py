@@ -27,6 +27,11 @@ the benchmark's scale ladder.
 The draw cases time ``encoder._sample_chunk`` alone, the views of one
 chunk of 250 steps on the ``info_nce_d2_k2`` shape and of 300 steps on
 the 26-view ring shape (3 views per step, as InfoNCE draws them).
+The step cases time one chunk's step loop alone, as ``encoder._train_stack``
+runs it for one level (workspace set-up, then ``_gradient`` and the update
+per step), on 250 pre-drawn steps of the ``info_nce_d2_k2`` and
+``cross_corr_d2_k2`` shapes, and record the median microseconds per step
+in ``extra_info["us_per_step"]``.
 """
 
 from itertools import combinations
@@ -37,7 +42,7 @@ import pytest
 from augbound import encoder
 from augbound.augment import AugmentationSet, additive_shift, identity, rotation_2d, scaling
 from augbound.core import GeneratorConfig, generate_dataset
-from augbound.encoder import TrainConfig, init_encoder, train
+from augbound.encoder import TrainConfig, flat_params, init_encoder, train
 
 _NORM = {"info_nce": "sphere", "cross_corr": "batch_standardized"}
 # Fixture name: loss, output_dim, num_classes.
@@ -192,3 +197,33 @@ def test_draw_chunk_ring_300_steps(benchmark):
     rng = np.random.default_rng(0)
     views = benchmark(encoder._sample_chunk, _ring_dataset(), aug, 16, 300, 3, rng)
     assert views.shape == (300 * 3 * 16, 3)
+
+
+@pytest.mark.parametrize("fixture", ["info_nce_d2_k2", "cross_corr_d2_k2"])
+def test_step_loop_250_steps(benchmark, fixture):
+    loss, output_dim, num_classes = _FIXTURES[fixture]
+    model = init_encoder(
+        input_dim=2, hidden_dims=(), output_dim=output_dim, norm_mode=_NORM[loss],
+        radius=1.0, seed=0,
+    )
+    config = TrainConfig(loss=loss, steps=250, batch_size=8, learning_rate=0.05, seed=0)
+    k = 3 if loss == "info_nce" else 2
+    rng = np.random.default_rng(0)
+    views = encoder._sample_chunk(_blob_dataset(num_classes), _blob_aug(), 8, 250, k, rng)
+    views = views.reshape(250, k * 8, -1)
+    lr = np.array(config.learning_rate)
+
+    def step_loop():
+        params = flat_params(model)
+        ws = encoder._workspace(model, params, k, 8, config)
+        kept = np.empty((250, *ws.kept.shape))
+        stats = np.empty((250, *ws.cols.shape[1:]))
+        for s in range(250):
+            kept[s] = encoder._gradient(ws, views[s], stats[s])
+            params -= np.multiply(lr, ws.flat_grad, out=ws.update)
+        return params
+
+    params = benchmark(step_loop)
+    assert np.isfinite(params).all()
+    if benchmark.stats is not None:  # None when run with --benchmark-disable
+        benchmark.extra_info["us_per_step"] = benchmark.stats.stats.median / 250 * 1e6

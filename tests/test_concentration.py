@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from augbound import concentration
+import test_acceptance
+from augbound import concentration, experiments
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
@@ -536,3 +537,34 @@ def test_estimate_rejects_inconsistent_construction():
     est = build(((0,), (2, 3)), (2, 2))
     assert est.per_class_sigma == (0.5, 1.0)
     assert est.sigma == 0.5
+
+
+class _Captured(Exception):
+    """Raised in place of acceptance 09's sweep once its config is captured."""
+
+
+def test_median_sigma_rises_with_richness_in_every_block_of_acceptance_09_seeds(monkeypatch):
+    # The robust half of acceptance 09 (ROADMAP direction 18), over its seeds
+    # 0-49 in ten blocks of five. Sigma depends only on the dataset seed and
+    # the augmentation, so no level is trained. The config is captured from
+    # acceptance 09 itself, as its sweep is about to run, so it cannot drift.
+    configs = []
+
+    def capture(config, out_dir):
+        configs.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(test_acceptance, "run_sweep", capture)
+    with pytest.raises(_Captured):
+        test_acceptance.test_09_richness_sweep_improves_sigma_and_error()
+    (config,) = configs
+    levels = experiments._sweep_levels(config, config.sweep)
+    assert [label for label, _ in levels] == ["1", "2", "3"]
+    sigmas = np.empty((50, len(levels)))
+    for seed in range(50):
+        dataset = generate_dataset(experiments.with_seed_override(config, seed).dataset)
+        for i, (_, aug) in enumerate(levels):
+            curve = sigma_delta_curve(dataset, aug, config.delta_grid, config.clique_mode)
+            sigmas[seed, i] = curve[-1].sigma
+    medians = np.median(sigmas.reshape(10, 5, len(levels)), axis=1)
+    assert (np.diff(medians, axis=1) > 0).all(), medians

@@ -1,6 +1,7 @@
 """Dataset generation, validation, and persistence."""
 
 import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -276,3 +277,33 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
     assert path.read_bytes() == oracle.read_bytes()
     with open(path, newline="") as fh:
         assert list(csv.reader(fh))[9] == [""]
+
+
+_F64_THIRD = np.float64(1.0) / 3.0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # Columns of floats, of ints and of other cells, so the records are
+        # built column by column: plain joins, or checked for quoting.
+        [(math.nan, 1, -0.0), (math.inf, -2, 5e-324), (-math.inf, 0, _F64_THIRD)],
+        [(np.float64(0.1), 3), (np.float64(-0.0), 4), (np.float64(1e300), -5)],
+        [(1, 0.5), (True, 2.5), (3, 4.5)],  # a bool in an int column
+        [("a,b", 1.0), ('say "hi"', 2.0), ("cr\rcell", 3.0), ("lf\ncell", 4.0), ("plain", 5.0)],
+        [("",), ("x",), (1.5,)],  # one lone empty cell
+        [(1.0, 2), (3.0,), (4.0, 5, "six")],  # ragged rows
+        [(), ()],
+        [],
+    ],
+    ids=["special_floats", "np_float64", "bool_in_ints", "quoted_text", "lone_empty",
+         "ragged", "empty_rows", "no_rows"],
+)
+def test_write_csv_matches_csv_writer_with_csv_value_per_cell(rows, tmp_path):
+    path, oracle = tmp_path / "table.csv", tmp_path / "oracle.csv"
+    write_csv(str(path), ["a", "b", "c"], iter(rows))
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c"])
+        writer.writerows([csv_value(cell) for cell in row] for row in rows)
+    assert path.read_bytes() == oracle.read_bytes()

@@ -449,7 +449,13 @@ def _one_pass_loss_and_gradient(model, batch, config):
         g = (2.0 * lam / b) * f
         np.fill_diagonal(g, (-2.0 / b) * (1.0 - np.diag(f)))
         np.matmul(np.stack((z2, z1)), g, out=blocks)
-    grad, parts = encoder._norm_backward(model, cache, dz, sums), []
+    if model.norm_mode == "sphere":
+        z, norms = cache
+        grad = (dz - z * ((dz * z) @ ones_d)) / norms
+    else:
+        z, scale = cache
+        grad = (dz - sums.col_mean @ dz - z * (sums.col_mean @ (dz * z))) / scale
+    parts = []
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         post = activations[i + 1]
@@ -786,9 +792,9 @@ def _record_gradient_calls(monkeypatch):
     calls = []
     real = encoder._gradient
 
-    def recording(model, x, b, config, grad, sums, stat=None, out=None):
+    def recording(ws, x, stat=None):
         calls.append(stat is None)
-        return real(model, x, b, config, grad, sums, stat, out)
+        return real(ws, x, stat)
 
     monkeypatch.setattr(encoder, "_gradient", recording)
     return calls
@@ -820,14 +826,13 @@ def _assert_train_fails_as_the_per_step_loop(model, ds, config, expected, monkey
 _ERRSTATES = [{}, {"all": "ignore"}]
 
 
-@pytest.mark.parametrize("chunk_ends_there", [False, True])
-@pytest.mark.parametrize("errstate", _ERRSTATES)
-def test_a_zero_norm_inside_a_chunk_raises_at_its_step(errstate, chunk_ends_there, monkeypatch):
-    # Sample j is first drawn at step s; it is placed where the layer, as
-    # it stands at step s, maps it 1e-14 from the origin, below the 1e-12
-    # the projection needs. The steps before s never read it. The norm is
-    # not zero, so the updates stay finite: only the check of the norms
-    # sees the failure.
+def _near_origin_case():
+    """A dataset, sphere model and config whose run stops at step s with a
+    norm below the floor: sample j is first drawn at step s and is placed
+    where the layer, as it stands at step s, maps it 1e-14 from the origin,
+    below the 1e-12 the projection needs. The steps before s never read it.
+    The norm is not zero, so the updates stay finite: only the check of the
+    norms sees the failure. Returns the dataset, model, config and s."""
     rng = np.random.default_rng(40)
     features = rng.uniform(-1.0, 1.0, (40, 2))
     labels = np.repeat([0, 1], 20)
@@ -848,13 +853,18 @@ def test_a_zero_norm_inside_a_chunk_raises_at_its_step(errstate, chunk_ends_ther
     )
     layer = trained.layers[0]
     features[j] = np.linalg.solve(layer.weight, np.array([1e-14, 0.0]) - layer.bias)
+    return Dataset(features, labels), model, config, s
+
+
+@pytest.mark.parametrize("chunk_ends_there", [False, True])
+@pytest.mark.parametrize("errstate", _ERRSTATES)
+def test_a_zero_norm_inside_a_chunk_raises_at_its_step(errstate, chunk_ends_there, monkeypatch):
+    ds, model, config, s = _near_origin_case()
     if chunk_ends_there:
         step_bytes = 3 * config.batch_size * (2 + model.output_dim) * 8
         monkeypatch.setattr(encoder, "TILE_BYTES", (s + 1) * step_bytes + step_bytes // 2)
     with np.errstate(**errstate):
-        _assert_train_fails_as_the_per_step_loop(
-            model, Dataset(features, labels), config, ValueError, monkeypatch
-        )
+        _assert_train_fails_as_the_per_step_loop(model, ds, config, ValueError, monkeypatch)
 
 
 @pytest.mark.parametrize("errstate", _ERRSTATES)
@@ -1000,13 +1010,14 @@ def _resting_pole():
     return EncoderModel((rest, head), norm_mode="sphere")
 
 
-@pytest.mark.parametrize("chunk_steps", [None, 5])
+@pytest.mark.parametrize("chunk_steps", [None, 1, 5, 7, 59])
 @pytest.mark.parametrize("errstate", [{"over": "ignore"}, {"all": "ignore"}])
 def test_a_stack_level_that_diverges_ends_at_its_step_and_the_others_go_on(
     errstate, chunk_steps, monkeypatch
 ):
-    # The collapsing levels draw the outlier at steps 7 and 1, in different
-    # chunks when a chunk is 5 steps; the resting level trains on.
+    # The collapsing levels draw the outlier at steps 7 and 1: in different
+    # chunks when a chunk is 5 steps, step 7 at a chunk's start when it is 1
+    # or 7 steps, and both inside one chunk of 59. The resting level trains on.
     ds, collapsing = _pole_collapse()
     flip = AugmentationSet(transforms=(identity(), sign_flip_mask((-1.0, 1.0))))
     models = [collapsing, _resting_pole(), collapsing]
@@ -1021,6 +1032,61 @@ def test_a_stack_level_that_diverges_ends_at_its_step_and_the_others_go_on(
     assert str(first) == "training diverged at step 7"
     assert str(second) == "training diverged at step 1"
     np.testing.assert_array_equal(flat_params(rest[0]), flat_params(_resting_pole()))
+
+
+def _record_workspaces(monkeypatch):
+    """Wrap ``encoder._workspace``; the returned list gets each call's
+    parameters and workspace."""
+    built = []
+    real = encoder._workspace
+
+    def recording(template, params, k, b, config):
+        built.append((params, real(template, params, k, b, config)))
+        return built[-1][1]
+
+    monkeypatch.setattr(encoder, "_workspace", recording)
+    return built
+
+
+def _written_arrays(ws):
+    """The arrays of a workspace that a step writes or reads as its own:
+    all but the parameter views and the sums."""
+    arrays = [ws.flat_grad, ws.update, ws.td, ws.cols, ws.kept, *ws.norm, *ws.extra]
+    for layer in ws.layers:
+        arrays += layer[4:]
+    return [array for array in arrays if isinstance(array, np.ndarray)]
+
+
+@pytest.mark.parametrize("chunk_steps", [1, 7, 9, 59])
+def test_a_stack_that_narrows_trains_its_other_levels_as_alone(chunk_steps, monkeypatch):
+    # Level 0 fails its norm check at step 18: at a chunk's start when a
+    # chunk is 1 or 9 steps, inside one when it is 7 or 59. Levels 1 and 2
+    # train through that chunk and on, two wide, to step 70, as each does
+    # alone; the replay of level 0 runs in a workspace that shares no buffer
+    # with the stack's and binds only level 0's parameters.
+    ds, model, config, s = _near_origin_case()
+    assert s == 18
+    config = dataclasses.replace(config, steps=70)
+    models = [
+        model,
+        with_params(model, 1.25 * flat_params(model)),
+        init_encoder(2, (), 2, "sphere", 1.0, seed=7),
+    ]
+    step_bytes = 3 * 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
+    built = _record_workspaces(monkeypatch)
+    stacked = encoder._train_stack(models, ds, [_IDENTITY_ONLY] * 3, config)
+    assert type(stacked[0]) is ValueError and all(isinstance(r, tuple) for r in stacked[1:])
+    stacks = [(p, ws) for p, ws in built if p.ndim == 2]
+    stack_params, stack_ws = stacks[18 // chunk_steps]
+    (replay_params, replay_ws), = [(p, ws) for p, ws in built if p.ndim == 1]
+    assert stack_params.shape[0] == 3 and stacks[-1][0].shape[0] == 2
+    assert np.shares_memory(replay_params, stack_params[0])
+    assert not np.shares_memory(replay_params, stack_params[1:])
+    for replay_array in _written_arrays(replay_ws):
+        for stack_array in _written_arrays(stack_ws):
+            assert not np.shares_memory(replay_array, stack_array)
+    _assert_stack_matches_train_alone(models, ds, [_IDENTITY_ONLY] * 3, config)
 
 
 def test_a_stack_reports_each_levels_input_error_and_trains_the_rest():

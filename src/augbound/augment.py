@@ -419,9 +419,10 @@ def distance_levels(
     The loop intersects each step's lower and upper level with the pair's
     interval so far, and a pair is settled once the two ends meet, at a
     middle level too where the pre-pass's upper end meets the group floor's
-    lower end. A GEMM step computes only the pairs it is given
-    (``_pair_minima``). The extra memory is about one tile plus the N×N
-    output, the N·V views and their two lifted float32 operands.
+    lower end. The group floor and the screen stack one GEMM per pair they
+    are given (``_pair_minima``) and compute no other pair. The extra
+    memory is about one tile plus the N×N output, the N·V views and their
+    two lifted float32 operands.
 
     A bound is (g ± E)/s² rounded outward after each inexact step
     (``_unscaled``): the sum, then the two divisions by s, exact unless
@@ -520,7 +521,7 @@ def _steps(coords: np.ndarray, aug: AugmentationSet, deltas: np.ndarray) -> list
     buf = np.empty(max(TILE_BYTES // 4, v * max(n, v + 2 * len(coords) + 4)), dtype=np.float32)
 
     def pre_pass(rows, cols):
-        h = _all_minima(left, lifted[aug.discrete.index(identity()) :: v], v, 1, buf)
+        h = _all_minima(left, lifted[aug.discrete.index(identity()) :: v], v, buf)
         return 0, _level(deltas, _unscaled(np.minimum(h, h.T)[rows, cols], bound, scale))
 
     def group(rows, cols):
@@ -577,50 +578,41 @@ def _lifted(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     return lifted, left, bound, math.ldexp(1.0, -exponent - k)
 
 
-def _all_minima(left: np.ndarray, right: np.ndarray, v: int, w: int, buf: np.ndarray) -> np.ndarray:
+def _all_minima(left: np.ndarray, right: np.ndarray, v: int, buf: np.ndarray) -> np.ndarray:
     """(R, C) smallest GEMM value of each sample pair (i, j) over row sample
-    i's v views, as the GEMM rows ``left``, and column sample j's w views,
-    as the lifted views ``right``, in blocks of as many row samples as fit
-    one ``TILE_BYTES`` GEMM against all columns in ``buf``, at least one."""
-    n_rows, n_cols = left.shape[0] // v, right.shape[0] // w
+    i's v views, as the GEMM rows ``left``, and column sample j's one view,
+    the lifted ``right[j]``, in blocks of as many row samples as fit one
+    ``TILE_BYTES`` GEMM against all columns in ``buf``, at least one."""
+    n_rows, n_cols = left.shape[0] // v, right.shape[0]
     out = np.empty((n_rows, n_cols), dtype=np.float32)
-    block = max(1, TILE_BYTES // (4 * v * n_cols * w))
+    block = max(1, TILE_BYTES // (4 * v * n_cols))
     for i0 in range(0, n_rows, block):
         rows = left[i0 * v : (i0 + block) * v]
-        g = np.matmul(rows, right.T, out=buf[: rows.shape[0] * n_cols * w].reshape(len(rows), -1))
-        # Both minima run along contiguous rows, the second after a transposed copy.
-        m = g.reshape(-1, v, n_cols * w).min(axis=1).reshape(-1, w).T.copy().min(axis=0)
-        out[i0 : i0 + block] = m.reshape(-1, n_cols)
+        g = np.matmul(rows, right.T, out=buf[: rows.shape[0] * n_cols].reshape(len(rows), -1))
+        out[i0 : i0 + block] = g.reshape(-1, v, n_cols).min(axis=1)
     return out
 
 
 def _pair_minima(
-    left: np.ndarray, right: np.ndarray, w: int, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray
+    left: np.ndarray, right: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray
 ) -> np.ndarray:
-    """Smallest GEMM value of each sample pair (rows[k], cols[k]): one GEMM
-    per pair, stacked with its gathered operands in ``buf``, ``TILE_BYTES``
-    at a time, or, where a pair's GEMM is smaller than its operands and one
-    row sample's fits ``buf``, ``_all_minima`` of the column samples asked:
-    0.95–0.99× the stacked time at 64 and 96 samples × 6 views, 1.5–1.7× at × 26."""
-    n = right.shape[0] // w
-    v, k = left.shape[0] // n, left.shape[1]
-    if v * w < (v + w) * k and v * w * n <= buf.size:
-        used = np.zeros(n, dtype=bool)
-        used[cols] = True
-        sub = _all_minima(left, right.reshape(n, w, k)[used].reshape(-1, k), v, w, buf)
-        return sub[rows, np.cumsum(used)[cols] - 1]
-    row_views, col_views = left.reshape(n, v, k), right.reshape(n, w, k).transpose(0, 2, 1)
+    """Smallest GEMM value of each sample pair (rows[k], cols[k]) over the v
+    views of each sample, as the GEMM rows ``left`` and the lifted views
+    ``right``: one GEMM per pair, stacked with its gathered operands in
+    ``buf``, ``TILE_BYTES`` at a time, so only the pairs asked are computed."""
+    k = left.shape[1]
+    row_views, col_views = left.reshape(-1, v, k), right.reshape(-1, v, k).transpose(0, 2, 1)
     out = np.empty(rows.size, dtype=np.float32)
-    per_pair = v * w + (v + w) * k
+    per_pair = v * v + 2 * v * k
     step = max(1, TILE_BYTES // (4 * per_pair))
     for p in range(0, rows.size, step):
         r, c = rows[p : p + step], cols[p : p + step]
-        a, b, g = np.split(buf[: r.size * per_pair], [r.size * v * k, r.size * (v + w) * k])
+        a, b, g = np.split(buf[: r.size * per_pair], [r.size * v * k, 2 * r.size * v * k])
         # "clip" fills the buffer without a temporary; every index is in range.
         a = row_views.take(r, axis=0, out=a.reshape(r.size, v, k), mode="clip")
-        b = col_views.take(c, axis=0, out=b.reshape(r.size, k, w), mode="clip")
-        g = np.matmul(a, b, out=g.reshape(r.size, v, w))
-        out[p : p + step] = np.minimum.reduceat(g.ravel(), np.arange(0, g.size, v * w))
+        b = col_views.take(c, axis=0, out=b.reshape(r.size, k, v), mode="clip")
+        g = np.matmul(a, b, out=g.reshape(r.size, v, v))
+        out[p : p + step] = np.minimum.reduceat(g.ravel(), np.arange(0, g.size, v * v))
     return out
 
 

@@ -28,7 +28,8 @@ untimed call, for each step that runs (``pre_pass``, ``group``,
 ``screen``, ``exact``; ``exact`` alone on the shapes small enough for the
 all-pairs exact formula): ``asked``, the open pairs of the upper triangle
 it is given; ``computed``, the sample pairs its GEMMs (or the exact
-formula) compute, ordered pairs where a GEMM covers the whole class;
+formula) compute, all N² ordered pairs for the pre-pass, whose GEMMs
+cover the whole class, and exactly the pairs asked for every later step;
 ``settled``, the pairs it settles; and ``middle``, those of them that
 its own bounds leave open, settled by the intersection with the earlier
 steps' bounds. ``computed`` over ``asked`` is the overcompute of a step.

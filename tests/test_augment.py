@@ -344,6 +344,7 @@ def test_distance_levels_memory_is_one_tile_plus_output_and_views(split_workers)
     assert started == []
 
 
+_RING_V6 = AugmentationSet((identity(), _RING_ROTATION), grid_resolution=5)
 _RING_V26 = AugmentationSet((identity(), _RING_ROTATION, _RING_SCALE), grid_resolution=5)
 _RING_V126 = AugmentationSet(
     (identity(), _RING_ROTATION, _RING_SCALE, _RING_SHIFT), grid_resolution=5
@@ -362,6 +363,10 @@ _RING_V126 = AugmentationSet(
         (_RING_V126, 10, 4 * 126 * 126),
         (_RING_V126, 10, 4 * 126 * 126 * 3 + 1),
         (_RING_V126, 10, TILE_BYTES),
+        # V = 6, N = 64: pairs whose GEMM is smaller than its two operands,
+        # with and without the group floor.
+        (_RING_V6, 32, 4 * 6 * 6 * 64),
+        (_RING_V6, 32, TILE_BYTES),
     ],
 )
 def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
@@ -372,8 +377,8 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
     monkeypatch.setattr(augment, "TILE_BYTES", tile_bytes)
     reference = _assert_levels_match_reference(ds.features, aug, block_rows=4)
     # Each GEMM routine call: whole-class or pairwise, its row views per
-    # sample, its column view count w, its row and column samples or the
-    # pairs asked about, and the row count of each of its GEMMs.
+    # sample, its column views per sample, its row and column samples or
+    # the pairs asked about, and the row operand shape of each of its GEMMs.
     calls = []
     all_minima, pair_minima = augment._all_minima, augment._pair_minima
 
@@ -383,16 +388,16 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
 
         @staticmethod
         def matmul(a, b, out):
-            calls[-1][4].append(a.shape[0])
+            calls[-1][4].append(a.shape)
             return np.matmul(a, b, out=out)
 
-    def counted_all(left, right, v, w, buf):
-        calls.append(("all", v, w, (len(left) // v, len(right) // w), []))
-        return all_minima(left, right, v, w, buf)
+    def counted_all(left, right, v, buf):
+        calls.append(("all", v, 1, (len(left) // v, len(right)), []))
+        return all_minima(left, right, v, buf)
 
-    def counted_pairs(left, right, w, rows, cols, buf):
-        calls.append(("pairs", left.shape[0] * w // right.shape[0], w, rows.size, []))
-        return pair_minima(left, right, w, rows, cols, buf)
+    def counted_pairs(left, right, v, rows, cols, buf):
+        calls.append(("pairs", v, v, rows.size, []))
+        return pair_minima(left, right, v, rows, cols, buf)
 
     monkeypatch.setattr(augment, "np", CountedNumpy())
     monkeypatch.setattr(augment, "_all_minima", counted_all)
@@ -402,25 +407,24 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
     # The identity pre-pass over the whole class (V by 1), then, where a
     # GEMM of all rows against one column sample holds at most one row
     # sample, the group floor (G by G, G the discrete views and the run
-    # centers of each sample), and the screen (V by V). Either of the last
-    # two may hand its pairs to one whole-class GEMM.
+    # centers of each sample), and the screen (V by V). Every GEMM after
+    # the pre-pass is stacked per pair.
     g = aug.num_discrete + (v - aug.num_discrete) // aug.grid_resolution
     one_row = tile_bytes // (4 * v * v * n) <= 1
-    steps = [call[:3] for call in calls if call[0] == "pairs" or call[2] == 1]
-    assert steps == [("all", v, 1)] + [("pairs", g, g)] * one_row + [("pairs", v, v)]
-    for before, call in zip(calls, calls[1:]):
-        if call[0] == "all":
-            assert before[:3] == ("pairs", *call[1:3]) and before[4] == []
+    assert [call[:3] for call in calls] == (
+        [("all", v, 1)] + [("pairs", g, g)] * one_row + [("pairs", v, v)]
+    )
     # Every GEMM is as large as the tile allows: whole-class blocks of row
     # samples, or stacks of pairs with their gathered operands.
-    for kind, per_row, w, asked, rows in calls:
+    for kind, per_row, w, asked, shapes in calls:
         if kind == "all":
             n_rows, n_cols = asked
             block = max(1, tile_bytes // (4 * per_row * w * n_cols))
-            assert max(rows) == min(block, n_rows) * per_row
-        elif rows:
+            assert max(shapes) == (min(block, n_rows) * per_row, k)
+        elif shapes:
             step = max(1, tile_bytes // (4 * (per_row * w + (per_row + w) * k)))
-            assert max(rows) == min(step, asked)
+            assert {shape[1:] for shape in shapes} == {(per_row, k)}
+            assert max(shapes)[0] == min(step, asked)
     # Every batch runs on the calling thread, even where threads may start.
     assert started == []
 
@@ -577,9 +581,7 @@ def test_distance_levels_are_exact_on_near_ties_below_the_float32_bound():
 
 # Ring classes at 6, 26 and 126 views, and the extreme magnitudes above.
 _BOUND_CASES = {
-    "V=6": (
-        _class_points(_ring_dataset(48), 0), AugmentationSet((identity(), _RING_ROTATION), 5)
-    ),
+    "V=6": (_class_points(_ring_dataset(48), 0), _RING_V6),
     "V=26": (_class_points(_ring_dataset(25), 0), _RING_V26),
     "V=126": (_class_points(_ring_dataset(25), 0), _RING_V126),
     **{f"x{scale:g}": (_ring_dataset(25).features * scale, _RING_V26)
@@ -606,11 +608,10 @@ def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
             scaled.append(out[2:])
         return out
 
-    def spy_all(left, right, v, w, buf):
-        out = all_minima(left, right, v, w, buf)
-        # The identity pre-pass, not a screen or group GEMM of the whole class.
-        if w == 1:
-            identity_minima.append(out.copy())
+    def spy_all(left, right, v, buf):
+        out = all_minima(left, right, v, buf)
+        # The identity pre-pass, the only whole-class GEMM.
+        identity_minima.append(out.copy())
         return out
 
     def spy_pairs(left, right, w, rows, cols, buf):

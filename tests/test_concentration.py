@@ -206,7 +206,7 @@ def test_approx_clique_is_exact_up_to_eight_vertices():
 
 def test_approx_clique_when_the_budget_runs_out():
     # Dense enough that the complete search needs far more than the budget:
-    # the incumbent (9 vertices) stops short of the maximum (12).
+    # the incumbent (10 vertices) stops short of the maximum (12).
     g = random_graph(np.random.default_rng(4), 32, 0.8)
     approx, exact = approx_max_clique(g), exact_max_clique(g)
     assert len(approx) < len(exact)

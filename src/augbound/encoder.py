@@ -780,7 +780,9 @@ def _train_stack(
     step, decoded from one ``random_raw`` block of the level's generator,
     with each augmentation member applied once to all of its views (for a
     bit generator other than PCG64, or at a bounded draw that numpy might
-    reject, ``make_train_batch`` itself; see ``_block_draws``). Then one
+    reject, ``make_train_batch`` itself; see ``_block_draws``). A stack
+    writes each level's views straight into its row of one (steps, L,
+    k·B, D) array, so no level's views are held twice. Then one
     step loop runs all levels' steps on parameters stacked on a leading
     axis, in a ``_Workspace`` built for the chunk (so again after the stack
     narrows), computes only the gradient and the update, and keeps each
@@ -803,6 +805,11 @@ def _train_stack(
     parameters, so it writes no buffer of the other levels. A replay that
     raises nothing stands; one that raises ends its level with that
     exception, and the other levels go on.
+
+    Each chunk runs in ``_train_chunk``, whose arrays (the views, the kept
+    embeddings, the norms or variances, the parameter snapshot and the
+    workspaces) are all its own: they are released when it returns, before
+    the next chunk draws, so a chunk holds no array of the one before.
     """
     results: list = [None] * len(models)
     for i, (model, aug) in enumerate(zip(models, augs)):
@@ -819,89 +826,116 @@ def _train_stack(
     for trace in traces.values():
         trace[:, 0] = np.arange(config.steps)
     params = np.stack([flat_params(models[i]) for i in live])
-    b, d = config.batch_size, template.output_dim
     k = 3 if config.loss in _SPHERE_LOSSES else 2
+    step_bytes = k * config.batch_size * (dataset.input_dim + template.output_dim) * 8
+    start = 0
+    while live and start < config.steps:
+        stop = min(start + max(1, TILE_BYTES // (len(live) * step_bytes)), config.steps)
+        levels = [(augs[i], rngs[i], traces[i][start:stop]) for i in live]
+        errors = _train_chunk(template, params, dataset, levels, start, k, config)
+        for i, error in zip(live, errors):
+            results[i] = error
+        going_on = [p for p, error in enumerate(errors) if error is None]
+        if len(going_on) < len(live):
+            params = params[going_on]
+            live = [live[p] for p in going_on]
+        start = stop
+    for p, i in enumerate(live):
+        results[i] = (with_params(models[i], params[p]), traces[i])
+    return results
+
+
+def _train_chunk(
+    template: EncoderModel,
+    params: np.ndarray,
+    dataset: Dataset,
+    levels: Sequence[tuple[AugmentationSet, np.random.Generator, np.ndarray]],
+    start: int,
+    k: int,
+    config: TrainConfig,
+) -> list[Exception | None]:
+    """One chunk of ``_train_stack``: the steps from ``start`` of the levels
+    whose parameters are the rows of ``params``, one (augmentation set,
+    generator, trace rows) per level, as many steps as its trace rows.
+
+    Draws, runs the step loop and its checks, replays the levels that fail
+    them, writes each level's trace rows and updates ``params`` in place.
+    Returns per level None, or the exception that ends it. Every array of
+    the chunk is local here, so all are released before the next chunk
+    draws.
+    """
+    steps, width, b = len(levels[0][2]), len(levels), config.batch_size
     stat_floor = _MIN_NORM if template.norm_mode == "sphere" else _MIN_VAR
     # Floating-point events the caller does not ignore end the unchecked pass.
     unchecked_errstate = {
         event: "ignore" if mode == "ignore" else "raise" for event, mode in np.geterr().items()
     }
     lr = np.array(config.learning_rate)  # 0-d: numpy takes it faster than a float
-    start = 0
-    while live and start < config.steps:
-        width = len(live)
-        chunk = max(1, TILE_BYTES // (width * k * b * (dataset.input_dim + d) * 8))
-        steps = min(chunk, config.steps - start)
-        drawn = [
-            _sample_chunk(dataset, augs[i], b, steps, k, rngs[i]).reshape(steps, k * b, -1)
-            for i in live
-        ]
-        # A chunk's arrays are (steps, L, ...), each step's slice one stack.
-        # A single level runs unstacked, on (steps, ...) arrays of its own.
-        # The workspace binds views of params, which the update writes in place.
-        current = params if width > 1 else params[0]
-        ws = _workspace(template, current, k, b, config)
-        flat_grad, update = ws.flat_grad, ws.update
-        views = np.stack(drawn, axis=1) if width > 1 else drawn[0]
-        del drawn
-        kept = np.empty((steps, *ws.kept.shape))
-        stats = np.empty((steps, *ws.cols.shape[1:]))
-        snapshot = params.copy()
+    # A chunk's arrays are (steps, L, ...), each step's slice one stack, and
+    # each level's draws go straight into its row of the views. A single
+    # level runs unstacked, on (steps, ...) arrays of its own.
+    if width > 1:
+        views = np.empty((steps, width, k * b, dataset.input_dim))
+        for p, (aug, rng, _) in enumerate(levels):
+            views[:, p] = _sample_chunk(dataset, aug, b, steps, k, rng).reshape(steps, k * b, -1)
+    else:
+        ((aug, rng, _),) = levels
+        views = _sample_chunk(dataset, aug, b, steps, k, rng).reshape(steps, k * b, -1)
+    # The workspace binds views of params, which the update writes in place.
+    current = params if width > 1 else params[0]
+    ws = _workspace(template, current, k, b, config)
+    flat_grad, update = ws.flat_grad, ws.update
+    kept = np.empty((steps, *ws.kept.shape))
+    stats = np.empty((steps, *ws.cols.shape[1:]))
+    snapshot = params.copy()
+    try:
+        with np.errstate(**unchecked_errstate):
+            for s in range(steps):
+                kept[s] = _gradient(ws, views[s], stats[s])
+                current -= np.multiply(lr, flat_grad, out=update)
+            # With lr > 0 a non-finite gradient makes the parameters
+            # non-finite, and they stay so in later steps.
+            level_stats = stats.reshape(steps, width, -1)
+            sound = (
+                np.logical_and.reduce(np.isfinite(params), axis=1)
+                & (stat_floor <= level_stats.min(axis=(0, 2)))
+                & (level_stats.max(axis=(0, 2)) < math.inf)
+            )
+    except FloatingPointError:
+        sound = np.zeros(width, dtype=bool)
+    level_views = views.reshape(steps, width, k * b, -1)
+    level_kept = kept.reshape(steps, width, *kept.shape[-2:])
+    errors: list[Exception | None] = [None] * width
+    for p in np.flatnonzero(~sound):
+        # Replay the level's chunk alone with the checks of every step,
+        # under the caller's error state, in a workspace of its own: it
+        # raises, warns or goes on as such a loop does.
+        level_params = params[p]
+        level_params[...] = snapshot[p]
+        level = _workspace(template, level_params, k, b, config)
         try:
-            with np.errstate(**unchecked_errstate):
-                for s in range(steps):
-                    kept[s] = _gradient(ws, views[s], stats[s])
-                    current -= np.multiply(lr, flat_grad, out=update)
-                # With lr > 0 a non-finite gradient makes the parameters
-                # non-finite, and they stay so in later steps.
-                level_stats = stats.reshape(steps, width, -1)
-                sound = (
-                    np.logical_and.reduce(np.isfinite(params), axis=1)
-                    & (stat_floor <= level_stats.min(axis=(0, 2)))
-                    & (level_stats.max(axis=(0, 2)) < math.inf)
-                )
-        except FloatingPointError:
-            sound = np.zeros(width, dtype=bool)
-        level_views = views.reshape(steps, width, k * b, -1)
-        level_kept = kept.reshape(steps, width, *kept.shape[-2:])
-        for p in np.flatnonzero(~sound):
-            # Replay the level's chunk alone with the checks of every step,
-            # under the caller's error state, in a workspace of its own: it
-            # raises, warns or goes on as such a loop does.
-            level_params = params[p]
-            level_params[...] = snapshot[p]
-            level = _workspace(template, level_params, k, b, config)
-            try:
-                for s in range(steps):
-                    level_kept[s, p] = _gradient(level, level_views[s, p])
-                    level_params -= np.multiply(lr, level.flat_grad, out=level.update)
-                    if not np.logical_and.reduce(np.isfinite(level_params)):
-                        raise RuntimeError(f"training diverged at step {start + s}")
-            except Exception as exc:  # what the level's loop alone raises
-                results[live[p]] = exc
-        del views, level_views  # before the loss passes' temporaries
-        for p, i in enumerate(live):
-            if results[i] is not None:
-                continue
-            # The loss kernels take each level's steps contiguous, as alone.
-            l1, l2 = _loss_terms(np.ascontiguousarray(level_kept[:, p]), b, config)
-            rows = traces[i][start : start + steps]
-            rows[:, 1] = losses_mod.recompose(config.loss, l1, l2, config.lam)
-            rows[:, 2] = l1
-            rows[:, 3] = l2
-            # A backstop: a non-finite loss needs non-finite embeddings, whose
-            # gradient is non-finite, so the checks above have failed already.
-            diverged = np.flatnonzero(~np.isfinite(rows[:, 1]))
-            if diverged.size:
-                results[i] = RuntimeError(f"training diverged at step {start + diverged[0]}")
-        going_on = [p for p, i in enumerate(live) if results[i] is None]
-        if len(going_on) < width:
-            params = params[going_on]
-            live = [live[p] for p in going_on]
-        start += steps
-    for p, i in enumerate(live):
-        results[i] = (with_params(models[i], params[p]), traces[i])
-    return results
+            for s in range(steps):
+                level_kept[s, p] = _gradient(level, level_views[s, p])
+                level_params -= np.multiply(lr, level.flat_grad, out=level.update)
+                if not np.logical_and.reduce(np.isfinite(level_params)):
+                    raise RuntimeError(f"training diverged at step {start + s}")
+        except Exception as exc:  # what the level's loop alone raises
+            errors[p] = exc
+    del views, level_views  # before the loss passes' temporaries
+    for p, (_, _, rows) in enumerate(levels):
+        if errors[p] is not None:
+            continue
+        # The loss kernels take each level's steps contiguous, as alone.
+        l1, l2 = _loss_terms(np.ascontiguousarray(level_kept[:, p]), b, config)
+        rows[:, 1] = losses_mod.recompose(config.loss, l1, l2, config.lam)
+        rows[:, 2] = l1
+        rows[:, 3] = l2
+        # A backstop: a non-finite loss needs non-finite embeddings, whose
+        # gradient is non-finite, so the checks above have failed already.
+        diverged = np.flatnonzero(~np.isfinite(rows[:, 1]))
+        if diverged.size:
+            errors[p] = RuntimeError(f"training diverged at step {start + diverged[0]}")
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -221,33 +221,41 @@ def _usable_cpus() -> int:
 
 
 # Threads that compute the tiles of one population InfoNCE term: the calling
-# thread plus at most one helper. Each holds one tile of ``TILE_BYTES //
-# _WORKERS``, so the tiles in flight together stay within ``TILE_BYTES``.
-# Under ``taskset -c 0`` (one usable CPU) every tile is ``TILE_BYTES``, all
-# on the calling thread. There is no setting for it.
+# thread plus at most one helper. Each share computes in one tile set of
+# ``TILE_BYTES // _WORKERS``, allocated and aligned by the calling thread, so
+# the tile sets together stay within ``TILE_BYTES`` (plus their alignment) and
+# no helper allocates one. Under ``taskset -c 0`` (one usable CPU) the one set
+# is ``TILE_BYTES``, all on the calling thread. There is no setting for it.
 _WORKERS = min(2, _usable_cpus())
 
 
-def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
-    """Run ``work`` over ``items`` on the calling thread and at most one helper.
+def _run_split(
+    work: Callable[[Sequence, Sequence[np.ndarray]], None],
+    items: Sequence,
+    workspaces: Sequence[Sequence[np.ndarray]],
+) -> None:
+    """Run ``work`` over ``items`` in one share per workspace, on the calling
+    thread and at most one helper.
 
-    With ``_WORKERS >= 2`` and two items or more, a new thread runs
-    ``work(items[1::2])`` while the calling thread runs ``work(items[0::2])``;
-    otherwise the calling thread runs ``work(items)`` alone. The helper runs
-    in a copy of the caller's context, so numpy's error state, a context
-    variable, is the caller's in both shares. The helper is joined before
-    this returns or raises. An error of the calling thread's share
-    propagates as raised; otherwise an error of the helper's share is
-    re-raised here with its type and traceback.
+    The caller allocates the workspaces, ``min(_WORKERS, len(items))`` of
+    them, so a helper writes only into buffers it was handed. With two, a new
+    thread runs ``work(items[1::2], workspaces[1])`` while the calling thread
+    runs ``work(items[0::2], workspaces[0])``; with one, the calling thread
+    runs ``work(items, workspaces[0])`` alone. The helper runs in a copy of
+    the caller's context, so numpy's error state, a context variable, is the
+    caller's in both shares. The helper is joined before this returns or
+    raises. An error of the calling thread's share propagates as raised;
+    otherwise an error of the helper's share is re-raised here with its type
+    and traceback.
     """
-    if _WORKERS < 2 or len(items) < 2:
-        work(items)
+    if len(workspaces) < 2:
+        work(items, workspaces[0])
         return
     errors: list[BaseException] = []
 
     def helper() -> None:
         try:
-            work(items[1::2])
+            work(items[1::2], workspaces[1])
         except BaseException as exc:  # handed to the calling thread below
             errors.append(exc)
 
@@ -256,11 +264,33 @@ def _run_split(work: Callable[[Sequence], None], items: Sequence) -> None:
     )
     thread.start()
     try:
-        work(items[0::2])
+        work(items[0::2], workspaces[0])
     finally:
         thread.join()
     if errors:
         raise errors[0]
+
+
+def _aligned_sets(sizes: Sequence[int], count: int) -> list[list[np.ndarray]]:
+    """``count`` sets of uninitialized float64 vectors of ``sizes``, carved
+    in order from one block so that each starts on a 64-byte cache line.
+
+    numpy aligns its buffers to 16 bytes only, so the block has one cache
+    line more than the vectors padded to whole lines, and the first vector
+    starts at its first line boundary. Every vector thus costs at most 64
+    bytes of alignment.
+    """
+    lines = [-(-size // 8) * 8 for size in sizes]  # 8 float64 to a cache line
+    block = np.empty(count * sum(lines) + 8)
+    at = -block.ctypes.data % 64 // 8
+    sets = []
+    for _ in range(count):
+        buffers = []
+        for size, padded in zip(sizes, lines):
+            buffers.append(block[at : at + size])
+            at += padded
+        sets.append(buffers)
+    return sets
 
 
 def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> float:
@@ -272,13 +302,16 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
     shifted exponentials out as (N·V, R), so that the (V, R) block of each
     negative sample j is contiguous, and repeats the positives to (V, V·R);
     per negative sample one add and one multiply then run over the whole
-    (V, V, R) block of (b, c, a). Each worker holds one set of buffers: per
-    row, the N·V exponentials, a scratch of max(N·V, V²), and V² each for
-    the positives, the log sum and the product. Their bytes per row set R
-    within ``TILE_BYTES // _WORKERS``; ``_run_split`` runs a single tile
-    inline, and more with the calling thread computing every other tile and
-    one helper thread the rest. Tiles write each row's weighted log sum and
-    shift into two N·V vectors, which are reduced once at the end.
+    (V, V, R) block of (b, c, a). Each share of the tiles computes in one
+    set of buffers: per row, the N·V exponentials, a scratch of max(N·V,
+    V²), and V² each for the positives, the log sum and the product. Their
+    bytes per row set R within ``TILE_BYTES // _WORKERS``. The calling
+    thread allocates one set per share, ``min(_WORKERS, tiles)`` of them in
+    one block, each buffer starting on a cache line (``_aligned_sets``), so
+    the helper allocates no buffer of its own. ``_run_split`` runs a single
+    tile inline, and more with the calling thread computing every other
+    tile and one helper thread the rest. Tiles write each row's weighted log
+    sum and shift into two N·V vectors, which are reduced once at the end.
     """
     n, v, d = z.shape
     nv, vv = n * v, v * v
@@ -289,10 +322,12 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
     rows = min(nv, max(1, TILE_BYTES // _WORKERS // row_bytes))
     per_row = np.empty(nv)
     shifts = np.empty(nv)
+    tiles = range(0, nv, rows)
+    sizes = (nv * rows, max(nv, vv) * rows, vv * rows, vv * rows, vv * rows)
+    workspaces = _aligned_sets(sizes, min(_WORKERS, len(tiles)))
 
-    def work(starts: range) -> None:
-        exps_buf, scratch_buf = np.empty(nv * rows), np.empty(max(nv, vv) * rows)
-        pos_buf, logs_buf, product_buf = np.empty((3, vv * rows))
+    def work(starts: range, buffers: Sequence[np.ndarray]) -> None:
+        exps_buf, scratch_buf, pos_buf, logs_buf, product_buf = buffers
         for start in starts:
             stop = min(start + rows, nv)
             r = stop - start
@@ -330,7 +365,7 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
             per_row[start:stop] = weighted.sum(axis=1)
             shifts[start:stop] = shift
 
-    _run_split(work, range(0, nv, rows))
+    _run_split(work, tiles, workspaces)
     return float(np.tile(weights, n) @ (per_row + shifts) / n)
 
 
@@ -390,13 +425,16 @@ def population_loss(
     The terms are computed in tiles of anchor rows, each of ``TILE_BYTES //
     _WORKERS``. A job of one tile runs inline; with two usable CPUs the
     calling thread computes half the tiles of a larger one while one helper
-    thread computes the other half (``_run_split``). Scores are summed left
-    to right over the d coordinates, as ``augment._sqeuclidean`` does, and
-    each row's weighted logs in one row ``sum``: unlike a BLAS product,
-    whose rounding changes with the block shape, neither depends on the
-    tile's width. The per-row values are reduced once in a fixed order, so
-    the result does not depend on the worker count or the tiling. The
-    extra memory is one ``TILE_BYTES`` in all, plus the N·V embeddings.
+    thread computes the other half (``_run_split``), each share in a tile
+    set that the calling thread allocates before either runs. Scores are
+    summed left to right over the d coordinates, as ``augment._sqeuclidean``
+    does, and each row's weighted logs in one row ``sum``: unlike a BLAS
+    product, whose rounding changes with the block shape, neither depends on
+    the tile's width or on where its buffers start. The per-row values are
+    reduced once in a fixed order, so the result does not depend on the
+    worker count or the tiling. The extra memory is one ``TILE_BYTES`` in
+    all, plus at most 64 bytes of alignment per buffer (five per tile set)
+    and the N·V embeddings.
     """
     means = embedded.means
     if kind == "info_nce":

@@ -4,6 +4,7 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -1144,6 +1145,73 @@ def test_train_memory_is_bounded_by_the_tile_budget():
         tracemalloc.stop()
     assert all(trace.shape == (steps, 4) for _, trace in stacked)
     assert peak < 8 * TILE_BYTES
+
+
+def test_a_stack_holds_no_array_of_a_chunk_when_the_next_one_draws(monkeypatch):
+    # The ring_pairs sweep: six levels of 300 InfoNCE steps train in chunks
+    # of 182 and 118 steps. When the second chunk draws, chunk 1's norms,
+    # workspace and kept embeddings are gone: beside the chunk's own views,
+    # the traced memory is what it was when chunk 1 drew.
+    ds = generate_dataset(
+        GeneratorConfig(
+            num_classes=2,
+            samples_per_class=14,
+            cluster_centers=((2.0, 0.0, 1.0), (2.0, 0.0, -1.0)),
+            cluster_spread=3.2,
+            manifold="ring_segments",
+            seed=0,
+            disjoint_classes=False,
+        )
+    )
+    catalog = (
+        rotation_2d((0, 1), 1.4, 2.0),
+        rotation_2d((0, 1), 0.6, 2.0),
+        scaling(0.85, 1.15, 2.0),
+        additive_shift((0.0, 0.25, 0.0)),
+    )
+    augs = [
+        AugmentationSet((identity(), catalog[a], catalog[b]), grid_resolution=5)
+        for a in range(4)
+        for b in range(a + 1, 4)
+    ]
+    model = init_encoder(3, (), 2, "sphere", 1.0, seed=0)
+    config = TrainConfig(loss="info_nce", steps=300, batch_size=16, learning_rate=0.1, seed=0)
+    chunk_arrays = []
+    workspace, gradient, sample_chunk = encoder._workspace, encoder._gradient, encoder._sample_chunk
+
+    def watched_workspace(template, params, k, b, config):
+        ws = workspace(template, params, k, b, config)
+        chunk_arrays.extend(weakref.ref(array) for array in _written_arrays(ws))
+        return ws
+
+    def watched_gradient(ws, x, stat=None):
+        if stat is not None:
+            chunk_arrays.append(weakref.ref(stat.base))
+        return gradient(ws, x, stat)
+
+    draws = []
+
+    def watched_sample_chunk(dataset, aug, batch_size, steps, views_per_step, rng):
+        if not draws or steps != draws[-1][0]:  # a chunk's first draw
+            alive = [ref for ref in chunk_arrays if ref() is not None]
+            draws.append((steps, tracemalloc.get_traced_memory()[0], len(chunk_arrays), alive))
+        return sample_chunk(dataset, aug, batch_size, steps, views_per_step, rng)
+
+    monkeypatch.setattr(encoder, "_workspace", watched_workspace)
+    monkeypatch.setattr(encoder, "_gradient", watched_gradient)
+    monkeypatch.setattr(encoder, "_sample_chunk", watched_sample_chunk)
+    tracemalloc.start()
+    try:
+        stacked = encoder._train_stack([model] * 6, ds, augs, config)
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(result, tuple) for result in stacked)
+    (first, held_first, _, _), (second, held_second, made, alive) = draws
+    assert (first, second) == (182, 118)
+    assert made and alive == []
+    views_bytes = 6 * 3 * config.batch_size * ds.input_dim * 8
+    # The kept embeddings of chunk 1 alone are 839 KB.
+    assert held_second - second * views_bytes <= held_first - first * views_bytes + 32 * 1024
 
 
 @pytest.mark.parametrize(

@@ -663,33 +663,34 @@ def test_run_split_gives_every_item_to_exactly_one_thread(split_workers):
     caller = threading.current_thread()
     owners = {}
 
-    def work(share):
+    def work(share, workspace):
         for i in share:
             hits[i] += 1
-        owners[threading.current_thread() is caller] = share
+        owners[threading.current_thread() is caller] = (share, workspace)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        evaluation._run_split(work, items)
+        evaluation._run_split(work, items, ["first", "second"])
     finally:
         sys.setswitchinterval(interval)
     assert len(started) == 1
     np.testing.assert_array_equal(hits, 1)
-    assert owners == {True: items[0::2], False: items[1::2]}
+    # Each share writes into its own workspace, the calling thread's the first.
+    assert owners == {True: (items[0::2], "first"), False: (items[1::2], "second")}
 
 
 def test_run_split_helper_keeps_the_callers_error_state(split_workers):
     started = split_workers(2)
     caller = threading.current_thread()
 
-    def work(share):
+    def work(share, workspace):
         if threading.current_thread() is not caller:
             np.divide(np.ones(1), np.zeros(1))  # a floating-point event in the helper's share
 
     with np.errstate(all="raise"):
         with pytest.raises(FloatingPointError, match="divide by zero"):
-            evaluation._run_split(work, range(4))
+            evaluation._run_split(work, range(4), [None, None])
     assert len(started) == 1
 
 
@@ -787,7 +788,7 @@ def test_population_info_nce_refuses_nan_embeddings_before_any_tile(monkeypatch)
     z[3, 1, 0] = np.nan
     nan = dataclasses.replace(embedded, z=z, sq_norms=np.sum(z**2, axis=2))
 
-    def no_tiles(work, items):
+    def no_tiles(work, items, workspaces):
         raise AssertionError("a tile ran")
 
     monkeypatch.setattr(evaluation, "_run_split", no_tiles)
@@ -812,6 +813,66 @@ def test_population_info_nce_peak_memory_at_the_ring_pairs_shape_with_two_worker
     # log sums and shifts, the tiled weights and numpy's ufunc buffers.
     assert peak < TILE_BYTES + 32 * n * v * d * 8
     assert len(started) == 1
+
+
+def test_population_info_nce_tiles_are_the_callers_and_start_on_cache_lines(
+    monkeypatch, split_workers
+):
+    # The ring_pairs shape spans several tiles, split between the calling
+    # thread and one helper; the helper allocates no tile buffer, and each
+    # share gets its own set, every buffer on a 64-byte boundary.
+    started = split_workers(2)
+    embedded = _ring_embedded(1.0, 5)
+    caller = threading.current_thread()
+    in_helper = []
+    empty = np.empty
+
+    def watched_empty(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            in_helper.append(args)
+        return empty(*args, **kwargs)
+
+    handed = []
+    run_split = evaluation._run_split
+
+    def watched_split(work, items, workspaces):
+        handed.extend(workspaces)
+        run_split(work, items, workspaces)
+
+    monkeypatch.setattr(np, "empty", watched_empty)
+    monkeypatch.setattr(evaluation, "_run_split", watched_split)
+    population_loss(embedded, "info_nce")
+    assert len(started) == 1 and in_helper == []
+    assert len(handed) == 2
+    buffers = [buf for workspace in handed for buf in workspace]
+    assert all(buf.ctypes.data % 64 == 0 for buf in buffers)
+    assert all(sum(buf.nbytes for buf in workspace) <= TILE_BYTES // 2 for workspace in handed)
+    for i, first in enumerate(buffers):
+        assert not any(np.shares_memory(first, second) for second in buffers[i + 1 :])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_population_info_nce_is_the_same_on_buffers_off_the_cache_line(
+    monkeypatch, split_workers, workers
+):
+    # Every tile buffer moved to 8 bytes past a cache line gives l2 bit for bit.
+    split_workers(workers)
+    embedded = _ring_embedded(1.0, 5)
+    aligned = population_loss(embedded, "info_nce").l2
+    run_split = evaluation._run_split
+
+    def off_by_8(buf):
+        raw = np.empty(buf.size + 8)
+        skip = (8 - raw.ctypes.data) % 64 // 8
+        moved = raw[skip : skip + buf.size]
+        assert moved.ctypes.data % 64 == 8
+        return moved
+
+    def split_off_by_8(work, items, workspaces):
+        run_split(work, items, [[off_by_8(buf) for buf in ws] for ws in workspaces])
+
+    monkeypatch.setattr(evaluation, "_run_split", split_off_by_8)
+    assert population_loss(embedded, "info_nce").l2 == aligned
 
 
 @pytest.mark.parametrize("workers, helpers", [(2, 1), (1, 0)])

@@ -228,7 +228,9 @@ def _curve(
     mode each class size against the vertex budget, in class order, then
     the thresholds, which the first class's ``distance_levels`` call checks
     first. A baseline part is carried only where it lies in its class and
-    each of its pairs is at level 0, a clique of the first graph.
+    each of its pairs is at level 0, a clique of the first graph. Classes
+    run one at a time, each searched at every delta before the next one's
+    ``distance_levels`` call, so one class's levels are held at a time.
     """
     _check_mode(mode)
     if not deltas:
@@ -237,33 +239,29 @@ def _curve(
     if mode == "exact":
         for ids in class_ids:
             _check_exact_budget(ids.size)
-    levels = [distance_levels(dataset.features[ids], aug, deltas) for ids in class_ids]
-    carried: list[tuple[int, ...] | None] = [None] * dataset.num_classes
-    if baseline is not None:
-        for k, part in enumerate(baseline.main_parts[: dataset.num_classes]):
-            local = np.flatnonzero(np.isin(class_ids[k], part))
-            if local.size == len(part) and not levels[k][np.ix_(local, local)].any():
-                carried[k] = tuple(int(v) for v in local)
     search = exact_max_clique if mode == "exact" else approx_max_clique
-    sizes = tuple(int(ids.size) for ids in class_ids)
-    out: list[ConcentrationEstimate] = []
-    for step, delta in enumerate(deltas):
-        parts: list[tuple[int, ...]] = []
-        for k, ids in enumerate(class_ids):
-            clique = search(build_threshold_graph(levels[k], step))
+    parts: list[list[tuple[int, ...]]] = [[] for _ in deltas]
+    for k, ids in enumerate(class_ids):
+        levels = distance_levels(dataset.features[ids], aug, deltas)
+        carried: tuple[int, ...] = ()
+        if baseline is not None and k < len(baseline.main_parts):
+            part = baseline.main_parts[k]
+            local = np.flatnonzero(np.isin(ids, part))
+            if local.size == len(part) and not levels[np.ix_(local, local)].any():
+                carried = tuple(int(v) for v in local)
+        for step, step_parts in enumerate(parts):
+            clique = search(build_threshold_graph(levels, step))
             # A carried part is a clique of this graph too: this delta is
             # no smaller than the one it was certified at.
-            kept = carried[k]
-            if kept is not None and len(kept) > len(clique):
-                clique = kept
-            carried[k] = clique
-            parts.append(tuple(int(ids[v]) for v in clique))
-        out.append(
-            ConcentrationEstimate(
-                delta=delta, main_parts=tuple(parts), class_sizes=sizes, mode=mode
-            )
-        )
-    return out
+            if len(carried) > len(clique):
+                clique = carried
+            carried = clique
+            step_parts.append(tuple(int(ids[v]) for v in clique))
+    sizes = tuple(int(ids.size) for ids in class_ids)
+    return [
+        ConcentrationEstimate(delta=delta, main_parts=tuple(p), class_sizes=sizes, mode=mode)
+        for delta, p in zip(deltas, parts)
+    ]
 
 
 def estimate_sigma(

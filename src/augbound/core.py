@@ -15,7 +15,7 @@ import io
 import math
 import types
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import MISSING, dataclass
 from functools import cached_property
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
@@ -307,13 +307,15 @@ def _csv_record(cells: Sequence[str]) -> str:
 
 def spec_dict(obj: object) -> dict:
     """JSON form of a dataclass instance: at every depth, the fields that are
-    set (not ``None``), with tuples as lists."""
-    return _plain(asdict(obj))
+    set (not ``None``), with tuples as lists. One walk over the fields; a
+    leaf is the instance's own value, not a copy."""
+    fields = dataclasses.fields(obj)
+    return {f.name: _plain(v) for f in fields if (v := getattr(obj, f.name)) is not None}
 
 
 def _plain(value: object) -> object:
-    if isinstance(value, dict):
-        return {key: _plain(v) for key, v in value.items() if v is not None}
+    if dataclasses.is_dataclass(value):
+        return spec_dict(value)
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value

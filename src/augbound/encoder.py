@@ -184,21 +184,16 @@ def init_encoder(
 # ---------------------------------------------------------------------------
 
 
-def _forward_layers(model: EncoderModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Layer outputs of (n, D) rows ``x``."""
-    activations = [x]
-    for layer in model.layers:
-        pre = activations[-1] @ layer.weight.mT + layer.bias
-        activations.append(np.tanh(pre) if layer.activation == "tanh" else pre)
-    return activations[-1], activations
-
-
 def forward_prenorm(model: EncoderModel, x: np.ndarray) -> np.ndarray:
-    """Network output before the normalization stage."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {x.shape[1]} does not match encoder ({model.input_dim})")
-    return _forward_layers(model, x)[0]
+    """Network output before the normalization stage; no layer's output is kept."""
+    y = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if y.shape[1] != model.input_dim:
+        raise ValueError(f"input dim {y.shape[1]} does not match encoder ({model.input_dim})")
+    for layer in model.layers:
+        y = y @ layer.weight.mT + layer.bias
+        if layer.activation == "tanh":
+            y = np.tanh(y, out=y)
+    return y
 
 
 class _Sums(NamedTuple):
@@ -226,10 +221,11 @@ def _norm_forward(
     sums: _Sums,
     stat: np.ndarray | None = None,
     buffers: tuple = (None,) * 5,
-) -> tuple[np.ndarray, tuple]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The output normalization of the (n, d) network outputs ``y``: the
-    embeddings and the cache of ``_gradient``'s backward pass: (z, row norms
-    (n, 1)) on the unit sphere, else (z, column scales (d,)).
+    embeddings z and, for ``_gradient``'s backward pass and the certificate
+    of ``embed_views``, the row norms (n, 1) on the unit sphere, else the
+    column scales (d,).
     Standardization takes its means and variances under the column weights
     ``sums.col_mean``: 1/n in a step, the view weights in
     :func:`augbound.evaluation.embed_views`. For a stack of L encoders,
@@ -248,15 +244,13 @@ def _norm_forward(
         norms = np.sqrt(np.matmul(np.multiply(y, y, out=t), sums.row_sum, out=stat), out=stat)
         if checked and not _within(norms, _MIN_NORM):
             raise ValueError("norms vanish or overflow: a zero vector has no sphere projection")
-        z = np.divide(y, norms, out=z)
-        return z, (z, norms)
+        return np.divide(y, norms, out=z), norms
     centered = np.subtract(y, np.matmul(sums.col_mean, y, out=col), out=z)
     var = np.matmul(sums.col_mean, np.multiply(centered, centered, out=t), out=stat)
     if checked and not _within(var, _MIN_VAR):
         raise ValueError("batch standardization hit a zero-variance or overflowing dimension")
     scale = np.sqrt(var, out=scale)
-    z = np.divide(centered, scale, out=centered)
-    return z, (z, scale)
+    return np.divide(centered, scale, out=centered), scale
 
 
 def _within(stat: np.ndarray, floor: float) -> bool:
@@ -271,15 +265,11 @@ def flat_params(model: EncoderModel) -> np.ndarray:
 
 
 def with_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
-    return _bind_params(model, np.array(flat, dtype=np.float64))
-
-
-def _bind_params(model: EncoderModel, flat: np.ndarray) -> EncoderModel:
-    """Model whose layer weights and biases are views into ``flat``."""
-    layers = [
-        Layer(weight, bias, layer.activation)
-        for (weight, bias), layer in zip(_param_views(model, flat), model.layers)
-    ]
+    """``model``'s architecture with the parameters of ``flat``, laid out as
+    ``flat_params``: its layer weights and biases are views into one copy
+    of ``flat``."""
+    views = _param_views(model, np.array(flat, dtype=np.float64))
+    layers = [Layer(w, b, layer.activation) for (w, b), layer in zip(views, model.layers)]
     return EncoderModel(tuple(layers), norm_mode=model.norm_mode)
 
 
@@ -637,7 +627,7 @@ def _gradient(ws: _Workspace, x: np.ndarray, stat: np.ndarray | None = None) -> 
     for _, weight_t, bias, tanh, post, _, _, _, _ in layers:  # post = tanh(y @ weight.mT + bias)
         np.add(np.matmul(y, weight_t, out=post), bias, out=post)
         y = np.tanh(post, out=post) if tanh else post
-    _, (_, scale) = _norm_forward(ws.model, y, sums, stat, ws.norm)
+    _, scale = _norm_forward(ws.model, y, sums, stat, ws.norm)
     blocks, d_blocks, loss, lam = ws.blocks, ws.d_blocks, ws.config.loss, ws.config.lam
     # dz is d(total)/dz, written block by block: anchors, positives, negatives.
     if loss == "info_nce":

@@ -94,7 +94,7 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     n, v, _ = views.shape
     pre = forward_prenorm(model, views.reshape(n * v, -1))
     sums = _sums(*pre.shape)._replace(col_mean=np.tile(weights, n) / n)
-    flat, (_, scales) = _norm_forward(model, pre, sums)
+    flat, scales = _norm_forward(model, pre, sums)
     sphere = model.norm_mode == "sphere"
     factor = 2.0 if sphere else 1.0
     lipschitz = lipschitz_upper_bound(model) * factor / float(scales.min())

@@ -88,10 +88,6 @@ class CrossCorrMatrix:
             raise ValueError("cross-correlation matrix must be symmetric")
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _check_batches(*batches: np.ndarray) -> list[np.ndarray]:
     arrays = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in batches]

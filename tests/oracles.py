@@ -11,9 +11,10 @@ against them.
 products with vectors of ones.
 
 ``forward`` is the embedding map of a model on one batch, normalized by
-``encoder._norm_forward`` with the batch's own statistics. ``load_model``
-reads back a ``model.bin`` written by ``encoder.save_model``. The pipeline
-calls neither.
+``encoder._norm_forward`` with the batch's own statistics, and
+``forward_layers`` the network's output with every layer's activations,
+which the gradient oracles read. ``load_model`` reads back a ``model.bin``
+written by ``encoder.save_model``. The pipeline calls none of them.
 
 ``recursive_search`` is ``concentration._search`` as a recursion, one call
 per search node: the form the search had before it ran on an explicit
@@ -73,6 +74,16 @@ def forward(model: EncoderModel, x: np.ndarray) -> np.ndarray:
     return encoder._norm_forward(model, y, encoder._sums(*y.shape))[0]
 
 
+def forward_layers(model: EncoderModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The network output of (n, D) rows ``x`` and every layer's output,
+    ``x`` first: ``encoder.forward_prenorm`` keeping its activations."""
+    activations = [x]
+    for layer in model.layers:
+        pre = activations[-1] @ layer.weight.mT + layer.bias
+        activations.append(np.tanh(pre) if layer.activation == "tanh" else pre)
+    return activations[-1], activations
+
+
 def nn_classify(centers: np.ndarray, z: np.ndarray) -> int:
     """Nearest-center class for one embedding; ties go to the smaller id."""
     return int(np.argmin(np.sum((centers - z) ** 2, axis=1)))
@@ -99,7 +110,7 @@ def reduce_gradient(model: EncoderModel, batch, config) -> tuple[np.ndarray, np.
     b = batch.size
     views = (batch.anchors, batch.positives, batch.negatives)
     x = np.concatenate(views[: 2 if config.loss == "cross_corr" else 3])
-    y, activations = encoder._forward_layers(model, x)
+    y, activations = forward_layers(model, x)
     if model.norm_mode == "sphere":
         norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
         z = yhat = y / norms

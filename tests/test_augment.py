@@ -118,6 +118,52 @@ def test_dimension_mismatch_rejected():
         augmented_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), aug)
 
 
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        (additive_shift((0.1, 0.2, 0.3)), "additive_shift length does not match feature dimension 2"),
+        (rotation_2d((0, 2), 0.5, 1.0), "rotation axes outside feature dimension 2"),
+        (sign_flip_mask((1.0, -1.0, 1.0)), "sign_flip_mask length does not match feature dimension 2"),
+        (coordinate_permutation((1, 0, 2)),
+         "coordinate_permutation length does not match feature dimension 2"),
+    ],
+)
+def test_view_tensor_refuses_a_member_that_does_not_fit(member, message):
+    # view_tensor checks every member's dimension once and then applies the
+    # unchecked maps, which would fail on these with a broadcasting or
+    # index error, or not at all.
+    aug = AugmentationSet(transforms=(identity(), member), grid_resolution=3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        view_tensor(np.zeros((4, 2)), aug)
+
+
+@pytest.mark.parametrize("k", [5, 18, 131])
+def test_float32_matmul_sums_in_float32_in_both_step_shapes(k):
+    # The rounding bound E of distance_levels assumes that BLAS reads float32
+    # operands as float32 and accumulates in float32 or wider. Each row holds
+    # 1 + 2^-20 and two 2^-21 among zeros: its sum, 1 + 2^-19, and every
+    # partial sum in any order are float32 numbers, so float32 arithmetic
+    # returns the sum exactly. TF32, bfloat16 or float16 operands or
+    # accumulation lose the small terms, as float16 does below.
+    rng = np.random.default_rng(k)
+    rows = np.zeros((48, k), dtype=np.float32)
+    for row in rows:
+        row[rng.permutation(k)[:3]] = (1 + 2**-20, 2**-21, 2**-21)
+    want = np.float32(1 + 2**-19)
+    assert float(want) == 1 + 2**-19
+    # 2-D, as _all_minima: GEMM rows against a transposed block of lifted views.
+    cols = np.ones((40, k), dtype=np.float32)
+    two_d = np.matmul(rows, cols.T, out=np.empty((48, 40), dtype=np.float32))
+    assert np.all(two_d == want)
+    # Stacked 3-D, as _pair_minima: one (v, K) @ (K, v) product per pair.
+    stacked = np.matmul(
+        rows.reshape(8, 6, k), np.ones((8, k, 6), dtype=np.float32),
+        out=np.empty((8, 6, 6), dtype=np.float32),
+    )
+    assert np.all(stacked == want)
+    assert np.all(rows.astype(np.float16) @ cols.T.astype(np.float16) == 1.0)
+
+
 def _toy_dataset(n_per_class=4, seed=0):
     cfg = GeneratorConfig(
         num_classes=2,

@@ -394,6 +394,32 @@ def test_a_misspelt_mode_is_refused_before_any_distance_work(monkeypatch):
         estimate_sigma(ds, _identity_aug(), 0.5, mode="exakt")
 
 
+@pytest.mark.parametrize("mode", ["exact", "dual_approx"])
+def test_each_class_is_searched_before_the_next_class_has_levels(monkeypatch, mode):
+    # The classes run one at a time: a class's levels, then its search at
+    # every delta, then the next class's levels. Class sizes tell them apart.
+    events = []
+    real_levels = concentration.distance_levels
+    real_search = exact_max_clique if mode == "exact" else approx_max_clique
+
+    def levels(points, aug, deltas):
+        events.append(("levels", len(points)))
+        return real_levels(points, aug, deltas)
+
+    def search(graph):
+        events.append(("search", graph.num_nodes))
+        return real_search(graph)
+
+    monkeypatch.setattr(concentration, "distance_levels", levels)
+    monkeypatch.setattr(concentration, real_search.__name__, search)
+    deltas = [0.5, 1.0, 2.0]
+    curve = sigma_delta_curve(_sized_dataset((3, 5, 4)), _identity_aug(), deltas, mode)
+    assert len(curve) == len(deltas)
+    assert events == [
+        event for n in (3, 5, 4) for event in [("levels", n)] + [("search", n)] * len(deltas)
+    ]
+
+
 def test_exact_mode_runs_at_the_budget_and_approx_beyond_it():
     aug = _identity_aug()
     at_budget = sigma_delta_curve(_sized_dataset((32, 32)), aug, [0.5, 100.0], "exact")

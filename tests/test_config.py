@@ -1,6 +1,8 @@
 """Config documents read through ``core.from_spec``: round trips, unknown keys
 and the range rules the config dataclasses check for themselves."""
 
+import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -11,10 +13,11 @@ import pytest
 
 from augbound.augment import Transform
 from augbound.cli import main
-from augbound.core import from_spec
+from augbound.core import from_spec, spec_dict
 from augbound.experiments import ConfigError, config_from_dict, config_to_dict
 
-_README = Path(__file__).resolve().parents[1] / "README.md"
+_ROOT = Path(__file__).resolve().parents[1]
+_README = _ROOT / "README.md"
 
 _RULES = (
     "identity",
@@ -153,6 +156,48 @@ def test_config_round_trips_through_its_json_form(seed):
     again = config_from_dict(json.loads(json.dumps(written)))
     assert again == config
     assert config_to_dict(again) == written
+
+
+def _asdict_spec(obj):
+    """``core.spec_dict`` as it was: ``dataclasses.asdict``, then a second
+    walk that drops the ``None`` fields and turns tuples into lists."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items() if v is not None}
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value
+
+    return plain(dataclasses.asdict(obj))
+
+
+def _spec_cases():
+    """Every benchmark workload config, and the ring pairs config with a
+    sweep of each kind."""
+    path = _ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = [(label, raw) for w in workloads.WORKLOADS for label, raw in workloads.raw_configs(w)]
+    pairs = workloads.RING_PAIRS
+    rotation, scale = pairs["sweep"]["levels"][0], pairs["sweep"]["levels"][2]
+    lean = {"grid_resolution": 5, "transforms": [{"rule": "identity"}, rotation]}
+    rich = dict(lean, transforms=[*lean["transforms"], scale])
+    for sweep in ({"kind": "richness", "levels": [lean, rich]},
+                  {"kind": "strength", "levels": [0.5, 1, 2.0]}):
+        cases.append((sweep["kind"], dict(pairs, sweep=sweep)))
+    return cases
+
+
+def test_spec_dict_is_the_former_asdict_form_on_workload_and_sweep_configs():
+    cases = _spec_cases()
+    assert {raw.get("sweep", {}).get("kind") for _, raw in cases} == {
+        None, "richness", "strength", "pairs"
+    }
+    for label, raw in cases:
+        config = config_from_dict(raw)
+        assert json.dumps(spec_dict(config)) == json.dumps(_asdict_spec(config)), label
 
 
 def _base():

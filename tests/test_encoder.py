@@ -31,6 +31,7 @@ from augbound.encoder import (
     TrainConfig,
     ViewBatch,
     flat_params,
+    forward_prenorm,
     init_encoder,
     lipschitz_upper_bound,
     loss_and_gradient,
@@ -416,9 +417,9 @@ def _one_pass_loss_and_gradient(model, batch, config):
     views = [batch.anchors, batch.positives]
     if config.loss != "cross_corr":
         views.append(batch.negatives)
-    y, activations = encoder._forward_layers(model, np.concatenate(views))
+    y, activations = oracles.forward_layers(model, np.concatenate(views))
     sums = encoder._sums(*y.shape)
-    z, cache = encoder._norm_forward(model, y, sums)
+    z, stat = encoder._norm_forward(model, y, sums)
     z1, z2, zn = z[:b], z[b : 2 * b], z[2 * b :]
     ones_d, ones_n = np.ones((z.shape[1], 1)), np.ones(len(z))
     lam = config.lam
@@ -451,11 +452,9 @@ def _one_pass_loss_and_gradient(model, batch, config):
         np.fill_diagonal(g, (-2.0 / b) * (1.0 - np.diag(f)))
         np.matmul(np.stack((z2, z1)), g, out=blocks)
     if model.norm_mode == "sphere":
-        z, norms = cache
-        grad = (dz - z * ((dz * z) @ ones_d)) / norms
+        grad = (dz - z * ((dz * z) @ ones_d)) / stat
     else:
-        z, scale = cache
-        grad = (dz - sums.col_mean @ dz - z * (sums.col_mean @ (dz * z))) / scale
+        grad = (dz - sums.col_mean @ dz - z * (sums.col_mean @ (dz * z))) / stat
     parts = []
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -467,6 +466,21 @@ def _one_pass_loss_and_gradient(model, batch, config):
     lam = 1.0 if config.loss == "info_nce" else lam
     breakdown = losses.LossBreakdown(kind=config.loss, l1=l1, l2=l2, lam=lam)
     return breakdown, np.concatenate(parts[::-1])
+
+
+@pytest.mark.parametrize("hidden_dims", [(4,), (5, 3)])
+def test_forward_prenorm_is_the_oracle_layer_pass_bit_for_bit(hidden_dims):
+    # Hidden tanh layers and a linear head from init_encoder, and the same
+    # weights with a tanh head too.
+    rng = np.random.default_rng(len(hidden_dims))
+    model = init_encoder(3, hidden_dims, 2, seed=4)
+    all_tanh = EncoderModel(tuple(Layer(l.weight, l.bias, "tanh") for l in model.layers))
+    x = rng.normal(scale=2.0, size=(37, 3))
+    for m in (model, all_tanh):
+        y, activations = oracles.forward_layers(m, x)
+        assert len(activations) == len(m.layers) + 1
+        assert forward_prenorm(m, x).tobytes() == y.tobytes()
+    assert forward_prenorm(model, x).tobytes() != forward_prenorm(all_tanh, x).tobytes()
 
 
 @pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])

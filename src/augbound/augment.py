@@ -24,8 +24,8 @@ pair's distance, all that a threshold graph needs. A small class takes the
 exact formula on every view pair; a larger one narrows each pair's level
 interval in one loop of steps, float32 GEMM bounds within a derived
 rounding bound E and then the exact formula. Every level is that of
-``augmented_distance``, every GEMM buffer holds at most one ``TILE_BYTES``
-(2 MiB), and all of it runs on the calling thread.
+``augmented_distance``, every batch fills at most half a ``TILE_BYTES``
+(2 MiB) in a GEMM buffer of one, and all of it runs on the calling thread.
 
 The sampling model used for drawing random views splits mass evenly between
 the discrete members (1/(2m) each) and the continuous family (theta uniform
@@ -406,8 +406,9 @@ def distance_levels(
     ``_sqeuclidean`` on every view pair. In a larger one each pair of the
     upper triangle starts at the level interval [0, len(deltas)], and each
     step of ``_steps`` narrows the intervals still open, with float32 GEMM
-    bounds on the pair's exact smallest squared view distance c, in one
-    buffer of ``TILE_BYTES`` or more, so no level depends on the budget:
+    bounds on the pair's exact smallest squared view distance c, in batches
+    of half a ``TILE_BYTES`` (``_batch``) in one buffer of a tile or more,
+    so no level depends on the budget:
 
     1. pre-pass: each sample's V views against every sample's identity
        view. The smaller h of a pair's two minima gives c ≤ (h + E)/s².
@@ -423,12 +424,16 @@ def distance_levels(
     interval so far, and a pair is settled once the two ends meet, at a
     middle level too where the pre-pass's upper end meets the group floor's
     lower end. The group floor and the screen stack one GEMM per pair they
-    are given (``_pair_minima``) and compute no other pair. Each GEMM
-    buffer fits one tile, but the loop holds N²-sized arrays beside the
-    N×N output: the level intervals ``lo`` and ``hi``, the open pairs and
-    their ``divmod``, and the pre-pass's float64 temporaries over every
-    pair. On 1,000-sample ring classes tracemalloc read peaks of 6.7× the
-    output at 6 views and 7.0× at 126 (51.1 and 53.7 MiB against 7.6 MiB).
+    are given (``_pair_minima``) and compute no other pair; each gathers its
+    pairs' column views from one contiguous operand per class (``_lifted``).
+    A batch, operands and GEMM output together, fills at most half a tile,
+    so its output stays in a core's 2 MiB L2 cache until its minima are
+    taken. The GEMM buffer fits one tile, but the loop holds N²-sized arrays
+    beside the N×N output: the level intervals ``lo`` and ``hi``, the open
+    pairs and their ``divmod``, and the pre-pass's float64 temporaries over
+    every pair. On 1,000-sample ring classes tracemalloc read peaks of 6.7×
+    the output at 6 views and 7.0× at 126 (51.1 and 53.7 MiB against
+    7.6 MiB).
 
     A bound is (g ± E)/s² rounded outward after each inexact step
     (``_unscaled``): the sum, then the two divisions by s, exact unless
@@ -522,19 +527,22 @@ def _steps(coords: np.ndarray, aug: AugmentationSet, deltas: np.ndarray) -> list
     """The steps of ``distance_levels`` on the (D, N·V) ``coords``, in order:
     each maps open pairs (rows[k], cols[k]) to a lower and an upper level."""
     v, n = aug.num_views, coords.shape[1] // aug.num_views
-    lifted, left, bound, scale = _lifted(coords)
-    # One buffer for every GEMM, one row sample's or pair's at least.
+    columns, left, bound, scale = _lifted(coords, v)
+    # One buffer for every GEMM, one row sample's or pair's at least. Its
+    # batches fill half of it (``_batch``), so the pages of the other half
+    # are touched only where one row sample or pair needs them.
     buf = np.empty(max(TILE_BYTES // 4, v * max(n, v + 2 * len(coords) + 4)), dtype=np.float32)
 
     def pre_pass(rows, cols):
-        h = _all_minima(left, lifted[aug.discrete.index(identity()) :: v], v, buf)
+        ident = np.ascontiguousarray(columns[:, :, aug.discrete.index(identity())])
+        h = _all_minima(left, ident, v, buf)
         return 0, _level(deltas, _unscaled(np.minimum(h, h.T)[rows, cols], bound, scale))
 
     def group(rows, cols):
         return np.searchsorted(deltas, _group_floor(coords, aug, rows, cols, buf)), deltas.size
 
     def screen(rows, cols):
-        m = _pair_minima(left, lifted, v, rows, cols, buf)
+        m = _pair_minima(left, columns, v, rows, cols, buf)
         return _level(deltas, _unscaled(m, np.array([[-bound], [bound]]), scale))
 
     def exact(rows, cols):
@@ -559,12 +567,14 @@ def _unscaled(g: np.ndarray, e: float | np.ndarray, scale: float) -> np.ndarray:
     return np.nextafter(total / scale / scale, toward)
 
 
-def _lifted(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The float32 lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords``, the
-    GEMM rows ``[-2ĉ, 1, q]`` of the same views, the bound E and the scale s
-    of ``distance_levels``. s scales in two exact steps: max |ĉ| into
-    [1/2, 1), where q = ‖ĉ‖² neither overflows nor underflows, then max q
-    into [1/4, 1]. -2ĉ is exact too, as -2 is a power of two."""
+def _lifted(coords: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The float32 lifted views ``[ĉ, q, 1]`` of (D, N·V) ``coords``, each
+    sample's v of them as the columns of one contiguous (D + 2, v) operand
+    of the (N, D + 2, v) result, the layout that ``_pair_minima`` gathers;
+    the (N·V, D + 2) GEMM rows ``[-2ĉ, 1, q]`` of the same views; the bound
+    E and the scale s of ``distance_levels``. s scales in two exact steps:
+    max |ĉ| into [1/2, 1), where q = ‖ĉ‖² neither overflows nor underflows,
+    then max q into [1/4, 1]. -2ĉ is exact too, as -2 is a power of two."""
     d, nv = coords.shape
     centered = coords.T - coords.mean(axis=1)
     peak = max(float(centered.max(initial=0.0)), -float(centered.min(initial=0.0)))
@@ -572,26 +582,36 @@ def _lifted(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     np.ldexp(centered, -exponent, out=centered)
     q = np.einsum("ij,ij->i", centered, centered)
     k = (int(np.frexp(q.max(initial=0.0))[1]) + 1) // 2
-    lifted = np.empty((nv, d + 2), dtype=np.float32)
-    np.ldexp(centered, -k, out=lifted[:, :d])
-    np.ldexp(q, -2 * k, out=lifted[:, d])
-    lifted[:, d + 1] = 1.0
-    left = np.empty_like(lifted)
-    np.multiply(lifted[:, :d], -2.0, out=left[:, :d])
-    left[:, d] = 1.0
-    left[:, d + 1] = lifted[:, d]
-    bound = 10.0 * (d + 4) * (_EPS32 * float(lifted[:, d].max(initial=0.0)) + _TINY32)
-    return lifted, left, bound, math.ldexp(1.0, -exponent - k)
+    columns = np.empty((nv // v, d + 2, v), dtype=np.float32)
+    lifted = columns.transpose(0, 2, 1)
+    np.ldexp(centered.reshape(-1, v, d), -k, out=lifted[..., :d])
+    np.ldexp(q.reshape(-1, v), -2 * k, out=lifted[..., d])
+    lifted[..., d + 1] = 1.0
+    left = np.empty((nv, d + 2), dtype=np.float32)
+    row_views = left.reshape(-1, v, d + 2)
+    np.multiply(lifted[..., :d], -2.0, out=row_views[..., :d])
+    row_views[..., d] = 1.0
+    row_views[..., d + 1] = lifted[..., d]
+    bound = 10.0 * (d + 4) * (_EPS32 * float(lifted[..., d].max(initial=0.0)) + _TINY32)
+    return columns, left, bound, math.ldexp(1.0, -exponent - k)
+
+
+def _batch(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` one batch of ``distance_levels``
+    takes, at least one: half a ``TILE_BYTES``, so that a GEMM batch's
+    output stays in a core's 2 MiB L2 cache between the GEMM and its minima."""
+    return max(1, TILE_BYTES // 2 // item_bytes)
 
 
 def _all_minima(left: np.ndarray, right: np.ndarray, v: int, buf: np.ndarray) -> np.ndarray:
     """(R, C) smallest GEMM value of each sample pair (i, j) over row sample
     i's v views, as the GEMM rows ``left``, and column sample j's one view,
-    the lifted ``right[j]``, in blocks of as many row samples as fit one
-    ``TILE_BYTES`` GEMM against all columns in ``buf``, at least one."""
+    the lifted ``right[j]``, in blocks of as many row samples as fit half a
+    ``TILE_BYTES`` GEMM against all columns in ``buf`` (``_batch``), at
+    least one."""
     n_rows, n_cols = left.shape[0] // v, right.shape[0]
     out = np.empty((n_rows, n_cols), dtype=np.float32)
-    block = max(1, TILE_BYTES // (4 * v * n_cols))
+    block = _batch(4 * v * n_cols)
     for i0 in range(0, n_rows, block):
         rows = left[i0 * v : (i0 + block) * v]
         g = np.matmul(rows, right.T, out=buf[: rows.shape[0] * n_cols].reshape(len(rows), -1))
@@ -603,20 +623,22 @@ def _pair_minima(
     left: np.ndarray, right: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray
 ) -> np.ndarray:
     """Smallest GEMM value of each sample pair (rows[k], cols[k]) over the v
-    views of each sample, as the GEMM rows ``left`` and the lifted views
-    ``right``: one GEMM per pair, stacked with its gathered operands in
-    ``buf``, ``TILE_BYTES`` at a time, so only the pairs asked are computed."""
+    views of each sample, as the GEMM rows ``left`` and the (N, D + 2, v)
+    column operands ``right`` of ``_lifted``: one GEMM per pair, stacked
+    with its gathered operands in ``buf``, half a ``TILE_BYTES`` at a time
+    (``_batch``), so only the pairs asked are computed. Both operands are
+    contiguous, so each gather copies only the samples it takes."""
     k = left.shape[1]
-    row_views, col_views = left.reshape(-1, v, k), right.reshape(-1, v, k).transpose(0, 2, 1)
+    row_views = left.reshape(-1, v, k)
     out = np.empty(rows.size, dtype=np.float32)
     per_pair = v * v + 2 * v * k
-    step = max(1, TILE_BYTES // (4 * per_pair))
+    step = _batch(4 * per_pair)
     for p in range(0, rows.size, step):
         r, c = rows[p : p + step], cols[p : p + step]
         a, b, g = np.split(buf[: r.size * per_pair], [r.size * v * k, 2 * r.size * v * k])
         # "clip" fills the buffer without a temporary; every index is in range.
         a = row_views.take(r, axis=0, out=a.reshape(r.size, v, k), mode="clip")
-        b = col_views.take(c, axis=0, out=b.reshape(r.size, k, v), mode="clip")
+        b = right.take(c, axis=0, out=b.reshape(r.size, k, v), mode="clip")
         g = np.matmul(a, b, out=g.reshape(r.size, v, v))
         out[p : p + step] = np.minimum.reduceat(g.ravel(), np.arange(0, g.size, v * v))
     return out
@@ -640,8 +662,8 @@ def _group_floor(
     rho = _up(math.sqrt(_up(_up(widest + _UNDERFLOW64) * (1.0 + (d + 3) * _EPS64))))
     groups = np.concatenate([views[:, :, :m], centers], axis=2)
     g = groups.shape[2]
-    lifted, left, bound, scale = _lifted(groups.reshape(d, n * g))
-    low = _unscaled(_pair_minima(left, lifted, g, rows, cols, buf), -bound, scale)
+    columns, left, bound, scale = _lifted(groups.reshape(d, n * g), g)
+    low = _unscaled(_pair_minima(left, columns, g, rows, cols, buf), -bound, scale)
     t = np.nextafter(np.nextafter(np.sqrt(np.maximum(low, 0.0)), -np.inf) - 2.0 * rho, -np.inf)
     floor = np.nextafter(t * (1.0 - (d + 3) * _EPS64), -np.inf)
     return np.nextafter(floor - math.sqrt(_UNDERFLOW64), -np.inf)
@@ -654,11 +676,11 @@ def _up(x: float) -> float:
 def _exact_minima(coords: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Exact smallest squared view distance of each sample pair (rows[k],
     cols[k]), by ``_sqeuclidean`` on the (D, N·V) ``coords``, as many pairs
-    at a time as fit ``TILE_BYTES``."""
+    at a time as fit half a ``TILE_BYTES`` (``_batch``)."""
     d = coords.shape[0]
     grid = coords.reshape(d, -1, v)
     out = np.empty(rows.size)
-    step = max(1, TILE_BYTES // (8 * d * v * v))
+    step = _batch(8 * d * v * v)
     for k in range(0, rows.size, step):
         a = grid[:, rows[k : k + step], :, None]
         b = grid[:, cols[k : k + step], None, :]

@@ -81,10 +81,18 @@ class ThresholdGraph:
 
 
 def build_threshold_graph(distances: np.ndarray, delta: float) -> ThresholdGraph:
-    """Edges join nodes whose distance is at most ``delta``."""
+    """Edges join nodes whose distance is at most ``delta``.
+
+    Integer distances, such as the threshold levels of ``_curve``, are
+    compared as they are. Any other input is compared in float64: under
+    NumPy 2's scalar rules a float32 array would compare with a Python-float
+    ``delta`` in float32.
+    """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
-    distances = np.asarray(distances, dtype=np.float64)
+    distances = np.asarray(distances)
+    if not np.issubdtype(distances.dtype, np.integer):
+        distances = distances.astype(np.float64, copy=False)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise ValueError("distance matrix must be square")
     adjacency = distances <= delta

@@ -18,8 +18,15 @@ exact float64 formula for the pairs they leave open) and with
 the same byte budget on the calling thread, float64 tiles of 8-byte
 entries, each one ``scipy.spatial.distance.cdist`` call and two minima,
 then thresholded by ``np.searchsorted``), so the two can be compared shape
-by shape; both return the same levels. ``view_tensor`` is timed on the
-whole dataset of the ``n96_v126`` rung.
+by shape; both return the same levels. ``n250_v126``, one class of 250 samples past the ladder,
+is timed with the package's kernel alone: cdist would compute about 10⁹
+view distances there, so sampled pairs are checked against
+``augmented_distance`` instead. ``view_tensor`` is timed on the whole
+dataset of the ``n96_v126`` rung.
+
+Every GEMM batch (the pre-pass's row blocks, the group floor's and the
+screen's stacks of pairs) and every batch of the exact formula fills half
+a ``TILE_BYTES`` tile, in a GEMM buffer of one tile.
 
 The group floor runs where a GEMM of all rows against one column sample
 holds at most one row sample, on the 32-, 64- and 96-sample 126-view
@@ -45,6 +52,7 @@ from augbound import augment
 from augbound.augment import (
     AugmentationSet,
     additive_shift,
+    augmented_distance,
     distance_levels,
     identity,
     rotation_2d,
@@ -166,6 +174,18 @@ def test_distance_levels_ladder_shape(benchmark, monkeypatch, shape, kernel):
         benchmark.extra_info.update(_step_counts(monkeypatch, points, aug))
     levels = benchmark(_KERNELS[kernel], points, aug, _DELTAS)
     np.testing.assert_array_equal(levels, _cdist_distance_levels(points, aug, _DELTAS))
+
+
+@pytest.mark.parametrize("shape", ["n250_v126"])
+def test_distance_levels_numpy_only_shape(benchmark, monkeypatch, shape):
+    n, v = (int(part[1:]) for part in shape.split("_"))
+    dataset, aug = _ring_dataset(n), _AUGS[v]
+    points = dataset.features[dataset.class_indices(0)]
+    benchmark.extra_info.update(_step_counts(monkeypatch, points, aug))
+    levels = benchmark(distance_levels, points, aug, _DELTAS)
+    for i, j in [(0, 1), (0, n - 1), (n // 2, n // 3), (n - 2, n - 1)]:
+        distance = augmented_distance(points[i], points[j], aug)
+        assert levels[i, j] == levels[j, i] == np.searchsorted(_DELTAS, distance, side="left")
 
 
 def test_view_tensor_192_points_126_views(benchmark):

@@ -365,12 +365,13 @@ def test_distance_levels_match_row_blocks(aug, n_per_class, class_id):
 
 def test_distance_levels_memory_is_one_tile_plus_output_and_views(split_workers):
     # 96 per class x 126 views, the largest ladder rung: the identity
-    # pre-pass takes 3 GEMMs of up to 43 row samples, the group floor
-    # stacks up to 560 pairs' GEMMs of 26 group centers each, and the screen
-    # 30 pairs' of 126 views each, with their gathered operands, each within
-    # one TILE_BYTES, beside the GEMM rows built once per class (242 KB);
-    # the former row blocks held about 780 MB here. Every batch runs on the
-    # calling thread, even where threads may start.
+    # pre-pass takes 5 GEMMs of up to 21 row samples, the group floor
+    # stacks up to 280 pairs' GEMMs of 26 group centers each, and the screen
+    # 15 pairs' of 126 views each, with their gathered operands, each batch
+    # within half a TILE_BYTES in a buffer of one, beside the GEMM rows and
+    # the column operands built once per class (242 KB each); the former
+    # row blocks held about 780 MB here. Every batch runs on the calling
+    # thread, even where threads may start.
     started = split_workers(2)
     ds = _ring_dataset(96)
     aug = AugmentationSet(
@@ -400,12 +401,14 @@ _RING_V126 = AugmentationSet(
 @pytest.mark.parametrize(
     "aug, n_per_class, tile_bytes",
     [
-        # V = 26, N = 50: blocks of 1, 3 and 15 row samples, columns in
-        # batches of 1, 50 and 50 samples.
+        # Each batch fills half the tile. V = 26, N = 50: pre-pass blocks of
+        # 1, 39 and 50 row samples; screen batches of 1, 54 and 280 pairs,
+        # behind group batches of 3 at the smallest tile.
         (_RING_V26, 25, 4 * 26 * 26),
         (_RING_V26, 25, 4 * 26 * 26 * 50 * 3),
         (_RING_V26, 25, TILE_BYTES),
-        # V = 126, N = 20: one row sample per block, 1, 3 and 20 column samples.
+        # V = 126, N = 20: pre-pass blocks of 3, 9 and 20 row samples; screen
+        # batches of 1, 1 and 15 pairs, behind group batches of 8, 25 and 280.
         (_RING_V126, 10, 4 * 126 * 126),
         (_RING_V126, 10, 4 * 126 * 126 * 3 + 1),
         (_RING_V126, 10, TILE_BYTES),
@@ -460,19 +463,43 @@ def test_distance_levels_do_not_depend_on_workers_or_tile_bytes(
     assert [call[:3] for call in calls] == (
         [("all", v, 1)] + [("pairs", g, g)] * one_row + [("pairs", v, v)]
     )
-    # Every GEMM is as large as the tile allows: whole-class blocks of row
-    # samples, or stacks of pairs with their gathered operands.
+    # Every GEMM is as large as half the tile allows: whole-class blocks of
+    # row samples, or stacks of pairs with their gathered operands.
     for kind, per_row, w, asked, shapes in calls:
         if kind == "all":
             n_rows, n_cols = asked
-            block = max(1, tile_bytes // (4 * per_row * w * n_cols))
+            block = max(1, tile_bytes // 2 // (4 * per_row * w * n_cols))
             assert max(shapes) == (min(block, n_rows) * per_row, k)
         elif shapes:
-            step = max(1, tile_bytes // (4 * (per_row * w + (per_row + w) * k)))
+            step = max(1, tile_bytes // 2 // (4 * (per_row * w + (per_row + w) * k)))
             assert {shape[1:] for shape in shapes} == {(per_row, k)}
             assert max(shapes)[0] == min(step, asked)
     # Every batch runs on the calling thread, even where threads may start.
     assert started == []
+
+
+def test_screen_gathers_from_a_contiguous_column_operand():
+    # ``ndarray.take`` copies a non-contiguous source whole before it
+    # gathers, so a screen batch that gathered from a transposed view of
+    # the lifted views would allocate one copy of the operand per batch
+    # (504 KB at 200 samples x 126 views). The gathers write into the
+    # caller's buffer, so one call allocates little beyond its output; the
+    # 298 pairs here take 20 batches of 15.
+    points = _ring_dataset(100).features
+    n, v = len(points), _RING_V126.num_views
+    coords = np.ascontiguousarray(view_tensor(points, _RING_V126).reshape(n * v, -1).T)
+    columns, left, _, _ = augment._lifted(coords, v)
+    assert columns.shape == (n, coords.shape[0] + 2, v) and columns.flags.c_contiguous
+    buf = np.empty(TILE_BYTES // 4, dtype=np.float32)
+    rows, cols = np.triu_indices(n, 1)
+    rows, cols = rows[::67], cols[::67]
+    tracemalloc.start()
+    try:
+        augment._pair_minima(left, columns, v, rows, cols, buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.size > 15 and peak < columns.nbytes // 4
 
 
 def test_distance_levels_of_one_tile_runs_inline(split_workers):
@@ -647,8 +674,8 @@ def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
     lifted, all_minima, pair_minima = augment._lifted, augment._all_minima, augment._pair_minima
     scaled, identity_minima, screened, grouped = [], [], [], []
 
-    def spy_lifted(coords):
-        out = lifted(coords)
+    def spy_lifted(coords, w):
+        out = lifted(coords, w)
         # The views, not the group centers.
         if coords.shape[1] == n * v:
             scaled.append(out[2:])

@@ -1,6 +1,7 @@
 """Threshold graphs, clique search, and sigma estimation."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,31 @@ def test_threshold_graph_edge_rule():
         expected[i, i + 1] = expected[i + 1, i] = True
     np.testing.assert_array_equal(g_path.adjacency, expected)
     assert not g_path.adjacency.diagonal().any()
+
+
+def test_threshold_graph_reads_integer_levels_without_a_float_copy():
+    # ``_curve`` passes each class's (N, N) intp threshold levels; a float64
+    # copy of them would allocate as much as the levels again.
+    levels = np.random.default_rng(3).integers(0, 5, (300, 300))
+    levels = levels + levels.T
+    tracemalloc.start()
+    try:
+        graph = build_threshold_graph(levels, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = levels <= 4
+    np.fill_diagonal(expected, False)
+    np.testing.assert_array_equal(graph.adjacency, expected)
+    assert peak < levels.nbytes // 2
+
+
+def test_threshold_graph_compares_floats_in_float64():
+    # float32(0.1) lies above the float64 delta 0.1, though a comparison in
+    # float32 would find them equal.
+    dist = np.full((3, 3), 0.1, dtype=np.float32)
+    assert not build_threshold_graph(dist, 0.1).adjacency.any()
+    assert build_threshold_graph(np.full((3, 3), 0.1), 0.1).adjacency.sum() == 6
 
 
 def test_threshold_graph_rejects_negative_delta():

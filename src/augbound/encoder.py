@@ -48,7 +48,8 @@ chunk's loss pass, raises the same error for its first step.
 ``loss_and_gradient`` checks on every call.
 
 ``lipschitz_upper_bound`` certifies the network before its normalization:
-the product of layer operator norms (tanh has slope at most 1). The factor
+the product of layer operator norms, rounded up (tanh has slope at most 1);
+``operator_norm`` verifies each without LAPACK. The factor
 of the output map is applied where that map is frozen, in
 :mod:`augbound.evaluation`.
 """
@@ -64,10 +65,12 @@ import numpy as np
 
 from . import losses as losses_mod
 from .augment import (
+    _EPS64,
     TILE_BYTES,
     AugmentationSet,
     _apply_views,
     _empty_draws,
+    _up,
     sample_views,
 )
 from .core import Dataset
@@ -934,23 +937,85 @@ def _train_chunk(
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """An upper bound on the largest singular value ‖W‖₂.
+    """A verified upper bound on the largest singular value ‖W‖₂, from one
+    Gram matrix and a Cholesky factorization; no LAPACK routine runs (Rump,
+    BIT 51, 2011; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, §3.5 and Thm 10.3; u = eps/2, γ_n = nu/(1 − nu)).
 
-    LAPACK's SVD value times (1 + 8·max(m, n)·eps), a margin for its
-    rounding; the SVD is backward stable, so its value can fall below the
-    true norm by a small multiple of max(m, n)·eps·‖W‖₂. (Power iteration,
-    which this replaces, converges from below and fell short by up to
-    4.3e-4 relative on small random matrices.)
+    A = W·2^-e, with max |a_ij| in [0.5, 1), so ‖A‖₂ ≥ 0.5. G = fl(AᵀA) or
+    fl(AAᵀ) is the k × k Gram of the smaller side, each entry a sum of p
+    products, so ‖G − AᵀA‖₂ ≤ γ_p·‖|A|‖₂² ≤ γ_p·F, where F bounds ‖A‖_F².
+    For a shift s, B = fl(s·I − G) has a diagonal within u·s of s − G_ii.
+    If B's floating-point Cholesky runs to completion, R̂ᵀR̂ = B + ΔB with
+    |ΔB| ≤ γ_{k+1}·|R̂ᵀ||R̂|, and ‖R̂‖_F² ≤ tr B/(1 − γ_{k+1}) ≤ k·s(1 + u)/
+    (1 − γ_{k+1}); so λ_min(B) > −‖ΔB‖₂ and λ_max(AᵀA) < s + α·t² + β ≤ t²
+    for t² = (s + β)/(1 − α), α = (k + 2)²·eps and β = p·eps·F. Each
+    constant is at least twice what it bounds; the excess, over 2^-56 as
+    F ≥ 1/4, covers its own rounding and every underflow (at most 2^-1074
+    an operation, or an entry of A). s is an estimate μ of λ_max(G) times
+    1 + η, and η widens until the check passes; μ decides only tightness,
+    and F itself, which bounds ‖A‖₂², is the last resort. The result is
+    2^e·√t² rounded up.
     """
     w = np.asarray(matrix, dtype=np.float64)
-    if w.size == 0:
-        return 0.0
-    return float(np.linalg.norm(w, 2)) * (1.0 + 8.0 * max(w.shape) * np.finfo(np.float64).eps)
+    top = float(np.abs(w).max()) if w.size else 0.0
+    if not 0.0 < top < math.inf:
+        return 0.0 if top == 0.0 else math.inf
+    e = math.frexp(top)[1]
+    a = np.ldexp(w, -e)
+    g = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    k, p = len(g), max(a.shape)
+    f = float(np.vdot(a, a)) * (1.0 + (a.size + 1) * _EPS64)
+    beta, mu = p * _EPS64 * f, _top_eigenvalue(g)
+    t2 = f
+    for j in range(8):
+        s = mu * (1.0 + (k + 2) * _EPS64 * 256.0**j)
+        bound = _up(_up(s + beta) / (1.0 - (k + 2) ** 2 * _EPS64))
+        if bound >= f or _cholesky_completes(g, s):
+            t2 = min(bound, f)
+            break
+    try:
+        return _up(math.ldexp(_up(math.sqrt(t2)), e))
+    except OverflowError:
+        return math.inf
+
+
+def _top_eigenvalue(g: np.ndarray) -> float:
+    """An estimate of the largest eigenvalue of a symmetric positive
+    semidefinite ``g``: in closed form at 2 × 2, else the Rayleigh quotient
+    of a row of g^N/tr(g^N), N = 2^j squared up until one eigenvalue holds
+    all but 1e-8 of the trace, plus one more squaring."""
+    if len(g) == 2:
+        (a, b), (_, c) = g.tolist()
+        return 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    h = g / np.trace(g)
+    for _ in range(40):
+        settled = np.vdot(h, h) > 1.0 - 1e-8
+        h = h @ h
+        h /= np.trace(h)
+        if settled:
+            break
+    v = h[np.argmax(h.diagonal())]
+    return float(v @ g @ v / (v @ v))
+
+
+def _cholesky_completes(g: np.ndarray, s: float) -> bool:
+    """Whether the outer-product Cholesky factorization of fl(s·I − g), in
+    float64, finds every pivot positive."""
+    b = -g
+    b.flat[:: len(b) + 1] += s
+    for j in range(len(b) - 1):
+        if not b[j, j] > 0.0:
+            return False
+        row = b[j, j + 1 :] / math.sqrt(b[j, j])
+        b[j + 1 :, j + 1 :] -= row[:, None] * row
+    return bool(b[-1, -1] > 0.0)
 
 
 def lipschitz_upper_bound(model: EncoderModel) -> float:
     """Certified Lipschitz constant of :func:`forward_prenorm`: the product of
-    the layer operator norms (tanh has slope at most 1).
+    the layer operator norms (tanh has slope at most 1), each product
+    rounded up.
 
     The embedding map's certificate multiplies it by a factor of its output
     normalization, which needs the frozen evaluation map; see
@@ -958,7 +1023,7 @@ def lipschitz_upper_bound(model: EncoderModel) -> float:
     """
     product = 1.0
     for layer in model.layers:
-        product *= operator_norm(layer.weight)
+        product = _up(product * operator_norm(layer.weight))
     return product
 
 

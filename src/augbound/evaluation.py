@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
-from .augment import TILE_BYTES, _sqeuclidean
+from .augment import TILE_BYTES, _sqeuclidean, _up
 from .core import Dataset
 from .encoder import EncoderModel, _norm_forward, _sums, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
@@ -88,8 +88,8 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     distribution. The certificate is the layer product times 2 / c on the
     unit sphere, with c the smallest pre-projection norm on the grid (it
     holds between points whose norms reach c), or times 1 / c, with c the
-    smallest scale. As vanishing and overflowing norms or variances are
-    refused, the certificate is finite and never 0.
+    smallest scale, rounded up. As vanishing and overflowing norms or
+    variances are refused, the certificate is finite and never 0.
     """
     n, v, _ = views.shape
     pre = forward_prenorm(model, views.reshape(n * v, -1))
@@ -97,7 +97,8 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     flat, scales = _norm_forward(model, pre, sums)
     sphere = model.norm_mode == "sphere"
     factor = 2.0 if sphere else 1.0
-    lipschitz = lipschitz_upper_bound(model) * factor / float(scales.min())
+    # Times 2 or 1 is exact; only the quotient needs rounding up.
+    lipschitz = _up(lipschitz_upper_bound(model) * factor / float(scales.min()))
     radius = 1.0 if sphere else math.sqrt(model.output_dim)
     z = flat.reshape(n, v, -1)
     return EmbeddedViews(

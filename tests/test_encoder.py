@@ -1,10 +1,12 @@
 """Encoder forward conventions, manual gradients, training, Lipschitz."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1314,6 +1316,95 @@ def test_operator_norm_never_falls_below_the_svd_value():
             s[1] = s[0] * (1.0 - 10.0 ** rng.uniform(-9, -3))
             w = (u * s) @ vt
         assert operator_norm(w) >= np.linalg.svd(w, compute_uv=False)[0]
+
+
+def _exceeds_norm_exactly(w, t):
+    """Whether t > ‖W‖₂, decided in exact rational arithmetic.
+
+    G is the exact Gram matrix of the float entries of W's smaller side.
+    t > ‖W‖₂ exactly when t²·I − G is positive definite, that is when its
+    leading principal minors are positive (Sylvester), which are the
+    products of the pivots of elimination without row exchanges."""
+    rows = [[Fraction(x) for x in row] for row in (w if w.shape[0] <= w.shape[1] else w.T).tolist()]
+    k, t2 = len(rows), Fraction(t) ** 2
+    m = [[t2 * (i == j) - sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(k)] for i in range(k)]
+    for j in range(k):
+        if m[j][j] <= 0:
+            return False
+        for i in range(j + 1, k):
+            f = m[i][j] / m[j][j]
+            m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+    return True
+
+
+def _oracle_cases():
+    """Matrices whose smaller side is 1 to 4, with the cases rounding and
+    the eigenvalue estimate find hardest."""
+    rng = np.random.default_rng(21)
+    for k in range(240):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        w = rng.normal(size=(m, n) if k % 2 else (n, m))
+        if k % 4 == 1:
+            w = np.outer(w[:, 0], w[0])  # rank one
+        elif k % 4 == 2 and min(w.shape) >= 2:
+            u, s, vt = np.linalg.svd(w, full_matrices=False)
+            s[1] = s[0] * (1.0 - 10.0 ** rng.uniform(-16, -3))
+            w = (u * s) @ vt
+        yield w
+        yield np.ldexp(w, 500)
+        yield np.ldexp(w, -500)
+        yield np.round(w * 1000.0) * 5e-324  # subnormal entries
+    yield rng.normal(size=(1, 6))
+    yield rng.normal(size=(6, 1))
+    yield np.array([[1.0, 1e-300], [-1e-300, 1.0]])
+
+
+def test_operator_norm_exceeds_the_norm_by_an_exact_oracle():
+    for w in _oracle_cases():
+        assert _exceeds_norm_exactly(w, operator_norm(w)), w
+    for shape in [(3, 2), (1, 5), (4, 1)]:
+        assert operator_norm(np.zeros(shape)) == 0.0
+
+
+def test_operator_norm_is_tight_on_the_workload_shapes():
+    rng = np.random.default_rng(22)
+    layers = [rng.normal(size=shape) for shape in [(2, 2), (2, 3), (8, 2)] * 50]
+    for input_dim, hidden in [(2, ()), (3, ()), (2, (8,))]:
+        cfg = GeneratorConfig(
+            num_classes=2, samples_per_class=16,
+            cluster_centers=((-2.0,) + (0.0,) * (input_dim - 1), (2.0,) + (0.0,) * (input_dim - 1)),
+            cluster_spread=0.15, manifold="gaussian_blobs", seed=0,
+        )
+        model = init_encoder(
+            input_dim=input_dim, hidden_dims=hidden, output_dim=2, norm_mode="sphere",
+            radius=1.0, seed=23,
+        )
+        aug = AugmentationSet(transforms=(identity(), rotation_2d((0, 1), 0.0, 0.3)), grid_resolution=3)
+        config = TrainConfig(loss="info_nce", steps=250, batch_size=8, learning_rate=0.1, seed=0)
+        trained, _ = train(model, generate_dataset(cfg), aug, config)
+        layers += [layer.weight for layer in trained.layers]
+    assert {w.shape for w in layers} == {(2, 2), (2, 3), (8, 2), (2, 8)}
+    for w in layers:
+        assert operator_norm(w) <= (1.0 + 1e-12) * np.linalg.svd(w, compute_uv=False)[0]
+
+
+def test_operator_norm_of_an_unrepresentable_norm_is_inf():
+    assert operator_norm(np.full((2, 2), 1e308)) == math.inf
+    assert operator_norm(np.array([[1.0, np.nan]])) == math.inf
+
+
+def test_lipschitz_upper_bound_rounds_each_product_up():
+    below = 0
+    for seed in range(40):
+        model = init_encoder(
+            input_dim=3, hidden_dims=(5, 4), output_dim=2, norm_mode="sphere",
+            radius=1.0, seed=seed,
+        )
+        norms = [operator_norm(layer.weight) for layer in model.layers]
+        exact = math.prod(Fraction(x) for x in norms)
+        assert Fraction(lipschitz_upper_bound(model)) >= exact
+        below += Fraction(math.prod(norms)) < exact
+    assert below  # the plain float product falls short on some seeds
 
 
 def test_lipschitz_scaled_identity_layer():

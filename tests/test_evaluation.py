@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -420,6 +421,35 @@ def test_frozen_lipschitz_covers_view_pairs():
     num = np.linalg.norm(z[i[keep]] - z[j[keep]], axis=1)
     den = np.linalg.norm(views[i[keep]] - views[j[keep]], axis=1)
     assert (num <= bound * den + 1e-9).all()
+
+
+def test_frozen_lipschitz_rounds_its_quotient_up(monkeypatch):
+    # L times 2 (or 1) over c, against the exact quotient of the floats
+    # it was built from; L is set to values a float quotient rounds.
+    mins = []
+
+    def recording_norm_forward(model, pre, sums):
+        flat, scales = encoder._norm_forward(model, pre, sums)
+        mins.append(float(scales.min()))
+        return flat, scales
+
+    monkeypatch.setattr(evaluation, "_norm_forward", recording_norm_forward)
+    rng = np.random.default_rng(19)
+    below = 0
+    for k in range(40):
+        norm_mode = ("sphere", "batch_standardized")[k % 2]
+        model = init_encoder(
+            input_dim=2, hidden_dims=(3,), output_dim=2, norm_mode=norm_mode,
+            radius=1.0, seed=k,
+        )
+        layer_product = float(rng.uniform(0.5, 3.0))
+        monkeypatch.setattr(evaluation, "lipschitz_upper_bound", lambda _: layer_product)
+        lipschitz = embed_views(model, rng.normal(size=(6, 3, 2)), np.full(3, 1.0 / 3.0)).lipschitz
+        factor = 2 if norm_mode == "sphere" else 1
+        exact = Fraction(layer_product) * factor / Fraction(mins[-1])
+        assert Fraction(lipschitz) >= exact
+        below += Fraction(layer_product * factor / mins[-1]) < exact
+    assert below  # the plain float quotient falls short for some
 
 
 def _brute_population_info_nce(enc, ds, aug):

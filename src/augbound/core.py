@@ -73,16 +73,16 @@ class Dataset:
         if changed.size:
             i = int(changed[0])
             raise ValueError(f"label {raw[i].item()!r} of row {i} is not an int64 integer")
-        # Sorted, not counted, so memory stays O(N) whatever the largest label.
-        ordered = np.sort(labels)
-        if ordered[0] < 0:
+        if labels.min() < 0:
             raise ValueError("labels must be non-negative")
-        jumps = np.diff(ordered, prepend=-1)
-        if jumps.max() > 1:
-            i = int(np.argmax(jumps > 1))
+        # Only labels below N are counted, so memory stays O(N) whatever the
+        # largest label: N labels cannot cover N + 1 classes, so where one is
+        # N or more, a class below N is empty.
+        top, n = int(labels.max()), labels.size
+        empty = np.flatnonzero(np.bincount(labels[labels < n], minlength=n)[: top + 1] == 0)
+        if empty.size:
             raise ValueError(
-                f"class {ordered[i] - jumps[i] + 1} has no sample; "
-                f"every class 0 .. {ordered[-1]} needs one"
+                f"class {empty[0]} has no sample; every class 0 .. {top} needs one"
             )
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -263,25 +263,32 @@ def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]
 
     The bytes are those of ``csv.writer``'s default dialect: minimal quoting
     and CRLF line ends. The file is built as one string and written at once,
-    column by column where the rows are of one nonzero length: a column of
-    floats takes ``float.__repr__`` and one of ints ``int.__repr__``, which
-    give ``csv_value``'s strings and never need quoting, so the records are
-    plain joins unless another column needs the check of ``_csv_record``.
-    Other columns and ragged rows go cell by cell through ``csv_value``.
+    column by column where the rows are of one nonzero length. A column of
+    floats takes ``float.__repr__``, one of ints ``int.__repr__`` and any
+    other of floats, ints and bools ``csv_value``: none of their strings
+    needs quoting. A column of strs is checked once, for a comma, quote, CR or LF
+    and, in rows of one cell, an empty cell. The records are plain joins
+    unless a column fails its check or holds other cells; then each record
+    gets the check of ``_csv_record``. Other columns and ragged rows go cell
+    by cell through ``csv_value``.
     """
     rows = [tuple(row) for row in rows]
     lines = [_csv_record(list(header))]
     if rows and rows[0] and len(set(map(len, rows))) == 1:
-        columns, plain = [], True
+        columns, plain, lone = [], True, len(rows[0]) == 1
         for column in zip(*rows):
             kinds = set(map(type, column))
             if all(issubclass(kind, float) for kind in kinds):
                 columns.append(map(float.__repr__, column))
             elif kinds == {int}:
                 columns.append(map(int.__repr__, column))
+            elif kinds == {str}:
+                text = "".join(column)
+                columns.append(column)
+                plain &= not (any(c in text for c in ',"\r\n') or lone and "" in column)
             else:
                 columns.append(map(csv_value, column))
-                plain = False
+                plain &= all(kind in (int, bool) or issubclass(kind, float) for kind in kinds)
         lines += map(",".join, zip(*columns)) if plain else map(_csv_record, zip(*columns))
     else:
         lines += [_csv_record([csv_value(cell) for cell in row]) for row in rows]

@@ -6,13 +6,13 @@ per-dimension batch standardization (zero mean, unit mean square over the
 current batch). Gradients are computed by manual backpropagation through
 the whole stack, including the normalization. Training is minibatch SGD on
 sampled view batches with the exact gradient of each batch loss, and the
-parameters are updated in place. Steps run in chunks whose views and kept
-embeddings fit in ``TILE_BYTES``. A chunk's random draws are those of
-``make_train_batch`` step by step, decoded from one block of the
-generator's raw words, and each augmentation member is then applied once
-to all of its views. The step loop computes only what the next step
-needs, the gradient and the update, and keeps each step's embeddings (its
-cross-correlation matrix for ``cross_corr``). After the loop, one
+parameters are updated in place. Steps run in chunks whose views, kept
+embeddings and norms or variances fit in ``TILE_BYTES``. A chunk's random
+draws are those of ``make_train_batch`` step by step, decoded from one
+block of the generator's raw words, and each augmentation member is then
+applied once to all of its views. The step loop computes only what the next
+step needs, the gradient and the update, and keeps each step's embeddings
+(its cross-correlation matrix for ``cross_corr``). After the loop, one
 vectorized call of the loss kernels gives the l1, l2 and total of every
 step in the chunk for the trace.
 
@@ -766,23 +766,26 @@ def _train_stack(
     raises, at the same step.
 
     Each level has its own generator, seeded with ``config.seed``. Steps run
-    in chunks of at most ``TILE_BYTES // (L·k·B·(D + d)·8)``, L the levels
-    still training and k = 3 views per anchor with negatives, else 2, in
-    two passes. First each level's views of the chunk are made by
-    ``_sample_chunk``: the stream of ``make_train_batch`` called once per
-    step, decoded from one ``random_raw`` block of the level's generator,
-    with each augmentation member applied once to all of its views (for a
-    bit generator other than PCG64, or at a bounded draw that numpy might
-    reject, ``make_train_batch`` itself; see ``_block_draws``). A stack
-    writes each level's views straight into its row of one (steps, L,
-    k·B, D) array, so no level's views are held twice. Then one
-    step loop runs all levels' steps on parameters stacked on a leading
-    axis, in a ``_Workspace`` built for the chunk (so again after the stack
-    narrows), computes only the gradient and the update, and keeps each
-    step's embeddings (F for cross_corr). Last, per level, one vectorized
-    pass of the loss kernels gives every step's l1, l2 and total. The
-    kernels reduce only over trailing contiguous axes, so each value equals
-    what ``loss_and_gradient`` reports for the step, bit for bit.
+    in chunks of at most ``TILE_BYTES // (8·L·(k·B·D + K + S))`` steps, L
+    the levels still training and k = 3 views per anchor with negatives,
+    else 2: per step and level the chunk holds k·B views of D features, K
+    kept floats (k·B·d embeddings, or the d² of F for cross_corr) and S
+    norms (k·B, sphere) or variances (d). The chunk runs in two passes.
+    First each level's views of the chunk are made by ``_sample_chunk``: the
+    stream of ``make_train_batch`` called once per step, decoded from one
+    ``random_raw`` block of the level's generator, with each augmentation
+    member applied once to all of its views (for a bit generator other than
+    PCG64, or at a bounded draw that numpy might reject,
+    ``make_train_batch`` itself; see ``_block_draws``). A stack writes each
+    level's views straight into its row of one (steps, L, k·B, D) array, so
+    no level's views are held twice. Then one step loop runs all levels'
+    steps on parameters stacked on a leading axis, in a ``_Workspace`` built
+    for the chunk (so again after the stack narrows), computes only the
+    gradient and the update, and keeps each step's embeddings (F for
+    cross_corr). Last, per level, one vectorized pass of the loss kernels
+    gives every step's l1, l2 and total. The kernels reduce only over
+    trailing contiguous axes, so each value equals what
+    ``loss_and_gradient`` reports for the step, bit for bit.
 
     The step loop runs unchecked, under an error state that raises every
     floating-point event the caller does not ignore, and writes each step's
@@ -820,7 +823,10 @@ def _train_stack(
         trace[:, 0] = np.arange(config.steps)
     params = np.stack([flat_params(models[i]) for i in live])
     k = 3 if config.loss in _SPHERE_LOSSES else 2
-    step_bytes = k * config.batch_size * (dataset.input_dim + template.output_dim) * 8
+    kb, d = k * config.batch_size, template.output_dim
+    kept = d * d if config.loss == "cross_corr" else kb * d
+    stat = kb if template.norm_mode == "sphere" else d
+    step_bytes = 8 * (kb * dataset.input_dim + kept + stat)
     start = 0
     while live and start < config.steps:
         stop = min(start + max(1, TILE_BYTES // (len(live) * step_bytes)), config.steps)

@@ -302,33 +302,35 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
     Rows are the flattened anchor views (i, a), R to a tile. A tile lays its
     shifted exponentials out as (N·V, R), so that the (V, R) block of each
     negative sample j is contiguous, and repeats the positives to (V, V·R);
-    per negative sample one add and one multiply then run over the whole
-    (V, V, R) block of (b, c, a). Each share of the tiles computes in one
-    set of buffers: per row, the N·V exponentials, a scratch of max(N·V,
-    V²), and V² each for the positives, the log sum and the product. Their
-    bytes per row set R within ``TILE_BYTES // _WORKERS``. The calling
-    thread allocates one set per share, ``min(_WORKERS, tiles)`` of them in
-    one block, each buffer starting on a cache line (``_aligned_sets``), so
-    the helper allocates no buffer of its own. ``_run_split`` runs a single
-    tile inline, and more with the calling thread computing every other
-    tile and one helper thread the rest. Tiles write each row's weighted log
-    sum and shift into two N·V vectors, which are reduced once at the end.
+    per negative sample one add and one multiply then run over the whole (V,
+    V, R) block of (b, c, a). Each share of the tiles computes in one set of
+    buffers: per row, the N·V exponentials, a scratch of max(N·V, V²), and
+    V² each for the positives and the log sum, and for the product of a
+    later group where there is more than one (never on the unit sphere below
+    355 samples). Their bytes per row set R within ``TILE_BYTES //
+    _WORKERS``. The calling thread allocates one set per share,
+    ``min(_WORKERS, tiles)`` of them in one block, each buffer starting on a
+    cache line (``_aligned_sets``), so the helper allocates no buffer of its
+    own. ``_run_split`` runs a single tile inline, and more with the calling
+    thread computing every other tile and one helper thread the rest. Tiles
+    write each row's weighted log sum and shift into two N·V vectors, which
+    are reduced once at the end.
     """
     n, v, d = z.shape
     nv, vv = n * v, v * v
     flat = z.reshape(nv, d)
     group = min(n, int(-_EXP_FLOOR // max(span, 1.0)))
     pair_w = np.outer(weights, weights / n).ravel()
-    row_bytes = 8 * (nv + max(nv, vv) + 3 * vv)
-    rows = min(nv, max(1, TILE_BYTES // _WORKERS // row_bytes))
+    # Per row: exponentials, scratch, positives, log sum and, past one group, product.
+    floats = (nv, max(nv, vv), vv, vv) + ((vv,) if group < n else ())
+    rows = min(nv, max(1, TILE_BYTES // _WORKERS // (8 * sum(floats))))
     per_row = np.empty(nv)
     shifts = np.empty(nv)
     tiles = range(0, nv, rows)
-    sizes = (nv * rows, max(nv, vv) * rows, vv * rows, vv * rows, vv * rows)
-    workspaces = _aligned_sets(sizes, min(_WORKERS, len(tiles)))
+    workspaces = _aligned_sets([size * rows for size in floats], min(_WORKERS, len(tiles)))
 
     def work(starts: range, buffers: Sequence[np.ndarray]) -> None:
-        exps_buf, scratch_buf, pos_buf, logs_buf, product_buf = buffers
+        exps_buf, scratch_buf, pos_buf, logs_buf, *product_buf = buffers
         for start in starts:
             stop = min(start + rows, nv)
             r = stop - start
@@ -348,12 +350,12 @@ def _info_nce_divergence(z: np.ndarray, weights: np.ndarray, span: float) -> flo
             positives = q.reshape(n, v, r)[np.arange(start, stop) // v, :, np.arange(r)]
             pos.reshape(v, v, r)[...] = positives.T[:, None, :]
             blocks = q.reshape(n, v * r)
-            logs, product, factor = (
-                buf[: vv * r].reshape(v, v * r) for buf in (logs_buf, product_buf, scratch_buf)
+            logs, factor, *product = (
+                buf[: vv * r].reshape(v, v * r) for buf in (logs_buf, scratch_buf, *product_buf)
             )
             for first in range(0, n, group):
                 # The first group's product and its log go straight to the sum.
-                acc = logs if first == 0 else product
+                acc = logs if first == 0 else product[0]
                 np.add(pos, blocks[first], out=acc)
                 for j in range(first + 1, min(first + group, n)):
                     np.add(pos, blocks[j], out=factor)
@@ -434,8 +436,8 @@ def population_loss(
     the tile's width or on where its buffers start. The per-row values are
     reduced once in a fixed order, so the result does not depend on the
     worker count or the tiling. The extra memory is one ``TILE_BYTES`` in
-    all, plus at most 64 bytes of alignment per buffer (five per tile set)
-    and the N·V embeddings.
+    all, plus at most 64 bytes of alignment per buffer (four per tile set,
+    five with more than one group) and the N·V embeddings.
     """
     means = embedded.means
     if kind == "info_nce":

@@ -383,8 +383,7 @@ def write_config(config: ExperimentConfig, out_dir: str) -> None:
     """Create ``out_dir`` and write the resolved config to ``config.json`` in it."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config_to_dict(config), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(config_to_dict(config), sort_keys=True, indent=2) + "\n")
 
 
 def stage_dataset(config: ExperimentConfig, out_dir: str) -> Dataset:

@@ -14,16 +14,18 @@ rotation and a scaling, a sphere encoder and the ``info_nce`` loss.
   kernel takes one product over the N = 28 negative samples per (anchor,
   positive view, negative view) and one ``log`` of it: N·V³ = 492,128
   ``log`` calls, against N²V³ = 13.8 million adds and multiplies.
-- At grid 3 (10 views), a job of 1.84 MiB: one ``TILE_BYTES`` tile, but
+- At grid 3 (10 views), a job of 1.62 MiB: one ``TILE_BYTES`` tile, but
   two of ``TILE_BYTES // 2``, so with two usable CPUs it is split between
   the calling thread and one helper.
-- At grid 5 with the rotation alone (6 views), a job of 0.57 MiB: one tile,
+- At grid 5 with the rotation alone (6 views), a job of 0.52 MiB: one tile,
   which runs inline.
 
 The tile buffers are allocated by the calling thread, one set per share of
 the tiles, each buffer starting on a 64-byte cache line; the helper thread
-allocates none. The view grid is embedded once before timing, as
-``stage_evaluate`` does, so the timing covers the loss alone.
+allocates none. Each case records in ``extra_info`` the anchor rows per
+tile and the tile count, read once, untimed, from the tiles the kernel hands
+to ``evaluation._run_split``. The view grid is embedded once before timing,
+as ``stage_evaluate`` does, so the timing covers the loss alone.
 """
 
 import pytest
@@ -36,16 +38,33 @@ from augbound.augment import (
     view_tensor,
     view_weights,
 )
+from augbound import evaluation
 from augbound.core import GeneratorConfig, generate_dataset
 from augbound.encoder import init_encoder
 from augbound.evaluation import embed_views, population_loss
+
+
+def _tiling(monkeypatch, embedded):
+    """Anchor rows per tile and the tile count of one population InfoNCE."""
+    tiles = []
+    run_split = evaluation._run_split
+
+    def watched(work, items, workspaces):
+        tiles.append(items)
+        run_split(work, items, workspaces)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "_run_split", watched)
+        population_loss(embedded, "info_nce")
+    (items,) = tiles
+    return {"rows_per_tile": items.step, "tiles": len(items)}
 
 
 @pytest.mark.parametrize(
     "grid_resolution, num_views, num_transforms", [(5, 26, 3), (3, 10, 3), (5, 6, 2)]
 )
 def test_population_info_nce_ring_14_per_class(
-    benchmark, grid_resolution, num_views, num_transforms
+    benchmark, monkeypatch, grid_resolution, num_views, num_transforms
 ):
     dataset = generate_dataset(
         GeneratorConfig(
@@ -71,5 +90,6 @@ def test_population_info_nce_ring_14_per_class(
     views = view_tensor(dataset.features, aug)
     weights = view_weights(aug)
     embedded = embed_views(model, views, weights)
+    benchmark.extra_info.update(_tiling(monkeypatch, embedded))
     result = benchmark(population_loss, embedded, "info_nce")
     assert result.kind == "info_nce"

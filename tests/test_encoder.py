@@ -352,6 +352,17 @@ def _oracle_case(loss, steps):
     return ds, model, config
 
 
+def _step_bytes(ds, model, config, levels=1):
+    """Bytes a chunk holds per step for ``levels`` levels: each level's k·B
+    views of D features, its kept embeddings (k·B·d, or the d × d F for
+    cross_corr) and its norms (k·B, sphere) or variances (d)."""
+    k = 2 if config.loss == "cross_corr" else 3
+    kb, d = k * config.batch_size, model.output_dim
+    kept = d * d if config.loss == "cross_corr" else kb * d
+    stat = kb if model.norm_mode == "sphere" else d
+    return 8 * levels * (kb * ds.input_dim + kept + stat)
+
+
 @pytest.mark.parametrize("aug_name", sorted(_ORACLE_AUGS))
 @pytest.mark.parametrize("loss", ["info_nce", "cross_corr", "simple"])
 def test_train_matches_reference_loop_bit_for_bit(loss, aug_name, monkeypatch):
@@ -359,9 +370,7 @@ def test_train_matches_reference_loop_bit_for_bit(loss, aug_name, monkeypatch):
     aug = _ORACLE_AUGS[aug_name]
     before = flat_params(model)
     ref_model, ref_trace = _reference_train(model, ds, aug, config)
-    # A step holds its k·B views of D features and their d-dim embeddings.
-    k = 2 if loss == "cross_corr" else 3
-    step_bytes = k * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    step_bytes = _step_bytes(ds, model, config)
     chunks = _record_loss_passes(monkeypatch)
     # The default budget holds all 60 steps; then chunks of 1 step, of 7
     # (a 4-step last chunk), of 59 (a 1-step last chunk) and of 60.
@@ -752,7 +761,7 @@ def test_divergence_inside_a_chunk_reports_the_per_step_index(monkeypatch):
     with np.errstate(all="ignore"):
         step = _reference_divergence_step(model, ds, aug, config)
         assert step is not None and step % 7 not in (0, 6)
-        step_bytes = 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+        step_bytes = _step_bytes(ds, model, config)
         for tile_bytes in (TILE_BYTES, 7 * step_bytes):
             monkeypatch.setattr(encoder, "TILE_BYTES", tile_bytes)
             with pytest.raises(RuntimeError, match=f"diverged at step {step}$"):
@@ -763,7 +772,7 @@ def test_non_finite_loss_of_a_chunk_reports_its_first_step(monkeypatch):
     # The loop's parameter check always fires first; the check after the
     # loss pass is a backstop, reached here through a poisoned loss pass.
     ds, model, config = _oracle_case("info_nce", steps=20)
-    step_bytes = 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    step_bytes = _step_bytes(ds, model, config)
     monkeypatch.setattr(encoder, "TILE_BYTES", 7 * step_bytes)
     real = encoder._loss_terms
 
@@ -878,7 +887,7 @@ def _near_origin_case():
 def test_a_zero_norm_inside_a_chunk_raises_at_its_step(errstate, chunk_ends_there, monkeypatch):
     ds, model, config, s = _near_origin_case()
     if chunk_ends_there:
-        step_bytes = 3 * config.batch_size * (2 + model.output_dim) * 8
+        step_bytes = _step_bytes(ds, model, config)
         monkeypatch.setattr(encoder, "TILE_BYTES", (s + 1) * step_bytes + step_bytes // 2)
     with np.errstate(**errstate):
         _assert_train_fails_as_the_per_step_loop(model, ds, config, ValueError, monkeypatch)
@@ -907,7 +916,7 @@ def test_tanh_weights_that_overflow_while_embeddings_stay_finite_raise_at_their_
     ds, model = _pole_collapse()
     config = TrainConfig(loss="info_nce", steps=24, batch_size=2, learning_rate=1e308, seed=3)
     if chunk_ends_there:
-        step_bytes = 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+        step_bytes = _step_bytes(ds, model, config)
         monkeypatch.setattr(encoder, "TILE_BYTES", 8 * step_bytes + step_bytes // 2)
     with np.errstate(**errstate):
         step, _ = _per_step_failure(model, ds, _IDENTITY_ONLY, config)
@@ -1009,8 +1018,7 @@ def test_a_stack_trains_each_level_as_train_does_alone(loss, monkeypatch):
     # the default budget, of one step and of seven.
     ds, model, config = _oracle_case(loss, steps=30)
     models = [with_params(model, (1.0 + 0.25 * i) * flat_params(model)) for i in range(3)]
-    k = 2 if loss == "cross_corr" else 3
-    step_bytes = len(models) * k * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    step_bytes = _step_bytes(ds, model, config, len(models))
     for chunk_steps in (None, 1, 7):
         if chunk_steps is not None:
             monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
@@ -1041,7 +1049,7 @@ def test_a_stack_level_that_diverges_ends_at_its_step_and_the_others_go_on(
     augs = [_IDENTITY_ONLY, _IDENTITY_ONLY, flip]
     config = TrainConfig(loss="info_nce", steps=24, batch_size=2, learning_rate=1e308, seed=3)
     if chunk_steps is not None:
-        step_bytes = 3 * 3 * config.batch_size * (ds.input_dim + 2) * 8
+        step_bytes = _step_bytes(ds, collapsing, config, len(models))
         monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
     with np.errstate(**errstate):
         stacked = _assert_stack_matches_train_alone(models, ds, augs, config)
@@ -1089,7 +1097,7 @@ def test_a_stack_that_narrows_trains_its_other_levels_as_alone(chunk_steps, monk
         with_params(model, 1.25 * flat_params(model)),
         init_encoder(2, (), 2, "sphere", 1.0, seed=7),
     ]
-    step_bytes = 3 * 3 * config.batch_size * (ds.input_dim + model.output_dim) * 8
+    step_bytes = _step_bytes(ds, model, config, len(models))
     monkeypatch.setattr(encoder, "TILE_BYTES", chunk_steps * step_bytes + step_bytes // 2)
     built = _record_workspaces(monkeypatch)
     stacked = encoder._train_stack(models, ds, [_IDENTITY_ONLY] * 3, config)
@@ -1119,7 +1127,7 @@ def test_train_memory_is_bounded_by_the_tile_budget():
     # 500 steps of 3 x 64 views of 32 features are 24.6 MB of views, over
     # ten tile budgets. Sampled a chunk of at most TILE_BYTES at a time,
     # with the raw draw block and the transform temporaries, the peak
-    # measures 3.7 x TILE_BYTES.
+    # measures 3.5 x TILE_BYTES.
     steps, b, d = 500, 64, 32
     assert steps * 3 * b * d * 8 >= 10 * TILE_BYTES
     rng = np.random.default_rng(0)
@@ -1145,7 +1153,7 @@ def test_train_memory_is_bounded_by_the_tile_budget():
     assert trace.shape == (steps, 4)
     assert peak < 8 * TILE_BYTES
     # A stack of six levels shares the budget, in chunks a sixth as long:
-    # its peak measures 1.9 x TILE_BYTES.
+    # its peak measures 1.5 x TILE_BYTES.
     augs = [
         AugmentationSet(
             (identity(), sign_flip_mask(signs), additive_shift(tuple(rng.uniform(-0.2, 0.2, d)))),
@@ -1163,11 +1171,10 @@ def test_train_memory_is_bounded_by_the_tile_budget():
     assert peak < 8 * TILE_BYTES
 
 
-def test_a_stack_holds_no_array_of_a_chunk_when_the_next_one_draws(monkeypatch):
-    # The ring_pairs sweep: six levels of 300 InfoNCE steps train in chunks
-    # of 182 and 118 steps. When the second chunk draws, chunk 1's norms,
-    # workspace and kept embeddings are gone: beside the chunk's own views,
-    # the traced memory is what it was when chunk 1 drew.
+def _ring_pairs_stack():
+    """The ring_pairs sweep's training: six levels, the pairs of a catalog of
+    four transforms beside the identity, of 300 InfoNCE steps of B = 16 on
+    the 3-d ring task, a linear sphere encoder to 2-d."""
     ds = generate_dataset(
         GeneratorConfig(
             num_classes=2,
@@ -1192,6 +1199,54 @@ def test_a_stack_holds_no_array_of_a_chunk_when_the_next_one_draws(monkeypatch):
     ]
     model = init_encoder(3, (), 2, "sphere", 1.0, seed=0)
     config = TrainConfig(loss="info_nce", steps=300, batch_size=16, learning_rate=0.1, seed=0)
+    return ds, model, augs, config
+
+
+def test_a_ring_pairs_chunk_holds_at_most_one_tile_through_its_steps(monkeypatch):
+    # The ring_pairs sweep trains in two chunks, each within TILE_BYTES. From
+    # its workspace (its views drawn) to the next chunk's draw, through the
+    # step loop and the loss passes, a chunk's traced peak is TILE_BYTES
+    # beside the stack's own arrays: the six (300, 4) traces (56 KiB), the
+    # workspace (34 KiB) and a step's temporaries. It measures 112 KiB over
+    # TILE_BYTES; with chunks sized by views and embeddings alone, 530 KiB.
+    ds, model, augs, config = _ring_pairs_stack()
+    assert _step_bytes(ds, model, config, len(augs)) * config.steps > TILE_BYTES
+    workspace, sample_chunk = encoder._workspace, encoder._sample_chunk
+    marks = []  # (the phase that starts, the traced peak of the one that ends)
+
+    def mark(phase):
+        marks.append((phase, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+
+    def watched_workspace(*args):
+        mark("steps")
+        return workspace(*args)
+
+    def watched_sample_chunk(dataset, aug, *args):
+        if aug is augs[0]:  # a chunk's first draw
+            mark("draw")
+        return sample_chunk(dataset, aug, *args)
+
+    monkeypatch.setattr(encoder, "_workspace", watched_workspace)
+    monkeypatch.setattr(encoder, "_sample_chunk", watched_sample_chunk)
+    tracemalloc.start()
+    try:
+        stacked = encoder._train_stack([model] * 6, ds, augs, config)
+        mark("end")
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(result, tuple) for result in stacked)
+    peaks = [peak for (phase, _), (_, peak) in zip(marks, marks[1:]) if phase == "steps"]
+    assert [phase for phase, _ in marks] == ["draw", "steps"] * 2 + ["end"]
+    assert max(peaks) <= TILE_BYTES + 128 * 1024
+
+
+def test_a_stack_holds_no_array_of_a_chunk_when_the_next_one_draws(monkeypatch):
+    # The ring_pairs sweep trains in chunks of 151 and 149 steps. When the
+    # second chunk draws, chunk 1's norms, workspace and kept embeddings are
+    # gone: beside the chunk's own views, the traced memory is what it was
+    # when chunk 1 drew.
+    ds, model, augs, config = _ring_pairs_stack()
     chunk_arrays = []
     workspace, gradient, sample_chunk = encoder._workspace, encoder._gradient, encoder._sample_chunk
 
@@ -1223,10 +1278,10 @@ def test_a_stack_holds_no_array_of_a_chunk_when_the_next_one_draws(monkeypatch):
         tracemalloc.stop()
     assert all(isinstance(result, tuple) for result in stacked)
     (first, held_first, _, _), (second, held_second, made, alive) = draws
-    assert (first, second) == (182, 118)
+    assert (first, second) == (151, 149)
     assert made and alive == []
     views_bytes = 6 * 3 * config.batch_size * ds.input_dim * 8
-    # The kept embeddings of chunk 1 alone are 839 KB.
+    # The kept embeddings of chunk 1 alone are 696 KB.
     assert held_second - second * views_bytes <= held_first - first * views_bytes + 32 * 1024
 
 

@@ -593,10 +593,11 @@ def _per_tile_info_nce_l2(z, weights):
     return float(np.tile(weights, n) @ (per_row + shift) / n)
 
 
-def _row_bytes(n, v):
+def _row_bytes(n, v, groups=1):
     """Bytes the kernel holds per anchor row: N·V exponentials, a scratch of
-    max(N·V, V²), and the positives, log sum and product, V² each."""
-    return 8 * (n * v + max(n * v, v * v) + 3 * v * v)
+    max(N·V, V²), and V² each for the positives, the log sum and, with more
+    than one group of negative samples, the product."""
+    return 8 * (n * v + max(n * v, v * v) + (3 if groups > 1 else 2) * v * v)
 
 
 def _embeddings(enc, ds, aug):
@@ -609,7 +610,7 @@ def _embeddings(enc, ds, aug):
 def test_population_info_nce_of_one_tile_matches_the_per_tile_sum_bit_for_bit(
     split_workers, workers
 ):
-    # 24 samples x 7 views fill 0.65 MB of one TILE_BYTES // 2 tile.
+    # 24 samples x 7 views fill 0.58 MB of one TILE_BYTES // 2 tile.
     started = split_workers(workers)
     ds = _blobs(seed=26, spread=0.5)
     aug = AugmentationSet(
@@ -812,6 +813,37 @@ def test_population_info_nce_is_within_its_rounding_bound_of_a_long_double_oracl
     assert abs(got - oracle) <= 2 * n * 2.0**-53 * max(1.0, abs(oracle))
 
 
+@pytest.mark.parametrize("radius, groups, rows, tiles", [(1.0, 1, 46, 16), (6.0, 4, 37, 20)])
+def test_population_info_nce_tile_sets_hold_a_product_only_past_one_group(
+    monkeypatch, split_workers, radius, groups, rows, tiles
+):
+    # The ring_pairs shape, N = 28 and V = 26. Each share's set holds, R rows
+    # each, the exponentials, the scratch, the positives and the log sums;
+    # with several groups (radius 6, g = 9) the product too, and l2 stays
+    # within the long-double oracle's bound. R fits _row_bytes in half a tile.
+    split_workers(2)
+    embedded = _ring_embedded(radius, 5)
+    n, v, _ = embedded.z.shape
+    assert rows == TILE_BYTES // 2 // _row_bytes(n, v, groups)
+    handed = []
+    run_split = evaluation._run_split
+
+    def watched_split(work, items, workspaces):
+        handed.append((items, workspaces))
+        run_split(work, items, workspaces)
+
+    monkeypatch.setattr(evaluation, "_run_split", watched_split)
+    got = population_loss(embedded, "info_nce").l2
+    ((items, workspaces),) = handed
+    assert items == range(0, n * v, rows) and len(items) == tiles
+    floats = [n * v, max(n * v, v * v), v * v, v * v] + [v * v] * (groups > 1)
+    assert len(workspaces) == 2
+    for workspace in workspaces:
+        assert [buf.size for buf in workspace] == [rows * size for size in floats]
+    oracle = _long_double_population_l2(embedded.z, embedded.weights)
+    assert abs(got - oracle) <= 2 * n * 2.0**-53 * max(1.0, abs(oracle))
+
+
 def test_population_info_nce_refuses_nan_embeddings_before_any_tile(monkeypatch):
     embedded = _ring_embedded(1.0, 3)
     z = embedded.z.copy()
@@ -832,7 +864,8 @@ def test_population_info_nce_peak_memory_at_the_ring_pairs_shape_with_two_worker
     started = split_workers(2)
     embedded = _ring_embedded(1.0, 5)
     n, v, d = embedded.z.shape
-    assert n * v * _row_bytes(n, v) > 8 * TILE_BYTES
+    # The job's rows fill more than 15 tiles of TILE_BYTES // 2 (15.6 MiB in all).
+    assert n * v * _row_bytes(n, v) > 15 * (TILE_BYTES // 2)
     tracemalloc.start()
     try:
         population_loss(embedded, "info_nce")
@@ -909,7 +942,7 @@ def test_population_info_nce_is_the_same_on_buffers_off_the_cache_line(
 def test_population_info_nce_of_two_half_tiles_matches_the_per_tile_sum(
     split_workers, workers, helpers
 ):
-    # 28 samples x 10 views need 1.84 MiB: one TILE_BYTES tile, but two of
+    # 28 samples x 10 views need 1.62 MiB: one TILE_BYTES tile, but two of
     # TILE_BYTES // 2, which split between two threads where two may run.
     started = split_workers(workers)
     embedded = _ring_embedded(1.0, 3)
@@ -936,7 +969,8 @@ def test_population_info_nce_does_not_depend_on_the_tiling_on_random_shapes(
         weights = rng.random(v)
         weights /= weights.sum()
         span = 2.0 * float(np.max(np.sum(z**2, axis=2)))
-        row_bytes = _row_bytes(n, v)
+        g = min(n, int(-evaluation._EXP_FLOOR // max(span, 1.0)))
+        row_bytes = _row_bytes(n, v, -(-n // g))
         l2 = set()
         for workers in (1, 2):
             split_workers(workers)

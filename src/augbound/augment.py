@@ -145,10 +145,6 @@ class Transform:
         return self.rule in _DISCRETE_RULES
 
     @property
-    def param_dim(self) -> int:
-        return 0 if self.is_discrete else 1
-
-    @property
     def lipschitz_bound(self) -> float:
         """Certified Lipschitz constant of theta -> A_theta(x).
 
@@ -289,9 +285,9 @@ class AugmentationSet:
     def num_discrete(self) -> int:
         return len(self.discrete)
 
-    @cached_property
+    @property
     def num_continuous_params(self) -> int:
-        return sum(t.param_dim for t in self.continuous)
+        return len(self.continuous)
 
     @property
     def effective_lipschitz(self) -> float:

@@ -262,54 +262,45 @@ def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]
     """Write ``header`` then ``rows`` to ``path``, each cell as :func:`csv_value` formats it.
 
     The bytes are those of ``csv.writer``'s default dialect: minimal quoting
-    and CRLF line ends. The file is built as one string and written at once,
-    column by column where the rows are of one nonzero length. A column of
-    floats takes ``float.__repr__``, one of ints ``int.__repr__`` and any
-    other of floats, ints and bools ``csv_value``: none of their strings
-    needs quoting. A column of strs is checked once, for a comma, quote, CR or LF
-    and, in rows of one cell, an empty cell. The records are plain joins
-    unless a column fails its check or holds other cells; then each record
-    gets the check of ``_csv_record``. Other columns and ragged rows go cell
-    by cell through ``csv_value``.
+    and CRLF line ends. The file is built as one string and written at once.
+    Where the rows are of one nonzero length it goes column by column: a
+    column of floats takes ``float.__repr__`` and one of ints
+    ``int.__repr__``, whose strings never need quoting, and any other column
+    ``csv_value``. If neither the header nor any such other cell needs
+    quoting (a comma, quote, CR or LF, or an empty cell in one-cell rows),
+    every line is a plain join. Any other file, ragged and zero-width rows
+    included, is written whole by ``csv.writer`` from ``csv_value`` cells.
     """
-    rows = [tuple(row) for row in rows]
-    lines = [_csv_record(list(header))]
-    if rows and rows[0] and len(set(map(len, rows))) == 1:
-        columns, plain, lone = [], True, len(rows[0]) == 1
-        for column in zip(*rows):
-            kinds = set(map(type, column))
-            if all(issubclass(kind, float) for kind in kinds):
-                columns.append(map(float.__repr__, column))
-            elif kinds == {int}:
-                columns.append(map(int.__repr__, column))
-            elif kinds == {str}:
-                text = "".join(column)
-                columns.append(column)
-                plain &= not (any(c in text for c in ',"\r\n') or lone and "" in column)
-            else:
-                columns.append(map(csv_value, column))
-                plain &= all(kind in (int, bool) or issubclass(kind, float) for kind in kinds)
-        lines += map(",".join, zip(*columns)) if plain else map(_csv_record, zip(*columns))
+    header, rows = list(header), [tuple(row) for row in rows]
+    widths = set(map(len, rows))
+    plain = len(widths) <= 1 and 0 not in widths and not _needs_quotes(header, len(header))
+    columns = []
+    for column in zip(*rows) if plain else ():
+        kinds = set(map(type, column))
+        if all(issubclass(kind, float) for kind in kinds):
+            columns.append(map(float.__repr__, column))
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, column))
+        else:
+            cells = column if kinds == {str} else [csv_value(cell) for cell in column]
+            columns.append(cells)
+            plain &= not _needs_quotes(cells, len(rows[0]))
+    if plain:
+        text = "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
     else:
-        lines += [_csv_record([csv_value(cell) for cell in row]) for row in rows]
-    lines.append("")
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
-
-
-def _csv_record(cells: Sequence[str]) -> str:
-    """One CSV line as ``csv.writer`` writes it, without the line end.
-
-    A record with no comma, quote, CR or LF in any cell, and not one lone
-    empty cell, is the plain join; ``csv.writer`` writes any other. (It
-    keeps its CRLF terminator: without one it stops quoting CR and LF.)
-    """
-    line = ",".join(cells)
-    if not line or line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
         out = io.StringIO()
-        csv.writer(out).writerow(cells)
-        line = out.getvalue()[:-2]
-    return line
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows([csv_value(cell) for cell in row] for row in rows)
+        text = out.getvalue()
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _needs_quotes(cells: Sequence[str], width: int) -> bool:
+    """Whether ``csv.writer`` quotes any of ``cells``, taken from rows of ``width`` cells."""
+    text = "".join(cells)
+    return any(c in text for c in ',"\r\n') or width == 1 and "" in cells
 
 
 def spec_dict(obj: object) -> dict:

@@ -398,20 +398,21 @@ def population_loss(
         sum_j log(p_b + q_jc) = log prod_j (p_b + q_jc).
 
     The product is taken over groups of g samples, with one log per group:
-    ceil(N / g) N V^3 logs in all (N V^3 on the unit sphere), against
-    N^2 V^3 adds and multiplies. Scores lie in [-m, m] with m = max||z||^2, so p and q lie
-    in [exp(-2m), 1], each factor in [2 exp(-2m), 2] and a product of g
+    ceil(N / g) N V^3 logs in all, against N^2 V^3 adds and multiplies.
+    Scores lie in [-m, m] with m = max||z||^2, so p and q lie in
+    [exp(-2m), 1], each factor in [2 exp(-2m), 2] and a product of g
     factors in [2^g exp(-2mg), 2^g]. With
 
         g = min(N, floor(-log(tiny) / max(2m, 1))),   -log(tiny) = 708.39,
 
     exp(-2mg) >= tiny and 2^g <= 2^708, so every product is a finite,
     normal float64, with a margin of 2^g for the rounding of the scores.
-    On the unit sphere, where every model embeds, g = N (one group); for
-    embeddings of norm 6, g = 9 at N = 28, and of norm 18, g = 1, one log per
-    pair term. The exponents need 2m <= -log(tiny) (every norm up to 18);
-    other embeddings, NaN ones included, raise ValueError before any tile
-    runs.
+    InfoNCE models embed on the unit sphere (the pairing rule;
+    batch-standardized models do not), where g = min(N, 354): one group,
+    N V^3 logs, below 355 samples. For embeddings of norm 6, g = 9 at
+    N = 28, and of norm 18, g = 1, one log per pair term. The exponents
+    need 2m <= -log(tiny) (every norm up to 18); other embeddings, NaN ones
+    included, raise ValueError before any tile runs.
 
     Rounding: against one log per pair term on the same p and q, the
     products are the only new rounding. A group product rounds g sums and

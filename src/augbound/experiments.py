@@ -29,7 +29,7 @@ import sys
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Literal
 
 import numpy as np
@@ -307,7 +307,7 @@ def load_config(path: str) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Round-trippable plain-dict form (written next to the artifacts)."""
     out = spec_dict(config)
-    out["analysis"] = {key: out.pop(key) for key in ("delta_grid", "epsilon_grid", "clique_mode")}
+    out["analysis"] = {f.name: out.pop(f.name) for f in fields(_Analysis)}
     if isinstance(config.dataset, str):
         out["dataset"] = {"path": config.dataset}
     return out
@@ -351,7 +351,6 @@ class EvalRecord(dict):
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    out_dir: str
     dataset: Dataset
     model: EncoderModel
     curve: tuple[ConcentrationEstimate, ...]
@@ -623,7 +622,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     reports = stage_bounds(config, dataset, curve, record, out_dir)
     return ExperimentResult(
         config=config,
-        out_dir=out_dir,
         dataset=dataset,
         model=model,
         curve=curve,
@@ -678,7 +676,6 @@ def _sweep_levels(config: ExperimentConfig, sweep: SweepSpec) -> list[tuple[str,
 
 @dataclass(frozen=True)
 class SweepResult:
-    out_dir: str
     levels: tuple[str, ...]
     results: dict[str, ExperimentResult]
     failures: tuple[tuple[str, str, str], ...]
@@ -742,12 +739,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> SweepResult:
     if config.sweep.kind == "pairs":
         _write_pairs_correlation(config, results, labels, out_dir)
 
-    return SweepResult(
-        out_dir=out_dir,
-        levels=tuple(labels),
-        results=results,
-        failures=tuple(failures),
-    )
+    return SweepResult(levels=tuple(labels), results=results, failures=tuple(failures))
 
 
 def _write_pairs_correlation(

@@ -19,14 +19,25 @@ workloads (``bench/workloads.py``, loaded by path) runs at each of its
 ``GATE_SEEDS`` master seeds into ``<tree>/<workload>/<label>_s<seed>/``. A run
 that a stage refuses keeps what it wrote, and its ``StageError`` message
 goes to an ``ERROR`` file beside it, so the refusals are compared too.
+
+``--manifest FILE`` also writes the tree's manifest: a header naming numpy's
+version and its OpenBLAS configuration, then one ``sha256  path`` line per
+file. ``tests/artifact_manifest.txt`` is that manifest at the last commit
+that moved an artifact, and ``tests/test_artifact_tree.py`` compares a fresh
+tree with it. A change that moves artifact values rewrites it:
+
+    PYTHONPATH=src python tests/artifact_tree.py TREE --manifest tests/artifact_manifest.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import os
 import pathlib
+
+import numpy as np
 
 from augbound import experiments
 
@@ -54,15 +65,62 @@ def write_run(out: str, workload: str, label: str, seed: int) -> str:
     return run_dir
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="directory to create for the tree")
-    out = parser.parse_args(argv).out
+def write_tree(out: str) -> None:
+    """Write every workload config at each of its gate seeds under ``out``."""
     os.makedirs(out)
     for workload, seeds in GATE_SEEDS.items():
         for label, _ in workloads.raw_configs(workload):
             for seed in seeds:
                 write_run(out, workload, label, seed)
+
+
+def manifest_header() -> list[str]:
+    """The lines naming what the digests depend on besides the package."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [
+        f"# numpy {np.__version__}",
+        f"# openblas {blas.get('openblas configuration', 'none')}",
+    ]
+
+
+def manifest_digests(tree: str) -> dict[str, str]:
+    """Every file under ``tree`` by its ``/``-separated relative path → sha256."""
+    root = pathlib.Path(tree)
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def manifest_text(tree: str) -> str:
+    lines = manifest_header()
+    lines += [f"{digest}  {path}" for path, digest in manifest_digests(tree).items()]
+    return "\n".join(lines) + "\n"
+
+
+def read_manifest(path: str) -> tuple[list[str], dict[str, str]]:
+    """A manifest file's header lines and its path → sha256 map."""
+    header, digests = [], {}
+    with open(path) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("#"):
+                header.append(line)
+            else:
+                digest, name = line.split("  ", 1)
+                digests[name] = digest
+    return header, digests
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="directory to create for the tree")
+    parser.add_argument("--manifest", help="also write the tree's manifest to this file")
+    args = parser.parse_args(argv)
+    write_tree(args.out)
+    if args.manifest:
+        with open(args.manifest, "w") as fh:
+            fh.write(manifest_text(args.out))
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 The script is the byte-identity gate of a refactor: ``diff -r`` of its
 trees at two versions of the package. Here it runs one fixture config and
 one refused ladder rung at one seed, and, with LAPACK barred, one fixture
-config and the ring pairs sweep.
+config and the ring pairs sweep. The whole tree must match the committed
+``artifact_manifest.txt`` digest for digest.
 """
 
 import os
+import pathlib
 
 import numpy as np
 
@@ -46,3 +48,27 @@ def test_no_stage_calls_lapack(tmp_path, monkeypatch):
     run_dir = artifact_tree.write_run(str(tmp_path), "ring_pairs", "pairs", 0)
     with open(os.path.join(run_dir, "failures.csv")) as fh:
         assert fh.read() == "level,stage,message\n"
+
+
+def test_artifact_tree_matches_the_manifest(tmp_path):
+    manifest = pathlib.Path(artifact_tree.__file__).with_name("artifact_manifest.txt")
+    header, expected = artifact_tree.read_manifest(manifest)
+    tree = os.path.join(tmp_path, "tree")
+    artifact_tree.write_tree(tree)
+    actual = artifact_tree.manifest_digests(tree)
+    problems = [f"added: {path}" for path in sorted(actual.keys() - expected.keys())]
+    problems += [f"missing: {path}" for path in sorted(expected.keys() - actual.keys())]
+    problems += [
+        f"changed: {path}"
+        for path in sorted(actual.keys() & expected.keys())
+        if actual[path] != expected[path]
+    ]
+    # The digests rest on numpy's and libm's bits and on OpenBLAS's kernel
+    # choice as well as on the package, so a numpy build other than the
+    # manifest's leads the report: the mismatch may be that, not a moved
+    # artifact.
+    if problems and header != artifact_tree.manifest_header():
+        problems.insert(
+            0, f"manifest written with {header}, this host has {artifact_tree.manifest_header()}"
+        )
+    assert not problems, "\n".join(problems)

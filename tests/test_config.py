@@ -14,7 +14,7 @@ import pytest
 from augbound.augment import Transform
 from augbound.cli import main
 from augbound.core import from_spec, spec_dict
-from augbound.experiments import ConfigError, config_from_dict, config_to_dict
+from augbound.experiments import ConfigError, _sweep_levels, config_from_dict, config_to_dict
 
 _ROOT = Path(__file__).resolve().parents[1]
 _README = _ROOT / "README.md"
@@ -198,6 +198,10 @@ def test_spec_dict_is_the_former_asdict_form_on_workload_and_sweep_configs():
     for label, raw in cases:
         config = config_from_dict(raw)
         assert json.dumps(spec_dict(config)) == json.dumps(_asdict_spec(config)), label
+        # Every continuous member has one scalar parameter.
+        levels = [] if config.sweep is None else _sweep_levels(config, config.sweep)
+        for aug in [config.augmentation, *(aug for _, aug in levels)]:
+            assert aug.num_continuous_params == len(aug.continuous), label
 
 
 def _base():

@@ -280,30 +280,42 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
 
 
 _F64_THIRD = np.float64(1.0) / 3.0
+_ABC = ("a", "b", "c")
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "header, rows",
     [
-        # Columns of floats, of ints and of other cells, so the records are
-        # built column by column: plain joins, or checked for quoting.
-        [(math.nan, 1, -0.0), (math.inf, -2, 5e-324), (-math.inf, 0, _F64_THIRD)],
-        [(np.float64(0.1), 3), (np.float64(-0.0), 4), (np.float64(1e300), -5)],
-        [(1, 0.5), (True, 2.5), (3, 4.5)],  # a bool in an int column
-        [("a,b", 1.0), ('say "hi"', 2.0), ("cr\rcell", 3.0), ("lf\ncell", 4.0), ("plain", 5.0)],
-        [("",), ("x",), (1.5,)],  # one lone empty cell
-        [(1.0, 2), (3.0,), (4.0, 5, "six")],  # ragged rows
-        [(), ()],
-        [],
+        # Columns of floats, of ints and of other cells, so the file is
+        # built column by column: plain joins, or written by csv.writer.
+        (_ABC, [(math.nan, 1, -0.0), (math.inf, -2, 5e-324), (-math.inf, 0, _F64_THIRD)]),
+        (_ABC, [(np.float64(0.1), 3), (np.float64(-0.0), 4), (np.float64(1e300), -5)]),
+        (_ABC, [(1, 0.5), (True, 2.5), (3, 4.5)]),  # a bool in an int column
+        (_ABC, [("a,b", 1.0), ('say "hi"', 2.0), ("cr\rcell", 3.0), ("lf\ncell", 4.0),
+                ("plain", 5.0)]),
+        (_ABC, [("",), ("x",), (1.5,)]),  # one lone empty cell
+        (_ABC, [(1.0, 2), (3.0,), (4.0, 5, "six")]),  # ragged rows
+        (_ABC, [(), ()]),
+        (_ABC, []),
+        # The pipeline's own shapes: evaluation.csv's str keys over floats
+        # and one str, failures.csv's messages, and a header that needs
+        # quoting over plain rows.
+        (("key", "value"), [("err", 0.0), ("lipschitz", 3.2938373076105587),
+                            ("loss.kind", "info_nce"), ("loss.total", _F64_THIRD)]),
+        (("level", "stage", "message"), [
+            ("0_1", "concentration", "stage 'concentration' failed: graph has 64 nodes, over 48"),
+            ("0_2", "train", 'stage \'train\' failed: loss "info_nce" diverged, step 3'),
+        ]),
+        (("a,b", 'say "hi"', "c"), [(1.0, 2, "x"), (3.0, 4, "y")]),
     ],
     ids=["special_floats", "np_float64", "bool_in_ints", "quoted_text", "lone_empty",
-         "ragged", "empty_rows", "no_rows"],
+         "ragged", "empty_rows", "no_rows", "evaluation", "failures", "quoted_header"],
 )
-def test_write_csv_matches_csv_writer_with_csv_value_per_cell(rows, tmp_path):
+def test_write_csv_matches_csv_writer_with_csv_value_per_cell(header, rows, tmp_path):
     path, oracle = tmp_path / "table.csv", tmp_path / "oracle.csv"
-    write_csv(str(path), ["a", "b", "c"], iter(rows))
+    write_csv(str(path), header, iter(rows))
     with open(oracle, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["a", "b", "c"])
+        writer.writerow(header)
         writer.writerows([csv_value(cell) for cell in row] for row in rows)
     assert path.read_bytes() == oracle.read_bytes()

@@ -184,7 +184,10 @@ class Transform:
             return self._map(x, None)
         if theta is None:
             raise ValueError(f"{self.rule} requires a parameter in [0, 1]")
-        th = _check_theta(theta)
+        th = np.asarray(theta, dtype=np.float64)
+        # Written so that NaN, which compares false, fails it.
+        if th.size and not (th.min() >= -1e-12 and th.max() <= 1.0 + 1e-12):
+            raise ValueError("theta must lie in [0, 1]")
         return self._map(x, th[:, None] if x.ndim == 2 and th.ndim == 1 else th)
 
     def _map(self, x: np.ndarray, th: np.ndarray | None) -> np.ndarray:
@@ -212,14 +215,6 @@ class Transform:
         lo, hi = self.scale_span
         factor = lo + th * (hi - lo)
         return x * factor
-
-
-def _check_theta(theta: float | np.ndarray) -> np.ndarray:
-    th = np.asarray(theta, dtype=np.float64)
-    # Written so that NaN, which compares false, fails it.
-    if th.size and not (th.min() >= -1e-12 and th.max() <= 1.0 + 1e-12):
-        raise ValueError("theta must lie in [0, 1]")
-    return th
 
 
 def identity() -> Transform:
@@ -354,16 +349,15 @@ def augmented_distance(x1: np.ndarray, x2: np.ndarray, aug: AugmentationSet) -> 
     """Smallest Euclidean distance between any view of x1 and any view of x2.
 
     Symmetric, non-negative, and zero between a point and itself. Computed
-    on squared distances with a single square root at the end.
+    on squared distances (``_exact_extremes``), one square root at the end.
     """
     a = np.asarray(x1, dtype=np.float64)
     b = np.asarray(x2, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("augmented_distance expects two vectors of equal dimension")
-    va = view_tensor(a, aug)[0].T
-    vb = view_tensor(b, aug)[0].T
-    d2 = _sqeuclidean(va[:, :, None], vb[:, None, :])
-    return float(np.sqrt(max(d2.min(), 0.0)))
+    coords = np.ascontiguousarray(view_tensor(np.stack([a, b]), aug).reshape(-1, a.size).T)
+    first, second = np.array([0]), np.array([1])
+    return float(np.sqrt(_exact_extremes(coords, aug.num_views, first, second, np.minimum)[0]))
 
 
 def _sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -414,7 +408,7 @@ def distance_levels(
        screen work it saves.
     3. screen (``_pair_minima``): the smallest GEMM value m over the pair's
        V×V view pairs gives (m − E)/s² ≤ c ≤ (m + E)/s².
-    4. exact (``_exact_minima``): c by the exact formula, at both ends.
+    4. exact (``_exact_extremes``): c by the exact formula, at both ends.
 
     The loop intersects each step's lower and upper level with the pair's
     interval so far, and a pair is settled once the two ends meet, at a
@@ -446,15 +440,15 @@ def distance_levels(
     GEMM values turn infinite or NaN.) A GEMM multiplies the rows
     ``[-2ĉ, 1, q]`` of some views by the lifted ``[ĉ, q, 1]`` of others.
     Let u be float32's unit roundoff, eps32 = 2u its machine epsilon and
-    tiny32 its smallest normal number, and write γ_n = n·u for the bound on
-    an n-term inner product computed in any order (Higham 2002, §3.1). This
+    tiny32 its smallest normal number, and ν_n = n·u the first-order bound
+    on an n-term inner product in any order (Higham 2002, §3.1). This
     assumes that BLAS ``sgemm`` accumulates in IEEE float32 (or wider).
     Then any GEMM value g of a view pair, whatever the kernel, is within
     E = 10·(D + 4)·(eps32·M + tiny32) of s²·c, with c the exact formula's
     value on the unscaled views a, b, because to first order in u:
 
     - g is a float32 inner product of D + 2 terms of total size at most
-      4M, so it is within 4γ_{D+2}·M of Q_a + Q_b − 2·x_a·x_b, where x and
+      4M, so it is within 4ν_{D+2}·M of Q_a + Q_b − 2·x_a·x_b, where x and
       Q are the float32 ĉ and q;
     - each Q is q rounded to float32 (u·M), and rounding ĉ to float32 moves
       its squared norm by at most 2u·M, so |Q − ‖x‖²| ≤ 3u·M;
@@ -475,21 +469,17 @@ def distance_levels(
     The group floor is sound by the triangle inequality. Each discrete view
     is a group of its own; each run of ``grid_resolution`` consecutive grid
     views, which differ only in the last-declared member's parameter, is
-    one group centered on its float64 mean. Any point is a sound center,
-    so the mean's rounding costs nothing. ρ bounds ‖a − α‖ for every grid
-    view a and its center α: the largest float64 sum w of squared
-    differences has at most D + 1 roundings per term, so, with u now
-    float64's unit roundoff and eps64 = 2u, ‖a − α‖² ≤
-    (w + 2^-1000)·(1 + (D + 3)·eps64), where 2^-1000 covers underflow; ρ is
-    the square root of that, each step rounded up, one value for the class.
-    For views a, b in groups centered at α, β (a discrete view is its own
-    center), ‖a − b‖ ≥ ‖α − β‖ − 2ρ. The centers are lifted with their own
-    scale s' and bound E', so the smallest GEMM value m' over the pair's
-    G×G center pairs gives ‖α − β‖² ≥ (m' − E')/s'² for each of them, and
-    t = √((m' − E')/s'²) − 2ρ, each step rounded down, is at most every
-    real view distance of the pair. Each of the exact formula's values
-    has D + 2 roundings, so c ≥ (1 − γ_{D+2})·t² − 2^-1000 for t ≥ 0, and
-    fl(√c) ≥ (1 − u)·√c ≥ (1 − (D + 4)·u)·t − 2^-500. The floor
+    one group centered on its float64 mean. ρ (``_center_radius``, one
+    value for the class) bounds ‖a − α‖ for every grid view a and its
+    center α. For views a, b in groups centered at α, β (a discrete view
+    is its own center), ‖a − b‖ ≥ ‖α − β‖ − 2ρ. The centers are lifted with
+    their own scale s' and bound E', so the smallest GEMM value m' over the
+    pair's G×G center pairs gives ‖α − β‖² ≥ (m' − E')/s'² for each of
+    them, and t = √((m' − E')/s'²) − 2ρ, each step rounded down, is at most
+    every real view distance of the pair. With u, eps64 and γ_n now those
+    of ``_center_radius``, each of the exact formula's values has D + 2
+    roundings, so c ≥ (1 − γ_{D+2})·t² − 2^-1000 for t ≥ 0, and fl(√c) ≥
+    (1 − u)·√c ≥ (1 − (D + 4)·u)·t − 2^-500. The floor
     (1 − (D + 3)·eps64)·t − 2^-500, rounded down, is therefore at most
     fl(√c) (and negative for t < 0), so a pair whose floor lies above a
     delta has its distance above it.
@@ -542,7 +532,7 @@ def _steps(coords: np.ndarray, aug: AugmentationSet, deltas: np.ndarray) -> list
         return _level(deltas, _unscaled(m, np.array([[-bound], [bound]]), scale))
 
     def exact(rows, cols):
-        return (_level(deltas, _exact_minima(coords, v, rows, cols)),) * 2
+        return (_level(deltas, _exact_extremes(coords, v, rows, cols, np.minimum)),) * 2
 
     grouped = aug.continuous and TILE_BYTES // (4 * v * v * n) <= 1
     return [pre_pass, *([group] if grouped else []), screen, exact]
@@ -655,7 +645,7 @@ def _group_floor(
     for k in range(aug.grid_resolution):
         gap = runs[..., k] - centers
         widest = max(widest, float(np.einsum("ijk,ijk->jk", gap, gap).max()))
-    rho = _up(math.sqrt(_up(_up(widest + _UNDERFLOW64) * (1.0 + (d + 3) * _EPS64))))
+    rho = _center_radius(widest, d)
     groups = np.concatenate([views[:, :, :m], centers], axis=2)
     g = groups.shape[2]
     columns, left, bound, scale = _lifted(groups.reshape(d, n * g), g)
@@ -665,14 +655,36 @@ def _group_floor(
     return np.nextafter(floor - math.sqrt(_UNDERFLOW64), -np.inf)
 
 
+def _center_radius(w: float | np.ndarray, d: int) -> float | np.ndarray:
+    """Rounded-up bound ρ = √((w + 2^-1000)·(1 + (d + 3)·eps64)) on the real
+    distance from a float64 center to each of its float64 views in d
+    coordinates, w the largest float64 sum of a view's d squared
+    differences, in any order; w may hold one value per center. Any point
+    is a sound center, so a rounded mean serves.
+
+    With u = 2^-53, eps64 = 2u and γ_n = n·u/(1 − n·u) (Higham 2002,
+    §3.1), a term has at most d + 1 roundings (difference, square and
+    d − 1 additions), and an underflowing square loses at most 2^-1075
+    (differences and sums are exact there). So a real squared distance t
+    has (1 − u)^(d+1)·t − d·2^-1075 ≤ w, and t ≤ (1 + γ_{d+1})·(w +
+    d·2^-1075) ≤ (w + 2^-1000)·(1 + (d + 3)·eps64) for d < 2^70.
+    """
+    up = np.nextafter(np.nextafter(w + _UNDERFLOW64, np.inf) * (1.0 + (d + 3) * _EPS64), np.inf)
+    return np.nextafter(np.sqrt(up), np.inf)
+
+
 def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _exact_minima(coords: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Exact smallest squared view distance of each sample pair (rows[k],
-    cols[k]), by ``_sqeuclidean`` on the (D, N·V) ``coords``, as many pairs
-    at a time as fit half a ``TILE_BYTES`` (``_batch``)."""
+def _exact_extremes(
+    coords: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray, reduce: np.ufunc
+) -> np.ndarray:
+    """Exact extreme squared view distance of each sample pair (rows[k],
+    cols[k]), the smallest for ``reduce`` = ``np.minimum`` and the largest
+    for ``np.maximum``, by ``_sqeuclidean`` on the contiguous (D, N·V)
+    ``coords``, as many pairs at a time as fit half a ``TILE_BYTES``
+    (``_batch``)."""
     d = coords.shape[0]
     grid = coords.reshape(d, -1, v)
     out = np.empty(rows.size)
@@ -680,7 +692,7 @@ def _exact_minima(coords: np.ndarray, v: int, rows: np.ndarray, cols: np.ndarray
     for k in range(0, rows.size, step):
         a = grid[:, rows[k : k + step], :, None]
         b = grid[:, cols[k : k + step], None, :]
-        out[k : k + step] = _sqeuclidean(a, b).reshape(a.shape[1], -1).min(axis=1)
+        out[k : k + step] = reduce.reduce(_sqeuclidean(a, b).reshape(a.shape[1], -1), axis=1)
     return out
 
 
@@ -741,14 +753,15 @@ def _apply_views(
     R = ``disc_idx.size``, the view batches' rows in order.
 
     Members act row by row, so each is applied to every row and selected;
-    the rows may hold any number of view batches.
+    the rows may hold any number of view batches. Every uniform was drawn in
+    [0, 1), so each θ is applied by ``Transform._map`` unchecked.
     """
     b, rows = disc_idx.shape[-1], disc_idx.size
     n = aug.num_continuous_params
     # Every row drawn discrete (all rows when n == 0) is replaced below.
     out = points
     if n:
-        thetas = _check_theta(uniforms[..., b:].reshape(rows, n))
+        thetas = uniforms[..., b:].reshape(rows, n)
         for j, trans in enumerate(aug.continuous):
             out = trans._map(out, thetas[:, j : j + 1])
     take_discrete = (uniforms[..., :b].reshape(rows) < 0.5) | (n == 0)

@@ -256,9 +256,9 @@ def _norm_forward(
     return np.divide(centered, scale, out=centered), scale
 
 
-def _within(stat: np.ndarray, floor: float) -> bool:
-    """Whether every value of ``stat`` is finite and at least ``floor``."""
-    return floor <= stat.min() and stat.max() < math.inf
+def _within(stat: np.ndarray, floor: float, axis: tuple[int, ...] | None = None) -> np.ndarray:
+    """Whether every value of ``stat`` along ``axis`` is finite and at least ``floor``."""
+    return (floor <= stat.min(axis=axis)) & (stat.max(axis=axis) < math.inf)
 
 
 def flat_params(model: EncoderModel) -> np.ndarray:
@@ -894,11 +894,8 @@ def _train_chunk(
                 current -= np.multiply(lr, flat_grad, out=update)
             # With lr > 0 a non-finite gradient makes the parameters
             # non-finite, and they stay so in later steps.
-            level_stats = stats.reshape(steps, width, -1)
-            sound = (
-                np.logical_and.reduce(np.isfinite(params), axis=1)
-                & (stat_floor <= level_stats.min(axis=(0, 2)))
-                & (level_stats.max(axis=(0, 2)) < math.inf)
+            sound = np.logical_and.reduce(np.isfinite(params), axis=1) & _within(
+                stats.reshape(steps, width, -1), stat_floor, axis=(0, 2)
             )
     except FloatingPointError:
         sound = np.zeros(width, dtype=bool)

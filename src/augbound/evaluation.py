@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as losses_mod
-from .augment import TILE_BYTES, _sqeuclidean, _up
+from .augment import _EPS64, TILE_BYTES, _center_radius, _exact_extremes, _sqeuclidean, _up
 from .core import Dataset
-from .encoder import EncoderModel, _norm_forward, _sums, forward_prenorm, lipschitz_upper_bound
+from .encoder import EncoderModel, _norm_forward, _Sums, forward_prenorm, lipschitz_upper_bound
 from .losses import LossBreakdown
 
 __all__ = [
@@ -93,7 +93,7 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
     """
     n, v, _ = views.shape
     pre = forward_prenorm(model, views.reshape(n * v, -1))
-    sums = _sums(*pre.shape)._replace(col_mean=np.tile(weights, n) / n)
+    sums = _Sums(np.ones((pre.shape[1], 1)), np.ones(n * v), np.tile(weights, n) / n)
     flat, scales = _norm_forward(model, pre, sums)
     sphere = model.norm_mode == "sphere"
     factor = 2.0 if sphere else 1.0
@@ -112,19 +112,13 @@ def embed_views(model: EncoderModel, views: np.ndarray, weights: np.ndarray) -> 
 
 
 def _spreads(z: np.ndarray) -> np.ndarray:
-    """Largest distance between two views of each sample, for (N, V, d) ``z``.
-
-    Samples go in chunks whose (d + 1)·V² squared differences and distances
-    fit ``TILE_BYTES``.
-    """
+    """Largest distance between two views of each sample, for (N, V, d) ``z``:
+    the root of ``augment._exact_extremes`` of each sample with itself under
+    ``np.maximum``, on one contiguous (d, N·V) operand."""
     n, v, d = z.shape
-    coords = np.ascontiguousarray(z.transpose(2, 0, 1))
-    chunk = max(1, TILE_BYTES // (8 * (d + 1) * v * v))
-    out = np.empty(n)
-    for s in range(0, n, chunk):
-        block = coords[:, s : s + chunk]
-        out[s : s + chunk] = _sqeuclidean(block[..., :, None], block[..., None, :]).max(axis=(1, 2))
-    return np.sqrt(np.maximum(out, 0.0))
+    each = np.arange(n)
+    coords = np.ascontiguousarray(z.reshape(n * v, d).T)
+    return np.sqrt(_exact_extremes(coords, v, each, each, np.maximum))
 
 
 def class_centers(embedded: EmbeddedViews, dataset: Dataset) -> np.ndarray:
@@ -170,25 +164,20 @@ def _spread_bounds(embedded: EmbeddedViews) -> tuple[np.ndarray, np.ndarray]:
     straddle than from view 0): entries of c's own matrix, bit for bit, so
     l ≤ c, and a correctly rounded square root never decreases.
 
-    hi = 2·√(w + 2^-1000)·(1 + (d + 2)·eps64), each step rounded up. Every
-    real view distance D is at most 2ρ, ρ = max_v ‖z_v − m‖, as any point
-    is a sound center. With u = 2^-53, eps64 = 2u and γ_n = n·u/(1 − n·u),
-    a value s of real squared distance t has d + 1 roundings per term and,
-    where squares underflow, an error of up to d·2^-1075 (differences and
-    sums are exact there), so (1 − u)^(d+1)·t − d·2^-1075 ≤ s ≤
-    (1 + u)^(d+1)·t + d·2^-1075. Then ρ² ≤ (1 + γ_{d+1})(w + d·2^-1075),
-    c ≤ 4(1 + γ_{d+1})²(w + 2^-1000) for d < 2^70, and with the root's
-    1 + u, fl(√c) ≤ 2(1 + γ_{d+2})√(w + 2^-1000) ≤ hi, as
-    γ_{d+2} ≤ (d + 2)·eps64. The factor and the doubling are exact.
+    hi = 2ρ·(1 + (d + 2)·eps64), its one inexact step rounded up, with ρ =
+    ``_center_radius`` of w, so every real view distance D is at most 2ρ.
+    With u, eps64 and γ_n as there, the float64 value of a D² has d + 1
+    roundings per term and loses at most d·2^-1075 to underflow, so
+    c ≤ (1 + γ_{d+1})·4ρ² + d·2^-1075 ≤ (1 + γ_{d+2})·4ρ² (ρ² ≥ 2^-1000,
+    d ≤ 2^24), and with the root's 1 + u, fl(√c) ≤ 2ρ(1 + γ_{d+2}) ≤ hi.
     """
     z = embedded.z
     coords = np.ascontiguousarray(z.transpose(2, 0, 1))
     sq = _sqeuclidean(coords, embedded.means.T[:, :, None])
     samples, far = np.arange(z.shape[0]), sq.argmax(axis=1)
     lo = np.sqrt(_sqeuclidean(z[samples, far].T[:, :, None], coords).max(axis=1))
-    up = np.nextafter(np.sqrt(np.nextafter(sq[samples, far] + 2.0**-1000, np.inf)), np.inf)
-    factor = 1.0 + (z.shape[2] + 2) * np.finfo(np.float64).eps
-    return lo, np.nextafter(2.0 * up * factor, np.inf)
+    rho = _center_radius(sq[samples, far], z.shape[2])
+    return lo, np.nextafter(2.0 * rho * (1.0 + (z.shape[2] + 2) * _EPS64), np.inf)
 
 
 def class_moments(

@@ -21,10 +21,11 @@ that a stage refuses keeps what it wrote, and its ``StageError`` message
 goes to an ``ERROR`` file beside it, so the refusals are compared too.
 
 ``--manifest FILE`` also writes the tree's manifest: a header naming numpy's
-version and its OpenBLAS configuration, then one ``sha256  path`` line per
-file. ``tests/artifact_manifest.txt`` is that manifest at the last commit
-that moved an artifact, and ``tests/test_artifact_tree.py`` compares a fresh
-tree with it. A change that moves artifact values rewrites it:
+version, its OpenBLAS build and the kernel that OpenBLAS chose at run time,
+then one ``sha256  path`` line per file. ``tests/artifact_manifest.txt`` is
+that manifest at the last commit that moved an artifact (or changed the
+header), and ``tests/test_artifact_tree.py`` compares a fresh tree with it.
+A change that moves artifact values rewrites it:
 
     PYTHONPATH=src python tests/artifact_tree.py TREE --manifest tests/artifact_manifest.txt
 """
@@ -32,6 +33,7 @@ tree with it. A change that moves artifact values rewrites it:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import importlib.util
 import os
@@ -74,12 +76,32 @@ def write_tree(out: str) -> None:
                 write_run(out, workload, label, seed)
 
 
+def blas_core() -> str:
+    """The kernel that numpy's OpenBLAS chose on this host at run time.
+
+    The build string names the build's target only; a ``DYNAMIC_ARCH``
+    build picks its kernel when it loads. The name is read with ctypes from
+    the OpenBLAS library that a numpy wheel loads, bundled beside numpy;
+    ``unknown`` where there is none or it lacks
+    ``scipy_openblas_get_corename64_``.
+    """
+    package = pathlib.Path(np.__file__).parent
+    bundled = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
+    for library in sorted(bundled):
+        corename = getattr(ctypes.CDLL(str(library)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def manifest_header() -> list[str]:
     """The lines naming what the digests depend on besides the package."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return [
         f"# numpy {np.__version__}",
         f"# openblas {blas.get('openblas configuration', 'none')}",
+        f"# openblas core {blas_core()}",
     ]
 
 

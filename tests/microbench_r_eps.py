@@ -14,10 +14,11 @@ batch-standardized encoder trained as the ladder trains it, against the
 ladder's epsilon grid. Every shape is timed twice: ``grid`` is the
 package's decision (cheap bounds on each sample's view spread, and the
 exact spread only for a sample whose bounds straddle an epsilon), and
-``exact`` thresholds the exact spread of every sample (``_spreads``), as
-the evaluation did before it decided on the grid. Both give the same
-fractions. Each ``grid`` case records in ``extra_info`` how many samples
-went through the exact spread, counted on one untimed call.
+``exact`` thresholds the exact spread of every sample (``_spreads``, which
+is ``augment._exact_extremes`` under ``np.maximum``), as the evaluation did
+before it decided on the grid. Both give the same fractions. Each ``grid``
+case records in ``extra_info`` how many samples went through the exact
+spread, counted on one untimed call.
 """
 
 import numpy as np

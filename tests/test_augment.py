@@ -533,13 +533,13 @@ def test_exact_fallback_runs_where_the_bounds_straddle_a_delta(monkeypatch):
     # places it.
     ds = _ring_dataset(20)
     fallback = []
-    exact_minima = augment._exact_minima
+    exact_extremes = augment._exact_extremes
 
-    def counted(coords, v, rows, cols):
+    def counted(coords, v, rows, cols, reduce):
         fallback.append(rows.size)
-        return exact_minima(coords, v, rows, cols)
+        return exact_extremes(coords, v, rows, cols, reduce)
 
-    monkeypatch.setattr(augment, "_exact_minima", counted)
+    monkeypatch.setattr(augment, "_exact_extremes", counted)
     points = _class_points(ds, 0)
     reference = _row_block_distance_matrix(points, _RING_V126)
     deltas = np.unique(reference)
@@ -701,7 +701,7 @@ def test_gemm_bounds_hold_pair_by_pair(monkeypatch, case):
     [(m, rows, cols)] = screened
     coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
     every = np.indices((n, n)).reshape(2, -1)
-    exact = augment._exact_minima(coords, v, *every).reshape(n, n)
+    exact = augment._exact_extremes(coords, v, *every, np.minimum).reshape(n, n)
     # Each sample's views against each sample's identity view bound c from above.
     assert np.all(augment._unscaled(h, bound, scale) >= exact)
     need = np.zeros((n, n), dtype=bool)
@@ -766,7 +766,7 @@ def test_group_floors_hold_pair_by_pair(monkeypatch, case):
     levels = distance_levels(points, aug, [0.0])
     coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
     every = np.indices((n, n)).reshape(2, -1)
-    exact = np.sqrt(augment._exact_minima(coords, v, *every)).reshape(n, n)
+    exact = np.sqrt(augment._exact_extremes(coords, v, *every, np.minimum)).reshape(n, n)
     np.testing.assert_array_equal(levels, exact > 0)
     if not aug.continuous:
         assert floors == []
@@ -806,7 +806,7 @@ def test_every_step_bounds_the_exact_level_pair_by_pair(monkeypatch, case):
         monkeypatch.setattr(augment, "TILE_BYTES", 4 * v * v * n)
     coords = np.ascontiguousarray(view_tensor(points, aug).reshape(n * v, d).T)
     every = np.indices((n, n)).reshape(2, -1)
-    exact = np.sqrt(augment._exact_minima(coords, v, *every)).reshape(n, n)
+    exact = np.sqrt(augment._exact_extremes(coords, v, *every, np.minimum)).reshape(n, n)
     for i, j in [(0, 1), (0, n - 1), (n - 2, n - 1)]:
         assert exact[i, j] == augmented_distance(points[i], points[j], aug)
     near = np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)])

@@ -548,13 +548,17 @@ def _per_step_views(ds, aug, b, steps, views_per_step, rng):
 
 def _record_fallbacks(monkeypatch):
     """Wrap ``encoder._block_draws``; the returned list gets the step count
-    of each chunk it declines, which then falls back to per-step batches."""
+    of each chunk it declines, which then falls back to per-step batches.
+    Every uniform it decodes must lie in [0, 1), as ``random`` draws them:
+    ``augment._apply_views`` applies them as θ unchecked."""
     steps = []
     real = encoder._block_draws
 
     def recording(num_samples, num_discrete, rng, idx, uniforms, disc_idx):
         decoded = real(num_samples, num_discrete, rng, idx, uniforms, disc_idx)
-        if not decoded:
+        if decoded:
+            assert ((0.0 <= uniforms) & (uniforms < 1.0)).all()
+        else:
             steps.append(len(idx))
         return decoded
 

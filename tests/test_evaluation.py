@@ -183,7 +183,8 @@ def test_classifier_and_spreads_match_their_cdist_forms(dim):
     np.testing.assert_array_equal(
         classify_batch(centers, z), np.argmin(cdist(z, centers, "sqeuclidean"), axis=1)
     )
-    # 30 samples of 126 views take several TILE_BYTES chunks.
+    # 30 samples of 126 views take several half-TILE_BYTES batches of
+    # ``augment._exact_extremes``.
     views = rng.normal(size=(30, 126, dim)) * scale
     expected = np.array([np.sqrt(max(cdist(x, x, "sqeuclidean").max(), 0.0)) for x in views])
     np.testing.assert_array_equal(evaluation._spreads(views), expected)
@@ -330,6 +331,55 @@ def test_r_eps_takes_the_exact_spread_of_exactly_the_straddling_samples(monkeypa
     assert empirical_r_eps(embedded, grid) == [float(np.mean(exact > eps)) for eps in grid]
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], z[straddling])
+
+
+# A view in [1, 2)^8 whose differences from the center -0.4999·2^-52 round
+# down, as do enough of their squares and of their left-to-right sum that w
+# falls 4.2u short of the real squared distance: found by a search over such
+# views for one that the outward roundings of ρ's steps alone do not cover,
+# so that ρ needs its factor 1 + (d + 3)·eps64.
+_ROUNDS_DOWN = (
+    1.6494732872757738, 1.1116904016311808, 1.5424816529661882, 1.4312348141987454,
+    1.2132900211575606, 1.4823042059924636, 1.502641591270629, 1.047084628768191,
+)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_center_radius_bounds_every_exact_view_distance(d):
+    # Centers of magnitude 2^-540 to 2^500 with views at 2^0 to 2^-30 of
+    # it, so that some squares are subnormal or vanish, and two crafted
+    # centers of v equal views. The first is 0, with views whose d squares,
+    # each about 2.49·2^-1074, round down by 0.49·2^-1074 each: from d = 5
+    # on, more than the outward roundings of ρ's steps make up, so that only
+    # its 2^-1000 keeps ρ sound. The second is the center of
+    # ``_ROUNDS_DOWN``. w is formed as each caller forms it: an einsum
+    # (``augment._group_floor``) and ``_sqeuclidean``
+    # (``evaluation._spread_bounds``).
+    rng = np.random.default_rng(40 + d)
+    n, v = 120, 5
+    scale = np.ldexp(1.0, rng.integers(-540, 501, size=(n - 2, 1, 1)))
+    centers = rng.standard_normal((n - 2, 1, d)) * scale
+    offsets = np.ldexp(rng.standard_normal((n - 2, v, d)), -rng.integers(0, 31, size=(n - 2, v, 1)))
+    crafted = np.stack([np.full(d, math.sqrt(2.49) * 2.0**-537), _ROUNDS_DOWN[:d]])
+    z = np.concatenate([centers + offsets * scale, np.repeat(crafted[:, None], v, axis=1)])
+    centers = np.concatenate([centers, [[np.zeros(d)], [np.full(d, -0.4999 * 2.0**-52)]]])
+    gap = (z - centers).transpose(2, 0, 1)
+    coords = np.ascontiguousarray(z.transpose(2, 0, 1))
+    sums = (
+        np.einsum("ijk,ijk->jk", gap, gap),
+        augment._sqeuclidean(coords, centers.transpose(2, 0, 1)),
+    )
+    assert (sums[0] < 2.0**-1022).any() and (sums[0] > 2.0**900).any()
+    for w in sums:
+        rho = augment._center_radius(w.max(axis=1), d)
+        for i in range(n):
+            center = [Fraction(c) for c in centers[i, 0]]
+            for view in z[i]:
+                exact = sum((Fraction(a) - c) ** 2 for a, c in zip(view, center))
+                assert Fraction(rho[i]) ** 2 >= exact
+    lo, hi = evaluation._spread_bounds(dataclasses.replace(_views_embedded(z), means=centers[:, 0]))
+    spreads = evaluation._spreads(z)
+    assert (lo <= spreads).all() and (spreads <= hi).all()
 
 
 def test_sphere_centers_respect_jensen():
